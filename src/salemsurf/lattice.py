@@ -1,7 +1,7 @@
 """Exact lattice arithmetic: the rank-11 hyperbolic lattice, a fixed
 Coxeter-type isometry, characteristic polynomials, Sturm real-root
-isolation over Fraction, Salem certification through the trace
-polynomial, and spectral-radius enclosures.
+isolation by exact integer sign evaluation, Salem certification through
+the trace polynomial, and spectral-radius enclosures.
 
 Integer polynomials are plain lists of ints, low degree first; matrices
 are tuples of row tuples acting on column vectors. The ambient bilinear
@@ -43,14 +43,6 @@ def ip_add(p, q):
     n = max(len(p), len(q))
     return ip_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
                     for i in range(n)])
-
-
-def ip_neg(p):
-    return [-c for c in p]
-
-
-def ip_sub(p, q):
-    return ip_add(p, ip_neg(q))
 
 
 def ip_mul(p, q):
@@ -99,32 +91,50 @@ def ip_divmod(p, q):
     return out, r
 
 
-def ip_primitive(p):
-    """Clear denominators and content; keep the sign of the leading term."""
+def _primitive_part(p):
+    """p divided by the gcd of its coefficients; signs are kept."""
     from math import gcd
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
     g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
+    for c in p:
+        g = gcd(g, c)
+    return [c // g for c in p] if g > 1 else p
+
+
+def ip_primitive(p):
+    """Clear denominators and content; make the leading term positive."""
+    from math import lcm
+    den = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
+    ints = _primitive_part([int(c * den) for c in p])
     if ints and ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
 
 
+def _pos_rem(a, b):
+    """A positive multiple of the remainder of a by b over Q.
+
+    Pseudo-division that scales by |lc(b)| rather than lc(b), so every
+    step multiplies by a positive integer and signs are kept.
+    """
+    r = list(a)
+    lb = b[-1]
+    mag, sgn = abs(lb), (1 if lb > 0 else -1)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        lr = r[-1] * sgn
+        r = [mag * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= lr * c
+        r = ip_trim(r)
+    return _primitive_part(r)
+
+
 def ip_gcd(p, q):
-    """Primitive integer gcd via the Euclidean algorithm over Q."""
-    a, b = [Fraction(c) for c in ip_trim(p)], [Fraction(c) for c in ip_trim(q)]
+    """Primitive integer gcd via the Euclidean algorithm on integer
+    pseudo-remainders."""
+    a, b = ip_trim(p), ip_trim(q)
     while b:
-        _, r = ip_divmod(a, b)
-        a, b = b, r
+        a, b = b, _pos_rem(a, b)
     return ip_primitive(a)
 
 
@@ -343,16 +353,32 @@ def reflection_in(v, gram):
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences over exact rationals
+# Sturm sequences on integer polynomials
+
+
+def _sign_at(p, x):
+    """Sign of the integer polynomial p at the rational x = n/d, d > 0.
+
+    Integer Horner on sum c_i n^i d^(deg - i) = d^deg p(x), which has the
+    sign of p(x) because d^deg > 0; no Fraction is built.
+    """
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _sturm_chain(p):
-    chain = [[Fraction(c) for c in ip_trim(p)]]
+    """Sturm sequence of p; each entry is a primitive integer list that
+    differs from the rational Sturm remainder by a positive factor."""
+    chain = [_primitive_part(ip_trim(p))]
     d = ip_deriv(p)
     if d:
-        chain.append([Fraction(c) for c in d])
+        chain.append(_primitive_part(d))
     while len(chain[-1]) > 1:
-        _, r = ip_divmod(chain[-2], chain[-1])
+        r = _pos_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
@@ -360,11 +386,7 @@ def _sturm_chain(p):
 
 
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = ip_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -379,12 +401,26 @@ def _count_roots(chain, a, b):
     return _variations(chain, a) - _variations(chain, b)
 
 
+def _bisect(p, lo, hi, precision):
+    """Halve (lo, hi] by the sign of p at the midpoint until its width is
+    at most precision. (lo, hi] must hold exactly one root of p, a simple
+    one, and no midpoint may be a root."""
+    s_lo = _sign_at(p, lo)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if _sign_at(p, mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def real_roots(p, precision=Fraction(1, 10 ** 6)):
     """Isolating rational intervals for all real roots of a squarefree p.
 
     Exact rational roots come back as degenerate [r, r] intervals. The
-    remaining roots are isolated by Sturm counts and bisected below the
-    requested width. Sorted by position.
+    remaining roots are isolated by Sturm counts and then bisected below
+    the requested width by sign changes. Sorted by position.
     """
     p = ip_trim(p)
     if len(p) <= 1:
@@ -394,19 +430,18 @@ def real_roots(p, precision=Fraction(1, 10 ** 6)):
         raise NotSquarefree("input shares a factor with its derivative")
     precision = Fraction(precision)
     exact = []
-    work = [Fraction(c) for c in p]
+    rest = ip_primitive(p)
     # rational roots: p/q with p | constant term, q | leading term
-    while work[0] == 0:
+    while rest[0] == 0:
         exact.append(Fraction(0))
-        work = work[1:]
-    ints = ip_primitive(work)
-    for r in _rational_roots(ints):
-        if ip_eval(work, r) == 0:
+        rest = rest[1:]
+    for r in _rational_roots(rest):
+        if _sign_at(rest, r) == 0:
             exact.append(r)
-            work, rem = ip_divmod(work, [-r, Fraction(1)])
+            q, rem = ip_divmod(rest, [-r.numerator, r.denominator])
             assert not rem
+            rest = ip_primitive(q)
     intervals = [(r, r) for r in exact]
-    rest = ip_primitive(work)
     if len(rest) > 1:
         chain = _sturm_chain(rest)
         bound = _root_bound(rest)
@@ -414,15 +449,14 @@ def real_roots(p, precision=Fraction(1, 10 ** 6)):
         while stack:
             lo, hi = stack.pop()
             n = _count_roots(chain, lo, hi)
-            if n == 0:
-                continue
-            if n == 1 and hi - lo <= precision:
-                intervals.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            # no rational roots remain, so mid is never a root
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            if n == 1:
+                # rest is squarefree with no rational roots left, so the
+                # root is simple and no midpoint is a root
+                intervals.append(_bisect(rest, lo, hi, precision))
+            elif n > 1:
+                mid = (lo + hi) / 2
+                stack.append((lo, mid))
+                stack.append((mid, hi))
     intervals.sort(key=lambda iv: iv[0] + iv[1])
     return intervals
 
@@ -532,18 +566,17 @@ def _sign_at_root(p, dp, lo, hi):
     """
     chain = _sturm_chain(dp)
     while True:
-        if (ip_eval(dp, lo) != 0 and ip_eval(dp, hi) != 0
-                and _count_roots(chain, lo, hi) == 0):
-            v = ip_eval(dp, lo)
-            return 1 if v > 0 else -1
+        s = _sign_at(dp, lo)
+        if s and _sign_at(dp, hi) and _count_roots(chain, lo, hi) == 0:
+            return s
         if lo == hi:
             raise NotSalem("derivative vanishes at a trace root")
         mid = (lo + hi) / 2
-        if ip_eval(p, mid) == 0:  # landed on the root exactly
+        if _sign_at(p, mid) == 0:  # landed on the root exactly
             third = (hi - lo) / 3
             lo, hi = mid - third, mid + third
             continue
-        if ip_eval(p, lo) * ip_eval(p, mid) < 0:
+        if _sign_at(p, lo) * _sign_at(p, mid) < 0:
             hi = mid
         else:
             lo = mid
@@ -570,7 +603,7 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
     if len(ivs) != d:
         raise NotSalem(f"trace polynomial has {len(ivs)} real roots, "
                        f"needs {d}")
-    if ip_eval(r, Fraction(2)) == 0 or ip_eval(r, Fraction(-2)) == 0:
+    if _sign_at(r, 2) == 0 or _sign_at(r, -2) == 0:
         raise NotSalem("trace root at +/-2 (cyclotomic boundary)")
     above = [iv for iv in ivs if iv[0] >= 2]
     below = [iv for iv in ivs if iv[1] <= -2]
@@ -586,31 +619,26 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
                            "plus the rest inside (-2, 2)")
     dr = ip_deriv(r)
     signs = tuple(_sign_at_root(r, dr, lo, hi) for lo, hi in inside)
-    lam = _largest_root_interval(p, precision)
-    if lam[0] <= 1:
-        raise NotSalem("leading root does not exceed 1")
-    return SalemCertificate(r, ivs, signs, lam)
+    lo, hi = _largest_root_interval(p, precision)
+    # The trace root above 2 makes the largest root lambda > 1 and the
+    # only real root of p there, so halving its isolating interval lifts
+    # lo above 1 at any requested width; an exact lambda already has it.
+    while lo <= 1:
+        lo, hi = _bisect(p, lo, hi, (hi - lo) / 2)
+    return SalemCertificate(r, ivs, signs, (lo, hi))
 
 
 def _largest_root_interval(p, precision):
-    ivs = real_roots(ip_primitive([Fraction(c) for c in p]), precision)
+    ivs = real_roots(p, precision)
     if not ivs:
         raise NotSalem("no real roots at all")
     return ivs[-1]
 
 
-def sign_vector_target():
-    """The certified sign pattern of the interior trace-root derivative
-    analysis, positive-derivative roots listed first: (-1, -1, +1, +1).
-
-    Asserts the certificate (two positive interior signs for the fixed
-    degree-10 polynomial) before returning the frozen tuple.
-    """
-    cert = salem_certify(lehmer_polynomial())
-    pos = sum(1 for s in cert.interior_signs if s > 0)
-    if pos != 2 or len(cert.interior_signs) != 4:
-        raise NotSalem("interior derivative signs changed; refusing target")
-    return (-1, -1, 1, 1)
+def sign_vector_target(cert):
+    """The interior trace-root derivative signs of a Salem certificate,
+    sorted: (-1, -1, +1, +1) for Lehmer's degree-10 polynomial."""
+    return tuple(sorted(cert.interior_signs))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _lattice_salem(precision) -> list:
     checks.append(rp.leaf("salem.two_positive_interior_signs",
                           pos == 2 and len(cert.interior_signs) == 4,
                           list(cert.interior_signs)))
-    target = lat.sign_vector_target()
+    target = lat.sign_vector_target(cert)
     checks.append(rp.leaf("salem.target_sign_vector",
                           target == (-1, -1, 1, 1)
                           and sum(1 for s in target if s < 0) == pos,
@@ -388,26 +388,24 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
     """Execute one named suite and return its report tree.
 
     `all` chains the three primary suites; `salem` and `lagrangians`
-    are aliases for the matching lattice subnodes.
+    are aliases for the matching lattice subnodes. The root and each
+    top-level suite node carry their measured wall time.
     """
     if config is None:
         config = SuiteConfig()
     if name not in SUITE_NAMES:
         raise UnknownSuite(f"no suite named {name!r}; "
                            f"choose one of {', '.join(SUITE_NAMES)}")
-    if name == "lattice":
-        return rp.node("lattice", lattice_suite(config))
-    if name == "cubic":
-        return rp.node("cubic", cubic_suite(config))
-    if name == "surface":
-        return rp.node("surface", surface_suite(config))
+    primary = {"lattice": lattice_suite, "cubic": cubic_suite,
+               "surface": surface_suite}
+    if name in primary:
+        return _guarded(name, lambda: primary[name](config))
     if name == "salem":
-        return rp.node("salem", [_guarded(
+        return _guarded("salem", lambda: [_guarded(
             "lattice.salem", lambda: _lattice_salem(config.precision))])
     if name == "lagrangians":
-        return rp.node("lagrangians",
-                       [_guarded("lattice.lagrangians",
-                                 _lattice_lagrangians)])
-    return rp.node("all", [rp.node("lattice", lattice_suite(config)),
-                           rp.node("cubic", cubic_suite(config)),
-                           rp.node("surface", surface_suite(config))])
+        return _guarded("lagrangians", lambda: [
+            _guarded("lattice.lagrangians", _lattice_lagrangians)])
+    return _guarded("all", lambda: [
+        _guarded(suite, lambda: primary[suite](config))
+        for suite in ("lattice", "cubic", "surface")])

@@ -98,7 +98,9 @@ def test_criterion_05_salem_certification():
         return (len(cert.trace_intervals) == 5
                 and len(above) == 1 and len(below) == 4
                 and pos == 2
-                and lat.sign_vector_target() == (-1, -1, 1, 1))
+                and lat.sign_vector_target(
+                    lat.salem_certify(lat.lehmer_polynomial()))
+                == (-1, -1, 1, 1))
     _report(5, "trace identity and interior derivative signs", 1, run)
 
 

@@ -102,6 +102,29 @@ def test_real_roots_of_degree10():
     assert abs(_mid(ivs[0]) * lam - 1.0) < 1e-8  # reciprocal pair
 
 
+def test_real_roots_against_sympy_intervals():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(20251121)
+    polys = [P10, trace_polynomial(P10),
+             ip_mul([-3, 2], [-2, 0, 1])]  # a rational root at 3/2
+    while len(polys) < 8:
+        p = [rng.randint(-20, 20) for _ in range(rng.randint(3, 9))]
+        if p[-1] and sympy.Poly(p[::-1], x).is_sqf:
+            polys.append(p)
+    for p in polys:
+        sp = sympy.Poly(p[::-1], x)
+        ivs = real_roots(p, Fraction(1, 10 ** 12))
+        assert len(ivs) == len(sp.intervals())
+        for lo, hi in ivs:
+            assert hi - lo <= Fraction(1, 10 ** 12)
+            inside = sp.intervals(inf=sympy.Rational(lo.numerator,
+                                                     lo.denominator),
+                                  sup=sympy.Rational(hi.numerator,
+                                                     hi.denominator))
+            assert len(inside) == 1, (p, lo, hi)
+
+
 def test_trace_polynomial_small():
     assert trace_polynomial([1, 0, 1]) == [0, 1]
     assert trace_polynomial([1, -2, 1]) == [-2, 1]
@@ -131,7 +154,8 @@ def test_salem_certificate():
 
 
 def test_sign_vector_target():
-    assert sign_vector_target() == (-1, -1, 1, 1)
+    assert sign_vector_target(salem_certify(lehmer_polynomial())) \
+        == (-1, -1, 1, 1)
 
 
 def test_dynamical_degree_small_cases():

@@ -12,6 +12,7 @@ from salemsurf.errors import UnknownSuite
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
+SALEM_FINE_GOLDEN = Path(__file__).parent / "golden" / "salem_1.5e-30.json"
 
 
 def test_node_status_is_worst_child():
@@ -110,6 +111,28 @@ def test_full_run_is_deterministic_and_matches_golden(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first == GOLDEN.read_text()
+
+
+def test_fine_salem_run_matches_golden(capsys):
+    assert main(["salem", "--format", "json", "--precision", "1.5e-30"]) == 0
+    assert capsys.readouterr().out == SALEM_FINE_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("width", ["5", "1", "0.5"])
+def test_coarse_precision_keeps_salem_verdict(capsys, width):
+    assert main(["salem", "--format", "json", "--precision", width]) == 0
+    salem = json.loads(capsys.readouterr().out)["children"][0]
+    leaf = next(c for c in salem["children"]
+                if c["name"] == "salem.lambda10_interval")
+    lo, hi = (Fraction(*leaf["witness"][k]) for k in ("lo", "hi"))
+    assert lo > 1 and hi - lo <= Fraction(width)
+
+
+def test_markdown_times_the_surface_suite(capsys):
+    assert main(["all", "--format", "md"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("- [PASS] `surface` ("))
+    assert float(line.split("(")[1].split(" ms")[0]) > 0
 
 
 def test_installed_script_runs():
