@@ -6,7 +6,7 @@ cubic, and the surface checks in surface. suites/cli wrap everything
 into named report-producing runs.
 """
 
-from .errors import SalemsurfError, UnknownSuite
+from .errors import SalemsurfError
 from .gf2m import (FieldCtx, FieldElement, dlog, embed, ext_context,
                    field_make, format_elem, frobenius, gf32, parse_elem,
                    unembed)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldCtx", "FieldElement", "Mod2QuadSpace", "MultiPoly", "ProjPoint",
     "Report", "SalemsurfError", "SUITE_NAMES", "SuiteConfig", "UniPoly",
-    "UnknownSuite", "char_poly", "coxeter_matrix", "dlog",
+    "char_poly", "coxeter_matrix", "dlog",
     "dynamical_degree", "e10_basis", "e10_parity_check", "embed",
     "emit_json", "emit_markdown", "enumerate_lagrangians", "ext_context",
     "field_make", "format_elem", "frobenius", "gf2_factor", "gf32",

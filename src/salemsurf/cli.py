@@ -1,7 +1,8 @@
 """Command line front end: run one verification suite, print a report.
 
-Exit status is 0 only when every leaf of the chosen suite passed; an
-unknown suite name exits 2 before any check runs.
+Exit status is 0 only when every leaf of the chosen suite passed;
+argparse exits 2 on an unknown suite name or a bad option before any
+check runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import UnknownSuite
 from .report import emit_json, emit_markdown
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -27,12 +27,19 @@ def _precision(text: str) -> Fraction:
     return value
 
 
+def _ext_bound(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError("extension bound must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="verify",
         description="run a named verification suite over the bundled "
                     "surface data and print the report")
-    ap.add_argument("suite", metavar="SUITE",
+    ap.add_argument("suite", metavar="SUITE", choices=SUITE_NAMES,
                     help=f"one of: {', '.join(SUITE_NAMES)}")
     ap.add_argument("--data", metavar="DIR", default=None,
                     help="directory holding the model data files "
@@ -43,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default=Fraction(1, 10 ** 9),
                     help="interval width for real-root isolation "
                          "(default: 1e-9)")
-    ap.add_argument("--ext-bound", metavar="N", type=int, default=10,
+    ap.add_argument("--ext-bound", metavar="N", type=_ext_bound, default=10,
                     help="largest field-extension degree searched when "
-                         "locating singular points (default: 10)")
+                         "locating singular points, at least 1 "
+                         "(default: 10)")
     return ap
 
 
@@ -53,11 +61,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = SuiteConfig(data_dir=args.data, precision=args.precision,
                          ext_bound=args.ext_bound)
-    try:
-        report = run_suite(args.suite, config)
-    except UnknownSuite as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+    report = run_suite(args.suite, config)
     text = emit_json(report) if args.format == "json" \
         else emit_markdown(report)
     sys.stdout.write(text)

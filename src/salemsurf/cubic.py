@@ -16,17 +16,7 @@ linear coefficient).
 
 from __future__ import annotations
 
-from .errors import (
-    CollisionDetected,
-    CuspPoint,
-    DegenerateCoefficient,
-    DivisionNotExact,
-    NotAffine,
-    NotCuspidal,
-    NotLehmerRoot,
-    NotOnCurve,
-    NotPreserved,
-)
+from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
 from .lattice import lehmer_polynomial
 from .multipoly import MultiPoly, ProjPoint
@@ -54,9 +44,9 @@ def psi_inv(p: ProjPoint) -> FieldElement:
     x, y, z = p.coords
     curve = ctx.mul_bits(ctx.mul_bits(y, y), z) ^ ctx.pow_bits(x, 3)
     if curve != 0:
-        raise NotOnCurve("point does not satisfy y^2 z = x^3")
+        raise InvariantViolation("point does not satisfy y^2 z = x^3")
     if y == 0:
-        raise CuspPoint("the cusp [0:0:1] has no finite parameter")
+        raise InvariantViolation("the cusp [0:0:1] has no finite parameter")
     return FieldElement(ctx, ctx.mul_bits(x, ctx.inv_bits(y)))
 
 
@@ -94,7 +84,7 @@ class AffineAction:
 
     def __init__(self, alpha: FieldElement, beta: FieldElement):
         if not alpha:
-            raise DegenerateCoefficient("affine action needs alpha != 0")
+            raise InvariantViolation("affine action needs alpha != 0")
         self.alpha = alpha
         self.beta = beta
 
@@ -113,7 +103,7 @@ class AffineAction:
     def fixed_point(self) -> FieldElement:
         one = self.alpha.ctx.one()
         if self.alpha == one:
-            raise DegenerateCoefficient("translation has no fixed point")
+            raise InvariantViolation("translation has no fixed point")
         return self.beta / (self.alpha + one)
 
     def __eq__(self, other):
@@ -156,13 +146,13 @@ def beta_from_alpha(alpha: FieldElement) -> FieldElement:
     beta = (a + a^3 + a^-5) / c(a).
     """
     if not alpha or not _is_lehmer_root(alpha):
-        raise NotLehmerRoot(f"{alpha!r} is not a mod-2 root of the "
-                            "degree-10 polynomial")
+        raise InvariantViolation(f"{alpha!r} is not a mod-2 root of the "
+                                 "degree-10 polynomial")
     a = alpha
     ai = alpha.inverse()
     c = ai ** 5 + ai ** 4 + ai ** 3 + ai ** 2 + ai + a ** 2
     if not c:
-        raise DegenerateCoefficient("beta coefficient c(alpha) = 0")
+        raise InvariantViolation("beta coefficient c(alpha) = 0")
     num = a + a ** 3 + ai ** 5
     return num / c
 
@@ -191,7 +181,7 @@ def orbit_points(alpha: FieldElement, beta: FieldElement) -> list[FieldElement]:
 
     t_1 = 1; t_n = alpha^(n-11) (1 + sum_{i=0}^{10-n} alpha^i beta) for
     n = 4..10; t_3 closes the chord through tau(t_1) and t_4; t_2 the
-    chord through tau(t_3) and t_3. CollisionDetected when any two of
+    chord through tau(t_3) and t_3. InvariantViolation when any two of
     the ten coincide.
     """
     ctx = alpha.ctx
@@ -208,7 +198,7 @@ def orbit_points(alpha: FieldElement, beta: FieldElement) -> list[FieldElement]:
     t[2] = chord_third(tau(t[3]), t[3])
     params = [t[n] for n in range(1, 11)]
     if len({p.bits for p in params}) != 10:
-        raise CollisionDetected("orbit parameters are not pairwise distinct")
+        raise InvariantViolation("orbit parameters are not pairwise distinct")
     return params
 
 
@@ -261,7 +251,7 @@ def find_cusp(curve: MultiPoly) -> ProjPoint:
                         and all(p.eval_bits(pt) == 0 for p in parts)):
                     found.append(tuple(pt))
     if len(found) != 1:
-        raise NotCuspidal(f"{len(found)} singular points, expected 1")
+        raise InvariantViolation(f"{len(found)} singular points, expected 1")
     return ProjPoint(ctx, found[0])
 
 
@@ -294,7 +284,7 @@ class CuspChart:
         ctx = self.curve.ctx
         denom = self.lin(self.l1, p.coords)
         if denom == 0:
-            raise CuspPoint("point lies on the tangent cone line")
+            raise InvariantViolation("point lies on the tangent cone line")
         return FieldElement(
             ctx, ctx.mul_bits(self.lin(self.l2, p.coords),
                               ctx.inv_bits(denom)))
@@ -320,7 +310,7 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
     """
     ctx = curve.ctx
     if curve.total_degree() != 3:
-        raise NotCuspidal("parametrization needs a cubic")
+        raise InvariantViolation("parametrization needs a cubic")
     q0 = find_cusp(curve).coords
     j = max(i for i in range(3) if q0[i])
     keep = [i for i in range(3) if i != j]
@@ -331,10 +321,10 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
         flat[k] = flat.get(k, 0) ^ c
     local = MultiPoly(ctx, 2, flat).translate([q0[keep[0]], q0[keep[1]]])
     if local.multiplicity_at([0, 0]) != 2:
-        raise NotCuspidal("singular point is not a double point")
+        raise InvariantViolation("singular point is not a double point")
     init = local.initial_form()
     if init.terms.get((1, 1), 0) != 0:
-        raise NotCuspidal("tangent cone is not a double line (node)")
+        raise InvariantViolation("tangent cone is not a double line (node)")
     sa = ctx.sqrt_bits(init.terms.get((2, 0), 0))
     sc = ctx.sqrt_bits(init.terms.get((0, 2), 0))
     l1 = [0, 0, 0]
@@ -392,16 +382,17 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
     cs: dict[int, dict[int, int]] = {0: {}, 1: {}, 2: {}, 3: {}}
     for (el, em, et), c in expd.terms.items():
         if el + em != 3:
-            raise NotCuspidal("expansion is not homogeneous of degree 3")
+            raise InvariantViolation(
+                "expansion is not homogeneous of degree 3")
         cs[em][et] = cs[em].get(et, 0) ^ c
     c2 = {k: v for k, v in cs[2].items() if v}
     c3 = {k: v for k, v in cs[3].items() if v}
     if any(cs[0].values()) or any(cs[1].values()):
-        raise NotCuspidal("pencil expansion has low-order terms")
+        raise InvariantViolation("pencil expansion has low-order terms")
     if list(c2) != [0]:
-        raise NotCuspidal("residual coefficient c2 is not constant")
+        raise InvariantViolation("residual coefficient c2 is not constant")
     if not c3 or max(c3) != 3:
-        raise NotCuspidal("residual coefficient c3 is not cubic")
+        raise InvariantViolation("residual coefficient c3 is not cubic")
     c2const = c2[0]
     coeff_lists = []
     for i in range(3):
@@ -429,8 +420,8 @@ def induced_affine_map(curve: MultiPoly,
     if not pulled.is_zero():
         try:
             pulled.divide_exact(curve)
-        except DivisionNotExact as ex:
-            raise NotPreserved("map does not preserve the curve") from ex
+        except DomainError as ex:
+            raise InvariantViolation("map does not preserve the curve") from ex
     chart = cusp_parametrization(curve)
     pairs = []
     for bits in range(1 << ctx.m):
@@ -445,14 +436,14 @@ def induced_affine_map(curve: MultiPoly,
                           ctx.inv_bits(chart.lin(chart.l1, img)))
         pairs.append((t, FieldElement(ctx, tp)))
     if len(pairs) < 4:
-        raise NotAffine(f"only {len(pairs)} usable samples")
+        raise InvariantViolation(f"only {len(pairs)} usable samples")
     (t1, u1), (t2, u2) = pairs[0], pairs[1]
     alpha = (u1 + u2) / (t1 + t2)
     beta = u1 + alpha * t1
     action = AffineAction(alpha, beta)
     for t, u in pairs[2:]:
         if action(t) != u:
-            raise NotAffine("induced parameter map failed validation")
+            raise InvariantViolation("induced parameter map failed validation")
     return action
 
 
@@ -495,21 +486,16 @@ def all_point_set_matches(params_a, params_b) -> list[AffineAction]:
     return out
 
 
-def match_point_sets(params_a, params_b):
-    """First affine bijection A -> B in deterministic order, or None."""
-    found = all_point_set_matches(params_a, params_b)
-    return found[0] if found else None
-
-
-def equivariant_matches(params_a, params_b, action_a: AffineAction,
+def equivariant_matches(matches, action_a: AffineAction,
                         action_b: AffineAction) -> list[AffineAction]:
-    """Matches phi with phi(action_a(t)) = action_b(phi(t)) for all t.
+    """The matches phi, as all_point_set_matches returns them, with
+    phi(action_a(t)) = action_b(phi(t)) for all t.
 
     For affine maps this is one coefficient identity:
     alpha_a = alpha_b and beta_b = a * beta_a + (alpha_a + 1) b.
     """
     out = []
-    for phi in all_point_set_matches(params_a, params_b):
+    for phi in matches:
         if phi.compose(action_a) == action_b.compose(phi):
             out.append(phi)
     return out

@@ -1,9 +1,9 @@
 """Exception taxonomy.
 
-Every failure mode has its own class so callers can match precisely;
-all inherit from SalemsurfError. Verification mismatches are not
-exceptions (they become fail-status report nodes); exceptions mean the
-computation itself could not proceed.
+One class per distinction a caller makes; all inherit from
+SalemsurfError. Verification mismatches are not exceptions (they become
+fail-status report nodes); exceptions mean the computation itself could
+not proceed, and the message names what went wrong.
 """
 
 
@@ -11,134 +11,19 @@ class SalemsurfError(Exception):
     pass
 
 
-# field construction / arithmetic
-class ReducibleModulus(SalemsurfError):
-    pass
-
-
-class DegreeMismatch(SalemsurfError):
-    pass
-
-
-class DivisionByZero(SalemsurfError):
-    pass
-
-
-class ContextMismatch(SalemsurfError):
-    pass
-
-
-class LogOfZero(SalemsurfError):
-    pass
-
-
-class NoEmbedding(SalemsurfError):
-    pass
-
-
-# polynomial engine
-class ArityMismatch(SalemsurfError):
-    pass
-
-
-class VariableAbsent(SalemsurfError):
-    pass
-
-
-class ZeroPolynomial(SalemsurfError):
-    pass
-
-
-class DimensionMismatch(SalemsurfError):
-    pass
-
-
-class NotSquarefree(SalemsurfError):
-    pass
-
-
-class DivisionNotExact(SalemsurfError):
-    pass
-
-
-class ExtensionBoundExceeded(SalemsurfError):
-    pass
-
-
 class ParseError(SalemsurfError):
-    pass
+    """Malformed text or data."""
 
 
-# integer lattice / real roots
-class SpectralRadiusNotRealCertified(SalemsurfError):
-    pass
-
-
-class NotReciprocal(SalemsurfError):
-    pass
-
-
-class OddDegree(SalemsurfError):
-    pass
-
-
-class NotSalem(SalemsurfError):
-    pass
-
-
-class NotIsometry(SalemsurfError):
-    pass
-
-
-class WrongDimension(SalemsurfError):
-    pass
-
-
-# cuspidal cubic
-class NotOnCurve(SalemsurfError):
-    pass
-
-
-class CuspPoint(SalemsurfError):
-    pass
-
-
-class DegenerateCoefficient(SalemsurfError):
-    pass
-
-
-class NotLehmerRoot(SalemsurfError):
-    pass
-
-
-class CollisionDetected(SalemsurfError):
-    pass
-
-
-class NotCuspidal(SalemsurfError):
-    pass
-
-
-class NotPreserved(SalemsurfError):
-    pass
-
-
-class NotAffine(SalemsurfError):
-    pass
-
-
-# model / reporting
 class InvariantViolation(SalemsurfError):
-    pass
+    """Well-formed input that breaks a declared shape or mathematical
+    condition."""
 
 
 class NoSolution(SalemsurfError):
-    pass
+    """A search or certification has no answer, or no unique one."""
 
 
-class NonUniqueSolution(SalemsurfError):
-    pass
-
-
-class UnknownSuite(SalemsurfError):
-    pass
+class DomainError(SalemsurfError):
+    """An arithmetic domain error: division by zero, the log of zero, a
+    zero polynomial where a nonzero one is needed, an inexact division."""

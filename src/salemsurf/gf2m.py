@@ -17,15 +17,7 @@ bit-string `0b01001` written LOW DEGREE FIRST (so `0b01001` is t + t^4).
 
 from __future__ import annotations
 
-from .errors import (
-    ContextMismatch,
-    DegreeMismatch,
-    DivisionByZero,
-    LogOfZero,
-    NoEmbedding,
-    ParseError,
-    ReducibleModulus,
-)
+from .errors import DomainError, InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
 # GF(2)[x] on ints: bit i = coefficient of x^i.
@@ -99,12 +91,12 @@ class FieldCtx:
 
     def __init__(self, m: int, modulus: int):
         if modulus.bit_length() - 1 != m:
-            raise DegreeMismatch(
+            raise InvariantViolation(
                 f"modulus degree {modulus.bit_length() - 1}, expected {m}")
         if not modulus & 1:
-            raise ReducibleModulus("modulus has zero constant term")
+            raise InvariantViolation("modulus has zero constant term")
         if not poly2_irreducible(modulus):
-            raise ReducibleModulus(f"0b{modulus:b} factors over GF(2)")
+            raise InvariantViolation(f"0b{modulus:b} factors over GF(2)")
         self.m = m
         self.modulus = modulus
         self.order = (1 << m) - 1
@@ -117,7 +109,8 @@ class FieldCtx:
         self._exp = exp
         self._log = {v: i for i, v in enumerate(exp)}
         if len(self._log) != self.order:
-            raise ReducibleModulus("generator search produced a non-generator")
+            raise InvariantViolation(
+                "generator search produced a non-generator")
         self._embeddings = {}
 
     def _find_generator(self) -> int:
@@ -131,7 +124,8 @@ class FieldCtx:
                     break
             if n == self.order:
                 return cand
-        raise ReducibleModulus("no generator found")  # unreachable for a field
+        # unreachable for a field
+        raise InvariantViolation("no generator found")
 
     # raw-bits arithmetic, used by the polynomial engine's inner loops
     def mul_bits(self, a: int, b: int) -> int:
@@ -141,13 +135,13 @@ class FieldCtx:
 
     def inv_bits(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("inverse of 0")
+            raise DomainError("inverse of 0")
         return self._exp[(self.order - self._log[a]) % self.order]
 
     def pow_bits(self, a: int, n: int) -> int:
         if a == 0:
             if n <= 0:
-                raise DivisionByZero("0 to a nonpositive power")
+                raise DomainError("0 to a nonpositive power")
             return 0
         return self._exp[(self._log[a] * n) % self.order]
 
@@ -157,7 +151,7 @@ class FieldCtx:
 
     def dlog_bits(self, a: int) -> int:
         if a == 0:
-            raise LogOfZero("dlog(0)")
+            raise DomainError("dlog(0)")
         return self._log[a]
 
     # element constructors
@@ -191,7 +185,8 @@ class FieldElement:
 
     def __init__(self, ctx: FieldCtx, bits: int):
         if not 0 <= bits < (1 << ctx.m):
-            raise DegreeMismatch(f"bits 0b{bits:b} out of range for m={ctx.m}")
+            raise InvariantViolation(
+                f"bits 0b{bits:b} out of range for m={ctx.m}")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "bits", bits)
 
@@ -200,9 +195,10 @@ class FieldElement:
 
     def _same(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
-            raise ContextMismatch(f"expected FieldElement, got {type(other).__name__}")
+            raise InvariantViolation(
+                f"expected FieldElement, got {type(other).__name__}")
         if other.ctx is not self.ctx:
-            raise ContextMismatch(f"mixing {self.ctx} with {other.ctx}")
+            raise InvariantViolation(f"mixing {self.ctx} with {other.ctx}")
         return other
 
     def __add__(self, other):
@@ -297,7 +293,8 @@ def ext_context(degree: int) -> FieldCtx:
                 ctx = field_make(degree, f)
                 break
         else:
-            raise NoEmbedding(f"no irreducible modulus of degree {degree}")
+            raise InvariantViolation(
+                f"no irreducible modulus of degree {degree}")
         _EXT_CACHE[degree] = ctx
     return ctx
 
@@ -305,7 +302,7 @@ def ext_context(degree: int) -> FieldCtx:
 def frobenius(x: FieldElement, k: int) -> FieldElement:
     """x^(2^k); k = 1 is the squaring Frobenius."""
     if k < 0:
-        raise DegreeMismatch("frobenius exponent must be nonnegative")
+        raise InvariantViolation("frobenius exponent must be nonnegative")
     bits = x.bits
     for _ in range(k % x.ctx.m if x.bits else 0):
         bits = x.ctx.mul_bits(bits, bits)
@@ -313,7 +310,7 @@ def frobenius(x: FieldElement, k: int) -> FieldElement:
 
 
 def dlog(x: FieldElement) -> int:
-    """k with generator^k = x; raises LogOfZero for x = 0."""
+    """k with generator^k = x; raises DomainError for x = 0."""
     return x.ctx.dlog_bits(x.bits)
 
 
@@ -329,7 +326,7 @@ def min_subfield_degree(x: FieldElement) -> int:
 
 def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
     if sup.m % sub.m != 0:
-        raise NoEmbedding(f"degree {sub.m} does not divide {sup.m}")
+        raise InvariantViolation(f"degree {sub.m} does not divide {sup.m}")
     key = id(sub)
     table = sup._embeddings.get(key)
     if table is not None:
@@ -350,7 +347,7 @@ def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
             root = cand
             break
     if root is None:
-        raise NoEmbedding("modulus has no root in the target field")
+        raise InvariantViolation("modulus has no root in the target field")
     table = {}
     for bits in range(1 << sub.m):
         acc, p = 0, 1
@@ -366,7 +363,8 @@ def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
 def embed(x: FieldElement, sub: FieldCtx, sup: FieldCtx) -> FieldElement:
     """Image of x under the fixed cached embedding sub -> sup."""
     if x.ctx is not sub:
-        raise ContextMismatch("element does not belong to the source context")
+        raise InvariantViolation(
+            "element does not belong to the source context")
     return FieldElement(sup, _embedding_table(sub, sup)[x.bits])
 
 
@@ -376,7 +374,7 @@ def unembed(x: FieldElement, sub: FieldCtx) -> FieldElement:
     for b, img in table.items():
         if img == x.bits:
             return FieldElement(sub, b)
-    raise NoEmbedding("element is not in the embedded subfield")
+    raise InvariantViolation("element is not in the embedded subfield")
 
 
 # ---------------------------------------------------------------------------

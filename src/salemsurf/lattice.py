@@ -15,16 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .errors import (
-    DimensionMismatch,
-    NotIsometry,
-    NotPreserved,
-    NotReciprocal,
-    NotSalem,
-    NotSquarefree,
-    OddDegree,
-    SpectralRadiusNotRealCertified,
-)
+from .errors import DomainError, InvariantViolation, NoSolution
 from .gf2m import field_make
 from .unipoly import UniPoly, factor as gf2_factor
 
@@ -159,7 +150,7 @@ def mat_identity(n):
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
-        raise DimensionMismatch("matrix product shapes")
+        raise InvariantViolation("matrix product shapes")
     bt = list(zip(*b))
     return tuple(tuple(sum(ra[t] * cb[t] for t in range(k)) for cb in bt)
                  for ra in a)
@@ -167,7 +158,7 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     if len(a[0]) != len(v):
-        raise DimensionMismatch("matrix-vector shapes")
+        raise InvariantViolation("matrix-vector shapes")
     return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in a)
 
 
@@ -199,7 +190,7 @@ def char_poly(m):
     """
     n = len(m)
     if any(len(r) != n for r in m):
-        raise DimensionMismatch("char_poly needs a square matrix")
+        raise InvariantViolation("char_poly needs a square matrix")
     coeffs = [0] * (n + 1)  # x^n + c1 x^(n-1) + ... + cn
     coeffs[0] = 1
     nmat = m
@@ -207,7 +198,7 @@ def char_poly(m):
     for k in range(1, n + 1):
         ck = -mat_trace(nmat)
         if ck % k:
-            raise ArithmeticError("Faddeev-LeVerrier division not exact")
+            raise DomainError("Faddeev-LeVerrier division not exact")
         ck //= k
         cs.append(ck)
         if k < n:
@@ -276,7 +267,7 @@ def e10_basis(path=None):
             continue
         rows.append(tuple(int(x) for x in ln.split()))
     if len(rows) != 10 or any(len(r) != 11 for r in rows):
-        raise DimensionMismatch("basis file must hold 10 rows of 11 entries")
+        raise InvariantViolation("basis file must hold 10 rows of 11 entries")
     return rows
 
 
@@ -308,7 +299,7 @@ def restrict_to_basis(m, basis, gram=None):
         coeffs = _frac_solve([[Fraction(ge[i][j]) for j in range(n)]
                               for i in range(n)], rhs)
         if any(c.denominator != 1 for c in coeffs):
-            raise NotPreserved("image leaves the sublattice")
+            raise InvariantViolation("image leaves the sublattice")
         cols.append([int(c) for c in coeffs])
     return tuple(zip(*cols))
 
@@ -343,7 +334,7 @@ def reflection_in(v, gram):
     """Reflection in a norm -2 vector: x -> x + (x . v) v."""
     n = len(v)
     if _pair(v, v, gram) != -2:
-        raise NotIsometry("reflection formula needs a norm -2 vector")
+        raise InvariantViolation("reflection formula needs a norm -2 vector")
     cols = []
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]
@@ -427,7 +418,7 @@ def real_roots(p, precision=Fraction(1, 10 ** 6)):
         return []
     g = ip_gcd(p, ip_deriv(p))
     if len(g) > 1:
-        raise NotSquarefree("input shares a factor with its derivative")
+        raise InvariantViolation("input shares a factor with its derivative")
     precision = Fraction(precision)
     exact = []
     rest = ip_primitive(p)
@@ -503,9 +494,9 @@ def trace_polynomial(p):
     p = ip_trim(p)
     n = len(p) - 1
     if n < 0 or n % 2:
-        raise OddDegree("trace polynomial needs even degree")
+        raise NoSolution("trace polynomial needs even degree")
     if not is_reciprocal(p):
-        raise NotReciprocal("input is not palindromic")
+        raise NoSolution("input is not palindromic")
     d = n // 2
     from math import comb
     r = [0] * (d + 1)
@@ -518,7 +509,7 @@ def trace_polynomial(p):
         r[t] = acc  # C(t, t) = 1
     # exact re-expansion check
     if trace_reexpand(r) != p:
-        raise NotReciprocal("re-expansion mismatch")
+        raise NoSolution("re-expansion mismatch")
     return r
 
 
@@ -570,7 +561,7 @@ def _sign_at_root(p, dp, lo, hi):
         if s and _sign_at(dp, hi) and _count_roots(chain, lo, hi) == 0:
             return s
         if lo == hi:
-            raise NotSalem("derivative vanishes at a trace root")
+            raise NoSolution("derivative vanishes at a trace root")
         mid = (lo + hi) / 2
         if _sign_at(p, mid) == 0:  # landed on the root exactly
             third = (hi - lo) / 3
@@ -581,7 +572,7 @@ def _sign_at_root(p, dp, lo, hi):
         else:
             lo = mid
         if hi == lo:
-            raise NotSalem("could not separate a derivative sign")
+            raise NoSolution("could not separate a derivative sign")
 
 
 def salem_certify(p, precision=Fraction(1, 10 ** 9)):
@@ -590,21 +581,21 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
     All roots of the trace polynomial R must be real, exactly one above
     2, the rest strictly inside (-2, 2); then the roots of p off the
     real line have modulus exactly 1 and the real ones are lambda > 1
-    and its reciprocal. Raises NotSalem (or NotReciprocal / OddDegree)
-    when a condition fails; returns a SalemCertificate on success.
+    and its reciprocal. Raises NoSolution when a condition fails;
+    returns a SalemCertificate on success.
     """
     p = ip_trim(p)
     r = trace_polynomial(p)
     d = len(r) - 1
     try:
         ivs = real_roots(r, precision)
-    except NotSquarefree as ex:
-        raise NotSalem(f"trace polynomial not squarefree: {ex}") from ex
+    except InvariantViolation as ex:
+        raise NoSolution(f"trace polynomial not squarefree: {ex}") from ex
     if len(ivs) != d:
-        raise NotSalem(f"trace polynomial has {len(ivs)} real roots, "
-                       f"needs {d}")
+        raise NoSolution(f"trace polynomial has {len(ivs)} real roots, "
+                         f"needs {d}")
     if _sign_at(r, 2) == 0 or _sign_at(r, -2) == 0:
-        raise NotSalem("trace root at +/-2 (cyclotomic boundary)")
+        raise NoSolution("trace root at +/-2 (cyclotomic boundary)")
     above = [iv for iv in ivs if iv[0] >= 2]
     below = [iv for iv in ivs if iv[1] <= -2]
     inside = [iv for iv in ivs if -2 <= iv[0] and iv[1] <= 2]
@@ -615,8 +606,8 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
         below = [iv for iv in ivs if iv[1] <= -2]
         inside = [iv for iv in ivs if -2 <= iv[0] and iv[1] <= 2]
         if len(above) != 1 or below or len(inside) != d - 1:
-            raise NotSalem("trace roots do not split as one above 2 "
-                           "plus the rest inside (-2, 2)")
+            raise NoSolution("trace roots do not split as one above 2 "
+                             "plus the rest inside (-2, 2)")
     dr = ip_deriv(r)
     signs = tuple(_sign_at_root(r, dr, lo, hi) for lo, hi in inside)
     lo, hi = _largest_root_interval(p, precision)
@@ -631,7 +622,7 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
 def _largest_root_interval(p, precision):
     ivs = real_roots(p, precision)
     if not ivs:
-        raise NotSalem("no real roots at all")
+        raise NoSolution("no real roots at all")
     return ivs[-1]
 
 
@@ -653,7 +644,7 @@ def dynamical_degree(m, precision=Fraction(1, 10 ** 9)):
     equals the degree of the squarefree part), or, after stripping the
     rational roots 0 and +-1, the remaining factor is a Salem
     polynomial, whose non-real roots all have modulus exactly 1. Raises
-    SpectralRadiusNotRealCertified otherwise.
+    NoSolution otherwise.
     """
     precision = Fraction(precision)
     p = ip_trim(char_poly(m))
@@ -683,8 +674,8 @@ def dynamical_degree(m, precision=Fraction(1, 10 ** 9)):
         return (blo, bhi)
     try:
         cert = salem_certify(sqf, precision)
-    except (NotSalem, NotReciprocal, OddDegree) as ex:
-        raise SpectralRadiusNotRealCertified(
+    except NoSolution as ex:
+        raise NoSolution(
             "characteristic polynomial is neither totally real nor Salem "
             f"after removing unit rational roots: {ex}") from ex
     lo, hi = cert.lambda_interval
@@ -716,7 +707,7 @@ def e10_parity_check(gram=None):
         gram = gram_of(e10_basis())
     n = len(gram)
     if any(len(r) != n for r in gram):
-        raise DimensionMismatch("gram must be square")
+        raise InvariantViolation("gram must be square")
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
         return False
     return all(gram[i][i] % 2 == 0 for i in range(n))
@@ -726,7 +717,7 @@ def weyl2_membership(m, basis=None):
     """True iff m is in the kernel of reduction mod 2 and keeps the cone.
 
     m acts on the stored basis of the even sublattice; it must preserve
-    the Gram matrix (else NotIsometry), reduce to the identity mod 2,
+    the Gram matrix (else InvariantViolation), reduce to the identity mod 2,
     and pair the image of the reference interior vector positively
     against that vector (half-cone preservation).
     """
@@ -734,7 +725,8 @@ def weyl2_membership(m, basis=None):
         basis = e10_basis()
     ge = gram_of(basis)
     if not is_isometry_of(m, ge):
-        raise NotIsometry("matrix does not preserve the sublattice form")
+        raise InvariantViolation(
+            "matrix does not preserve the sublattice form")
     u = reference_interior_vector()
     if _pair(mat_vec(m, u), u, ge) <= 0:
         return False

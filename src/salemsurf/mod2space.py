@@ -16,7 +16,7 @@ candidate bookkeeping uses 2^n-bit masks over the vector universe.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NotIsometry, WrongDimension
+from .errors import InvariantViolation
 from . import lattice as lat
 
 
@@ -28,9 +28,10 @@ class Mod2QuadSpace:
     def __init__(self, gram):
         n = len(gram)
         if any(len(r) != n for r in gram):
-            raise DimensionMismatch("gram must be square")
+            raise InvariantViolation("gram must be square")
         if any(gram[i][i] % 2 for i in range(n)):
-            raise WrongDimension("gram is not even; no quadratic refinement")
+            raise InvariantViolation(
+                "gram is not even; no quadratic refinement")
         self.dim = n
         self.gram = tuple(tuple(r) for r in gram)
         q = []
@@ -105,7 +106,7 @@ def mat2_order(cols) -> int:
         if cur == ident:
             return k
         cur = mat2_mul(cols, cur)
-    raise NotIsometry("matrix mod 2 is not invertible")
+    raise InvariantViolation("matrix mod 2 is not invertible")
 
 
 def mat2_poly_at(cols, coeffs) -> tuple:
@@ -231,7 +232,7 @@ def mod2_action_analysis(m, basis=None) -> Mod2ActionReport:
     """Order and irreducible-factor kernels of an isometry reduced mod 2.
 
     m: integer matrix on the stored even-sublattice basis; must preserve
-    its Gram matrix (NotIsometry otherwise). Kernels are of p_i(m mod 2)
+    its Gram matrix (InvariantViolation otherwise). Kernels are of p_i(m mod 2)
     for each irreducible factor p_i of the mod-2 characteristic
     polynomial, each reported with its dimension and whether the
     quadratic form vanishes on all of it.
@@ -240,7 +241,8 @@ def mod2_action_analysis(m, basis=None) -> Mod2ActionReport:
         basis = lat.e10_basis()
     ge = lat.gram_of(basis)
     if not lat.is_isometry_of(m, ge):
-        raise NotIsometry("matrix does not preserve the sublattice form")
+        raise InvariantViolation(
+            "matrix does not preserve the sublattice form")
     space = Mod2QuadSpace(ge)
     cols = mat2_from_int(m)
     order = mat2_order(cols)
@@ -319,9 +321,10 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
     """
     n = space.dim
     if n != 10:
-        raise WrongDimension(f"census is specified for dimension 10, got {n}")
+        raise InvariantViolation(
+            f"census is specified for dimension 10, got {n}")
     if not space.is_plus_type():
-        raise WrongDimension("census needs the plus-type form")
+        raise InvariantViolation("census needs the plus-type form")
     half = n // 2
     q = space.q
     universe = 1 << n

@@ -19,16 +19,7 @@ weight k pick up the k-th power of the scale).
 
 from __future__ import annotations
 
-from .errors import (
-    ArityMismatch,
-    ContextMismatch,
-    DimensionMismatch,
-    DivisionByZero,
-    DivisionNotExact,
-    ParseError,
-    VariableAbsent,
-    ZeroPolynomial,
-)
+from .errors import DomainError, InvariantViolation, ParseError
 from .gf2m import FieldCtx, FieldElement, field_make, format_elem, parse_elem
 
 
@@ -48,7 +39,8 @@ class MultiPoly:
                 if c:
                     e = tuple(e)
                     if len(e) != nvars:
-                        raise ArityMismatch("exponent tuple length != nvars")
+                        raise InvariantViolation(
+                            "exponent tuple length != nvars")
                     clean[e] = clean.get(e, 0) ^ c
                     if not clean[e]:
                         del clean[e]
@@ -80,9 +72,9 @@ class MultiPoly:
 
     def _chk(self, other):
         if other.ctx is not self.ctx:
-            raise ContextMismatch("MultiPoly contexts differ")
+            raise InvariantViolation("MultiPoly contexts differ")
         if other.nvars != self.nvars:
-            raise ArityMismatch("MultiPoly arities differ")
+            raise InvariantViolation("MultiPoly arities differ")
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and other.ctx is self.ctx
@@ -130,7 +122,7 @@ class MultiPoly:
 
     def __pow__(self, n):
         if n < 0:
-            raise DivisionByZero("negative power of a polynomial")
+            raise DomainError("negative power of a polynomial")
         r = MultiPoly.const(self.ctx, self.nvars, 1)
         b = self
         while n:
@@ -160,7 +152,7 @@ class MultiPoly:
     def leading(self):
         """(exponents, coeff bits) of the graded-lex leading term."""
         if not self.terms:
-            raise ZeroPolynomial("leading term of 0")
+            raise DomainError("leading term of 0")
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
@@ -173,7 +165,7 @@ class MultiPoly:
 
     def eval_bits(self, point):
         if len(point) != self.nvars:
-            raise ArityMismatch("point arity != nvars")
+            raise InvariantViolation("point arity != nvars")
         mul, pw = self.ctx.mul_bits, self.ctx.pow_bits
         acc = 0
         for e, c in self.terms.items():
@@ -186,21 +178,6 @@ class MultiPoly:
             acc ^= v
         return acc
 
-    def eval(self, point):
-        bits = []
-        for p in point:
-            if isinstance(p, FieldElement):
-                if p.ctx is not self.ctx:
-                    raise ContextMismatch("evaluation point field differs")
-                bits.append(p.bits)
-            else:
-                bits.append(int(p))
-        return FieldElement(self.ctx, self.eval_bits(bits))
-
-    def map_coeffs(self, fn):
-        return MultiPoly(self.ctx, self.nvars,
-                         {e: fn(c) for e, c in self.terms.items()})
-
     def change_ctx(self, sup: FieldCtx, lift):
         """New context with coefficients mapped through `lift` (bits->bits)."""
         return MultiPoly(sup, self.nvars,
@@ -209,12 +186,12 @@ class MultiPoly:
     def substitute(self, images: list["MultiPoly"]) -> "MultiPoly":
         """Ring morphism sending variable i to images[i] (shared ctx/arity)."""
         if len(images) != self.nvars:
-            raise ArityMismatch("need one image per variable")
+            raise InvariantViolation("need one image per variable")
         for im in images:
             images[0]._chk(im)
         octx, onv = images[0].ctx, images[0].nvars
         if octx is not self.ctx:
-            raise ContextMismatch("images live in a different field")
+            raise InvariantViolation("images live in a different field")
         pow_cache: list[dict[int, MultiPoly]] = [
             {0: MultiPoly.const(octx, onv, 1), 1: im} for im in images]
 
@@ -242,7 +219,7 @@ class MultiPoly:
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative; even exponents die (char 2)."""
         if not 0 <= i < self.nvars:
-            raise VariableAbsent(f"no variable index {i}")
+            raise InvariantViolation(f"no variable index {i}")
         t = {}
         for e, c in self.terms.items():
             if e[i] % 2 == 1:
@@ -261,7 +238,7 @@ class MultiPoly:
         bits = [p.bits if isinstance(p, FieldElement) else int(p)
                 for p in point]
         if len(bits) != self.nvars:
-            raise ArityMismatch("point arity != nvars")
+            raise InvariantViolation("point arity != nvars")
         mul, pw = self.ctx.mul_bits, self.ctx.pow_bits
         cur = self.terms
         for i, a in enumerate(bits):
@@ -288,14 +265,14 @@ class MultiPoly:
     def multiplicity_at(self, point) -> int:
         """Vanishing order at an affine point (0 when nonvanishing)."""
         if self.is_zero():
-            raise ZeroPolynomial("multiplicity of the zero polynomial")
+            raise DomainError("multiplicity of the zero polynomial")
         sh = self.translate(point)
         return min(sum(e) for e in sh.terms)
 
     def initial_form(self) -> "MultiPoly":
         """Sum of the minimal-total-degree terms."""
         if self.is_zero():
-            raise ZeroPolynomial("initial form of 0")
+            raise DomainError("initial form of 0")
         d = min(sum(e) for e in self.terms)
         return MultiPoly(self.ctx, self.nvars,
                          {e: c for e, c in self.terms.items() if sum(e) == d})
@@ -305,17 +282,17 @@ class MultiPoly:
 
     def poly_sqrt(self) -> "MultiPoly":
         if not self.is_square():
-            raise DivisionNotExact("polynomial is not a perfect square")
+            raise DomainError("polynomial is not a perfect square")
         sq = self.ctx.sqrt_bits
         return MultiPoly(self.ctx, self.nvars,
                          {tuple(k // 2 for k in e): sq(c)
                           for e, c in self.terms.items()})
 
     def divide_exact(self, d: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / d; DivisionNotExact when it is not."""
+        """Exact quotient self / d; DomainError when it is not."""
         self._chk(d)
         if d.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
+            raise DomainError("division by the zero polynomial")
         mul, inv = self.ctx.mul_bits, self.ctx.inv_bits
         de, dc = d.leading()
         dcinv = inv(dc)
@@ -326,7 +303,7 @@ class MultiPoly:
             c = rem[e]
             qe = tuple(a - b for a, b in zip(e, de))
             if any(k < 0 for k in qe):
-                raise DivisionNotExact("leading term not divisible")
+                raise DomainError("leading term not divisible")
             qc = mul(c, dcinv)
             q[qe] = q.get(qe, 0) ^ qc
             for e2, c2 in d.terms.items():
@@ -343,7 +320,7 @@ class MultiPoly:
         t = {}
         for e, c in self.terms.items():
             if e[i] < k:
-                raise DivisionNotExact(
+                raise DomainError(
                     f"term has degree {e[i]} < {k} in variable {i}")
             t[e[:i] + (e[i] - k,) + e[i + 1:]] = c
         return MultiPoly(self.ctx, self.nvars, t)
@@ -367,7 +344,7 @@ class MultiPoly:
         t = {}
         for e, c in self.terms.items():
             if e[i]:
-                raise VariableAbsent(f"variable {i} still occurs")
+                raise InvariantViolation(f"variable {i} still occurs")
             t[e[:i] + e[i + 1:]] = c
         return MultiPoly(self.ctx, self.nvars - 1, t)
 
@@ -386,10 +363,6 @@ class MultiPoly:
 
 # ---------------------------------------------------------------------------
 # resultants (subresultant PRS, Cohen alg. 3.3.7 shape; signs vanish in char 2)
-
-
-def _prs_deg(p: MultiPoly, i: int) -> int:
-    return p.degree_in(i)
 
 
 def _prs_lc(p: MultiPoly, i: int) -> MultiPoly:
@@ -417,15 +390,15 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
     """Res of p, q w.r.t. variable i (result has exponent 0 there).
 
     Subresultant PRS keeps the intermediate coefficient growth polynomial
-    while every division stays exact. Raises VariableAbsent when neither
+    while every division stays exact. Raises InvariantViolation when neither
     argument involves the variable.
     """
     p._chk(q)
     dp, dq = p.degree_in(i), q.degree_in(i)
     if dp < 0 or dq < 0:
-        raise ZeroPolynomial("resultant with the zero polynomial")
+        raise DomainError("resultant with the zero polynomial")
     if max(dp, dq) == 0:
-        raise VariableAbsent(f"variable {i} absent from both arguments")
+        raise InvariantViolation(f"variable {i} absent from both arguments")
     if dp < dq:
         p, q, dp, dq = q, p, dq, dp  # char 2: no sign to track
     if dq == 0:
@@ -481,11 +454,11 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
     a = [[bit(v) for v in row] for row in rows]
     b = [bit(v) for v in rhs]
     if len(a) != len(b):
-        raise DimensionMismatch("rows vs rhs length")
+        raise InvariantViolation("rows vs rhs length")
     ncols = len(a[0]) if a else 0
     for row in a:
         if len(row) != ncols:
-            raise DimensionMismatch("ragged matrix")
+            raise InvariantViolation("ragged matrix")
     mul, inv = ctx.mul_bits, ctx.inv_bits
     m = len(a)
     piv_of_col: dict[int, int] = {}
@@ -549,9 +522,9 @@ class ProjPoint:
             weights = (1,) * len(cb)
         weights = tuple(weights)
         if len(weights) != len(cb):
-            raise DimensionMismatch("weights vs coords length")
+            raise InvariantViolation("weights vs coords length")
         if not any(cb):
-            raise ZeroPolynomial("all-zero projective coordinates")
+            raise DomainError("all-zero projective coordinates")
         pivot = None
         for idx in range(len(cb) - 1, -1, -1):
             if weights[idx] == 1 and cb[idx]:
@@ -728,12 +701,3 @@ def parse_point_file(text: str):
                   for part in body[1:-1].split(":")]
         points[label.strip()] = ProjPoint(ctx, coords)
     return ctx, points
-
-
-def format_point_file(ctx, points: dict) -> str:
-    lines = [f"field: {format_field(ctx)}"]
-    for label, pt in points.items():
-        inner = " : ".join(format_elem(FieldElement(ctx, c))
-                           for c in pt.coords)
-        lines.append(f"{label} = ({inner})")
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ humans and shows the measured wall times instead.
 from __future__ import annotations
 
 import json
-import time
 
 from .errors import ParseError
 
@@ -60,16 +59,6 @@ def node(name, children, witness=None, elapsed_ms=None) -> Report:
     if elapsed_ms is None:
         elapsed_ms = sum(c.elapsed_ms for c in children)
     return Report(name, worst, witness, children, elapsed_ms)
-
-
-def timed_leaf(name, fn) -> Report:
-    """Run fn() -> (ok, witness); errors become error leaves."""
-    t0 = time.perf_counter()
-    try:
-        ok, witness = fn()
-    except Exception as ex:  # reported, not propagated
-        return error_leaf(name, ex, (time.perf_counter() - t0) * 1000.0)
-    return leaf(name, ok, witness, (time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ else follows the library layout.
 
 from __future__ import annotations
 
+import functools
 import time
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from . import lattice as lat
 from . import mod2space as m2
 from . import report as rp
 from . import surface as sf
-from .errors import NoSolution, UnknownSuite
+from .errors import NoSolution
 from .gf2m import FieldElement, field_make, format_elem, gf32
 
 SUITE_NAMES = ("all", "lattice", "cubic", "surface", "salem", "lagrangians")
@@ -37,19 +38,31 @@ class SuiteConfig:
 
 
 def _guarded(name: str, build) -> rp.Report:
-    """Build a node from a check-list factory; any escape becomes an
-    error leaf so a suite always returns a report."""
+    """Run one check and time it. build() returns either the check's
+    report, which gets the measured time, or a list of child reports,
+    which become a node called `name`. Any escape becomes an error leaf
+    called `name`, so a suite always returns a report."""
     t0 = time.perf_counter()
     try:
-        children = build()
+        out = build()
     except Exception as ex:  # noqa: BLE001 - suites report, never raise
         return rp.error_leaf(name, ex, (time.perf_counter() - t0) * 1000.0)
-    return rp.node(name, children,
-                   elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if isinstance(out, rp.Report):
+        out.elapsed_ms = elapsed_ms
+        return out
+    return rp.node(name, out, elapsed_ms=elapsed_ms)
 
 
 # ---------------------------------------------------------------------------
 # lattice suite
+
+
+@functools.cache
+def _e10_restriction():
+    """The Coxeter matrix on the stored E10 basis, built once per process;
+    each lattice check calls this inside its own guard."""
+    return lat.restrict_to_basis(lat.coxeter_matrix(), lat.e10_basis())
 
 
 def _lattice_coxeter() -> list:
@@ -67,7 +80,7 @@ def _lattice_coxeter() -> list:
     full = lat.char_poly(cox)
     checks.append(rp.leaf("coxeter.charpoly_full",
                           full == lat.ip_mul([-1, 1], p10), list(full)))
-    me = lat.restrict_to_basis(cox, basis)
+    me = _e10_restriction()
     pe = lat.char_poly(me)
     checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
     checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
@@ -112,10 +125,9 @@ def _lattice_salem(precision) -> list:
     checks.append(rp.leaf("salem.routes_agree",
                           lam[0] <= ci[1] and ci[0] <= lam[1],
                           rp.interval_witness(ci)))
-    largest = lat.real_roots(p10, precision)[-1]
     checks.append(rp.leaf("salem.matches_largest_p10_root",
-                          lam[0] <= largest[1] and largest[0] <= lam[1],
-                          rp.interval_witness(largest)))
+                          lam[0] <= ci[1] and ci[0] <= lam[1],
+                          rp.interval_witness(ci)))
     return checks
 
 
@@ -125,7 +137,7 @@ _MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
 
 def _lattice_mod2() -> list:
     basis = lat.e10_basis()
-    me = lat.restrict_to_basis(lat.coxeter_matrix(), basis)
+    me = _e10_restriction()
     rep = m2.mod2_action_analysis(me, basis)
     checks = [
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
@@ -154,8 +166,7 @@ def _lattice_lagrangians() -> list:
     basis = lat.e10_basis()
     space = m2.standard_space(basis)
     census = m2.enumerate_lagrangians(space)
-    me = lat.restrict_to_basis(lat.coxeter_matrix(), basis)
-    cols = m2.mat2_from_int(me)
+    cols = m2.mat2_from_int(_e10_restriction())
     checks = [rp.leaf("lagrangians.count", len(census.members) == 4590,
                       f"{len(census.members)} members")]
     sizes = census.class_sizes()
@@ -276,19 +287,20 @@ def _cubic_orbits() -> list:
     return subs
 
 
+def _cubic_alpha_table(data_dir) -> rp.Report:
+    bundled = sf._read_data(data_dir, "alpha_table.dat")
+    regen = cu.alpha_table_text(gf32())
+    return rp.leaf("cubic.alpha_table_fresh",
+                   bundled.strip() == regen.strip(),
+                   f"{len(regen.splitlines())} lines")
+
+
 def cubic_suite(config: SuiteConfig) -> list:
-    out = [_guarded("cubic.group_law", _cubic_group_law),
-           _guarded("cubic.beta_solver", _cubic_beta_solver),
-           _guarded("cubic.orbits", _cubic_orbits)]
-    try:
-        bundled = sf._read_data(config.data_dir, "alpha_table.dat")
-        regen = cu.alpha_table_text(gf32())
-        out.append(rp.leaf("cubic.alpha_table_fresh",
-                           bundled.strip() == regen.strip(),
-                           f"{len(regen.splitlines())} lines"))
-    except Exception as ex:  # noqa: BLE001 - reported, not propagated
-        out.append(rp.error_leaf("cubic.alpha_table_fresh", ex))
-    return out
+    return [_guarded("cubic.group_law", _cubic_group_law),
+            _guarded("cubic.beta_solver", _cubic_beta_solver),
+            _guarded("cubic.orbits", _cubic_orbits),
+            _guarded("cubic.alpha_table_fresh",
+                     lambda: _cubic_alpha_table(config.data_dir))]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +309,10 @@ def cubic_suite(config: SuiteConfig) -> list:
 
 def _surface_match(m: sf.SurfaceModel) -> tuple:
     """Report node for the concrete-to-abstract parameter match, plus
-    the multiplier of the induced action (None when unavailable)."""
-    checks = []
-    try:
-        chart = cu.cusp_parametrization(m.g)
-        action = cu.induced_affine_map(m.g, list(m.f))
-    except Exception as ex:  # noqa: BLE001
-        return rp.error_leaf("match", ex), None
-    checks.append(rp.leaf("match.induced_action_affine", True,
-                          repr(action)))
+    the multiplier of the induced action."""
+    chart = cu.cusp_parametrization(m.g)
+    action = cu.induced_affine_map(m.g, list(m.f))
+    checks = [rp.leaf("match.induced_action_affine", True, repr(action))]
     root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
     checks.append(rp.leaf("match.multiplier_is_root",
                           action.alpha.bits in root_bits,
@@ -323,8 +330,7 @@ def _surface_match(m: sf.SurfaceModel) -> tuple:
         checks.append(rp.leaf("match.point_sets_affinely_equivalent",
                               len(matches) >= 1,
                               [repr(phi) for phi in matches]))
-        equiv = cu.equivariant_matches(concrete, abstract, action,
-                                       abstract_action)
+        equiv = cu.equivariant_matches(matches, action, abstract_action)
         checks.append(rp.leaf("match.equivariant_match_unique",
                               len(equiv) == 1,
                               [repr(phi) for phi in equiv]))
@@ -337,46 +343,61 @@ def _surface_match(m: sf.SurfaceModel) -> tuple:
 
 
 def surface_suite(config: SuiteConfig) -> list:
-    try:
-        m = sf.load_model(config.data_dir)
-    except Exception as ex:  # noqa: BLE001 - the suite reports, never raises
-        return [rp.error_leaf("model", ex)]
-    checks = [
-        rp.leaf("model", True, {
+    """The surface checks in report order. Each runs in its own guard,
+    so it carries its measured time and an exception becomes its own
+    error leaf; `got` keeps the objects that later checks need."""
+    got = {}
+
+    def model():
+        m = got["model"] = sf.load_model(config.data_dir)
+        return rp.leaf("model", True, {
             "surface_terms": m.s.num_terms(),
             "translation_terms": m.eta.num_terms(),
             "cubic_terms": m.g.num_terms(),
             "marked_points": len(m.points),
-        }),
-        sf.verify_orbit(m),
-        sf.verify_cubic(m),
-        sf.verify_equivariance(m),
-    ]
-    scalar = None
-    try:
-        si = sf.derive_sigma_inverse(m)
-        checks.append(rp.leaf("inverse", True, {
+        })
+
+    def inverse():
+        si = got["inverse"] = sf.derive_sigma_inverse(m)
+        return rp.leaf("inverse", True, {
             "w_scalar": sf._fmt(m.ctx, si.w_scalar),
             "tail_terms": si.eta_prime.num_terms(),
-        }))
+        })
+
+    def derivation():
         try:
-            scalar = sf.conjugation_scalar(m, si)
+            got["scalar"] = sf.conjugation_scalar(m, got["inverse"])
         except NoSolution:
-            scalar = None
-        checks.append(sf.verify_derivation(m, si, scalar=scalar))
-    except Exception as ex:  # noqa: BLE001
-        checks.append(rp.error_leaf("inverse", ex))
-    checks.append(sf.singular_locus(m, config.ext_bound))
-    checks.append(sf.verify_multiplicities(m))
-    checks.append(sf.verify_chart_smoothness(m))
-    match_node, alpha = _surface_match(m)
-    checks.append(match_node)
-    if scalar is not None and alpha is not None:
-        checks.append(sf.verify_alpha_consistency(m, scalar, alpha))
-    else:
-        checks.append(rp.error_leaf(
-            "alpha", NoSolution("conjugation scalar or induced multiplier "
-                                "unavailable; see earlier leaves")))
+            pass
+        return sf.verify_derivation(m, got["inverse"],
+                                    scalar=got.get("scalar"))
+
+    def match():
+        node, got["alpha"] = _surface_match(m)
+        return node
+
+    def alpha():
+        if got.get("scalar") is None or got.get("alpha") is None:
+            raise NoSolution("conjugation scalar or induced multiplier "
+                             "unavailable; see earlier leaves")
+        return sf.verify_alpha_consistency(m, got["scalar"], got["alpha"])
+
+    checks = [_guarded("model", model)]
+    if "model" not in got:
+        return checks
+    m = got["model"]
+    checks += [_guarded("orbit", lambda: sf.verify_orbit(m)),
+               _guarded("cubic", lambda: sf.verify_cubic(m)),
+               _guarded("equivariance", lambda: sf.verify_equivariance(m)),
+               _guarded("inverse", inverse)]
+    if "inverse" in got:
+        checks.append(_guarded("derivation", derivation))
+    checks += [_guarded("singular",
+                        lambda: sf.singular_locus(m, config.ext_bound)),
+               _guarded("multiplicities", lambda: sf.verify_multiplicities(m)),
+               _guarded("charts", lambda: sf.verify_chart_smoothness(m)),
+               _guarded("match", match),
+               _guarded("alpha", alpha)]
     return checks
 
 
@@ -394,8 +415,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
     if config is None:
         config = SuiteConfig()
     if name not in SUITE_NAMES:
-        raise UnknownSuite(f"no suite named {name!r}; "
-                           f"choose one of {', '.join(SUITE_NAMES)}")
+        raise ValueError(f"no suite named {name!r}; "
+                         f"choose one of {', '.join(SUITE_NAMES)}")
     primary = {"lattice": lattice_suite, "cubic": cubic_suite,
                "surface": surface_suite}
     if name in primary:

@@ -12,14 +12,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    DivisionByZero,
-    InvariantViolation,
-    NoSolution,
-    NonUniqueSolution,
-    ParseError,
-    VariableAbsent,
-)
+from .errors import (DomainError, InvariantViolation, NoSolution,
+                     ParseError)
 from .gf2m import FieldCtx, FieldElement, embed, field_make, format_elem
 from .multipoly import (
     MultiPoly,
@@ -152,7 +146,7 @@ def _uni_from(p: MultiPoly, var: int) -> UniPoly:
     coeffs = [0] * (p.degree_in(var) + 1)
     for e, v in p.terms.items():
         if e[1 - var]:
-            raise VariableAbsent(f"variable {1 - var} still occurs")
+            raise InvariantViolation(f"variable {1 - var} still occurs")
         coeffs[e[var]] = v
     return UniPoly(p.ctx, coeffs)
 
@@ -306,8 +300,7 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
     The plane components are (x+az)z, (x+az)(y+bz), (y+bz)z where a, b
     are the two off-diagonal constants of f; the w-component tail is
     the unique degree-12 solution of the composition identity, found
-    by exact linear solve. NoSolution and NonUniqueSolution report a
-    model inconsistency.
+    by exact linear solve. NoSolution reports a model inconsistency.
     """
     ctx = m.ctx
     fx, fy, fz = m.f
@@ -349,8 +342,8 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
     if res.status == "inconsistent":
         raise NoSolution("tail system is inconsistent")
     if res.status != "unique":
-        raise NonUniqueSolution(f"tail kernel has dimension "
-                                f"{len(res.kernel)}")
+        raise NoSolution(f"tail kernel has dimension "
+                         f"{len(res.kernel)}")
     etap = MultiPoly(ctx, 3, {mon: v.bits
                               for mon, v in zip(m12, res.solution)})
     if etap.substitute(list(m.f)) != rhs_poly:
@@ -406,7 +399,7 @@ class RatFunc:
 
     def __init__(self, rel, num, den):
         if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
+            raise DomainError("rational function with zero denominator")
         self.rel = rel
         self.num = _w_reduce(num, rel)
         self.den = _w_reduce(den, rel)
@@ -531,7 +524,7 @@ def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
     """Solve both chart partials of s simultaneously in each chart.
 
     Elimination by resultant, root extraction through extensions of
-    degree dividing ext_bound, then back-substitution with exact
+    degree at most ext_bound, then back-substitution with exact
     verification. The cover w^2 = s is singular exactly over the
     common zeros of the two partials (w is absent from the Jacobian in
     characteristic 2). Roots beyond the bound and degenerate fibers
@@ -599,7 +592,7 @@ def _chart_singular_points(m: SurfaceModel, drop: int, ext_bound: int):
         extra.append(rp.leaf(
             f"singular.chart_{label}.roots_within_bound", False,
             f"eliminant degree {ru.degree()}, only {covered} accounted "
-            f"for below extension degree {ext_bound}"))
+            f"for within extension degree {ext_bound}"))
     lifted: dict[int, tuple] = {}
 
     def lift_pair(sup: FieldCtx):

@@ -9,15 +9,15 @@ equal-degree splitting with GF(2)-trace maps. Equal-degree splitting
 draws from a fixed-seed PRNG (CZ_SEED) so runs are reproducible.
 
 Root search (`uni_roots`) walks extensions of GF(2) whose absolute
-degree divides the caller's bound, embedding coefficients via the fixed
-embeddings of gf2m.
+degree is at most the caller's bound, embedding coefficients via the
+fixed embeddings of gf2m.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import ContextMismatch, DivisionByZero, ZeroPolynomial
+from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, embed, ext_context
 
 CZ_SEED = 0x5A1E  # documented constant: equal-degree splitting randomness
@@ -38,11 +38,6 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
-    def from_elems(cls, ctx: FieldCtx, elems) -> "UniPoly":
-        return cls(ctx, [e.bits if isinstance(e, FieldElement) else int(e)
-                         for e in elems])
-
-    @classmethod
     def x(cls, ctx: FieldCtx) -> "UniPoly":
         return cls(ctx, [0, 1])
 
@@ -56,17 +51,9 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def lc_bits(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomial("leading coefficient of 0")
-        return self.coeffs[-1]
-
-    def coeff_elems(self):
-        return [FieldElement(self.ctx, c) for c in self.coeffs]
-
     def _chk(self, other: "UniPoly"):
         if other.ctx is not self.ctx:
-            raise ContextMismatch("UniPoly contexts differ")
+            raise InvariantViolation("UniPoly contexts differ")
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and other.ctx is self.ctx
@@ -110,7 +97,7 @@ class UniPoly:
     def __divmod__(self, other: "UniPoly"):
         self._chk(other)
         if other.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
+            raise DomainError("division by the zero polynomial")
         mul, inv = self.ctx.mul_bits, self.ctx.inv_bits
         r = list(self.coeffs)
         d = other.degree()
@@ -157,28 +144,15 @@ class UniPoly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.ctx is not self.ctx:
-            raise ContextMismatch("evaluation point in a different field")
+            raise InvariantViolation("evaluation point in a different field")
         return FieldElement(self.ctx, self.eval_bits(x.bits))
 
     def sqrt(self) -> "UniPoly":
         """Inverse of squaring; requires all odd coefficients zero."""
         if any(c for i, c in enumerate(self.coeffs) if i % 2 == 1):
-            raise ZeroPolynomial("polynomial is not a square")
+            raise DomainError("polynomial is not a square")
         sq = self.ctx.sqrt_bits
         return UniPoly(self.ctx, [sq(c) for c in self.coeffs[0::2]])
-
-    def pow_mod(self, n: int, mod: "UniPoly") -> "UniPoly":
-        r = UniPoly(self.ctx, [1])
-        b = self % mod
-        while n:
-            if n & 1:
-                r = (r * b) % mod
-            b = (b * b) % mod
-            n >>= 1
-        return r
-
-    def map_coeffs(self, fn) -> "UniPoly":
-        return UniPoly(self.ctx, [fn(c) for c in self.coeffs])
 
     def embed_to(self, sup: FieldCtx) -> "UniPoly":
         cs = [embed(FieldElement(self.ctx, c), self.ctx, sup).bits
@@ -295,7 +269,7 @@ def factor(f: UniPoly) -> list[tuple[UniPoly, int]]:
 
 def uni_roots(f: UniPoly, search_degree_bound: int = 10
               ) -> list[tuple[FieldElement, int]]:
-    """All roots in extensions of GF(2) whose degree divides the bound.
+    """All roots in extensions of GF(2) of degree at most the bound.
 
     Returns (root, multiplicity) pairs; each root lives in the smallest
     constructed context the search visits (the base field for roots
@@ -303,13 +277,13 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
     caller can compare multiplicity totals against the degree.
     """
     if f.is_zero():
-        raise ZeroPolynomial("uni_roots of the zero polynomial")
+        raise DomainError("uni_roots of the zero polynomial")
     base = f.ctx
     out = []
     for part, mult in squarefree_decomposition(f):
         for block, d in distinct_degree_factorization(part):
             absdeg = base.m * d
-            if search_degree_bound % absdeg != 0:
+            if absdeg > search_degree_bound:
                 continue
             if d == 1:
                 rng = random.Random(CZ_SEED)
@@ -330,7 +304,7 @@ def product_over_roots(ctx: FieldCtx, roots) -> UniPoly:
     acc = UniPoly(ctx, [1])
     for r, mult in roots:
         if r.ctx is not ctx:
-            raise ContextMismatch("root outside the requested context")
+            raise InvariantViolation("root outside the requested context")
         lin = UniPoly(ctx, [r.bits, 1])
         for _ in range(mult):
             acc = acc * lin

@@ -5,12 +5,10 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              collinear, collinear_det, cusp_parametrization,
                              equivariant_matches, find_cusp,
                              induced_affine_map, lehmer_mod2_roots,
-                             match_point_sets, orbit_points, psi, psi_inv,
+                             orbit_points, psi, psi_inv,
                              second_param_expr1, second_param_expr2,
                              standard_cubic, verify_coxeter_constraints)
-from salemsurf.errors import (CollisionDetected, CuspPoint,
-                              DegenerateCoefficient, NotCuspidal,
-                              NotLehmerRoot, NotOnCurve, NotPreserved)
+from salemsurf.errors import InvariantViolation
 from salemsurf.gf2m import FieldElement, dlog, field_make, gf32
 from salemsurf.multipoly import MultiPoly, ProjPoint
 
@@ -35,9 +33,9 @@ def test_psi_roundtrip(ctx):
 
 
 def test_psi_inv_rejections(ctx):
-    with pytest.raises(CuspPoint):
+    with pytest.raises(InvariantViolation, match="no finite parameter"):
         psi_inv(ProjPoint(ctx, (0, 0, 1)))
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(InvariantViolation, match="does not satisfy"):
         psi_inv(ProjPoint(ctx, (1, 1, 0)))
 
 
@@ -69,9 +67,9 @@ def test_affine_action_algebra(ctx):
     assert f.compose(g)(t) == f(g(t))
     assert f.inverse().compose(f)(t) == t
     assert f(f.fixed_point()) == f.fixed_point()
-    with pytest.raises(DegenerateCoefficient):
+    with pytest.raises(InvariantViolation, match="needs alpha != 0"):
         AffineAction(ctx.zero(), ctx.one())
-    with pytest.raises(DegenerateCoefficient):
+    with pytest.raises(InvariantViolation, match="no fixed point"):
         AffineAction(ctx.one(), ctx.one()).fixed_point()
 
 
@@ -86,11 +84,11 @@ def test_mod2_root_set(ctx):
 
 
 def test_beta_rejections(ctx):
-    with pytest.raises(NotLehmerRoot):
+    with pytest.raises(InvariantViolation, match="not a mod-2 root"):
         beta_from_alpha(ctx.one())
-    with pytest.raises(NotLehmerRoot):
+    with pytest.raises(InvariantViolation, match="not a mod-2 root"):
         beta_from_alpha(ctx.gen_pow(16))
-    with pytest.raises(NotLehmerRoot):
+    with pytest.raises(InvariantViolation, match="not a mod-2 root"):
         beta_from_alpha(ctx.zero())
 
 
@@ -130,7 +128,7 @@ def test_constraints_hold_at_beta_and_break_nearby(ctx):
         assert verify_coxeter_constraints(params, AffineAction(a, b)).ok()
         try:
             bad = orbit_points(a, b + one)
-        except CollisionDetected:
+        except InvariantViolation:  # the ten parameters collide
             continue
         assert not verify_coxeter_constraints(bad,
                                               AffineAction(a, b + one)).ok()
@@ -140,7 +138,7 @@ def test_find_cusp(ctx, model):
     assert find_cusp(standard_cubic(ctx)).coords == (0, 0, 1)
     assert find_cusp(model.g) == model.cusp
     lines = MultiPoly(ctx, 3, {(1, 1, 1): 1})  # xyz: three singular points
-    with pytest.raises(NotCuspidal):
+    with pytest.raises(InvariantViolation, match="expected 1"):
         find_cusp(lines)
 
 
@@ -151,7 +149,7 @@ def test_cusp_parametrization_roundtrip(ctx, model):
             p = chart.point_at(t)
             assert curve.eval_bits(p.coords) == 0
             assert chart.param_of(p) == t
-        with pytest.raises(CuspPoint):
+        with pytest.raises(InvariantViolation, match="tangent cone line"):
             chart.param_of(chart.cusp)
 
 
@@ -175,7 +173,8 @@ def test_induced_map_rejects_non_preserving(ctx):
     x = MultiPoly.var(ctx, 3, 0)
     y = MultiPoly.var(ctx, 3, 1)
     z = MultiPoly.var(ctx, 3, 2)
-    with pytest.raises(NotPreserved):
+    with pytest.raises(InvariantViolation,
+                       match="does not preserve the curve"):
         induced_affine_map(standard_cubic(ctx), [y, x, z])
 
 
@@ -207,8 +206,6 @@ def test_point_set_matching_vs_brute_force(ctx):
         got = sorted((m.alpha.bits, m.beta.bits)
                      for m in all_point_set_matches(aa, target))
         assert got == _brute_matches(ctx, aa, target)
-    ident = match_point_sets(aa, aa)
-    assert ident is not None
     assert any(m.alpha == ctx.one() and not m.beta
                for m in all_point_set_matches(aa, aa))
 
@@ -221,7 +218,8 @@ def test_equivariant_matching(ctx):
     phi = AffineAction(ctx.gen_pow(9), ctx.gen_pow(2))
     image = [phi(t) for t in params]
     conj = phi.compose(act).compose(phi.inverse())
-    found = equivariant_matches(params, image, act, conj)
+    found = equivariant_matches(all_point_set_matches(params, image), act,
+                                conj)
     assert phi in found
     for m in found:
         assert m.compose(act) == conj.compose(m)

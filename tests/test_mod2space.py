@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from salemsurf.errors import NotIsometry
+from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, intersection_dim,
                                  mat2_apply, mat2_from_int, mat2_identity,
                                  mat2_kernel, mat2_mul, mat2_order,
@@ -35,8 +35,7 @@ def test_standard_space_is_plus_type():
 
 
 def test_odd_gram_rejected():
-    from salemsurf.errors import WrongDimension
-    with pytest.raises(WrongDimension):
+    with pytest.raises(InvariantViolation, match="gram is not even"):
         Mod2QuadSpace([[1]])
 
 
@@ -98,7 +97,8 @@ def test_action_analysis_of_identity(e10_restriction):
 
 
 def test_action_analysis_rejects_non_isometry():
-    with pytest.raises(NotIsometry):
+    with pytest.raises(InvariantViolation,
+                       match="does not preserve the sublattice form"):
         mod2_action_analysis([[2 if i == j else 0 for j in range(10)]
                               for i in range(10)])
 

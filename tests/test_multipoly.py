@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from salemsurf.errors import DivisionNotExact, ZeroPolynomial
+from salemsurf.errors import DomainError
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import (MultiPoly, ProjPoint, format_poly,
                                  format_poly_file, linear_solve, parse_poly,
@@ -134,7 +134,7 @@ def test_divide_by_power(ctx):
     y = MultiPoly.var(ctx, 2, 1)
     p = x * x * y + x * x * x
     assert p.divide_by_power(0, 2) == y + x
-    with pytest.raises(DivisionNotExact):
+    with pytest.raises(DomainError, match="term has degree"):
         (p + y).divide_by_power(0, 1)
 
 
@@ -197,7 +197,7 @@ def test_projective_normalization(ctx):
     q = ProjPoint(ctx, tuple(c * lam for c in p.elems()))
     assert p == q
     assert repr(p) == "(g^14 : g^7 : 1)"
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(DomainError, match="all-zero projective"):
         ProjPoint(ctx, (0, 0, 0))
 
 

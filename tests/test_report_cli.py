@@ -1,14 +1,17 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import salemsurf.cubic as cu
+import salemsurf.lattice as lat
 import salemsurf.report as rp
+import salemsurf.suites as suites
 from salemsurf.cli import build_parser, main
-from salemsurf.errors import UnknownSuite
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
@@ -66,7 +69,7 @@ def test_run_suite_lattice():
 
 
 def test_run_suite_rejects_unknown():
-    with pytest.raises(UnknownSuite):
+    with pytest.raises(ValueError, match="no suite named 'bogus'"):
         run_suite("bogus", SuiteConfig())
 
 
@@ -81,9 +84,38 @@ def test_cli_exit_codes(capsys):
     assert main(["salem", "--format", "md"]) == 0
     out = capsys.readouterr().out
     assert "1.17628" in out
-    assert main(["bogus"]) == 2
-    err = capsys.readouterr().err
-    assert "bogus" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_cli_rejects_ext_bound_below_one(bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--ext-bound", bound])
+    assert exc.value.code == 2
+
+
+def test_shared_objects_are_built_once(monkeypatch, model):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(lat, "restrict_to_basis")
+    count(cu, "all_point_set_matches")
+    suites._e10_restriction.cache_clear()
+    assert run_suite("lattice").ok()
+    assert calls["restrict_to_basis"] == 1
+    node, _ = suites._surface_match(model)
+    assert node.ok()
+    assert calls["all_point_set_matches"] == 1
 
 
 def test_cli_json_output(capsys):
@@ -128,11 +160,33 @@ def test_coarse_precision_keeps_salem_verdict(capsys, width):
     assert lo > 1 and hi - lo <= Fraction(width)
 
 
+def test_coarse_precision_largest_root_witness(capsys):
+    assert main(["salem", "--format", "json", "--precision", "5"]) == 0
+    salem = json.loads(capsys.readouterr().out)["children"][0]
+    leaf = next(c for c in salem["children"]
+                if c["name"] == "salem.matches_largest_p10_root")
+    assert (leaf["witness"]["lo"], leaf["witness"]["hi"]) == ([9, 8], [5, 4])
+
+
 def test_markdown_times_the_surface_suite(capsys):
     assert main(["all", "--format", "md"]) == 0
-    line = next(ln for ln in capsys.readouterr().out.splitlines()
-                if ln.startswith("- [PASS] `surface` ("))
-    assert float(line.split("(")[1].split(" ms")[0]) > 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def ms(line):
+        return float(line.split("(")[1].split(" ms")[0])
+
+    start = next(i for i, ln in enumerate(lines)
+                 if ln.startswith("- [PASS] `surface` ("))
+    children = []
+    for ln in lines[start + 1:]:
+        if not ln.startswith("  "):
+            break
+        if not ln.startswith("    "):
+            children.append(ln)
+    surface = ms(lines[start])
+    assert surface > 0
+    assert ms(next(c for c in children if "`singular`" in c)) > 0
+    assert abs(sum(map(ms, children)) - surface) <= 0.05 * surface
 
 
 def test_installed_script_runs():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import salemsurf.surface as sf
-from salemsurf.errors import (DivisionByZero, InvariantViolation, ParseError)
+from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, ProjPoint
 
@@ -88,7 +88,7 @@ def test_ratfunc_derivation_rules(ctx, model):
     fr = sf.RatFunc(rel, x * w + z * z, z)
     gr = sf.RatFunc(rel, y * w + x * x, x)
     assert (fr * gr).d_dw() == fr.d_dw() * gr + fr * gr.d_dw()
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DomainError, match="zero denominator"):
         sf.RatFunc(rel, x, MultiPoly.zero(ctx, 4))
 
 
@@ -102,8 +102,21 @@ def test_ratfunc_pullback(ctx, model):
                                 sf._lift3(model.f[2]))
 
 
+def _singular_points(rep):
+    return next(c.witness for c in rep.children
+                if c.name == "singular.matches_marked_points")
+
+
 def test_singular_locus(model):
-    assert sf.singular_locus(model, 10).ok()
+    ten = sf.singular_locus(model, 10)
+    assert ten.ok()
+    assert len(_singular_points(ten)) == 11
+    # the bound is the largest extension degree searched, and every
+    # singular point is rational over GF(32)
+    for bound in (9, 12):
+        rep = sf.singular_locus(model, bound)
+        assert rep.ok(), bound
+        assert _singular_points(rep) == _singular_points(ten), bound
     rep = sf.singular_locus(model, 1)  # too small to account for the roots
     assert not rep.ok()
 

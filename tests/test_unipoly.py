@@ -1,6 +1,6 @@
 import pytest
 
-from salemsurf.errors import DivisionByZero
+from salemsurf.errors import DomainError
 from salemsurf.gf2m import ext_context, field_make, gf32
 from salemsurf.lattice import lehmer_polynomial
 from salemsurf.unipoly import UniPoly, factor, product_over_roots, uni_roots
@@ -12,7 +12,7 @@ def test_divmod_roundtrip(ctx):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree() < g.degree()
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DomainError, match="zero polynomial"):
         divmod(f, UniPoly(ctx, []))
 
 
@@ -48,6 +48,16 @@ def test_degree10_polynomial_mod2_roots(ctx):
         assert mult == 1
         assert r.ctx is ctx
         assert ctx.pow_bits(r.bits, 31) == 1 and r.bits != 1  # order 31
+
+
+def test_bound_is_the_largest_degree_searched():
+    gf2 = field_make(1, 0b11)
+    f = UniPoly(gf2, [1, 1, 0, 1])  # x^3 + x + 1, irreducible over GF(2)
+    roots = uni_roots(f, 4)
+    assert len(roots) == 3
+    assert all(r.ctx.m == 3 and mult == 1 for r, mult in roots)
+    assert all(f.embed_to(r.ctx)(r) == r.ctx.zero() for r, _ in roots)
+    assert uni_roots(f, 2) == []
 
 
 def test_root_output_is_sorted(ctx):
