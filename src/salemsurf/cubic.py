@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
 from .lattice import lehmer_polynomial
-from .multipoly import MultiPoly, ProjPoint
+from .multipoly import MultiPoly, ProjPoint, plane_points
 from . import report as rp
 
 
@@ -233,26 +233,23 @@ def verify_coxeter_constraints(params: list[FieldElement],
 
 def find_cusp(curve: MultiPoly) -> ProjPoint:
     """The unique singular point of an irreducible cuspidal cubic,
-    located by scanning the three affine charts."""
+    located by scanning every point of the plane once."""
     ctx = curve.ctx
     parts = [curve.partial(i) for i in range(3)]
-    found = []
-    for drop in (2, 1, 0):
-        keep = [i for i in range(3) if i != drop]
-        for u in range(1 << ctx.m):
-            for v in range(1 << ctx.m):
-                pt = [0, 0, 0]
-                pt[drop] = 1
-                pt[keep[0]], pt[keep[1]] = u, v
-                nz = next(i for i in (2, 1, 0) if pt[i])
-                if nz != drop:
-                    continue  # projectively seen in an earlier chart
-                if (curve.eval_bits(pt) == 0
-                        and all(p.eval_bits(pt) == 0 for p in parts)):
-                    found.append(tuple(pt))
+    found = [pt for pt in plane_points(ctx)
+             if curve.eval_bits(pt) == 0
+             and all(p.eval_bits(pt) == 0 for p in parts)]
     if len(found) != 1:
         raise InvariantViolation(f"{len(found)} singular points, expected 1")
     return ProjPoint(ctx, found[0])
+
+
+def _lin(ctx: FieldCtx, l, coords) -> int:
+    """The linear form with coefficients l at coords (raw bits)."""
+    acc = 0
+    for a, b in zip(l, coords):
+        acc ^= ctx.mul_bits(a, b)
+    return acc
 
 
 class CuspChart:
@@ -273,20 +270,13 @@ class CuspChart:
         self.l2 = l2
         self.coeff_lists = coeff_lists
 
-    def lin(self, l, coords) -> int:
-        ctx = self.curve.ctx
-        acc = 0
-        for a, b in zip(l, coords):
-            acc ^= ctx.mul_bits(a, b)
-        return acc
-
     def param_of(self, p: ProjPoint) -> FieldElement:
         ctx = self.curve.ctx
-        denom = self.lin(self.l1, p.coords)
+        denom = _lin(ctx, self.l1, p.coords)
         if denom == 0:
             raise InvariantViolation("point lies on the tangent cone line")
         return FieldElement(
-            ctx, ctx.mul_bits(self.lin(self.l2, p.coords),
+            ctx, ctx.mul_bits(_lin(ctx, self.l2, p.coords),
                               ctx.inv_bits(denom)))
 
     def point_at(self, t: FieldElement) -> ProjPoint:
@@ -315,11 +305,8 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
     j = max(i for i in range(3) if q0[i])
     keep = [i for i in range(3) if i != j]
     # dehomogenize to the chart x_j = 1 and translate the cusp to 0
-    flat: dict[tuple, int] = {}
-    for e, c in curve.terms.items():
-        k = (e[keep[0]], e[keep[1]])
-        flat[k] = flat.get(k, 0) ^ c
-    local = MultiPoly(ctx, 2, flat).translate([q0[keep[0]], q0[keep[1]]])
+    local = curve.restrict(j, 1).drop_var(j).translate(
+        [q0[keep[0]], q0[keep[1]]])
     if local.multiplicity_at([0, 0]) != 2:
         raise InvariantViolation("singular point is not a double point")
     init = local.initial_form()
@@ -338,12 +325,6 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
     else:
         l2[keep[1]] = 1
         l2[j] = q0[keep[1]]
-
-    def lin(l, p):
-        acc = 0
-        for a, b in zip(l, p):
-            acc ^= ctx.mul_bits(a, b)
-        return acc
 
     def line_points(l):
         piv = max(i for i in range(3) if l[i])
@@ -367,8 +348,8 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
         return True
 
     r2 = next(p for p in line_points(l1) if not proportional(p, q0))
-    r1 = next(p for p in line_points(l2) if lin(l1, p) != 0)
-    scale = ctx.mul_bits(lin(l1, r1), ctx.inv_bits(lin(l2, r2)))
+    r1 = next(p for p in line_points(l2) if _lin(ctx, l1, p) != 0)
+    scale = ctx.mul_bits(_lin(ctx, l1, r1), ctx.inv_bits(_lin(ctx, l2, r2)))
     l2 = [ctx.mul_bits(scale, c) for c in l2]
     # expand curve(lambda q0 + mu (r1 + t r2)) in variables (lam, mu, t)
     lam = MultiPoly.var(ctx, 3, 0)
@@ -405,9 +386,10 @@ def cusp_parametrization(curve: MultiPoly) -> CuspChart:
     return CuspChart(curve, ProjPoint(ctx, q0), l1, l2, coeff_lists)
 
 
-def induced_affine_map(curve: MultiPoly,
+def induced_affine_map(chart: CuspChart,
                        components: list[MultiPoly]) -> AffineAction:
-    """The affine parameter action a Cremona map induces on the cubic.
+    """The affine parameter action a Cremona map induces on the cubic of
+    a cusp chart.
 
     The map must send the curve into itself up to a polynomial factor
     (checked by exact division of the pullback); base points (all three
@@ -415,6 +397,7 @@ def induced_affine_map(curve: MultiPoly,
     are skipped when sampling. The affine fit uses the first two usable
     parameter pairs and must validate on every other sample.
     """
+    curve = chart.curve
     ctx = curve.ctx
     pulled = curve.substitute(list(components))
     if not pulled.is_zero():
@@ -422,7 +405,6 @@ def induced_affine_map(curve: MultiPoly,
             pulled.divide_exact(curve)
         except DomainError as ex:
             raise InvariantViolation("map does not preserve the curve") from ex
-    chart = cusp_parametrization(curve)
     pairs = []
     for bits in range(1 << ctx.m):
         t = FieldElement(ctx, bits)
@@ -430,10 +412,10 @@ def induced_affine_map(curve: MultiPoly,
         img = tuple(comp.eval_bits(pt.coords) for comp in components)
         if not any(img):
             continue  # base point of the map
-        if chart.lin(chart.l1, img) == 0:
+        denom = _lin(ctx, chart.l1, img)
+        if denom == 0:
             continue  # image is the cusp direction
-        tp = ctx.mul_bits(chart.lin(chart.l2, img),
-                          ctx.inv_bits(chart.lin(chart.l1, img)))
+        tp = ctx.mul_bits(_lin(ctx, chart.l2, img), ctx.inv_bits(denom))
         pairs.append((t, FieldElement(ctx, tp)))
     if len(pairs) < 4:
         raise InvariantViolation(f"only {len(pairs)} usable samples")
@@ -454,34 +436,28 @@ def induced_affine_map(curve: MultiPoly,
 def all_point_set_matches(params_a, params_b) -> list[AffineAction]:
     """Every affine map t -> a t + b with {a t + b : t in A} = B.
 
-    Candidates come from ordered pairs of distinct elements; the scan
-    order is deterministic (sorted by raw bits).
+    A match sends the two smallest elements x1, x2 of A to an ordered
+    pair of distinct elements of B, and that pair fixes (a, b); so the
+    scan over the n(n-1) target pairs is complete and meets each match
+    once. Empty for fewer than two points, unequal sizes or repeated
+    elements of A; sorted by (a, b) as raw bits.
     """
     aa = sorted(params_a, key=lambda e: e.bits)
     bb = sorted(params_b, key=lambda e: e.bits)
-    if len(aa) != len(bb) or len({e.bits for e in aa}) != len(aa):
+    if (len(aa) < 2 or len(aa) != len(bb)
+            or len({e.bits for e in aa}) != len(aa)):
         return []
+    x1, x2 = aa[0], aa[1]
     bset = {e.bits for e in bb}
     out = []
-    seen = set()
-    for x1 in aa:
-        for x2 in aa:
-            if x1 == x2:
+    for y1 in bb:
+        for y2 in bb:
+            if y1 == y2:
                 continue
-            for y1 in bb:
-                for y2 in bb:
-                    if y1 == y2:
-                        continue
-                    a = (y1 + y2) / (x1 + x2)
-                    if not a:
-                        continue
-                    b = y1 + a * x1
-                    key = (a.bits, b.bits)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if {(a * x + b).bits for x in aa} == bset:
-                        out.append(AffineAction(a, b))
+            a = (y1 + y2) / (x1 + x2)
+            b = y1 + a * x1
+            if {(a * x + b).bits for x in aa} == bset:
+                out.append(AffineAction(a, b))
     out.sort(key=lambda m: (m.alpha.bits, m.beta.bits))
     return out
 

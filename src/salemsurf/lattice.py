@@ -248,18 +248,16 @@ def canonical_class():
     return tuple([-3] + [1] * 10)
 
 
-def e10_basis(path=None):
+def e10_basis(text=None):
     """Basis of the even rank-10 sublattice orthogonal to the fixed class.
 
-    Rows of data/e10_basis.dat, ambient coordinates. The file is part of
-    the bundled data so reports can show exactly which basis was used.
+    Rows of the text of an e10_basis.dat file (the bundled
+    data/e10_basis.dat when None), ambient coordinates. The file is part
+    of the model data so reports can show exactly which basis was used.
     """
-    if path is None:
+    if text is None:
         text = (resources.files("salemsurf") / "data" / "e10_basis.dat"
                 ).read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
     rows = []
     for ln in text.splitlines():
         ln = ln.strip()

@@ -121,19 +121,23 @@ def mat2_poly_at(cols, coeffs) -> tuple:
     return acc
 
 
-def mat2_kernel(cols) -> list:
-    """Basis bitmasks of {v : M v = 0}."""
-    n = len(cols)
-    rows = [sum(((cols[j] >> i) & 1) << j for j in range(n))
-            for i in range(n)]
+def _echelon(vectors) -> list:
+    """Forward elimination: independent rows spanning the same space,
+    distinct pivots (leading bits), sorted by descending pivot."""
     red = []
-    for r in rows:
+    for r in vectors:
         for pr in red:
             if (r >> (pr.bit_length() - 1)) & 1:
                 r ^= pr
         if r:
             red.append(r)
             red.sort(reverse=True)
+    return red
+
+
+def rref_rows(vectors) -> tuple:
+    """Canonical RREF row tuple (descending pivots) of a span."""
+    red = _echelon(vectors)
     changed = True
     while changed:
         changed = False
@@ -142,6 +146,14 @@ def mat2_kernel(cols) -> list:
                 if i != j and (red[i] >> (red[j].bit_length() - 1)) & 1:
                     red[i] ^= red[j]
                     changed = True
+    return tuple(sorted(red, reverse=True))
+
+
+def mat2_kernel(cols) -> list:
+    """Basis bitmasks of {v : M v = 0}."""
+    n = len(cols)
+    red = rref_rows(sum(((cols[j] >> i) & 1) << j for j in range(n))
+                    for i in range(n))
     pivots = {r.bit_length() - 1 for r in red}
     ker = []
     for free in range(n):
@@ -153,27 +165,6 @@ def mat2_kernel(cols) -> list:
                 v ^= 1 << (r.bit_length() - 1)
         ker.append(v)
     return ker
-
-
-def rref_rows(vectors) -> tuple:
-    """Canonical RREF row tuple (descending pivots) of a span."""
-    red = []
-    for r in vectors:
-        for pr in red:
-            if (r >> (pr.bit_length() - 1)) & 1:
-                r ^= pr
-        if r:
-            red.append(r)
-            red.sort(reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(red)):
-            for j in range(len(red)):
-                if i != j and (red[i] >> (red[j].bit_length() - 1)) & 1:
-                    red[i] ^= red[j]
-                    changed = True
-    return tuple(sorted(red, reverse=True))
 
 
 def span_of(rows):
@@ -191,15 +182,7 @@ def subspace_contains(rows, v: int) -> bool:
 
 
 def intersection_dim(rows_a, rows_b) -> int:
-    red = []
-    for r in list(rows_a) + list(rows_b):
-        for pr in red:
-            if (r >> (pr.bit_length() - 1)) & 1:
-                r ^= pr
-        if r:
-            red.append(r)
-            red.sort(reverse=True)
-    return len(rows_a) + len(rows_b) - len(red)
+    return len(rows_a) + len(rows_b) - len(_echelon((*rows_a, *rows_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,18 @@ class ProjPoint:
         return f"({inner})"
 
 
+def plane_points(ctx: FieldCtx):
+    """The canonical coordinate tuples of P^2(ctx), one per point, in the
+    three strata (x : y : 1), (x : 1 : 0) and (1 : 0 : 0)."""
+    field = range(1 << ctx.m)
+    for x in field:
+        for y in field:
+            yield (x, y, 1)
+    for x in field:
+        yield (x, 1, 0)
+    yield (1, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # text format
 

@@ -58,16 +58,21 @@ def _guarded(name: str, build) -> rp.Report:
 # lattice suite
 
 
+def _e10_basis(data_dir) -> tuple:
+    """The E10 basis rows read from data_dir (the bundled file when None)."""
+    return tuple(lat.e10_basis(sf._read_data(data_dir, "e10_basis.dat")))
+
+
 @functools.cache
-def _e10_restriction():
-    """The Coxeter matrix on the stored E10 basis, built once per process;
-    each lattice check calls this inside its own guard."""
-    return lat.restrict_to_basis(lat.coxeter_matrix(), lat.e10_basis())
+def _e10_restriction(basis: tuple):
+    """The Coxeter matrix on an E10 basis, built once per process and
+    basis; each lattice check calls this inside its own guard."""
+    return lat.restrict_to_basis(lat.coxeter_matrix(), basis)
 
 
-def _lattice_coxeter() -> list:
+def _lattice_coxeter(data_dir) -> list:
     cox = lat.coxeter_matrix()
-    basis = lat.e10_basis()
+    basis = _e10_basis(data_dir)
     ge = lat.gram_of(basis)
     p10 = lat.lehmer_polynomial()
     kc = lat.canonical_class()
@@ -80,7 +85,7 @@ def _lattice_coxeter() -> list:
     full = lat.char_poly(cox)
     checks.append(rp.leaf("coxeter.charpoly_full",
                           full == lat.ip_mul([-1, 1], p10), list(full)))
-    me = _e10_restriction()
+    me = _e10_restriction(basis)
     pe = lat.char_poly(me)
     checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
     checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
@@ -135,9 +140,9 @@ def _lattice_salem(precision) -> list:
 _MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
 
 
-def _lattice_mod2() -> list:
-    basis = lat.e10_basis()
-    me = _e10_restriction()
+def _lattice_mod2(data_dir) -> list:
+    basis = _e10_basis(data_dir)
+    me = _e10_restriction(basis)
     rep = m2.mod2_action_analysis(me, basis)
     checks = [
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
@@ -162,11 +167,11 @@ def _lattice_mod2() -> list:
     return checks
 
 
-def _lattice_lagrangians() -> list:
-    basis = lat.e10_basis()
+def _lattice_lagrangians(data_dir) -> list:
+    basis = _e10_basis(data_dir)
     space = m2.standard_space(basis)
     census = m2.enumerate_lagrangians(space)
-    cols = m2.mat2_from_int(_e10_restriction())
+    cols = m2.mat2_from_int(_e10_restriction(basis))
     checks = [rp.leaf("lagrangians.count", len(census.members) == 4590,
                       f"{len(census.members)} members")]
     sizes = census.class_sizes()
@@ -183,11 +188,13 @@ def _lattice_lagrangians() -> list:
 
 
 def lattice_suite(config: SuiteConfig) -> list:
-    return [_guarded("lattice.coxeter", _lattice_coxeter),
+    data = config.data_dir
+    return [_guarded("lattice.coxeter", lambda: _lattice_coxeter(data)),
             _guarded("lattice.salem",
                      lambda: _lattice_salem(config.precision)),
-            _guarded("lattice.mod2", _lattice_mod2),
-            _guarded("lattice.lagrangians", _lattice_lagrangians)]
+            _guarded("lattice.mod2", lambda: _lattice_mod2(data)),
+            _guarded("lattice.lagrangians",
+                     lambda: _lattice_lagrangians(data))]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +318,7 @@ def _surface_match(m: sf.SurfaceModel) -> tuple:
     """Report node for the concrete-to-abstract parameter match, plus
     the multiplier of the induced action."""
     chart = cu.cusp_parametrization(m.g)
-    action = cu.induced_affine_map(m.g, list(m.f))
+    action = cu.induced_affine_map(chart, list(m.f))
     checks = [rp.leaf("match.induced_action_affine", True, repr(action))]
     root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
     checks.append(rp.leaf("match.multiplier_is_root",
@@ -426,7 +433,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
             "lattice.salem", lambda: _lattice_salem(config.precision))])
     if name == "lagrangians":
         return _guarded("lagrangians", lambda: [
-            _guarded("lattice.lagrangians", _lattice_lagrangians)])
+            _guarded("lattice.lagrangians",
+                     lambda: _lattice_lagrangians(config.data_dir))])
     return _guarded("all", lambda: [
         _guarded(suite, lambda: primary[suite](config))
         for suite in ("lattice", "cubic", "surface")])

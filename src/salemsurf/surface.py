@@ -22,6 +22,7 @@ from .multipoly import (
     linear_solve,
     parse_point_file,
     parse_poly_file,
+    plane_points,
     resultant,
 )
 from .unipoly import UniPoly, uni_roots
@@ -178,16 +179,8 @@ def verify_orbit(m: SurfaceModel) -> rp.Report:
                               img == m.points[j], repr(img)))
     img0 = apply_map(m, m.points[0])
     checks.append(rp.leaf("orbit.p0_fixed", img0 == m.points[0], repr(img0)))
-    base = set()
-    # every plane point has a representative with z = 1 or z = 0
-    for x in range(1 << m.ctx.m):
-        for y in range(1 << m.ctx.m):
-            for z in (0, 1):
-                pt = (x, y, z)
-                if not any(pt):
-                    continue
-                if all(comp.eval_bits(pt) == 0 for comp in m.f):
-                    base.add(ProjPoint(m.ctx, pt))
+    base = {ProjPoint(m.ctx, pt) for pt in plane_points(m.ctx)
+            if not any(comp.eval_bits(pt) for comp in m.f)}
     expected = {m.points[1], m.points[2], m.points[3]}
     checks.append(rp.leaf("orbit.base_locus", base == expected,
                           sorted(repr(b) for b in base)))
@@ -517,133 +510,141 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
 # singular locus
 
 
-_CHART_ORDER = ((2, "z"), (1, "y"), (0, "x"))
-
-
 def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
-    """Solve both chart partials of s simultaneously in each chart.
+    """Find the singular points of the cover, each plane point once.
 
-    Elimination by resultant, root extraction through extensions of
-    degree at most ext_bound, then back-substitution with exact
-    verification. The cover w^2 = s is singular exactly over the
-    common zeros of the two partials (w is absent from the Jacobian in
-    characteristic 2). Roots beyond the bound and degenerate fibers
-    are reported as failing leaves, never dropped.
+    The cover w^2 = s is singular exactly over the common zeros of s_x,
+    s_y and s_z (w is absent from the Jacobian in characteristic 2).
+    By Euler's identity x s_x + y s_y + z s_z = 12 s = 0, two partials
+    suffice wherever the third coordinate is nonzero, so each of the
+    disjoint strata z = 1, (x : 1 : 0) and (1 : 0 : 0) of P^2 solves
+    the two partials of its chart (_stratum_points) and every point
+    found is re-checked against all three partials in its own field.
+    Roots beyond ext_bound and degenerate fibers are failing leaves,
+    never dropped; singular.chart_<c> counts the points with c != 0.
     """
     ctx = m.ctx
-    checks = []
-    found: set[ProjPoint] = set()
-    rational = True
-    irrational_witness = []
-    for drop, label in _CHART_ORDER:
+    grad = [m.s.partial(i) for i in range(3)]
+    checks, pts = [], []
+    for label in "zyx":
         try:
-            chart_checks, pts = _chart_singular_points(m, drop, ext_bound)
+            leaves, got = _stratum_points(grad, label, ext_bound)
         except Exception as ex:  # noqa: BLE001 - verifier boundary
             checks.append(rp.error_leaf(f"singular.chart_{label}", ex))
             continue
-        for pt_coords, pt_ctx in pts:
-            if pt_ctx is ctx:
-                coords3 = [0, 0, 0]
-                keep = [i for i in range(3) if i != drop]
-                coords3[drop] = 1
-                coords3[keep[0]], coords3[keep[1]] = pt_coords
-                found.add(ProjPoint(ctx, coords3))
-            else:
-                rational = False
-                irrational_witness.append(
-                    f"chart {label}: degree-{pt_ctx.m} point "
-                    + str(tuple(_fmt(pt_ctx, v) for v in pt_coords)))
-        checks.extend(chart_checks)
+        checks += leaves
+        pts += [(label, co, k) for co, k in got]
+        # later strata lie on this coordinate's zero line
+        n = sum(1 for _, co, _k in pts if co["xyz".index(label)])
         checks.append(rp.leaf(f"singular.chart_{label}", True,
-                              f"{len(pts)} affine points"))
+                              f"{n} affine points"))
+    found = {ProjPoint(ctx, co) for _, co, k in pts if k is ctx}
+    irrational = [f"chart {label}: degree-{k.m} point "
+                  + str(_chart_coords(k, co, label))
+                  for label, co, k in pts if k is not ctx]
     expected = set(m.points.values())
     checks.append(rp.leaf("singular.count", len(found) == 11,
                           f"{len(found)} points"))
     checks.append(rp.leaf("singular.matches_marked_points",
                           found == expected,
                           sorted(repr(p) for p in found)))
-    checks.append(rp.leaf("singular.rational_over_base", rational,
-                          irrational_witness or "all coordinates in GF(32)"))
+    checks.append(rp.leaf("singular.rational_over_base", not irrational,
+                          irrational or "all coordinates in GF(32)"))
     return rp.node("singular", checks)
 
 
-def _chart_singular_points(m: SurfaceModel, drop: int, ext_bound: int):
-    """-> (extra report leaves, [(chart coords, ctx)]) for one chart."""
-    base = m.ctx
-    label = dict(_CHART_ORDER)[drop]
-    sc = _chart(m.s, drop)
-    su, sv = sc.partial(0), sc.partial(1)
-    extra = []
+def _stratum_points(grad, label: str, ext_bound: int):
+    """-> (failing leaves, [(coords, field)]) on the stratum where the
+    coordinate `label` is the last nonzero one, scaled to 1.
+
+    z = 1: the eliminant in y of the chart partials, its roots within
+    the bound, then the common roots of each fiber. (x : 1 : 0): the
+    common roots of the chart partials restricted to z = 0, the fiber
+    named 0. (1 : 0 : 0): the two partials evaluated there.
+    """
+    c = "xyz".index(label)
+    p, q = (grad[i] for i in range(3) if i != c)
+    prefix = f"singular.chart_{label}"
+    if p.is_zero() or q.is_zero():
+        return [rp.leaf(f"{prefix}.partials_nonzero", False,
+                        "a chart partial vanishes identically")], []
+    leaves, cands = [], []
+    if label == "x":
+        if not (p.eval_bits((1, 0, 0)) or q.eval_bits((1, 0, 0))):
+            cands.append(((1, 0, 0), p.ctx))
+    elif label == "y":
+        uu, vv = (_uni_from(_chart(r, 1).restrict(1, 0), 0) for r in (p, q))
+        leaves, roots = _common_roots(uu, vv, ext_bound, prefix, "0")
+        cands = [((x0.bits, 1, 0), x0.ctx) for x0 in roots]
+    else:
+        su, sv = _chart(p, 2), _chart(q, 2)
+        r2 = resultant(su, sv, 1)
+        if r2.is_zero():
+            return [rp.leaf(f"{prefix}.eliminant_nonzero", False,
+                            "partials share a one-dimensional component")], []
+        ru = _uni_from(r2, 0)
+        roots = uni_roots(ru, ext_bound)
+        covered = sum(mult for _, mult in roots)
+        if covered < ru.degree():
+            leaves.append(rp.leaf(
+                f"{prefix}.roots_within_bound", False,
+                f"eliminant degree {ru.degree()}, only {covered} accounted "
+                f"for within extension degree {ext_bound}"))
+        for u0, _mult in roots:
+            uu, vv = (_uni_from(_over(r, u0.ctx).restrict(0, u0.bits), 1)
+                      for r in (su, sv))
+            more, vroots = _common_roots(uu, vv, ext_bound, prefix,
+                                         _fmt(u0.ctx, u0.bits))
+            leaves += more
+            for v0 in vroots:
+                k = v0.ctx if v0.ctx.m >= u0.ctx.m else u0.ctx
+                ub, vb = (e if e.ctx is k else embed(e, e.ctx, k)
+                          for e in (u0, v0))
+                cands.append(((ub.bits, vb.bits, 1), k))
     pts = []
-    if su.is_zero() or sv.is_zero():
-        extra.append(rp.leaf(f"singular.chart_{label}.partials_nonzero",
-                             False, "a chart partial vanishes identically"))
-        return extra, pts
-    r2 = resultant(su, sv, 1)
-    if r2.is_zero():
-        extra.append(rp.leaf(f"singular.chart_{label}.eliminant_nonzero",
-                             False,
-                             "partials share a one-dimensional component"))
-        return extra, pts
-    ru = _uni_from(r2, 0)
-    roots = uni_roots(ru, ext_bound)
-    covered = sum(mult for _, mult in roots)
-    if covered < ru.degree():
-        extra.append(rp.leaf(
-            f"singular.chart_{label}.roots_within_bound", False,
-            f"eliminant degree {ru.degree()}, only {covered} accounted "
-            f"for within extension degree {ext_bound}"))
-    lifted: dict[int, tuple] = {}
-
-    def lift_pair(sup: FieldCtx):
-        if sup.m not in lifted:
-            if sup is base:
-                lifted[sup.m] = (su, sv)
-            else:
-                def up(bits):
-                    return embed(FieldElement(base, bits), base, sup).bits
-                lifted[sup.m] = (su.change_ctx(sup, up),
-                                 sv.change_ctx(sup, up))
-        return lifted[sup.m]
-
-    for u0, _mult in roots:
-        sup = u0.ctx
-        su_l, sv_l = lift_pair(sup)
-        uu = _uni_from(su_l.restrict(0, u0.bits), 1)
-        vv = _uni_from(sv_l.restrict(0, u0.bits), 1)
-        if uu.is_zero() and vv.is_zero():
-            extra.append(rp.leaf(
-                f"singular.chart_{label}.fiber_{_fmt(sup, u0.bits)}", False,
-                "both partials vanish identically on the fiber"))
-            continue
-        if uu.is_zero() or vv.is_zero():
-            w = vv if uu.is_zero() else uu
+    for co, k in cands:
+        if any(_over(r, k).eval_bits(co) for r in grad):
+            leaves.append(rp.leaf(
+                f"{prefix}.back_substitution", False,
+                f"({', '.join(_chart_coords(k, co, label))}) fails "
+                "re-evaluation"))
         else:
-            w = uu.gcd(vv)
-        if w.degree() == 0:
-            continue  # spurious eliminant root (leading terms degenerate)
-        vroots = uni_roots(w, ext_bound)
-        vcov = sum(mult for _, mult in vroots)
-        if vcov < w.degree():
-            extra.append(rp.leaf(
-                f"singular.chart_{label}.roots_within_bound."
-                f"{_fmt(sup, u0.bits)}", False,
-                f"common factor degree {w.degree()}, {vcov} roots within "
-                f"extension degree {ext_bound}"))
-        for v0, _ in vroots:
-            big = v0.ctx if v0.ctx.m >= sup.m else sup
-            ub = u0 if u0.ctx is big else embed(u0, u0.ctx, big)
-            vb = v0 if v0.ctx is big else embed(v0, v0.ctx, big)
-            su_b, sv_b = lift_pair(big)
-            if (su_b.eval_bits([ub.bits, vb.bits]) != 0
-                    or sv_b.eval_bits([ub.bits, vb.bits]) != 0):
-                extra.append(rp.leaf(
-                    f"singular.chart_{label}.back_substitution", False,
-                    f"({format_elem(ub)}, {format_elem(vb)}) fails "
-                    "re-evaluation"))
-                continue
-            pts.append(((ub.bits, vb.bits), big))
-    return extra, pts
+            pts.append((co, k))
+    return leaves, pts
+
+
+def _common_roots(uu: UniPoly, vv: UniPoly, ext_bound: int, prefix: str,
+                  at: str):
+    """-> (failing leaves, roots) of the common roots of uu and vv within
+    extension degree ext_bound; `at` names the fiber in the leaf names."""
+    if uu.is_zero() and vv.is_zero():
+        return [rp.leaf(f"{prefix}.fiber_{at}", False,
+                        "both partials vanish identically on the fiber")], []
+    w = uu.gcd(vv)
+    if w.degree() == 0:
+        return [], []  # none; on z = 1 a spurious eliminant root
+    roots = uni_roots(w, ext_bound)
+    covered = sum(mult for _, mult in roots)
+    leaves = []
+    if covered < w.degree():
+        leaves.append(rp.leaf(
+            f"{prefix}.roots_within_bound.{at}", False,
+            f"common factor degree {w.degree()}, {covered} roots within "
+            f"extension degree {ext_bound}"))
+    return leaves, [r for r, _ in roots]
+
+
+def _over(p: MultiPoly, k: FieldCtx) -> MultiPoly:
+    """p with its coefficients embedded in the extension k of its field."""
+    if k is p.ctx:
+        return p
+    return p.change_ctx(k, lambda b: embed(FieldElement(p.ctx, b),
+                                           p.ctx, k).bits)
+
+
+def _chart_coords(k: FieldCtx, co, label: str) -> tuple:
+    """The two coordinates of a stratum point other than `label`."""
+    return tuple(_fmt(k, v) for v, name in zip(co, "xyz") if name != label)
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +731,7 @@ def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
             main = sc.substitute([u, u * v]).divide_by_power(0, 4)
             r_u = _uni_from(main.partial(0).restrict(0, 0), 1)
             r_v = _uni_from(main.partial(1).restrict(0, 0), 1)
-            if r_u.is_zero() and r_v.is_zero():
-                gdeg = -1
-            elif r_u.is_zero() or r_v.is_zero():
-                gdeg = (r_v if r_u.is_zero() else r_u).degree()
-            else:
-                gdeg = r_u.gcd(r_v).degree()
+            gdeg = r_u.gcd(r_v).degree()  # -1 when both vanish
             checks.append(rp.leaf(f"charts.p{idx}_main", gdeg == 0,
                                   f"gcd degree {gdeg}"))
             comp = sc.substitute([u * v, v]).divide_by_power(1, 4)

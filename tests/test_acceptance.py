@@ -189,7 +189,8 @@ def test_criterion_13_cross_model_consistency():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        action = cu.induced_affine_map(m.g, list(m.f))
+        chart = cu.cusp_parametrization(m.g)
+        action = cu.induced_affine_map(chart, list(m.f))
         alpha = action.alpha
         roots = {r.bits for r in cu.lehmer_mod2_roots(ctx)}
         if alpha.bits not in roots or alpha == ctx.gen_pow(16):
@@ -199,7 +200,6 @@ def test_criterion_13_cross_model_consistency():
         lam2 = alpha / lam1
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False
-        chart = cu.cusp_parametrization(m.g)
         concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
         abstract = cu.orbit_points(alpha, cu.beta_from_alpha(alpha))
         return bool(cu.all_point_set_matches(concrete, abstract))

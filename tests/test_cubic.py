@@ -165,7 +165,8 @@ def test_chart_parameter_is_affine_in_psi(ctx):
 
 def test_induced_map_identity(ctx):
     comps = [MultiPoly.var(ctx, 3, i) for i in range(3)]
-    action = induced_affine_map(standard_cubic(ctx), comps)
+    action = induced_affine_map(cusp_parametrization(standard_cubic(ctx)),
+                                comps)
     assert action == AffineAction(ctx.one(), ctx.zero())
 
 
@@ -175,15 +176,16 @@ def test_induced_map_rejects_non_preserving(ctx):
     z = MultiPoly.var(ctx, 3, 2)
     with pytest.raises(InvariantViolation,
                        match="does not preserve the curve"):
-        induced_affine_map(standard_cubic(ctx), [y, x, z])
+        induced_affine_map(cusp_parametrization(standard_cubic(ctx)),
+                           [y, x, z])
 
 
 def test_induced_map_of_bundled_model(ctx, model):
-    action = induced_affine_map(model.g, list(model.f))
+    chart = cusp_parametrization(model.g)
+    action = induced_affine_map(chart, list(model.f))
     assert action.alpha == ctx.gen_pow(19)
     assert action.alpha != ctx.gen_pow(16)
     assert action.beta == ctx.gen_pow(28)
-    chart = cusp_parametrization(model.g)
     assert action.fixed_point() == chart.param_of(model.points[0])
     assert action.fixed_point() == ctx.gen_pow(17)
 
@@ -199,15 +201,25 @@ def _brute_matches(ctx, aa, bb):
     return sorted(out)
 
 
-def test_point_set_matching_vs_brute_force(ctx):
+def test_point_set_matching_vs_brute_force(ctx, model):
     aa = [ctx.one(), ctx.gen(), ctx.gen_pow(2)]
     bb = [ctx.one(), ctx.gen(), ctx.gen_pow(3)]
-    for target in (aa, bb):
-        got = sorted((m.alpha.bits, m.beta.bits)
-                     for m in all_point_set_matches(aa, target))
-        assert got == _brute_matches(ctx, aa, target)
+    # the bundled ten marked points against the abstract orbit
+    chart = cusp_parametrization(model.g)
+    concrete = [chart.param_of(model.points[i]) for i in range(1, 11)]
+    alpha = ctx.gen_pow(19)
+    abstract = orbit_points(alpha, beta_from_alpha(alpha))
+    for source, target in ((aa, aa), (aa, bb), (concrete, abstract)):
+        got = [(m.alpha.bits, m.beta.bits)
+               for m in all_point_set_matches(source, target)]
+        assert got == _brute_matches(ctx, source, target)
+    assert len(all_point_set_matches(concrete, abstract)) == 2
     assert any(m.alpha == ctx.one() and not m.beta
                for m in all_point_set_matches(aa, aa))
+    one = ctx.one()
+    assert all_point_set_matches([one], [one]) == []
+    assert all_point_set_matches(aa, bb[:2]) == []
+    assert all_point_set_matches([one, one, ctx.gen()], bb) == []
 
 
 def test_equivariant_matching(ctx):

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.report as rp
 import salemsurf.suites as suites
+import salemsurf.surface as sf
 from salemsurf.cli import build_parser, main
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -110,12 +112,32 @@ def test_shared_objects_are_built_once(monkeypatch, model):
 
     count(lat, "restrict_to_basis")
     count(cu, "all_point_set_matches")
+    count(cu, "cusp_parametrization")
+    count(sf, "resultant")  # surface imports it by name
     suites._e10_restriction.cache_clear()
     assert run_suite("lattice").ok()
     assert calls["restrict_to_basis"] == 1
     node, _ = suites._surface_match(model)
     assert node.ok()
     assert calls["all_point_set_matches"] == 1
+    assert calls["cusp_parametrization"] == 1
+    assert sf.singular_locus(model).ok()
+    assert calls["resultant"] == 1
+
+
+def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
+    assert main(["lattice", "--data", str(tmp_path / "absent")]) == 1
+    assert "missing data file" in capsys.readouterr().out
+    bundled = Path(sf.__file__).parent / "data"
+    same, changed = tmp_path / "same", tmp_path / "changed"
+    shutil.copytree(bundled, same)
+    assert main(["lattice", "--data", str(same)]) == 0
+    shutil.copytree(bundled, changed)
+    basis = changed / "e10_basis.dat"
+    text = basis.read_text()
+    assert "\n0 1 -1 0 " in text
+    basis.write_text(text.replace("\n0 1 -1 0 ", "\n0 1 -1 1 ", 1))
+    assert main(["lattice", "--data", str(changed)]) == 1
 
 
 def test_cli_json_output(capsys):

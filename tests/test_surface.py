@@ -179,6 +179,59 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
                         and sf.verify_cubic(mut).ok())
 
 
+def _moved(model, images, move):
+    """The model with s pulled back along the linear map `images`; the
+    inverse map `move` carries each marked point to its new place."""
+    ctx = model.ctx
+    points = {i: ProjPoint(ctx, move(p.coords))
+              for i, p in model.points.items()}
+    return sf.SurfaceModel(ctx, model.names, model.s.substitute(images),
+                           model.f, model.c, model.eta, model.g, points,
+                           model.cusp)
+
+
+def test_singular_locus_after_change_of_coordinates(ctx, model):
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    mul = ctx.mul_bits
+    g = ctx.gen().bits
+    # x -> x + g y: (0 : 1 : 0) moves to (g : 1 : 0), off x = 0
+    sheared = _moved(model, [x + y.scale_bits(g), y, z],
+                     lambda co: (co[0] ^ mul(g, co[1]), co[1], co[2]))
+    # z -> z + x / g: (g : g^19 : 1) moves onto z = 0
+    h = ctx.inv_bits(g)
+    lifted = _moved(model, [x, y, z + x.scale_bits(h)],
+                    lambda co: (co[0], co[1], co[2] ^ mul(h, co[0])))
+    assert ProjPoint(ctx, (g, 1, 0)) in sheared.points.values()
+    assert ProjPoint(ctx, (g, ctx.gen_pow(19).bits, 0)) \
+        in lifted.points.values()
+    for moved in (sheared, lifted):
+        assert sf.singular_locus(moved).ok()
+
+
+def _brute_singular(s):
+    """Common zeros of s_x, s_y, s_z over P^2(GF(32)), scanning every
+    (x, y, z) with z in {0, 1}."""
+    grad = [s.partial(i) for i in range(3)]
+    out = set()
+    for x in range(32):
+        for y in range(32):
+            for z in (0, 1):
+                if any((x, y, z)) and not any(d.eval_bits((x, y, z))
+                                              for d in grad):
+                    out.add(ProjPoint(s.ctx, (x, y, z)))
+    return sorted(repr(p) for p in out)
+
+
+def test_singular_locus_matches_brute_force_on_mutants(ctx, model):
+    rng = random.Random(11)
+    for _ in range(4):
+        s = _flip_one_term(rng, model.s)
+        mut = sf.SurfaceModel(ctx, model.names, s, model.f, model.c,
+                              model.eta, model.g, model.points, model.cusp)
+        assert _singular_points(sf.singular_locus(mut)) \
+            == _brute_singular(s)
+
+
 @pytest.fixture()
 def data_copy(tmp_path):
     src = Path(sf.__file__).parent / "data"
