@@ -594,18 +594,17 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
                          f"needs {d}")
     if _sign_at(r, 2) == 0 or _sign_at(r, -2) == 0:
         raise NoSolution("trace root at +/-2 (cyclotomic boundary)")
+    for k, (lo, hi) in enumerate(ivs):
+        # +-2 are not roots, so halving a straddling interval clears them
+        while lo < 2 < hi or lo < -2 < hi:
+            lo, hi = _bisect(r, lo, hi, (hi - lo) / 2)
+        ivs[k] = (lo, hi)
     above = [iv for iv in ivs if iv[0] >= 2]
     below = [iv for iv in ivs if iv[1] <= -2]
     inside = [iv for iv in ivs if -2 <= iv[0] and iv[1] <= 2]
     if len(above) != 1 or below or len(inside) != d - 1:
-        # refine a straddling interval rather than guessing
-        ivs = real_roots(r, min(precision, Fraction(1, 10 ** 12)))
-        above = [iv for iv in ivs if iv[0] >= 2]
-        below = [iv for iv in ivs if iv[1] <= -2]
-        inside = [iv for iv in ivs if -2 <= iv[0] and iv[1] <= 2]
-        if len(above) != 1 or below or len(inside) != d - 1:
-            raise NoSolution("trace roots do not split as one above 2 "
-                             "plus the rest inside (-2, 2)")
+        raise NoSolution("trace roots do not split as one above 2 "
+                         "plus the rest inside (-2, 2)")
     dr = ip_deriv(r)
     signs = tuple(_sign_at_root(r, dr, lo, hi) for lo, hi in inside)
     lo, hi = _largest_root_interval(p, precision)

@@ -5,7 +5,8 @@ zero coefficients are never stored. Canonical order (for printing,
 leading terms and exact division) is graded lexicographic: higher total
 degree first, ties broken by the exponent tuple, left variable most
 significant. Addition is coefficient xor; all inner loops work on raw
-bits through the shared FieldCtx tables.
+bits through the shared FieldCtx tables. `resultant` eliminates one
+variable of two bivariate polynomials by evaluation and interpolation.
 
 The text format round-trips through `format_poly` / `parse_poly_file`:
 
@@ -20,7 +21,9 @@ weight k pick up the k-th power of the scale).
 from __future__ import annotations
 
 from .errors import DomainError, InvariantViolation, ParseError
-from .gf2m import FieldCtx, FieldElement, field_make, format_elem, parse_elem
+from .gf2m import (FieldCtx, FieldElement, embed, ext_context, field_make,
+                   format_elem, parse_elem, unembed)
+from .unipoly import UniPoly
 
 
 def _grlex_key(exps):
@@ -348,82 +351,78 @@ class MultiPoly:
             t[e[:i] + e[i + 1:]] = c
         return MultiPoly(self.ctx, self.nvars - 1, t)
 
-    def coeffs_in(self, i: int) -> list["MultiPoly"]:
-        """Coefficients w.r.t. variable i, low degree first, exponent i zeroed."""
-        d = self.degree_in(i)
-        out = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            out[e[i]][e[:i] + (0,) + e[i + 1:]] = c
-        return [MultiPoly(self.ctx, self.nvars, t) for t in out]
-
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return f"MultiPoly({format_poly(self, names)})"
 
 
 # ---------------------------------------------------------------------------
-# resultants (subresultant PRS, Cohen alg. 3.3.7 shape; signs vanish in char 2)
+# resultants (Collins: evaluate, univariate Euclid, interpolate)
 
 
-def _prs_lc(p: MultiPoly, i: int) -> MultiPoly:
-    return p.coeffs_in(i)[-1]
-
-
-def _prem(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
-    """Pseudo-remainder of p by q w.r.t. variable i: lc(q)^(dp-dq+1) p mod q."""
-    dp, dq = p.degree_in(i), q.degree_in(i)
-    lcq = _prs_lc(q, i)
-    r = p
-    xvar = MultiPoly.var(p.ctx, p.nvars, i)
-    k = dp - dq + 1
-    while not r.is_zero() and r.degree_in(i) >= dq:
-        dr = r.degree_in(i)
-        lcr = r.coeffs_in(i)[-1]
-        r = r * lcq + q * lcr * xvar ** (dr - dq)
-        k -= 1
-    if k > 0:
-        r = r * lcq ** k
-    return r
+def _euclid_resultant(a: UniPoly, b: UniPoly) -> int:
+    """Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) with r = a mod b."""
+    mul, pw = a.ctx.mul_bits, a.ctx.pow_bits
+    acc = 1
+    while b.degree() > 0:
+        r = a % b
+        if r.is_zero():
+            return 0
+        acc = mul(acc, pw(b.coeffs[-1], a.degree() - r.degree()))
+        a, b = b, r
+    return mul(acc, pw(b.coeffs[0], a.degree()))
 
 
 def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
-    """Res of p, q w.r.t. variable i (result has exponent 0 there).
+    """Res of bivariate p, q w.r.t. variable i (exponent 0 there).
 
-    Subresultant PRS keeps the intermediate coefficient growth polynomial
-    while every division stays exact. Raises InvariantViolation when neither
-    argument involves the variable.
+    Its degree in the other variable x is at most the Sylvester bound
+    D = deg_i(q) deg_x(p) + deg_i(p) deg_x(q). Newton interpolation
+    through D + 1 fibre resultants over GF(2^2m), taken where neither
+    leading coefficient in variable i vanishes, gives it; one more
+    point checks it. InvariantViolation when the variable is absent,
+    the check fails or a coefficient lies outside GF(2^m).
     """
     p._chk(q)
+    if p.nvars != 2 or i not in (0, 1):
+        raise InvariantViolation("resultant takes bivariate arguments")
     dp, dq = p.degree_in(i), q.degree_in(i)
     if dp < 0 or dq < 0:
         raise DomainError("resultant with the zero polynomial")
     if max(dp, dq) == 0:
         raise InvariantViolation(f"variable {i} absent from both arguments")
-    if dp < dq:
-        p, q, dp, dq = q, p, dq, dp  # char 2: no sign to track
-    if dq == 0:
-        return q ** dp
-    one = MultiPoly.const(p.ctx, p.nvars, 1)
-    g, h = one, one
-    a, b = p, q
-    while True:
-        da, db = a.degree_in(i), b.degree_in(i)
-        delta = da - db
-        r = _prem(a, b, i)
-        a = b
-        denom = g * h ** delta
-        if r.is_zero():
-            return MultiPoly.zero(p.ctx, p.nvars)
-        b = r.divide_exact(denom)
-        g = _prs_lc(a, i)
-        if delta > 0:
-            h = (g ** delta).divide_exact(h ** (delta - 1))
-        if b.degree_in(i) == 0:
-            da = a.degree_in(i)
-            num = b ** da
-            if da > 1:
-                return num.divide_exact(h ** (da - 1))
-            return num
+    j, ctx = 1 - i, p.ctx
+    big = ext_context(2 * ctx.m)
+    n = dq * p.degree_in(j) + dp * q.degree_in(j) + 1  # points to fit
+    rows = []  # per argument, its coefficients in variable i over GF(2^2m)
+    for r in (p, q):
+        cs = [[0] * (r.degree_in(j) + 1) for _ in range(r.degree_in(i) + 1)]
+        for e, c in r.terms.items():
+            cs[e[i]][e[j]] = embed(FieldElement(ctx, c), ctx, big).bits
+        rows.append([UniPoly(big, row) for row in cs])
+    xs, vals = [], []
+    for a in range(1 << big.m):
+        fp, fq = (UniPoly(big, [c.eval_bits(a) for c in r]) for r in rows)
+        if fp.degree() == dp and fq.degree() == dq:
+            xs.append(a)
+            vals.append(_euclid_resultant(fp, fq))
+            if len(xs) > n:
+                break
+    else:
+        raise InvariantViolation(f"too few points for degree bound {n - 1}")
+    mul, inv = big.mul_bits, big.inv_bits
+    dd = vals[:n]  # Newton divided differences, in place
+    for k in range(1, n):
+        for t in range(n - 1, k - 1, -1):
+            dd[t] = mul(dd[t] ^ dd[t - 1], inv(xs[t] ^ xs[t - k]))
+    res = UniPoly(big, [dd[-1]])
+    for t in range(n - 2, -1, -1):
+        res = res * UniPoly(big, [xs[t], 1]) + UniPoly(big, [dd[t]])
+    if res.eval_bits(xs[-1]) != vals[-1]:
+        raise InvariantViolation("interpolation misses its check point")
+    return MultiPoly(ctx, 2, {(k, 0) if j == 0 else (0, k):
+                              unembed(FieldElement(big, c), ctx).bits
+                              for k, c in enumerate(res.coeffs)})
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def _lattice_mod2(data_dir) -> list:
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
         rp.leaf("mod2.order", rep.order == 31, f"order {rep.order}"),
     ]
-    facts = lat.mod2_reduce_and_factor(lat.char_poly(me))
+    facts = [(r.factor, r.multiplicity) for r in rep.invariant_subspaces]
     got = sorted(tuple(f) for f, _ in facts)
     want = sorted(tuple(q) for q in _MOD2_QUINTICS)
     checks.append(rp.leaf("mod2.quintic_factors",

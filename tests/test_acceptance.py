@@ -174,7 +174,7 @@ def test_criterion_10_inverse_and_derivation():
 def test_criterion_11_singular_locus():
     def run():
         return sf.singular_locus(sf.load_model(), 10).ok()
-    _report(11, "eleven rational singular points and no others", 120, run)
+    _report(11, "eleven rational singular points and no others", 10, run)
 
 
 def test_criterion_12_multiplicities_and_charts():

@@ -89,17 +89,88 @@ def test_multiplicity_is_additive(ctx):
 
 
 def test_resultant_linear(ctx):
-    # res_x(x + a, x + b) = a + b
-    x = MultiPoly.var(ctx, 3, 0)
-    a = MultiPoly.var(ctx, 3, 1)
-    b = MultiPoly.var(ctx, 3, 2)
+    # res_x(x + a, x + b) = a + b, for a and b in y
+    x = MultiPoly.var(ctx, 2, 0)
+    a = MultiPoly.var(ctx, 2, 1)
+    b = a * a + MultiPoly.const(ctx, 2, ctx.gen().bits)
     assert resultant(x + a, x + b, 0) == a + b
 
 
 def test_resultant_shared_root(ctx):
-    x = MultiPoly.var(ctx, 1, 0)
-    one = MultiPoly.const(ctx, 1, 1)
+    x = MultiPoly.var(ctx, 2, 0)
+    one = MultiPoly.const(ctx, 2, 1)
     assert resultant(x * x + one, x + one, 0).is_zero()
+
+
+def _sylvester_det(ctx, a, b):
+    """det of the Sylvester matrix of a, b (coefficients low degree
+    first, nonzero leading ones) by Gaussian elimination; row swaps
+    carry no sign in characteristic 2."""
+    da, db = len(a) - 1, len(b) - 1
+    n = da + db
+    rows = [[0] * k + a[::-1] + [0] * (n - da - 1 - k) for k in range(db)]
+    rows += [[0] * k + b[::-1] + [0] * (n - db - 1 - k) for k in range(da)]
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return 0
+        rows[c], rows[piv] = rows[piv], rows[c]
+        det = ctx.mul_bits(det, rows[c][c])
+        inv = ctx.inv_bits(rows[c][c])
+        for r in range(c + 1, n):
+            f = ctx.mul_bits(rows[r][c], inv)
+            if f:
+                rows[r] = [u ^ ctx.mul_bits(f, v)
+                           for u, v in zip(rows[r], rows[c])]
+    return det
+
+
+def _fibre(p, i, x0):
+    """Coefficients in variable i of p with the other variable at x0."""
+    j = 1 - i
+    out = [0] * (p.degree_in(i) + 1)
+    for e, c in p.terms.items():
+        out[e[i]] ^= p.ctx.mul_bits(c, p.ctx.pow_bits(x0, e[j])
+                                    if e[j] else 1)
+    return out
+
+
+def _check_against_sylvester(ctx, p, q, i):
+    res = resultant(p, q, i)
+    assert res.degree_in(i) <= 0
+    checked = 0
+    for x0 in range(32):
+        a, b = _fibre(p, i, x0), _fibre(q, i, x0)
+        if not (a[-1] and b[-1]):
+            continue
+        point = (x0, 0) if i == 1 else (0, x0)
+        assert res.eval_bits(point) == _sylvester_det(ctx, a, b)
+        checked += 1
+    return checked
+
+
+def test_resultant_matches_sylvester_on_model(ctx, model):
+    sx = model.s.partial(0).restrict(2, 1).drop_var(2)
+    sy = model.s.partial(1).restrict(2, 1).drop_var(2)
+    assert _check_against_sylvester(ctx, sx, sy, 1) > 0
+
+
+def test_resultant_matches_sylvester_on_random_bivariates(ctx):
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda e: sum(e) <= 4)
+    polys = st.dictionaries(exps, st.integers(1, 31), min_size=1,
+                            max_size=6).map(lambda t: MultiPoly(ctx, 2, t))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(polys, polys, st.integers(0, 1))
+    def check(p, q, i):
+        hyp.assume(max(p.degree_in(i), q.degree_in(i)) > 0)
+        _check_against_sylvester(ctx, p, q, i)
+
+    check()
 
 
 def test_resultant_vanishes_at_common_zeros(model):

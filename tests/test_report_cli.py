@@ -114,9 +114,11 @@ def test_shared_objects_are_built_once(monkeypatch, model):
     count(cu, "all_point_set_matches")
     count(cu, "cusp_parametrization")
     count(sf, "resultant")  # surface imports it by name
+    count(lat, "mod2_reduce_and_factor")
     suites._e10_restriction.cache_clear()
     assert run_suite("lattice").ok()
     assert calls["restrict_to_basis"] == 1
+    assert calls["mod2_reduce_and_factor"] == 1
     node, _ = suites._surface_match(model)
     assert node.ok()
     assert calls["all_point_set_matches"] == 1
@@ -188,6 +190,11 @@ def test_coarse_precision_largest_root_witness(capsys):
     leaf = next(c for c in salem["children"]
                 if c["name"] == "salem.matches_largest_p10_root")
     assert (leaf["witness"]["lo"], leaf["witness"]["hi"]) == ([9, 8], [5, 4])
+    # the straddling trace interval is halved only until it clears 2
+    leaf = next(c for c in salem["children"]
+                if c["name"] == "salem.one_trace_root_above_two")
+    lo, hi = (Fraction(*leaf["witness"][k]) for k in ("lo", "hi"))
+    assert lo >= 2 and hi - lo > Fraction(1, 10 ** 12)
 
 
 def test_markdown_times_the_surface_suite(capsys):

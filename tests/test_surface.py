@@ -232,6 +232,21 @@ def test_singular_locus_matches_brute_force_on_mutants(ctx, model):
             == _brute_singular(s)
 
 
+def test_singular_locus_reports_a_zero_eliminant(ctx, model):
+    # s = (x + y)^2 t: s_x = (x + y)^2 t_x and s_y = (x + y)^2 t_y share
+    # a curve, so the z = 1 eliminant is the zero polynomial
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    t = x ** 3 * y ** 7 + (x ** 7 * y * z ** 2).scale_bits(ctx.gen().bits) \
+        + y ** 5 * z ** 5 + x * z ** 9
+    mut = sf.SurfaceModel(ctx, model.names, (x + y) ** 2 * t, model.f,
+                          model.c, model.eta, model.g, model.points,
+                          model.cusp)
+    rep = sf.singular_locus(mut)
+    assert [c.status for c in rep.children
+            if c.name == "singular.chart_z.eliminant_nonzero"] == ["fail"]
+    assert all(c.status != "error" for c in rep.children)
+
+
 @pytest.fixture()
 def data_copy(tmp_path):
     src = Path(sf.__file__).parent / "data"
