@@ -86,8 +86,8 @@ def poly2_irreducible(f: int) -> bool:
 class FieldCtx:
     """Immutable GF(2^m) context: modulus, exp/log tables, generator."""
 
-    __slots__ = ("m", "modulus", "order", "generator_bits", "generator_is_t",
-                 "_exp", "_log", "_embeddings")
+    __slots__ = ("m", "modulus", "order", "generator_bits", "_exp", "_log",
+                 "_embeddings")
 
     def __init__(self, m: int, modulus: int):
         if modulus.bit_length() - 1 != m:
@@ -102,7 +102,6 @@ class FieldCtx:
         self.order = (1 << m) - 1
         gen = self._find_generator()
         self.generator_bits = gen
-        self.generator_is_t = (gen == poly2_mod(0b10, modulus))
         exp = [1]
         for _ in range(self.order - 1):
             exp.append(poly2_mod(poly2_mul(exp[-1], gen), modulus))
@@ -169,10 +168,6 @@ class FieldCtx:
 
     def gen_pow(self, k: int) -> "FieldElement":
         return FieldElement(self, self._exp[k % self.order])
-
-    def elements(self):
-        for bits in range(1 << self.m):
-            yield FieldElement(self, bits)
 
     def __repr__(self):
         return f"GF(2^{self.m}; 0b{self.modulus:b})"

@@ -288,35 +288,29 @@ def restrict_to_basis(m, basis, gram=None):
     """
     if gram is None:
         gram = ambient_gram()
-    ge = gram_of(basis, gram)
-    n = len(basis)
-    cols = []
-    for b in basis:
-        img = mat_vec(m, b)
-        rhs = [Fraction(_pair(a, img, gram)) for a in basis]
-        coeffs = _frac_solve([[Fraction(ge[i][j]) for j in range(n)]
-                              for i in range(n)], rhs)
-        if any(c.denominator != 1 for c in coeffs):
-            raise InvariantViolation("image leaves the sublattice")
-        cols.append([int(c) for c in coeffs])
-    return tuple(zip(*cols))
+    images = [mat_vec(m, b) for b in basis]
+    x = _frac_solve(gram_of(basis, gram),
+                    [[_pair(a, img, gram) for img in images] for a in basis])
+    if any(c.denominator != 1 for row in x for c in row):
+        raise InvariantViolation("image leaves the sublattice")
+    return tuple(tuple(int(c) for c in row) for row in x)
 
 
 def _frac_solve(a, b):
+    """X with a·X = b, by Gauss–Jordan over Fraction; b holds the rows
+    of all right-hand sides at once."""
     n = len(a)
+    rows = [[Fraction(v) for v in (*ra, *rb)] for ra, rb in zip(a, b)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] *= inv
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return b
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
 
 
 def reference_interior_vector():

@@ -1,17 +1,19 @@
 """The quadratic space over GF(2) carried by an even lattice mod 2.
 
 Vectors of the rank-n reduction are bitmask ints (bit i = coordinate i
-in the lattice basis); the quadratic form is q(v) = (v, v)/2 mod 2,
-tabulated over all 2^n vectors, and the polarization b(u, v) =
-q(u+v)+q(u)+q(v) is the reduced bilinear form. Matrices over GF(2) are
-tuples of column bitmasks.
+in the lattice basis). Everything derives from the polar matrix
+B = Gram mod 2, the reduced bilinear form b(u, v) = u·Bv: the quadratic
+form q(v) = (v, v)/2 mod 2 is tabulated over all 2^n vectors by the
+recurrence q(w + e_i) = q(w) + q(e_i) + b(w, e_i). Matrices over GF(2)
+are tuples of column bitmasks.
 
 Totally singular subspaces of half dimension are enumerated by orderly
 generation: a subspace is held as its reduced-row-echelon row tuple
 (descending pivots), the parent of a dimension-k member is the tuple
 with its smallest-pivot row removed, and children are produced only
-from their unique parent, so the full census needs no dedup set. The
-candidate bookkeeping uses 2^n-bit masks over the vector universe.
+from their unique parent, so the full census needs no dedup set. Which
+rows may follow a row depends on that row alone, so it is tabulated
+once per vector as a 2^n-bit mask over the vector universe.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from . import lattice as lat
 
 
 class Mod2QuadSpace:
-    """q(v) = (half the even Gram norm) mod 2, tabulated."""
+    """q(v) = (half the even Gram norm) mod 2, tabulated; polar is the
+    polar matrix B = Gram mod 2 as column bitmasks."""
 
-    __slots__ = ("dim", "gram", "q")
+    __slots__ = ("dim", "polar", "q")
 
     def __init__(self, gram):
         n = len(gram)
@@ -32,14 +35,16 @@ class Mod2QuadSpace:
         if any(gram[i][i] % 2 for i in range(n)):
             raise InvariantViolation(
                 "gram is not even; no quadratic refinement")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise InvariantViolation("gram is not symmetric")
         self.dim = n
-        self.gram = tuple(tuple(r) for r in gram)
-        q = []
-        for v in range(1 << n):
-            coords = [(v >> j) & 1 for j in range(n)]
-            norm = sum(coords[i] * gram[i][j] * coords[j]
-                       for i in range(n) for j in range(n))
-            q.append((norm // 2) % 2)
+        self.polar = mat2_from_int(gram)
+        q = [0] * (1 << n)
+        for v in range(1, 1 << n):
+            i = (v & -v).bit_length() - 1
+            w = v ^ (1 << i)
+            q[v] = q[w] ^ (gram[i][i] // 2) % 2 ^ (
+                (w & self.polar[i]).bit_count() & 1)
         self.q = tuple(q)
 
     def bilinear(self, u: int, v: int) -> int:
@@ -294,13 +299,14 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
     """Complete census for the 10-dimensional plus-type space.
 
     Each subspace is reached exactly once: rows are added in strictly
-    decreasing pivot order and a new row must be singular, orthogonal to
-    all chosen rows, reduced against their pivots, and must not disturb
-    their reducedness (no chosen row may have a 1 in the new pivot
-    column, enforced by pivot-block masks). Removing the smallest-pivot
-    row of any RREF tuple recovers its unique parent, so the depth-first
-    walk is duplicate-free by construction and emits in canonical
-    (ascending tuple) order.
+    decreasing pivot order, and a new row must be singular and lie in
+    after[v] for every chosen row v. after[v] holds the rows orthogonal
+    to v whose pivot is below v's pivot and is not a column where v has
+    a 1. So a new row is reduced against the chosen pivots and leaves
+    the chosen rows reduced. Removing the smallest-pivot row of any
+    RREF tuple recovers its unique parent, so the depth-first walk is
+    duplicate-free by construction. It takes candidates in ascending
+    order, so it emits members in canonical (ascending tuple) order.
     """
     n = space.dim
     if n != 10:
@@ -309,36 +315,26 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
     if not space.is_plus_type():
         raise InvariantViolation("census needs the plus-type form")
     half = n // 2
-    q = space.q
     universe = 1 << n
 
-    singmask = 0
-    for v in range(1, universe):
-        if q[v] == 0:
-            singmask |= 1 << v
-    ortho = [0] * universe
-    for u in range(universe):
-        m = 0
-        qu = q[u]
-        for v in range(universe):
-            if q[u ^ v] ^ qu ^ q[v] == 0:
-                m |= 1 << v
-        ortho[u] = m
-    leadclear = [0] * n  # vectors with coordinate p zero
-    for p in range(n):
-        m = 0
-        for v in range(universe):
-            if not (v >> p) & 1:
-                m |= 1 << v
-        leadclear[p] = m
-    lesslead = [(1 << (1 << p)) - 2 for p in range(n)]  # 0 < v < 2^p
-    leadexact = [((1 << (1 << (p + 1))) - (1 << (1 << p)))
-                 for p in range(n)]  # 2^p <= v < 2^(p+1)
+    singmask = sum(1 << v for v in range(1, universe) if space.q[v] == 0)
+    odd = [0] * universe  # odd[u]: the v with b(u, v) = 1
+    for i, f in enumerate(space.polar):
+        odd[1 << i] = sum(1 << v for v in range(universe)
+                          if (v & f).bit_count() & 1)
+    pivots = [0] * universe  # pivots[u]: the v whose pivot is a 1 of u
+    after = [0] * universe
+    for u in range(1, universe):
+        low = u & -u
+        odd[u] = odd[u ^ low] ^ odd[low]
+        pivots[u] = pivots[u ^ low] | (1 << 2 * low) - (1 << low)
+        below = (1 << (1 << (u.bit_length() - 1))) - 2  # 0 < v < 2^pivot(u)
+        after[u] = below & ~(odd[u] | pivots[u])
 
     out = []
 
-    def descend(rows, cand, depth):
-        if depth == half:
+    def descend(rows, cand):
+        if len(rows) == half:
             out.append(rows)
             return
         m = cand
@@ -346,15 +342,7 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            p = v.bit_length() - 1
-            child = cand & ortho[v] & leadclear[p] & lesslead[p]
-            vv = v & ~(1 << p)
-            while vv:
-                lowb = vv & -vv
-                vv ^= lowb
-                child &= ~leadexact[lowb.bit_length() - 1]
-            descend(rows + (v,), child, depth + 1)
+            descend(rows + (v,), cand & after[v])
 
-    descend((), singmask, 0)
-    out.sort()
+    descend((), singmask)
     return LagrangianCensus(space, out)

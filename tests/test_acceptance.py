@@ -82,7 +82,7 @@ def test_criterion_04_lagrangian_census():
         parities = sorted(census.class_parity[census.index_of(rows)]
                           for rows in inv)
         return len(inv) == 2 and parities == [0, 1]
-    _report(4, "4590 Lagrangians, 2295 + 2295, two invariant", 120, run)
+    _report(4, "4590 Lagrangians, 2295 + 2295, two invariant", 5, run)
 
 
 def test_criterion_05_salem_certification():

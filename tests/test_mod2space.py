@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from salemsurf import lattice as lat
 from salemsurf.errors import InvariantViolation
-from salemsurf.mod2space import (Mod2QuadSpace, intersection_dim,
-                                 mat2_apply, mat2_from_int, mat2_identity,
-                                 mat2_kernel, mat2_mul, mat2_order,
-                                 mod2_action_analysis, rref_rows, span_of,
-                                 standard_space, subspace_contains)
+from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
+                                 intersection_dim, mat2_apply, mat2_from_int,
+                                 mat2_identity, mat2_kernel, mat2_mul,
+                                 mat2_order, mod2_action_analysis, rref_rows,
+                                 span_of, standard_space, subspace_contains)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
@@ -27,6 +28,61 @@ def test_quadratic_form_axioms():
         assert sp.q[u ^ v] == sp.q[u] ^ sp.q[v] ^ sp.bilinear(u, v)
 
 
+def _hyperbolic_sum(k):
+    """U^k: k orthogonal copies of the hyperbolic plane [[0, 1], [1, 0]]."""
+    n = 2 * k
+    return [[1 if i // 2 == j // 2 and i != j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _changed_basis(gram, seed):
+    """A^T G A for a seeded unimodular A (a product of row operations)."""
+    rng = random.Random(seed)
+    n = len(gram)
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(40):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    return [[sum(a[r][i] * gram[r][s] * a[s][j]
+                 for r in range(n) for s in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+BUNDLED = lat.gram_of(lat.e10_basis())
+GRAMS = {"bundled": BUNDLED, "hyperbolic": _hyperbolic_sum(5),
+         "changed_basis": _changed_basis(BUNDLED, 17)}
+
+
+def test_changed_basis_gram_has_negative_and_large_entries():
+    entries = [x for row in GRAMS["changed_basis"] for x in row]
+    assert min(entries) < 0
+    assert max(abs(x) for x in entries) > 1000
+
+
+@pytest.mark.parametrize("name", sorted(GRAMS))
+def test_q_matches_definition(name):
+    gram = GRAMS[name]
+    sp = Mod2QuadSpace(gram)
+    n = len(gram)
+    for v in range(1 << n):
+        x = [(v >> i) & 1 for i in range(n)]
+        norm = sum(x[i] * gram[i][j] * x[j]
+                   for i in range(n) for j in range(n))
+        assert sp.q[v] == (norm // 2) % 2
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "changed_basis"])
+def test_census_on_other_grams(name):
+    census = enumerate_lagrangians(Mod2QuadSpace(GRAMS[name]))
+    members = census.members
+    assert len(members) == 4590
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert all(census.space.q[v] == 0
+               for rows in members for v in span_of(rows))
+    assert census.class_sizes() == (2295, 2295)
+
+
 def test_standard_space_is_plus_type():
     sp = standard_space()
     assert sp.dim == 10
@@ -37,6 +93,13 @@ def test_standard_space_is_plus_type():
 def test_odd_gram_rejected():
     with pytest.raises(InvariantViolation, match="gram is not even"):
         Mod2QuadSpace([[1]])
+
+
+def test_asymmetric_gram_rejected():
+    with pytest.raises(InvariantViolation, match="gram is not symmetric"):
+        Mod2QuadSpace([[0, 1], [0, 0]])
+    with pytest.raises(InvariantViolation, match="gram is not symmetric"):
+        Mod2QuadSpace([[0, 1], [3, 0]])
 
 
 def test_mat2_ops():
@@ -115,6 +178,7 @@ def test_census_members_are_lagrangian(census):
     sp = census.space
     for rows in census.members:
         assert len(rows) == 5
+        assert rref_rows(rows) == rows
         assert all(sp.q[v] == 0 for v in span_of(rows))
 
 
