@@ -12,6 +12,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+from .gf2m import MAX_M
 from .report import emit_json, emit_markdown
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -29,8 +30,9 @@ def _precision(text: str) -> Fraction:
 
 def _ext_bound(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError("extension bound must be at least 1")
+    if not 1 <= value <= MAX_M:
+        raise argparse.ArgumentTypeError(
+            f"extension bound must be between 1 and {MAX_M}")
     return value
 
 
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 1e-9)")
     ap.add_argument("--ext-bound", metavar="N", type=_ext_bound, default=10,
                     help="largest field-extension degree searched when "
-                         "locating singular points, at least 1 "
+                         f"locating singular points, 1 to {MAX_M} "
                          "(default: 10)")
     return ap
 

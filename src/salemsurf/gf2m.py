@@ -3,8 +3,8 @@
 Elements are dense bit-vectors packed into Python ints: bit i is the
 coefficient of t^i, where t is the class of the modulus variable.
 Addition is xor. Multiplication and inversion go through exp/log tables
-relative to a generator of the multiplicative group (all fields in play
-have m <= 20, so the tables are cheap); the generator is the class of t
+relative to a generator of the multiplicative group (a context refuses
+m > MAX_M = 20, so the tables stay cheap); the generator is the class of t
 itself whenever that class is primitive, which holds for every context
 this package constructs.
 
@@ -82,6 +82,8 @@ def poly2_irreducible(f: int) -> bool:
 
 # ---------------------------------------------------------------------------
 
+MAX_M = 20  # largest field degree: tables of 2^m entries per context
+
 
 class FieldCtx:
     """Immutable GF(2^m) context: modulus, exp/log tables, generator."""
@@ -90,6 +92,9 @@ class FieldCtx:
                  "_embeddings")
 
     def __init__(self, m: int, modulus: int):
+        if m > MAX_M:
+            raise InvariantViolation(
+                f"GF(2^{m}) is above the largest supported GF(2^{MAX_M})")
         if modulus.bit_length() - 1 != m:
             raise InvariantViolation(
                 f"modulus degree {modulus.bit_length() - 1}, expected {m}")

@@ -13,7 +13,6 @@ stored in data/e10_basis.dat (rows are ambient coordinates).
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
 from .errors import DomainError, InvariantViolation, NoSolution
 from .gf2m import field_make
@@ -248,16 +247,13 @@ def canonical_class():
     return tuple([-3] + [1] * 10)
 
 
-def e10_basis(text=None):
+def e10_basis(text):
     """Basis of the even rank-10 sublattice orthogonal to the fixed class.
 
-    Rows of the text of an e10_basis.dat file (the bundled
-    data/e10_basis.dat when None), ambient coordinates. The file is part
-    of the model data so reports can show exactly which basis was used.
+    Rows of the text of an e10_basis.dat file, ambient coordinates. The
+    file is part of the model data so reports can show exactly which
+    basis was used.
     """
-    if text is None:
-        text = (resources.files("salemsurf") / "data" / "e10_basis.dat"
-                ).read_text()
     rows = []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -269,9 +265,8 @@ def e10_basis(text=None):
     return rows
 
 
-def gram_of(vectors, gram=None):
-    if gram is None:
-        gram = ambient_gram()
+def gram_of(vectors):
+    gram = ambient_gram()
     return tuple(tuple(_pair(u, v, gram) for v in vectors) for u in vectors)
 
 
@@ -280,16 +275,15 @@ def _pair(u, v, gram):
                for i in range(len(u)) for j in range(len(v)))
 
 
-def restrict_to_basis(m, basis, gram=None):
+def restrict_to_basis(m, basis):
     """Matrix of m on the span of `basis`, integer entries enforced.
 
     Coordinates are recovered by pairing against the basis and solving
     with the basis Gram matrix (unimodular here, so the solve is exact).
     """
-    if gram is None:
-        gram = ambient_gram()
+    gram = ambient_gram()
     images = [mat_vec(m, b) for b in basis]
-    x = _frac_solve(gram_of(basis, gram),
+    x = _frac_solve(gram_of(basis),
                     [[_pair(a, img, gram) for img in images] for a in basis])
     if any(c.denominator != 1 for row in x for c in row):
         raise InvariantViolation("image leaves the sublattice")
@@ -379,19 +373,23 @@ def _root_bound(p):
 
 
 def _count_roots(chain, a, b):
-    """Number of distinct real roots in (a, b]; endpoints must not be roots
-    of the first chain entry (callers arrange that)."""
+    """Number of distinct real roots in (a, b] of the squarefree first
+    chain entry. Zero signs are dropped, so an end may be a root: the
+    variation count falls at a root itself, not just past it."""
     return _variations(chain, a) - _variations(chain, b)
 
 
 def _bisect(p, lo, hi, precision):
-    """Halve (lo, hi] by the sign of p at the midpoint until its width is
-    at most precision. (lo, hi] must hold exactly one root of p, a simple
-    one, and no midpoint may be a root."""
-    s_lo = _sign_at(p, lo)
+    """Halve (lo, hi] until its width is at most precision, keeping the
+    half that holds the root. (lo, hi] must hold exactly one root of p,
+    a simple one, and hi must not be a root. Each halving is decided by
+    the sign at hi: lo moves up only when p(mid) has the opposite sign,
+    so a midpoint that is the root becomes hi, and lo may be a root of
+    p outside the interval."""
+    s_hi = _sign_at(p, hi)
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        if _sign_at(p, mid) == s_lo:
+        if _sign_at(p, mid) == -s_hi:
             lo = mid
         else:
             hi = mid
@@ -401,45 +399,40 @@ def _bisect(p, lo, hi, precision):
 def real_roots(p, precision=Fraction(1, 10 ** 6)):
     """Isolating rational intervals for all real roots of a squarefree p.
 
-    Exact rational roots come back as degenerate [r, r] intervals. The
-    remaining roots are isolated by Sturm counts and then bisected below
-    the requested width by sign changes. Sorted by position.
+    One Sturm chain on p itself does all the work: it tests that p is
+    squarefree, and its counts subdivide (-B, B] until each half-open
+    interval (lo, hi] holds one root. A rational root of p is returned
+    as the degenerate interval (r, r); every other root is bisected on
+    p below the requested width. The intervals are pairwise disjoint
+    and sorted by position.
     """
     p = ip_trim(p)
     if len(p) <= 1:
         return []
-    g = ip_gcd(p, ip_deriv(p))
-    if len(g) > 1:
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
         raise InvariantViolation("input shares a factor with its derivative")
     precision = Fraction(precision)
-    exact = []
-    rest = ip_primitive(p)
-    # rational roots: p/q with p | constant term, q | leading term
-    while rest[0] == 0:
-        exact.append(Fraction(0))
-        rest = rest[1:]
-    for r in _rational_roots(rest):
-        if _sign_at(rest, r) == 0:
-            exact.append(r)
-            q, rem = ip_divmod(rest, [-r.numerator, r.denominator])
-            assert not rem
-            rest = ip_primitive(q)
-    intervals = [(r, r) for r in exact]
-    if len(rest) > 1:
-        chain = _sturm_chain(rest)
-        bound = _root_bound(rest)
-        stack = [(-bound, bound)]
-        while stack:
-            lo, hi = stack.pop()
-            n = _count_roots(chain, lo, hi)
-            if n == 1:
-                # rest is squarefree with no rational roots left, so the
-                # root is simple and no midpoint is a root
-                intervals.append(_bisect(rest, lo, hi, precision))
-            elif n > 1:
-                mid = (lo + hi) / 2
-                stack.append((lo, mid))
-                stack.append((mid, hi))
+    # rational roots: 0, and n/d with n | constant term, d | leading term
+    exact = [Fraction(0)] if p[0] == 0 else []
+    exact += [r for r in _rational_roots(p[1:] if exact else p)
+              if _sign_at(p, r) == 0]
+    intervals = []
+    bound = _root_bound(p)
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = _count_roots(chain, lo, hi)
+        if n == 1:
+            hit = [r for r in exact if lo < r <= hi]
+            # without a rational root inside, the root is irrational, so
+            # neither hi nor any midpoint is a root
+            intervals.append((hit[0], hit[0]) if hit
+                             else _bisect(p, lo, hi, precision))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            stack.append((lo, mid))
+            stack.append((mid, hi))
     intervals.sort(key=lambda iv: iv[0] + iv[1])
     return intervals
 
@@ -541,39 +534,15 @@ class SalemCertificate:
         self.lambda_interval = lambda_interval
 
 
-def _sign_at_root(p, dp, lo, hi):
-    """Sign of dp on an isolating interval of a root of p.
-
-    Refines until dp has no root in [lo, hi] (Sturm count plus endpoint
-    checks), then any point of the interval gives the constant sign.
-    """
-    chain = _sturm_chain(dp)
-    while True:
-        s = _sign_at(dp, lo)
-        if s and _sign_at(dp, hi) and _count_roots(chain, lo, hi) == 0:
-            return s
-        if lo == hi:
-            raise NoSolution("derivative vanishes at a trace root")
-        mid = (lo + hi) / 2
-        if _sign_at(p, mid) == 0:  # landed on the root exactly
-            third = (hi - lo) / 3
-            lo, hi = mid - third, mid + third
-            continue
-        if _sign_at(p, lo) * _sign_at(p, mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi == lo:
-            raise NoSolution("could not separate a derivative sign")
-
-
 def salem_certify(p, precision=Fraction(1, 10 ** 9)):
     """Certify that a reciprocal even-degree p is a Salem polynomial.
 
     All roots of the trace polynomial R must be real, exactly one above
     2, the rest strictly inside (-2, 2); then the roots of p off the
     real line have modulus exactly 1 and the real ones are lambda > 1
-    and its reciprocal. Raises NoSolution when a condition fails;
+    and its reciprocal. The trace intervals come from real_roots, and
+    the sign of R' at each interior root is read off its interval, so
+    no second chain is built. Raises NoSolution when a condition fails;
     returns a SalemCertificate on success.
     """
     p = ip_trim(p)
@@ -599,8 +568,11 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
     if len(above) != 1 or below or len(inside) != d - 1:
         raise NoSolution("trace roots do not split as one above 2 "
                          "plus the rest inside (-2, 2)")
+    # R' at a simple root has the sign R takes just right of it: at hi,
+    # since (lo, hi] holds no other root, or by R' at an exact root
     dr = ip_deriv(r)
-    signs = tuple(_sign_at_root(r, dr, lo, hi) for lo, hi in inside)
+    signs = tuple(_sign_at(dr, lo) if lo == hi else _sign_at(r, hi)
+                  for lo, hi in inside)
     lo, hi = _largest_root_interval(p, precision)
     # The trace root above 2 makes the largest root lambda > 1 and the
     # only real root of p there, so halving its isolating interval lifts
@@ -687,15 +659,13 @@ def mod2_reduce_and_factor(p):
     return [([c for c in irr.coeffs], mult) for irr, mult in gf2_factor(f)]
 
 
-def e10_parity_check(gram=None):
+def e10_parity_check(gram):
     """True iff the Gram matrix is even, so doubled norms are 0 mod 4.
 
     Evenness on a basis forces all norms even (the off-diagonal terms
     appear twice), and rescaling the form by 2 puts every norm in 4Z;
     in particular no vector of the rescaled lattice has norm -2.
     """
-    if gram is None:
-        gram = gram_of(e10_basis())
     n = len(gram)
     if any(len(r) != n for r in gram):
         raise InvariantViolation("gram must be square")
@@ -704,7 +674,7 @@ def e10_parity_check(gram=None):
     return all(gram[i][i] % 2 == 0 for i in range(n))
 
 
-def weyl2_membership(m, basis=None):
+def weyl2_membership(m, basis):
     """True iff m is in the kernel of reduction mod 2 and keeps the cone.
 
     m acts on the stored basis of the even sublattice; it must preserve
@@ -712,8 +682,6 @@ def weyl2_membership(m, basis=None):
     and pair the image of the reference interior vector positively
     against that vector (half-cone preservation).
     """
-    if basis is None:
-        basis = e10_basis()
     ge = gram_of(basis)
     if not is_isometry_of(m, ge):
         raise InvariantViolation(

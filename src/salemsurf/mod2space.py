@@ -62,10 +62,8 @@ class Mod2QuadSpace:
                 == (1 << (n - 1)) + (1 << (n // 2 - 1)) - 1)
 
 
-def standard_space(basis=None) -> Mod2QuadSpace:
-    """The rank-10 space of the bundled even sublattice basis."""
-    if basis is None:
-        basis = lat.e10_basis()
+def standard_space(basis) -> Mod2QuadSpace:
+    """The rank-10 space of an even sublattice basis."""
     return Mod2QuadSpace(lat.gram_of(basis))
 
 
@@ -216,17 +214,15 @@ class Mod2ActionReport:
         self.invariant_subspaces = invariant_subspaces
 
 
-def mod2_action_analysis(m, basis=None) -> Mod2ActionReport:
+def mod2_action_analysis(m, basis) -> Mod2ActionReport:
     """Order and irreducible-factor kernels of an isometry reduced mod 2.
 
-    m: integer matrix on the stored even-sublattice basis; must preserve
+    m: integer matrix on the even-sublattice basis `basis`; must preserve
     its Gram matrix (InvariantViolation otherwise). Kernels are of p_i(m mod 2)
     for each irreducible factor p_i of the mod-2 characteristic
     polynomial, each reported with its dimension and whether the
     quadratic form vanishes on all of it.
     """
-    if basis is None:
-        basis = lat.e10_basis()
     ge = lat.gram_of(basis)
     if not lat.is_isometry_of(m, ge):
         raise InvariantViolation(

@@ -506,47 +506,30 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
 
 
 class ProjPoint:
-    """Weighted projective point; equality via a canonical representative.
+    """Projective point; equality via a canonical representative, the
+    one whose last nonzero coordinate is 1."""
 
-    Scaling by s multiplies a weight-k coordinate by s^k. The canonical
-    representative rescales so the last nonzero weight-1 coordinate is 1.
-    """
+    __slots__ = ("ctx", "coords")
 
-    __slots__ = ("ctx", "coords", "weights")
-
-    def __init__(self, ctx: FieldCtx, coords, weights=None):
+    def __init__(self, ctx: FieldCtx, coords):
         cb = [c.bits if isinstance(c, FieldElement) else int(c)
               for c in coords]
-        if weights is None:
-            weights = (1,) * len(cb)
-        weights = tuple(weights)
-        if len(weights) != len(cb):
-            raise InvariantViolation("weights vs coords length")
         if not any(cb):
             raise DomainError("all-zero projective coordinates")
-        pivot = None
-        for idx in range(len(cb) - 1, -1, -1):
-            if weights[idx] == 1 and cb[idx]:
-                pivot = idx
-                break
-        if pivot is not None:
-            s = ctx.inv_bits(cb[pivot])
-            cb = [ctx.mul_bits(c, ctx.pow_bits(s, w)) if c else 0
-                  for c, w in zip(cb, weights)]
+        s = ctx.inv_bits(next(c for c in reversed(cb) if c))
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coords", tuple(cb))
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "coords",
+                           tuple(ctx.mul_bits(c, s) for c in cb))
 
     def __setattr__(self, *a):
         raise AttributeError("ProjPoint is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and other.ctx is self.ctx
-                and other.weights == self.weights
                 and other.coords == self.coords)
 
     def __hash__(self):
-        return hash((id(self.ctx), self.weights, self.coords))
+        return hash((id(self.ctx), self.coords))
 
     def elems(self):
         return [FieldElement(self.ctx, c) for c in self.coords]

@@ -285,16 +285,11 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
             absdeg = base.m * d
             if absdeg > search_degree_bound:
                 continue
-            if d == 1:
-                rng = random.Random(CZ_SEED)
-                for irr in _trace_split(block, 1, rng):
-                    out.append((FieldElement(base, irr.coeffs[0]), mult))
-            else:
-                sup = ext_context(absdeg)
-                lifted = block.embed_to(sup)
-                rng = random.Random(CZ_SEED)
-                for irr in _trace_split(lifted, 1, rng):
-                    out.append((FieldElement(sup, irr.coeffs[0]), mult))
+            # embedding a block into its own field is the identity
+            sup = base if d == 1 else ext_context(absdeg)
+            rng = random.Random(CZ_SEED)
+            for irr in _trace_split(block.embed_to(sup), 1, rng):
+                out.append((FieldElement(sup, irr.coeffs[0]), mult))
     out.sort(key=lambda t: (t[0].ctx.m, t[0].bits))
     return out
 

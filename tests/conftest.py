@@ -2,6 +2,7 @@ import pytest
 
 from salemsurf import lattice as lat
 from salemsurf import mod2space as m2
+from salemsurf import suites
 from salemsurf import surface as sf
 from salemsurf.gf2m import gf32
 
@@ -27,11 +28,16 @@ def conj_scalar(model, sigma_inv):
 
 
 @pytest.fixture(scope="session")
-def e10_restriction():
-    basis = lat.e10_basis()
-    return basis, lat.restrict_to_basis(lat.coxeter_matrix(), basis)
+def e10_basis():
+    """The bundled E10 basis, read the way the suites read it."""
+    return suites._e10_basis(None)
 
 
 @pytest.fixture(scope="session")
-def census():
-    return m2.enumerate_lagrangians(m2.standard_space())
+def e10_restriction(e10_basis):
+    return e10_basis, lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
+
+
+@pytest.fixture(scope="session")
+def census(e10_basis):
+    return m2.enumerate_lagrangians(m2.standard_space(e10_basis))

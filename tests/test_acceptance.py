@@ -33,11 +33,11 @@ def _report(num, desc, budget_s, fn):
     assert dt < budget_s, f"criterion {num} took {dt:.2f}s (budget {budget_s}s)"
 
 
-def test_criterion_01_characteristic_polynomials():
+def test_criterion_01_characteristic_polynomials(e10_basis):
     def run():
         p10 = lat.lehmer_polynomial()
         full = lat.char_poly(lat.coxeter_matrix())
-        restr = lat.restrict_to_basis(lat.coxeter_matrix(), lat.e10_basis())
+        restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
         return (lat.char_poly(restr) == p10
                 and full == lat.ip_mul([-1, 1], p10))
     _report(1, "characteristic polynomials (full and restricted)", 1, run)
@@ -56,13 +56,13 @@ def test_criterion_02_dynamical_degree_interval():
     _report(2, "spectral radius interval and its logarithm", 1, run)
 
 
-def test_criterion_03_mod2_spectrum():
+def test_criterion_03_mod2_spectrum(e10_basis):
     def run():
         facs = lat.mod2_reduce_and_factor(lat.lehmer_polynomial())
         if facs != [([1, 0, 1, 1, 1, 1], 1), ([1, 1, 1, 1, 0, 1], 1)]:
             return False
-        restr = lat.restrict_to_basis(lat.coxeter_matrix(), lat.e10_basis())
-        rep = m2.mod2_action_analysis(restr)
+        restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
+        rep = m2.mod2_action_analysis(restr, e10_basis)
         return (rep.order == 31 and rep.preserves_form
                 and len(rep.invariant_subspaces) == 2
                 and all(r.dimension == 5 and r.totally_singular
@@ -70,14 +70,14 @@ def test_criterion_03_mod2_spectrum():
     _report(3, "mod-2 factorization, order 31, isotropic kernels", 1, run)
 
 
-def test_criterion_04_lagrangian_census():
+def test_criterion_04_lagrangian_census(e10_basis):
     def run():
-        census = m2.enumerate_lagrangians(m2.standard_space())
+        census = m2.enumerate_lagrangians(m2.standard_space(e10_basis))
         if len(census.members) != 4590:
             return False
         if census.class_sizes() != (2295, 2295):
             return False
-        restr = lat.restrict_to_basis(lat.coxeter_matrix(), lat.e10_basis())
+        restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
         inv = census.invariant_members(m2.mat2_from_int(restr))
         parities = sorted(census.class_parity[census.index_of(rows)]
                           for rows in inv)
@@ -104,8 +104,9 @@ def test_criterion_05_salem_certification():
     _report(5, "trace identity and interior derivative signs", 1, run)
 
 
-def test_criterion_06_parity():
-    _report(6, "stored Gram matrix is even", 1, lat.e10_parity_check)
+def test_criterion_06_parity(e10_basis):
+    _report(6, "stored Gram matrix is even", 1,
+            lambda: lat.e10_parity_check(lat.gram_of(e10_basis)))
 
 
 def test_criterion_07_beta_solver():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from salemsurf.errors import DomainError, InvariantViolation, ParseError
-from salemsurf.gf2m import (FieldElement, dlog, embed, ext_context,
+from salemsurf.gf2m import (FieldCtx, FieldElement, dlog, embed, ext_context,
                             field_make, format_elem, frobenius, gf32,
                             min_subfield_degree, parse_elem, unembed)
 
@@ -23,6 +23,15 @@ def test_defining_relation(ctx):
     # g^5 + g^2 = 1 in the canonical modulus
     assert ctx.gen_pow(5) + ctx.gen_pow(2) == ctx.one()
     assert ctx.gen_pow(5) + ctx.gen_pow(2) + ctx.one() == ctx.zero()
+
+
+def test_field_above_the_table_limit_is_refused(monkeypatch):
+    def no_table(self):
+        raise AssertionError("a table was started")
+
+    monkeypatch.setattr(FieldCtx, "_find_generator", no_table)
+    with pytest.raises(InvariantViolation, match="GF\\(2\\^20\\)"):
+        field_make(21, (1 << 21) | 0b101)  # x^21 + x^2 + 1
 
 
 def test_prime_field():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,16 +7,16 @@ import pytest
 
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
-                               coxeter_matrix, dynamical_degree, e10_basis,
+                               coxeter_matrix, dynamical_degree,
                                e10_parity_check, gram_of, ip_add, ip_divmod,
                                ip_gcd, ip_mul, is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
                                mat_add, mat_identity, mat_mul, mat_scale,
                                mat_vec, mod2_reduce_and_factor, real_roots,
                                reference_interior_vector, reflection_in,
-                               restrict_to_basis, salem_certify,
-                               sign_vector_target, trace_polynomial,
-                               trace_reexpand, weyl2_membership)
+                               salem_certify, sign_vector_target,
+                               trace_polynomial, trace_reexpand,
+                               weyl2_membership)
 
 P10 = lehmer_polynomial()
 
@@ -63,16 +64,11 @@ def test_cayley_hamilton():
         assert all(v == 0 for row in acc for v in row)
 
 
-def test_char_poly_of_coxeter_is_lehmer_times_unit():
+def test_char_poly_of_coxeter_is_lehmer_times_unit(e10_restriction):
     full = char_poly(coxeter_matrix())
     assert ip_mul([-1, 1], P10) == full
-    basis, restr = coxeter_restriction()
+    _, restr = e10_restriction
     assert char_poly(restr) == P10
-
-
-def coxeter_restriction():
-    basis = e10_basis()
-    return basis, restrict_to_basis(coxeter_matrix(), basis)
 
 
 def test_lehmer_polynomial_shape():
@@ -105,22 +101,39 @@ def test_real_roots_against_sympy_intervals():
     x = sympy.symbols("x")
     rng = random.Random(20251121)
     polys = [P10, trace_polynomial(P10),
-             ip_mul([-3, 2], [-2, 0, 1])]  # a rational root at 3/2
-    while len(polys) < 8:
+             ip_mul([-3, 2], [-2, 0, 1]),   # a rational root at 3/2
+             ip_mul([-1, 3], [-2, 0, 1])]   # 1/3 near sqrt(2)
+    while len(polys) < 9:
         p = [rng.randint(-20, 20) for _ in range(rng.randint(3, 9))]
         if p[-1] and sympy.Poly(p[::-1], x).is_sqf:
             polys.append(p)
-    for p in polys:
+    widths = [Fraction(5), Fraction(1), Fraction(1, 2), Fraction(1, 10 ** 12)]
+    for p, width in itertools.product(polys, widths):
         sp = sympy.Poly(p[::-1], x)
-        ivs = real_roots(p, Fraction(1, 10 ** 12))
-        assert len(ivs) == len(sp.intervals())
+        ivs = real_roots(p, width)
+        assert len(ivs) == sp.count_roots()
         for lo, hi in ivs:
-            assert hi - lo <= Fraction(1, 10 ** 12)
-            inside = sp.intervals(inf=sympy.Rational(lo.numerator,
-                                                     lo.denominator),
-                                  sup=sympy.Rational(hi.numerator,
-                                                     hi.denominator))
-            assert len(inside) == 1, (p, lo, hi)
+            assert hi - lo <= width
+            a = sympy.Rational(lo.numerator, lo.denominator)
+            b = sympy.Rational(hi.numerator, hi.denominator)
+            # (lo, hi] is half-open; a rational root r comes as (r, r)
+            inside = sp.count_roots(a, b) - (lo < hi and sp.eval(a) == 0)
+            assert inside == 1, (p, width, lo, hi)
+        for (_, hi), (lo, hi2) in zip(ivs, ivs[1:]):
+            assert hi < lo or (hi == lo < hi2), (p, width, ivs)
+
+
+def test_salem_signs_do_not_depend_on_width():
+    with_unit_factor = [ip_mul([1, -1, -1, -1, 1], [1, 0, 1]),
+                        ip_mul(P10, [1, -1, 1])]
+    for p in with_unit_factor:
+        seen = set()
+        for width in (Fraction(5), Fraction(1), Fraction(1, 2),
+                      Fraction(1, 10 ** 9)):
+            signs = salem_certify(p, width).interior_signs
+            assert all(a == -b for a, b in zip(signs, signs[1:])), signs
+            seen.add(signs)
+        assert len(seen) == 1, (p, seen)
 
 
 def test_trace_polynomial_small():
@@ -180,8 +193,8 @@ def test_mod2_factorisation():
     assert a == b[::-1]
 
 
-def test_parity_check():
-    assert e10_parity_check()
+def test_parity_check(e10_basis):
+    assert e10_parity_check(gram_of(e10_basis))
     assert not e10_parity_check(ambient_gram())
     # Cartan matrix of E8: even diagonal, so doubled norms lie in 4Z
     e8 = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
@@ -206,9 +219,8 @@ def test_weyl2_membership(e10_restriction):
                           for i in range(10)], basis)
 
 
-def test_reference_vector_is_interior():
-    basis, _ = coxeter_restriction()
-    ge = gram_of(basis)
+def test_reference_vector_is_interior(e10_basis):
+    ge = gram_of(e10_basis)
     u = reference_interior_vector()
     norm = sum(u[i] * ge[i][j] * u[j]
                for i in range(10) for j in range(10))

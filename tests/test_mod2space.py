@@ -14,8 +14,8 @@ QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
 
 
-def test_quadratic_form_axioms():
-    sp = standard_space()
+def test_quadratic_form_axioms(e10_basis):
+    sp = standard_space(e10_basis)
     rng = random.Random(13)
     assert sp.q[0] == 0
     for _ in range(200):
@@ -49,20 +49,22 @@ def _changed_basis(gram, seed):
             for i in range(n)]
 
 
-BUNDLED = lat.gram_of(lat.e10_basis())
-GRAMS = {"bundled": BUNDLED, "hyperbolic": _hyperbolic_sum(5),
-         "changed_basis": _changed_basis(BUNDLED, 17)}
+@pytest.fixture(scope="module")
+def grams(e10_basis):
+    bundled = lat.gram_of(e10_basis)
+    return {"bundled": bundled, "hyperbolic": _hyperbolic_sum(5),
+            "changed_basis": _changed_basis(bundled, 17)}
 
 
-def test_changed_basis_gram_has_negative_and_large_entries():
-    entries = [x for row in GRAMS["changed_basis"] for x in row]
+def test_changed_basis_gram_has_negative_and_large_entries(grams):
+    entries = [x for row in grams["changed_basis"] for x in row]
     assert min(entries) < 0
     assert max(abs(x) for x in entries) > 1000
 
 
-@pytest.mark.parametrize("name", sorted(GRAMS))
-def test_q_matches_definition(name):
-    gram = GRAMS[name]
+@pytest.mark.parametrize("name", ["bundled", "changed_basis", "hyperbolic"])
+def test_q_matches_definition(grams, name):
+    gram = grams[name]
     sp = Mod2QuadSpace(gram)
     n = len(gram)
     for v in range(1 << n):
@@ -73,8 +75,8 @@ def test_q_matches_definition(name):
 
 
 @pytest.mark.parametrize("name", ["hyperbolic", "changed_basis"])
-def test_census_on_other_grams(name):
-    census = enumerate_lagrangians(Mod2QuadSpace(GRAMS[name]))
+def test_census_on_other_grams(grams, name):
+    census = enumerate_lagrangians(Mod2QuadSpace(grams[name]))
     members = census.members
     assert len(members) == 4590
     assert all(a < b for a, b in zip(members, members[1:]))
@@ -83,8 +85,8 @@ def test_census_on_other_grams(name):
     assert census.class_sizes() == (2295, 2295)
 
 
-def test_standard_space_is_plus_type():
-    sp = standard_space()
+def test_standard_space_is_plus_type(e10_basis):
+    sp = standard_space(e10_basis)
     assert sp.dim == 10
     assert sp.is_plus_type()
     assert sp.singular_nonzero_count() == (1 << 9) + (1 << 4) - 1
@@ -159,11 +161,11 @@ def test_action_analysis_of_identity(e10_restriction):
     assert not rec.totally_singular
 
 
-def test_action_analysis_rejects_non_isometry():
+def test_action_analysis_rejects_non_isometry(e10_basis):
     with pytest.raises(InvariantViolation,
                        match="does not preserve the sublattice form"):
         mod2_action_analysis([[2 if i == j else 0 for j in range(10)]
-                              for i in range(10)])
+                              for i in range(10)], e10_basis)
 
 
 def test_census_counts(census):

@@ -270,13 +270,3 @@ def test_projective_normalization(ctx):
     assert repr(p) == "(g^14 : g^7 : 1)"
     with pytest.raises(DomainError, match="all-zero projective"):
         ProjPoint(ctx, (0, 0, 0))
-
-
-def test_weighted_point_ignores_heavy_coordinate(ctx):
-    # scaling moves the weight-6 coordinate by lambda^6
-    lam = ctx.gen_pow(3)
-    a = ProjPoint(ctx, (ctx.one(), ctx.gen(), ctx.zero(), ctx.gen_pow(5)),
-                  weights=(1, 1, 1, 6))
-    b = ProjPoint(ctx, (lam, ctx.gen() * lam, ctx.zero(),
-                        ctx.gen_pow(5) * lam ** 6), weights=(1, 1, 1, 6))
-    assert a == b

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import salemsurf.cli as cli
 import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.report as rp
@@ -96,6 +97,16 @@ def test_cli_exit_codes(capsys):
 def test_cli_rejects_ext_bound_below_one(bound):
     with pytest.raises(SystemExit) as exc:
         main(["surface", "--ext-bound", bound])
+    assert exc.value.code == 2
+
+
+def test_cli_rejects_ext_bound_above_field_limit(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--ext-bound", "21"])
     assert exc.value.code == 2
 
 
