@@ -1,4 +1,5 @@
-"""Exact lattice arithmetic: the rank-11 hyperbolic lattice, a fixed
+"""Exact lattice arithmetic over the integers and rationals (reduction
+mod 2 lives in mod2space): the rank-11 hyperbolic lattice, a fixed
 Coxeter-type isometry, characteristic polynomials, Sturm real-root
 isolation by exact integer sign evaluation, Salem certification through
 the trace polynomial, and spectral-radius enclosures.
@@ -15,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, NoSolution
-from .gf2m import field_make
-from .unipoly import UniPoly, factor as gf2_factor
 
 # ---------------------------------------------------------------------------
 # integer polynomials, low degree first
@@ -279,24 +278,31 @@ def restrict_to_basis(m, basis):
     """Matrix of m on the span of `basis`, integer entries enforced.
 
     Coordinates are recovered by pairing against the basis and solving
-    with the basis Gram matrix (unimodular here, so the solve is exact).
+    with the basis Gram matrix; that gives the projection of each image
+    to the span, so the integer basis combination is then checked to
+    equal the image exactly.
     """
     gram = ambient_gram()
     images = [mat_vec(m, b) for b in basis]
     x = _frac_solve(gram_of(basis),
                     [[_pair(a, img, gram) for img in images] for a in basis])
-    if any(c.denominator != 1 for row in x for c in row):
+    out = tuple(tuple(int(c) for c in row) for row in x)
+    # the basis is independent (its Gram matrix is not singular), so an
+    # integer combination equal to the image is the projection itself
+    if mat_mul(mat_transpose(basis), out) != mat_transpose(images):
         raise InvariantViolation("image leaves the sublattice")
-    return tuple(tuple(int(c) for c in row) for row in x)
+    return out
 
 
 def _frac_solve(a, b):
-    """X with a·X = b, by Gauss–Jordan over Fraction; b holds the rows
-    of all right-hand sides at once."""
+    """X with a·X = b, by Gauss–Jordan over Fraction; a is the basis
+    Gram matrix and b holds the rows of all right-hand sides at once."""
     n = len(a)
     rows = [[Fraction(v) for v in (*ra, *rb)] for ra, rb in zip(a, b)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise InvariantViolation("the basis Gram matrix is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
         inv = 1 / rows[col][col]
         rows[col] = [v * inv for v in rows[col]]
@@ -314,19 +320,6 @@ def reference_interior_vector():
     tests orient the cone by pairing images against it.
     """
     return (10, 7, 14, 21, 18, 15, 12, 9, 6, 3)
-
-
-def reflection_in(v, gram):
-    """Reflection in a norm -2 vector: x -> x + (x . v) v."""
-    n = len(v)
-    if _pair(v, v, gram) != -2:
-        raise InvariantViolation("reflection formula needs a norm -2 vector")
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        pv = _pair(e, v, gram)
-        cols.append([e[i] + pv * v[i] for i in range(n)])
-    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +566,13 @@ def salem_certify(p, precision=Fraction(1, 10 ** 9)):
     dr = ip_deriv(r)
     signs = tuple(_sign_at(dr, lo) if lo == hi else _sign_at(r, hi)
                   for lo, hi in inside)
-    lo, hi = _largest_root_interval(p, precision)
     # The trace root above 2 makes the largest root lambda > 1 and the
     # only real root of p there, so halving its isolating interval lifts
     # lo above 1 at any requested width; an exact lambda already has it.
+    lo, hi = real_roots(p, precision)[-1]
     while lo <= 1:
         lo, hi = _bisect(p, lo, hi, (hi - lo) / 2)
     return SalemCertificate(r, ivs, signs, (lo, hi))
-
-
-def _largest_root_interval(p, precision):
-    ivs = real_roots(p, precision)
-    if not ivs:
-        raise NoSolution("no real roots at all")
-    return ivs[-1]
 
 
 def sign_vector_target(cert):
@@ -646,17 +632,7 @@ def dynamical_degree(m, precision=Fraction(1, 10 ** 9)):
 
 
 # ---------------------------------------------------------------------------
-# mod-2 reduction and parity checks
-
-
-def mod2_reduce_and_factor(p):
-    """Irreducible factors over GF(2) of p mod 2, with multiplicities.
-
-    Returns [(coeff bit list low degree first, multiplicity)], sorted.
-    """
-    gf2 = field_make(1, 0b11)
-    f = UniPoly(gf2, [c % 2 for c in p])
-    return [([c for c in irr.coeffs], mult) for irr, mult in gf2_factor(f)]
+# parity checks
 
 
 def e10_parity_check(gram):
@@ -674,15 +650,14 @@ def e10_parity_check(gram):
     return all(gram[i][i] % 2 == 0 for i in range(n))
 
 
-def weyl2_membership(m, basis):
+def weyl2_membership(m, ge):
     """True iff m is in the kernel of reduction mod 2 and keeps the cone.
 
-    m acts on the stored basis of the even sublattice; it must preserve
-    the Gram matrix (else InvariantViolation), reduce to the identity mod 2,
-    and pair the image of the reference interior vector positively
-    against that vector (half-cone preservation).
+    m acts on the stored basis of the even sublattice, whose Gram matrix
+    is ge; it must preserve ge (else InvariantViolation), reduce to the
+    identity mod 2, and pair the image of the reference interior vector
+    positively against that vector (half-cone preservation).
     """
-    ge = gram_of(basis)
     if not is_isometry_of(m, ge):
         raise InvariantViolation(
             "matrix does not preserve the sublattice form")

@@ -5,7 +5,8 @@ in the lattice basis). Everything derives from the polar matrix
 B = Gram mod 2, the reduced bilinear form b(u, v) = u·Bv: the quadratic
 form q(v) = (v, v)/2 mod 2 is tabulated over all 2^n vectors by the
 recurrence q(w + e_i) = q(w) + q(e_i) + b(w, e_i). Matrices over GF(2)
-are tuples of column bitmasks.
+are tuples of column bitmasks. All reduction mod 2 of the lattice side
+lives here, the factoring of integer polynomials over GF(2) included.
 
 Totally singular subspaces of half dimension are enumerated by orderly
 generation: a subspace is held as its reduced-row-echelon row tuple
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from .errors import InvariantViolation
 from . import lattice as lat
+from .gf2m import field_make
+from .unipoly import UniPoly, factor as gf2_factor
 
 
 class Mod2QuadSpace:
@@ -60,11 +63,6 @@ class Mod2QuadSpace:
             return False
         return (self.singular_nonzero_count()
                 == (1 << (n - 1)) + (1 << (n // 2 - 1)) - 1)
-
-
-def standard_space(basis) -> Mod2QuadSpace:
-    """The rank-10 space of an even sublattice basis."""
-    return Mod2QuadSpace(lat.gram_of(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -124,32 +122,32 @@ def mat2_poly_at(cols, coeffs) -> tuple:
     return acc
 
 
-def _echelon(vectors) -> list:
-    """Forward elimination: independent rows spanning the same space,
-    distinct pivots (leading bits), sorted by descending pivot."""
-    red = []
+def _echelon(vectors) -> dict:
+    """Forward elimination: {pivot: row}, independent rows with distinct
+    pivots (leading bits) spanning the same space. Each vector is
+    reduced on its leading bit only, until that bit is a new pivot."""
+    red = {}
     for r in vectors:
-        for pr in red:
-            if (r >> (pr.bit_length() - 1)) & 1:
-                r ^= pr
-        if r:
-            red.append(r)
-            red.sort(reverse=True)
+        while r:
+            p = r.bit_length() - 1
+            if p not in red:
+                red[p] = r
+                break
+            r ^= red[p]
     return red
 
 
 def rref_rows(vectors) -> tuple:
     """Canonical RREF row tuple (descending pivots) of a span."""
     red = _echelon(vectors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(red)):
-            for j in range(len(red)):
-                if i != j and (red[i] >> (red[j].bit_length() - 1)) & 1:
-                    red[i] ^= red[j]
-                    changed = True
-    return tuple(sorted(red, reverse=True))
+    done = []  # reduced rows: each is 0 at every other pivot
+    for p in sorted(red):
+        r = red[p]
+        for s in done:
+            if (r >> (s.bit_length() - 1)) & 1:
+                r ^= s
+        done.append(r)
+    return tuple(reversed(done))
 
 
 def mat2_kernel(cols) -> list:
@@ -214,25 +212,33 @@ class Mod2ActionReport:
         self.invariant_subspaces = invariant_subspaces
 
 
-def mod2_action_analysis(m, basis) -> Mod2ActionReport:
+def mod2_reduce_and_factor(p):
+    """Irreducible factors over GF(2) of p mod 2, with multiplicities.
+
+    Returns [(coeff bit list low degree first, multiplicity)], sorted.
+    """
+    gf2 = field_make(1, 0b11)
+    f = UniPoly(gf2, [c % 2 for c in p])
+    return [([c for c in irr.coeffs], mult) for irr, mult in gf2_factor(f)]
+
+
+def mod2_action_analysis(m, ge, space, cp) -> Mod2ActionReport:
     """Order and irreducible-factor kernels of an isometry reduced mod 2.
 
-    m: integer matrix on the even-sublattice basis `basis`; must preserve
-    its Gram matrix (InvariantViolation otherwise). Kernels are of p_i(m mod 2)
-    for each irreducible factor p_i of the mod-2 characteristic
-    polynomial, each reported with its dimension and whether the
-    quadratic form vanishes on all of it.
+    m: integer matrix on an even-sublattice basis with Gram matrix ge;
+    must preserve ge (InvariantViolation otherwise). space is the
+    quadratic space of ge and cp the characteristic polynomial of m.
+    Kernels are of p_i(m mod 2) for each irreducible factor p_i of cp
+    mod 2, each reported with its dimension and whether the quadratic
+    form vanishes on all of it.
     """
-    ge = lat.gram_of(basis)
     if not lat.is_isometry_of(m, ge):
         raise InvariantViolation(
             "matrix does not preserve the sublattice form")
-    space = Mod2QuadSpace(ge)
     cols = mat2_from_int(m)
     order = mat2_order(cols)
-    cp = lat.char_poly(m)
     records = []
-    for coeffs, mult in lat.mod2_reduce_and_factor(cp):
+    for coeffs, mult in mod2_reduce_and_factor(cp):
         ker = mat2_kernel(mat2_poly_at(cols, coeffs))
         rows = rref_rows(ker)
         sing = all(space.q[v] == 0 for v in span_of(rows))

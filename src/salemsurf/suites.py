@@ -10,7 +10,6 @@ else follows the library layout.
 
 from __future__ import annotations
 
-import functools
 import time
 from fractions import Fraction
 
@@ -58,22 +57,32 @@ def _guarded(name: str, build) -> rp.Report:
 # lattice suite
 
 
-def _e10_basis(data_dir) -> tuple:
-    """The E10 basis rows read from data_dir (the bundled file when None)."""
-    return tuple(lat.e10_basis(sf._read_data(data_dir, "e10_basis.dat")))
+def _e10_objects(data_dir):
+    """need(key) for one lattice run: the E10 basis, its Gram matrix,
+    the Coxeter restriction, that restriction's char poly and the mod-2
+    space, each built on first use (inside the guard of the check that
+    asks) and kept for the rest of the run. A failed build is not kept,
+    so every check that needs it reports the cause in its own leaf."""
+    got = {}
+    build = {
+        "basis": lambda: lat.e10_basis(
+            sf._read_data(data_dir, "e10_basis.dat")),
+        "gram": lambda: lat.gram_of(need("basis")),
+        "restriction": lambda: lat.restrict_to_basis(
+            lat.coxeter_matrix(), need("basis")),
+        "char_poly": lambda: lat.char_poly(need("restriction")),
+        "space": lambda: m2.Mod2QuadSpace(need("gram")),
+    }
+
+    def need(key):
+        if key not in got:
+            got[key] = build[key]()
+        return got[key]
+    return need
 
 
-@functools.cache
-def _e10_restriction(basis: tuple):
-    """The Coxeter matrix on an E10 basis, built once per process and
-    basis; each lattice check calls this inside its own guard."""
-    return lat.restrict_to_basis(lat.coxeter_matrix(), basis)
-
-
-def _lattice_coxeter(data_dir) -> list:
+def _lattice_coxeter(ge, me, pe) -> list:
     cox = lat.coxeter_matrix()
-    basis = _e10_basis(data_dir)
-    ge = lat.gram_of(basis)
     p10 = lat.lehmer_polynomial()
     kc = lat.canonical_class()
     checks = [
@@ -85,8 +94,6 @@ def _lattice_coxeter(data_dir) -> list:
     full = lat.char_poly(cox)
     checks.append(rp.leaf("coxeter.charpoly_full",
                           full == lat.ip_mul([-1, 1], p10), list(full)))
-    me = _e10_restriction(basis)
-    pe = lat.char_poly(me)
     checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
     checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
     u = lat.reference_interior_vector()
@@ -140,10 +147,8 @@ def _lattice_salem(precision) -> list:
 _MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
 
 
-def _lattice_mod2(data_dir) -> list:
-    basis = _e10_basis(data_dir)
-    me = _e10_restriction(basis)
-    rep = m2.mod2_action_analysis(me, basis)
+def _lattice_mod2(ge, me, pe, space) -> list:
+    rep = m2.mod2_action_analysis(me, ge, space, pe)
     checks = [
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
         rp.leaf("mod2.order", rep.order == 31, f"order {rep.order}"),
@@ -163,15 +168,13 @@ def _lattice_mod2(data_dir) -> list:
                           dims == [(5, True), (5, True)],
                           [list(d) for d in dims]))
     checks.append(rp.leaf("mod2.outside_weyl2_kernel",
-                          not lat.weyl2_membership(me, basis)))
+                          not lat.weyl2_membership(me, ge)))
     return checks
 
 
-def _lattice_lagrangians(data_dir) -> list:
-    basis = _e10_basis(data_dir)
-    space = m2.standard_space(basis)
+def _lattice_lagrangians(me, space) -> list:
     census = m2.enumerate_lagrangians(space)
-    cols = m2.mat2_from_int(_e10_restriction(basis))
+    cols = m2.mat2_from_int(me)
     checks = [rp.leaf("lagrangians.count", len(census.members) == 4590,
                       f"{len(census.members)} members")]
     sizes = census.class_sizes()
@@ -188,13 +191,16 @@ def _lattice_lagrangians(data_dir) -> list:
 
 
 def lattice_suite(config: SuiteConfig) -> list:
-    data = config.data_dir
-    return [_guarded("lattice.coxeter", lambda: _lattice_coxeter(data)),
+    need = _e10_objects(config.data_dir)
+    return [_guarded("lattice.coxeter", lambda: _lattice_coxeter(
+                need("gram"), need("restriction"), need("char_poly"))),
             _guarded("lattice.salem",
                      lambda: _lattice_salem(config.precision)),
-            _guarded("lattice.mod2", lambda: _lattice_mod2(data)),
-            _guarded("lattice.lagrangians",
-                     lambda: _lattice_lagrangians(data))]
+            _guarded("lattice.mod2", lambda: _lattice_mod2(
+                need("gram"), need("restriction"), need("char_poly"),
+                need("space"))),
+            _guarded("lattice.lagrangians", lambda: _lattice_lagrangians(
+                need("restriction"), need("space")))]
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +438,10 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
         return _guarded("salem", lambda: [_guarded(
             "lattice.salem", lambda: _lattice_salem(config.precision))])
     if name == "lagrangians":
+        need = _e10_objects(config.data_dir)
         return _guarded("lagrangians", lambda: [
-            _guarded("lattice.lagrangians",
-                     lambda: _lattice_lagrangians(config.data_dir))])
+            _guarded("lattice.lagrangians", lambda: _lattice_lagrangians(
+                need("restriction"), need("space")))])
     return _guarded("all", lambda: [
         _guarded(suite, lambda: primary[suite](config))
         for suite in ("lattice", "cubic", "surface")])

@@ -2,7 +2,6 @@ import pytest
 
 from salemsurf import lattice as lat
 from salemsurf import mod2space as m2
-from salemsurf import suites
 from salemsurf import surface as sf
 from salemsurf.gf2m import gf32
 
@@ -29,8 +28,8 @@ def conj_scalar(model, sigma_inv):
 
 @pytest.fixture(scope="session")
 def e10_basis():
-    """The bundled E10 basis, read the way the suites read it."""
-    return suites._e10_basis(None)
+    """The bundled E10 basis, read the way the lattice suite reads it."""
+    return lat.e10_basis(sf._read_data(None, "e10_basis.dat"))
 
 
 @pytest.fixture(scope="session")
@@ -40,4 +39,4 @@ def e10_restriction(e10_basis):
 
 @pytest.fixture(scope="session")
 def census(e10_basis):
-    return m2.enumerate_lagrangians(m2.standard_space(e10_basis))
+    return m2.enumerate_lagrangians(m2.Mod2QuadSpace(lat.gram_of(e10_basis)))

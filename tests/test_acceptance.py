@@ -58,11 +58,13 @@ def test_criterion_02_dynamical_degree_interval():
 
 def test_criterion_03_mod2_spectrum(e10_basis):
     def run():
-        facs = lat.mod2_reduce_and_factor(lat.lehmer_polynomial())
+        facs = m2.mod2_reduce_and_factor(lat.lehmer_polynomial())
         if facs != [([1, 0, 1, 1, 1, 1], 1), ([1, 1, 1, 1, 0, 1], 1)]:
             return False
         restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
-        rep = m2.mod2_action_analysis(restr, e10_basis)
+        ge = lat.gram_of(e10_basis)
+        rep = m2.mod2_action_analysis(restr, ge, m2.Mod2QuadSpace(ge),
+                                      lat.char_poly(restr))
         return (rep.order == 31 and rep.preserves_form
                 and len(rep.invariant_subspaces) == 2
                 and all(r.dimension == 5 and r.totally_singular
@@ -72,7 +74,8 @@ def test_criterion_03_mod2_spectrum(e10_basis):
 
 def test_criterion_04_lagrangian_census(e10_basis):
     def run():
-        census = m2.enumerate_lagrangians(m2.standard_space(e10_basis))
+        space = m2.Mod2QuadSpace(lat.gram_of(e10_basis))
+        census = m2.enumerate_lagrangians(space)
         if len(census.members) != 4590:
             return False
         if census.class_sizes() != (2295, 2295):

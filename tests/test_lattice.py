@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import salemsurf.lattice as lat
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                coxeter_matrix, dynamical_degree,
@@ -12,11 +17,11 @@ from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                ip_gcd, ip_mul, is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
                                mat_add, mat_identity, mat_mul, mat_scale,
-                               mat_vec, mod2_reduce_and_factor, real_roots,
-                               reference_interior_vector, reflection_in,
+                               mat_vec, real_roots, reference_interior_vector,
                                salem_certify, sign_vector_target,
                                trace_polynomial, trace_reexpand,
                                weyl2_membership)
+from salemsurf.mod2space import mod2_reduce_and_factor
 
 P10 = lehmer_polynomial()
 
@@ -69,6 +74,33 @@ def test_char_poly_of_coxeter_is_lehmer_times_unit(e10_restriction):
     assert ip_mul([-1, 1], P10) == full
     _, restr = e10_restriction
     assert char_poly(restr) == P10
+
+
+def test_char_poly_against_sympy(e10_restriction):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    mats = [coxeter_matrix(), e10_restriction[1]]
+    for n in (1, 2, 3, 4, 6, 8, 11):
+        mats.append([[rng.randint(-9, 9) for _ in range(n)]
+                     for _ in range(n)])
+    for m in mats:
+        want = sympy.Matrix(m).charpoly(x).all_coeffs()[::-1]
+        assert char_poly(m) == [int(c) for c in want]
+
+
+def test_lattice_loads_no_finite_field_code():
+    """The lattice layer is integer and rational only; a fresh
+    interpreter that imports it loads no GF(2^m) or polynomial-ring
+    module."""
+    code = ("import sys, salemsurf.lattice; "
+            "print(' '.join(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lat.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "salemsurf.lattice" in out
+    for name in ("gf2m", "unipoly", "multipoly"):
+        assert f"salemsurf.{name}" not in out
 
 
 def test_lehmer_polynomial_shape():
@@ -193,6 +225,22 @@ def test_mod2_factorisation():
     assert a == b[::-1]
 
 
+def test_mod2_factors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    polys = [P10, ip_mul([-1, 1], P10)]
+    for _ in range(40):
+        polys.append([rng.randint(-5, 5) for _ in range(rng.randint(1, 14))]
+                     + [rng.choice((-3, -1, 1, 5))])
+    for p in polys:
+        expr = sum(c * x ** i for i, c in enumerate(p))
+        _, facs = sympy.Poly(expr, x, modulus=2).factor_list()
+        want = sorted(([int(c) % 2 for c in f.all_coeffs()[::-1]], k)
+                      for f, k in facs)
+        assert sorted(mod2_reduce_and_factor(p)) == want
+
+
 def test_parity_check(e10_basis):
     assert e10_parity_check(gram_of(e10_basis))
     assert not e10_parity_check(ambient_gram())
@@ -205,18 +253,19 @@ def test_parity_check(e10_basis):
 
 def test_weyl2_membership(e10_restriction):
     basis, restr = e10_restriction
-    assert weyl2_membership(mat_identity(10), basis)
-    assert not weyl2_membership(restr, basis)
     ge = gram_of(basis)
+    assert weyl2_membership(mat_identity(10), ge)
+    assert not weyl2_membership(restr, ge)
     assert ge[0][0] == -2
-    v = [1 if i == 0 else 0 for i in range(10)]
-    refl = reflection_in(v, ge)
+    # reflection in the first basis vector v: x -> x + (x . v) v
+    refl = [[int(i == j) + (ge[0][j] if i == 0 else 0) for j in range(10)]
+            for i in range(10)]
     assert is_isometry_of(refl, ge)
-    assert not weyl2_membership(refl, basis)
+    assert not weyl2_membership(refl, ge)
     with pytest.raises(InvariantViolation,
                        match="does not preserve the sublattice form"):
         weyl2_membership([[2 if i == j else 0 for j in range(10)]
-                          for i in range(10)], basis)
+                          for i in range(10)], ge)
 
 
 def test_reference_vector_is_interior(e10_basis):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,14 +9,14 @@ from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
                                  intersection_dim, mat2_apply, mat2_from_int,
                                  mat2_identity, mat2_kernel, mat2_mul,
                                  mat2_order, mod2_action_analysis, rref_rows,
-                                 span_of, standard_space, subspace_contains)
+                                 span_of, subspace_contains)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
 
 
 def test_quadratic_form_axioms(e10_basis):
-    sp = standard_space(e10_basis)
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
     rng = random.Random(13)
     assert sp.q[0] == 0
     for _ in range(200):
@@ -86,7 +87,7 @@ def test_census_on_other_grams(grams, name):
 
 
 def test_standard_space_is_plus_type(e10_basis):
-    sp = standard_space(e10_basis)
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
     assert sp.dim == 10
     assert sp.is_plus_type()
     assert sp.singular_nonzero_count() == (1 << 9) + (1 << 4) - 1
@@ -133,9 +134,46 @@ def test_subspace_helpers():
     assert intersection_dim(rows, rref_rows([0b001])) == 0
 
 
+def _analysis(m, ge):
+    return mod2_action_analysis(m, ge, Mod2QuadSpace(ge), lat.char_poly(m))
+
+
+def _random_vectors(rng, n):
+    """n vectors of GF(2)^10, drawn from a random subspace of random
+    dimension so that dependent sets are common."""
+    gens = [rng.randrange(1 << 10) for _ in range(rng.randrange(11))]
+    out = []
+    for _ in range(n):
+        v = 0
+        for g in gens:
+            if rng.randrange(2):
+                v ^= g
+        out.append(v)
+    return out
+
+
+def test_rref_and_intersection_against_spans():
+    rng = random.Random(37)
+    for _ in range(300):
+        a = _random_vectors(rng, rng.randrange(13))
+        b = _random_vectors(rng, rng.randrange(13))
+        ra, rb = rref_rows(a), rref_rows(b)
+        span_a, span_b = span_of(a), span_of(b)
+        assert span_of(ra) == span_a and len(span_a) == 1 << len(ra)
+        pivots = [r.bit_length() - 1 for r in ra]
+        assert pivots == sorted(set(pivots), reverse=True)
+        assert all((r >> p) & 1 == (r == s) for r in ra
+                   for s, p in zip(ra, pivots))
+        shuffled = a + [u ^ v for u, v in zip(a, a[1:])]
+        rng.shuffle(shuffled)
+        assert rref_rows(shuffled) == ra
+        common = len(span_a & span_b).bit_length() - 1
+        assert intersection_dim(ra, rb) == common
+
+
 def test_action_analysis_of_restriction(e10_restriction):
     basis, restr = e10_restriction
-    rep = mod2_action_analysis(restr, basis)
+    rep = _analysis(restr, lat.gram_of(basis))
     assert rep.order == 31
     assert rep.preserves_form
     assert len(rep.invariant_subspaces) == 2
@@ -150,7 +188,7 @@ def test_action_analysis_of_restriction(e10_restriction):
 def test_action_analysis_of_identity(e10_restriction):
     basis, _ = e10_restriction
     ident = [[1 if i == j else 0 for j in range(10)] for i in range(10)]
-    rep = mod2_action_analysis(ident, basis)
+    rep = _analysis(ident, lat.gram_of(basis))
     assert rep.order == 1
     assert rep.preserves_form
     assert len(rep.invariant_subspaces) == 1
@@ -164,8 +202,8 @@ def test_action_analysis_of_identity(e10_restriction):
 def test_action_analysis_rejects_non_isometry(e10_basis):
     with pytest.raises(InvariantViolation,
                        match="does not preserve the sublattice form"):
-        mod2_action_analysis([[2 if i == j else 0 for j in range(10)]
-                              for i in range(10)], e10_basis)
+        _analysis([[2 if i == j else 0 for j in range(10)]
+                   for i in range(10)], lat.gram_of(e10_basis))
 
 
 def test_census_counts(census):
@@ -198,3 +236,35 @@ def test_invariant_members(census, e10_restriction):
     parities = sorted(census.class_parity[census.index_of(rows)]
                       for rows in inv)
     assert parities == [0, 1]
+
+
+def test_invariant_members_are_the_factor_kernels(census, e10_restriction):
+    """The only M-invariant subspaces are 0, ker f1(M), ker f2(M) and V
+    for the two distinct irreducible quintics, so the invariant members
+    are exactly the two kernels."""
+    basis, restr = e10_restriction
+    rep = _analysis(restr, lat.gram_of(basis))
+    kernels = sorted(r.basis for r in rep.invariant_subspaces)
+    assert census.invariant_members(mat2_from_int(restr)) == kernels
+
+
+def test_coxeter_orbits_on_the_census(census, e10_restriction):
+    """<M mod 2> has order 31 and two fixed members, so it splits the
+    other 4,588 members into 148 free orbits."""
+    cols = mat2_from_int(e10_restriction[1])
+    index = {rows: i for i, rows in enumerate(census.members)}
+    image = [index[rref_rows(mat2_apply(cols, r) for r in rows)]
+             for rows in census.members]
+    seen = [False] * len(image)
+    sizes = Counter()
+    for start in range(len(image)):
+        if seen[start]:
+            continue
+        size, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            size += 1
+            i = image[i]
+        assert i == start  # the walk closes a cycle: M permutes members
+        sizes[size] += 1
+    assert sizes == {1: 2, 31: 148}

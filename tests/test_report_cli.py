@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import salemsurf.cli as cli
 import salemsurf.cubic as cu
 import salemsurf.lattice as lat
+import salemsurf.mod2space as m2
 import salemsurf.report as rp
 import salemsurf.suites as suites
 import salemsurf.surface as sf
@@ -121,15 +123,31 @@ def test_shared_objects_are_built_once(monkeypatch, model):
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
 
+    read = sf._read_data
+
+    def counted_read(data_dir, name):
+        calls[name] += 1
+        return read(data_dir, name)
+
+    monkeypatch.setattr(sf, "_read_data", counted_read)
     count(lat, "restrict_to_basis")
+    count(lat, "char_poly")
+    count(m2, "Mod2QuadSpace")
+    count(m2, "mod2_reduce_and_factor")
     count(cu, "all_point_set_matches")
     count(cu, "cusp_parametrization")
     count(sf, "resultant")  # surface imports it by name
-    count(lat, "mod2_reduce_and_factor")
-    suites._e10_restriction.cache_clear()
-    assert run_suite("lattice").ok()
-    assert calls["restrict_to_basis"] == 1
-    assert calls["mod2_reduce_and_factor"] == 1
+    # char_poly: the Coxeter matrix in lattice.coxeter and again inside
+    # dynamical_degree, and the restriction once
+    per_run = {"e10_basis.dat": 1, "restrict_to_basis": 1, "char_poly": 3,
+               "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
+    for runs in (1, 2):  # nothing is kept from one run to the next
+        assert run_suite("lattice").ok()
+        assert calls == {k: runs * v for k, v in per_run.items()}
+    calls.clear()
+    assert run_suite("lagrangians").ok()
+    assert calls == {"e10_basis.dat": 1, "restrict_to_basis": 1,
+                     "Mod2QuadSpace": 1}
     node, _ = suites._surface_match(model)
     assert node.ok()
     assert calls["all_point_set_matches"] == 1
@@ -142,15 +160,50 @@ def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
     assert main(["lattice", "--data", str(tmp_path / "absent")]) == 1
     assert "missing data file" in capsys.readouterr().out
     bundled = Path(sf.__file__).parent / "data"
-    same, changed = tmp_path / "same", tmp_path / "changed"
+    same = tmp_path / "same"
     shutil.copytree(bundled, same)
     assert main(["lattice", "--data", str(same)]) == 0
-    shutil.copytree(bundled, changed)
-    basis = changed / "e10_basis.dat"
-    text = basis.read_text()
-    assert "\n0 1 -1 0 " in text
-    basis.write_text(text.replace("\n0 1 -1 0 ", "\n0 1 -1 1 ", 1))
-    assert main(["lattice", "--data", str(changed)]) == 1
+
+
+def _basis_mutants(count, seed):
+    """(row, mutated row) pairs of the bundled basis file: one entry of
+    one row moved by a nonzero amount."""
+    rows = lat.e10_basis(sf._read_data(None, "e10_basis.dat"))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        row = rng.choice(rows)
+        new = list(row)
+        new[rng.randrange(len(row))] += rng.choice((-2, -1, 1, 2))
+        out.append((" ".join(map(str, row)), " ".join(map(str, new))))
+    return out
+
+
+# the first pair was restricted silently when only integrality was
+# checked; the second makes the basis Gram matrix singular
+BASIS_MUTANTS = [("0 0 0 0 0 0 1 -1 0 0 0", "0 0 -2 0 0 0 1 -1 0 0 0"),
+                 ("0 0 0 0 0 0 0 0 0 1 -1", "0 0 0 0 0 0 0 -1 0 1 -1"),
+                 ("0 1 -1 0 0 0 0 0 0 0 0", "0 1 -1 1 0 0 0 0 0 0 0"),
+                 *_basis_mutants(12, 29)]
+
+
+@pytest.mark.parametrize("row,mutant", BASIS_MUTANTS)
+def test_mutated_basis_is_rejected(tmp_path, capsys, row, mutant):
+    lines = sf._read_data(None, "e10_basis.dat").splitlines()
+    lines[lines.index(row)] = mutant
+    (tmp_path / "e10_basis.dat").write_text("\n".join(lines) + "\n")
+    for suite in ("lattice", "lagrangians"):
+        assert main([suite, "--data", str(tmp_path), "--format",
+                     "json"]) == 1
+        out = capsys.readouterr().out
+        assert "StopIteration" not in out
+        nodes = {c["name"]: c for c in json.loads(out)["children"]}
+        for name in ("lattice.coxeter", "lattice.mod2",
+                     "lattice.lagrangians"):
+            if name in nodes:
+                assert nodes[name]["status"] == "error"
+                assert nodes[name]["witness"].startswith(
+                    "InvariantViolation: ")
 
 
 def test_cli_json_output(capsys):
