@@ -20,7 +20,8 @@ from .suites import SUITE_NAMES, SuiteConfig, run_suite
 def _precision(text: str) -> Fraction:
     try:
         value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, ZeroDivisionError) as ex:
+    except (InvalidOperation, ValueError, ZeroDivisionError,
+            OverflowError) as ex:
         raise argparse.ArgumentTypeError(
             f"not a decimal precision: {text!r}") from ex
     if value <= 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InvariantViolation, NoSolution
+from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 
 # ---------------------------------------------------------------------------
 # integer polynomials, low degree first
@@ -258,7 +258,14 @@ def e10_basis(text):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append(tuple(int(x) for x in ln.split()))
+        row = []
+        for x in ln.split():
+            try:
+                row.append(int(x))
+            except ValueError:
+                raise ParseError(
+                    f"non-integer basis entry {x!r} in row {ln!r}") from None
+        rows.append(tuple(row))
     if len(rows) != 10 or any(len(r) != 11 for r in rows):
         raise InvariantViolation("basis file must hold 10 rows of 11 entries")
     return rows

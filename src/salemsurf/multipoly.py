@@ -564,15 +564,23 @@ def format_field(ctx: FieldCtx) -> str:
     return f"g^{ctx.m}=" + "+".join(rhs)
 
 
+def _parse_natural(token: str, message: str) -> int:
+    """A non-negative integer token (an exponent, a degree or a weight)."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ParseError(message)
+    return value
+
+
 def parse_field(text: str) -> FieldCtx:
     left, _, right = text.partition("=")
     left = left.strip()
     if not left.startswith("g^"):
         raise ParseError(f"bad field spec {text!r}")
-    try:
-        m = int(left[2:])
-    except ValueError as ex:
-        raise ParseError(f"bad field degree in {text!r}") from ex
+    m = _parse_natural(left[2:], f"bad field degree in {text!r}")
     bits = 1 << m
     for term in right.replace(" ", "").split("+"):
         if term == "1":
@@ -580,7 +588,7 @@ def parse_field(text: str) -> FieldCtx:
         elif term == "g":
             k = 1
         elif term.startswith("g^"):
-            k = int(term[2:])
+            k = _parse_natural(term[2:], f"bad modulus term {term!r}")
         else:
             raise ParseError(f"bad modulus term {term!r}")
         bits ^= 1 << k
@@ -623,7 +631,8 @@ def parse_poly(ctx: FieldCtx, names, text: str) -> MultiPoly:
         for j, f in enumerate(factors):
             name, _, pw = f.partition("^")
             if name in index:
-                exps[index[name]] += int(pw) if pw else 1
+                exps[index[name]] += (
+                    _parse_natural(pw, f"bad exponent in {f!r}") if pw else 1)
             elif j == 0:
                 cbits = ctx.mul_bits(cbits, parse_elem(f, ctx).bits)
             else:
@@ -646,7 +655,8 @@ def parse_header(line: str):
     if not {"vars", "weights", "field"} <= set(fields):
         raise ParseError(f"incomplete header {line!r}")
     names = fields["vars"].split()
-    weights = tuple(int(w) for w in fields["weights"].split())
+    weights = tuple(_parse_natural(w, f"bad weight {w!r}")
+                    for w in fields["weights"].split())
     if len(weights) != len(names):
         raise ParseError("weights count != vars count")
     return names, weights, parse_field(fields["field"])

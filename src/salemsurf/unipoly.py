@@ -1,16 +1,18 @@
 """Dense univariate polynomials over GF(2^m), with factorization.
 
 Coefficients are stored low degree first as raw bit-ints of the parent
-FieldCtx (see gf2m); the zero polynomial is the empty tuple. The
-factorization pipeline is the characteristic-2 chain: squarefree
-decomposition via the inverse-Frobenius square root (the derivative
-test degenerates on even powers), distinct-degree splitting, then
-equal-degree splitting with GF(2)-trace maps. Equal-degree splitting
-draws from a fixed-seed PRNG (CZ_SEED) so runs are reproducible.
+FieldCtx (see gf2m); the zero polynomial is the empty tuple.
+Factorization is one bounded distinct-degree search: for d = 1, 2, ...
+up to the caller's limit it takes gcd(v, x^(q^d) - x) on the rest v of
+the input, splits that product of degree-d irreducibles with GF(2)-trace
+maps, and divides each irreducible out of v as often as it divides,
+which gives its multiplicity. Equal-degree splitting draws from a
+fixed-seed PRNG (CZ_SEED) so runs are reproducible.
 
-Root search (`uni_roots`) walks extensions of GF(2) whose absolute
-degree is at most the caller's bound, embedding coefficients via the
-fixed embeddings of gf2m.
+Root search (`uni_roots`) visits only irreducibles whose roots lie in an
+extension of GF(2) of absolute degree at most the caller's bound, and
+splits each in that extension, embedding coefficients via the fixed
+embeddings of gf2m.
 """
 
 from __future__ import annotations
@@ -130,11 +132,6 @@ class UniPoly:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.ctx,
-                       [c if i % 2 == 1 else 0
-                        for i, c in enumerate(self.coeffs)][1:])
-
     def eval_bits(self, x: int) -> int:
         mul = self.ctx.mul_bits
         acc = 0
@@ -146,13 +143,6 @@ class UniPoly:
         if x.ctx is not self.ctx:
             raise InvariantViolation("evaluation point in a different field")
         return FieldElement(self.ctx, self.eval_bits(x.bits))
-
-    def sqrt(self) -> "UniPoly":
-        """Inverse of squaring; requires all odd coefficients zero."""
-        if any(c for i, c in enumerate(self.coeffs) if i % 2 == 1):
-            raise DomainError("polynomial is not a square")
-        sq = self.ctx.sqrt_bits
-        return UniPoly(self.ctx, [sq(c) for c in self.coeffs[0::2]])
 
     def embed_to(self, sup: FieldCtx) -> "UniPoly":
         cs = [embed(FieldElement(self.ctx, c), self.ctx, sup).bits
@@ -173,65 +163,6 @@ class UniPoly:
 # factorization
 
 
-def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic squarefree parts with multiplicities, characteristic-2 safe."""
-    f = f.monic()
-    if f.degree() <= 0:
-        return []
-    out: dict[UniPoly, int] = {}
-
-    def add(g: UniPoly, m: int):
-        if g.degree() > 0:
-            out[g] = out.get(g, 0) + m
-
-    def rec(h: UniPoly, mult: int):
-        if h.degree() <= 0:
-            return
-        hp = h.derivative()
-        if hp.is_zero():
-            rec(h.sqrt(), 2 * mult)
-            return
-        c = h.gcd(hp)
-        w = (h // c).monic()
-        i = 1
-        while w.degree() > 0:
-            y = w.gcd(c)
-            z = (w // y).monic()
-            add(z, i * mult)
-            w = y
-            c = (c // y).monic()
-            i += 1
-        if c.degree() > 0:
-            rec(c.sqrt(), 2 * mult)  # everything left is a perfect square
-
-    rec(f, 1)
-    items = sorted(out.items(), key=lambda t: (t[0].degree(), t[0].coeffs))
-    return items
-
-
-def distinct_degree_factorization(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """f monic squarefree -> [(product of irreducibles of degree d, d)]."""
-    ctx = f.ctx
-    out = []
-    h = UniPoly.x(ctx)
-    v = f
-    d = 0
-    x = UniPoly.x(ctx)
-    while v.degree() > 0:
-        d += 1
-        if 2 * d > v.degree():
-            out.append((v.monic(), v.degree()))
-            break
-        for _ in range(ctx.m):  # h -> h^(2^m) mod v, i.e. h^q
-            h = (h * h) % v
-        g = v.gcd(h + x)
-        if g.degree() > 0:
-            out.append((g, d))
-            v = (v // g).monic()
-            h = h % v
-    return out
-
-
 def _trace_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
     """Split a monic product of degree-d irreducibles into irreducibles."""
     ctx = g.ctx
@@ -240,7 +171,7 @@ def _trace_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
     n = ctx.m * d  # absolute degree of the residue fields over GF(2)
     while True:
         a = UniPoly(ctx, [rng.randrange(1 << ctx.m) for _ in range(g.degree())])
-        if a.degree() < 1 and d > 0 and g.degree() > d:
+        if a.degree() < 1:
             continue
         # absolute trace map: a + a^2 + a^4 + ... (n terms), mod g
         t = a % g
@@ -255,16 +186,47 @@ def _trace_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
                 key=lambda p: p.coeffs)
 
 
+def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
+    """(p, multiplicity) for each monic irreducible p of degree <= limit
+    dividing f.
+
+    Distinct-degree search on the rest v of f: at step d every factor of
+    degree below d has been divided out of v, so gcd(v, x^(q^d) - x) is
+    the squarefree product of v's irreducibles of degree d. Each is
+    divided out of v as often as it divides. Once 2d > deg v, v is
+    irreducible, since all its factors have degree at least d.
+    """
+    ctx = f.ctx
+    rng = random.Random(CZ_SEED)
+    x = UniPoly.x(ctx)
+    v, h = f.monic(), x
+    out = []
+    for d in range(1, limit + 1):
+        if 2 * d > v.degree():
+            if 0 < v.degree() <= limit:
+                out.append((v, 1))
+            break
+        for _ in range(ctx.m):  # h -> h^q mod v, i.e. x^(q^d)
+            h = (h * h) % v
+        g = v.gcd(h + x)
+        if g.degree() <= 0:
+            continue
+        for p in _trace_split(g, d, rng):
+            mult = 0
+            while True:
+                q, r = divmod(v, p)
+                if not r.is_zero():
+                    break
+                v, mult = q, mult + 1
+            out.append((p, mult))
+        h = h % v
+    return out
+
+
 def factor(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Complete factorization into monic irreducibles with multiplicities."""
-    rng = random.Random(CZ_SEED)
-    out = []
-    for part, mult in squarefree_decomposition(f):
-        for block, d in distinct_degree_factorization(part):
-            for irr in _trace_split(block, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
-    return out
+    return sorted(_irreducible_factors(f, f.degree()),
+                  key=lambda t: (t[0].degree(), t[0].coeffs))
 
 
 def uni_roots(f: UniPoly, search_degree_bound: int = 10
@@ -279,17 +241,14 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
     if f.is_zero():
         raise DomainError("uni_roots of the zero polynomial")
     base = f.ctx
+    rng = random.Random(CZ_SEED)
     out = []
-    for part, mult in squarefree_decomposition(f):
-        for block, d in distinct_degree_factorization(part):
-            absdeg = base.m * d
-            if absdeg > search_degree_bound:
-                continue
-            # embedding a block into its own field is the identity
-            sup = base if d == 1 else ext_context(absdeg)
-            rng = random.Random(CZ_SEED)
-            for irr in _trace_split(block.embed_to(sup), 1, rng):
-                out.append((FieldElement(sup, irr.coeffs[0]), mult))
+    for p, mult in _irreducible_factors(f, search_degree_bound // base.m):
+        d = p.degree()
+        # embedding a linear factor into its own field is the identity
+        sup = base if d == 1 else ext_context(base.m * d)
+        for lin in _trace_split(p.embed_to(sup), 1, rng):
+            out.append((FieldElement(sup, lin.coeffs[0]), mult))
     out.sort(key=lambda t: (t[0].ctx.m, t[0].bits))
     return out
 

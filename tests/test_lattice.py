@@ -233,6 +233,8 @@ def test_mod2_factors_against_sympy():
     for _ in range(40):
         polys.append([rng.randint(-5, 5) for _ in range(rng.randint(1, 14))]
                      + [rng.choice((-3, -1, 1, 5))])
+    squares = [ip_mul(p, p) for p in polys[:8]]  # f' = 0 mod 2
+    polys += squares + [ip_mul(p, p) for p in squares[:4]]
     for p in polys:
         expr = sum(c * x ** i for i, c in enumerate(p))
         _, facs = sympy.Poly(expr, x, modulus=2).factor_list()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -206,6 +207,85 @@ def test_mutated_basis_is_rejected(tmp_path, capsys, row, mutant):
                     "InvariantViolation: ")
 
 
+def _with_line(tmp_path, name, old, new):
+    """A copy of the bundled data whose file `name` has `old` replaced."""
+    copy = tmp_path / "data"
+    shutil.copytree(Path(sf.__file__).parent / "data", copy)
+    text = (copy / name).read_text()
+    assert old in text
+    (copy / name).write_text(text.replace(old, new, 1))
+    return copy
+
+
+MODEL_FILES = ("surface.poly", "automorphism.poly", "cubic.poly",
+               "points.dat")
+PACKAGE_ERRORS = ("ParseError: ", "InvariantViolation: ", "NoSolution: ",
+                  "DomainError: ")
+
+
+def _model_mutants(per_file, seed):
+    """(file, line, mutated line): one coefficient g^k below the header
+    of one model file changed to g^k' with k' != k."""
+    rng = random.Random(seed)
+    out = []
+    for name in MODEL_FILES:
+        sites = [(ln, m) for ln in sf._read_data(None, name).splitlines()
+                 if not ln.startswith(("#", "vars:", "field:"))
+                 for m in re.finditer(r"g\^(\d+)", ln)]
+        mutants = set()
+        while len(mutants) < per_file:  # cubic.poly has only 5 sites
+            ln, m = rng.choice(sites)
+            k = rng.choice([j for j in range(31) if j != int(m.group(1))])
+            mutants.add((name, ln, f"{ln[:m.start()]}g^{k}{ln[m.end():]}"))
+        out += sorted(mutants)
+    return out
+
+
+def _error_leaves(report):
+    if report.children:
+        for c in report.children:
+            yield from _error_leaves(c)
+    elif report.status == "error":
+        yield report
+
+
+def test_model_mutations_are_rejected(tmp_path):
+    """Every single-coefficient mutant of every model file fails the
+    surface suite, and only the package's own exceptions reach a leaf."""
+    for n, (name, line, mutant) in enumerate(_model_mutants(6, 412)):
+        copy = _with_line(tmp_path / str(n), name, line, mutant)
+        report = run_suite("surface", SuiteConfig(data_dir=copy))
+        assert not report.ok(), (name, mutant)
+        for leaf in _error_leaves(report):
+            assert leaf.witness.startswith(PACKAGE_ERRORS), leaf.witness
+
+
+def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
+    copy = _with_line(tmp_path, "e10_basis.dat", "0 0 0 0 0 0 0 0 0 1 -1",
+                      "0 0 0 0 0 0 0 0 0 1 x")
+    assert main(["lattice", "--data", str(copy), "--format", "json"]) == 1
+    nodes = {c["name"]: c for c in json.loads(capsys.readouterr().out)
+             ["children"]}
+    for name in ("lattice.coxeter", "lattice.mod2", "lattice.lagrangians"):
+        assert nodes[name]["witness"].startswith(
+            "ParseError: non-integer basis entry 'x'")
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("surface.poly", "x^8*y^3*z", "x^a*y^3*z", "bad exponent in 'x^a'"),
+    ("cubic.poly", "weights: 1 1 1", "weights: 1 one 1", "bad weight 'one'"),
+    ("points.dat", "g^5=g^2+1", "g^5=g^b+1", "bad modulus term 'g^b'"),
+    ("points.dat", "g^5=g^2+1", "g^5=g^-2+1", "bad modulus term 'g^-2'"),
+])
+def test_malformed_number_is_a_parse_error(tmp_path, name, old, new,
+                                           message):
+    copy = _with_line(tmp_path, name, old, new)
+    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    (model,) = report.children
+    assert model.name == "model" and model.status == "error"
+    assert model.witness == f"ParseError: {message}"
+
+
 def test_cli_json_output(capsys):
     assert main(["lagrangians", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -213,7 +293,7 @@ def test_cli_json_output(capsys):
     assert obj["name"] == "lagrangians"
 
 
-def test_cli_precision_validation():
+def test_cli_precision_validation(capsys):
     parser = build_parser()
     ns = parser.parse_args(["salem", "--precision", "0.0001"])
     assert ns.precision == Fraction(1, 10 ** 4)
@@ -222,6 +302,12 @@ def test_cli_precision_validation():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         parser.parse_args(["salem", "--precision", "0"])
+    capsys.readouterr()
+    for text in ("Infinity", "inf", "-Infinity"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["salem", f"--precision={text}"])
+        assert exc.value.code == 2
+        assert "not a decimal precision" in capsys.readouterr().err
 
 
 def test_full_run_is_deterministic_and_matches_golden(capsys):

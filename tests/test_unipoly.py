@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from salemsurf.errors import DomainError
-from salemsurf.gf2m import ext_context, field_make, gf32
+from salemsurf.gf2m import embed, ext_context, field_make, gf32
 from salemsurf.lattice import lehmer_polynomial
 from salemsurf.unipoly import UniPoly, factor, product_over_roots, uni_roots
 
@@ -128,3 +130,89 @@ def test_factor_recomposes(ctx):
         for _ in range(mult):
             acc = acc * p
     assert acc == f
+
+
+def _root_free(ctx, rng, degree):
+    """A random monic polynomial of degree 2 or 3 with no root in ctx,
+    hence irreducible over ctx."""
+    while True:
+        f = UniPoly(ctx, [rng.randrange(32) for _ in range(degree)] + [1])
+        if all(f.eval_bits(b) for b in range(32)):
+            return f
+
+
+def _power(f, k):
+    acc = UniPoly(f.ctx, [1])
+    for _ in range(k):
+        acc = acc * f
+    return acc
+
+
+def _brute_roots(f, sup):
+    """{root bits in sup: multiplicity} by evaluating f at every element
+    of sup and dividing out each root as often as it divides."""
+    g = f.embed_to(sup)
+    out = {}
+    for b in range(1 << sup.m):
+        if g.eval_bits(b) == 0:
+            lin, rest, mult = UniPoly(sup, [b, 1]), g, 0
+            while True:
+                q, r = divmod(rest, lin)
+                if not r.is_zero():
+                    break
+                rest, mult = q, mult + 1
+            out[b] = mult
+    return out
+
+
+def _seeded_product(ctx, seed):
+    """Linear factors with multiplicities 1 to 3 (some roots repeated),
+    times an irreducible quadratic and an irreducible cubic."""
+    rng = random.Random(seed)
+    f = UniPoly(ctx, [1])
+    for _ in range(rng.randint(2, 4)):
+        f = f * _power(UniPoly(ctx, [rng.randrange(32), 1]), rng.randint(1, 3))
+    return f * _root_free(ctx, rng, 2) * _root_free(ctx, rng, 3)
+
+
+@pytest.mark.parametrize("power", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_roots_against_brute_force(ctx, seed, power):
+    """Squares and fourth powers have f' = 0; the quadratic's roots lie in
+    GF(2^10) and the cubic's in GF(2^15), beyond both bounds."""
+    f = _power(_seeded_product(ctx, seed), power)
+    sup = ext_context(10)
+    brute = _brute_roots(f, sup)
+    base = {embed(ctx.elem(b), ctx, sup).bits for b in range(32)}
+    for bound in (5, 10):
+        roots = uni_roots(f, bound)
+        found = {}
+        for r, mult in roots:
+            assert r.ctx.m == (5 if embed(r, r.ctx, sup).bits in base else 10)
+            found[embed(r, r.ctx, sup).bits] = mult
+        assert len(found) == len(roots)
+        want = {b: m for b, m in brute.items() if bound == 10 or b in base}
+        assert found == want
+
+
+def test_search_stops_at_the_bound(ctx, monkeypatch):
+    """(x + g) times two irreducible cubics: with bound 10 the search
+    squares 5 times for each of d = 1 and d = 2 and never reaches the
+    cubics' degree 3."""
+    rng = random.Random(7)
+    c1 = _root_free(ctx, rng, 3)
+    c2 = _root_free(ctx, rng, 3)
+    assert c1 != c2
+    f = UniPoly(ctx, [ctx.gen().bits, 1]) * c1 * c2
+    squarings = 0
+    mul = UniPoly.__mul__
+
+    def counted(a, b):
+        nonlocal squarings
+        squarings += a is b
+        return mul(a, b)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counted)
+    roots = uni_roots(f, 10)
+    assert [(r.bits, m) for r, m in roots] == [(ctx.gen().bits, 1)]
+    assert squarings == (10 // 5) * 5
