@@ -290,18 +290,20 @@ class CuspChart:
         return ProjPoint(ctx, coords)
 
 
-def cusp_parametrization(curve: MultiPoly) -> CuspChart:
+def cusp_parametrization(curve: MultiPoly,
+                         cusp: ProjPoint | None = None) -> CuspChart:
     """Build the cusp-projection chart of an irreducible cuspidal cubic.
 
     Lines through the cusp q0 hit the curve in one further point; the
     pencil is coordinatized by two linear forms l1 (the tangent cone
     line) and l2, and expanding curve(lambda q0 + mu (r1 + t r2)) in
     (lambda, mu) gives the residual intersection P(t) in closed form.
+    cusp, when given, is find_cusp(curve) as located by the caller.
     """
     ctx = curve.ctx
     if curve.total_degree() != 3:
         raise InvariantViolation("parametrization needs a cubic")
-    q0 = find_cusp(curve).coords
+    q0 = (find_cusp(curve) if cusp is None else cusp).coords
     j = max(i for i in range(3) if q0[i])
     keep = [i for i in range(3) if i != j]
     # dehomogenize to the chart x_j = 1 and translate the cusp to 0

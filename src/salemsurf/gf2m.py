@@ -221,9 +221,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.ctx, self.ctx.inv_bits(self.bits))
 
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.sqrt_bits(self.bits))
-
     def __bool__(self):
         return self.bits != 0
 
@@ -312,16 +309,6 @@ def frobenius(x: FieldElement, k: int) -> FieldElement:
 def dlog(x: FieldElement) -> int:
     """k with generator^k = x; raises DomainError for x = 0."""
     return x.ctx.dlog_bits(x.bits)
-
-
-def min_subfield_degree(x: FieldElement) -> int:
-    """Degree over GF(2) of the smallest subfield containing x."""
-    d = 1
-    y = frobenius(x, 1)
-    while y != x:
-        y = frobenius(y, 1)
-        d += 1
-    return d
 
 
 def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:

@@ -459,6 +459,7 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
         if len(row) != ncols:
             raise InvariantViolation("ragged matrix")
     mul, inv = ctx.mul_bits, ctx.inv_bits
+    exp, log, order = ctx._exp, ctx._log, ctx.order
     m = len(a)
     piv_of_col: dict[int, int] = {}
     r = 0
@@ -472,13 +473,19 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
             continue
         a[r], a[sel] = a[sel], a[r]
         b[r], b[sel] = b[sel], b[r]
-        s = inv(a[r][c])
-        a[r] = [mul(v, s) for v in a[r]]
+        # the pivot row is zero left of c: each earlier column is a
+        # cleared pivot column or has no nonzero entry in rows r..m-1
+        piv = a[r]
+        s = inv(piv[c])
+        piv[c:] = [mul(v, s) for v in piv[c:]]
         b[r] = mul(b[r], s)
+        nz = [(k, log[piv[k]]) for k in range(c, ncols) if piv[k]]
         for rr in range(m):
-            if rr != r and a[rr][c]:
-                f = a[rr][c]
-                a[rr] = [v ^ mul(f, w) for v, w in zip(a[rr], a[r])]
+            f = a[rr][c]
+            if rr != r and f:
+                row, lf = a[rr], log[f]
+                for k, lv in nz:
+                    row[k] ^= exp[(lf + lv) % order]
                 b[rr] ^= mul(f, b[r])
         piv_of_col[c] = r
         r += 1
@@ -530,9 +537,6 @@ class ProjPoint:
 
     def __hash__(self):
         return hash((id(self.ctx), self.coords))
-
-    def elems(self):
-        return [FieldElement(self.ctx, c) for c in self.coords]
 
     def __repr__(self):
         inner = " : ".join(format_elem(FieldElement(self.ctx, c))
@@ -676,16 +680,6 @@ def parse_poly_file(text: str):
             raise ParseError(f"expected `name = terms`: {ln!r}")
         polys[label.strip()] = parse_poly(ctx, names, body)
     return names, weights, ctx, polys
-
-
-def format_poly_file(names, weights, ctx, polys: dict) -> str:
-    head = (f"vars: {' '.join(names)}; "
-            f"weights: {' '.join(str(w) for w in weights)}; "
-            f"field: {format_field(ctx)}")
-    lines = [head]
-    for label, p in polys.items():
-        lines.append(f"{label} = {format_poly(p, names)}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_point_file(text: str):

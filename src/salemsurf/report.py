@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
-
 _STATUS_RANK = {"pass": 0, "fail": 1, "error": 2}
 
 
@@ -82,20 +80,6 @@ def emit_json(r: Report) -> str:
     """Canonical JSON, byte-identical across runs on identical inputs."""
     return json.dumps(_to_obj(r, True), indent=2, sort_keys=False,
                       ensure_ascii=True) + "\n"
-
-
-def parse_json(text: str) -> Report:
-    def build(obj):
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise ParseError("report node must be an object with a name")
-        kids = [build(c) for c in obj.get("children", [])]
-        return Report(obj["name"], obj.get("status", "error"),
-                      obj.get("witness"), kids, obj.get("elapsed_ms", 0))
-
-    obj = json.loads(text)
-    if obj.get("schema") != 1:
-        raise ParseError(f"unsupported report schema {obj.get('schema')!r}")
-    return build(obj)
 
 
 _MARK = {"pass": "PASS", "fail": "FAIL", "error": "ERROR"}

@@ -320,10 +320,11 @@ def cubic_suite(config: SuiteConfig) -> list:
 # surface suite
 
 
-def _surface_match(m: sf.SurfaceModel) -> tuple:
+def _surface_match(m: sf.SurfaceModel, cusp=None) -> tuple:
     """Report node for the concrete-to-abstract parameter match, plus
-    the multiplier of the induced action."""
-    chart = cu.cusp_parametrization(m.g)
+    the multiplier of the induced action. cusp is the cusp of m.g as
+    the cubic check located it, or None to locate it here."""
+    chart = cu.cusp_parametrization(m.g, cusp)
     action = cu.induced_affine_map(chart, list(m.f))
     checks = [rp.leaf("match.induced_action_affine", True, repr(action))]
     root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
@@ -385,8 +386,12 @@ def surface_suite(config: SuiteConfig) -> list:
         return sf.verify_derivation(m, got["inverse"],
                                     scalar=got.get("scalar"))
 
+    def cubic():
+        node, got["cusp"] = sf.verify_cubic(m)
+        return node
+
     def match():
-        node, got["alpha"] = _surface_match(m)
+        node, got["alpha"] = _surface_match(m, got.get("cusp"))
         return node
 
     def alpha():
@@ -400,7 +405,7 @@ def surface_suite(config: SuiteConfig) -> list:
         return checks
     m = got["model"]
     checks += [_guarded("orbit", lambda: sf.verify_orbit(m)),
-               _guarded("cubic", lambda: sf.verify_cubic(m)),
+               _guarded("cubic", cubic),
                _guarded("equivariance", lambda: sf.verify_equivariance(m)),
                _guarded("inverse", inverse)]
     if "inverse" in got:

@@ -195,11 +195,12 @@ def cubic_monomials():
     return [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
-def verify_cubic(m: SurfaceModel) -> rp.Report:
+def verify_cubic(m: SurfaceModel) -> tuple:
     """Uniqueness of the cubic through p_1..p_10 and its local shape:
     kernel of the incidence system is one-dimensional and spanned by g;
     g has a cusp (double point, double-line tangent cone) at the marked
-    cusp and is smooth at p_0."""
+    cusp and is smooth at p_0. Returns the report node and the cusp of
+    g as located by scanning the plane."""
     ctx = m.ctx
     mons = cubic_monomials()
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
@@ -240,7 +241,7 @@ def verify_cubic(m: SurfaceModel) -> rp.Report:
         "cubic.smooth_fixed_point",
         m.g.eval_bits(m.points[0].coords) == 0 and any(grad0),
         [_fmt(ctx, v) for v in grad0]))
-    return rp.node("cubic", checks)
+    return rp.node("cubic", checks), located
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,11 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
     # tail: eta_prime(f) = k alpha_w(f) eta, a linear system in the
     # 91 degree-12 monomial coefficients
     m12 = sorted((i, j, 12 - i - j) for i in range(13) for j in range(13 - i))
-    cols = [MultiPoly(ctx, 3, {mon: 1}).substitute(list(m.f)) for mon in m12]
+    powers = [[MultiPoly.const(ctx, 3, 1)] for _ in m.f]
+    for fi, pw in zip(m.f, powers):
+        for _ in range(12):
+            pw.append(pw[-1] * fi)
+    cols = [powers[0][i] * powers[1][j] * powers[2][k] for i, j, k in m12]
     rhs_poly = (alpha_f * m.eta).scale_bits(k)
     support = sorted(set().union(*(set(cp.terms) for cp in cols),
                                  set(rhs_poly.terms)))

@@ -251,15 +251,3 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
             out.append((FieldElement(sup, lin.coeffs[0]), mult))
     out.sort(key=lambda t: (t[0].ctx.m, t[0].bits))
     return out
-
-
-def product_over_roots(ctx: FieldCtx, roots) -> UniPoly:
-    """prod (x - r)^mult as a UniPoly over ctx (roots must lie in ctx)."""
-    acc = UniPoly(ctx, [1])
-    for r, mult in roots:
-        if r.ctx is not ctx:
-            raise InvariantViolation("root outside the requested context")
-        lin = UniPoly(ctx, [r.bits, 1])
-        for _ in range(mult):
-            acc = acc * lin
-    return acc

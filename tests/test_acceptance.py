@@ -85,7 +85,7 @@ def test_criterion_04_lagrangian_census(e10_basis):
         parities = sorted(census.class_parity[census.index_of(rows)]
                           for rows in inv)
         return len(inv) == 2 and parities == [0, 1]
-    _report(4, "4590 Lagrangians, 2295 + 2295, two invariant", 5, run)
+    _report(4, "4590 Lagrangians, 2295 + 2295, two invariant", 1, run)
 
 
 def test_criterion_05_salem_certification():
@@ -142,7 +142,7 @@ def test_criterion_08_orbit_and_cubic():
         ctx = gf32()
         m = sf.load_model()
         cusp = ProjPoint(ctx, (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1))
-        return (sf.verify_orbit(m).ok() and sf.verify_cubic(m).ok()
+        return (sf.verify_orbit(m).ok() and sf.verify_cubic(m)[0].ok()
                 and m.cusp == cusp)
     _report(8, "marked orbit, unique cubic, cusp and smooth point", 1, run)
 

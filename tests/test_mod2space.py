@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -36,15 +37,21 @@ def _hyperbolic_sum(k):
             for i in range(n)]
 
 
-def _changed_basis(gram, seed):
-    """A^T G A for a seeded unimodular A (a product of row operations)."""
+def _unimodular(n, seed):
+    """A seeded unimodular integer matrix (a product of row operations)."""
     rng = random.Random(seed)
-    n = len(gram)
     a = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(40):
         i, j = rng.sample(range(n), 2)
         k = rng.choice([-3, -2, -1, 1, 2, 3])
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def _changed_basis(gram, seed):
+    """A^T G A for the seeded unimodular A of _unimodular."""
+    n = len(gram)
+    a = _unimodular(n, seed)
     return [[sum(a[r][i] * gram[r][s] * a[s][j]
                  for r in range(n) for s in range(n)) for j in range(n)]
             for i in range(n)]
@@ -87,10 +94,65 @@ def test_census_on_other_grams(grams, name):
 
 
 def test_standard_space_is_plus_type(e10_basis):
+    """Arf invariant 0: a plus-type space of dimension 2h has
+    2^(2h-1) + 2^(h-1) - 1 nonzero singular vectors."""
     sp = Mod2QuadSpace(lat.gram_of(e10_basis))
     assert sp.dim == 10
-    assert sp.is_plus_type()
-    assert sp.singular_nonzero_count() == (1 << 9) + (1 << 4) - 1
+    singular = sum(1 for v in range(1, 1 << sp.dim) if sp.q[v] == 0)
+    assert singular == (1 << 9) + (1 << 4) - 1
+
+
+@pytest.mark.parametrize("k,count", [(1, 2), (2, 6), (3, 30)])
+def test_census_against_brute_force(k, count):
+    """Every k-dimensional subspace of U^k spanned by some k vectors,
+    kept when q vanishes on all of it, against the census."""
+    sp = Mod2QuadSpace(_hyperbolic_sum(k))
+    spans = {frozenset(span_of(vs))
+             for vs in combinations(range(1, 1 << sp.dim), k)}
+    lagrangians = {s for s in spans
+                   if len(s) == 1 << k and all(sp.q[v] == 0 for v in s)}
+    census = enumerate_lagrangians(sp)
+    assert len(lagrangians) == count == len(census.members)
+    assert {frozenset(span_of(rows)) for rows in census.members} \
+        == lagrangians
+    assert all(rref_rows(rows) == rows for rows in census.members)
+    assert census.members == sorted(census.members)
+    assert census.class_sizes() == (count // 2, count // 2)
+
+
+def _orthogonal_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return out
+
+
+@pytest.mark.parametrize("gram,message", [
+    # A2 + U^4: Arf invariant 1, no Lagrangian at all
+    (_orthogonal_sum([[2, 1], [1, 2]], _hyperbolic_sum(4)), "plus-type"),
+    (_orthogonal_sum(_hyperbolic_sum(1), [[2]]), "even dimension"),
+    (_orthogonal_sum(_hyperbolic_sum(2), [[0, 0], [0, 2]]),
+     "nondegenerate polar form"),
+    (_orthogonal_sum([[2, 0], [0, 2]], _hyperbolic_sum(1)),
+     "nondegenerate polar form"),
+])
+def test_census_rejects_other_spaces(gram, message):
+    with pytest.raises(InvariantViolation, match=message):
+        enumerate_lagrangians(Mod2QuadSpace(gram))
+
+
+def test_census_follows_a_change_of_basis(census, e10_basis):
+    """The census of A^T G A, mapped through A mod 2 (new coordinates to
+    old), is the census of G."""
+    gram = lat.gram_of(e10_basis)
+    moved = enumerate_lagrangians(Mod2QuadSpace(_changed_basis(gram, 17)))
+    cols = mat2_from_int(_unimodular(len(gram), 17))
+    assert sorted(rref_rows(mat2_apply(cols, r) for r in rows)
+                  for rows in moved.members) == list(census.members)
 
 
 def test_odd_gram_rejected():

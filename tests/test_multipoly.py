@@ -4,11 +4,21 @@ import pytest
 
 from salemsurf.errors import DomainError
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import (MultiPoly, ProjPoint, format_poly,
-                                 format_poly_file, linear_solve, parse_poly,
+from salemsurf.multipoly import (MultiPoly, ProjPoint, format_field,
+                                 format_poly, linear_solve, parse_poly,
                                  parse_poly_file, resultant)
 
 NAMES = ("x", "y", "z")
+
+
+def _format_poly_file(names, weights, ctx, polys: dict) -> str:
+    head = (f"vars: {' '.join(names)}; "
+            f"weights: {' '.join(str(w) for w in weights)}; "
+            f"field: {format_field(ctx)}")
+    lines = [head]
+    for label, p in polys.items():
+        lines.append(f"{label} = {format_poly(p, names)}")
+    return "\n".join(lines) + "\n"
 
 
 def _rand_poly(ctx, nvars, rng, maxdeg=3, nterms=4):
@@ -244,6 +254,91 @@ def test_linear_solve_kernel(ctx):
     assert len(res.kernel) == 1
 
 
+def _dense_solve(ctx, a, b):
+    """Gauss-Jordan with whole-row updates, one field product per
+    entry: the reference for linear_solve, with the same pivot order.
+    Returns (status, solution bits, kernel bit vectors)."""
+    a = [list(row) for row in a]
+    b = list(b)
+    mul, inv = ctx.mul_bits, ctx.inv_bits
+    m, ncols = len(a), len(a[0])
+    piv_of_col = {}
+    r = 0
+    for c in range(ncols):
+        sel = next((rr for rr in range(r, m) if a[rr][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        b[r], b[sel] = b[sel], b[r]
+        s = inv(a[r][c])
+        a[r] = [mul(v, s) for v in a[r]]
+        b[r] = mul(b[r], s)
+        for rr in range(m):
+            if rr != r and a[rr][c]:
+                f = a[rr][c]
+                a[rr] = [v ^ mul(f, w) for v, w in zip(a[rr], a[r])]
+                b[rr] ^= mul(f, b[r])
+        piv_of_col[c] = r
+        r += 1
+    if any(b[r:]):
+        return "inconsistent", None, []
+    sol = [0] * ncols
+    for c, rr in piv_of_col.items():
+        sol[c] = b[rr]
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in piv_of_col):
+        v = [0] * ncols
+        v[fc] = 1
+        for c, rr in piv_of_col.items():
+            v[c] = a[rr][fc]
+        kernel.append(v)
+    return ("kernel" if kernel else "unique"), sol, kernel
+
+
+def _apply(ctx, a, x):
+    out = []
+    for row in a:
+        acc = 0
+        for v, w in zip(row, x):
+            acc ^= ctx.mul_bits(v, w)
+        out.append(acc)
+    return out
+
+
+def test_linear_solve_against_dense_elimination(ctx):
+    """Seeded square, tall and wide systems of full and deficient rank,
+    with consistent and arbitrary right-hand sides."""
+    rng = random.Random(29)
+    seen = set()
+    for m, n in ((6, 6), (9, 5), (5, 9), (12, 12)):
+        for rank in (min(m, n), min(m, n) - 2, 1):
+            for _ in range(4):
+                left = [[rng.randrange(32) for _ in range(rank)]
+                        for _ in range(m)]
+                right = [[rng.randrange(32) for _ in range(n)]
+                         for _ in range(rank)]
+                cols = list(zip(*right))
+                a = [_apply(ctx, cols, row) for row in left]
+                x0 = [rng.randrange(32) for _ in range(n)]
+                for b in (_apply(ctx, a, x0),
+                          [rng.randrange(32) for _ in range(m)]):
+                    res = linear_solve(ctx, a, b)
+                    status, sol, kernel = _dense_solve(ctx, a, b)
+                    seen.add(status)
+                    assert res.status == status
+                    if status == "inconsistent":
+                        assert res.solution is None and res.kernel == []
+                        continue
+                    got = [e.bits for e in res.solution]
+                    assert got == sol
+                    assert _apply(ctx, a, got) == b
+                    assert [[e.bits for e in k] for k in res.kernel] \
+                        == kernel
+                    for k in kernel:
+                        assert not any(_apply(ctx, a, k))
+    assert seen == {"unique", "kernel", "inconsistent"}
+
+
 def test_poly_text_roundtrip(ctx):
     rng = random.Random(11)
     for _ in range(10):
@@ -254,7 +349,7 @@ def test_poly_text_roundtrip(ctx):
 def test_poly_file_roundtrip(ctx):
     rng = random.Random(12)
     polys = {"a": _rand_poly(ctx, 3, rng), "b": _rand_poly(ctx, 3, rng)}
-    text = format_poly_file(NAMES, (1, 1, 1), ctx, polys)
+    text = _format_poly_file(NAMES, (1, 1, 1), ctx, polys)
     names, weights, fctx, parsed = parse_poly_file(text)
     assert names == list(NAMES) or tuple(names) == NAMES
     assert tuple(weights) == (1, 1, 1)
@@ -265,7 +360,7 @@ def test_poly_file_roundtrip(ctx):
 def test_projective_normalization(ctx):
     p = ProjPoint(ctx, (ctx.gen_pow(14), ctx.gen_pow(7), ctx.one()))
     lam = ctx.gen_pow(11)
-    q = ProjPoint(ctx, tuple(c * lam for c in p.elems()))
+    q = ProjPoint(ctx, tuple(ctx.elem(c) * lam for c in p.coords))
     assert p == q
     assert repr(p) == "(g^14 : g^7 : 1)"
     with pytest.raises(DomainError, match="all-zero projective"):

@@ -34,6 +34,19 @@ def test_node_status_is_worst_child():
     assert not rp.node("n", [good, bad]).ok()
 
 
+def _parse_json(text: str) -> rp.Report:
+    """A schema-1 report document back into Report objects."""
+    def build(obj):
+        assert isinstance(obj, dict) and "name" in obj
+        kids = [build(c) for c in obj.get("children", [])]
+        return rp.Report(obj["name"], obj.get("status", "error"),
+                         obj.get("witness"), kids, obj.get("elapsed_ms", 0))
+
+    obj = json.loads(text)
+    assert obj.get("schema") == 1
+    return build(obj)
+
+
 def test_json_shape_and_roundtrip():
     r = rp.node("top", [rp.leaf("child", True, witness="g^5")],
                 elapsed_ms=3.25)
@@ -43,7 +56,7 @@ def test_json_shape_and_roundtrip():
     assert obj["elapsed_ms"] == 0  # pinned for byte determinism
     assert list(obj) == ["schema", "name", "status", "witness",
                          "children", "elapsed_ms"] or "witness" not in obj
-    back = rp.parse_json(text)
+    back = _parse_json(text)
     assert back.name == "top" and back.ok()
     assert back.children[0].witness == "g^5"
 
@@ -119,9 +132,9 @@ def test_shared_objects_are_built_once(monkeypatch, model):
     def count(module, name):
         fn = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     read = sf._read_data
@@ -155,6 +168,13 @@ def test_shared_objects_are_built_once(monkeypatch, model):
     assert calls["cusp_parametrization"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
+    # the cubic check locates the cusp and the match reuses it
+    count(cu, "find_cusp")
+    count(sf, "find_cusp")  # surface imports it by name
+    calls.clear()
+    assert run_suite("surface").ok()
+    assert calls["find_cusp"] == 1
+    assert calls["cusp_parametrization"] == 1
 
 
 def test_lattice_reads_the_basis_from_data(tmp_path, capsys):

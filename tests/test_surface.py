@@ -35,7 +35,8 @@ def test_apply_map_examples(ctx, model):
 
 def test_orbit_cubic_equivariance_reports(model):
     assert sf.verify_orbit(model).ok()
-    assert sf.verify_cubic(model).ok()
+    node, located = sf.verify_cubic(model)
+    assert node.ok() and located == model.cusp
     assert sf.verify_equivariance(model).ok()
 
 
@@ -176,7 +177,7 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
                               eta, model.g, model.points, model.cusp)
         if sf.verify_equivariance(mut).ok():
             assert not (sf.verify_orbit(mut).ok()
-                        and sf.verify_cubic(mut).ok())
+                        and sf.verify_cubic(mut)[0].ok())
 
 
 def _moved(model, images, move):

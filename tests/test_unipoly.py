@@ -5,7 +5,18 @@ import pytest
 from salemsurf.errors import DomainError
 from salemsurf.gf2m import embed, ext_context, field_make, gf32
 from salemsurf.lattice import lehmer_polynomial
-from salemsurf.unipoly import UniPoly, factor, product_over_roots, uni_roots
+from salemsurf.unipoly import UniPoly, factor, uni_roots
+
+
+def _product_over_roots(ctx, roots) -> UniPoly:
+    """prod (x - r)^mult as a UniPoly over ctx (roots must lie in ctx)."""
+    acc = UniPoly(ctx, [1])
+    for r, mult in roots:
+        assert r.ctx is ctx
+        lin = UniPoly(ctx, [r.bits, 1])
+        for _ in range(mult):
+            acc = acc * lin
+    return acc
 
 
 def test_divmod_roundtrip(ctx):
@@ -79,7 +90,7 @@ def _irreducible_quadratic(ctx):
 
 def test_bounded_search_reports_cofactor(ctx):
     """Roots beyond the extension bound are omitted, never invented."""
-    lin = product_over_roots(ctx, [(ctx.gen(), 1), (ctx.gen_pow(2), 1)])
+    lin = _product_over_roots(ctx, [(ctx.gen(), 1), (ctx.gen_pow(2), 1)])
     quad = _irreducible_quadratic(ctx)
     f = lin * quad
     roots = uni_roots(f, 5)
@@ -87,7 +98,7 @@ def test_bounded_search_reports_cofactor(ctx):
         [ctx.gen().bits, ctx.gen_pow(2).bits])
     assert sum(m for _, m in roots) == 2 < f.degree()
     # reconstruction: split part times the cofactor is the input
-    split = product_over_roots(ctx, roots)
+    split = _product_over_roots(ctx, roots)
     q, rem = divmod(f, split)
     assert rem.is_zero() and q * split == f
     # raising the bound picks up the quadratic's two conjugate roots
@@ -115,7 +126,7 @@ def test_factor_char2_square():
 
 def test_factor_is_deterministic(ctx):
     # equal-degree splitting is seeded; two runs agree exactly
-    f = product_over_roots(ctx, [(ctx.elem(b), 1) for b in range(1, 9)])
+    f = _product_over_roots(ctx, [(ctx.elem(b), 1) for b in range(1, 9)])
     a = factor(f)
     b = factor(f)
     assert [(p.coeffs, m) for p, m in a] == [(p.coeffs, m) for p, m in b]
@@ -124,7 +135,7 @@ def test_factor_is_deterministic(ctx):
 
 def test_factor_recomposes(ctx):
     quad = _irreducible_quadratic(ctx)
-    f = quad * quad * product_over_roots(ctx, [(ctx.gen_pow(3), 1)])
+    f = quad * quad * _product_over_roots(ctx, [(ctx.gen_pow(3), 1)])
     acc = UniPoly(ctx, [1])
     for p, mult in factor(f):
         for _ in range(mult):
