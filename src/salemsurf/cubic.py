@@ -20,6 +20,7 @@ from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
 from .lattice import lehmer_polynomial
 from .multipoly import MultiPoly, ProjPoint, plane_points
+from .unipoly import UniPoly
 from . import report as rp
 
 
@@ -96,10 +97,6 @@ class AffineAction:
         return AffineAction(self.alpha * other.alpha,
                             self.alpha * other.beta + self.beta)
 
-    def inverse(self) -> "AffineAction":
-        ai = self.alpha.inverse()
-        return AffineAction(ai, ai * self.beta)
-
     def fixed_point(self) -> FieldElement:
         one = self.alpha.ctx.one()
         if self.alpha == one:
@@ -117,24 +114,16 @@ class AffineAction:
 
 def lehmer_mod2_roots(ctx: FieldCtx) -> list[FieldElement]:
     """Roots in ctx of the fixed degree-10 polynomial reduced mod 2."""
-    coeffs = [c % 2 for c in lehmer_polynomial()]
-    out = []
-    for bits in range(1, 1 << ctx.m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = ctx.mul_bits(acc, bits) ^ c
-        if acc == 0:
-            out.append(FieldElement(ctx, bits))
+    p = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
+    out = [FieldElement(ctx, bits) for bits in range(1, 1 << ctx.m)
+           if p.eval_bits(bits) == 0]
     out.sort(key=lambda e: ctx.dlog_bits(e.bits))
     return out
 
 
 def _is_lehmer_root(alpha: FieldElement) -> bool:
-    acc = 0
-    ctx = alpha.ctx
-    for c in reversed([c % 2 for c in lehmer_polynomial()]):
-        acc = ctx.mul_bits(acc, alpha.bits) ^ c
-    return acc == 0
+    p = UniPoly(alpha.ctx, [c % 2 for c in lehmer_polynomial()])
+    return p.eval_bits(alpha.bits) == 0
 
 
 def beta_from_alpha(alpha: FieldElement) -> FieldElement:
@@ -281,29 +270,23 @@ class CuspChart:
 
     def point_at(self, t: FieldElement) -> ProjPoint:
         ctx = self.curve.ctx
-        coords = []
-        for coeffs in self.coeff_lists:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = ctx.mul_bits(acc, t.bits) ^ c
-            coords.append(acc)
-        return ProjPoint(ctx, coords)
+        return ProjPoint(ctx, [UniPoly(ctx, coeffs).eval_bits(t.bits)
+                               for coeffs in self.coeff_lists])
 
 
-def cusp_parametrization(curve: MultiPoly,
-                         cusp: ProjPoint | None = None) -> CuspChart:
+def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint) -> CuspChart:
     """Build the cusp-projection chart of an irreducible cuspidal cubic.
 
     Lines through the cusp q0 hit the curve in one further point; the
     pencil is coordinatized by two linear forms l1 (the tangent cone
     line) and l2, and expanding curve(lambda q0 + mu (r1 + t r2)) in
     (lambda, mu) gives the residual intersection P(t) in closed form.
-    cusp, when given, is find_cusp(curve) as located by the caller.
+    cusp is find_cusp(curve), as located by the caller.
     """
     ctx = curve.ctx
     if curve.total_degree() != 3:
         raise InvariantViolation("parametrization needs a cubic")
-    q0 = (find_cusp(curve) if cusp is None else cusp).coords
+    q0 = cusp.coords
     j = max(i for i in range(3) if q0[i])
     keep = [i for i in range(3) if i != j]
     # dehomogenize to the chart x_j = 1 and translate the cusp to 0

@@ -296,21 +296,6 @@ def ext_context(degree: int) -> FieldCtx:
     return ctx
 
 
-def frobenius(x: FieldElement, k: int) -> FieldElement:
-    """x^(2^k); k = 1 is the squaring Frobenius."""
-    if k < 0:
-        raise InvariantViolation("frobenius exponent must be nonnegative")
-    bits = x.bits
-    for _ in range(k % x.ctx.m if x.bits else 0):
-        bits = x.ctx.mul_bits(bits, bits)
-    return FieldElement(x.ctx, bits)
-
-
-def dlog(x: FieldElement) -> int:
-    """k with generator^k = x; raises DomainError for x = 0."""
-    return x.ctx.dlog_bits(x.bits)
-
-
 def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
     if sup.m % sub.m != 0:
         raise InvariantViolation(f"degree {sub.m} does not divide {sup.m}")

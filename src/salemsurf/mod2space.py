@@ -82,6 +82,16 @@ def mat2_apply(cols, v: int) -> int:
     return r
 
 
+def mat2_images(cols) -> list:
+    """M v for every v in GF(2)^n, indexed by v: one XOR per vector,
+    since M v = M (v - e_i) + M e_i for the lowest set bit e_i of v."""
+    image = [0] * (1 << len(cols))
+    for v in range(1, len(image)):
+        low = v & -v
+        image[v] = image[v ^ low] ^ cols[low.bit_length() - 1]
+    return image
+
+
 def mat2_mul(a, b) -> tuple:
     return tuple(mat2_apply(a, bj) for bj in b)
 
@@ -213,12 +223,13 @@ def mod2_reduce_and_factor(p):
     return [([c for c in irr.coeffs], mult) for irr, mult in gf2_factor(f)]
 
 
-def mod2_action_analysis(m, ge, space, cp) -> Mod2ActionReport:
+def mod2_action_analysis(m, ge, space, cp, images) -> Mod2ActionReport:
     """Order and irreducible-factor kernels of an isometry reduced mod 2.
 
     m: integer matrix on an even-sublattice basis with Gram matrix ge;
     must preserve ge (InvariantViolation otherwise). space is the
-    quadratic space of ge and cp the characteristic polynomial of m.
+    quadratic space of ge, cp the characteristic polynomial of m and
+    images = mat2_images(m mod 2), on which q is checked invariant.
     Kernels are of p_i(m mod 2) for each irreducible factor p_i of cp
     mod 2, each reported with its dimension and whether the quadratic
     form vanishes on all of it.
@@ -235,12 +246,8 @@ def mod2_action_analysis(m, ge, space, cp) -> Mod2ActionReport:
         sing = all(space.q[v] == 0 for v in span_of(rows))
         records.append(KernelRecord(tuple(coeffs), mult, len(rows), sing,
                                     rows))
-    return Mod2ActionReport(order, _preserves(space, cols), records)
-
-
-def _preserves(space, cols) -> bool:
-    return all(space.q[mat2_apply(cols, v)] == space.q[v]
-               for v in range(1 << space.dim))
+    preserves = all(space.q[w] == q for w, q in zip(images, space.q))
+    return Mod2ActionReport(order, preserves, records)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +278,10 @@ class LagrangianCensus:
         ones = sum(self.class_parity)
         return (len(self.members) - ones, ones)
 
-    def invariant_members(self, cols):
-        """Members L with (M mod 2) L = L, for a GF(2) column matrix."""
-        image = [0] * (1 << self.space.dim)
-        for v in range(1, len(image)):
-            low = v & -v
-            image[v] = image[v ^ low] ^ cols[low.bit_length() - 1]
+    def invariant_members(self, images):
+        """Members L with M L = L, for images = mat2_images(M mod 2)."""
         return [rows for rows in self.members
-                if all(subspace_contains(rows, image[r]) for r in rows)]
+                if all(subspace_contains(rows, images[r]) for r in rows)]
 
     def index_of(self, rows) -> int:
         import bisect

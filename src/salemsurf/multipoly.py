@@ -560,14 +560,6 @@ def plane_points(ctx: FieldCtx):
 # text format
 
 
-def format_field(ctx: FieldCtx) -> str:
-    rhs = []
-    for k in range(ctx.m - 1, -1, -1):
-        if (ctx.modulus >> k) & 1:
-            rhs.append("1" if k == 0 else ("g" if k == 1 else f"g^{k}"))
-    return f"g^{ctx.m}=" + "+".join(rhs)
-
-
 def _parse_natural(token: str, message: str) -> int:
     """A non-negative integer token (an exponent, a degree or a weight)."""
     try:

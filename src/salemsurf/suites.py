@@ -6,6 +6,11 @@ knobs, so two runs on the same inputs emit byte-identical JSON. The
 node names `lattice.coxeter`, `lattice.salem`, `lattice.mod2` and
 `lattice.lagrangians` are part of the external interface; everything
 else follows the library layout.
+
+A suite is a list of (node name, check) pairs, each run in its own
+guard, over one table of run objects (`_run_objects`), so every shared
+object is built at most once per run, a failed build included. The
+`salem` and `lagrangians` suites run one check of the lattice list.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ class SuiteConfig:
         self.ext_bound = int(ext_bound)
 
 
-def _guarded(name: str, build) -> rp.Report:
+def _guarded(name: str, build) -> rp.Report | None:
     """Run one check and time it. build() returns either the check's
-    report, which gets the measured time, or a list of child reports,
-    which become a node called `name`. Any escape becomes an error leaf
-    called `name`, so a suite always returns a report."""
+    report, which gets the measured time, a list of child reports,
+    which become a node called `name`, or None for no node. Any escape
+    becomes an error leaf called `name`, so a suite always reports."""
     t0 = time.perf_counter()
     try:
         out = build()
@@ -50,35 +55,40 @@ def _guarded(name: str, build) -> rp.Report:
     if isinstance(out, rp.Report):
         out.elapsed_ms = elapsed_ms
         return out
-    return rp.node(name, out, elapsed_ms=elapsed_ms)
+    return None if out is None else rp.node(name, out, elapsed_ms=elapsed_ms)
+
+
+def _run_checks(checks) -> list:
+    """The reports of (node name, check) pairs, each check run in its
+    own guard, in order."""
+    reps = [_guarded(name, check) for name, check in checks]
+    return [rep for rep in reps if rep is not None]
+
+
+def _run_objects(builders: dict):
+    """need(key) for one run. builders[key](need) builds the object on
+    first use, inside the guard of the check that asks, and the object
+    is kept for the rest of the run. A build that raises is kept too:
+    later calls re-raise its exception without building again, so every
+    check that needs the object reports the cause in its own leaf."""
+    got = {}
+    failed = {}
+
+    def need(key):
+        if key in failed:
+            raise failed[key]
+        if key not in got:
+            try:
+                got[key] = builders[key](need)
+            except Exception as ex:  # noqa: BLE001 - kept for later needs
+                failed[key] = ex
+                raise
+        return got[key]
+    return need
 
 
 # ---------------------------------------------------------------------------
 # lattice suite
-
-
-def _e10_objects(data_dir):
-    """need(key) for one lattice run: the E10 basis, its Gram matrix,
-    the Coxeter restriction, that restriction's char poly and the mod-2
-    space, each built on first use (inside the guard of the check that
-    asks) and kept for the rest of the run. A failed build is not kept,
-    so every check that needs it reports the cause in its own leaf."""
-    got = {}
-    build = {
-        "basis": lambda: lat.e10_basis(
-            sf._read_data(data_dir, "e10_basis.dat")),
-        "gram": lambda: lat.gram_of(need("basis")),
-        "restriction": lambda: lat.restrict_to_basis(
-            lat.coxeter_matrix(), need("basis")),
-        "char_poly": lambda: lat.char_poly(need("restriction")),
-        "space": lambda: m2.Mod2QuadSpace(need("gram")),
-    }
-
-    def need(key):
-        if key not in got:
-            got[key] = build[key]()
-        return got[key]
-    return need
 
 
 def _lattice_coxeter(ge, me, pe) -> list:
@@ -147,8 +157,8 @@ def _lattice_salem(precision) -> list:
 _MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
 
 
-def _lattice_mod2(ge, me, pe, space) -> list:
-    rep = m2.mod2_action_analysis(me, ge, space, pe)
+def _lattice_mod2(ge, me, pe, space, images) -> list:
+    rep = m2.mod2_action_analysis(me, ge, space, pe, images)
     checks = [
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
         rp.leaf("mod2.order", rep.order == 31, f"order {rep.order}"),
@@ -172,15 +182,14 @@ def _lattice_mod2(ge, me, pe, space) -> list:
     return checks
 
 
-def _lattice_lagrangians(me, space) -> list:
+def _lattice_lagrangians(images, space) -> list:
     census = m2.enumerate_lagrangians(space)
-    cols = m2.mat2_from_int(me)
     checks = [rp.leaf("lagrangians.count", len(census.members) == 4590,
                       f"{len(census.members)} members")]
     sizes = census.class_sizes()
     checks.append(rp.leaf("lagrangians.class_sizes",
                           sizes == (2295, 2295), list(sizes)))
-    inv = census.invariant_members(cols)
+    inv = census.invariant_members(images)
     checks.append(rp.leaf("lagrangians.invariant_count", len(inv) == 2,
                           f"{len(inv)} invariant members"))
     pars = sorted(census.class_parity[census.index_of(rows)]
@@ -190,17 +199,34 @@ def _lattice_lagrangians(me, space) -> list:
     return checks
 
 
-def lattice_suite(config: SuiteConfig) -> list:
-    need = _e10_objects(config.data_dir)
-    return [_guarded("lattice.coxeter", lambda: _lattice_coxeter(
+def _lattice_checks(config: SuiteConfig) -> list:
+    """The lattice checks in report order over one run-object table:
+    the E10 basis, its Gram matrix, the Coxeter restriction, that
+    restriction's char poly, the mod-2 space and the table of images
+    of all 2^10 vectors under the restriction mod 2."""
+    need = _run_objects({
+        "basis": lambda need: lat.e10_basis(
+            sf._read_data(config.data_dir, "e10_basis.dat")),
+        "gram": lambda need: lat.gram_of(need("basis")),
+        "restriction": lambda need: lat.restrict_to_basis(
+            lat.coxeter_matrix(), need("basis")),
+        "char_poly": lambda need: lat.char_poly(need("restriction")),
+        "space": lambda need: m2.Mod2QuadSpace(need("gram")),
+        "images": lambda need: m2.mat2_images(
+            m2.mat2_from_int(need("restriction"))),
+    })
+    return [("lattice.coxeter", lambda: _lattice_coxeter(
                 need("gram"), need("restriction"), need("char_poly"))),
-            _guarded("lattice.salem",
-                     lambda: _lattice_salem(config.precision)),
-            _guarded("lattice.mod2", lambda: _lattice_mod2(
+            ("lattice.salem", lambda: _lattice_salem(config.precision)),
+            ("lattice.mod2", lambda: _lattice_mod2(
                 need("gram"), need("restriction"), need("char_poly"),
-                need("space"))),
-            _guarded("lattice.lagrangians", lambda: _lattice_lagrangians(
-                need("restriction"), need("space")))]
+                need("space"), need("images"))),
+            ("lattice.lagrangians", lambda: _lattice_lagrangians(
+                need("images"), need("space")))]
+
+
+def lattice_suite(config: SuiteConfig) -> list:
+    return _run_checks(_lattice_checks(config))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +335,71 @@ def _cubic_alpha_table(data_dir) -> rp.Report:
 
 
 def cubic_suite(config: SuiteConfig) -> list:
-    return [_guarded("cubic.group_law", _cubic_group_law),
-            _guarded("cubic.beta_solver", _cubic_beta_solver),
-            _guarded("cubic.orbits", _cubic_orbits),
-            _guarded("cubic.alpha_table_fresh",
-                     lambda: _cubic_alpha_table(config.data_dir))]
+    return _run_checks([
+        ("cubic.group_law", _cubic_group_law),
+        ("cubic.beta_solver", _cubic_beta_solver),
+        ("cubic.orbits", _cubic_orbits),
+        ("cubic.alpha_table_fresh",
+         lambda: _cubic_alpha_table(config.data_dir))])
 
 
 # ---------------------------------------------------------------------------
 # surface suite
 
 
-def _surface_match(m: sf.SurfaceModel, cusp=None) -> tuple:
-    """Report node for the concrete-to-abstract parameter match, plus
-    the multiplier of the induced action. cusp is the cusp of m.g as
-    the cubic check located it, or None to locate it here."""
-    chart = cu.cusp_parametrization(m.g, cusp)
-    action = cu.induced_affine_map(chart, list(m.f))
+def _surface_objects(data_dir):
+    """need(key) for one surface run: the model, the inverse of its
+    automorphism, the conjugation scalar, the cusp of the marked cubic
+    as located by scanning the plane, the cusp chart of that cubic and
+    the affine action the automorphism induces on it."""
+    return _run_objects({
+        "model": lambda need: sf.load_model(data_dir),
+        "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
+        "scalar": lambda need: sf.conjugation_scalar(need("model"),
+                                                     need("inverse")),
+        "cusp": lambda need: cu.find_cusp(need("model").g),
+        "chart": lambda need: cu.cusp_parametrization(need("model").g,
+                                                      need("cusp")),
+        "action": lambda need: cu.induced_affine_map(
+            need("chart"), list(need("model").f)),
+    })
+
+
+def _model_leaf(m: sf.SurfaceModel) -> rp.Report:
+    return rp.leaf("model", True, {
+        "surface_terms": m.s.num_terms(),
+        "translation_terms": m.eta.num_terms(),
+        "cubic_terms": m.g.num_terms(),
+        "marked_points": len(m.points),
+    })
+
+
+def _inverse_leaf(m: sf.SurfaceModel, si: sf.SigmaInverse) -> rp.Report:
+    return rp.leaf("inverse", True, {
+        "w_scalar": sf._fmt(m.ctx, si.w_scalar),
+        "tail_terms": si.eta_prime.num_terms(),
+    })
+
+
+def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
+    """The derivation node over the run's inverse and conjugation scalar
+    (or the NoSolution its build raised); no node without the inverse,
+    whose own leaf says why."""
+    try:
+        si = need("inverse")
+    except Exception:  # noqa: BLE001 - reported by the inverse leaf
+        return None
+    try:
+        scalar = need("scalar")
+    except NoSolution as ex:
+        scalar = ex
+    return sf.verify_derivation(m, si, scalar)
+
+
+def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
+                   action: cu.AffineAction) -> rp.Report:
+    """Report node for the concrete-to-abstract parameter match: chart
+    is the cusp chart of m.g and action the map m.f induces on it."""
     checks = [rp.leaf("match.induced_action_affine", True, repr(action))]
     root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
     checks.append(rp.leaf("match.multiplier_is_root",
@@ -353,70 +427,37 @@ def _surface_match(m: sf.SurfaceModel, cusp=None) -> tuple:
         checks.append(rp.leaf("match.marking_preserved", labels_ok))
     except Exception as ex:  # noqa: BLE001
         checks.append(rp.error_leaf("match.parameter_transport", ex))
-    return rp.node("match", checks), action.alpha
+    return rp.node("match", checks)
+
+
+def _surface_alpha(m: sf.SurfaceModel, need) -> rp.Report:
+    try:
+        scalar, action = need("scalar"), need("action")
+    except Exception:  # noqa: BLE001 - the earlier leaves say why
+        raise NoSolution("conjugation scalar or induced multiplier "
+                         "unavailable; see earlier leaves") from None
+    return sf.verify_alpha_consistency(m, scalar, action.alpha)
 
 
 def surface_suite(config: SuiteConfig) -> list:
-    """The surface checks in report order. Each runs in its own guard,
-    so it carries its measured time and an exception becomes its own
-    error leaf; `got` keeps the objects that later checks need."""
-    got = {}
-
-    def model():
-        m = got["model"] = sf.load_model(config.data_dir)
-        return rp.leaf("model", True, {
-            "surface_terms": m.s.num_terms(),
-            "translation_terms": m.eta.num_terms(),
-            "cubic_terms": m.g.num_terms(),
-            "marked_points": len(m.points),
-        })
-
-    def inverse():
-        si = got["inverse"] = sf.derive_sigma_inverse(m)
-        return rp.leaf("inverse", True, {
-            "w_scalar": sf._fmt(m.ctx, si.w_scalar),
-            "tail_terms": si.eta_prime.num_terms(),
-        })
-
-    def derivation():
-        try:
-            got["scalar"] = sf.conjugation_scalar(m, got["inverse"])
-        except NoSolution:
-            pass
-        return sf.verify_derivation(m, got["inverse"],
-                                    scalar=got.get("scalar"))
-
-    def cubic():
-        node, got["cusp"] = sf.verify_cubic(m)
-        return node
-
-    def match():
-        node, got["alpha"] = _surface_match(m, got.get("cusp"))
-        return node
-
-    def alpha():
-        if got.get("scalar") is None or got.get("alpha") is None:
-            raise NoSolution("conjugation scalar or induced multiplier "
-                             "unavailable; see earlier leaves")
-        return sf.verify_alpha_consistency(m, got["scalar"], got["alpha"])
-
-    checks = [_guarded("model", model)]
-    if "model" not in got:
-        return checks
-    m = got["model"]
-    checks += [_guarded("orbit", lambda: sf.verify_orbit(m)),
-               _guarded("cubic", cubic),
-               _guarded("equivariance", lambda: sf.verify_equivariance(m)),
-               _guarded("inverse", inverse)]
-    if "inverse" in got:
-        checks.append(_guarded("derivation", derivation))
-    checks += [_guarded("singular",
-                        lambda: sf.singular_locus(m, config.ext_bound)),
-               _guarded("multiplicities", lambda: sf.verify_multiplicities(m)),
-               _guarded("charts", lambda: sf.verify_chart_smoothness(m)),
-               _guarded("match", match),
-               _guarded("alpha", alpha)]
-    return checks
+    """The surface checks in report order. Nothing runs after a failed
+    model load: the lone model leaf says why."""
+    need = _surface_objects(config.data_dir)
+    head = _run_checks([("model", lambda: _model_leaf(need("model")))])
+    if head[0].status == "error":
+        return head
+    m = need("model")
+    return head + _run_checks([
+        ("orbit", lambda: sf.verify_orbit(m)),
+        ("cubic", lambda: sf.verify_cubic(m, need("cusp"))),
+        ("equivariance", lambda: sf.verify_equivariance(m)),
+        ("inverse", lambda: _inverse_leaf(m, need("inverse"))),
+        ("derivation", lambda: _surface_derivation(m, need)),
+        ("singular", lambda: sf.singular_locus(m, config.ext_bound)),
+        ("multiplicities", lambda: sf.verify_multiplicities(m)),
+        ("charts", lambda: sf.verify_chart_smoothness(m)),
+        ("match", lambda: _surface_match(m, need("chart"), need("action"))),
+        ("alpha", lambda: _surface_alpha(m, need))])
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +468,7 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
     """Execute one named suite and return its report tree.
 
     `all` chains the three primary suites; `salem` and `lagrangians`
-    are aliases for the matching lattice subnodes. The root and each
+    run the matching check of the lattice list. The root and each
     top-level suite node carry their measured wall time.
     """
     if config is None:
@@ -439,14 +480,10 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
                "surface": surface_suite}
     if name in primary:
         return _guarded(name, lambda: primary[name](config))
-    if name == "salem":
-        return _guarded("salem", lambda: [_guarded(
-            "lattice.salem", lambda: _lattice_salem(config.precision))])
-    if name == "lagrangians":
-        need = _e10_objects(config.data_dir)
-        return _guarded("lagrangians", lambda: [
-            _guarded("lattice.lagrangians", lambda: _lattice_lagrangians(
-                need("restriction"), need("space")))])
-    return _guarded("all", lambda: [
-        _guarded(suite, lambda: primary[suite](config))
-        for suite in ("lattice", "cubic", "surface")])
+    if name == "all":
+        return _guarded("all", lambda: [
+            _guarded(suite, lambda: primary[suite](config))
+            for suite in ("lattice", "cubic", "surface")])
+    return _guarded(name, lambda: _run_checks(
+        [check for check in _lattice_checks(config)
+         if check[0] == f"lattice.{name}"]))

@@ -27,7 +27,6 @@ from .multipoly import (
 )
 from .unipoly import UniPoly, uni_roots
 from .lattice import lehmer_polynomial
-from .cubic import find_cusp
 from . import report as rp
 
 
@@ -195,12 +194,12 @@ def cubic_monomials():
     return [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
-def verify_cubic(m: SurfaceModel) -> tuple:
+def verify_cubic(m: SurfaceModel, located: ProjPoint) -> rp.Report:
     """Uniqueness of the cubic through p_1..p_10 and its local shape:
     kernel of the incidence system is one-dimensional and spanned by g;
     g has a cusp (double point, double-line tangent cone) at the marked
-    cusp and is smooth at p_0. Returns the report node and the cusp of
-    g as located by scanning the plane."""
+    cusp and is smooth at p_0. located is the cusp of g as found by
+    scanning the plane (cubic.find_cusp)."""
     ctx = m.ctx
     mons = cubic_monomials()
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
@@ -221,7 +220,6 @@ def verify_cubic(m: SurfaceModel) -> tuple:
         "cubic.vanishes_on_points",
         all(m.g.eval_bits(m.points[i].coords) == 0 for i in range(11)),
         "g(p_0) = ... = g(p_10) = 0"))
-    located = find_cusp(m.g)
     checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
                           repr(located)))
     grads = [m.g.partial(i).eval_bits(m.cusp.coords) for i in range(3)]
@@ -241,7 +239,7 @@ def verify_cubic(m: SurfaceModel) -> tuple:
         "cubic.smooth_fixed_point",
         m.g.eval_bits(m.points[0].coords) == 0 and any(grad0),
         [_fmt(ctx, v) for v in grad0]))
-    return rp.node("cubic", checks), located
+    return rp.node("cubic", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +466,14 @@ def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> FieldElement:
 
 
 def verify_derivation(m: SurfaceModel, si: SigmaInverse,
-                      scalar: FieldElement | None = None) -> rp.Report:
+                      scalar: FieldElement | NoSolution) -> rp.Report:
     """The derivation-conjugation chain in the chart z != 0.
 
     Checks the forward multiplier of g, the inverse-side multiplier,
     the w-component scalars of both compositions, that D kills the
     w-free subfield, and that conjugating D = g^2 d/dw by the
-    automorphism scales it by g^8.
+    automorphism scales it by g^8. scalar is conjugation_scalar(m, si),
+    or the NoSolution it raised.
     """
     ctx = m.ctx
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
@@ -502,12 +501,11 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
     killed = RatFunc(rel, x4, z4).d_dw()
     checks.append(rp.leaf("derivation.kills_base_functions",
                           killed.is_zero(), "d/dw (x/z) = 0"))
-    try:
-        kc = scalar if scalar is not None else conjugation_scalar(m, si)
+    if isinstance(scalar, NoSolution):
+        checks.append(rp.error_leaf("derivation.conjugation_scalar", scalar))
+    else:
         checks.append(rp.leaf("derivation.conjugation_scalar",
-                              kc == ctx.gen_pow(8), format_elem(kc)))
-    except NoSolution as ex:
-        checks.append(rp.error_leaf("derivation.conjugation_scalar", ex))
+                              scalar == ctx.gen_pow(8), format_elem(scalar)))
     return rp.node("derivation", checks)
 
 

@@ -43,10 +43,6 @@ class UniPoly:
     def x(cls, ctx: FieldCtx) -> "UniPoly":
         return cls(ctx, [0, 1])
 
-    @classmethod
-    def const(cls, ctx: FieldCtx, bits: int) -> "UniPoly":
-        return cls(ctx, [bits])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -63,8 +63,9 @@ def test_criterion_03_mod2_spectrum(e10_basis):
             return False
         restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
         ge = lat.gram_of(e10_basis)
-        rep = m2.mod2_action_analysis(restr, ge, m2.Mod2QuadSpace(ge),
-                                      lat.char_poly(restr))
+        rep = m2.mod2_action_analysis(
+            restr, ge, m2.Mod2QuadSpace(ge), lat.char_poly(restr),
+            m2.mat2_images(m2.mat2_from_int(restr)))
         return (rep.order == 31 and rep.preserves_form
                 and len(rep.invariant_subspaces) == 2
                 and all(r.dimension == 5 and r.totally_singular
@@ -81,7 +82,8 @@ def test_criterion_04_lagrangian_census(e10_basis):
         if census.class_sizes() != (2295, 2295):
             return False
         restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
-        inv = census.invariant_members(m2.mat2_from_int(restr))
+        inv = census.invariant_members(
+            m2.mat2_images(m2.mat2_from_int(restr)))
         parities = sorted(census.class_parity[census.index_of(rows)]
                           for rows in inv)
         return len(inv) == 2 and parities == [0, 1]
@@ -142,7 +144,8 @@ def test_criterion_08_orbit_and_cubic():
         ctx = gf32()
         m = sf.load_model()
         cusp = ProjPoint(ctx, (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1))
-        return (sf.verify_orbit(m).ok() and sf.verify_cubic(m)[0].ok()
+        return (sf.verify_orbit(m).ok()
+                and sf.verify_cubic(m, cu.find_cusp(m.g)).ok()
                 and m.cusp == cusp)
     _report(8, "marked orbit, unique cubic, cusp and smooth point", 1, run)
 
@@ -169,9 +172,10 @@ def test_criterion_10_inverse_and_derivation():
         pulled_g = m.g.substitute(list(m.f))
         if pulled_g != (xyz * m.g).scale_bits(ctx.gen_pow(12).bits):
             return False
-        if sf.conjugation_scalar(m, si) != ctx.gen_pow(8):
+        scalar = sf.conjugation_scalar(m, si)
+        if scalar != ctx.gen_pow(8):
             return False
-        return sf.verify_derivation(m, si).ok()
+        return sf.verify_derivation(m, si, scalar).ok()
     _report(10, "inverse reconstruction and derivation scalar", 30, run)
 
 
@@ -193,7 +197,7 @@ def test_criterion_13_cross_model_consistency():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        chart = cu.cusp_parametrization(m.g)
+        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g))
         action = cu.induced_affine_map(chart, list(m.f))
         alpha = action.alpha
         roots = {r.bits for r in cu.lehmer_mod2_roots(ctx)}

@@ -3,9 +3,22 @@ import random
 import pytest
 
 from salemsurf.errors import DomainError, InvariantViolation, ParseError
-from salemsurf.gf2m import (FieldCtx, FieldElement, dlog, embed, ext_context,
-                            field_make, format_elem, frobenius, gf32,
-                            parse_elem, unembed)
+from salemsurf.gf2m import (FieldCtx, FieldElement, embed, ext_context,
+                            field_make, format_elem, gf32, parse_elem,
+                            unembed)
+
+
+def frobenius(x: FieldElement, k: int) -> FieldElement:
+    """x^(2^k); k = 1 is the squaring Frobenius."""
+    bits = x.bits
+    for _ in range(k % x.ctx.m if x.bits else 0):
+        bits = x.ctx.mul_bits(bits, bits)
+    return FieldElement(x.ctx, bits)
+
+
+def dlog(x: FieldElement) -> int:
+    """k with generator^k = x; raises DomainError for x = 0."""
+    return x.ctx.dlog_bits(x.bits)
 
 
 def _min_subfield_degree(x: FieldElement) -> int:

@@ -8,7 +8,8 @@ from salemsurf import lattice as lat
 from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
                                  intersection_dim, mat2_apply, mat2_from_int,
-                                 mat2_identity, mat2_kernel, mat2_mul,
+                                 mat2_identity, mat2_images, mat2_kernel,
+                                 mat2_mul,
                                  mat2_order, mod2_action_analysis, rref_rows,
                                  span_of, subspace_contains)
 
@@ -183,6 +184,7 @@ def test_mat2_ops():
         v = rng.randrange(16)
         assert mat2_apply(mat2_mul(a, cols), v) == \
             mat2_apply(a, mat2_apply(cols, v))
+    assert mat2_images(cols) == [mat2_apply(cols, v) for v in range(16)]
     assert len(mat2_kernel((0, 0, 0, 0))) == 4
 
 
@@ -197,7 +199,8 @@ def test_subspace_helpers():
 
 
 def _analysis(m, ge):
-    return mod2_action_analysis(m, ge, Mod2QuadSpace(ge), lat.char_poly(m))
+    return mod2_action_analysis(m, ge, Mod2QuadSpace(ge), lat.char_poly(m),
+                                mat2_images(mat2_from_int(m)))
 
 
 def _random_vectors(rng, n):
@@ -250,9 +253,14 @@ def test_action_analysis_of_restriction(e10_restriction):
 def test_action_analysis_of_identity(e10_restriction):
     basis, _ = e10_restriction
     ident = [[1 if i == j else 0 for j in range(10)] for i in range(10)]
-    rep = _analysis(ident, lat.gram_of(basis))
+    ge = lat.gram_of(basis)
+    rep = _analysis(ident, ge)
     assert rep.order == 1
     assert rep.preserves_form
+    # the form test reads the image table it is given
+    assert not mod2_action_analysis(ident, ge, Mod2QuadSpace(ge),
+                                    lat.char_poly(ident),
+                                    mat2_images((0,) * 10)).preserves_form
     assert len(rep.invariant_subspaces) == 1
     rec = rep.invariant_subspaces[0]
     assert tuple(rec.factor) == (1, 1)
@@ -292,8 +300,7 @@ def test_census_index_of(census):
 
 def test_invariant_members(census, e10_restriction):
     _, restr = e10_restriction
-    cols = mat2_from_int(restr)
-    inv = census.invariant_members(cols)
+    inv = census.invariant_members(mat2_images(mat2_from_int(restr)))
     assert len(inv) == 2
     parities = sorted(census.class_parity[census.index_of(rows)]
                       for rows in inv)
@@ -307,7 +314,8 @@ def test_invariant_members_are_the_factor_kernels(census, e10_restriction):
     basis, restr = e10_restriction
     rep = _analysis(restr, lat.gram_of(basis))
     kernels = sorted(r.basis for r in rep.invariant_subspaces)
-    assert census.invariant_members(mat2_from_int(restr)) == kernels
+    assert census.invariant_members(
+        mat2_images(mat2_from_int(restr))) == kernels
 
 
 def test_coxeter_orbits_on_the_census(census, e10_restriction):

@@ -4,11 +4,20 @@ import pytest
 
 from salemsurf.errors import DomainError
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import (MultiPoly, ProjPoint, format_field,
-                                 format_poly, linear_solve, parse_poly,
-                                 parse_poly_file, resultant)
+from salemsurf.multipoly import (MultiPoly, ProjPoint, format_poly,
+                                 linear_solve, parse_poly, parse_poly_file,
+                                 resultant)
 
 NAMES = ("x", "y", "z")
+
+
+def format_field(ctx) -> str:
+    """The `field:` header value of a data file, e.g. g^5=g^2+1."""
+    rhs = []
+    for k in range(ctx.m - 1, -1, -1):
+        if (ctx.modulus >> k) & 1:
+            rhs.append("1" if k == 0 else ("g" if k == 1 else f"g^{k}"))
+    return f"g^{ctx.m}=" + "+".join(rhs)
 
 
 def _format_poly_file(names, weights, ctx, polys: dict) -> str:

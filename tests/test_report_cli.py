@@ -18,6 +18,7 @@ import salemsurf.report as rp
 import salemsurf.suites as suites
 import salemsurf.surface as sf
 from salemsurf.cli import build_parser, main
+from salemsurf.errors import NoSolution
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
@@ -126,7 +127,7 @@ def test_cli_rejects_ext_bound_above_field_limit(monkeypatch):
     assert exc.value.code == 2
 
 
-def test_shared_objects_are_built_once(monkeypatch, model):
+def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     calls = Counter()
 
     def count(module, name):
@@ -162,19 +163,66 @@ def test_shared_objects_are_built_once(monkeypatch, model):
     assert run_suite("lagrangians").ok()
     assert calls == {"e10_basis.dat": 1, "restrict_to_basis": 1,
                      "Mod2QuadSpace": 1}
-    node, _ = suites._surface_match(model)
-    assert node.ok()
+    # a failed build is kept: three checks need the restriction of a
+    # basis with a singular Gram matrix, and it is attempted once
+    calls.clear()
+    row, mutant = BASIS_MUTANTS[1]
+    report = run_suite("lattice", SuiteConfig(data_dir=_with_basis_row(
+        tmp_path, row, mutant)))
+    assert calls["restrict_to_basis"] == 1
+    witnesses = {c.name: c.witness for c in report.children
+                 if c.status == "error"}
+    assert set(witnesses) == {"lattice.coxeter", "lattice.mod2",
+                              "lattice.lagrangians"}
+    assert len(set(witnesses.values())) == 1
+    chart = cu.cusp_parametrization(model.g, model.cusp)
+    action = cu.induced_affine_map(chart, list(model.f))
+    assert suites._surface_match(model, chart, action).ok()
     assert calls["all_point_set_matches"] == 1
-    assert calls["cusp_parametrization"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
     # the cubic check locates the cusp and the match reuses it
+    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar"):
+        count(sf, name)
     count(cu, "find_cusp")
-    count(sf, "find_cusp")  # surface imports it by name
+    count(cu, "induced_affine_map")
     calls.clear()
     assert run_suite("surface").ok()
-    assert calls["find_cusp"] == 1
-    assert calls["cusp_parametrization"] == 1
+    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
+                 "find_cusp", "cusp_parametrization", "induced_affine_map"):
+        assert calls[name] == 1, name
+
+
+ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
+                     "unavailable; see earlier leaves")
+
+
+@pytest.mark.parametrize("module,name,leaves", [
+    (sf, "conjugation_scalar", ("derivation.conjugation_scalar",)),
+    (cu, "find_cusp", ("cubic", "match")),
+    (sf, "derive_sigma_inverse", ("inverse",)),
+], ids=["conjugation_scalar", "find_cusp", "derive_sigma_inverse"])
+def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
+                                            leaves):
+    """A surface object whose build raises is attempted once per run;
+    every check that needs it reports the exception in its own leaf, and
+    the alpha check its fixed witness."""
+    calls = Counter()
+
+    def fail(*args):
+        calls[name] += 1
+        raise NoSolution(f"forced {name} failure")
+
+    monkeypatch.setattr(module, name, fail)
+    report = run_suite("surface")
+    assert calls[name] == 1
+    witness = f"NoSolution: forced {name} failure"
+    assert {leaf.name: leaf.witness for leaf in _error_leaves(report)} == {
+        **{leaf: witness for leaf in leaves}, "alpha": ALPHA_UNAVAILABLE}
+    # without the inverse there is no derivation node
+    names = [c.name for c in report.children]
+    assert ("derivation" in names) == (name != "derive_sigma_inverse")
+    assert names[0] == "model" and names[-1] == "alpha"
 
 
 def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
@@ -208,11 +256,17 @@ BASIS_MUTANTS = [("0 0 0 0 0 0 1 -1 0 0 0", "0 0 -2 0 0 0 1 -1 0 0 0"),
                  *_basis_mutants(12, 29)]
 
 
-@pytest.mark.parametrize("row,mutant", BASIS_MUTANTS)
-def test_mutated_basis_is_rejected(tmp_path, capsys, row, mutant):
+def _with_basis_row(tmp_path, row, mutant):
+    """tmp_path holding the bundled basis file with `row` replaced."""
     lines = sf._read_data(None, "e10_basis.dat").splitlines()
     lines[lines.index(row)] = mutant
     (tmp_path / "e10_basis.dat").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("row,mutant", BASIS_MUTANTS)
+def test_mutated_basis_is_rejected(tmp_path, capsys, row, mutant):
+    _with_basis_row(tmp_path, row, mutant)
     for suite in ("lattice", "lagrangians"):
         assert main([suite, "--data", str(tmp_path), "--format",
                      "json"]) == 1

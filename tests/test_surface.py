@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import salemsurf.surface as sf
-from salemsurf.errors import DomainError, InvariantViolation, ParseError
+from salemsurf.errors import (DomainError, InvariantViolation, NoSolution,
+                              ParseError)
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, ProjPoint
 
@@ -35,8 +36,7 @@ def test_apply_map_examples(ctx, model):
 
 def test_orbit_cubic_equivariance_reports(model):
     assert sf.verify_orbit(model).ok()
-    node, located = sf.verify_cubic(model)
-    assert node.ok() and located == model.cusp
+    assert sf.verify_cubic(model, model.cusp).ok()
     assert sf.verify_equivariance(model).ok()
 
 
@@ -69,9 +69,11 @@ def test_conjugation_scalar(ctx, conj_scalar):
 
 
 def test_derivation_report(model, sigma_inv, conj_scalar):
-    rep = sf.verify_derivation(model, sigma_inv, scalar=conj_scalar)
-    assert rep.ok()
-    assert sf.verify_derivation(model, sigma_inv).ok()
+    assert sf.verify_derivation(model, sigma_inv, conj_scalar).ok()
+    failed = sf.verify_derivation(model, sigma_inv, NoSolution("no scalar"))
+    assert failed.status == "error"
+    assert [c.witness for c in failed.children if c.status == "error"] \
+        == ["NoSolution: no scalar"]
 
 
 def test_cubic_multiplier_direct(ctx, model):
@@ -177,7 +179,7 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
                               eta, model.g, model.points, model.cusp)
         if sf.verify_equivariance(mut).ok():
             assert not (sf.verify_orbit(mut).ok()
-                        and sf.verify_cubic(mut)[0].ok())
+                        and sf.verify_cubic(mut, mut.cusp).ok())
 
 
 def _moved(model, images, move):
