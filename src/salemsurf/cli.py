@@ -12,7 +12,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .gf2m import MAX_M
+from . import MAX_M
 from .report import emit_json, emit_markdown
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 

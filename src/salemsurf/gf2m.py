@@ -17,6 +17,7 @@ bit-string `0b01001` written LOW DEGREE FIRST (so `0b01001` is t + t^4).
 
 from __future__ import annotations
 
+from . import MAX_M
 from .errors import DomainError, InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,6 @@ def poly2_irreducible(f: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-
-MAX_M = 20  # largest field degree: tables of 2^m entries per context
 
 
 class FieldCtx:

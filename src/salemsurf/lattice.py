@@ -14,6 +14,9 @@ stored in data/e10_basis.dat (rows are ambient coordinates).
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib import resources
+from math import comb, gcd, lcm
+from pathlib import Path
 
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 
@@ -82,7 +85,6 @@ def ip_divmod(p, q):
 
 def _primitive_part(p):
     """p divided by the gcd of its coefficients; signs are kept."""
-    from math import gcd
     g = 0
     for c in p:
         g = gcd(g, c)
@@ -91,7 +93,6 @@ def _primitive_part(p):
 
 def ip_primitive(p):
     """Clear denominators and content; make the leading term positive."""
-    from math import lcm
     den = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
     ints = _primitive_part([int(c * den) for c in p])
     if ints and ints[-1] < 0:
@@ -246,6 +247,18 @@ def canonical_class():
     return tuple([-3] + [1] * 10)
 
 
+def _read_data(data_dir, name: str) -> str:
+    """Text of the model data file `name`: from data_dir when given,
+    else the copy bundled with the package. Every suite reads its data
+    through here."""
+    if data_dir is not None:
+        p = Path(data_dir) / name
+        if not p.exists():
+            raise ParseError(f"missing data file {p}")
+        return p.read_text()
+    return resources.files(__package__).joinpath("data", name).read_text()
+
+
 def e10_basis(text):
     """Basis of the even rank-10 sublattice orthogonal to the fixed class.
 
@@ -333,18 +346,22 @@ def reference_interior_vector():
 # Sturm sequences on integer polynomials
 
 
-def _sign_at(p, x):
-    """Sign of the integer polynomial p at the rational x = n/d, d > 0.
+def _sign_num(p, n, d):
+    """Sign of the integer polynomial p at the rational n/d, d > 0.
 
-    Integer Horner on sum c_i n^i d^(deg - i) = d^deg p(x), which has the
-    sign of p(x) because d^deg > 0; no Fraction is built.
+    Integer Horner on sum c_i n^i d^(deg - i) = d^deg p(n/d), which has
+    the sign of p(n/d) because d^deg > 0; no Fraction is built.
     """
-    n, d = x.numerator, x.denominator
     acc, dk = 0, 1
     for c in reversed(p):
         acc = acc * n + c * dk
         dk *= d
     return (acc > 0) - (acc < 0)
+
+
+def _sign_at(p, x):
+    """Sign of the integer polynomial p at the rational (or int) x."""
+    return _sign_num(p, x.numerator, x.denominator)
 
 
 def _sturm_chain(p):
@@ -385,15 +402,21 @@ def _bisect(p, lo, hi, precision):
     a simple one, and hi must not be a root. Each halving is decided by
     the sign at hi: lo moves up only when p(mid) has the opposite sign,
     so a midpoint that is the root becomes hi, and lo may be a root of
-    p outside the interval."""
-    s_hi = _sign_at(p, hi)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if _sign_at(p, mid) == -s_hi:
-            lo = mid
+    p outside the interval. The ends are kept as integer numerators a, b
+    over one denominator d that doubles at each halving, and become
+    Fractions only on return."""
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    pn, pd = precision.numerator, precision.denominator
+    s_hi = _sign_num(p, b, d)
+    while (b - a) * pd > pn * d:
+        mid, d = a + b, 2 * d  # (a + b) / 2d is the midpoint
+        if _sign_num(p, mid, d) == -s_hi:
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return lo, hi
+            a, b = 2 * a, mid
+    return Fraction(a, d), Fraction(b, d)
 
 
 def real_roots(p, precision=Fraction(1, 10 ** 6)):
@@ -483,7 +506,6 @@ def trace_polynomial(p):
     if not is_reciprocal(p):
         raise NoSolution("input is not palindromic")
     d = n // 2
-    from math import comb
     r = [0] * (d + 1)
     # coefficient of x^(d+t) in x^d (x+1/x)^k is C(k, (k+t)/2) when parity fits
     for t in range(d, -1, -1):

@@ -11,20 +11,49 @@ A suite is a list of (node name, check) pairs, each run in its own
 guard, over one table of run objects (`_run_objects`), so every shared
 object is built at most once per run, a failed build included. The
 `salem` and `lagrangians` suites run one check of the lattice list.
+
+Only lattice, report and errors are imported here. The finite-field,
+polynomial-ring, census, cubic and surface modules are bound through
+`_lazy`: each is in sys.modules from the start but executes on the
+first attribute access, so a suite runs only the modules it uses.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import cubic as cu
 from . import lattice as lat
-from . import mod2space as m2
 from . import report as rp
-from . import surface as sf
 from .errors import NoSolution
-from .gf2m import FieldElement, field_make, format_elem, gf32
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules and on the
+    package now and executed by importlib's LazyLoader on its first
+    attribute access. A module already imported is returned as is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = find_spec(full)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# unipoly and multipoly are registered though no suite names them:
+# bench/traced.py finds every layer in sys.modules after importing cli
+gf = _lazy("gf2m")
+_lazy("unipoly")
+_lazy("multipoly")
+m2 = _lazy("mod2space")
+cu = _lazy("cubic")
+sf = _lazy("surface")
 
 SUITE_NAMES = ("all", "lattice", "cubic", "surface", "salem", "lagrangians")
 
@@ -206,7 +235,7 @@ def _lattice_checks(config: SuiteConfig) -> list:
     of all 2^10 vectors under the restriction mod 2."""
     need = _run_objects({
         "basis": lambda need: lat.e10_basis(
-            sf._read_data(config.data_dir, "e10_basis.dat")),
+            lat._read_data(config.data_dir, "e10_basis.dat")),
         "gram": lambda need: lat.gram_of(need("basis")),
         "restriction": lambda need: lat.restrict_to_basis(
             lat.coxeter_matrix(), need("basis")),
@@ -234,12 +263,12 @@ def lattice_suite(config: SuiteConfig) -> list:
 
 
 def _cubic_group_law() -> list:
-    ctx = gf32()
+    ctx = gf.gf32()
     curve = cu.standard_cubic(ctx)
     on_curve = 0
     images = set()
     for bits in range(1 << ctx.m):
-        t = FieldElement(ctx, bits)
+        t = gf.FieldElement(ctx, bits)
         p = cu.psi(t)
         if curve.eval_bits(p.coords) == 0 and cu.psi_inv(p) == t:
             on_curve += 1
@@ -251,24 +280,25 @@ def _cubic_group_law() -> list:
     checks.append(rp.leaf("group_law.cusp_location",
                           cusp.coords == (0, 0, 1), repr(cusp)))
     # dual collinearity routes, exhaustively over the cubic over GF(8)
-    gf8 = field_make(3, 0b1011)
+    gf8 = gf.field_make(3, 0b1011)
     agree = total = 0
     for b1 in range(8):
         for b2 in range(8):
             for b3 in range(8):
                 if b1 == b2 or b2 == b3 or b1 == b3:
                     continue
-                t1, t2, t3 = (FieldElement(gf8, b) for b in (b1, b2, b3))
+                t1, t2, t3 = (gf.FieldElement(gf8, b)
+                              for b in (b1, b2, b3))
                 total += 1
                 if cu.collinear(t1, t2, t3) == \
                         (cu.collinear_det(t1, t2, t3).bits == 0):
                     agree += 1
     checks.append(rp.leaf("group_law.sum_rule_vs_determinant",
                           agree == total, f"{agree}/{total} triples agree"))
-    closed = all(cu.collinear_det(FieldElement(gf8, b1),
-                                  FieldElement(gf8, b2),
-                                  cu.chord_third(FieldElement(gf8, b1),
-                                                 FieldElement(gf8, b2))
+    closed = all(cu.collinear_det(gf.FieldElement(gf8, b1),
+                                  gf.FieldElement(gf8, b2),
+                                  cu.chord_third(gf.FieldElement(gf8, b1),
+                                                 gf.FieldElement(gf8, b2))
                                   ).bits == 0
                  for b1 in range(8) for b2 in range(8) if b1 != b2)
     checks.append(rp.leaf("group_law.chord_closure", closed))
@@ -276,11 +306,11 @@ def _cubic_group_law() -> list:
 
 
 def _cubic_beta_solver() -> list:
-    ctx = gf32()
+    ctx = gf.gf32()
     roots = cu.lehmer_mod2_roots(ctx)
     checks = [rp.leaf("beta_solver.root_count", len(roots) == 10,
-                      [format_elem(a) for a in roots])]
-    one = FieldElement(ctx, 1)
+                      [gf.format_elem(a) for a in roots])]
+    one = gf.FieldElement(ctx, 1)
     solvable = dual = unique = 0
     for a in roots:
         b = cu.beta_from_alpha(a)
@@ -305,12 +335,13 @@ def _cubic_beta_solver() -> list:
     orbit = {(a0 ** (2 ** i)).bits for i in range(ctx.m)} \
         | {(a0 ** -(2 ** i)).bits for i in range(ctx.m)}
     checks.append(rp.leaf("beta_solver.single_power_orbit", orbit == bits,
-                          f"{len(orbit)} elements from {format_elem(a0)}"))
+                          f"{len(orbit)} elements from "
+                          f"{gf.format_elem(a0)}"))
     return checks
 
 
 def _cubic_orbits() -> list:
-    ctx = gf32()
+    ctx = gf.gf32()
     subs = []
     for a in cu.lehmer_mod2_roots(ctx):
         b = cu.beta_from_alpha(a)
@@ -318,17 +349,17 @@ def _cubic_orbits() -> list:
         action = cu.AffineAction(a, b)
         distinct = rp.leaf("params_distinct",
                            len({t.bits for t in params}) == 10,
-                           [format_elem(t) for t in params])
+                           [gf.format_elem(t) for t in params])
         constraints = cu.verify_coxeter_constraints(params, action)
-        subs.append(rp.node(f"orbit[{format_elem(a)}]",
+        subs.append(rp.node(f"orbit[{gf.format_elem(a)}]",
                             [distinct, constraints],
                             witness=repr(action)))
     return subs
 
 
 def _cubic_alpha_table(data_dir) -> rp.Report:
-    bundled = sf._read_data(data_dir, "alpha_table.dat")
-    regen = cu.alpha_table_text(gf32())
+    bundled = lat._read_data(data_dir, "alpha_table.dat")
+    regen = cu.alpha_table_text(gf.gf32())
     return rp.leaf("cubic.alpha_table_fresh",
                    bundled.strip() == regen.strip(),
                    f"{len(regen.splitlines())} lines")
@@ -404,12 +435,12 @@ def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
     root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
     checks.append(rp.leaf("match.multiplier_is_root",
                           action.alpha.bits in root_bits,
-                          format_elem(action.alpha)))
+                          gf.format_elem(action.alpha)))
     try:
         fixed = action.fixed_point()
         t0 = chart.param_of(m.points[0])
         checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
-                              format_elem(fixed)))
+                              gf.format_elem(fixed)))
         concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
         beta = cu.beta_from_alpha(action.alpha)
         abstract = cu.orbit_points(action.alpha, beta)
@@ -449,7 +480,7 @@ def surface_suite(config: SuiteConfig) -> list:
     m = need("model")
     return head + _run_checks([
         ("orbit", lambda: sf.verify_orbit(m)),
-        ("cubic", lambda: sf.verify_cubic(m, need("cusp"))),
+        ("cubic", lambda: sf.verify_cubic(m, lambda: need("cusp"))),
         ("equivariance", lambda: sf.verify_equivariance(m)),
         ("inverse", lambda: _inverse_leaf(m, need("inverse"))),
         ("derivation", lambda: _surface_derivation(m, need)),

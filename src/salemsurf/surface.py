@@ -9,9 +9,6 @@ GF(32); there are no tolerances.
 
 from __future__ import annotations
 
-from importlib import resources
-from pathlib import Path
-
 from .errors import (DomainError, InvariantViolation, NoSolution,
                      ParseError)
 from .gf2m import FieldCtx, FieldElement, embed, field_make, format_elem
@@ -26,7 +23,7 @@ from .multipoly import (
     resultant,
 )
 from .unipoly import UniPoly, uni_roots
-from .lattice import lehmer_polynomial
+from .lattice import _read_data, lehmer_polynomial
 from . import report as rp
 
 
@@ -55,15 +52,6 @@ class SurfaceModel:
         self.g = g
         self.points = points
         self.cusp = cusp
-
-
-def _read_data(data_dir, name: str) -> str:
-    if data_dir is not None:
-        p = Path(data_dir) / name
-        if not p.exists():
-            raise ParseError(f"missing data file {p}")
-        return p.read_text()
-    return resources.files(__package__).joinpath("data", name).read_text()
 
 
 def _need(polys: dict, fname: str, *labels):
@@ -194,12 +182,13 @@ def cubic_monomials():
     return [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
-def verify_cubic(m: SurfaceModel, located: ProjPoint) -> rp.Report:
+def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     """Uniqueness of the cubic through p_1..p_10 and its local shape:
     kernel of the incidence system is one-dimensional and spanned by g;
     g has a cusp (double point, double-line tangent cone) at the marked
-    cusp and is smooth at p_0. located is the cusp of g as found by
-    scanning the plane (cubic.find_cusp)."""
+    cusp and is smooth at p_0. locate() returns the cusp of g as found
+    by scanning the plane (cubic.find_cusp); it is called inside the
+    cusp_location leaf alone, which becomes an error leaf if it raises."""
     ctx = m.ctx
     mons = cubic_monomials()
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
@@ -220,8 +209,13 @@ def verify_cubic(m: SurfaceModel, located: ProjPoint) -> rp.Report:
         "cubic.vanishes_on_points",
         all(m.g.eval_bits(m.points[i].coords) == 0 for i in range(11)),
         "g(p_0) = ... = g(p_10) = 0"))
-    checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
-                          repr(located)))
+    try:
+        located = locate()
+    except Exception as ex:  # noqa: BLE001 - only this leaf needs it
+        checks.append(rp.error_leaf("cubic.cusp_location", ex))
+    else:
+        checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
+                              repr(located)))
     grads = [m.g.partial(i).eval_bits(m.cusp.coords) for i in range(3)]
     checks.append(rp.leaf(
         "cubic.cusp_partials",

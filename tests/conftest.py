@@ -29,7 +29,7 @@ def conj_scalar(model, sigma_inv):
 @pytest.fixture(scope="session")
 def e10_basis():
     """The bundled E10 basis, read the way the lattice suite reads it."""
-    return lat.e10_basis(sf._read_data(None, "e10_basis.dat"))
+    return lat.e10_basis(lat._read_data(None, "e10_basis.dat"))
 
 
 @pytest.fixture(scope="session")

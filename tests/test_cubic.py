@@ -251,6 +251,6 @@ def test_equivariant_matching(ctx):
 
 
 def test_alpha_table_matches_bundled_file(ctx):
-    from salemsurf.surface import _read_data
+    from salemsurf.lattice import _read_data
     assert alpha_table_text(ctx).strip() == \
         _read_data(None, "alpha_table.dat").strip()

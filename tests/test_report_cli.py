@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -138,13 +140,13 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    read = sf._read_data
+    read = lat._read_data
 
     def counted_read(data_dir, name):
         calls[name] += 1
         return read(data_dir, name)
 
-    monkeypatch.setattr(sf, "_read_data", counted_read)
+    monkeypatch.setattr(lat, "_read_data", counted_read)
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
     count(m2, "Mod2QuadSpace")
@@ -199,7 +201,7 @@ ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
 
 @pytest.mark.parametrize("module,name,leaves", [
     (sf, "conjugation_scalar", ("derivation.conjugation_scalar",)),
-    (cu, "find_cusp", ("cubic", "match")),
+    (cu, "find_cusp", ("cubic.cusp_location", "match")),
     (sf, "derive_sigma_inverse", ("inverse",)),
 ], ids=["conjugation_scalar", "find_cusp", "derive_sigma_inverse"])
 def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
@@ -219,6 +221,9 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     witness = f"NoSolution: forced {name} failure"
     assert {leaf.name: leaf.witness for leaf in _error_leaves(report)} == {
         **{leaf: witness for leaf in leaves}, "alpha": ALPHA_UNAVAILABLE}
+    if name == "find_cusp":  # the other cubic leaves are still reported
+        cubic = next(c for c in report.children if c.name == "cubic")
+        assert [c.status for c in cubic.children].count("pass") == 6
     # without the inverse there is no derivation node
     names = [c.name for c in report.children]
     assert ("derivation" in names) == (name != "derive_sigma_inverse")
@@ -237,7 +242,7 @@ def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
 def _basis_mutants(count, seed):
     """(row, mutated row) pairs of the bundled basis file: one entry of
     one row moved by a nonzero amount."""
-    rows = lat.e10_basis(sf._read_data(None, "e10_basis.dat"))
+    rows = lat.e10_basis(lat._read_data(None, "e10_basis.dat"))
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -258,7 +263,7 @@ BASIS_MUTANTS = [("0 0 0 0 0 0 1 -1 0 0 0", "0 0 -2 0 0 0 1 -1 0 0 0"),
 
 def _with_basis_row(tmp_path, row, mutant):
     """tmp_path holding the bundled basis file with `row` replaced."""
-    lines = sf._read_data(None, "e10_basis.dat").splitlines()
+    lines = lat._read_data(None, "e10_basis.dat").splitlines()
     lines[lines.index(row)] = mutant
     (tmp_path / "e10_basis.dat").write_text("\n".join(lines) + "\n")
     return tmp_path
@@ -303,7 +308,7 @@ def _model_mutants(per_file, seed):
     rng = random.Random(seed)
     out = []
     for name in MODEL_FILES:
-        sites = [(ln, m) for ln in sf._read_data(None, name).splitlines()
+        sites = [(ln, m) for ln in lat._read_data(None, name).splitlines()
                  if not ln.startswith(("#", "vars:", "field:"))
                  for m in re.finditer(r"g\^(\d+)", ln)]
         mutants = set()
@@ -448,3 +453,63 @@ def test_installed_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "overall: **PASS**" in proc.stdout
+
+
+SRC_DIR = Path(cli.__file__).resolve().parents[1]
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+FRONT_END = {"cli", "suites", "lattice", "report", "errors"}
+
+
+def _executed_modules(code):
+    """Short names of the salemsurf modules a fresh interpreter has
+    executed after running `code`: those in sys.modules that are plain
+    modules, not placeholders waiting for a first attribute access."""
+    probe = (f"{code}\nimport sys, types\n"
+             "print(' '.join(n for n, m in sys.modules.items()\n"
+             "               if n.startswith('salemsurf.')\n"
+             "               and type(m) is types.ModuleType),\n"
+             "      file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    return {n.removeprefix("salemsurf.")
+            for n in err.splitlines()[-1].split()}
+
+
+def test_importing_the_cli_executes_only_the_front_end():
+    assert _executed_modules("import salemsurf.cli") == FRONT_END
+
+
+@pytest.mark.parametrize("suite,absent", [
+    ("salem", {"gf2m", "unipoly", "multipoly", "mod2space", "cubic",
+               "surface"}),
+    ("lagrangians", {"surface", "multipoly", "cubic"}),
+    ("surface", {"mod2space"}),
+])
+def test_suite_executes_only_the_modules_it_runs(suite, absent):
+    ran = _executed_modules("from salemsurf.cli import main\n"
+                            f"main([{suite!r}, '--format', 'json'])")
+    assert FRONT_END <= ran
+    assert not ran & absent
+
+
+@pytest.mark.parametrize("suite,functions", [
+    ("salem", ("lattice.real_roots", "lattice.salem_certify")),
+    ("surface", ("surface.singular_locus", "unipoly.uni_roots")),
+])
+def test_bench_tracer_wraps_modules_executed_on_first_use(tmp_path, suite,
+                                                         functions):
+    """bench/traced.py wraps the layer functions of the modules found
+    in sys.modules once cli is imported; those executed only when a
+    suite first uses them must be traced all the same."""
+    traced = runpy.run_path(str(BENCH_DIR / "traced.py"))
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "traced.py"), str(spans), suite,
+         "--format", "json"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = traced["summarize"]([json.loads(spans.read_text())])
+    for qual in functions:
+        assert metrics[f"{qual}.calls"] > 0, qual

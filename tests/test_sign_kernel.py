@@ -8,8 +8,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from salemsurf.lattice import (_sign_at, _sturm_chain, ip_deriv,  # noqa: E402
-                               ip_divmod, ip_eval, ip_gcd, ip_mul, ip_trim)
+from salemsurf.lattice import (_bisect, _sign_at, _sturm_chain,  # noqa: E402
+                               ip_deriv, ip_divmod, ip_eval, ip_gcd, ip_mul,
+                               ip_trim, lehmer_polynomial, real_roots)
 
 coeffs = st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=14)
 rationals = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
@@ -65,3 +66,51 @@ def test_gcd_is_a_common_divisor_taking_in_the_shared_factor(a, b, c):
     d = ip_gcd(f, g)
     assert d[-1] > 0
     assert _divides(d, f) and _divides(d, g) and _divides(c, d)
+
+
+def _fraction_bisect(p, lo, hi, precision):
+    """lattice._bisect on plain Fractions: a Fraction midpoint at every
+    halving, decided by the exact value of p there against its sign at
+    hi."""
+    def sign(x):
+        v = ip_eval(p, x)
+        return (v > 0) - (v < 0)
+
+    s_hi = sign(hi)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if sign(mid) == -s_hi:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+WIDTHS = [Fraction("1e-9"), Fraction("1e-30"), Fraction(5), Fraction(1)]
+# (x^2 - 2)(3x - 1): two irrational roots and the exact root 1/3
+MIXED = ip_mul([-2, 0, 1], [-1, 3])
+
+
+@pytest.mark.parametrize("p", [lehmer_polynomial(), MIXED],
+                         ids=["p10", "mixed"])
+@pytest.mark.parametrize("width", WIDTHS, ids=str)
+def test_bisect_matches_fraction_bisection(p, width):
+    """From every isolating interval of p, as real_roots finds it before
+    any halving, the integer bisection ends where the Fraction one does,
+    at each width."""
+    intervals = [iv for iv in real_roots(p, Fraction(10 ** 6))
+                 if iv[0] != iv[1]]
+    assert len(intervals) == 2
+    for lo, hi in intervals:
+        assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi,
+                                                             width)
+
+
+@given(coeffs, rationals, rationals.filter(lambda x: x > 0),
+       st.sampled_from(WIDTHS))
+def test_bisect_matches_fraction_bisection_on_any_interval(p, lo, span,
+                                                           width):
+    """The halving rule alone fixes both ends, whether or not (lo, hi]
+    isolates a root, so the two bisections agree on any interval."""
+    hi = lo + span
+    assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi, width)

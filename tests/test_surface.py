@@ -36,7 +36,7 @@ def test_apply_map_examples(ctx, model):
 
 def test_orbit_cubic_equivariance_reports(model):
     assert sf.verify_orbit(model).ok()
-    assert sf.verify_cubic(model, model.cusp).ok()
+    assert sf.verify_cubic(model, lambda: model.cusp).ok()
     assert sf.verify_equivariance(model).ok()
 
 
@@ -179,7 +179,7 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
                               eta, model.g, model.points, model.cusp)
         if sf.verify_equivariance(mut).ok():
             assert not (sf.verify_orbit(mut).ok()
-                        and sf.verify_cubic(mut, mut.cusp).ok())
+                        and sf.verify_cubic(mut, lambda: mut.cusp).ok())
 
 
 def _moved(model, images, move):
