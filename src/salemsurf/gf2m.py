@@ -3,15 +3,14 @@
 Elements are dense bit-vectors packed into Python ints: bit i is the
 coefficient of t^i, where t is the class of the modulus variable.
 Addition is xor. Multiplication and inversion go through exp/log tables
-relative to a generator of the multiplicative group (a context refuses
-m > MAX_M = 20, so the tables stay cheap); the generator is the class of t
-itself whenever that class is primitive, which holds for every context
-this package constructs.
+of the powers of t (a context refuses m > MAX_M = 20, so the tables stay
+cheap). A context accepts only a primitive modulus, one whose root t
+generates the multiplicative group, so every nonzero element is a power
+of t. The data files and reports call t `g`.
 
-The canonical GF(32) presentation has modulus t^5 + t^2 + 1; its
-generator is the element the data files and reports call `g`.
+The canonical GF(32) presentation has modulus t^5 + t^2 + 1.
 
-Textual format: `g^k` for the k-th generator power, `0`, `1`, or a raw
+Textual format: `g^k` for the k-th power of g, `0`, `1`, or a raw
 bit-string `0b01001` written LOW DEGREE FIRST (so `0b01001` is t + t^4).
 """
 
@@ -20,75 +19,11 @@ from __future__ import annotations
 from . import MAX_M
 from .errors import DomainError, InvariantViolation, ParseError
 
-# ---------------------------------------------------------------------------
-# GF(2)[x] on ints: bit i = coefficient of x^i.
-
-
-def poly2_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def poly2_mod(a: int, f: int) -> int:
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def poly2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly2_mod(a, b)
-    return a
-
-
-def poly2_powmod_x(e: int, f: int) -> int:
-    """x^(2^e) mod f by repeated squaring of the residue."""
-    r = poly2_mod(0b10, f)
-    for _ in range(e):
-        r = poly2_mod(poly2_mul(r, r), f)
-    return r
-
-
-def poly2_irreducible(f: int) -> bool:
-    m = f.bit_length() - 1
-    if m < 1 or not f & 1:
-        return False
-    if m == 1:
-        return True
-    # f irreducible iff x^(2^m) = x mod f and gcd(x^(2^(m/p)) - x, f) = 1
-    # for every prime p dividing m.
-    if poly2_powmod_x(m, f) != poly2_mod(0b10, f):
-        return False
-    mm, primes, d = m, [], 2
-    while d * d <= mm:
-        if mm % d == 0:
-            primes.append(d)
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        primes.append(mm)
-    for p in primes:
-        h = poly2_powmod_x(m // p, f) ^ poly2_mod(0b10, f)
-        if poly2_gcd(f, h) != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-
 
 class FieldCtx:
-    """Immutable GF(2^m) context: modulus, exp/log tables, generator."""
+    """Immutable GF(2^m) context: modulus and the exp/log tables of t."""
 
-    __slots__ = ("m", "modulus", "order", "generator_bits", "_exp", "_log",
-                 "_embeddings")
+    __slots__ = ("m", "modulus", "order", "_exp", "_log", "_embeddings")
 
     def __init__(self, m: int, modulus: int):
         if m > MAX_M:
@@ -99,36 +34,26 @@ class FieldCtx:
                 f"modulus degree {modulus.bit_length() - 1}, expected {m}")
         if not modulus & 1:
             raise InvariantViolation("modulus has zero constant term")
-        if not poly2_irreducible(modulus):
-            raise InvariantViolation(f"0b{modulus:b} factors over GF(2)")
         self.m = m
         self.modulus = modulus
         self.order = (1 << m) - 1
-        gen = self._find_generator()
-        self.generator_bits = gen
-        exp = [1]
-        for _ in range(self.order - 1):
-            exp.append(poly2_mod(poly2_mul(exp[-1], gen), modulus))
+        # t is a unit (the constant term is 1), so its powers return to 1
+        # within the at most 2^m - 1 units; after exactly 2^m - 1 steps
+        # iff the modulus is primitive
+        exp, x = [], 1
+        while x != 1 or not exp:
+            exp.append(x)
+            x <<= 1
+            if x >> m:
+                x ^= modulus
+        if len(exp) != self.order:
+            raise InvariantViolation(
+                f"0b{modulus:b} is not primitive: t has order {len(exp)}, "
+                f"not {self.order}, so the modulus factors over GF(2) or "
+                "t generates a proper subgroup")
         self._exp = exp
         self._log = {v: i for i, v in enumerate(exp)}
-        if len(self._log) != self.order:
-            raise InvariantViolation(
-                "generator search produced a non-generator")
         self._embeddings = {}
-
-    def _find_generator(self) -> int:
-        t = poly2_mod(0b10, self.modulus)
-        for cand in ([t] + [c for c in range(2, 1 << self.m) if c != t]):
-            v, n = cand, 1
-            while v != 1:
-                v = poly2_mod(poly2_mul(v, cand), self.modulus)
-                n += 1
-                if n > self.order:
-                    break
-            if n == self.order:
-                return cand
-        # unreachable for a field
-        raise InvariantViolation("no generator found")
 
     # raw-bits arithmetic, used by the polynomial engine's inner loops
     def mul_bits(self, a: int, b: int) -> int:
@@ -168,7 +93,7 @@ class FieldCtx:
         return FieldElement(self, 1)
 
     def gen(self) -> "FieldElement":
-        return FieldElement(self, self.generator_bits)
+        return self.gen_pow(1)
 
     def gen_pow(self, k: int) -> "FieldElement":
         return FieldElement(self, self._exp[k % self.order])
@@ -261,52 +186,43 @@ def field_make(m: int, modulus) -> FieldCtx:
     return ctx
 
 
-_GF32 = None
 _EXT_CACHE: dict[int, FieldCtx] = {}
 
 
 def gf32() -> FieldCtx:
     """The canonical GF(32) context with modulus t^5 + t^2 + 1."""
-    global _GF32
-    if _GF32 is None:
-        _GF32 = field_make(5, 0b100101)
-    return _GF32
+    return ext_context(5)
 
 
 def ext_context(degree: int) -> FieldCtx:
-    """GF(2^degree) with the lexicographically smallest irreducible modulus.
-
-    Degree-5 requests return the canonical GF(32) context so embeddings
-    into it are the identity presentation used everywhere else.
-    """
-    if degree == 5:
-        return gf32()
+    """GF(2^degree) under its smallest primitive modulus (the first one
+    from t^degree + 1 upward that a context accepts)."""
     ctx = _EXT_CACHE.get(degree)
     if ctx is None:
         base = 1 << degree
         for f in range(base + 1, base << 1, 2):
-            if poly2_irreducible(f):
+            try:
                 ctx = field_make(degree, f)
                 break
+            except InvariantViolation:
+                if degree > MAX_M:
+                    raise
         else:
             raise InvariantViolation(
-                f"no irreducible modulus of degree {degree}")
+                f"no primitive modulus of degree {degree}")
         _EXT_CACHE[degree] = ctx
     return ctx
 
 
-def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
+def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> list[int]:
+    """Images in sup of sub's elements, indexed by bits. t goes to the
+    smallest-bits root of sub's modulus in sup (t itself when sub is sup),
+    so t^k goes to root^k."""
     if sup.m % sub.m != 0:
         raise InvariantViolation(f"degree {sub.m} does not divide {sup.m}")
-    key = id(sub)
-    table = sup._embeddings.get(key)
+    table = sup._embeddings.get(id(sub))
     if table is not None:
         return table
-    if sub is sup:
-        table = {b: b for b in range(1 << sub.m)}
-        sup._embeddings[key] = table
-        return table
-    # deterministic: smallest-bits root of sub's modulus inside sup
     root = None
     for cand in range(1 << sup.m):
         acc, p = 0, 1
@@ -319,15 +235,10 @@ def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> dict[int, int]:
             break
     if root is None:
         raise InvariantViolation("modulus has no root in the target field")
-    table = {}
-    for bits in range(1 << sub.m):
-        acc, p = 0, 1
-        for i in range(sub.m):
-            if (bits >> i) & 1:
-                acc ^= p
-            p = sup.mul_bits(p, root)
-        table[bits] = acc
-    sup._embeddings[key] = table
+    table = [0] * (1 << sub.m)
+    for k, bits in enumerate(sub._exp):
+        table[bits] = sup.pow_bits(root, k)
+    sup._embeddings[id(sub)] = table
     return table
 
 
@@ -341,11 +252,17 @@ def embed(x: FieldElement, sub: FieldCtx, sup: FieldCtx) -> FieldElement:
 
 def unembed(x: FieldElement, sub: FieldCtx) -> FieldElement:
     """Preimage in sub of an element lying in the embedded copy of sub."""
-    table = _embedding_table(sub, x.ctx)
-    for b, img in table.items():
-        if img == x.bits:
-            return FieldElement(sub, b)
-    raise InvariantViolation("element is not in the embedded subfield")
+    sup = x.ctx
+    root = _embedding_table(sub, sup)[sub.gen().bits]
+    if x.bits == 0:
+        return sub.zero()
+    # root generates the units of the copy, the index-c subgroup of sup's
+    # units: x = root^k iff dlog x = k * dlog root modulo sup.order
+    c = sup.order // sub.order
+    j, r = sup.dlog_bits(x.bits), sup.dlog_bits(root)
+    if j % c:
+        raise InvariantViolation("element is not in the embedded subfield")
+    return sub.gen_pow(j // c * pow(r // c, -1, sub.order))
 
 
 # ---------------------------------------------------------------------------

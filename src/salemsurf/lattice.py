@@ -14,9 +14,7 @@ stored in data/e10_basis.dat (rows are ambient coordinates).
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from math import comb, gcd, lcm
-from pathlib import Path
 
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 
@@ -251,6 +249,8 @@ def _read_data(data_dir, name: str) -> str:
     """Text of the model data file `name`: from data_dir when given,
     else the copy bundled with the package. Every suite reads its data
     through here."""
+    from importlib import resources  # here, so `verify salem` skips them
+    from pathlib import Path
     if data_dir is not None:
         p = Path(data_dir) / name
         if not p.exists():

@@ -13,9 +13,8 @@ The text format round-trips through `format_poly` / `parse_poly_file`:
     vars: x y z; weights: 1 1 1; field: g^5=g^2+1
     s = g^16*x^8*y^3*z + ...
 
-Points are written `p4 = (g^29 : g^6 : 1)`. Projective normalization
-scales by the last nonzero coordinate of weight 1 (coordinates of
-weight k pick up the k-th power of the scale).
+Points are written `p4 = (g^29 : g^6 : 1)`. A ProjPoint is normalized
+by dividing every coordinate by its last nonzero one.
 """
 
 from __future__ import annotations

@@ -61,6 +61,15 @@ def _need(polys: dict, fname: str, *labels):
     return [polys[label] for label in labels]
 
 
+def _parse_plane_file(data_dir, fname: str):
+    """-> (names, ctx, {name: MultiPoly}) for a polynomial file in three
+    weight-1 variables."""
+    names, weights, ctx, polys = parse_poly_file(_read_data(data_dir, fname))
+    if weights != (1, 1, 1) or len(names) != 3:
+        raise ParseError(f"{fname} must declare 3 weight-1 variables")
+    return names, ctx, polys
+
+
 def load_model(data_dir=None) -> SurfaceModel:
     """Parse the four data files and check the model invariants.
 
@@ -68,14 +77,10 @@ def load_model(data_dir=None) -> SurfaceModel:
     InvariantViolation (naming the failed invariant) for well-formed
     data that does not satisfy the declared degrees and incidences.
     """
-    names, weights, ctx, sp = parse_poly_file(_read_data(data_dir,
-                                                         "surface.poly"))
-    if weights != (1, 1, 1) or len(names) != 3:
-        raise ParseError("surface.poly must declare 3 weight-1 variables")
+    names, ctx, sp = _parse_plane_file(data_dir, "surface.poly")
     (s,) = _need(sp, "surface.poly", "s")
-    an, aw, actx, ap = parse_poly_file(_read_data(data_dir,
-                                                  "automorphism.poly"))
-    cn, cw, cctx, cp = parse_poly_file(_read_data(data_dir, "cubic.poly"))
+    an, actx, ap = _parse_plane_file(data_dir, "automorphism.poly")
+    cn, cctx, cp = _parse_plane_file(data_dir, "cubic.poly")
     pctx, pts = parse_point_file(_read_data(data_dir, "points.dat"))
     if not (actx is ctx and cctx is ctx and pctx is ctx):
         raise ParseError("data files disagree on the coefficient field")

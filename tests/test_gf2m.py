@@ -6,6 +6,7 @@ from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import (FieldCtx, FieldElement, embed, ext_context,
                             field_make, format_elem, gf32, parse_elem,
                             unembed)
+from salemsurf.multipoly import parse_field
 
 
 def frobenius(x: FieldElement, k: int) -> FieldElement:
@@ -48,13 +49,21 @@ def test_defining_relation(ctx):
     assert ctx.gen_pow(5) + ctx.gen_pow(2) + ctx.one() == ctx.zero()
 
 
-def test_field_above_the_table_limit_is_refused(monkeypatch):
-    def no_table(self):
+class _NoTable(int):
+    """A modulus whose use in the power loop fails the test."""
+
+    def __rxor__(self, other):
         raise AssertionError("a table was started")
 
-    monkeypatch.setattr(FieldCtx, "_find_generator", no_table)
+    __xor__ = __rxor__
+
+
+def test_field_above_the_table_limit_is_refused():
+    # the power loop xors in the modulus, so a table start fails the test
+    with pytest.raises(AssertionError, match="a table was started"):
+        FieldCtx(3, _NoTable(0b1011))
     with pytest.raises(InvariantViolation, match="GF\\(2\\^20\\)"):
-        field_make(21, (1 << 21) | 0b101)  # x^21 + x^2 + 1
+        field_make(21, _NoTable((1 << 21) | 0b101))  # x^21 + x^2 + 1
 
 
 def test_prime_field():
@@ -67,6 +76,65 @@ def test_reducible_modulus_rejected():
     # t^4 + t^2 + 1 = (t^2 + t + 1)^2
     with pytest.raises(InvariantViolation, match=r"factors over GF\(2\)"):
         field_make(4, 0b10101)
+
+
+def test_irreducible_but_not_primitive_modulus_rejected():
+    # t^8 + t^4 + t^3 + t + 1 is irreducible, but t has order 51, not 255
+    with pytest.raises(InvariantViolation, match="0b100011011 is not prim"):
+        parse_field("g^8=g^4+g^3+g+1")
+
+
+def _mulmod(a: int, b: int, f: int) -> int:
+    """a * b in GF(2)[t] / f by shift and xor, without the tables."""
+    m, r = f.bit_length() - 1, 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= f
+    return r
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_g_is_a_primitive_root_of_the_modulus(d):
+    f = ext_context(d)
+    g = f.gen().bits
+    assert g == (0b10 if d > 1 else 1)  # the class of t
+    acc = 0  # f(g) by Horner, from the leading coefficient down
+    for i in range(d, -1, -1):
+        acc = _mulmod(acc, g, f.modulus) ^ (f.modulus >> i & 1)
+    assert acc == 0
+    x, order = g, 1
+    while x != 1:
+        x, order = _mulmod(x, g, f.modulus), order + 1
+    assert order == (1 << d) - 1
+    rng = random.Random(d)
+    for _ in range(50):
+        a, b = rng.randrange(1 << d), rng.randrange(1 << d)
+        assert f.mul_bits(a, b) == _mulmod(a, b, f.modulus)
+
+
+@pytest.mark.parametrize("d,modulus", [
+    (1, 0b11), (3, 0b1011), (5, 0b100101), (10, 0b10000001001),
+    (15, 0b1000000000000011), (20, 0b100000000000000001001)])
+def test_extension_moduli_are_pinned(d, modulus):
+    assert ext_context(d).modulus == modulus
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 6), (5, 5), (5, 10)])
+def test_unembed_inverts_embed(m, n):
+    sub, sup = ext_context(m), ext_context(n)
+    image = {embed(sub.elem(b), sub, sup).bits for b in range(1 << m)}
+    assert len(image) == 1 << m
+    for b in range(1 << m):
+        assert unembed(embed(sub.elem(b), sub, sup), sub) == sub.elem(b)
+    if m == n:
+        return
+    outside = next(b for b in range(1 << n) if b not in image)
+    with pytest.raises(InvariantViolation, match="not in the embedded"):
+        unembed(sup.elem(outside), sub)
 
 
 def test_self_addition_vanishes(ctx):

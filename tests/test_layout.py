@@ -1,8 +1,9 @@
-"""Source layout: every top-level function and class of the package is
-used by the package itself, so code that only tests call lives in the
-tests."""
+"""Source layout: every top-level function and class of the package, and
+every method of its classes, is used by the package itself, so code
+that only tests call lives in the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import salemsurf
@@ -10,16 +11,17 @@ import salemsurf
 SRC = Path(salemsurf.__file__).parent
 
 
-def _names(node) -> set:
-    """Every identifier node refers to: names, attributes and imports."""
-    out = set()
+def _names(node) -> Counter:
+    """Every identifier node refers to, with its number of references:
+    names, attributes and imports."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name)
+            out[sub.name] += 1
     return out
 
 
@@ -34,4 +36,18 @@ def test_every_top_level_definition_has_a_caller_in_src():
         if not any(stmt.name in names
                    for j, names in enumerate(used) if j != i):
             unused.append(stmt.name)
+    assert unused == []
+
+
+def test_every_method_has_a_caller_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    used = sum((_names(tree) for tree in trees), Counter())
+    unused = []
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        for meth in cls.body:
+            if (isinstance(meth, ast.FunctionDef)
+                    and not meth.name.startswith("__")
+                    and used[meth.name] == _names(meth)[meth.name]):
+                unused.append(f"{cls.name}.{meth.name}")
     assert unused == []

@@ -302,20 +302,22 @@ PACKAGE_ERRORS = ("ParseError: ", "InvariantViolation: ", "NoSolution: ",
                   "DomainError: ")
 
 
-def _model_mutants(per_file, seed):
-    """(file, line, mutated line): one coefficient g^k below the header
-    of one model file changed to g^k' with k' != k."""
+def _model_mutants(per_file, seed, pattern=r"g\^(\d+)", values=range(31)):
+    """(file, line, mutated line): one number that `pattern` captures below
+    the header of one model file changed to another of `values`. By
+    default the number is a coefficient's exponent k in g^k; files with
+    no such number (points.dat has no monomials) give no mutants."""
     rng = random.Random(seed)
     out = []
     for name in MODEL_FILES:
         sites = [(ln, m) for ln in lat._read_data(None, name).splitlines()
                  if not ln.startswith(("#", "vars:", "field:"))
-                 for m in re.finditer(r"g\^(\d+)", ln)]
+                 for m in re.finditer(pattern, ln)]
         mutants = set()
-        while len(mutants) < per_file:  # cubic.poly has only 5 sites
+        while sites and len(mutants) < per_file:  # cubic.poly: 5 g^k sites
             ln, m = rng.choice(sites)
-            k = rng.choice([j for j in range(31) if j != int(m.group(1))])
-            mutants.add((name, ln, f"{ln[:m.start()]}g^{k}{ln[m.end():]}"))
+            k = rng.choice([j for j in values if j != int(m.group(1))])
+            mutants.add((name, ln, f"{ln[:m.start(1)]}{k}{ln[m.end(1):]}"))
         out += sorted(mutants)
     return out
 
@@ -328,15 +330,28 @@ def _error_leaves(report):
         yield report
 
 
-def test_model_mutations_are_rejected(tmp_path):
-    """Every single-coefficient mutant of every model file fails the
-    surface suite, and only the package's own exceptions reach a leaf."""
-    for n, (name, line, mutant) in enumerate(_model_mutants(6, 412)):
+def _assert_rejected(tmp_path, mutants):
+    for n, (name, line, mutant) in enumerate(mutants):
         copy = _with_line(tmp_path / str(n), name, line, mutant)
         report = run_suite("surface", SuiteConfig(data_dir=copy))
         assert not report.ok(), (name, mutant)
         for leaf in _error_leaves(report):
             assert leaf.witness.startswith(PACKAGE_ERRORS), leaf.witness
+
+
+def test_model_mutations_are_rejected(tmp_path):
+    """Every single-coefficient mutant of every model file fails the
+    surface suite, and only the package's own exceptions reach a leaf."""
+    _assert_rejected(tmp_path, _model_mutants(6, 412))
+
+
+def test_monomial_exponent_mutations_are_rejected(tmp_path):
+    """Changing one exponent x^k of a monomial in a polynomial file fails
+    the surface suite the same way."""
+    mutants = _model_mutants(4, 413, r"[xyz]\^(\d+)", range(13))
+    assert sorted({name for name, _, _ in mutants}) == [
+        "automorphism.poly", "cubic.poly", "surface.poly"]
+    _assert_rejected(tmp_path, mutants)
 
 
 def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
@@ -355,6 +370,10 @@ def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
     ("cubic.poly", "weights: 1 1 1", "weights: 1 one 1", "bad weight 'one'"),
     ("points.dat", "g^5=g^2+1", "g^5=g^b+1", "bad modulus term 'g^b'"),
     ("points.dat", "g^5=g^2+1", "g^5=g^-2+1", "bad modulus term 'g^-2'"),
+    ("automorphism.poly", "weights: 1 1 1", "weights: 2 1 1",
+     "automorphism.poly must declare 3 weight-1 variables"),
+    ("cubic.poly", "weights: 1 1 1", "weights: 2 1 1",
+     "cubic.poly must declare 3 weight-1 variables"),
 ])
 def test_malformed_number_is_a_parse_error(tmp_path, name, old, new,
                                            message):
