@@ -34,10 +34,13 @@ class FieldCtx:
                 f"modulus degree {modulus.bit_length() - 1}, expected {m}")
         if not modulus & 1:
             raise InvariantViolation("modulus has zero constant term")
+        if m < 1:
+            # GF(2)[t]/(1) is the zero ring, where t never returns to 1
+            raise InvariantViolation(f"0b{modulus:b} factors over GF(2)")
         self.m = m
         self.modulus = modulus
         self.order = (1 << m) - 1
-        # t is a unit (the constant term is 1), so its powers return to 1
+        # t is a unit (m >= 1, constant term 1), so its powers return to 1
         # within the at most 2^m - 1 units; after exactly 2^m - 1 steps
         # iff the modulus is primitive
         exp, x = [], 1

@@ -78,6 +78,13 @@ def test_reducible_modulus_rejected():
         field_make(4, 0b10101)
 
 
+@pytest.mark.parametrize("spec", ["g^0=1+1", "g^0=g+g"])
+def test_constant_modulus_rejected(spec):
+    # the modulus 1 gives the zero ring, not a field
+    with pytest.raises(InvariantViolation, match=r"0b1 factors over GF\(2\)"):
+        parse_field(spec)
+
+
 def test_irreducible_but_not_primitive_modulus_rejected():
     # t^8 + t^4 + t^3 + t + 1 is irreducible, but t has order 51, not 255
     with pytest.raises(InvariantViolation, match="0b100011011 is not prim"):
