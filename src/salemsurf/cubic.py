@@ -113,12 +113,10 @@ class AffineAction:
 
 
 def lehmer_mod2_roots(ctx: FieldCtx) -> list[FieldElement]:
-    """Roots in ctx of the fixed degree-10 polynomial reduced mod 2."""
-    p = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
-    out = [FieldElement(ctx, bits) for bits in range(1, 1 << ctx.m)
-           if p.eval_bits(bits) == 0]
-    out.sort(key=lambda e: ctx.dlog_bits(e.bits))
-    return out
+    """Roots in ctx of the fixed degree-10 polynomial reduced mod 2,
+    in increasing order of their exponent of g."""
+    powers = (ctx.gen_pow(k) for k in range(ctx.order))
+    return [a for a in powers if _is_lehmer_root(a)]
 
 
 def _is_lehmer_root(alpha: FieldElement) -> bool:
@@ -462,16 +460,15 @@ def equivariant_matches(matches, action_a: AffineAction,
     return out
 
 
-def alpha_table_text(ctx: FieldCtx) -> str:
+def alpha_table_text(rows) -> str:
     """Deterministic table of all valid scalars with their data.
 
-    One line per root: alpha, beta, the ten orbit parameters. The test
-    suite regenerates this text and diffs it against the bundled file.
+    One line per row (alpha, beta, orbit_points(alpha, beta)), as the
+    cubic suite builds them. That suite diffs this text against the
+    bundled file.
     """
     lines = ["# alpha | beta | t1..t10 (all as generator powers)"]
-    for alpha in lehmer_mod2_roots(ctx):
-        beta = beta_from_alpha(alpha)
-        params = orbit_points(alpha, beta)
+    for alpha, beta, params in rows:
         lines.append(
             f"alpha = {format_elem(alpha)}; beta = {format_elem(beta)}; "
             "params = " + " ".join(format_elem(t) for t in params))

@@ -19,6 +19,7 @@ by dividing every coordinate by its last nonzero one.
 
 from __future__ import annotations
 
+from . import MAX_M
 from .errors import DomainError, InvariantViolation, ParseError
 from .gf2m import (FieldCtx, FieldElement, embed, ext_context, field_make,
                    format_elem, parse_elem, unembed)
@@ -571,11 +572,21 @@ def _parse_natural(token: str, message: str) -> int:
 
 
 def parse_field(text: str) -> FieldCtx:
+    """The context of a `g^m=...` header. m is at most MAX_M and every
+    modulus term a power of g below g^m, both checked before the
+    modulus bit-mask is built."""
     left, _, right = text.partition("=")
     left = left.strip()
     if not left.startswith("g^"):
         raise ParseError(f"bad field spec {text!r}")
     m = _parse_natural(left[2:], f"bad field degree in {text!r}")
+    if m > MAX_M:
+        raise ParseError(f"field degree {m} is above the largest "
+                         f"supported, {MAX_M}: {text!r}")
+    if m == 0:
+        # no term lies below g^0, and the modulus 1 gives the zero
+        # ring, which field_make refuses
+        return field_make(0, 1)
     bits = 1 << m
     for term in right.replace(" ", "").split("+"):
         if term == "1":
@@ -586,6 +597,8 @@ def parse_field(text: str) -> FieldCtx:
             k = _parse_natural(term[2:], f"bad modulus term {term!r}")
         else:
             raise ParseError(f"bad modulus term {term!r}")
+        if k >= m:
+            raise ParseError(f"modulus term {term!r} is not below g^{m}")
         bits ^= 1 << k
     return field_make(m, bits)
 
@@ -657,8 +670,9 @@ def parse_header(line: str):
     return names, weights, parse_field(fields["field"])
 
 
-def parse_poly_file(text: str):
-    """-> (names, weights, ctx, {name: MultiPoly}) for a polynomial file."""
+def parse_poly_file(text: str, source: str):
+    """-> (names, weights, ctx, {name: MultiPoly}) for a polynomial file;
+    source names the file when a label is defined twice."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -669,12 +683,16 @@ def parse_poly_file(text: str):
         label, _, body = ln.partition("=")
         if not _:
             raise ParseError(f"expected `name = terms`: {ln!r}")
-        polys[label.strip()] = parse_poly(ctx, names, body)
+        label = label.strip()
+        if label in polys:
+            raise ParseError(f"{source} defines {label!r} twice")
+        polys[label] = parse_poly(ctx, names, body)
     return names, weights, ctx, polys
 
 
-def parse_point_file(text: str):
-    """-> (ctx, {label: ProjPoint}) for a labeled point file."""
+def parse_point_file(text: str, source: str):
+    """-> (ctx, {label: ProjPoint}) for a labeled point file; source
+    names the file when a label is defined twice."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("field:"):
@@ -686,7 +704,10 @@ def parse_point_file(text: str):
         body = body.strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise ParseError(f"expected `label = (a : b : c)`: {ln!r}")
+        label = label.strip()
+        if label in points:
+            raise ParseError(f"{source} defines {label!r} twice")
         coords = [parse_elem(part.strip(), ctx)
                   for part in body[1:-1].split(":")]
-        points[label.strip()] = ProjPoint(ctx, coords)
+        points[label] = ProjPoint(ctx, coords)
     return ctx, points

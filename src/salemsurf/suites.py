@@ -305,23 +305,20 @@ def _cubic_group_law() -> list:
     return checks
 
 
-def _cubic_beta_solver() -> list:
+def _cubic_beta_solver(roots, betas) -> list:
     ctx = gf.gf32()
-    roots = cu.lehmer_mod2_roots(ctx)
     checks = [rp.leaf("beta_solver.root_count", len(roots) == 10,
                       [gf.format_elem(a) for a in roots])]
     one = gf.FieldElement(ctx, 1)
-    solvable = dual = unique = 0
-    for a in roots:
-        b = cu.beta_from_alpha(a)
-        solvable += 1
+    dual = unique = 0
+    for a, b in zip(roots, betas):
         if cu.second_param_expr1(a, b) == cu.second_param_expr2(a, b):
             dual += 1
         if cu.second_param_expr1(a, b + one) \
                 != cu.second_param_expr2(a, b + one):
             unique += 1
     checks.append(rp.leaf("beta_solver.solvable_at_every_root",
-                          solvable == 10, f"{solvable}/10"))
+                          len(betas) == 10, f"{len(betas)}/10"))
     checks.append(rp.leaf("beta_solver.expressions_agree",
                           dual == 10, f"{dual}/10"))
     checks.append(rp.leaf("beta_solver.solution_unique",
@@ -340,12 +337,9 @@ def _cubic_beta_solver() -> list:
     return checks
 
 
-def _cubic_orbits() -> list:
-    ctx = gf.gf32()
+def _cubic_orbits(rows) -> list:
     subs = []
-    for a in cu.lehmer_mod2_roots(ctx):
-        b = cu.beta_from_alpha(a)
-        params = cu.orbit_points(a, b)
+    for a, b, params in rows:
         action = cu.AffineAction(a, b)
         distinct = rp.leaf("params_distinct",
                            len({t.bits for t in params}) == 10,
@@ -357,21 +351,33 @@ def _cubic_orbits() -> list:
     return subs
 
 
-def _cubic_alpha_table(data_dir) -> rp.Report:
+def _cubic_alpha_table(data_dir, rows) -> rp.Report:
     bundled = lat._read_data(data_dir, "alpha_table.dat")
-    regen = cu.alpha_table_text(gf.gf32())
+    regen = cu.alpha_table_text(rows())
     return rp.leaf("cubic.alpha_table_fresh",
                    bundled.strip() == regen.strip(),
                    f"{len(regen.splitlines())} lines")
 
 
 def cubic_suite(config: SuiteConfig) -> list:
+    """The cubic checks over one run-object table: Lehmer's mod-2 roots
+    in GF(32), the translation part beta of each and its orbit."""
+    need = _run_objects({
+        "roots": lambda need: cu.lehmer_mod2_roots(gf.gf32()),
+        "betas": lambda need: list(map(cu.beta_from_alpha, need("roots"))),
+        "orbits": lambda need: list(map(cu.orbit_points, need("roots"),
+                                        need("betas"))),
+    })
+
+    def rows():
+        return zip(need("roots"), need("betas"), need("orbits"))
     return _run_checks([
         ("cubic.group_law", _cubic_group_law),
-        ("cubic.beta_solver", _cubic_beta_solver),
-        ("cubic.orbits", _cubic_orbits),
+        ("cubic.beta_solver", lambda: _cubic_beta_solver(
+            need("roots"), need("betas"))),
+        ("cubic.orbits", lambda: _cubic_orbits(rows())),
         ("cubic.alpha_table_fresh",
-         lambda: _cubic_alpha_table(config.data_dir))])
+         lambda: _cubic_alpha_table(config.data_dir, rows))])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +387,9 @@ def cubic_suite(config: SuiteConfig) -> list:
 def _surface_objects(data_dir):
     """need(key) for one surface run: the model, the inverse of its
     automorphism, the conjugation scalar, the cusp of the marked cubic
-    as located by scanning the plane, the cusp chart of that cubic and
-    the affine action the automorphism induces on it."""
+    as located by scanning the plane, its cusp chart, the affine action
+    the automorphism induces there and Lehmer's mod-2 roots in the
+    model's field."""
     return _run_objects({
         "model": lambda need: sf.load_model(data_dir),
         "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
@@ -393,6 +400,7 @@ def _surface_objects(data_dir):
                                                       need("cusp")),
         "action": lambda need: cu.induced_affine_map(
             need("chart"), list(need("model").f)),
+        "roots": lambda need: cu.lehmer_mod2_roots(need("model").ctx),
     })
 
 
@@ -428,14 +436,13 @@ def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
 
 
 def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
-                   action: cu.AffineAction) -> rp.Report:
+                   action: cu.AffineAction, roots) -> rp.Report:
     """Report node for the concrete-to-abstract parameter match: chart
-    is the cusp chart of m.g and action the map m.f induces on it."""
-    checks = [rp.leaf("match.induced_action_affine", True, repr(action))]
-    root_bits = {a.bits for a in cu.lehmer_mod2_roots(m.ctx)}
-    checks.append(rp.leaf("match.multiplier_is_root",
-                          action.alpha.bits in root_bits,
-                          gf.format_elem(action.alpha)))
+    is the cusp chart of m.g, action the map m.f induces on it and
+    roots Lehmer's mod-2 roots in m's field."""
+    checks = [rp.leaf("match.induced_action_affine", True, repr(action)),
+              rp.leaf("match.multiplier_is_root", action.alpha in roots,
+                      gf.format_elem(action.alpha))]
     try:
         fixed = action.fixed_point()
         t0 = chart.param_of(m.points[0])
@@ -467,7 +474,7 @@ def _surface_alpha(m: sf.SurfaceModel, need) -> rp.Report:
     except Exception:  # noqa: BLE001 - the earlier leaves say why
         raise NoSolution("conjugation scalar or induced multiplier "
                          "unavailable; see earlier leaves") from None
-    return sf.verify_alpha_consistency(m, scalar, action.alpha)
+    return sf.verify_alpha_consistency(m, scalar, action.alpha, need("roots"))
 
 
 def surface_suite(config: SuiteConfig) -> list:
@@ -487,7 +494,8 @@ def surface_suite(config: SuiteConfig) -> list:
         ("singular", lambda: sf.singular_locus(m, config.ext_bound)),
         ("multiplicities", lambda: sf.verify_multiplicities(m)),
         ("charts", lambda: sf.verify_chart_smoothness(m)),
-        ("match", lambda: _surface_match(m, need("chart"), need("action"))),
+        ("match", lambda: _surface_match(m, need("chart"), need("action"),
+                                         need("roots"))),
         ("alpha", lambda: _surface_alpha(m, need))])
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import (DomainError, InvariantViolation, NoSolution,
                      ParseError)
-from .gf2m import FieldCtx, FieldElement, embed, field_make, format_elem
+from .gf2m import FieldCtx, FieldElement, embed, format_elem
 from .multipoly import (
     MultiPoly,
     ProjPoint,
@@ -23,7 +23,7 @@ from .multipoly import (
     resultant,
 )
 from .unipoly import UniPoly, uni_roots
-from .lattice import _read_data, lehmer_polynomial
+from .lattice import _read_data
 from . import report as rp
 
 
@@ -64,7 +64,8 @@ def _need(polys: dict, fname: str, *labels):
 def _parse_plane_file(data_dir, fname: str):
     """-> (names, ctx, {name: MultiPoly}) for a polynomial file in three
     weight-1 variables."""
-    names, weights, ctx, polys = parse_poly_file(_read_data(data_dir, fname))
+    names, weights, ctx, polys = parse_poly_file(_read_data(data_dir, fname),
+                                                 fname)
     if weights != (1, 1, 1) or len(names) != 3:
         raise ParseError(f"{fname} must declare 3 weight-1 variables")
     return names, ctx, polys
@@ -81,7 +82,8 @@ def load_model(data_dir=None) -> SurfaceModel:
     (s,) = _need(sp, "surface.poly", "s")
     an, actx, ap = _parse_plane_file(data_dir, "automorphism.poly")
     cn, cctx, cp = _parse_plane_file(data_dir, "cubic.poly")
-    pctx, pts = parse_point_file(_read_data(data_dir, "points.dat"))
+    pctx, pts = parse_point_file(_read_data(data_dir, "points.dat"),
+                                 "points.dat")
     if not (actx is ctx and cctx is ctx and pctx is ctx):
         raise ParseError("data files disagree on the coefficient field")
     if an != names or cn != names:
@@ -752,26 +754,20 @@ def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
 
 
 def verify_alpha_consistency(m: SurfaceModel, lambda1: FieldElement,
-                             alpha: FieldElement) -> rp.Report:
+                             alpha: FieldElement, roots) -> rp.Report:
     """Cross-checks between the derivation scalar and the parameter
-    action: lambda1 = g^8, alpha is a root of the degree-10 integer
-    polynomial reduced mod 2, alpha != lambda1^2 (so the two quadric
-    eigenvalues stay distinct), and g^16 itself is not such a root."""
+    action: lambda1 = g^8, alpha is one of roots (the degree-10 integer
+    polynomial's mod-2 roots in m.ctx), alpha != lambda1^2 (so the two
+    quadric eigenvalues stay distinct), and g^16 is not such a root."""
     ctx = m.ctx
-    gf2 = field_make(1, 0b11)
-    p10 = UniPoly(gf2, [c % 2 for c in lehmer_polynomial()])
-    roots = uni_roots(p10, 10)
-    root_bits = {r.bits for r, _ in roots}
-    same_field = all(r.ctx is ctx for r, _ in roots)
     checks = [
         rp.leaf("alpha.lambda1_value", lambda1 == ctx.gen_pow(8),
                 format_elem(lambda1)),
-        rp.leaf("alpha.root_count", same_field and len(root_bits) == 10,
-                f"{len(root_bits)} roots"),
-        rp.leaf("alpha.is_root", alpha.bits in root_bits,
-                format_elem(alpha)),
+        rp.leaf("alpha.root_count", len(roots) == 10,
+                f"{len(roots)} roots"),
+        rp.leaf("alpha.is_root", alpha in roots, format_elem(alpha)),
         rp.leaf("alpha.forbidden_value_not_root",
-                ctx.gen_pow(16).bits not in root_bits,
+                ctx.gen_pow(16) not in roots,
                 format_elem(ctx.gen_pow(16))),
     ]
     lam2 = alpha / lambda1

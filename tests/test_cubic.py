@@ -252,5 +252,8 @@ def test_equivariant_matching(ctx):
 
 def test_alpha_table_matches_bundled_file(ctx):
     from salemsurf.lattice import _read_data
-    assert alpha_table_text(ctx).strip() == \
+    roots = lehmer_mod2_roots(ctx)
+    betas = [beta_from_alpha(a) for a in roots]
+    rows = zip(roots, betas, map(orbit_points, roots, betas))
+    assert alpha_table_text(rows).strip() == \
         _read_data(None, "alpha_table.dat").strip()

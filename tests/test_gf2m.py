@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -82,6 +83,17 @@ def test_reducible_modulus_rejected():
 def test_constant_modulus_rejected(spec):
     # the modulus 1 gives the zero ring, not a field
     with pytest.raises(InvariantViolation, match=r"0b1 factors over GF\(2\)"):
+        parse_field(spec)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("g^21=g^3+1", "field degree 21 is above the largest supported, 20"),
+    ("g^5=g^7+1", "modulus term 'g^7' is not below g^5"),
+    ("g^5=g^5+1", "modulus term 'g^5' is not below g^5"),
+])
+def test_field_header_out_of_bounds_is_a_parse_error(spec, message):
+    # refused before the modulus bit-mask is built
+    with pytest.raises(ParseError, match=re.escape(message)):
         parse_field(spec)
 
 

@@ -1,6 +1,7 @@
 """Source layout: every top-level function and class of the package, and
 every method of its classes, is used by the package itself, so code
-that only tests call lives in the tests."""
+that only tests call lives in the tests; and every module-level import
+of a module is used in that module."""
 
 import ast
 from collections import Counter
@@ -36,6 +37,23 @@ def test_every_top_level_definition_has_a_caller_in_src():
         if not any(stmt.name in names
                    for j, names in enumerate(used) if j != i):
             unused.append(stmt.name)
+    assert unused == []
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name)}
+        for stmt in tree.body:
+            if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    or getattr(stmt, "module", None) == "__future__"):
+                continue
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{path.name}: {bound}")
     assert unused == []
 
 

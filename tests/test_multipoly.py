@@ -359,7 +359,7 @@ def test_poly_file_roundtrip(ctx):
     rng = random.Random(12)
     polys = {"a": _rand_poly(ctx, 3, rng), "b": _rand_poly(ctx, 3, rng)}
     text = _format_poly_file(NAMES, (1, 1, 1), ctx, polys)
-    names, weights, fctx, parsed = parse_poly_file(text)
+    names, weights, fctx, parsed = parse_poly_file(text, "test.poly")
     assert names == list(NAMES) or tuple(names) == NAMES
     assert tuple(weights) == (1, 1, 1)
     assert fctx is ctx

@@ -20,7 +20,8 @@ import salemsurf.report as rp
 import salemsurf.suites as suites
 import salemsurf.surface as sf
 from salemsurf.cli import build_parser, main
-from salemsurf.errors import NoSolution
+from salemsurf.errors import InvariantViolation, NoSolution
+from salemsurf.gf2m import field_make
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
@@ -179,7 +180,8 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert len(set(witnesses.values())) == 1
     chart = cu.cusp_parametrization(model.g, model.cusp)
     action = cu.induced_affine_map(chart, list(model.f))
-    assert suites._surface_match(model, chart, action).ok()
+    roots = cu.lehmer_mod2_roots(model.ctx)
+    assert suites._surface_match(model, chart, action, roots).ok()
     assert calls["all_point_set_matches"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
@@ -228,6 +230,97 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     names = [c.name for c in report.children]
     assert ("derivation" in names) == (name != "derive_sigma_inverse")
     assert names[0] == "model" and names[-1] == "alpha"
+
+
+def test_lehmer_roots_are_found_once_per_suite(monkeypatch):
+    """`verify all` finds Lehmer's mod-2 roots once in the cubic suite
+    and once in the surface suite, solves beta and the orbit once per
+    root and once more for the model's multiplier in `match`, and finds
+    no roots of a polynomial over GF(2) by factoring it."""
+    calls = Counter()
+    for name in ("lehmer_mod2_roots", "beta_from_alpha", "orbit_points"):
+        fn = getattr(cu, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cu, name, counted)
+    uni_roots = sf.uni_roots  # surface imports it by name
+    degrees = Counter()
+
+    def traced_uni_roots(f, *args):
+        degrees[f.ctx.m] += 1
+        return uni_roots(f, *args)
+
+    monkeypatch.setattr(sf, "uni_roots", traced_uni_roots)
+    assert run_suite("all").ok()
+    assert calls == {"lehmer_mod2_roots": 2, "beta_from_alpha": 11,
+                     "orbit_points": 11}
+    assert degrees and 1 not in degrees  # the singular locus, in GF(32)
+
+
+def test_failed_orbit_build_spares_the_beta_solver(monkeypatch):
+    """With orbit_points raising, the orbits are attempted once, the two
+    checks that read them are error leaves with one witness, and
+    cubic.beta_solver, which reads only the roots and betas, passes."""
+    calls = Counter()
+
+    def fail(*args):
+        calls["orbit_points"] += 1
+        raise InvariantViolation("forced orbit_points failure")
+
+    monkeypatch.setattr(cu, "orbit_points", fail)
+    nodes = {c.name: c for c in run_suite("cubic").children}
+    assert calls["orbit_points"] == 1
+    for name in ("cubic.orbits", "cubic.alpha_table_fresh"):
+        assert nodes[name].status == "error" and not nodes[name].children
+        assert nodes[name].witness == ("InvariantViolation: forced "
+                                       "orbit_points failure")
+    beta = nodes["cubic.beta_solver"]
+    assert len(beta.children) == 7
+    assert all(c.status == "pass" for c in beta.children)
+    assert nodes["cubic.group_law"].ok()
+
+
+def _in_reciprocal_field(tmp_path):
+    """A copy of the bundled model presented over t^5 + t^3 + 1, the
+    reversal of the bundled t^5 + t^2 + 1. Then g -> g^-1 is a field
+    isomorphism between the two, so each coefficient g^k becomes
+    g^(-k mod 31)."""
+    copy = tmp_path / "data"
+    shutil.copytree(Path(sf.__file__).parent / "data", copy)
+
+    def inverse(match):
+        return f"g^{-int(match.group(1) or 1) % 31}"
+    for name in MODEL_FILES:
+        lines = []
+        for ln in (copy / name).read_text().splitlines():
+            if ln.startswith(("#", "vars:", "field:")):
+                lines.append(ln.replace("g^5=g^2+1", "g^5=g^3+1"))
+            else:
+                label, eq, body = ln.partition("=")
+                lines.append(label + eq + re.sub(r"\bg(?:\^(\d+))?\b",
+                                                 inverse, body))
+        (copy / name).write_text("\n".join(lines) + "\n")
+    return copy
+
+
+def test_roots_are_found_in_the_model_field(tmp_path):
+    """The match and alpha nodes compare the model's multiplier with the
+    roots in the field that the data declares, not in the bundled
+    presentation of GF(32)."""
+    copy = _in_reciprocal_field(tmp_path)
+    assert sf.load_model(copy).ctx is field_make(5, 0b101001)
+    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    leaves = {leaf.name: leaf for node in report.children
+              for leaf in node.children or [node]}
+    for name in ("match.multiplier_is_root", "alpha.root_count",
+                 "alpha.is_root"):
+        assert leaves[name].status == "pass", name
+    assert leaves["alpha.root_count"].witness == "10 roots"
+    # the model itself verifies: the singular locus, orbit and match
+    for name in ("singular", "orbit", "match"):
+        assert next(c for c in report.children if c.name == name).ok()
 
 
 def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
@@ -382,6 +475,25 @@ def test_malformed_number_is_a_parse_error(tmp_path, name, old, new,
     (model,) = report.children
     assert model.name == "model" and model.status == "error"
     assert model.witness == f"ParseError: {message}"
+
+
+@pytest.mark.parametrize("name,label", [("automorphism.poly", "fz"),
+                                        ("points.dat", "p5")])
+def test_repeated_label_is_a_parse_error(tmp_path, capsys, name, label):
+    """A second, identical definition of a label is refused; before, the
+    later line silently won and the copy verified."""
+    copy = tmp_path / "data"
+    shutil.copytree(Path(sf.__file__).parent / "data", copy)
+    text = (copy / name).read_text()
+    line = next(ln for ln in text.splitlines()
+                if ln.startswith(f"{label} ="))
+    (copy / name).write_text(text + line + "\n")
+    assert main(["surface", "--data", str(copy), "--format", "json"]) == 1
+    children = json.loads(capsys.readouterr().out)["children"]
+    assert [(c["name"], c["status"]) for c in children] == [
+        ("model", "error")]
+    assert children[0]["witness"] == (f"ParseError: {name} defines "
+                                      f"{label!r} twice")
 
 
 def test_cli_json_output(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import salemsurf.surface as sf
+from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import (DomainError, InvariantViolation, NoSolution,
                               ParseError)
 from salemsurf.gf2m import gf32
@@ -149,11 +150,13 @@ def test_chart_smoothness(model):
 
 def test_alpha_consistency(ctx, model, conj_scalar):
     alpha = ctx.gen_pow(19)
-    assert sf.verify_alpha_consistency(model, conj_scalar, alpha).ok()
-    assert not sf.verify_alpha_consistency(model, ctx.gen_pow(9),
-                                           alpha).ok()
+    roots = lehmer_mod2_roots(ctx)
+    assert sf.verify_alpha_consistency(model, conj_scalar, alpha,
+                                       roots).ok()
+    assert not sf.verify_alpha_consistency(model, ctx.gen_pow(9), alpha,
+                                           roots).ok()
     assert not sf.verify_alpha_consistency(model, conj_scalar,
-                                           ctx.gen_pow(16)).ok()
+                                           ctx.gen_pow(16), roots).ok()
 
 
 def _flip_one_term(rng, poly):
