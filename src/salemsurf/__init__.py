@@ -3,11 +3,36 @@
 Arithmetic lives in gf2m/unipoly/multipoly, the hyperbolic-lattice and
 mod-2 machinery in lattice/mod2space, the cuspidal-cubic group law in
 cubic, and the surface checks in surface. suites/cli wrap everything
-into named report-producing runs; importing cli executes only cli,
-suites, lattice, report and errors, and each other module executes
-when a suite first uses it.
+into named report-producing runs; importing cli executes only this
+package root, cli, suites, report and errors. Every other module,
+lattice included, executes when a suite first uses it, and `fractions`
+and `decimal` are imported only with lattice or when a --precision is
+parsed, so a `verify surface` run loads neither.
+
+Lehmer's coefficients and the data-file reader live here, because the
+lattice half and the surface half both use them.
 """
+
+from .errors import ParseError
 
 __version__ = "0.1.0"
 
 MAX_M = 20  # largest GF(2^m) degree: gf2m keeps tables of 2^m entries
+
+# Lehmer's degree-10 Salem polynomial, low degree first: its largest
+# root is lambda10, and its reduction mod 2 gives the cubic multipliers
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def _read_data(data_dir, name: str) -> str:
+    """Text of the model data file `name`: from data_dir when given,
+    else the copy bundled with the package. Every suite reads its data
+    through here."""
+    from importlib import resources  # here, so `verify salem` skips them
+    from pathlib import Path
+    if data_dir is not None:
+        p = Path(data_dir) / name
+        if not p.exists():
+            raise ParseError(f"missing data file {p}")
+        return p.read_text()
+    return resources.files(__package__).joinpath("data", name).read_text()

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 from . import MAX_M
 from .report import emit_json, emit_markdown
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
-def _precision(text: str) -> Fraction:
+def _precision(text: str):
+    """The Fraction that a --precision argument spells. fractions and
+    decimal are imported here, so a run without the option skips them."""
+    from decimal import Decimal, InvalidOperation
+    from fractions import Fraction
     try:
         value = Fraction(Decimal(text))
     except (InvalidOperation, ValueError, ZeroDivisionError,
@@ -50,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "md"), default="md",
                     help="report format (default: md)")
     ap.add_argument("--precision", metavar="P", type=_precision,
-                    default=Fraction(1, 10 ** 9),
                     help="interval width for real-root isolation "
                          "(default: 1e-9)")
     ap.add_argument("--ext-bound", metavar="N", type=_ext_bound, default=10,

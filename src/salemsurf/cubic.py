@@ -16,9 +16,9 @@ linear coefficient).
 
 from __future__ import annotations
 
+from . import LEHMER
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
-from .lattice import lehmer_polynomial
 from .multipoly import MultiPoly, ProjPoint, plane_points
 from .unipoly import UniPoly
 from . import report as rp
@@ -120,7 +120,7 @@ def lehmer_mod2_roots(ctx: FieldCtx) -> list[FieldElement]:
 
 
 def _is_lehmer_root(alpha: FieldElement) -> bool:
-    p = UniPoly(alpha.ctx, [c % 2 for c in lehmer_polynomial()])
+    p = UniPoly(alpha.ctx, [c % 2 for c in LEHMER])
     return p.eval_bits(alpha.bits) == 0
 
 

@@ -8,6 +8,11 @@ cheap). A context accepts only a primitive modulus, one whose root t
 generates the multiplicative group, so every nonzero element is a power
 of t. The data files and reports call t `g`.
 
+The exp table holds two periods, so the product of two nonzero elements
+is _exp[_log[a] + _log[b]] with no reduction. The inner loops of unipoly
+and multipoly work in this log domain: they take each coefficient's log
+once and add logs, leaving mul_bits and pow_bits for single elements.
+
 The canonical GF(32) presentation has modulus t^5 + t^2 + 1.
 
 Textual format: `g^k` for the k-th power of g, `0`, `1`, or a raw
@@ -54,20 +59,25 @@ class FieldCtx:
                 f"0b{modulus:b} is not primitive: t has order {len(exp)}, "
                 f"not {self.order}, so the modulus factors over GF(2) or "
                 "t generates a proper subgroup")
-        self._exp = exp
-        self._log = {v: i for i, v in enumerate(exp)}
+        log = [None] * (1 << m)  # 0 has no log
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._log = log
+        # doubled, so a product is _exp[la + lb] for logs below order
+        self._exp = exp + exp
         self._embeddings = {}
 
-    # raw-bits arithmetic, used by the polynomial engine's inner loops
+    # raw-bits arithmetic on single elements; the polynomial loops add
+    # logs on the tables themselves
     def mul_bits(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % self.order]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_bits(self, a: int) -> int:
         if a == 0:
             raise DomainError("inverse of 0")
-        return self._exp[(self.order - self._log[a]) % self.order]
+        return self._exp[self.order - self._log[a]]
 
     def pow_bits(self, a: int, n: int) -> int:
         if a == 0:
@@ -239,8 +249,8 @@ def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> list[int]:
     if root is None:
         raise InvariantViolation("modulus has no root in the target field")
     table = [0] * (1 << sub.m)
-    for k, bits in enumerate(sub._exp):
-        table[bits] = sup.pow_bits(root, k)
+    for k in range(sub.order):
+        table[sub._exp[k]] = sup.pow_bits(root, k)
     sup._embeddings[id(sub)] = table
     return table
 

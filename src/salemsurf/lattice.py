@@ -16,7 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from . import LEHMER
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
+
+# interval width for real-root isolation when no precision is given: the
+# `verify --precision` default
+DEFAULT_PRECISION = Fraction(1, 10 ** 9)
 
 # ---------------------------------------------------------------------------
 # integer polynomials, low degree first
@@ -133,7 +138,7 @@ def is_reciprocal(p):
 
 def lehmer_polynomial():
     """The degree-10 Salem polynomial with minimal known Mahler measure."""
-    return [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    return list(LEHMER)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +248,6 @@ def coxeter_matrix():
 def canonical_class():
     """-3h + e1 + ... + e10, fixed by the isometry."""
     return tuple([-3] + [1] * 10)
-
-
-def _read_data(data_dir, name: str) -> str:
-    """Text of the model data file `name`: from data_dir when given,
-    else the copy bundled with the package. Every suite reads its data
-    through here."""
-    from importlib import resources  # here, so `verify salem` skips them
-    from pathlib import Path
-    if data_dir is not None:
-        p = Path(data_dir) / name
-        if not p.exists():
-            raise ParseError(f"missing data file {p}")
-        return p.read_text()
-    return resources.files(__package__).joinpath("data", name).read_text()
 
 
 def e10_basis(text):
@@ -556,7 +547,7 @@ class SalemCertificate:
         self.lambda_interval = lambda_interval
 
 
-def salem_certify(p, precision=Fraction(1, 10 ** 9)):
+def salem_certify(p, precision=DEFAULT_PRECISION):
     """Certify that a reciprocal even-degree p is a Salem polynomial.
 
     All roots of the trace polynomial R must be real, exactly one above
@@ -614,7 +605,7 @@ def sign_vector_target(cert):
 # spectral radius
 
 
-def dynamical_degree(m, precision=Fraction(1, 10 ** 9)):
+def dynamical_degree(m, precision=DEFAULT_PRECISION):
     """Certified rational enclosure of the spectral radius of m.
 
     The radius is certified to be a real eigenvalue in two situations:

@@ -5,7 +5,8 @@ zero coefficients are never stored. Canonical order (for printing,
 leading terms and exact division) is graded lexicographic: higher total
 degree first, ties broken by the exponent tuple, left variable most
 significant. Addition is coefficient xor; all inner loops work on raw
-bits through the shared FieldCtx tables. `resultant` eliminates one
+bits through the shared FieldCtx tables, and products, evaluation and
+substitution add logs (`_mul_terms`). `resultant` eliminates one
 variable of two bivariate polynomials by evaluation and interpolation.
 
 The text format round-trips through `format_poly` / `parse_poly_file`:
@@ -19,6 +20,8 @@ by dividing every coordinate by its last nonzero one.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import MAX_M
 from .errors import DomainError, InvariantViolation, ParseError
 from .gf2m import (FieldCtx, FieldElement, embed, ext_context, field_make,
@@ -28,6 +31,25 @@ from .unipoly import UniPoly
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _mul_terms(ctx: FieldCtx, t1: dict, t2: dict) -> dict:
+    """The terms of the product of two term dicts, in the log domain:
+    each coefficient's log is taken once and a product is one lookup
+    of the doubled exp table."""
+    exp, log = ctx._exp, ctx._log
+    logs2 = [(e2, log[c2]) for e2, c2 in t2.items()]
+    out = {}
+    for e1, c1 in t1.items():
+        l1 = log[c1]
+        for e2, l2 in logs2:
+            e = tuple(map(add, e1, e2))
+            n = out.get(e, 0) ^ exp[l1 + l2]
+            if n:
+                out[e] = n
+            else:
+                del out[e]
+    return out
 
 
 class MultiPoly:
@@ -102,19 +124,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._chk(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.ctx, self.nvars)
-        mul = self.ctx.mul_bits
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                n = t.get(e, 0) ^ mul(c1, c2)
-                if n:
-                    t[e] = n
-                else:
-                    del t[e]
-        return MultiPoly(self.ctx, self.nvars, t)
+        return MultiPoly(self.ctx, self.nvars,
+                         _mul_terms(self.ctx, self.terms, other.terms))
 
     def scale_bits(self, s):
         if not s:
@@ -169,16 +180,18 @@ class MultiPoly:
     def eval_bits(self, point):
         if len(point) != self.nvars:
             raise InvariantViolation("point arity != nvars")
-        mul, pw = self.ctx.mul_bits, self.ctx.pow_bits
+        exp, log, order = self.ctx._exp, self.ctx._log, self.ctx.order
+        logs = [log[x] for x in point]  # None at a zero coordinate
         acc = 0
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
+            s = log[c]
+            for lx, k in zip(logs, e):
                 if k:
-                    v = mul(v, pw(x, k))
-                    if not v:
+                    if lx is None:
                         break
-            acc ^= v
+                    s += lx * k
+            else:
+                acc ^= exp[s % order]
         return acc
 
     def change_ctx(self, sup: FieldCtx, lift):
@@ -195,29 +208,31 @@ class MultiPoly:
         octx, onv = images[0].ctx, images[0].nvars
         if octx is not self.ctx:
             raise InvariantViolation("images live in a different field")
-        pow_cache: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.const(octx, onv, 1), 1: im} for im in images]
+        # terms of images[i] ** k for k >= 1, by repeated squaring
+        pow_cache: list[dict[int, dict]] = [{1: im.terms} for im in images]
 
         def power(i, k):
             cache = pow_cache[i]
-            if k in cache:
-                return cache[k]
-            half = power(i, k // 2)
-            v = half * half
-            if k % 2:
-                v = v * pow_cache[i][1]
-            cache[k] = v
-            return v
+            if k not in cache:
+                half = power(i, k // 2)
+                v = _mul_terms(octx, half, half)
+                cache[k] = _mul_terms(octx, v, cache[1]) if k % 2 else v
+            return cache[k]
 
-        acc = MultiPoly.zero(octx, onv)
+        acc: dict[tuple, int] = {}
         for e, c in sorted(self.terms.items(),
                            key=lambda item: _grlex_key(item[0])):
-            t = MultiPoly.const(octx, onv, c)
+            t = {(0,) * onv: c}
             for i, k in enumerate(e):
                 if k:
-                    t = t * power(i, k)
-            acc = acc + t
-        return acc
+                    t = _mul_terms(octx, t, power(i, k))
+            for te, tc in t.items():
+                n = acc.get(te, 0) ^ tc
+                if n:
+                    acc[te] = n
+                else:
+                    del acc[te]
+        return MultiPoly(octx, onv, acc)
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative; even exponents die (char 2)."""
@@ -410,14 +425,26 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
                 break
     else:
         raise InvariantViolation(f"too few points for degree bound {n - 1}")
-    mul, inv = big.mul_bits, big.inv_bits
+    exp, log, order = big._exp, big._log, big.order
     dd = vals[:n]  # Newton divided differences, in place
     for k in range(1, n):
         for t in range(n - 1, k - 1, -1):
-            dd[t] = mul(dd[t] ^ dd[t - 1], inv(xs[t] ^ xs[t - k]))
-    res = UniPoly(big, [dd[-1]])
+            diff = dd[t] ^ dd[t - 1]
+            dd[t] = exp[log[diff] + order - log[xs[t] ^ xs[t - k]]] \
+                if diff else 0
+    # Newton form to coefficients (low degree first) by Horner in place:
+    # cs <- cs * (x + xs[t]) + dd[t] inserts dd[t] below the old
+    # coefficients, which multiplies them by x, then adds xs[t] times
+    # each old coefficient to the one below it
+    cs = [dd[-1]]
     for t in range(n - 2, -1, -1):
-        res = res * UniPoly(big, [xs[t], 1]) + UniPoly(big, [dd[t]])
+        cs.insert(0, dd[t])
+        la = log[xs[t]]
+        if la is not None:
+            for k in range(len(cs) - 1):
+                if cs[k + 1]:
+                    cs[k] ^= exp[log[cs[k + 1]] + la]
+    res = UniPoly(big, cs)
     if res.eval_bits(xs[-1]) != vals[-1]:
         raise InvariantViolation("interpolation misses its check point")
     return MultiPoly(ctx, 2, {(k, 0) if j == 0 else (0, k):
@@ -445,13 +472,9 @@ class LinearSolveResult:
 
 
 def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
-    """Solve A x = b exactly over the field; rows of raw bits or elements."""
-
-    def bit(v):
-        return v.bits if isinstance(v, FieldElement) else int(v)
-
-    a = [[bit(v) for v in row] for row in rows]
-    b = [bit(v) for v in rhs]
+    """Solve A x = b exactly over the field; rows and rhs of raw bits."""
+    a = [list(row) for row in rows]
+    b = list(rhs)
     if len(a) != len(b):
         raise InvariantViolation("rows vs rhs length")
     ncols = len(a[0]) if a else 0

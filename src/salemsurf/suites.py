@@ -12,20 +12,22 @@ guard, over one table of run objects (`_run_objects`), so every shared
 object is built at most once per run, a failed build included. The
 `salem` and `lagrangians` suites run one check of the lattice list.
 
-Only lattice, report and errors are imported here. The finite-field,
+Only report and errors are imported here. The lattice, finite-field,
 polynomial-ring, census, cubic and surface modules are bound through
 `_lazy`: each is in sys.modules from the start but executes on the
-first attribute access, so a suite runs only the modules it uses.
+first attribute access, so a suite runs only the modules it uses. The
+data reader and Lehmer's coefficients live in the package root, so the
+cubic and surface suites execute no lattice code, and `fractions` is
+imported only with lattice.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from fractions import Fraction
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import lattice as lat
+from . import _read_data
 from . import report as rp
 from .errors import NoSolution
 
@@ -48,6 +50,7 @@ def _lazy(name: str):
 
 # unipoly and multipoly are registered though no suite names them:
 # bench/traced.py finds every layer in sys.modules after importing cli
+lat = _lazy("lattice")
 gf = _lazy("gf2m")
 _lazy("unipoly")
 _lazy("multipoly")
@@ -59,15 +62,24 @@ SUITE_NAMES = ("all", "lattice", "cubic", "surface", "salem", "lagrangians")
 
 
 class SuiteConfig:
-    """Execution knobs; the defaults are also the CLI defaults."""
+    """Execution knobs; the defaults are also the CLI defaults. A
+    precision of None stands for lattice.DEFAULT_PRECISION."""
 
-    __slots__ = ("data_dir", "precision", "ext_bound")
+    __slots__ = ("data_dir", "_precision", "ext_bound")
 
-    def __init__(self, data_dir=None, precision=Fraction(1, 10 ** 9),
-                 ext_bound: int = 10):
+    def __init__(self, data_dir=None, precision=None, ext_bound: int = 10):
         self.data_dir = data_dir
-        self.precision = Fraction(precision)
+        self._precision = precision
         self.ext_bound = int(ext_bound)
+
+    @property
+    def precision(self):
+        """The interval width as a Fraction. Only the salem check reads
+        it, so only that check executes lattice for the default."""
+        if self._precision is None:
+            return lat.DEFAULT_PRECISION
+        from fractions import Fraction  # imported with lattice anyway
+        return Fraction(self._precision)
 
 
 def _guarded(name: str, build) -> rp.Report | None:
@@ -235,7 +247,7 @@ def _lattice_checks(config: SuiteConfig) -> list:
     of all 2^10 vectors under the restriction mod 2."""
     need = _run_objects({
         "basis": lambda need: lat.e10_basis(
-            lat._read_data(config.data_dir, "e10_basis.dat")),
+            _read_data(config.data_dir, "e10_basis.dat")),
         "gram": lambda need: lat.gram_of(need("basis")),
         "restriction": lambda need: lat.restrict_to_basis(
             lat.coxeter_matrix(), need("basis")),
@@ -352,7 +364,7 @@ def _cubic_orbits(rows) -> list:
 
 
 def _cubic_alpha_table(data_dir, rows) -> rp.Report:
-    bundled = lat._read_data(data_dir, "alpha_table.dat")
+    bundled = _read_data(data_dir, "alpha_table.dat")
     regen = cu.alpha_table_text(rows())
     return rp.leaf("cubic.alpha_table_fresh",
                    bundled.strip() == regen.strip(),

@@ -9,6 +9,7 @@ GF(32); there are no tolerances.
 
 from __future__ import annotations
 
+from . import _read_data
 from .errors import (DomainError, InvariantViolation, NoSolution,
                      ParseError)
 from .gf2m import FieldCtx, FieldElement, embed, format_elem
@@ -23,7 +24,6 @@ from .multipoly import (
     resultant,
 )
 from .unipoly import UniPoly, uni_roots
-from .lattice import _read_data
 from . import report as rp
 
 

@@ -1,7 +1,11 @@
 """Dense univariate polynomials over GF(2^m), with factorization.
 
 Coefficients are stored low degree first as raw bit-ints of the parent
-FieldCtx (see gf2m); the zero polynomial is the empty tuple.
+FieldCtx (see gf2m); the zero polynomial is the empty tuple. Products,
+division and evaluation run in the log domain of the field's tables,
+and `square` uses Frobenius: in characteristic 2, (sum a_i x^i)^2 =
+sum a_i^2 x^(2i), which costs one table lookup per coefficient; the
+repeated squarings of the factorization go through it.
 Factorization is one bounded distinct-degree search: for d = 1, 2, ...
 up to the caller's limit it takes gcd(v, x^(q^d) - x) on the rest v of
 the input, splits that product of degree-d irreducibles with GF(2)-trace
@@ -77,36 +81,53 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly(self.ctx, [])
-        mul = self.ctx.mul_bits
+        exp, log = self.ctx._exp, self.ctx._log
+        logs_b = [(j, log[cb]) for j, cb in enumerate(b) if cb]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] ^= mul(ca, cb)
+                la = log[ca]
+                for j, lb in logs_b:
+                    out[i + j] ^= exp[la + lb]
+        return UniPoly(self.ctx, out)
+
+    def square(self) -> "UniPoly":
+        """self * self by Frobenius: in characteristic 2 the cross terms
+        cancel, so a_i x^i goes to a_i^2 x^(2i)."""
+        if not self.coeffs:
+            return self
+        exp, log = self.ctx._exp, self.ctx._log
+        out = [0] * (2 * len(self.coeffs) - 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                out[2 * i] = exp[2 * log[c]]
         return UniPoly(self.ctx, out)
 
     def scale_bits(self, s: int) -> "UniPoly":
         if s == 0:
             return UniPoly(self.ctx, [])
-        mul = self.ctx.mul_bits
-        return UniPoly(self.ctx, [mul(c, s) for c in self.coeffs])
+        exp, log = self.ctx._exp, self.ctx._log
+        ls = log[s]
+        return UniPoly(self.ctx, [exp[log[c] + ls] if c else 0
+                                  for c in self.coeffs])
 
     def __divmod__(self, other: "UniPoly"):
         self._chk(other)
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        mul, inv = self.ctx.mul_bits, self.ctx.inv_bits
+        exp, log, order = self.ctx._exp, self.ctx._log, self.ctx.order
         r = list(self.coeffs)
-        d = other.degree()
-        lcinv = inv(other.coeffs[-1])
+        b = other.coeffs
+        d = len(b) - 1
+        lcinv = order - log[b[-1]]  # the log of 1 / lc, in 1..order
+        logs_b = [(i, log[bc]) for i, bc in enumerate(b[:-1]) if bc]
         q = [0] * max(0, len(r) - d)
-        while len(r) - 1 >= d and r:
+        while len(r) > d:  # r[-1] != 0, and the division cancels it
             k = len(r) - 1 - d
-            c = mul(r[-1], lcinv)
-            q[k] = c
-            for i, bc in enumerate(other.coeffs):
-                r[k + i] ^= mul(bc, c)
+            lq = (log[r.pop()] + lcinv) % order
+            q[k] = exp[lq]
+            for i, lb in logs_b:
+                r[k + i] ^= exp[lq + lb]
             while r and r[-1] == 0:
                 r.pop()
         return UniPoly(self.ctx, q), UniPoly(self.ctx, r)
@@ -129,10 +150,13 @@ class UniPoly:
         return a.monic()
 
     def eval_bits(self, x: int) -> int:
-        mul = self.ctx.mul_bits
+        if not x:
+            return self.coeffs[0] if self.coeffs else 0
+        exp, log = self.ctx._exp, self.ctx._log
+        lx = log[x]
         acc = 0
         for c in reversed(self.coeffs):
-            acc = mul(acc, x) ^ c
+            acc = (exp[log[acc] + lx] if acc else 0) ^ c
         return acc
 
     def __call__(self, x: FieldElement) -> FieldElement:
@@ -173,7 +197,7 @@ def _trace_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
         t = a % g
         s = t
         for _ in range(n - 1):
-            t = (t * t) % g
+            t = t.square() % g
             s = s + t
         h = g.gcd(s)
         if 0 < h.degree() < g.degree():
@@ -203,7 +227,7 @@ def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
                 out.append((v, 1))
             break
         for _ in range(ctx.m):  # h -> h^q mod v, i.e. x^(q^d)
-            h = (h * h) % v
+            h = h.square() % v
         g = v.gcd(h + x)
         if g.degree() <= 0:
             continue

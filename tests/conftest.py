@@ -1,5 +1,6 @@
 import pytest
 
+from salemsurf import _read_data
 from salemsurf import lattice as lat
 from salemsurf import mod2space as m2
 from salemsurf import surface as sf
@@ -29,7 +30,7 @@ def conj_scalar(model, sigma_inv):
 @pytest.fixture(scope="session")
 def e10_basis():
     """The bundled E10 basis, read the way the lattice suite reads it."""
-    return lat.e10_basis(lat._read_data(None, "e10_basis.dat"))
+    return lat.e10_basis(_read_data(None, "e10_basis.dat"))
 
 
 @pytest.fixture(scope="session")

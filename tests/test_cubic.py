@@ -251,7 +251,7 @@ def test_equivariant_matching(ctx):
 
 
 def test_alpha_table_matches_bundled_file(ctx):
-    from salemsurf.lattice import _read_data
+    from salemsurf import _read_data
     roots = lehmer_mod2_roots(ctx)
     betas = [beta_from_alpha(a) for a in roots]
     rows = zip(roots, betas, map(orbit_points, roots, betas))

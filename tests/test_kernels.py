@@ -1,0 +1,161 @@
+"""Differential test of the log-domain polynomial kernels.
+
+Each kernel of unipoly and multipoly is compared, on seeded random
+inputs over GF(2), GF(32) and GF(2^10), with a schoolbook reference
+written here from the scalar operations mul_bits, inv_bits and
+pow_bits alone.
+"""
+
+import random
+
+import pytest
+
+from salemsurf.gf2m import ext_context, gf32
+from salemsurf.multipoly import MultiPoly
+from salemsurf.unipoly import UniPoly
+from test_multipoly import _check_against_sylvester
+
+FIELDS = {"GF(2)": lambda: ext_context(1), "GF(32)": gf32,
+          "GF(2^10)": lambda: ext_context(10)}
+
+
+@pytest.fixture(params=sorted(FIELDS), scope="module")
+def field(request):
+    return FIELDS[request.param]()
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _uni_mul(ctx, a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= ctx.mul_bits(x, y)
+    return _trim(out)
+
+
+def _uni_divmod(ctx, a, b):
+    r, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+    lcinv = ctx.inv_bits(b[-1])
+    for k in range(len(a) - len(b), -1, -1):
+        c = ctx.mul_bits(r[k + len(b) - 1], lcinv)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] ^= ctx.mul_bits(c, y)
+    return _trim(q), _trim(r)
+
+
+def _uni_gcd(ctx, a, b):
+    while b:
+        a, b = b, _uni_divmod(ctx, a, b)[1]
+    s = ctx.inv_bits(a[-1])
+    return [ctx.mul_bits(c, s) for c in a]
+
+
+def _uni_eval(ctx, a, x):
+    acc, p = 0, 1
+    for c in a:
+        acc ^= ctx.mul_bits(c, p)
+        p = ctx.mul_bits(p, x)
+    return acc
+
+
+def _multi_mul(ctx, s, t):
+    out = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) ^ ctx.mul_bits(c1, c2)
+    return {e: c for e, c in out.items() if c}
+
+
+def _multi_eval(ctx, s, point):
+    acc = 0
+    for e, c in s.items():
+        for x, k in zip(point, e):
+            c = ctx.mul_bits(c, ctx.pow_bits(x, k) if k else 1)
+        acc ^= c
+    return acc
+
+
+def _multi_substitute(ctx, s, images):
+    nvars = len(next(iter(images[0])))  # the length of an exponent
+    acc = {}
+    for e, c in s.items():
+        t = {(0,) * nvars: c}
+        for image, k in zip(images, e):
+            for _ in range(k):
+                t = _multi_mul(ctx, t, image)
+        for te, tc in t.items():
+            acc[te] = acc.get(te, 0) ^ tc
+    return {e: c for e, c in acc.items() if c}
+
+
+def _rand_uni(ctx, rng, degree):
+    return [rng.randrange(1 << ctx.m) for _ in range(degree)] \
+        + [rng.randrange(1, 1 << ctx.m)]
+
+
+def _rand_multi(ctx, rng, nvars, nterms, maxdeg=3):
+    return {tuple(rng.randrange(maxdeg + 1) for _ in range(nvars)):
+            rng.randrange(1, 1 << ctx.m) for _ in range(nterms)}
+
+
+def test_unipoly_kernels_match_schoolbook(field):
+    ctx, rng = field, random.Random(17 + field.m)
+    for _ in range(40):
+        a = _rand_uni(ctx, rng, rng.randrange(13))
+        b = _rand_uni(ctx, rng, rng.randrange(7))
+        pa, pb = UniPoly(ctx, a), UniPoly(ctx, b)
+        assert list((pa * pb).coeffs) == _uni_mul(ctx, a, b)
+        assert pa.square() == pa * pa
+        assert list(pa.square().coeffs) == _uni_mul(ctx, a, a)
+        q, r = divmod(pa, pb)
+        assert (list(q.coeffs), list(r.coeffs)) == _uni_divmod(ctx, a, b)
+        assert list(pa.gcd(pb).coeffs) == _uni_gcd(ctx, a, b)
+        for x in {0, 1, rng.randrange(1 << ctx.m)}:
+            assert pa.eval_bits(x) == _uni_eval(ctx, a, x)
+
+
+def test_multipoly_kernels_match_schoolbook(field):
+    ctx, rng = field, random.Random(29 + field.m)
+    for _ in range(25):
+        s = _rand_multi(ctx, rng, 3, 6)
+        t = _rand_multi(ctx, rng, 3, 4)
+        ps, pt = MultiPoly(ctx, 3, s), MultiPoly(ctx, 3, t)
+        assert (ps * pt).terms == _multi_mul(ctx, s, t)
+        for point in ((0, 1, rng.randrange(1 << ctx.m)),
+                      tuple(rng.randrange(1 << ctx.m) for _ in range(3))):
+            assert ps.eval_bits(point) == _multi_eval(ctx, s, point)
+        images = [_rand_multi(ctx, rng, 3, 3, 2) for _ in range(3)]
+        got = ps.substitute([MultiPoly(ctx, 3, im) for im in images])
+        assert got.terms == _multi_substitute(ctx, s, images)
+
+
+def _monic_in(ctx, rng, i, degree, nterms):
+    """A bivariate polynomial with x_i^degree as its only term of that
+    degree in x_i, so no fibre loses its leading coefficient."""
+    terms = {}
+    for _ in range(nterms):
+        e = [0, 0]
+        e[i], e[1 - i] = rng.randrange(degree), rng.randrange(degree + 1)
+        terms[tuple(e)] = rng.randrange(1, 1 << ctx.m)
+    terms[(degree, 0) if i == 0 else (0, degree)] = 1
+    return MultiPoly(ctx, 2, terms)
+
+
+def test_resultant_matches_sylvester_in_every_field(field):
+    # over GF(2) the fibres are taken over GF(4): degree 1 keeps the
+    # Sylvester bound (3) below its four points
+    ctx, rng = field, random.Random(41 + field.m)
+    degree = 1 if ctx.m == 1 else 3
+    for _ in range(3):
+        i = rng.randrange(2)
+        p = _monic_in(ctx, rng, i, degree, 3)
+        q = _monic_in(ctx, rng, i, rng.randrange(1, degree + 1), 2)
+        assert _check_against_sylvester(ctx, p, q, i) == 1 << ctx.m

@@ -159,7 +159,7 @@ def _check_against_sylvester(ctx, p, q, i):
     res = resultant(p, q, i)
     assert res.degree_in(i) <= 0
     checked = 0
-    for x0 in range(32):
+    for x0 in range(1 << ctx.m):
         a, b = _fibre(p, i, x0), _fibre(q, i, x0)
         if not (a[-1] and b[-1]):
             continue

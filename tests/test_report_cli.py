@@ -19,6 +19,7 @@ import salemsurf.mod2space as m2
 import salemsurf.report as rp
 import salemsurf.suites as suites
 import salemsurf.surface as sf
+from salemsurf import _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.gf2m import field_make
@@ -141,13 +142,13 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    read = lat._read_data
+    read = suites._read_data
 
     def counted_read(data_dir, name):
         calls[name] += 1
         return read(data_dir, name)
 
-    monkeypatch.setattr(lat, "_read_data", counted_read)
+    monkeypatch.setattr(suites, "_read_data", counted_read)
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
     count(m2, "Mod2QuadSpace")
@@ -335,7 +336,7 @@ def test_lattice_reads_the_basis_from_data(tmp_path, capsys):
 def _basis_mutants(count, seed):
     """(row, mutated row) pairs of the bundled basis file: one entry of
     one row moved by a nonzero amount."""
-    rows = lat.e10_basis(lat._read_data(None, "e10_basis.dat"))
+    rows = lat.e10_basis(_read_data(None, "e10_basis.dat"))
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -356,7 +357,7 @@ BASIS_MUTANTS = [("0 0 0 0 0 0 1 -1 0 0 0", "0 0 -2 0 0 0 1 -1 0 0 0"),
 
 def _with_basis_row(tmp_path, row, mutant):
     """tmp_path holding the bundled basis file with `row` replaced."""
-    lines = lat._read_data(None, "e10_basis.dat").splitlines()
+    lines = _read_data(None, "e10_basis.dat").splitlines()
     lines[lines.index(row)] = mutant
     (tmp_path / "e10_basis.dat").write_text("\n".join(lines) + "\n")
     return tmp_path
@@ -403,7 +404,7 @@ def _model_mutants(per_file, seed, pattern=r"g\^(\d+)", values=range(31)):
     rng = random.Random(seed)
     out = []
     for name in MODEL_FILES:
-        sites = [(ln, m) for ln in lat._read_data(None, name).splitlines()
+        sites = [(ln, m) for ln in _read_data(None, name).splitlines()
                  if not ln.startswith(("#", "vars:", "field:"))
                  for m in re.finditer(pattern, ln)]
         mutants = set()
@@ -520,6 +521,20 @@ def test_cli_precision_validation(capsys):
         assert "not a decimal precision" in capsys.readouterr().err
 
 
+def test_default_precision_is_written_once(capsys):
+    """No --precision, SuiteConfig() and --precision 1e-9 are one width,
+    spelled once, in lattice."""
+    assert main(["salem", "--format", "json"]) == 0
+    default = capsys.readouterr().out
+    assert main(["salem", "--format", "json", "--precision", "1e-9"]) == 0
+    assert capsys.readouterr().out == default
+    assert SuiteConfig().precision == Fraction(1, 10 ** 9)
+    spelled = [path.name for path in sorted(SRC_DIR.glob("salemsurf/*.py"))
+               for _ in re.finditer(re.escape("Fraction(1, 10 ** 9)"),
+                                    path.read_text())]
+    assert spelled == ["lattice.py"]
+
+
 def test_full_run_is_deterministic_and_matches_golden(capsys):
     assert main(["all", "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -588,23 +603,27 @@ def test_installed_script_runs():
 
 SRC_DIR = Path(cli.__file__).resolve().parents[1]
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
-FRONT_END = {"cli", "suites", "lattice", "report", "errors"}
+FRONT_END = {"cli", "suites", "report", "errors"}
+
+
+def _fresh_names(code, names):
+    """The words that a fresh interpreter prints for the expression
+    `names`, an iterable of strings, after running `code`."""
+    probe = (f"{code}\nimport sys, types\n"
+             f"print(' '.join({names}), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    return set(err.splitlines()[-1].split())
 
 
 def _executed_modules(code):
     """Short names of the salemsurf modules a fresh interpreter has
     executed after running `code`: those in sys.modules that are plain
     modules, not placeholders waiting for a first attribute access."""
-    probe = (f"{code}\nimport sys, types\n"
-             "print(' '.join(n for n, m in sys.modules.items()\n"
-             "               if n.startswith('salemsurf.')\n"
-             "               and type(m) is types.ModuleType),\n"
-             "      file=sys.stderr)")
-    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stderr
-    return {n.removeprefix("salemsurf.")
-            for n in err.splitlines()[-1].split()}
+    return {n.removeprefix("salemsurf.") for n in _fresh_names(
+        code, "n for n, m in sys.modules.items() if n.startswith("
+              "'salemsurf.') and type(m) is types.ModuleType")}
 
 
 def test_importing_the_cli_executes_only_the_front_end():
@@ -615,13 +634,26 @@ def test_importing_the_cli_executes_only_the_front_end():
     ("salem", {"gf2m", "unipoly", "multipoly", "mod2space", "cubic",
                "surface"}),
     ("lagrangians", {"surface", "multipoly", "cubic"}),
-    ("surface", {"mod2space"}),
+    ("surface", {"mod2space", "lattice"}),
 ])
 def test_suite_executes_only_the_modules_it_runs(suite, absent):
     ran = _executed_modules("from salemsurf.cli import main\n"
                             f"main([{suite!r}, '--format', 'json'])")
     assert FRONT_END <= ran
     assert not ran & absent
+    assert ("lattice" in ran) == (suite != "surface")
+
+
+def test_surface_run_imports_no_rational_arithmetic():
+    """fractions and decimal come with lattice or a --precision."""
+    rational = "{'fractions', 'decimal'}"
+    assert _fresh_names("from salemsurf.cli import main\n"
+                        "main(['surface', '--format', 'json'])",
+                        f"{rational} & set(sys.modules)") == set()
+    assert _fresh_names("from salemsurf.cli import main\n"
+                        "main(['salem', '--format', 'json'])",
+                        f"{rational} & set(sys.modules)") == {"fractions",
+                                                              "decimal"}
 
 
 @pytest.mark.parametrize("suite,functions", [
