@@ -1,0 +1,130 @@
+"""The checks of the cubic suite: the group law of the cuspidal cubic
+over GF(32), the parameter solver at Lehmer's mod-2 roots and the
+orbit of each root.
+
+Imported by `suites` only when the cubic suite runs; the field and
+cubic modules are bound as the placeholders that `suites` registered.
+"""
+
+from __future__ import annotations
+
+from . import _read_data, cubic as cu, gf2m as gf, report as rp
+from .suites import SuiteConfig, _run_objects
+
+
+def _cubic_group_law() -> list:
+    ctx = gf.gf32()
+    curve = cu.standard_cubic(ctx)
+    on_curve = 0
+    images = set()
+    for bits in range(1 << ctx.m):
+        t = gf.FieldElement(ctx, bits)
+        p = cu.psi(t)
+        if curve.eval_bits(p.coords) == 0 and cu.psi_inv(p) == t:
+            on_curve += 1
+        images.add(p.coords)
+    checks = [rp.leaf("group_law.parametrization",
+                      on_curve == 32 and len(images) == 32,
+                      f"{on_curve}/32 on curve, {len(images)} distinct")]
+    cusp = cu.find_cusp(curve)
+    checks.append(rp.leaf("group_law.cusp_location",
+                          cusp.coords == (0, 0, 1), repr(cusp)))
+    # dual collinearity routes, exhaustively over the cubic over GF(8)
+    gf8 = gf.field_make(3, 0b1011)
+    agree = total = 0
+    for b1 in range(8):
+        for b2 in range(8):
+            for b3 in range(8):
+                if b1 == b2 or b2 == b3 or b1 == b3:
+                    continue
+                t1, t2, t3 = (gf.FieldElement(gf8, b)
+                              for b in (b1, b2, b3))
+                total += 1
+                if cu.collinear(t1, t2, t3) == \
+                        (cu.collinear_det(t1, t2, t3).bits == 0):
+                    agree += 1
+    checks.append(rp.leaf("group_law.sum_rule_vs_determinant",
+                          agree == total, f"{agree}/{total} triples agree"))
+    closed = all(cu.collinear_det(gf.FieldElement(gf8, b1),
+                                  gf.FieldElement(gf8, b2),
+                                  cu.chord_third(gf.FieldElement(gf8, b1),
+                                                 gf.FieldElement(gf8, b2))
+                                  ).bits == 0
+                 for b1 in range(8) for b2 in range(8) if b1 != b2)
+    checks.append(rp.leaf("group_law.chord_closure", closed))
+    return checks
+
+
+def _cubic_beta_solver(roots, betas) -> list:
+    ctx = gf.gf32()
+    checks = [rp.leaf("beta_solver.root_count", len(roots) == 10,
+                      [gf.format_elem(a) for a in roots])]
+    one = gf.FieldElement(ctx, 1)
+    dual = unique = 0
+    for a, b in zip(roots, betas):
+        if cu.second_param_expr1(a, b) == cu.second_param_expr2(a, b):
+            dual += 1
+        if cu.second_param_expr1(a, b + one) \
+                != cu.second_param_expr2(a, b + one):
+            unique += 1
+    checks.append(rp.leaf("beta_solver.solvable_at_every_root",
+                          len(betas) == 10, f"{len(betas)}/10"))
+    checks.append(rp.leaf("beta_solver.expressions_agree",
+                          dual == 10, f"{dual}/10"))
+    checks.append(rp.leaf("beta_solver.solution_unique",
+                          unique == 10, f"{unique}/10 break at beta+1"))
+    bits = {a.bits for a in roots}
+    sq_closed = all(ctx.mul_bits(b, b) in bits for b in bits)
+    inv_closed = all(ctx.inv_bits(b) in bits for b in bits)
+    checks.append(rp.leaf("beta_solver.closed_under_squaring", sq_closed))
+    checks.append(rp.leaf("beta_solver.closed_under_inversion", inv_closed))
+    a0 = roots[0]
+    orbit = {(a0 ** (2 ** i)).bits for i in range(ctx.m)} \
+        | {(a0 ** -(2 ** i)).bits for i in range(ctx.m)}
+    checks.append(rp.leaf("beta_solver.single_power_orbit", orbit == bits,
+                          f"{len(orbit)} elements from "
+                          f"{gf.format_elem(a0)}"))
+    return checks
+
+
+def _cubic_orbits(rows) -> list:
+    subs = []
+    for a, b, params in rows:
+        action = cu.AffineAction(a, b)
+        distinct = rp.leaf("params_distinct",
+                           len({t.bits for t in params}) == 10,
+                           [gf.format_elem(t) for t in params])
+        constraints = cu.verify_coxeter_constraints(params, action)
+        subs.append(rp.node(f"orbit[{gf.format_elem(a)}]",
+                            [distinct, constraints],
+                            witness=repr(action)))
+    return subs
+
+
+def _cubic_alpha_table(data_dir, rows) -> rp.Report:
+    bundled = _read_data(data_dir, "alpha_table.dat")
+    regen = cu.alpha_table_text(rows())
+    return rp.leaf("cubic.alpha_table_fresh",
+                   bundled.strip() == regen.strip(),
+                   f"{len(regen.splitlines())} lines")
+
+
+def _cubic_checks(config: SuiteConfig) -> list:
+    """The cubic checks in report order over one run-object table:
+    Lehmer's mod-2 roots in GF(32), the translation part beta of each
+    and its orbit."""
+    need = _run_objects({
+        "roots": lambda need: cu.lehmer_mod2_roots(gf.gf32()),
+        "betas": lambda need: list(map(cu.beta_from_alpha, need("roots"))),
+        "orbits": lambda need: list(map(cu.orbit_points, need("roots"),
+                                        need("betas"))),
+    })
+
+    def rows():
+        return zip(need("roots"), need("betas"), need("orbits"))
+    return [("cubic.group_law", _cubic_group_law),
+            ("cubic.beta_solver", lambda: _cubic_beta_solver(
+                need("roots"), need("betas"))),
+            ("cubic.orbits", lambda: _cubic_orbits(rows())),
+            ("cubic.alpha_table_fresh",
+             lambda: _cubic_alpha_table(config.data_dir, rows))]

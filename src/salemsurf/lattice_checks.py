@@ -1,0 +1,147 @@
+"""The checks of the lattice suite, which `salem` and `lagrangians`
+also run one node of.
+
+Imported by `suites` only when one of those suites runs. The lattice
+and census modules are bound as the placeholders that `suites`
+registered, so a check executes only the modules it uses: `verify
+salem` runs no mod2space.
+"""
+
+from __future__ import annotations
+
+from . import _read_data, lattice as lat, mod2space as m2, report as rp
+from .suites import SuiteConfig, _run_objects
+
+
+def _lattice_coxeter(ge, me, pe) -> list:
+    cox = lat.coxeter_matrix()
+    p10 = lat.lehmer_polynomial()
+    kc = lat.canonical_class()
+    checks = [
+        rp.leaf("coxeter.isometry",
+                lat.is_isometry_of(cox, lat.ambient_gram())),
+        rp.leaf("coxeter.fixes_canonical_class",
+                tuple(lat.mat_vec(cox, kc)) == tuple(kc), list(kc)),
+    ]
+    full = lat.char_poly(cox)
+    checks.append(rp.leaf("coxeter.charpoly_full",
+                          full == lat.ip_mul([-1, 1], p10), list(full)))
+    checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
+    checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
+    u = lat.reference_interior_vector()
+    img = lat.mat_vec(me, u)
+    pairing = sum(img[i] * ge[i][j] * u[j]
+                  for i in range(10) for j in range(10))
+    checks.append(rp.leaf("coxeter.halfcone_preserved", pairing > 0,
+                          f"pairing {pairing}"))
+    return checks
+
+
+def _lattice_salem(precision) -> list:
+    p10 = lat.lehmer_polynomial()
+    checks = [rp.leaf("salem.reciprocal", lat.is_reciprocal(p10), list(p10))]
+    r10 = lat.trace_polynomial(p10)
+    checks.append(rp.leaf("salem.trace_identity",
+                          lat.trace_reexpand(r10) == lat.ip_trim(p10),
+                          list(r10)))
+    cert = lat.salem_certify(p10, precision)
+    checks.append(rp.leaf("salem.real_trace_roots",
+                          len(cert.trace_intervals) == 5,
+                          f"{len(cert.trace_intervals)} isolated real roots"))
+    above = [iv for iv in cert.trace_intervals if iv[0] > 2]
+    checks.append(rp.leaf("salem.one_trace_root_above_two",
+                          len(above) == 1,
+                          rp.interval_witness(above[0]) if above else None))
+    pos = sum(1 for s in cert.interior_signs if s > 0)
+    checks.append(rp.leaf("salem.two_positive_interior_signs",
+                          pos == 2 and len(cert.interior_signs) == 4,
+                          list(cert.interior_signs)))
+    target = lat.sign_vector_target(cert)
+    checks.append(rp.leaf("salem.target_sign_vector",
+                          target == (-1, -1, 1, 1)
+                          and sum(1 for s in target if s < 0) == pos,
+                          list(target)))
+    lam = lat.dynamical_degree(lat.coxeter_matrix(), precision)
+    checks.append(rp.leaf("salem.lambda10_interval",
+                          lam[1] - lam[0] <= precision and lam[0] > 1,
+                          rp.interval_witness(lam)))
+    ci = cert.lambda_interval
+    checks.append(rp.leaf("salem.routes_agree",
+                          lam[0] <= ci[1] and ci[0] <= lam[1],
+                          rp.interval_witness(ci)))
+    checks.append(rp.leaf("salem.matches_largest_p10_root",
+                          lam[0] <= ci[1] and ci[0] <= lam[1],
+                          rp.interval_witness(ci)))
+    return checks
+
+
+# low degree first; each quintic is the reversal of the other
+_MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
+
+
+def _lattice_mod2(ge, me, pe, space, images) -> list:
+    rep = m2.mod2_action_analysis(me, ge, space, pe, images)
+    checks = [
+        rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
+        rp.leaf("mod2.order", rep.order == 31, f"order {rep.order}"),
+    ]
+    facts = [(r.factor, r.multiplicity) for r in rep.invariant_subspaces]
+    got = sorted(tuple(f) for f, _ in facts)
+    want = sorted(tuple(q) for q in _MOD2_QUINTICS)
+    checks.append(rp.leaf("mod2.quintic_factors",
+                          got == want and all(m == 1 for _, m in facts),
+                          [list(f) for f, _ in facts]))
+    checks.append(rp.leaf("mod2.factors_mutually_reversed",
+                          len(facts) == 2
+                          and list(facts[0][0]) == list(facts[1][0])[::-1]))
+    dims = [(r.dimension, r.totally_singular)
+            for r in rep.invariant_subspaces]
+    checks.append(rp.leaf("mod2.kernels_totally_isotropic",
+                          dims == [(5, True), (5, True)],
+                          [list(d) for d in dims]))
+    checks.append(rp.leaf("mod2.outside_weyl2_kernel",
+                          not lat.weyl2_membership(me, ge)))
+    return checks
+
+
+def _lattice_lagrangians(images, space) -> list:
+    census = m2.enumerate_lagrangians(space)
+    checks = [rp.leaf("lagrangians.count", len(census.members) == 4590,
+                      f"{len(census.members)} members")]
+    sizes = census.class_sizes()
+    checks.append(rp.leaf("lagrangians.class_sizes",
+                          sizes == (2295, 2295), list(sizes)))
+    inv = census.invariant_members(images)
+    checks.append(rp.leaf("lagrangians.invariant_count", len(inv) == 2,
+                          f"{len(inv)} invariant members"))
+    pars = sorted(census.class_parity[census.index_of(rows)]
+                  for rows in inv)
+    checks.append(rp.leaf("lagrangians.one_invariant_per_class",
+                          pars == [0, 1], pars))
+    return checks
+
+
+def _lattice_checks(config: SuiteConfig) -> list:
+    """The lattice checks in report order over one run-object table:
+    the E10 basis, its Gram matrix, the Coxeter restriction, that
+    restriction's char poly, the mod-2 space and the table of images
+    of all 2^10 vectors under the restriction mod 2."""
+    need = _run_objects({
+        "basis": lambda need: lat.e10_basis(
+            _read_data(config.data_dir, "e10_basis.dat")),
+        "gram": lambda need: lat.gram_of(need("basis")),
+        "restriction": lambda need: lat.restrict_to_basis(
+            lat.coxeter_matrix(), need("basis")),
+        "char_poly": lambda need: lat.char_poly(need("restriction")),
+        "space": lambda need: m2.Mod2QuadSpace(need("gram")),
+        "images": lambda need: m2.mat2_images(
+            m2.mat2_from_int(need("restriction"))),
+    })
+    return [("lattice.coxeter", lambda: _lattice_coxeter(
+                need("gram"), need("restriction"), need("char_poly"))),
+            ("lattice.salem", lambda: _lattice_salem(config.precision)),
+            ("lattice.mod2", lambda: _lattice_mod2(
+                need("gram"), need("restriction"), need("char_poly"),
+                need("space"), need("images"))),
+            ("lattice.lagrangians", lambda: _lattice_lagrangians(
+                need("images"), need("space")))]

@@ -71,6 +71,17 @@ class MultiPoly:
                         del clean[e]
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, ctx: FieldCtx, nvars: int, terms: dict) -> "MultiPoly":
+        """A MultiPoly that takes `terms` as it is, neither copied nor
+        checked: a dict built here, with no zero coefficient and every
+        exponent a tuple of nvars entries."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ctx", ctx)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable; build a new one")
 
@@ -118,21 +129,21 @@ class MultiPoly:
                 t[e] = n
             else:
                 t.pop(e, None)
-        return MultiPoly(self.ctx, self.nvars, t)
+        return MultiPoly._of(self.ctx, self.nvars, t)
 
     __sub__ = __add__
 
     def __mul__(self, other):
         self._chk(other)
-        return MultiPoly(self.ctx, self.nvars,
-                         _mul_terms(self.ctx, self.terms, other.terms))
+        return MultiPoly._of(self.ctx, self.nvars,
+                             _mul_terms(self.ctx, self.terms, other.terms))
 
     def scale_bits(self, s):
         if not s:
             return MultiPoly.zero(self.ctx, self.nvars)
         mul = self.ctx.mul_bits
-        return MultiPoly(self.ctx, self.nvars,
-                         {e: mul(c, s) for e, c in self.terms.items()})
+        return MultiPoly._of(self.ctx, self.nvars,
+                             {e: mul(c, s) for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -232,7 +243,7 @@ class MultiPoly:
                     acc[te] = n
                 else:
                     del acc[te]
-        return MultiPoly(octx, onv, acc)
+        return MultiPoly._of(octx, onv, acc)
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative; even exponents die (char 2)."""
@@ -243,9 +254,8 @@ class MultiPoly:
             if e[i] % 2 == 1:
                 ne = list(e)
                 ne[i] -= 1
-                ne = tuple(ne)
-                t[ne] = t.get(ne, 0) ^ c
-        return MultiPoly(self.ctx, self.nvars, t)
+                t[tuple(ne)] = c  # no two odd e[i] give one ne
+        return MultiPoly._of(self.ctx, self.nvars, t)
 
     def translate(self, point) -> "MultiPoly":
         """p(x_0 + a_0, ..., x_{n-1} + a_{n-1}).
@@ -278,7 +288,7 @@ class MultiPoly:
                         break
                     j = (j - 1) & ei
             cur = nxt
-        return MultiPoly(self.ctx, self.nvars, cur)
+        return MultiPoly._of(self.ctx, self.nvars, cur)
 
     def multiplicity_at(self, point) -> int:
         """Vanishing order at an affine point (0 when nonvanishing)."""
@@ -292,8 +302,9 @@ class MultiPoly:
         if self.is_zero():
             raise DomainError("initial form of 0")
         d = min(sum(e) for e in self.terms)
-        return MultiPoly(self.ctx, self.nvars,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
+        return MultiPoly._of(self.ctx, self.nvars,
+                             {e: c for e, c in self.terms.items()
+                              if sum(e) == d})
 
     def is_square(self) -> bool:
         return all(all(k % 2 == 0 for k in e) for e in self.terms)
@@ -302,9 +313,9 @@ class MultiPoly:
         if not self.is_square():
             raise DomainError("polynomial is not a perfect square")
         sq = self.ctx.sqrt_bits
-        return MultiPoly(self.ctx, self.nvars,
-                         {tuple(k // 2 for k in e): sq(c)
-                          for e, c in self.terms.items()})
+        return MultiPoly._of(self.ctx, self.nvars,
+                             {tuple(k // 2 for k in e): sq(c)
+                              for e, c in self.terms.items()})
 
     def divide_exact(self, d: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / d; DomainError when it is not."""
@@ -323,7 +334,7 @@ class MultiPoly:
             if any(k < 0 for k in qe):
                 raise DomainError("leading term not divisible")
             qc = mul(c, dcinv)
-            q[qe] = q.get(qe, 0) ^ qc
+            q[qe] = qc  # leading terms fall strictly: qe is new
             for e2, c2 in d.terms.items():
                 ne = tuple(a + b for a, b in zip(qe, e2))
                 n = rem.get(ne, 0) ^ mul(qc, c2)
@@ -331,7 +342,7 @@ class MultiPoly:
                     rem[ne] = n
                 else:
                     rem.pop(ne, None)
-        return MultiPoly(self.ctx, self.nvars, q)
+        return MultiPoly._of(self.ctx, self.nvars, q)
 
     def divide_by_power(self, i: int, k: int) -> "MultiPoly":
         """Exact quotient by variable i to the k-th power."""
@@ -341,7 +352,7 @@ class MultiPoly:
                 raise DomainError(
                     f"term has degree {e[i]} < {k} in variable {i}")
             t[e[:i] + (e[i] - k,) + e[i + 1:]] = c
-        return MultiPoly(self.ctx, self.nvars, t)
+        return MultiPoly._of(self.ctx, self.nvars, t)
 
     def restrict(self, i: int, bits: int) -> "MultiPoly":
         """Set variable i to a constant (arity preserved, exponent 0)."""
@@ -355,7 +366,7 @@ class MultiPoly:
                 t[ne] = n
             else:
                 t.pop(ne, None)
-        return MultiPoly(self.ctx, self.nvars, t)
+        return MultiPoly._of(self.ctx, self.nvars, t)
 
     def drop_var(self, i: int) -> "MultiPoly":
         """Remove a variable that no term uses."""
@@ -364,7 +375,7 @@ class MultiPoly:
             if e[i]:
                 raise InvariantViolation(f"variable {i} still occurs")
             t[e[:i] + e[i + 1:]] = c
-        return MultiPoly(self.ctx, self.nvars - 1, t)
+        return MultiPoly._of(self.ctx, self.nvars - 1, t)
 
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]

@@ -122,19 +122,60 @@ def test_unipoly_kernels_match_schoolbook(field):
             assert pa.eval_bits(x) == _uni_eval(ctx, a, x)
 
 
+def _clean(p):
+    """p, after checking what the constructors that take a term dict
+    as it is rely on: no zero coefficient, every exponent a tuple of
+    nvars entries."""
+    for e, c in p.terms.items():
+        assert c != 0
+        assert type(e) is tuple and len(e) == p.nvars
+    return p
+
+
 def test_multipoly_kernels_match_schoolbook(field):
     ctx, rng = field, random.Random(29 + field.m)
     for _ in range(25):
         s = _rand_multi(ctx, rng, 3, 6)
         t = _rand_multi(ctx, rng, 3, 4)
         ps, pt = MultiPoly(ctx, 3, s), MultiPoly(ctx, 3, t)
-        assert (ps * pt).terms == _multi_mul(ctx, s, t)
+        assert _clean(ps * pt).terms == _multi_mul(ctx, s, t)
         for point in ((0, 1, rng.randrange(1 << ctx.m)),
                       tuple(rng.randrange(1 << ctx.m) for _ in range(3))):
             assert ps.eval_bits(point) == _multi_eval(ctx, s, point)
         images = [_rand_multi(ctx, rng, 3, 3, 2) for _ in range(3)]
         got = ps.substitute([MultiPoly(ctx, 3, im) for im in images])
-        assert got.terms == _multi_substitute(ctx, s, images)
+        assert _clean(got).terms == _multi_substitute(ctx, s, images)
+
+
+def test_multipoly_results_hold_no_zero_coefficient(field):
+    """Every MultiPoly operation that builds its result without the
+    checking constructor, on inputs whose terms cancel."""
+    ctx, rng = field, random.Random(53 + field.m)
+    for _ in range(25):
+        ps = MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 6))
+        pt = MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 4))
+        a = rng.randrange(1, 1 << ctx.m)
+        near = ps + pt.scale_bits(a)  # shares some terms with ps
+        assert _clean(near + ps) == _clean(pt.scale_bits(a))
+        assert _clean(ps + ps).is_zero()
+        assert _clean(ps * pt).divide_exact(pt) == _clean(ps)
+        assert _clean((ps * pt).divide_exact(ps)) == pt
+        assert _clean((ps * ps).poly_sqrt()) == ps
+        point = [rng.randrange(1 << ctx.m) for _ in range(3)]
+        shifted = _clean(ps.translate(point))
+        assert _clean(shifted.translate(point)) == ps  # char 2: -a = a
+        for i in range(3):
+            fixed = _clean(ps.restrict(i, point[i]))
+            assert fixed.degree_in(i) <= 0
+            assert _clean(fixed.drop_var(i)).nvars == 2
+            _clean(ps.partial(i))
+            x = MultiPoly.var(ctx, 3, i)
+            assert _clean((ps * x ** 2).divide_by_power(i, 2)) == ps
+        if not ps.is_zero():
+            _clean(ps.initial_form())
+        images = [MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 3, 2))
+                  for _ in range(3)]
+        _clean(near.substitute(images))
 
 
 def _monic_in(ctx, rng, i, degree, nterms):

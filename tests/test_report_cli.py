@@ -15,10 +15,11 @@ import pytest
 import salemsurf.cli as cli
 import salemsurf.cubic as cu
 import salemsurf.lattice as lat
+import salemsurf.lattice_checks as lattice_checks
 import salemsurf.mod2space as m2
 import salemsurf.report as rp
-import salemsurf.suites as suites
 import salemsurf.surface as sf
+import salemsurf.surface_checks as surface_checks
 from salemsurf import _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
@@ -142,13 +143,13 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    read = suites._read_data
+    read = lattice_checks._read_data
 
     def counted_read(data_dir, name):
         calls[name] += 1
         return read(data_dir, name)
 
-    monkeypatch.setattr(suites, "_read_data", counted_read)
+    monkeypatch.setattr(lattice_checks, "_read_data", counted_read)
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
     count(m2, "Mod2QuadSpace")
@@ -182,7 +183,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     chart = cu.cusp_parametrization(model.g, model.cusp)
     action = cu.induced_affine_map(chart, list(model.f))
     roots = cu.lehmer_mod2_roots(model.ctx)
-    assert suites._surface_match(model, chart, action, roots).ok()
+    assert surface_checks._surface_match(model, chart, action, roots).ok()
     assert calls["all_point_set_matches"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
@@ -632,16 +633,24 @@ def test_importing_the_cli_executes_only_the_front_end():
 
 @pytest.mark.parametrize("suite,absent", [
     ("salem", {"gf2m", "unipoly", "multipoly", "mod2space", "cubic",
-               "surface"}),
-    ("lagrangians", {"surface", "multipoly", "cubic"}),
-    ("surface", {"mod2space", "lattice"}),
+               "surface", "cubic_checks", "surface_checks"}),
+    ("lagrangians", {"surface", "multipoly", "cubic", "cubic_checks",
+                     "surface_checks"}),
+    ("surface", {"mod2space", "lattice", "lattice_checks",
+                 "cubic_checks"}),
+    ("cubic", {"lattice", "mod2space", "surface", "lattice_checks",
+               "surface_checks"}),
 ])
 def test_suite_executes_only_the_modules_it_runs(suite, absent):
+    """A suite executes its own check module and no other suite's
+    (the front end alone executes none: see the test above)."""
     ran = _executed_modules("from salemsurf.cli import main\n"
                             f"main([{suite!r}, '--format', 'json'])")
     assert FRONT_END <= ran
     assert not ran & absent
-    assert ("lattice" in ran) == (suite != "surface")
+    on_lattice = suite in ("salem", "lagrangians")
+    assert ("lattice" in ran) == ("lattice_checks" in ran) == on_lattice
+    assert f"{'lattice' if on_lattice else suite}_checks" in ran
 
 
 def test_surface_run_imports_no_rational_arithmetic():
@@ -658,7 +667,9 @@ def test_surface_run_imports_no_rational_arithmetic():
 
 @pytest.mark.parametrize("suite,functions", [
     ("salem", ("lattice.real_roots", "lattice.salem_certify")),
-    ("surface", ("surface.singular_locus", "unipoly.uni_roots")),
+    ("surface", ("surface.singular_locus", "unipoly.uni_roots",
+                 "suites.surface_suite")),
+    ("cubic", ("suites.cubic_suite", "gf2m.field_make")),
 ])
 def test_bench_tracer_wraps_modules_executed_on_first_use(tmp_path, suite,
                                                          functions):
