@@ -11,7 +11,9 @@ For an arbitrary cuspidal cubic the parameter used is projection from
 the cusp, the ratio of two fixed linear forms; this is affine-
 equivalent to the group parameter, which is all the linear-coefficient
 extraction needs (conjugating an affine map by an affine map keeps the
-linear coefficient).
+linear coefficient). One scan of the plane lists the curve's points;
+the cusp is found among them, and the chart samples the smooth ones
+through that parameter, so no inverse parametrization is built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from . import LEHMER
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
-from .multipoly import MultiPoly, ProjPoint, plane_points
+from .multipoly import MultiPoly, ProjPoint, local_expansion, plane_points
 from .unipoly import UniPoly
 from . import report as rp
 
@@ -218,14 +220,19 @@ def verify_coxeter_constraints(params: list[FieldElement],
 # induced affine action of a Cremona map on a cuspidal cubic
 
 
-def find_cusp(curve: MultiPoly) -> ProjPoint:
-    """The unique singular point of an irreducible cuspidal cubic,
-    located by scanning every point of the plane once."""
+def curve_points(curve: MultiPoly) -> list[tuple]:
+    """The canonical coordinates of every point of the plane over the
+    curve's field that lies on the curve: one scan of the plane."""
+    return [pt for pt in plane_points(curve.ctx) if curve.eval_bits(pt) == 0]
+
+
+def find_cusp(curve: MultiPoly, points) -> ProjPoint:
+    """The unique singular point of an irreducible cuspidal cubic among
+    its points, as curve_points(curve) lists them."""
     ctx = curve.ctx
     parts = [curve.partial(i) for i in range(3)]
-    found = [pt for pt in plane_points(ctx)
-             if curve.eval_bits(pt) == 0
-             and all(p.eval_bits(pt) == 0 for p in parts)]
+    found = [pt for pt in points
+             if all(p.eval_bits(pt) == 0 for p in parts)]
     if len(found) != 1:
         raise InvariantViolation(f"{len(found)} singular points, expected 1")
     return ProjPoint(ctx, found[0])
@@ -245,17 +252,17 @@ class CuspChart:
     l1 vanishes on the tangent cone line at the cusp (the parameter's
     infinity); l2 is an independent line through the cusp, scaled so
     that the parameter of a smooth point p is t(p) = l2(p) / l1(p).
-    param_curve(t) evaluates the inverse parametrization.
+    points are the curve's smooth points.
     """
 
-    __slots__ = ("curve", "cusp", "l1", "l2", "coeff_lists")
+    __slots__ = ("curve", "cusp", "l1", "l2", "points")
 
-    def __init__(self, curve, cusp, l1, l2, coeff_lists):
+    def __init__(self, curve, cusp, l1, l2, points):
         self.curve = curve
         self.cusp = cusp
         self.l1 = l1
         self.l2 = l2
-        self.coeff_lists = coeff_lists
+        self.points = points
 
     def param_of(self, p: ProjPoint) -> FieldElement:
         ctx = self.curve.ctx
@@ -266,20 +273,16 @@ class CuspChart:
             ctx, ctx.mul_bits(_lin(ctx, self.l2, p.coords),
                               ctx.inv_bits(denom)))
 
-    def point_at(self, t: FieldElement) -> ProjPoint:
-        ctx = self.curve.ctx
-        return ProjPoint(ctx, [UniPoly(ctx, coeffs).eval_bits(t.bits)
-                               for coeffs in self.coeff_lists])
 
-
-def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint) -> CuspChart:
+def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
+                         points) -> CuspChart:
     """Build the cusp-projection chart of an irreducible cuspidal cubic.
 
-    Lines through the cusp q0 hit the curve in one further point; the
-    pencil is coordinatized by two linear forms l1 (the tangent cone
-    line) and l2, and expanding curve(lambda q0 + mu (r1 + t r2)) in
-    (lambda, mu) gives the residual intersection P(t) in closed form.
-    cusp is find_cusp(curve), as located by the caller.
+    Every line through the cusp q0 but the tangent cone line l1 = 0
+    meets the curve in one further point, so t = l2 / l1 maps the
+    smooth points one to one onto the field. cusp is find_cusp(curve,
+    points) and points is curve_points(curve), as the caller scanned
+    them; the chart keeps the smooth ones, which must number q.
     """
     ctx = curve.ctx
     if curve.total_degree() != 3:
@@ -287,9 +290,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint) -> CuspChart:
     q0 = cusp.coords
     j = max(i for i in range(3) if q0[i])
     keep = [i for i in range(3) if i != j]
-    # dehomogenize to the chart x_j = 1 and translate the cusp to 0
-    local = curve.restrict(j, 1).drop_var(j).translate(
-        [q0[keep[0]], q0[keep[1]]])
+    local = local_expansion(curve, cusp)
     if local.multiplicity_at([0, 0]) != 2:
         raise InvariantViolation("singular point is not a double point")
     init = local.initial_form()
@@ -321,52 +322,15 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint) -> CuspChart:
             pts.append(tuple(p))
         return pts + [tuple(a ^ b for a, b in zip(pts[0], pts[1]))]
 
-    def proportional(p, q):
-        for i in range(3):
-            if p[i] and q[i]:
-                r = ctx.mul_bits(p[i], ctx.inv_bits(q[i]))
-                return all(p[k] == ctx.mul_bits(r, q[k]) for k in range(3))
-            if bool(p[i]) != bool(q[i]):
-                return False
-        return True
-
-    r2 = next(p for p in line_points(l1) if not proportional(p, q0))
+    r2 = next(p for p in line_points(l1) if ProjPoint(ctx, p) != cusp)
     r1 = next(p for p in line_points(l2) if _lin(ctx, l1, p) != 0)
     scale = ctx.mul_bits(_lin(ctx, l1, r1), ctx.inv_bits(_lin(ctx, l2, r2)))
     l2 = [ctx.mul_bits(scale, c) for c in l2]
-    # expand curve(lambda q0 + mu (r1 + t r2)) in variables (lam, mu, t)
-    lam = MultiPoly.var(ctx, 3, 0)
-    mu = MultiPoly.var(ctx, 3, 1)
-    tt = MultiPoly.var(ctx, 3, 2)
-    images = []
-    for i in range(3):
-        images.append(lam.scale_bits(q0[i]) + mu.scale_bits(r1[i])
-                      + (mu * tt).scale_bits(r2[i]))
-    expd = curve.substitute(images)
-    cs: dict[int, dict[int, int]] = {0: {}, 1: {}, 2: {}, 3: {}}
-    for (el, em, et), c in expd.terms.items():
-        if el + em != 3:
-            raise InvariantViolation(
-                "expansion is not homogeneous of degree 3")
-        cs[em][et] = cs[em].get(et, 0) ^ c
-    c2 = {k: v for k, v in cs[2].items() if v}
-    c3 = {k: v for k, v in cs[3].items() if v}
-    if any(cs[0].values()) or any(cs[1].values()):
-        raise InvariantViolation("pencil expansion has low-order terms")
-    if list(c2) != [0]:
-        raise InvariantViolation("residual coefficient c2 is not constant")
-    if not c3 or max(c3) != 3:
-        raise InvariantViolation("residual coefficient c3 is not cubic")
-    c2const = c2[0]
-    coeff_lists = []
-    for i in range(3):
-        coeffs = [0, 0, 0, 0]
-        for k, v in c3.items():
-            coeffs[k] ^= ctx.mul_bits(v, q0[i])
-        coeffs[0] ^= ctx.mul_bits(c2const, r1[i])
-        coeffs[1] ^= ctx.mul_bits(c2const, r2[i])
-        coeff_lists.append(coeffs)
-    return CuspChart(curve, ProjPoint(ctx, q0), l1, l2, coeff_lists)
+    smooth = [ProjPoint(ctx, pt) for pt in points if pt != q0]
+    if len(smooth) != 1 << ctx.m:
+        raise InvariantViolation(f"{len(smooth)} smooth points, expected "
+                                 f"{1 << ctx.m}")
+    return CuspChart(curve, cusp, l1, l2, smooth)
 
 
 def induced_affine_map(chart: CuspChart,
@@ -377,8 +341,9 @@ def induced_affine_map(chart: CuspChart,
     The map must send the curve into itself up to a polynomial factor
     (checked by exact division of the pullback); base points (all three
     components vanish) and points mapping onto the tangent cone line
-    are skipped when sampling. The affine fit uses the first two usable
-    parameter pairs and must validate on every other sample.
+    are skipped when sampling the chart's smooth points. The affine fit
+    uses the two usable samples of smallest parameter and must validate
+    on every other sample.
     """
     curve = chart.curve
     ctx = curve.ctx
@@ -389,9 +354,7 @@ def induced_affine_map(chart: CuspChart,
         except DomainError as ex:
             raise InvariantViolation("map does not preserve the curve") from ex
     pairs = []
-    for bits in range(1 << ctx.m):
-        t = FieldElement(ctx, bits)
-        pt = chart.point_at(t)
+    for pt in chart.points:
         img = tuple(comp.eval_bits(pt.coords) for comp in components)
         if not any(img):
             continue  # base point of the map
@@ -399,7 +362,8 @@ def induced_affine_map(chart: CuspChart,
         if denom == 0:
             continue  # image is the cusp direction
         tp = ctx.mul_bits(_lin(ctx, chart.l2, img), ctx.inv_bits(denom))
-        pairs.append((t, FieldElement(ctx, tp)))
+        pairs.append((chart.param_of(pt), FieldElement(ctx, tp)))
+    pairs.sort(key=lambda pair: pair[0].bits)
     if len(pairs) < 4:
         raise InvariantViolation(f"only {len(pairs)} usable samples")
     (t1, u1), (t2, u2) = pairs[0], pairs[1]

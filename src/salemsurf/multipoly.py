@@ -590,6 +590,15 @@ def plane_points(ctx: FieldCtx):
     yield (1, 0, 0)
 
 
+def local_expansion(p: MultiPoly, pt: ProjPoint) -> MultiPoly:
+    """p at pt in two variables: the chart of pt's last nonzero
+    coordinate (which ProjPoint scales to 1), translated so that pt is
+    the origin."""
+    j = max(i for i, c in enumerate(pt.coords) if c)
+    rest = [c for i, c in enumerate(pt.coords) if i != j]
+    return p.restrict(j, 1).drop_var(j).translate(rest)
+
+
 # ---------------------------------------------------------------------------
 # text format
 

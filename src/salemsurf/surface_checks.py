@@ -17,18 +17,19 @@ from .suites import SuiteConfig, _run_checks, _run_objects
 
 def _surface_objects(data_dir):
     """need(key) for one surface run: the model, the inverse of its
-    automorphism, the conjugation scalar, the cusp of the marked cubic
-    as located by scanning the plane, its cusp chart, the affine action
-    the automorphism induces there and Lehmer's mod-2 roots in the
-    model's field."""
+    automorphism, the conjugation scalar, the points of the marked
+    cubic as one scan of the plane finds them, its cusp and cusp chart
+    over those points, the affine action the automorphism induces there
+    and Lehmer's mod-2 roots in the model's field."""
     return _run_objects({
         "model": lambda need: sf.load_model(data_dir),
         "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
         "scalar": lambda need: sf.conjugation_scalar(need("model"),
                                                      need("inverse")),
-        "cusp": lambda need: cu.find_cusp(need("model").g),
-        "chart": lambda need: cu.cusp_parametrization(need("model").g,
-                                                      need("cusp")),
+        "points": lambda need: cu.curve_points(need("model").g),
+        "cusp": lambda need: cu.find_cusp(need("model").g, need("points")),
+        "chart": lambda need: cu.cusp_parametrization(
+            need("model").g, need("cusp"), need("points")),
         "action": lambda need: cu.induced_affine_map(
             need("chart"), list(need("model").f)),
         "roots": lambda need: cu.lehmer_mod2_roots(need("model").ctx),

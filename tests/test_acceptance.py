@@ -145,7 +145,8 @@ def test_criterion_08_orbit_and_cubic():
         m = sf.load_model()
         cusp = ProjPoint(ctx, (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1))
         return (sf.verify_orbit(m).ok()
-                and sf.verify_cubic(m, lambda: cu.find_cusp(m.g)).ok()
+                and sf.verify_cubic(m, lambda: cu.find_cusp(
+                    m.g, cu.curve_points(m.g))).ok()
                 and m.cusp == cusp)
     _report(8, "marked orbit, unique cubic, cusp and smooth point", 1, run)
 
@@ -197,7 +198,9 @@ def test_criterion_13_cross_model_consistency():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g))
+        points = cu.curve_points(m.g)
+        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
+                                        points)
         action = cu.induced_affine_map(chart, list(m.f))
         alpha = action.alpha
         roots = {r.bits for r in cu.lehmer_mod2_roots(ctx)}

@@ -2,10 +2,10 @@ import pytest
 
 from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              alpha_table_text, beta_from_alpha, chord_third,
-                             collinear, collinear_det, cusp_parametrization,
-                             equivariant_matches, find_cusp,
-                             induced_affine_map, lehmer_mod2_roots,
-                             orbit_points, psi, psi_inv,
+                             collinear, collinear_det, curve_points,
+                             cusp_parametrization, equivariant_matches,
+                             find_cusp, induced_affine_map,
+                             lehmer_mod2_roots, orbit_points, psi, psi_inv,
                              second_param_expr1, second_param_expr2,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
@@ -25,7 +25,8 @@ def _inverse(f: AffineAction) -> AffineAction:
 
 
 def _chart(curve):
-    return cusp_parametrization(curve, find_cusp(curve))
+    points = curve_points(curve)
+    return cusp_parametrization(curve, find_cusp(curve, points), points)
 
 
 def _all_elems(ctx):
@@ -147,23 +148,39 @@ def test_constraints_hold_at_beta_and_break_nearby(ctx):
                                               AffineAction(a, b + one)).ok()
 
 
+def _find_cusp(curve):
+    return find_cusp(curve, curve_points(curve))
+
+
 def test_find_cusp(ctx, model):
-    assert find_cusp(standard_cubic(ctx)).coords == (0, 0, 1)
-    assert find_cusp(model.g) == model.cusp
+    assert _find_cusp(standard_cubic(ctx)).coords == (0, 0, 1)
+    assert _find_cusp(model.g) == model.cusp
     lines = MultiPoly(ctx, 3, {(1, 1, 1): 1})  # xyz: three singular points
     with pytest.raises(InvariantViolation, match="expected 1"):
-        find_cusp(lines)
+        _find_cusp(lines)
 
 
-def test_cusp_parametrization_roundtrip(ctx, model):
+def test_cusp_chart_samples_the_smooth_points(ctx, model):
     for curve in (standard_cubic(ctx), model.g):
         chart = _chart(curve)
-        for t in _all_elems(ctx):
-            p = chart.point_at(t)
-            assert curve.eval_bits(p.coords) == 0
-            assert chart.param_of(p) == t
+        on_curve = {ProjPoint(ctx, (x, y, z))
+                    for x in range(32) for y in range(32) for z in (0, 1)
+                    if any((x, y, z)) and curve.eval_bits((x, y, z)) == 0}
+        assert set(chart.points) == on_curve - {chart.cusp}
+        assert len(chart.points) == 32
+        params = {chart.param_of(p).bits for p in chart.points}
+        assert params == set(range(32))
         with pytest.raises(InvariantViolation, match="tangent cone line"):
             chart.param_of(chart.cusp)
+
+
+def test_cusp_chart_refuses_a_conic_with_its_tangent(ctx):
+    # y (x^2 + y z): the one singular point (0 : 0 : 1) has a double
+    # tangent line, but the curve is reducible with 64 smooth points
+    curve = MultiPoly(ctx, 3, {(2, 1, 0): 1, (0, 2, 1): 1})
+    assert _find_cusp(curve).coords == (0, 0, 1)
+    with pytest.raises(InvariantViolation, match="64 smooth points"):
+        _chart(curve)
 
 
 def test_chart_parameter_is_affine_in_psi(ctx):

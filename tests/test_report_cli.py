@@ -180,23 +180,29 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert set(witnesses) == {"lattice.coxeter", "lattice.mod2",
                               "lattice.lagrangians"}
     assert len(set(witnesses.values())) == 1
-    chart = cu.cusp_parametrization(model.g, model.cusp)
+    chart = cu.cusp_parametrization(model.g, model.cusp,
+                                    cu.curve_points(model.g))
     action = cu.induced_affine_map(chart, list(model.f))
     roots = cu.lehmer_mod2_roots(model.ctx)
     assert surface_checks._surface_match(model, chart, action, roots).ok()
     assert calls["all_point_set_matches"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
-    # the cubic check locates the cusp and the match reuses it
-    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar"):
+    # the cubic check locates the cusp and the match reuses it; the plane
+    # is scanned once for the orbit's base locus and once for the cubic
+    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
+                 "plane_points"):
         count(sf, name)
-    count(cu, "find_cusp")
-    count(cu, "induced_affine_map")
+    for name in ("curve_points", "find_cusp", "induced_affine_map",
+                 "plane_points"):
+        count(cu, name)
     calls.clear()
     assert run_suite("surface").ok()
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
-                 "find_cusp", "cusp_parametrization", "induced_affine_map"):
+                 "curve_points", "find_cusp", "cusp_parametrization",
+                 "induced_affine_map"):
         assert calls[name] == 1, name
+    assert calls["plane_points"] == 2
 
 
 ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
@@ -397,22 +403,33 @@ PACKAGE_ERRORS = ("ParseError: ", "InvariantViolation: ", "NoSolution: ",
                   "DomainError: ")
 
 
-def _model_mutants(per_file, seed, pattern=r"g\^(\d+)", values=range(31)):
-    """(file, line, mutated line): one number that `pattern` captures below
-    the header of one model file changed to another of `values`. By
-    default the number is a coefficient's exponent k in g^k; files with
-    no such number (points.dat has no monomials) give no mutants."""
+def _model_sites(pattern):
+    """(file, line, match): every number that `pattern` captures below
+    the header of a model file."""
+    return [(name, ln, m) for name in MODEL_FILES
+            for ln in _read_data(None, name).splitlines()
+            if not ln.startswith(("#", "vars:", "field:"))
+            for m in re.finditer(pattern, ln)]
+
+
+def _mutant(rng, name, ln, m, values):
+    """(file, line, mutated line): the number m captured in the line
+    changed to another of `values`, drawn by rng."""
+    k = rng.choice([j for j in values if j != int(m.group(1))])
+    return name, ln, f"{ln[:m.start(1)]}{k}{ln[m.end(1):]}"
+
+
+def _model_mutants(per_file, seed, pattern, values):
+    """Up to per_file distinct mutants of each model file at random
+    sites of `pattern`; files with no such site give none."""
     rng = random.Random(seed)
     out = []
     for name in MODEL_FILES:
-        sites = [(ln, m) for ln in _read_data(None, name).splitlines()
-                 if not ln.startswith(("#", "vars:", "field:"))
-                 for m in re.finditer(pattern, ln)]
+        sites = [(ln, m) for fname, ln, m in _model_sites(pattern)
+                 if fname == name]
         mutants = set()
-        while sites and len(mutants) < per_file:  # cubic.poly: 5 g^k sites
-            ln, m = rng.choice(sites)
-            k = rng.choice([j for j in values if j != int(m.group(1))])
-            mutants.add((name, ln, f"{ln[:m.start(1)]}{k}{ln[m.end(1):]}"))
+        while sites and len(mutants) < per_file:
+            mutants.add(_mutant(rng, name, *rng.choice(sites), values))
         out += sorted(mutants)
     return out
 
@@ -435,9 +452,14 @@ def _assert_rejected(tmp_path, mutants):
 
 
 def test_model_mutations_are_rejected(tmp_path):
-    """Every single-coefficient mutant of every model file fails the
-    surface suite, and only the package's own exceptions reach a leaf."""
-    _assert_rejected(tmp_path, _model_mutants(6, 412))
+    """One seeded mutant per coefficient g^k of every model file fails
+    the surface suite, and only the package's own exceptions reach a
+    leaf."""
+    rng = random.Random(412)
+    mutants = [_mutant(rng, *site, range(31))
+               for site in _model_sites(r"g\^(\d+)")]
+    assert len(mutants) == 82
+    _assert_rejected(tmp_path, mutants)
 
 
 def test_monomial_exponent_mutations_are_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -6,10 +7,9 @@ import pytest
 
 import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
-from salemsurf.errors import (DomainError, InvariantViolation, NoSolution,
-                              ParseError)
+from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import MultiPoly, ProjPoint
+from salemsurf.multipoly import MultiPoly, ProjPoint, local_expansion
 
 
 def test_load_model_shape(ctx, model):
@@ -83,27 +83,57 @@ def test_cubic_multiplier_direct(ctx, model):
     assert lhs == (x * y * z * model.g).scale_bits(ctx.gen_pow(12).bits)
 
 
-def test_ratfunc_derivation_rules(ctx, model):
-    rel = sf._lift3(model.s)
-    x, y, z, w = (MultiPoly.var(ctx, 4, i) for i in range(4))
-    one = MultiPoly.const(ctx, 4, 1)
-    assert sf.RatFunc(rel, w, one).d_dw() == sf.RatFunc(rel, one, one)
-    assert sf.RatFunc(rel, x, z).d_dw().is_zero()
-    fr = sf.RatFunc(rel, x * w + z * z, z)
-    gr = sf.RatFunc(rel, y * w + x * x, x)
-    assert (fr * gr).d_dw() == fr.d_dw() * gr + fr * gr.d_dw()
-    with pytest.raises(DomainError, match="zero denominator"):
-        sf.RatFunc(rel, x, MultiPoly.zero(ctx, 4))
+def test_d_dw_rules(ctx):
+    x, z = MultiPoly.var(ctx, 3, 0), MultiPoly.var(ctx, 3, 2)
+    zero, one = MultiPoly.zero(ctx, 3), MultiPoly.const(ctx, 3, 1)
+    assert sf.d_dw((one, zero, one)) == (zero, one, one)   # d/dw w = 1
+    assert sf.d_dw((zero, x, z)) == (zero, zero, z)        # d/dw x/z = 0
 
 
-def test_ratfunc_pullback(ctx, model):
-    rel = sf._lift3(model.s)
-    x, z, w = (MultiPoly.var(ctx, 4, i) for i in (0, 2, 3))
-    images = [sf._lift3(p) for p in model.f]
-    images.append(sf._lift3(model.c) * w + sf._lift3(model.eta))
-    pulled = sf.RatFunc(rel, x, z).pullback(images)
-    assert pulled == sf.RatFunc(rel, sf._lift3(model.f[0]),
-                                sf._lift3(model.f[2]))
+def test_pullback_by_the_forward_map(ctx, model):
+    x, z = MultiPoly.var(ctx, 3, 0), MultiPoly.var(ctx, 3, 2)
+    zero, one = MultiPoly.zero(ctx, 3), MultiPoly.const(ctx, 3, 1)
+    fx, _fy, fz = model.f
+    w_image = (model.c, model.eta)
+    assert sf.pullback((zero, x, z), model.f, w_image) == (zero, fx, fz)
+    assert sf.pullback((one, zero, one), model.f, w_image) \
+        == (model.c, model.eta, one)
+
+
+def _twisted(tmp_path, i):
+    """A copy of the model data with Frobenius applied i times to every
+    coefficient: each g^k, and a bare g, becomes g^(2^i k)."""
+    def power(mt):
+        return f"g^{int(mt.group(1) or 1) * 2 ** i % 31}"
+
+    src = Path(sf.__file__).parent / "data"
+    dst = tmp_path / f"twist{i}"
+    shutil.copytree(src, dst)
+    for name in ("surface.poly", "automorphism.poly", "cubic.poly",
+                 "points.dat"):
+        lines = []
+        for ln in (src / name).read_text().splitlines():
+            if not ln.startswith(("#", "vars:", "field:")):
+                label, eq, rhs = ln.partition("=")
+                ln = label + eq + re.sub(r"\bg(?:\^(\d+))?", power, rhs)
+            lines.append(ln)
+        (dst / name).write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_conjugation_scalar_relation(ctx, tmp_path, i):
+    """K = w_scalar * cubic_multiplier^2, since alpha_w(f) = (xyz)^4,
+    g(f) = k_f xyz g and siz(f) = xyz z; on the bundled model (i = 0)
+    g^8 = g^15 g^24, and on its i-th Frobenius twist K is the 2^i-th
+    power of that."""
+    m = sf.load_model(_twisted(tmp_path, i))
+    si = sf.derive_sigma_inverse(m)
+    xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
+    kf = sf._scalar_ratio(m.g.substitute(list(m.f)), xyz * m.g)
+    mul = ctx.mul_bits
+    assert sf.conjugation_scalar(m, si).bits \
+        == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i).bits
 
 
 def _singular_points(rep):
@@ -128,7 +158,7 @@ def test_singular_locus(model):
 def test_multiplicity_adjustment(ctx, model):
     cases = {0: (0, 2), 1: (4, 4), 4: (2, 4)}
     for i, (raw, adj) in cases.items():
-        local = sf._local_branch(model, model.points[i])
+        local = local_expansion(model.s, model.points[i])
         assert local.multiplicity_at([0, 0]) == raw
         mult, init = sf.absorbed_square_multiplicity(local)
         assert mult == adj
@@ -186,14 +216,16 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
 
 
 def _moved(model, images, move):
-    """The model with s pulled back along the linear map `images`; the
-    inverse map `move` carries each marked point to its new place."""
+    """The model with s and g pulled back along the linear map `images`;
+    the inverse map `move` carries each marked point and the cusp to
+    its new place. f, c and eta stay as they are."""
     ctx = model.ctx
     points = {i: ProjPoint(ctx, move(p.coords))
               for i, p in model.points.items()}
     return sf.SurfaceModel(ctx, model.names, model.s.substitute(images),
-                           model.f, model.c, model.eta, model.g, points,
-                           model.cusp)
+                           model.f, model.c, model.eta,
+                           model.g.substitute(images), points,
+                           ProjPoint(ctx, move(model.cusp.coords)))
 
 
 def test_singular_locus_after_change_of_coordinates(ctx, model):
@@ -212,6 +244,37 @@ def test_singular_locus_after_change_of_coordinates(ctx, model):
         in lifted.points.values()
     for moved in (sheared, lifted):
         assert sf.singular_locus(moved).ok()
+
+
+def test_local_expansion_uses_the_chart_of_the_point(ctx):
+    # three lines through (g^3 : 1 : 0), read in the chart y = 1
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    u = x + y.scale_bits(ctx.gen_pow(3).bits)
+    pt = ProjPoint(ctx, (ctx.gen_pow(3).bits, 1, 0))
+    assert local_expansion(u * z * (u + z), pt).multiplicity_at([0, 0]) == 3
+
+
+def test_multiplicities_at_a_point_of_z_0_off_the_axes(ctx, model):
+    # x -> x + g y moves p3 = (0 : 1 : 0) to (g : 1 : 0), where the
+    # chart is y = 1, not x = 1
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    g = ctx.gen().bits
+    sheared = _moved(model, [x + y.scale_bits(g), y, z],
+                     lambda co: (co[0] ^ ctx.mul_bits(g, co[1]), co[1],
+                                 co[2]))
+    assert sheared.points[3] == ProjPoint(ctx, (g, 1, 0))
+    assert sf.verify_multiplicities(sheared).ok()
+
+
+def test_cubic_at_a_cusp_on_z_0(ctx, model):
+    # z -> z + g^16 x moves the cusp (g^15 : g^28 : 1) onto z = 0, where
+    # its tangent cone is read in the chart y = 1
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    h = ctx.gen_pow(16).bits
+    lifted = _moved(model, [x, y, z + x.scale_bits(h)],
+                    lambda co: (co[0], co[1], co[2] ^ ctx.mul_bits(h, co[0])))
+    assert lifted.cusp.coords[2] == 0
+    assert sf.verify_cubic(lifted, lambda: lifted.cusp).ok()
 
 
 def _brute_singular(s):
