@@ -179,19 +179,14 @@ class FieldElement:
 _CTX_REGISTRY: dict[tuple[int, int], FieldCtx] = {}
 
 
-def field_make(m: int, modulus) -> FieldCtx:
-    """Context for GF(2^m). modulus: int bitmask or low-first bit list.
+def field_make(m: int, modulus: int) -> FieldCtx:
+    """Context for GF(2^m). modulus: the int bitmask of the modulus,
+    bit i the coefficient of t^i.
 
     Contexts are interned by (m, modulus): parsing two files with the
     same field header yields the identical context object, so their
     elements interoperate.
     """
-    if isinstance(modulus, (list, tuple)):
-        bits = 0
-        for i, c in enumerate(modulus):
-            if c:
-                bits |= 1 << i
-        modulus = bits
     ctx = _CTX_REGISTRY.get((m, modulus))
     if ctx is None:
         ctx = FieldCtx(m, modulus)

@@ -530,18 +530,15 @@ def trace_reexpand(r):
 class SalemCertificate:
     """Outcome of the Salem test on a reciprocal polynomial.
 
-    trace_poly: the half-degree polynomial R; trace_intervals: isolating
-    rational intervals for its (all real) roots in ascending order;
+    trace_intervals: isolating rational intervals for the (all real)
+    roots of the half-degree trace polynomial R in ascending order;
     interior_signs: sign of R' at each root inside (-2, 2), ascending;
     lambda_interval: enclosure of the root of the input that exceeds 1.
     """
 
-    __slots__ = ("trace_poly", "trace_intervals", "interior_signs",
-                 "lambda_interval")
+    __slots__ = ("trace_intervals", "interior_signs", "lambda_interval")
 
-    def __init__(self, trace_poly, trace_intervals, interior_signs,
-                 lambda_interval):
-        self.trace_poly = trace_poly
+    def __init__(self, trace_intervals, interior_signs, lambda_interval):
         self.trace_intervals = trace_intervals
         self.interior_signs = interior_signs
         self.lambda_interval = lambda_interval
@@ -592,7 +589,7 @@ def salem_certify(p, precision=DEFAULT_PRECISION):
     lo, hi = real_roots(p, precision)[-1]
     while lo <= 1:
         lo, hi = _bisect(p, lo, hi, (hi - lo) / 2)
-    return SalemCertificate(r, ivs, signs, (lo, hi))
+    return SalemCertificate(ivs, signs, (lo, hi))
 
 
 def sign_vector_target(cert):

@@ -192,16 +192,13 @@ def intersection_dim(rows_a, rows_b) -> int:
 
 
 class KernelRecord:
-    __slots__ = ("factor", "multiplicity", "dimension", "totally_singular",
-                 "basis")
+    __slots__ = ("factor", "multiplicity", "dimension", "totally_singular")
 
-    def __init__(self, factor, multiplicity, dimension, totally_singular,
-                 basis):
+    def __init__(self, factor, multiplicity, dimension, totally_singular):
         self.factor = factor
         self.multiplicity = multiplicity
         self.dimension = dimension
         self.totally_singular = totally_singular
-        self.basis = basis
 
 
 class Mod2ActionReport:
@@ -244,8 +241,7 @@ def mod2_action_analysis(m, ge, space, cp, images) -> Mod2ActionReport:
         ker = mat2_kernel(mat2_poly_at(cols, coeffs))
         rows = rref_rows(ker)
         sing = all(space.q[v] == 0 for v in span_of(rows))
-        records.append(KernelRecord(tuple(coeffs), mult, len(rows), sing,
-                                    rows))
+        records.append(KernelRecord(tuple(coeffs), mult, len(rows), sing))
     preserves = all(space.q[w] == q for w, q in zip(images, space.q))
     return Mod2ActionReport(order, preserves, records)
 
@@ -263,10 +259,9 @@ class LagrangianCensus:
     dimension congruent to half-dim mod 2).
     """
 
-    __slots__ = ("space", "members", "reference", "class_parity")
+    __slots__ = ("members", "reference", "class_parity")
 
     def __init__(self, space, members):
-        self.space = space
         self.members = members
         self.reference = members[0]
         half = space.dim // 2

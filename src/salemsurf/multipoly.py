@@ -467,27 +467,12 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
 # exact linear algebra over the coefficient field
 
 
-class LinearSolveResult:
-    """status: 'unique' | 'kernel' | 'inconsistent'.
-
-    `solution` is one solution (None when inconsistent); `kernel` is a
-    basis of the homogeneous solution space (empty when unique).
-    """
-
-    __slots__ = ("status", "solution", "kernel")
-
-    def __init__(self, status, solution, kernel):
-        self.status = status
-        self.solution = solution
-        self.kernel = kernel
-
-
-def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
-    """Solve A x = b exactly over the field; rows and rhs of raw bits."""
+def linear_solve(ctx: FieldCtx, rows) -> list[list[int]]:
+    """A basis of the kernel of the matrix `rows` (raw bits) over the
+    field, as raw-bit vectors: Gauss-Jordan elimination, then one
+    vector per free column, 1 there and 0 at the other free columns.
+    Empty when the kernel is zero."""
     a = [list(row) for row in rows]
-    b = list(rhs)
-    if len(a) != len(b):
-        raise InvariantViolation("rows vs rhs length")
     ncols = len(a[0]) if a else 0
     for row in a:
         if len(row) != ncols:
@@ -506,13 +491,11 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        b[r], b[sel] = b[sel], b[r]
         # the pivot row is zero left of c: each earlier column is a
         # cleared pivot column or has no nonzero entry in rows r..m-1
         piv = a[r]
         s = inv(piv[c])
         piv[c:] = [mul(v, s) for v in piv[c:]]
-        b[r] = mul(b[r], s)
         nz = [(k, log[piv[k]]) for k in range(c, ncols) if piv[k]]
         for rr in range(m):
             f = a[rr][c]
@@ -520,15 +503,8 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
                 row, lf = a[rr], log[f]
                 for k, lv in nz:
                     row[k] ^= exp[(lf + lv) % order]
-                b[rr] ^= mul(f, b[r])
         piv_of_col[c] = r
         r += 1
-    for rr in range(r, m):
-        if b[rr]:
-            return LinearSolveResult("inconsistent", None, [])
-    sol = [0] * ncols
-    for c, rr in piv_of_col.items():
-        sol[c] = b[rr]
     free = [c for c in range(ncols) if c not in piv_of_col]
     kernel = []
     for fc in free:
@@ -536,10 +512,8 @@ def linear_solve(ctx: FieldCtx, rows, rhs) -> LinearSolveResult:
         v[fc] = 1
         for c, rr in piv_of_col.items():
             v[c] = a[rr][fc]
-        kernel.append([FieldElement(ctx, x) for x in v])
-    solution = [FieldElement(ctx, x) for x in sol]
-    status = "unique" if not free else "kernel"
-    return LinearSolveResult(status, solution, kernel)
+        kernel.append(v)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ rewritten.
 from __future__ import annotations
 
 from . import _read_data
-from .errors import InvariantViolation, NoSolution, ParseError
+from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 from .gf2m import FieldCtx, FieldElement, embed, format_elem
 from .multipoly import (
     MultiPoly,
@@ -204,14 +204,13 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
     rows = [[mp.eval_bits(m.points[i].coords) for mp in monpolys]
             for i in range(1, 11)]
-    res = linear_solve(ctx, rows, [0] * 10)
-    checks = [rp.leaf("cubic.kernel_dim",
-                      res.status == "kernel" and len(res.kernel) == 1,
-                      f"status={res.status}, dim={len(res.kernel)}")]
+    kernel = linear_solve(ctx, rows)
+    status = "kernel" if kernel else "unique"
+    checks = [rp.leaf("cubic.kernel_dim", len(kernel) == 1,
+                      f"status={status}, dim={len(kernel)}")]
     spans = False
-    if len(res.kernel) == 1:
-        kv = MultiPoly(ctx, 3, {mon: k.bits
-                                for mon, k in zip(mons, res.kernel[0])})
+    if len(kernel) == 1:
+        kv = MultiPoly(ctx, 3, dict(zip(mons, kernel[0])))
         spans = _scalar_ratio(kv, m.g) is not None
     checks.append(rp.leaf("cubic.kernel_spans_g", spans,
                           format_poly(m.g, m.names)))
@@ -292,10 +291,12 @@ class SigmaInverse:
 def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
     """Reconstruct the inverse automorphism from the model.
 
-    The plane components are (x+az)z, (x+az)(y+bz), (y+bz)z where a, b
-    are the two off-diagonal constants of f; the w-component tail is
-    the unique degree-12 solution of the composition identity, found
-    by exact linear solve. NoSolution reports a model inconsistency.
+    The plane components SI are (x+az)z, (x+az)(y+bz), (y+bz)z where a,
+    b are the two off-diagonal constants of f. The w-component of
+    forward . inverse, c(SI) (k alpha_w w + eta_prime) + eta(SI), must
+    be lambda^6 w, so the tail is the exact quotient eta(SI) / c(SI);
+    it is re-substituted into the other composition, eta_prime(f) =
+    k alpha_w(f) eta. NoSolution reports a model inconsistency.
     """
     ctx = m.ctx
     fx, fy, fz = m.f
@@ -317,43 +318,22 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
         if comp.substitute([six, siy, siz]) != lam * var:
             raise NoSolution("forward . inverse is not "
                              "(x+az)(y+bz)z * identity")
-    alpha_w = xa * xa * yb * yb * z * z
+    alpha_w = lam * lam
     alpha_f = alpha_w.substitute(list(m.f))
     if alpha_f != MultiPoly(ctx, 3, {(4, 4, 4): 1}):
         raise NoSolution("alpha_w(f) != (xyz)^4 / unexpected shape")
     k = _scalar_ratio(xyz ** 6, alpha_f * m.c)
     if k is None:
         raise NoSolution("no scalar matches the w-component weight")
-    # tail: eta_prime(f) = k alpha_w(f) eta, a linear system in the
-    # 91 degree-12 monomial coefficients
-    m12 = sorted((i, j, 12 - i - j) for i in range(13) for j in range(13 - i))
-    powers = [[MultiPoly.const(ctx, 3, 1)] for _ in m.f]
-    for fi, pw in zip(m.f, powers):
-        for _ in range(12):
-            pw.append(pw[-1] * fi)
-    cols = [powers[0][i] * powers[1][j] * powers[2][k] for i, j, k in m12]
-    rhs_poly = (alpha_f * m.eta).scale_bits(k)
-    support = sorted(set().union(*(set(cp.terms) for cp in cols),
-                                 set(rhs_poly.terms)))
-    rows = [[cp.terms.get(mon, 0) for cp in cols] for mon in support]
-    rhs = [rhs_poly.terms.get(mon, 0) for mon in support]
-    res = linear_solve(ctx, rows, rhs)
-    if res.status == "inconsistent":
-        raise NoSolution("tail system is inconsistent")
-    if res.status != "unique":
-        raise NoSolution(f"tail kernel has dimension "
-                         f"{len(res.kernel)}")
-    etap = MultiPoly(ctx, 3, {mon: v.bits
-                              for mon, v in zip(m12, res.solution)})
-    if etap.substitute(list(m.f)) != rhs_poly:
-        raise NoSolution("tail solution fails re-substitution")
-    # w-component of (forward . inverse): k c(SI) alpha_w = lam^6 and
-    # c(SI) eta_prime = eta(SI)
     c_si = m.c.substitute([six, siy, siz])
     if (c_si * alpha_w).scale_bits(k) != lam ** 6:
         raise NoSolution("w-scalar fails on the reverse composition")
-    if c_si * etap != m.eta.substitute([six, siy, siz]):
-        raise NoSolution("tail fails on the reverse composition")
+    try:
+        etap = m.eta.substitute([six, siy, siz]).divide_exact(c_si)
+    except DomainError as ex:
+        raise NoSolution("tail: c(SI) does not divide eta(SI)") from ex
+    if etap.substitute(list(m.f)) != (alpha_f * m.eta).scale_bits(k):
+        raise NoSolution("tail solution fails re-substitution")
     return SigmaInverse((six, siy, siz), k, alpha_w, etap, lam)
 
 

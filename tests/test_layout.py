@@ -1,7 +1,7 @@
-"""Source layout: every top-level function and class of the package, and
-every method of its classes, is used by the package itself, so code
-that only tests call lives in the tests; and every module-level import
-of a module is used in that module."""
+"""Source layout: every top-level function and class of the package,
+every method of its classes and every field of its records is used by
+the package itself, so code that only tests call lives in the tests;
+and every module-level import of a module is used in that module."""
 
 import ast
 from collections import Counter
@@ -69,3 +69,24 @@ def test_every_method_has_a_caller_in_src():
                     and used[meth.name] == _names(meth)[meth.name]):
                 unused.append(f"{cls.name}.{meth.name}")
     assert unused == []
+
+
+def test_every_slot_field_is_read_in_src():
+    """Every name in a class's __slots__ is read as an attribute
+    somewhere in the package; a record field that nothing reads is
+    built for nobody."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.Assign)
+                    and [getattr(t, "id", None) for t in stmt.targets]
+                    == ["__slots__"]):
+                unread += [f"{cls.name}.{field}"
+                           for field in ast.literal_eval(stmt.value)
+                           if field not in read]
+    assert unread == []

@@ -9,9 +9,9 @@ from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
                                  intersection_dim, mat2_apply, mat2_from_int,
                                  mat2_identity, mat2_images, mat2_kernel,
-                                 mat2_mul,
-                                 mat2_order, mod2_action_analysis, rref_rows,
-                                 span_of, subspace_contains)
+                                 mat2_mul, mat2_order, mat2_poly_at,
+                                 mod2_action_analysis, rref_rows, span_of,
+                                 subspace_contains)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
@@ -85,12 +85,12 @@ def test_q_matches_definition(grams, name):
 
 @pytest.mark.parametrize("name", ["hyperbolic", "changed_basis"])
 def test_census_on_other_grams(grams, name):
-    census = enumerate_lagrangians(Mod2QuadSpace(grams[name]))
+    sp = Mod2QuadSpace(grams[name])
+    census = enumerate_lagrangians(sp)
     members = census.members
     assert len(members) == 4590
     assert all(a < b for a, b in zip(members, members[1:]))
-    assert all(census.space.q[v] == 0
-               for rows in members for v in span_of(rows))
+    assert all(sp.q[v] == 0 for rows in members for v in span_of(rows))
     assert census.class_sizes() == (2295, 2295)
 
 
@@ -284,8 +284,8 @@ def test_census_counts(census):
                for i in range(len(census.members) - 1))
 
 
-def test_census_members_are_lagrangian(census):
-    sp = census.space
+def test_census_members_are_lagrangian(census, e10_basis):
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
     for rows in census.members:
         assert len(rows) == 5
         assert rref_rows(rows) == rows
@@ -313,9 +313,10 @@ def test_invariant_members_are_the_factor_kernels(census, e10_restriction):
     are exactly the two kernels."""
     basis, restr = e10_restriction
     rep = _analysis(restr, lat.gram_of(basis))
-    kernels = sorted(r.basis for r in rep.invariant_subspaces)
-    assert census.invariant_members(
-        mat2_images(mat2_from_int(restr))) == kernels
+    cols = mat2_from_int(restr)
+    kernels = sorted(rref_rows(mat2_kernel(mat2_poly_at(cols, r.factor)))
+                     for r in rep.invariant_subspaces)
+    assert census.invariant_members(mat2_images(cols)) == kernels
 
 
 def test_coxeter_orbits_on_the_census(census, e10_restriction):

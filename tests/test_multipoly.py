@@ -245,30 +245,20 @@ def test_initial_form(ctx):
 
 
 def test_linear_solve_identity(ctx):
-    rows = [[1, 0], [0, 1]]
-    rhs = [ctx.gen_pow(4).bits, ctx.gen_pow(9).bits]
-    res = linear_solve(ctx, rows, rhs)
-    assert res.status == "unique"
-    assert [e.bits for e in res.solution] == rhs
-
-
-def test_linear_solve_inconsistent(ctx):
-    res = linear_solve(ctx, [[1], [1]], [0, 1])
-    assert res.status == "inconsistent"
+    assert linear_solve(ctx, [[1, 0], [0, 1]]) == []
 
 
 def test_linear_solve_kernel(ctx):
-    res = linear_solve(ctx, [[1, 1]], [0])
-    assert res.status == "kernel"
-    assert len(res.kernel) == 1
+    assert linear_solve(ctx, [[1, 1]]) == [[1, 1]]
+    g4 = ctx.gen_pow(4).bits
+    assert linear_solve(ctx, [[1, g4, 0]]) == [[g4, 1, 0], [0, 0, 1]]
 
 
-def _dense_solve(ctx, a, b):
+def _dense_kernel(ctx, a):
     """Gauss-Jordan with whole-row updates, one field product per
     entry: the reference for linear_solve, with the same pivot order.
-    Returns (status, solution bits, kernel bit vectors)."""
+    Returns the kernel basis as bit vectors."""
     a = [list(row) for row in a]
-    b = list(b)
     mul, inv = ctx.mul_bits, ctx.inv_bits
     m, ncols = len(a), len(a[0])
     piv_of_col = {}
@@ -278,22 +268,14 @@ def _dense_solve(ctx, a, b):
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        b[r], b[sel] = b[sel], b[r]
         s = inv(a[r][c])
         a[r] = [mul(v, s) for v in a[r]]
-        b[r] = mul(b[r], s)
         for rr in range(m):
             if rr != r and a[rr][c]:
                 f = a[rr][c]
                 a[rr] = [v ^ mul(f, w) for v, w in zip(a[rr], a[r])]
-                b[rr] ^= mul(f, b[r])
         piv_of_col[c] = r
         r += 1
-    if any(b[r:]):
-        return "inconsistent", None, []
-    sol = [0] * ncols
-    for c, rr in piv_of_col.items():
-        sol[c] = b[rr]
     kernel = []
     for fc in (c for c in range(ncols) if c not in piv_of_col):
         v = [0] * ncols
@@ -301,7 +283,7 @@ def _dense_solve(ctx, a, b):
         for c, rr in piv_of_col.items():
             v[c] = a[rr][fc]
         kernel.append(v)
-    return ("kernel" if kernel else "unique"), sol, kernel
+    return kernel
 
 
 def _apply(ctx, a, x):
@@ -315,10 +297,10 @@ def _apply(ctx, a, x):
 
 
 def test_linear_solve_against_dense_elimination(ctx):
-    """Seeded square, tall and wide systems of full and deficient rank,
-    with consistent and arbitrary right-hand sides."""
+    """Seeded square, tall and wide matrices of full and deficient
+    rank: the kernel basis is the reference's, and A kills it."""
     rng = random.Random(29)
-    seen = set()
+    dims = set()
     for m, n in ((6, 6), (9, 5), (5, 9), (12, 12)):
         for rank in (min(m, n), min(m, n) - 2, 1):
             for _ in range(4):
@@ -328,24 +310,11 @@ def test_linear_solve_against_dense_elimination(ctx):
                          for _ in range(rank)]
                 cols = list(zip(*right))
                 a = [_apply(ctx, cols, row) for row in left]
-                x0 = [rng.randrange(32) for _ in range(n)]
-                for b in (_apply(ctx, a, x0),
-                          [rng.randrange(32) for _ in range(m)]):
-                    res = linear_solve(ctx, a, b)
-                    status, sol, kernel = _dense_solve(ctx, a, b)
-                    seen.add(status)
-                    assert res.status == status
-                    if status == "inconsistent":
-                        assert res.solution is None and res.kernel == []
-                        continue
-                    got = [e.bits for e in res.solution]
-                    assert got == sol
-                    assert _apply(ctx, a, got) == b
-                    assert [[e.bits for e in k] for k in res.kernel] \
-                        == kernel
-                    for k in kernel:
-                        assert not any(_apply(ctx, a, k))
-    assert seen == {"unique", "kernel", "inconsistent"}
+                kernel = linear_solve(ctx, a)
+                assert kernel == _dense_kernel(ctx, a)
+                assert all(_apply(ctx, a, k) == [0] * m for k in kernel)
+                dims.add(len(kernel))
+    assert 0 in dims and len(dims) > 2
 
 
 def test_poly_text_roundtrip(ctx):

@@ -240,6 +240,23 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     assert names[0] == "model" and names[-1] == "alpha"
 
 
+def test_tail_that_c_does_not_divide_is_named(tmp_path):
+    """A term g x^12 in eta breaks the equivariance identity and leaves
+    eta(SI) with a term that c(SI) does not divide: the inverse is a
+    NoSolution that names the division, and no derivation is built."""
+    copy = _with_line(tmp_path, "automorphism.poly", "eta = ",
+                      "eta = g*x^12 + ")
+    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    nodes = {c.name: c for c in report.children}
+    assert nodes["inverse"].status == "error"
+    assert nodes["inverse"].witness \
+        == "NoSolution: tail: c(SI) does not divide eta(SI)"
+    assert "derivation" not in nodes
+    identity = next(c for c in nodes["equivariance"].children
+                    if c.name == "equivariance.identity")
+    assert identity.status == "fail"
+
+
 def test_lehmer_roots_are_found_once_per_suite(monkeypatch):
     """`verify all` finds Lehmer's mod-2 roots once in the cubic suite
     and once in the surface suite, solves beta and the orbit once per

@@ -136,6 +136,17 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
         == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i).bits
 
 
+@pytest.mark.parametrize("i", range(1, 5))
+def test_inverse_tail_of_a_frobenius_twist(ctx, tmp_path, sigma_inv, i):
+    """Frobenius is a field automorphism, so the i-th twist's tail
+    eta(SI) / c(SI) is the bundled tail with every coefficient raised
+    to the 2^i-th power."""
+    si = sf.derive_sigma_inverse(sf.load_model(_twisted(tmp_path, i)))
+    assert si.eta_prime.terms == {
+        e: ctx.pow_bits(c, 2 ** i)
+        for e, c in sigma_inv.eta_prime.terms.items()}
+
+
 def _singular_points(rep):
     return next(c.witness for c in rep.children
                 if c.name == "singular.matches_marked_points")
