@@ -276,52 +276,50 @@ def e10_basis(text):
 
 
 def gram_of(vectors):
-    gram = ambient_gram()
-    return tuple(tuple(_pair(u, v, gram) for v in vectors) for u in vectors)
+    return _pairings(vectors, vectors, ambient_gram())
 
 
-def _pair(u, v, gram):
-    return sum(u[i] * gram[i][j] * v[j]
-               for i in range(len(u)) for j in range(len(v)))
+def _pairings(us, vs, gram):
+    """The pairings (u, v) under gram, one row per u."""
+    duals = [mat_vec(gram, v) for v in vs]
+    return tuple(tuple(sum(x * y for x, y in zip(u, d)) for d in duals)
+                 for u in us)
 
 
-def restrict_to_basis(m, basis):
+def restrict_to_basis(m, basis, ge):
     """Matrix of m on the span of `basis`, integer entries enforced.
 
     Coordinates are recovered by pairing against the basis and solving
-    with the basis Gram matrix; that gives the projection of each image
-    to the span, so the integer basis combination is then checked to
-    equal the image exactly.
+    with its Gram matrix ge by fraction-free Gauss-Jordan (Bareiss):
+    each division is exact and leaves d times the solution, d = +-det ge.
+    The solution is the projection of each image to the span, so it
+    must be integral and its basis combination equal the image.
     """
-    gram = ambient_gram()
     images = [mat_vec(m, b) for b in basis]
-    x = _frac_solve(gram_of(basis),
-                    [[_pair(a, img, gram) for img in images] for a in basis])
-    out = tuple(tuple(int(c) for c in row) for row in x)
-    # the basis is independent (its Gram matrix is not singular), so an
-    # integer combination equal to the image is the projection itself
-    if mat_mul(mat_transpose(basis), out) != mat_transpose(images):
-        raise InvariantViolation("image leaves the sublattice")
-    return out
-
-
-def _frac_solve(a, b):
-    """X with a·X = b, by Gauss–Jordan over Fraction; a is the basis
-    Gram matrix and b holds the rows of all right-hand sides at once."""
-    n = len(a)
-    rows = [[Fraction(v) for v in (*ra, *rb)] for ra, rb in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    n = len(basis)
+    rows = [[*g, *p]
+            for g, p in zip(ge, _pairings(basis, images, ambient_gram()))]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             raise InvariantViolation("the basis Gram matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return [r[n:] for r in rows]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        d = top[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(d * x - f * y) // prev
+                           for x, y in zip(rows[i], top)]
+        prev = d
+    out = tuple(tuple(x // prev for x in r[n:]) for r in rows)
+    # the basis is independent (its Gram matrix is not singular), so an
+    # integer combination equal to the image is the projection itself
+    if any(x % prev for r in rows for x in r[n:]) or mat_mul(
+            mat_transpose(basis), out) != mat_transpose(images):
+        raise InvariantViolation("image leaves the sublattice")
+    return out
 
 
 def reference_interior_vector():
@@ -679,6 +677,6 @@ def weyl2_membership(m, ge):
         raise InvariantViolation(
             "matrix does not preserve the sublattice form")
     u = reference_interior_vector()
-    if _pair(mat_vec(m, u), u, ge) <= 0:
+    if sum(x * y for x, y in zip(mat_vec(m, u), mat_vec(ge, u))) <= 0:
         return False
     return mat_eq_mod2(m, mat_identity(len(m)))

@@ -114,8 +114,7 @@ def _lattice_lagrangians(images, space) -> list:
     inv = census.invariant_members(images)
     checks.append(rp.leaf("lagrangians.invariant_count", len(inv) == 2,
                           f"{len(inv)} invariant members"))
-    pars = sorted(census.class_parity[census.index_of(rows)]
-                  for rows in inv)
+    pars = sorted(cls for _, cls in inv)
     checks.append(rp.leaf("lagrangians.one_invariant_per_class",
                           pars == [0, 1], pars))
     return checks
@@ -131,7 +130,7 @@ def _lattice_checks(config: SuiteConfig) -> list:
             _read_data(config.data_dir, "e10_basis.dat")),
         "gram": lambda need: lat.gram_of(need("basis")),
         "restriction": lambda need: lat.restrict_to_basis(
-            lat.coxeter_matrix(), need("basis")),
+            lat.coxeter_matrix(), need("basis"), need("gram")),
         "char_poly": lambda need: lat.char_poly(need("restriction")),
         "space": lambda need: m2.Mod2QuadSpace(need("gram")),
         "images": lambda need: m2.mat2_images(

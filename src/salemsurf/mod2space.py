@@ -14,7 +14,8 @@ D. E. Taylor, The Geometry of the Classical Groups, 1992, ch. 11). A
 Lagrangian L meets F = <f> in some W, projects onto the annihilator of
 W in E = <e>, and is the graph over it of an alternating form; so each
 pair (W, alternating form) is exactly one member and the census needs
-no search and no dedup set.
+no search and no dedup set. Members stay unreduced: their family is
+read off dim W, and L = L^perp reduces invariance to the polar form.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ def mat2_poly_at(cols, coeffs) -> tuple:
     return acc
 
 
-def _echelon(vectors) -> dict:
-    """Forward elimination: {pivot: row}, independent rows with distinct
-    pivots (leading bits) spanning the same space. Each vector is
-    reduced on its leading bit only, until that bit is a new pivot."""
+def rref_rows(vectors) -> tuple:
+    """Canonical RREF row tuple (descending pivots) of a span.
+
+    Forward elimination first: each vector is reduced on its leading
+    bit only, until that bit is a new pivot."""
     red = {}
     for r in vectors:
         while r:
@@ -135,12 +137,6 @@ def _echelon(vectors) -> dict:
                 red[p] = r
                 break
             r ^= red[p]
-    return red
-
-
-def rref_rows(vectors) -> tuple:
-    """Canonical RREF row tuple (descending pivots) of a span."""
-    red = _echelon(vectors)
     done = []  # reduced rows: each is 0 at every other pivot
     for p in sorted(red):
         r = red[p]
@@ -174,17 +170,6 @@ def span_of(rows):
     for v in rows:
         s |= {x ^ v for x in s}
     return s
-
-
-def subspace_contains(rows, v: int) -> bool:
-    for r in rows:
-        if (v >> (r.bit_length() - 1)) & 1:
-            v ^= r
-    return v == 0
-
-
-def intersection_dim(rows_a, rows_b) -> int:
-    return len(rows_a) + len(rows_b) - len(_echelon((*rows_a, *rows_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +224,8 @@ def mod2_action_analysis(m, ge, space, cp, images) -> Mod2ActionReport:
     records = []
     for coeffs, mult in mod2_reduce_and_factor(cp):
         ker = mat2_kernel(mat2_poly_at(cols, coeffs))
-        rows = rref_rows(ker)
-        sing = all(space.q[v] == 0 for v in span_of(rows))
-        records.append(KernelRecord(tuple(coeffs), mult, len(rows), sing))
+        sing = all(space.q[v] == 0 for v in span_of(ker))
+        records.append(KernelRecord(tuple(coeffs), mult, len(ker), sing))
     preserves = all(space.q[w] == q for w, q in zip(images, space.q))
     return Mod2ActionReport(order, preserves, records)
 
@@ -251,39 +235,45 @@ def mod2_action_analysis(m, ge, space, cp, images) -> Mod2ActionReport:
 
 
 class LagrangianCensus:
-    """All half-dimension totally singular subspaces, canonically sorted.
+    """All half-dimension totally singular subspaces of a plus-type space.
 
-    members: RREF row tuples in ascending tuple order; reference: the
-    first member; class_parity[i]: dim(members[i] meet reference) mod 2,
-    flipped so 0 means the same class as the reference (intersection
-    dimension congruent to half-dim mod 2).
+    members: one row list per member, as the Witt-basis walk generates
+    it (spanning, not reduced). F = <f> is itself a member, and two
+    members lie in one family exactly when their intersection dimension
+    is congruent to the half dimension h mod 2; so a member meeting F
+    in W has class (h - dim W) mod 2, and class 0 is F's family.
+    members[:split] are class 0, the rest class 1.
     """
 
-    __slots__ = ("members", "reference", "class_parity")
+    __slots__ = ("members", "split", "q")
 
-    def __init__(self, space, members):
+    def __init__(self, space, members, split):
         self.members = members
-        self.reference = members[0]
-        half = space.dim // 2
-        self.class_parity = tuple(
-            (intersection_dim(rows, self.reference) - half) % 2
-            for rows in members)
+        self.split = split
+        self.q = space.q
 
     def class_sizes(self):
-        ones = sum(self.class_parity)
-        return (len(self.members) - ones, ones)
+        return (self.split, len(self.members) - self.split)
 
     def invariant_members(self, images):
-        """Members L with M L = L, for images = mat2_images(M mod 2)."""
-        return [rows for rows in self.members
-                if all(subspace_contains(rows, images[r]) for r in rows)]
-
-    def index_of(self, rows) -> int:
-        import bisect
-        i = bisect.bisect_left(self.members, tuple(rows))
-        if i == len(self.members) or self.members[i] != tuple(rows):
-            raise KeyError("not a census member")
-        return i
+        """(RREF rows, class) of each member L with M L = L, for images =
+        mat2_images(M mod 2): L = L^perp, so that holds iff b(M r, s) = 0
+        for all rows r, s of L, tested up to the first nonzero pairing."""
+        q = self.q
+        out = []
+        for i, rows in enumerate(self.members):
+            for r in rows:
+                m = images[r]
+                qm = q[m]
+                for s in rows:
+                    if q[m ^ s] ^ qm ^ q[s]:
+                        break
+                else:
+                    continue
+                break
+            else:
+                out.append((rref_rows(rows), int(i >= self.split)))
+        return out
 
 
 def _witt_basis(space: Mod2QuadSpace) -> tuple:
@@ -327,13 +317,15 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
     (W, A) gives one member and no member twice: for h = 5 the counts
     over dim W = 0..5 are 1024 + 1984 + 1240 + 310 + 31 + 1 = 4590. A
     runs in Gray-code order, so each step flips one entry (c, d): row c
-    gains f_d and row d gains f_c. Members are mapped to the lattice
-    basis, reduced to RREF and sorted once (ascending tuple order).
+    gains f_d and row d gains f_c. Each member keeps the rows the walk
+    made, in the lattice basis, unreduced; the members of F's family are
+    listed first.
     """
     es, fs = _witt_basis(space)
     h = len(es)
-    out = []
+    out = ([], [])  # by class
     for j in range(h + 1):
+        family = out[(h - j) % 2]
         for piv in combinations(range(h), j):
             free = [c for c in range(h) if c not in piv]
             slots = [(r, c) for r, p in enumerate(piv) for c in free
@@ -348,11 +340,10 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
                 rows = [mat2_apply(es, 1 << c | sum(
                     1 << p for p, w in zip(piv, wrows) if w >> c & 1))
                     for c in free]
-                out.append(rref_rows(base + rows))
+                family.append(base + rows)
                 for g in range(1, 1 << len(pairs)):
                     c, d = pairs[(g & -g).bit_length() - 1]
                     rows[c] ^= fs[free[d]]
                     rows[d] ^= fs[free[c]]
-                    out.append(rref_rows(base + rows))
-    out.sort()
-    return LagrangianCensus(space, out)
+                    family.append(base + rows)
+    return LagrangianCensus(space, out[0] + out[1], len(out[0]))

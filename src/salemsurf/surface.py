@@ -623,10 +623,11 @@ def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
     """Blow up each base point and look for singular points over the
     exceptional line.
 
-    Main chart: substitute v = a u, divide by u^4 exactly, and check
-    the two partials restricted to u = 0 share no root (constant gcd).
-    The one point the main chart misses is the origin of the
-    complementary chart, where a nonvanishing partial suffices.
+    s must vanish to order 4 or more there. Main chart: substitute
+    v = a u, divide by u^4 exactly, and check the two partials
+    restricted to u = 0 share no root (constant gcd). The one point the
+    main chart misses is the origin of the complementary chart, where a
+    nonvanishing partial suffices.
     """
     ctx = m.ctx
     checks = []
@@ -638,6 +639,11 @@ def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
             continue
         try:
             sc = _chart(m.s, drop)
+            order = sc.multiplicity_at([0, 0])
+            if order < 4:
+                checks.append(rp.leaf(f"charts.p{idx}", False,
+                                      f"order {order} < 4 at the base point"))
+                continue
             u, v = MultiPoly.var(ctx, 2, 0), MultiPoly.var(ctx, 2, 1)
             main = sc.substitute([u, u * v]).divide_by_power(0, 4)
             r_u = _uni_from(main.partial(0).restrict(0, 0), 1)

@@ -35,7 +35,8 @@ def e10_basis():
 
 @pytest.fixture(scope="session")
 def e10_restriction(e10_basis):
-    return e10_basis, lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis)
+    return e10_basis, lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis,
+                                            lat.gram_of(e10_basis))
 
 
 @pytest.fixture(scope="session")

@@ -276,3 +276,74 @@ def test_reference_vector_is_interior(e10_basis):
     norm = sum(u[i] * ge[i][j] * u[j]
                for i in range(10) for j in range(10))
     assert norm == 10
+
+
+def _frac_restriction(m, basis):
+    """Oracle: the coordinates of each image's projection to the span of
+    basis, by Gauss-Jordan over Fraction on the normal equations; None
+    when the basis Gram matrix is singular."""
+    gram = ambient_gram()
+
+    def pair(u, v):
+        return sum(u[k] * gram[k][t] * v[t]
+                   for k in range(11) for t in range(11))
+
+    images = [mat_vec(m, b) for b in basis]
+    n = len(basis)
+    rows = [[Fraction(pair(u, v)) for v in (*basis, *images)] for u in basis]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows], images
+
+
+def test_restriction_against_fraction_solve(e10_basis):
+    """The fraction-free restriction returns the Fraction solution when
+    that solution is integral and the image lies in the span, and
+    otherwise raises the message for the reason."""
+    rng = random.Random(43)
+    cases = [e10_basis]
+    for _ in range(5):  # unimodular changes of basis: the same span
+        basis = [list(r) for r in e10_basis]
+        for _ in range(10):
+            i, j = rng.sample(range(10), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            basis[i] = [x + k * y for x, y in zip(basis[i], basis[j])]
+        cases.append([tuple(r) for r in basis])
+    for _ in range(30):
+        basis = [list(r) for r in e10_basis]
+        for _ in range(rng.randrange(1, 3)):
+            basis[rng.randrange(10)][rng.randrange(11)] += rng.choice(
+                (-2, -1, 1, 2))
+        cases.append([tuple(r) for r in basis])
+    seen = []
+    for basis in cases:
+        want = _frac_restriction(coxeter_matrix(), basis)
+        if want is None:
+            reason = "the basis Gram matrix is singular"
+        else:
+            x, images = want
+            integral = all(v.denominator == 1 for r in x for v in r)
+            exact = integral and all(
+                sum(basis[i][k] * x[i][j] for i in range(10)) == images[j][k]
+                for j in range(10) for k in range(11))
+            reason = None if exact else "image leaves the sublattice"
+        seen.append(reason)
+        if reason is None:
+            got = lat.restrict_to_basis(coxeter_matrix(), basis,
+                                        gram_of(basis))
+            assert [list(r) for r in got] == x
+        else:
+            with pytest.raises(InvariantViolation, match=reason):
+                lat.restrict_to_basis(coxeter_matrix(), basis,
+                                      gram_of(basis))
+    assert seen[:6] == [None] * 6
+    assert set(seen[6:]) == {"the basis Gram matrix is singular",
+                             "image leaves the sublattice"}

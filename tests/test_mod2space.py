@@ -7,14 +7,36 @@ import pytest
 from salemsurf import lattice as lat
 from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
-                                 intersection_dim, mat2_apply, mat2_from_int,
-                                 mat2_identity, mat2_images, mat2_kernel,
-                                 mat2_mul, mat2_order, mat2_poly_at,
-                                 mod2_action_analysis, rref_rows, span_of,
-                                 subspace_contains)
+                                 mat2_apply, mat2_from_int, mat2_identity,
+                                 mat2_images, mat2_kernel, mat2_mul,
+                                 mat2_order, mat2_poly_at,
+                                 mod2_action_analysis, rref_rows, span_of)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
+
+
+def subspace_contains(rows, v: int) -> bool:
+    """Oracle: v lies in the span of the RREF rows."""
+    for r in rows:
+        if (v >> (r.bit_length() - 1)) & 1:
+            v ^= r
+    return v == 0
+
+
+def intersection_dim(rows_a, rows_b) -> int:
+    """Oracle: dim(A meet B) = dim A + dim B - dim(A + B)."""
+    return len(rows_a) + len(rows_b) - len(rref_rows((*rows_a, *rows_b)))
+
+
+def _canonical(census):
+    """Each member as its RREF row tuple, in member order."""
+    return [rref_rows(rows) for rows in census.members]
+
+
+def _classes(census):
+    """The class of each member, in member order."""
+    return [int(i >= census.split) for i in range(len(census.members))]
 
 
 def test_quadratic_form_axioms(e10_basis):
@@ -87,9 +109,9 @@ def test_q_matches_definition(grams, name):
 def test_census_on_other_grams(grams, name):
     sp = Mod2QuadSpace(grams[name])
     census = enumerate_lagrangians(sp)
-    members = census.members
-    assert len(members) == 4590
-    assert all(a < b for a, b in zip(members, members[1:]))
+    members = _canonical(census)
+    assert len(members) == 4590 == len(set(members))
+    assert all(len(rows) == 5 for rows in members)
     assert all(sp.q[v] == 0 for rows in members for v in span_of(rows))
     assert census.class_sizes() == (2295, 2295)
 
@@ -116,8 +138,7 @@ def test_census_against_brute_force(k, count):
     assert len(lagrangians) == count == len(census.members)
     assert {frozenset(span_of(rows)) for rows in census.members} \
         == lagrangians
-    assert all(rref_rows(rows) == rows for rows in census.members)
-    assert census.members == sorted(census.members)
+    assert all(len(rows) == k for rows in _canonical(census))
     assert census.class_sizes() == (count // 2, count // 2)
 
 
@@ -153,7 +174,7 @@ def test_census_follows_a_change_of_basis(census, e10_basis):
     moved = enumerate_lagrangians(Mod2QuadSpace(_changed_basis(gram, 17)))
     cols = mat2_from_int(_unimodular(len(gram), 17))
     assert sorted(rref_rows(mat2_apply(cols, r) for r in rows)
-                  for rows in moved.members) == list(census.members)
+                  for rows in moved.members) == sorted(_canonical(census))
 
 
 def test_odd_gram_rejected():
@@ -278,33 +299,78 @@ def test_action_analysis_rejects_non_isometry(e10_basis):
 
 def test_census_counts(census):
     assert len(census.members) == 4590
-    assert census.class_sizes() == (2295, 2295)
-    assert census.reference == census.members[0]
-    assert all(census.members[i] < census.members[i + 1]
-               for i in range(len(census.members) - 1))
+    assert census.class_sizes() == (2295, 2295) == (census.split, 2295)
 
 
 def test_census_members_are_lagrangian(census, e10_basis):
     sp = Mod2QuadSpace(lat.gram_of(e10_basis))
     for rows in census.members:
         assert len(rows) == 5
-        assert rref_rows(rows) == rows
+        assert len(rref_rows(rows)) == 5
         assert all(sp.q[v] == 0 for v in span_of(rows))
 
 
-def test_census_index_of(census):
-    assert census.index_of(census.members[17]) == 17
-    with pytest.raises(KeyError):
-        census.index_of(((1 << 10) - 1,))
+def test_census_members_are_distinct(census):
+    assert len(set(_canonical(census))) == len(census.members) == 4590
+
+
+@pytest.mark.parametrize("name", ["bundled", "hyperbolic", "changed_basis"])
+def test_census_classes_match_intersection_parity(grams, name):
+    """The class read off dim W is the two-family class of the
+    intersection parity with a fixed member L0, up to one global flip
+    (which family gets called 0)."""
+    census = enumerate_lagrangians(Mod2QuadSpace(grams[name]))
+    members = _canonical(census)
+    h = len(members[0])
+    old = [(intersection_dim(rows, members[0]) - h) % 2 for rows in members]
+    new = _classes(census)
+    flip = old[0] ^ new[0]
+    assert [c ^ flip for c in old] == new
+
+
+def _transvections(sp, seed, count):
+    """Columns of a seeded product of orthogonal transvections
+    x -> x + b(x, v) v with q(v) = 1, each of which preserves q."""
+    rng = random.Random(seed)
+    anisotropic = [v for v in range(1, 1 << sp.dim) if sp.q[v]]
+    cols = mat2_identity(sp.dim)
+    for _ in range(count):
+        v = rng.choice(anisotropic)
+        t = tuple((1 << j) ^ (v if sp.bilinear(1 << j, v) else 0)
+                  for j in range(sp.dim))
+        cols = mat2_mul(t, cols)
+    return cols
+
+
+def test_invariance_by_polar_form_matches_containment(census, e10_basis,
+                                                      e10_restriction):
+    """invariant_members, which tests b(M r, s) = 0 on the rows, agrees
+    with row-by-row containment M r in L for the E10 restriction, the
+    identity and seeded products of orthogonal transvections."""
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
+    cases = [mat2_from_int(e10_restriction[1]), mat2_identity(10),
+             *(_transvections(sp, seed, count)
+               for seed, count in ((3, 1), (4, 2), (7, 4)))]
+    counts = []
+    for cols in cases:
+        images = mat2_images(cols)
+        assert all(sp.q[w] == q for w, q in zip(images, sp.q))
+        want = []
+        for rows, cls in zip(census.members, _classes(census)):
+            red = rref_rows(rows)
+            if all(subspace_contains(red, images[r]) for r in rows):
+                want.append((red, cls))
+        assert census.invariant_members(images) == want
+        counts.append(len(want))
+    # one transvection exchanges the two families, so it fixes no member
+    assert counts == [2, 4590, 0, 270, 30]
 
 
 def test_invariant_members(census, e10_restriction):
     _, restr = e10_restriction
     inv = census.invariant_members(mat2_images(mat2_from_int(restr)))
     assert len(inv) == 2
-    parities = sorted(census.class_parity[census.index_of(rows)]
-                      for rows in inv)
-    assert parities == [0, 1]
+    assert sorted(cls for _, cls in inv) == [0, 1]
 
 
 def test_invariant_members_are_the_factor_kernels(census, e10_restriction):
@@ -316,14 +382,15 @@ def test_invariant_members_are_the_factor_kernels(census, e10_restriction):
     cols = mat2_from_int(restr)
     kernels = sorted(rref_rows(mat2_kernel(mat2_poly_at(cols, r.factor)))
                      for r in rep.invariant_subspaces)
-    assert census.invariant_members(mat2_images(cols)) == kernels
+    inv = census.invariant_members(mat2_images(cols))
+    assert sorted(rows for rows, _ in inv) == kernels
 
 
 def test_coxeter_orbits_on_the_census(census, e10_restriction):
     """<M mod 2> has order 31 and two fixed members, so it splits the
     other 4,588 members into 148 free orbits."""
     cols = mat2_from_int(e10_restriction[1])
-    index = {rows: i for i, rows in enumerate(census.members)}
+    index = {rows: i for i, rows in enumerate(_canonical(census))}
     image = [index[rref_rows(mat2_apply(cols, r) for r in rows)]
              for rows in census.members]
     seen = [False] * len(image)

@@ -150,6 +150,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
         return read(data_dir, name)
 
     monkeypatch.setattr(lattice_checks, "_read_data", counted_read)
+    count(lat, "gram_of")
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
     count(m2, "Mod2QuadSpace")
@@ -159,15 +160,16 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(sf, "resultant")  # surface imports it by name
     # char_poly: the Coxeter matrix in lattice.coxeter and again inside
     # dynamical_degree, and the restriction once
-    per_run = {"e10_basis.dat": 1, "restrict_to_basis": 1, "char_poly": 3,
-               "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
+    per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
+               "char_poly": 3, "Mod2QuadSpace": 1,
+               "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
         assert calls == {k: runs * v for k, v in per_run.items()}
     calls.clear()
     assert run_suite("lagrangians").ok()
-    assert calls == {"e10_basis.dat": 1, "restrict_to_basis": 1,
-                     "Mod2QuadSpace": 1}
+    assert calls == {"e10_basis.dat": 1, "gram_of": 1,
+                     "restrict_to_basis": 1, "Mod2QuadSpace": 1}
     # a failed build is kept: three checks need the restriction of a
     # basis with a singular Gram matrix, and it is attempted once
     calls.clear()

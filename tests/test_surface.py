@@ -189,6 +189,22 @@ def test_chart_smoothness(model):
     main.divide_by_power(0, 4)  # exactness is the blow-up requirement
 
 
+def test_chart_order_below_four_is_a_failing_leaf(tmp_path):
+    """A degree-12 monomial z^12 added to s makes s nonzero at the base
+    point (0 : 0 : 1): its chart leaf fails and names the order."""
+    copy = tmp_path / "data"
+    shutil.copytree(Path(sf.__file__).parent / "data", copy)
+    text = (copy / "surface.poly").read_text()
+    assert "\ns = " in text
+    (copy / "surface.poly").write_text(
+        text.replace("\ns = ", "\ns = g^0*x^0*y^0*z^12 + ", 1))
+    leaves = {c.name: c for c in sf.verify_chart_smoothness(
+        sf.load_model(copy)).children}
+    assert leaves["charts.p1"].status == "fail"
+    assert leaves["charts.p1"].witness == "order 0 < 4 at the base point"
+    assert leaves["charts.p2_main"].status == "pass"
+
+
 def test_alpha_consistency(ctx, model, conj_scalar):
     alpha = ctx.gen_pow(19)
     roots = lehmer_mod2_roots(ctx)
