@@ -62,45 +62,12 @@ def ip_deriv(p):
     return ip_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def ip_divmod(p, q):
-    """Division over the rationals; returns Fraction-coefficient lists."""
-    r = [Fraction(c) for c in p]
-    qq = [Fraction(c) for c in q]
-    while qq and qq[-1] == 0:
-        qq.pop()
-    if not qq:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [Fraction(0)] * max(0, len(r) - len(qq) + 1)
-    while len(r) >= len(qq) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(qq):
-            break
-        k = len(r) - len(qq)
-        c = r[-1] / qq[-1]
-        out[k] = c
-        for i, b in enumerate(qq):
-            r[k + i] -= c * b
-    while r and r[-1] == 0:
-        r.pop()
-    return out, r
-
-
 def _primitive_part(p):
     """p divided by the gcd of its coefficients; signs are kept."""
     g = 0
     for c in p:
         g = gcd(g, c)
     return [c // g for c in p] if g > 1 else p
-
-
-def ip_primitive(p):
-    """Clear denominators and content; make the leading term positive."""
-    den = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
-    ints = _primitive_part([int(c * den) for c in p])
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _pos_rem(a, b):
@@ -120,15 +87,6 @@ def _pos_rem(a, b):
             r[k + i] -= lr * c
         r = ip_trim(r)
     return _primitive_part(r)
-
-
-def ip_gcd(p, q):
-    """Primitive integer gcd via the Euclidean algorithm on integer
-    pseudo-remainders."""
-    a, b = ip_trim(p), ip_trim(q)
-    while b:
-        a, b = b, _pos_rem(a, b)
-    return ip_primitive(a)
 
 
 def is_reciprocal(p):
@@ -408,7 +366,7 @@ def _bisect(p, lo, hi, precision):
     return Fraction(a, d), Fraction(b, d)
 
 
-def real_roots(p, precision=Fraction(1, 10 ** 6)):
+def real_roots(p, precision):
     """Isolating rational intervals for all real roots of a squarefree p.
 
     One Sturm chain on p itself does all the work: it tests that p is
@@ -600,50 +558,31 @@ def sign_vector_target(cert):
 # spectral radius
 
 
-def dynamical_degree(m, precision=DEFAULT_PRECISION):
-    """Certified rational enclosure of the spectral radius of m.
+def dynamical_degree(charpoly, precision=DEFAULT_PRECISION):
+    """Certified rational enclosure of the spectral radius of an
+    isometry of a hyperbolic lattice, from its characteristic polynomial.
 
-    The radius is certified to be a real eigenvalue in two situations:
-    every root of the characteristic polynomial is real (Sturm count
-    equals the degree of the squarefree part), or, after stripping the
-    rational roots 0 and +-1, the remaining factor is a Salem
-    polynomial, whose non-real roots all have modulus exactly 1. Raises
-    NoSolution otherwise.
+    For the isometry a surface automorphism induces, that radius is the
+    dynamical degree: 1 or a Salem number, quadratic ones included. The
+    roots 1 and -1 are divided out exactly, by integer synthetic
+    division; a constant remainder gives (1, 1), and any other remainder
+    must pass salem_certify, whose lambda_interval is returned. Raises
+    NoSolution otherwise: for a repeated root other than +-1, for a
+    remainder whose roots are all roots of unity (radius 1, which is
+    then not certified), and for any polynomial outside the domain,
+    such as (x - 2)(x - 1).
     """
-    precision = Fraction(precision)
-    p = ip_trim(char_poly(m))
-    saw_unit = False
-    while p[0] == 0:
-        p = p[1:]
+    p = ip_trim(charpoly)
     for root in (1, -1):
-        while ip_eval(p, root) == 0:
-            q, rem = ip_divmod(p, [-root, 1])
-            assert not rem
-            p = ip_primitive(q)
-            saw_unit = True
-    floor = Fraction(1) if saw_unit else Fraction(0)
+        while len(p) > 1 and ip_eval(p, root) == 0:
+            acc, quo = 0, []
+            for c in reversed(p[1:]):
+                acc = acc * root + c
+                quo.append(acc)
+            p = quo[::-1]
     if len(p) <= 1:
-        return (floor, floor)
-    sqf = ip_primitive(ip_divmod(p, ip_gcd(p, ip_deriv(p)))[0])
-    ivs = real_roots(sqf, precision)
-    if len(ivs) == len(sqf) - 1:
-        # all eigenvalues real: enclose max |root| by the componentwise
-        # maxima of the per-root absolute intervals
-        blo, bhi = floor, floor
-        for lo, hi in ivs:
-            alo, ahi = min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
-            if lo <= 0 <= hi:
-                alo = Fraction(0)
-            blo, bhi = max(blo, alo), max(bhi, ahi)
-        return (blo, bhi)
-    try:
-        cert = salem_certify(sqf, precision)
-    except NoSolution as ex:
-        raise NoSolution(
-            "characteristic polynomial is neither totally real nor Salem "
-            f"after removing unit rational roots: {ex}") from ex
-    lo, hi = cert.lambda_interval
-    return (max(lo, floor), max(hi, floor))
+        return (Fraction(1), Fraction(1))
+    return salem_certify(p, precision).lambda_interval
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +616,7 @@ def weyl2_membership(m, ge):
         raise InvariantViolation(
             "matrix does not preserve the sublattice form")
     u = reference_interior_vector()
-    if sum(x * y for x, y in zip(mat_vec(m, u), mat_vec(ge, u))) <= 0:
+    ((pairing,),) = _pairings([mat_vec(m, u)], [u], ge)
+    if pairing <= 0:
         return False
     return mat_eq_mod2(m, mat_identity(len(m)))

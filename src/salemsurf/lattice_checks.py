@@ -13,7 +13,7 @@ from . import _read_data, lattice as lat, mod2space as m2, report as rp
 from .suites import SuiteConfig, _run_objects
 
 
-def _lattice_coxeter(ge, me, pe) -> list:
+def _lattice_coxeter(ge, me, pe, full) -> list:
     cox = lat.coxeter_matrix()
     p10 = lat.lehmer_polynomial()
     kc = lat.canonical_class()
@@ -23,21 +23,18 @@ def _lattice_coxeter(ge, me, pe) -> list:
         rp.leaf("coxeter.fixes_canonical_class",
                 tuple(lat.mat_vec(cox, kc)) == tuple(kc), list(kc)),
     ]
-    full = lat.char_poly(cox)
     checks.append(rp.leaf("coxeter.charpoly_full",
                           full == lat.ip_mul([-1, 1], p10), list(full)))
     checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
     checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
     u = lat.reference_interior_vector()
-    img = lat.mat_vec(me, u)
-    pairing = sum(img[i] * ge[i][j] * u[j]
-                  for i in range(10) for j in range(10))
+    ((pairing,),) = lat._pairings([lat.mat_vec(me, u)], [u], ge)
     checks.append(rp.leaf("coxeter.halfcone_preserved", pairing > 0,
                           f"pairing {pairing}"))
     return checks
 
 
-def _lattice_salem(precision) -> list:
+def _lattice_salem(precision, full) -> list:
     p10 = lat.lehmer_polynomial()
     checks = [rp.leaf("salem.reciprocal", lat.is_reciprocal(p10), list(p10))]
     r10 = lat.trace_polynomial(p10)
@@ -61,7 +58,7 @@ def _lattice_salem(precision) -> list:
                           target == (-1, -1, 1, 1)
                           and sum(1 for s in target if s < 0) == pos,
                           list(target)))
-    lam = lat.dynamical_degree(lat.coxeter_matrix(), precision)
+    lam = lat.dynamical_degree(full, precision)
     checks.append(rp.leaf("salem.lambda10_interval",
                           lam[1] - lam[0] <= precision and lam[0] > 1,
                           rp.interval_witness(lam)))
@@ -123,8 +120,9 @@ def _lattice_lagrangians(images, space) -> list:
 def _lattice_checks(config: SuiteConfig) -> list:
     """The lattice checks in report order over one run-object table:
     the E10 basis, its Gram matrix, the Coxeter restriction, that
-    restriction's char poly, the mod-2 space and the table of images
-    of all 2^10 vectors under the restriction mod 2."""
+    restriction's char poly, the Coxeter matrix's char poly, the mod-2
+    space and the table of images of all 2^10 vectors under the
+    restriction mod 2."""
     need = _run_objects({
         "basis": lambda need: lat.e10_basis(
             _read_data(config.data_dir, "e10_basis.dat")),
@@ -132,13 +130,16 @@ def _lattice_checks(config: SuiteConfig) -> list:
         "restriction": lambda need: lat.restrict_to_basis(
             lat.coxeter_matrix(), need("basis"), need("gram")),
         "char_poly": lambda need: lat.char_poly(need("restriction")),
+        "cox_poly": lambda need: lat.char_poly(lat.coxeter_matrix()),
         "space": lambda need: m2.Mod2QuadSpace(need("gram")),
         "images": lambda need: m2.mat2_images(
             m2.mat2_from_int(need("restriction"))),
     })
     return [("lattice.coxeter", lambda: _lattice_coxeter(
-                need("gram"), need("restriction"), need("char_poly"))),
-            ("lattice.salem", lambda: _lattice_salem(config.precision)),
+                need("gram"), need("restriction"), need("char_poly"),
+                need("cox_poly"))),
+            ("lattice.salem", lambda: _lattice_salem(config.precision,
+                                                     need("cox_poly"))),
             ("lattice.mod2", lambda: _lattice_mod2(
                 need("gram"), need("restriction"), need("char_poly"),
                 need("space"), need("images"))),

@@ -46,7 +46,8 @@ def test_criterion_01_characteristic_polynomials(e10_basis):
 
 def test_criterion_02_dynamical_degree_interval():
     def run():
-        lo, hi = lat.dynamical_degree(lat.coxeter_matrix(), WIDTH)
+        lo, hi = lat.dynamical_degree(lat.char_poly(lat.coxeter_matrix()),
+                                      WIDTH)
         mid = float((lo + hi) / 2)
         largest = lat.real_roots(lat.lehmer_polynomial(), WIDTH)[-1]
         overlap = lo <= largest[1] and largest[0] <= hi

@@ -13,8 +13,8 @@ import salemsurf.lattice as lat
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                coxeter_matrix, dynamical_degree,
-                               e10_parity_check, gram_of, ip_add, ip_divmod,
-                               ip_gcd, ip_mul, is_isometry_of,
+                               e10_parity_check, gram_of, ip_add, ip_mul,
+                               is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
                                mat_add, mat_identity, mat_mul, mat_scale,
                                mat_vec, real_roots, reference_interior_vector,
@@ -34,12 +34,7 @@ def test_integer_poly_helpers():
     p = [1, 2, 3]
     q = [4, 5]
     assert ip_add(p, q) == [5, 7, 3]
-    prod = ip_mul(p, q)
-    quo, rem = ip_divmod([Fraction(c) for c in prod],
-                         [Fraction(c) for c in q])
-    assert quo == [1, 2, 3] and not rem
-    assert ip_gcd(prod, q) == [Fraction(4, 5), Fraction(1)] or \
-        ip_gcd(prod, q)[-1] != 0  # monic up to normalisation, nonzero
+    assert ip_mul(p, q) == [4, 13, 22, 15]
 
 
 def test_coxeter_shape_and_action():
@@ -115,9 +110,9 @@ def test_real_roots_quadratics():
     assert len(ivs) == 2
     assert abs(_mid(ivs[0]) + math.sqrt(2)) < 1e-6
     assert abs(_mid(ivs[1]) - math.sqrt(2)) < 1e-6
-    assert real_roots([1, 0, 1]) == []
+    assert real_roots([1, 0, 1], Fraction(1)) == []
     with pytest.raises(InvariantViolation, match="shares a factor"):
-        real_roots([1, -2, 1])
+        real_roots([1, -2, 1], Fraction(1))
 
 
 def test_real_roots_of_degree10():
@@ -202,16 +197,31 @@ def test_sign_vector_target():
 
 
 def test_dynamical_degree_small_cases():
-    assert dynamical_degree(mat_identity(3)) == (1, 1)
-    assert dynamical_degree([[2, 0], [0, 1]]) == (2, 2)
-    assert dynamical_degree([[3, 0], [0, -5]]) == (5, 5)
-    with pytest.raises(NoSolution,
-                       match="neither totally real nor Salem"):
-        dynamical_degree([[0, -1], [1, 0]])  # rotation, radius not real
+    width = Fraction(1, 10 ** 9)
+    for p in (char_poly(mat_identity(3)), [1, 2, 1], [-1, 0, 1]):
+        assert dynamical_degree(p, width) == (1, 1)
+    # x^2 - 3x + 1: the quadratic Salem number (3 + sqrt 5) / 2
+    lo, hi = dynamical_degree(char_poly([[2, 1], [1, 1]]), width)
+    assert 3 / 2 < lo and hi - lo <= width
+    assert (2 * lo - 3) ** 2 <= 5 <= (2 * hi - 3) ** 2
+    # a factor x^2 + 1 off the real line: an interval of the same width
+    # around the same root (Sturm isolation starts from another bound)
+    lam = real_roots(P10, width)[-1]
+    assert dynamical_degree(P10, width) == lam
+    lo, hi = dynamical_degree(ip_mul(P10, [1, 0, 1]), width)
+    assert hi - lo <= width and lo <= lam[1] and lam[0] <= hi
+    # refused: diag(2, 1), no isometry of a hyperbolic lattice, and the
+    # rotation, whose roots are roots of unity other than +-1
+    for m in ([[2, 0], [0, 1]], [[0, -1], [1, 0]]):
+        with pytest.raises(NoSolution):
+            dynamical_degree(char_poly(m), width)
+    # so is a repeated root other than +-1
+    with pytest.raises(NoSolution):
+        dynamical_degree(ip_mul(P10, P10), width)
 
 
 def test_dynamical_degree_of_coxeter():
-    lo, hi = dynamical_degree(coxeter_matrix())
+    lo, hi = dynamical_degree(char_poly(coxeter_matrix()))
     assert hi - lo <= Fraction(1, 10 ** 9)
     assert abs(float((lo + hi) / 2) - 1.176280818413943) < 2e-9
 

@@ -153,16 +153,19 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(lat, "gram_of")
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
+    count(lat, "salem_certify")
+    count(lat, "real_roots")
     count(m2, "Mod2QuadSpace")
     count(m2, "mod2_reduce_and_factor")
     count(cu, "all_point_set_matches")
     count(cu, "cusp_parametrization")
     count(sf, "resultant")  # surface imports it by name
-    # char_poly: the Coxeter matrix in lattice.coxeter and again inside
-    # dynamical_degree, and the restriction once
+    # char_poly: the Coxeter matrix and its restriction, once each;
+    # salem_certify: Lehmer's coefficients and the deflated Coxeter
+    # polynomial, each with one real_roots on p10 and one on its trace
     per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
-               "char_poly": 3, "Mod2QuadSpace": 1,
-               "mod2_reduce_and_factor": 1}
+               "char_poly": 2, "salem_certify": 2, "real_roots": 4,
+               "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
         assert calls == {k: runs * v for k, v in per_run.items()}
@@ -565,16 +568,18 @@ def test_cli_precision_validation(capsys):
 
 def test_default_precision_is_written_once(capsys):
     """No --precision, SuiteConfig() and --precision 1e-9 are one width,
-    spelled once, in lattice."""
+    spelled once, in lattice, and no other width 1/10^k is spelled in
+    the package, as a default or otherwise."""
     assert main(["salem", "--format", "json"]) == 0
     default = capsys.readouterr().out
     assert main(["salem", "--format", "json", "--precision", "1e-9"]) == 0
     assert capsys.readouterr().out == default
     assert SuiteConfig().precision == Fraction(1, 10 ** 9)
-    spelled = [path.name for path in sorted(SRC_DIR.glob("salemsurf/*.py"))
-               for _ in re.finditer(re.escape("Fraction(1, 10 ** 9)"),
+    spelled = [(path.name, m.group())
+               for path in sorted(SRC_DIR.glob("salemsurf/*.py"))
+               for m in re.finditer(r"Fraction\(1,\s*10\s*\*\*\s*\d+\)",
                                     path.read_text())]
-    assert spelled == ["lattice.py"]
+    assert spelled == [("lattice.py", "Fraction(1, 10 ** 9)")]
 
 
 def test_full_run_is_deterministic_and_matches_golden(capsys):
@@ -707,7 +712,8 @@ def test_surface_run_imports_no_rational_arithmetic():
 
 
 @pytest.mark.parametrize("suite,functions", [
-    ("salem", ("lattice.real_roots", "lattice.salem_certify")),
+    ("salem", ("lattice.real_roots", "lattice.salem_certify",
+               "lattice.dynamical_degree", "lattice.char_poly")),
     ("surface", ("surface.singular_locus", "unipoly.uni_roots",
                  "suites.surface_suite")),
     ("cubic", ("suites.cubic_suite", "gf2m.field_make")),

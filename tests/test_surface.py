@@ -136,6 +136,22 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
         == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i).bits
 
 
+@pytest.mark.parametrize("i", range(5))
+def test_inverse_identities_that_hold_by_construction(ctx, tmp_path, i):
+    """derive_sigma_inverse checks inverse . forward = xyz * identity and
+    takes the tail as an exact quotient; these three identities then
+    follow, on the bundled model (i = 0) and its Frobenius twists."""
+    m = sf.load_model(_twisted(tmp_path, i))
+    si = sf.derive_sigma_inverse(m)
+    k, alpha_w = si.w_scalar, si.alpha_w
+    alpha_f = alpha_w.substitute(list(m.f))
+    assert alpha_f == MultiPoly(ctx, 3, {(4, 4, 4): 1})
+    assert (m.c.substitute(list(si.components)) * alpha_w).scale_bits(k) \
+        == si.lambda_factor ** 6
+    assert si.eta_prime.substitute(list(m.f)) \
+        == (alpha_f * m.eta).scale_bits(k)
+
+
 @pytest.mark.parametrize("i", range(1, 5))
 def test_inverse_tail_of_a_frobenius_twist(ctx, tmp_path, sigma_inv, i):
     """Frobenius is a field automorphism, so the i-th twist's tail
