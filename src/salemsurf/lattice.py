@@ -348,10 +348,11 @@ def _bisect(p, lo, hi, precision):
     half that holds the root. (lo, hi] must hold exactly one root of p,
     a simple one, and hi must not be a root. Each halving is decided by
     the sign at hi: lo moves up only when p(mid) has the opposite sign,
-    so a midpoint that is the root becomes hi, and lo may be a root of
-    p outside the interval. The ends are kept as integer numerators a, b
-    over one denominator d that doubles at each halving, and become
-    Fractions only on return."""
+    so lo may be a root of p outside the interval. A midpoint that is
+    the root is returned as (mid, mid); otherwise the result has width
+    at most precision and its right end is not a root. The ends are
+    kept as integer numerators a, b over one denominator d that doubles
+    at each halving, and become Fractions only on return."""
     d = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
@@ -359,7 +360,10 @@ def _bisect(p, lo, hi, precision):
     s_hi = _sign_num(p, b, d)
     while (b - a) * pd > pn * d:
         mid, d = a + b, 2 * d  # (a + b) / 2d is the midpoint
-        if _sign_num(p, mid, d) == -s_hi:
+        s_mid = _sign_num(p, mid, d)
+        if s_mid == 0:
+            return Fraction(mid, d), Fraction(mid, d)
+        if s_mid == -s_hi:
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid
@@ -371,10 +375,12 @@ def real_roots(p, precision):
 
     One Sturm chain on p itself does all the work: it tests that p is
     squarefree, and its counts subdivide (-B, B] until each half-open
-    interval (lo, hi] holds one root. A rational root of p is returned
-    as the degenerate interval (r, r); every other root is bisected on
-    p below the requested width. The intervals are pairwise disjoint
-    and sorted by position.
+    interval (lo, hi] holds one root. Bisection is the only way a root
+    is found: an isolating (lo, hi] with p(hi) = 0 is returned as
+    (hi, hi), and so is a root that a halving point of _bisect hits.
+    Every other root, rational or not, comes back as an interval of
+    width at most precision whose right end is not a root. The
+    intervals are pairwise disjoint and sorted by position.
     """
     p = ip_trim(p)
     if len(p) <= 1:
@@ -383,10 +389,6 @@ def real_roots(p, precision):
     if len(chain[-1]) > 1:
         raise InvariantViolation("input shares a factor with its derivative")
     precision = Fraction(precision)
-    # rational roots: 0, and n/d with n | constant term, d | leading term
-    exact = [Fraction(0)] if p[0] == 0 else []
-    exact += [r for r in _rational_roots(p[1:] if exact else p)
-              if _sign_at(p, r) == 0]
     intervals = []
     bound = _root_bound(p)
     stack = [(-bound, bound)]
@@ -394,10 +396,7 @@ def real_roots(p, precision):
         lo, hi = stack.pop()
         n = _count_roots(chain, lo, hi)
         if n == 1:
-            hit = [r for r in exact if lo < r <= hi]
-            # without a rational root inside, the root is irrational, so
-            # neither hi nor any midpoint is a root
-            intervals.append((hit[0], hit[0]) if hit
+            intervals.append((hi, hi) if _sign_at(p, hi) == 0
                              else _bisect(p, lo, hi, precision))
         elif n > 1:
             mid = (lo + hi) / 2
@@ -405,35 +404,6 @@ def real_roots(p, precision):
             stack.append((mid, hi))
     intervals.sort(key=lambda iv: iv[0] + iv[1])
     return intervals
-
-
-def _rational_roots(p):
-    """Candidate rational roots of an integer polynomial (may overshoot)."""
-    if not p or len(p) == 1:
-        return []
-    a0, an = abs(p[0]), abs(p[-1])
-    if a0 == 0:
-        return [Fraction(0)]
-    if a0 > 10 ** 9 or an > 10 ** 9:
-        return []  # candidate enumeration would be unreasonable
-    out = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            out.add(Fraction(num, den))
-            out.add(Fraction(-num, den))
-    return sorted(out)
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +431,6 @@ def trace_polynomial(p):
             if (k + t) % 2 == 0:
                 acc -= r[k] * comb(k, (k + t) // 2)
         r[t] = acc  # C(t, t) = 1
-    # exact re-expansion check
-    if trace_reexpand(r) != p:
-        raise NoSolution("re-expansion mismatch")
     return r
 
 
@@ -508,10 +475,15 @@ def salem_certify(p, precision=DEFAULT_PRECISION):
     real line have modulus exactly 1 and the real ones are lambda > 1
     and its reciprocal. The trace intervals come from real_roots, and
     the sign of R' at each interior root is read off its interval, so
-    no second chain is built. Raises NoSolution when a condition fails;
-    returns a SalemCertificate on success.
+    no second chain is built. lambda is then the only root of p in
+    (1, B], B the root bound, and is bisected there on p alone: no
+    other root of p is isolated. Its interval has width at most
+    precision and lies above 1, or is (lambda, lambda) when a halving
+    point hits it. Raises NoSolution when a condition fails; returns a
+    SalemCertificate on success.
     """
     p = ip_trim(p)
+    precision = Fraction(precision)
     r = trace_polynomial(p)
     d = len(r) - 1
     try:
@@ -539,10 +511,10 @@ def salem_certify(p, precision=DEFAULT_PRECISION):
     dr = ip_deriv(r)
     signs = tuple(_sign_at(dr, lo) if lo == hi else _sign_at(r, hi)
                   for lo, hi in inside)
-    # The trace root above 2 makes the largest root lambda > 1 and the
-    # only real root of p there, so halving its isolating interval lifts
-    # lo above 1 at any requested width; an exact lambda already has it.
-    lo, hi = real_roots(p, precision)[-1]
+    # The trace root above 2 makes lambda the only root of p in (1, B],
+    # and p(1) = R(2) != 0, so bisecting (1, B] isolates it; halving
+    # lifts lo above 1 at any requested width, and an exact hit has it.
+    lo, hi = _bisect(p, Fraction(1), _root_bound(p), precision)
     while lo <= 1:
         lo, hi = _bisect(p, lo, hi, (hi - lo) / 2)
     return SalemCertificate(ivs, signs, (lo, hi))

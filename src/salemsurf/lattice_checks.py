@@ -66,9 +66,12 @@ def _lattice_salem(precision, full) -> list:
     checks.append(rp.leaf("salem.routes_agree",
                           lam[0] <= ci[1] and ci[0] <= lam[1],
                           rp.interval_witness(ci)))
+    # route 2's enclosure holds a root of p10 above 1: p10 changes sign
+    # across it (or vanishes at an exact end)
     checks.append(rp.leaf("salem.matches_largest_p10_root",
-                          lam[0] <= ci[1] and ci[0] <= lam[1],
-                          rp.interval_witness(ci)))
+                          lam[0] > 1 and lat.ip_eval(p10, lam[0])
+                          * lat.ip_eval(p10, lam[1]) <= 0,
+                          rp.interval_witness(lam)))
     return checks
 
 

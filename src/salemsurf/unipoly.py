@@ -10,8 +10,8 @@ Factorization is one bounded distinct-degree search: for d = 1, 2, ...
 up to the caller's limit it takes gcd(v, x^(q^d) - x) on the rest v of
 the input, splits that product of degree-d irreducibles with GF(2)-trace
 maps, and divides each irreducible out of v as often as it divides,
-which gives its multiplicity. Equal-degree splitting draws from a
-fixed-seed PRNG (CZ_SEED) so runs are reproducible.
+which gives its multiplicity. Equal-degree splitting sweeps a
+GF(2)-basis (Berlekamp's trace algorithm) and draws nothing at random.
 
 Root search (`uni_roots`) visits only irreducibles whose roots lie in an
 extension of GF(2) of absolute degree at most the caller's bound, and
@@ -21,12 +21,8 @@ embeddings of gf2m.
 
 from __future__ import annotations
 
-import random
-
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, embed, ext_context
-
-CZ_SEED = 0x5A1E  # documented constant: equal-degree splitting randomness
 
 
 class UniPoly:
@@ -183,27 +179,35 @@ class UniPoly:
 # factorization
 
 
-def _trace_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
-    """Split a monic product of degree-d irreducibles into irreducibles."""
+def _trace_split(g: UniPoly, d: int) -> list[UniPoly]:
+    """Split a monic product of degree-d irreducibles into irreducibles.
+
+    The absolute trace maps GF(q)[x]/(g) onto GF(2) in each of its field
+    factors. The elements t^j x^i (i >= 1, t^j the polynomial basis of
+    GF(q)) and the constants, whose trace is the same in every factor,
+    span it over GF(2); so when g is reducible, some t^j x^i has a trace
+    that tells two factors apart, and its gcd with g splits g
+    (Berlekamp 1970). Raises InvariantViolation when none does."""
     ctx = g.ctx
     if g.degree() == d:
         return [g]
     n = ctx.m * d  # absolute degree of the residue fields over GF(2)
-    while True:
-        a = UniPoly(ctx, [rng.randrange(1 << ctx.m) for _ in range(g.degree())])
-        if a.degree() < 1:
-            continue
-        # absolute trace map: a + a^2 + a^4 + ... (n terms), mod g
-        t = a % g
-        s = t
-        for _ in range(n - 1):
-            t = t.square() % g
-            s = s + t
-        h = g.gcd(s)
-        if 0 < h.degree() < g.degree():
-            return sorted(
-                _trace_split(h, d, rng) + _trace_split((g // h).monic(), d, rng),
-                key=lambda p: p.coeffs)
+    for i in range(1, g.degree()):
+        for j in range(ctx.m):
+            # absolute trace map: a + a^2 + a^4 + ... (n terms), mod g
+            t = UniPoly(ctx, [0] * i + [1 << j])
+            s = t
+            for _ in range(n - 1):
+                t = t.square() % g
+                s = s + t
+            h = g.gcd(s)
+            if 0 < h.degree() < g.degree():
+                return sorted(_trace_split(h, d)
+                              + _trace_split((g // h).monic(), d),
+                              key=lambda p: p.coeffs)
+    raise InvariantViolation(
+        f"no trace splits a degree-{g.degree()} product of degree-{d} "
+        "irreducibles")
 
 
 def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
@@ -217,7 +221,6 @@ def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
     irreducible, since all its factors have degree at least d.
     """
     ctx = f.ctx
-    rng = random.Random(CZ_SEED)
     x = UniPoly.x(ctx)
     v, h = f.monic(), x
     out = []
@@ -231,7 +234,7 @@ def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
         g = v.gcd(h + x)
         if g.degree() <= 0:
             continue
-        for p in _trace_split(g, d, rng):
+        for p in _trace_split(g, d):
             mult = 0
             while True:
                 q, r = divmod(v, p)
@@ -261,13 +264,12 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
     if f.is_zero():
         raise DomainError("uni_roots of the zero polynomial")
     base = f.ctx
-    rng = random.Random(CZ_SEED)
     out = []
     for p, mult in _irreducible_factors(f, search_degree_bound // base.m):
         d = p.degree()
         # embedding a linear factor into its own field is the identity
         sup = base if d == 1 else ext_context(base.m * d)
-        for lin in _trace_split(p.embed_to(sup), 1, rng):
+        for lin in _trace_split(p.embed_to(sup), 1):
             out.append((FieldElement(sup, lin.coeffs[0]), mult))
     out.sort(key=lambda t: (t[0].ctx.m, t[0].bits))
     return out

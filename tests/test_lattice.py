@@ -143,7 +143,8 @@ def test_real_roots_against_sympy_intervals():
             assert hi - lo <= width
             a = sympy.Rational(lo.numerator, lo.denominator)
             b = sympy.Rational(hi.numerator, hi.denominator)
-            # (lo, hi] is half-open; a rational root r comes as (r, r)
+            # (lo, hi] is half-open; a root that bisection meets, at an
+            # isolating right end or a halving point, comes as (r, r)
             inside = sp.count_roots(a, b) - (lo < hi and sp.eval(a) == 0)
             assert inside == 1, (p, width, lo, hi)
         for (_, hi), (lo, hi2) in zip(ivs, ivs[1:]):
@@ -170,6 +171,25 @@ def test_trace_polynomial_small():
         trace_polynomial([1, 2, 3])
     with pytest.raises(NoSolution, match="needs even degree"):
         trace_polynomial([0, 1])
+
+
+def test_trace_polynomial_reexpands_to_its_input():
+    """x^d R(x + 1/x) is palindromic for every R, and the triangular
+    solve matches the top half of p, so any palindromic even-degree p
+    comes back from its trace polynomial unchanged."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # p_0 .. p_d with p_0 = p_2d nonzero; the rest mirrors them
+    halves = st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(
+        lambda h: h[0] != 0)
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(halves)
+    def check(h):
+        p = h + h[-2::-1]
+        assert trace_reexpand(trace_polynomial(p)) == p
+
+    check()
 
 
 def test_trace_polynomial_degree10():

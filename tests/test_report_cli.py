@@ -162,9 +162,9 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(sf, "resultant")  # surface imports it by name
     # char_poly: the Coxeter matrix and its restriction, once each;
     # salem_certify: Lehmer's coefficients and the deflated Coxeter
-    # polynomial, each with one real_roots on p10 and one on its trace
+    # polynomial, each with one real_roots, on its trace polynomial
     per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
-               "char_poly": 2, "salem_certify": 2, "real_roots": 4,
+               "char_poly": 2, "salem_certify": 2, "real_roots": 2,
                "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
@@ -617,6 +617,24 @@ def test_coarse_precision_largest_root_witness(capsys):
                 if c["name"] == "salem.one_trace_root_above_two")
     lo, hi = (Fraction(*leaf["witness"][k]) for k in ("lo", "hi"))
     assert lo >= 2 and hi - lo > Fraction(1, 10 ** 12)
+
+
+def test_largest_root_leaf_reads_p10_not_route_one(monkeypatch):
+    """Route 2's enclosure moved one width to the right still meets
+    route 1's at an end, so salem.routes_agree passes; p10 has one sign
+    across it, so salem.matches_largest_p10_root fails."""
+    dynamical_degree = lat.dynamical_degree
+
+    def shifted(charpoly, precision):
+        lo, hi = dynamical_degree(charpoly, precision)
+        return hi, 2 * hi - lo
+
+    monkeypatch.setattr(lat, "dynamical_degree", shifted)
+    (salem,) = run_suite("salem").children
+    status = {c.name: c.status for c in salem.children}
+    assert status["salem.lambda10_interval"] == "pass"
+    assert status["salem.routes_agree"] == "pass"
+    assert status["salem.matches_largest_p10_root"] == "fail"
 
 
 def test_markdown_times_the_surface_suite(capsys):

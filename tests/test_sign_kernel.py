@@ -72,7 +72,7 @@ def test_sturm_chain_is_a_positive_rescaling(p):
 def _fraction_bisect(p, lo, hi, precision):
     """lattice._bisect on plain Fractions: a Fraction midpoint at every
     halving, decided by the exact value of p there against its sign at
-    hi."""
+    hi; a midpoint where p vanishes is returned as (mid, mid)."""
     def sign(x):
         v = ip_eval(p, x)
         return (v > 0) - (v < 0)
@@ -80,6 +80,8 @@ def _fraction_bisect(p, lo, hi, precision):
     s_hi = sign(hi)
     while hi - lo > precision:
         mid = (lo + hi) / 2
+        if sign(mid) == 0:
+            return mid, mid
         if sign(mid) == -s_hi:
             lo = mid
         else:
@@ -88,20 +90,21 @@ def _fraction_bisect(p, lo, hi, precision):
 
 
 WIDTHS = [Fraction("1e-9"), Fraction("1e-30"), Fraction(5), Fraction(1)]
-# (x^2 - 2)(3x - 1): two irrational roots and the exact root 1/3
+# (x^2 - 2)(3x - 1): two irrational roots and the rational root 1/3,
+# which no dyadic subdivision of (-3, 3] or halving point meets
 MIXED = ip_mul([-2, 0, 1], [-1, 3])
 
 
-@pytest.mark.parametrize("p", [lehmer_polynomial(), MIXED],
+@pytest.mark.parametrize("p, count", [(lehmer_polynomial(), 2), (MIXED, 3)],
                          ids=["p10", "mixed"])
 @pytest.mark.parametrize("width", WIDTHS, ids=str)
-def test_bisect_matches_fraction_bisection(p, width):
+def test_bisect_matches_fraction_bisection(p, count, width):
     """From every isolating interval of p, as real_roots finds it before
     any halving, the integer bisection ends where the Fraction one does,
     at each width."""
-    intervals = [iv for iv in real_roots(p, Fraction(10 ** 6))
-                 if iv[0] != iv[1]]
-    assert len(intervals) == 2
+    intervals = real_roots(p, Fraction(10 ** 6))
+    assert len(intervals) == count
+    assert all(lo < hi for lo, hi in intervals)
     for lo, hi in intervals:
         assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi,
                                                              width)
@@ -115,3 +118,22 @@ def test_bisect_matches_fraction_bisection_on_any_interval(p, lo, span,
     isolates a root, so the two bisections agree on any interval."""
     hi = lo + span
     assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi, width)
+
+
+def test_real_roots_finds_roots_by_bisection_alone():
+    """A rational root comes back exact only where bisection meets it.
+    (2x - 3)(3x - 1) has B = 17/6, and neither 3/2 nor 1/3 is a point
+    of the grid (17/6) k / 2^j, so both come back as intervals of the
+    requested width with no root at their right ends. In (2x + 1)(3x - 1)
+    (B = 2) the second halving of (-2, 0] is -1/2; in x(x^2 - 2) the
+    subdivision isolates 0 as (-3/2, 0]: both come back exact."""
+    width = Fraction(1, 10 ** 6)
+    p = ip_mul([-3, 2], [-1, 3])
+    ivs = real_roots(p, width)
+    for (lo, hi), r in zip(ivs, (Fraction(1, 3), Fraction(3, 2))):
+        assert lo < r < hi and hi - lo <= width
+    # a halving point that is the root ends the bisection there
+    assert _bisect(p, Fraction(1), Fraction(2), width) == (Fraction(3, 2),) * 2
+    half = Fraction(-1, 2)
+    assert real_roots(ip_mul([1, 2], [-1, 3]), width)[0] == (half, half)
+    assert real_roots([0, -2, 0, 1], width)[1] == (0, 0)

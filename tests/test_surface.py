@@ -221,6 +221,17 @@ def test_chart_order_below_four_is_a_failing_leaf(tmp_path):
     assert leaves["charts.p2_main"].status == "pass"
 
 
+def test_chart_smoothness_at_a_base_point_off_the_axes(ctx, model):
+    """(x, y, z) -> (x + z, y, z), its own inverse in characteristic 2,
+    moves p1 from (0 : 0 : 1) to (1 : 0 : 1); the blow-up is read in the
+    chart of the point, so the charts still pass."""
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    moved = _moved(model, [x + z, y, z],
+                   lambda co: (co[0] ^ co[2], co[1], co[2]))
+    assert moved.points[1] == ProjPoint(ctx, (1, 0, 1))
+    assert sf.verify_chart_smoothness(moved).ok()
+
+
 def test_alpha_consistency(ctx, model, conj_scalar):
     alpha = ctx.gen_pow(19)
     roots = lehmer_mod2_roots(ctx)

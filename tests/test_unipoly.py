@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from salemsurf.errors import DomainError
+from salemsurf.errors import DomainError, InvariantViolation
 from salemsurf.gf2m import embed, ext_context, field_make, gf32
 from salemsurf.lattice import lehmer_polynomial
-from salemsurf.unipoly import UniPoly, factor, uni_roots
+from salemsurf.unipoly import UniPoly, _trace_split, factor, uni_roots
 
 
 def _product_over_roots(ctx, roots) -> UniPoly:
@@ -150,6 +150,15 @@ def _root_free(ctx, rng, degree):
         f = UniPoly(ctx, [rng.randrange(32) for _ in range(degree)] + [1])
         if all(f.eval_bits(b) for b in range(32)):
             return f
+
+
+def test_trace_split_refuses_what_it_cannot_split(ctx):
+    """An irreducible quadratic is no product of linear factors: no
+    trace of the basis sweep splits it, and the sweep ends in an error
+    instead of searching forever."""
+    quad = _root_free(ctx, random.Random(3), 2)
+    with pytest.raises(InvariantViolation, match="no trace splits"):
+        _trace_split(quad, 1)
 
 
 def _power(f, k):
