@@ -11,9 +11,9 @@ For an arbitrary cuspidal cubic the parameter used is projection from
 the cusp, the ratio of two fixed linear forms; this is affine-
 equivalent to the group parameter, which is all the linear-coefficient
 extraction needs (conjugating an affine map by an affine map keeps the
-linear coefficient). One scan of the plane lists the curve's points;
-the cusp is found among them, and the chart samples the smooth ones
-through that parameter, so no inverse parametrization is built.
+linear coefficient). The cusp is found among the curve's points as
+`multipoly.plane_zeros` lists them, and the chart samples the smooth
+ones through that parameter, so no inverse parametrization is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import LEHMER
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
-from .multipoly import MultiPoly, ProjPoint, local_expansion, plane_points
+from .multipoly import MultiPoly, ProjPoint, local_expansion
 from .unipoly import UniPoly
 from . import report as rp
 
@@ -220,15 +220,9 @@ def verify_coxeter_constraints(params: list[FieldElement],
 # induced affine action of a Cremona map on a cuspidal cubic
 
 
-def curve_points(curve: MultiPoly) -> list[tuple]:
-    """The canonical coordinates of every point of the plane over the
-    curve's field that lies on the curve: one scan of the plane."""
-    return [pt for pt in plane_points(curve.ctx) if curve.eval_bits(pt) == 0]
-
-
 def find_cusp(curve: MultiPoly, points) -> ProjPoint:
     """The unique singular point of an irreducible cuspidal cubic among
-    its points, as curve_points(curve) lists them."""
+    its points, as multipoly.plane_zeros([curve]) lists them."""
     ctx = curve.ctx
     parts = [curve.partial(i) for i in range(3)]
     found = [pt for pt in points
@@ -281,8 +275,8 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
     Every line through the cusp q0 but the tangent cone line l1 = 0
     meets the curve in one further point, so t = l2 / l1 maps the
     smooth points one to one onto the field. cusp is find_cusp(curve,
-    points) and points is curve_points(curve), as the caller scanned
-    them; the chart keeps the smooth ones, which must number q.
+    points) and points is multipoly.plane_zeros([curve]), as the caller
+    found them; the chart keeps the smooth ones, which must number q.
     """
     ctx = curve.ctx
     if curve.total_degree() != 3:

@@ -103,10 +103,6 @@ def lehmer_polynomial():
 # integer matrices (tuples of rows)
 
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
@@ -126,33 +122,21 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, s):
-    return tuple(tuple(x * s for x in r) for r in a)
-
-
 def mat_trace(a):
     return sum(a[i][i] for i in range(len(a)))
-
-
-def mat_eq_mod2(a, b):
-    return all((x - y) % 2 == 0 for ra, rb in zip(a, b)
-               for x, y in zip(ra, rb))
 
 
 def char_poly(m):
     """Exact characteristic polynomial, low degree first, monic.
 
     Faddeev-LeVerrier; every division by k is exact over the integers.
+    Each step N <- M (N + c I) = M N + c M sums over the nonzero entries
+    of M's rows only, kept as (column, value) pairs.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise InvariantViolation("char_poly needs a square matrix")
-    coeffs = [0] * (n + 1)  # x^n + c1 x^(n-1) + ... + cn
-    coeffs[0] = 1
+    sparse = [[(t, v) for t, v in enumerate(r) if v] for r in m]
     nmat = m
     cs = []
     for k in range(1, n + 1):
@@ -162,7 +146,8 @@ def char_poly(m):
         ck //= k
         cs.append(ck)
         if k < n:
-            nmat = mat_mul(m, mat_add(nmat, mat_scale(mat_identity(n), ck)))
+            nmat = [[ck * x + sum(v * nmat[t][j] for t, v in row)
+                     for j, x in enumerate(r)] for r, row in zip(m, sparse)]
     desc = [1] + cs  # descending: x^n, x^(n-1), ..., const
     return desc[::-1]
 
@@ -287,6 +272,13 @@ def reference_interior_vector():
     tests orient the cone by pairing images against it.
     """
     return (10, 7, 14, 21, 18, 15, 12, 9, 6, 3)
+
+
+def halfcone_pairing(m, ge):
+    """(m u, u) under ge, u the reference interior vector: positive when
+    m maps the half-cone that u lies in to itself."""
+    u = reference_interior_vector()
+    return _pairings([mat_vec(m, u)], [u], ge)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +522,9 @@ def sign_vector_target(cert):
 # spectral radius
 
 
-def dynamical_degree(charpoly, precision=DEFAULT_PRECISION):
-    """Certified rational enclosure of the spectral radius of an
-    isometry of a hyperbolic lattice, from its characteristic polynomial.
-
-    For the isometry a surface automorphism induces, that radius is the
-    dynamical degree: 1 or a Salem number, quadratic ones included. The
-    roots 1 and -1 are divided out exactly, by integer synthetic
-    division; a constant remainder gives (1, 1), and any other remainder
-    must pass salem_certify, whose lambda_interval is returned. Raises
-    NoSolution otherwise: for a repeated root other than +-1, for a
-    remainder whose roots are all roots of unity (radius 1, which is
-    then not certified), and for any polynomial outside the domain,
-    such as (x - 2)(x - 1).
-    """
+def deflate(charpoly):
+    """charpoly with the roots 1 and -1 divided out, multiplicities
+    included, by exact synthetic division; a constant if nothing is left."""
     p = ip_trim(charpoly)
     for root in (1, -1):
         while len(p) > 1 and ip_eval(p, root) == 0:
@@ -552,6 +533,23 @@ def dynamical_degree(charpoly, precision=DEFAULT_PRECISION):
                 acc = acc * root + c
                 quo.append(acc)
             p = quo[::-1]
+    return p
+
+
+def dynamical_degree(charpoly, precision=DEFAULT_PRECISION):
+    """Certified rational enclosure of the spectral radius of an
+    isometry of a hyperbolic lattice, from its characteristic polynomial.
+
+    For the isometry a surface automorphism induces, that radius is the
+    dynamical degree: 1 or a Salem number, quadratic ones included. The
+    roots 1 and -1 are divided out (`deflate`); a constant remainder
+    gives (1, 1), and any other remainder must pass salem_certify, whose
+    lambda_interval is returned. Raises NoSolution otherwise: for a
+    repeated root other than +-1, for a remainder whose roots are all
+    roots of unity (radius 1, which is then not certified), and for any
+    polynomial outside the domain, such as (x - 2)(x - 1).
+    """
+    p = deflate(charpoly)
     if len(p) <= 1:
         return (Fraction(1), Fraction(1))
     return salem_certify(p, precision).lambda_interval
@@ -576,19 +574,17 @@ def e10_parity_check(gram):
     return all(gram[i][i] % 2 == 0 for i in range(n))
 
 
-def weyl2_membership(m, ge):
+def weyl2_membership(m, ge, pairing):
     """True iff m is in the kernel of reduction mod 2 and keeps the cone.
 
     m acts on the stored basis of the even sublattice, whose Gram matrix
     is ge; it must preserve ge (else InvariantViolation), reduce to the
-    identity mod 2, and pair the image of the reference interior vector
-    positively against that vector (half-cone preservation).
+    identity mod 2, and keep the half-cone: pairing is
+    halfcone_pairing(m, ge), which must be positive.
     """
     if not is_isometry_of(m, ge):
         raise InvariantViolation(
             "matrix does not preserve the sublattice form")
-    u = reference_interior_vector()
-    ((pairing,),) = _pairings([mat_vec(m, u)], [u], ge)
-    if pairing <= 0:
-        return False
-    return mat_eq_mod2(m, mat_identity(len(m)))
+    return pairing > 0 and all((x - (i == j)) % 2 == 0
+                               for i, r in enumerate(m)
+                               for j, x in enumerate(r))

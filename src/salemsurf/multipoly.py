@@ -8,6 +8,8 @@ significant. Addition is coefficient xor; all inner loops work on raw
 bits through the shared FieldCtx tables, and products, evaluation and
 substitution add logs (`_mul_terms`). `resultant` eliminates one
 variable of two bivariate polynomials by evaluation and interpolation.
+`plane_zeros` finds where ternary forms vanish on P^2, reading each
+line x = x0 of the chart z = 1 as univariate polynomials in y.
 
 The text format round-trips through `format_poly` / `parse_poly_file`:
 
@@ -368,6 +370,16 @@ class MultiPoly:
                 t.pop(ne, None)
         return MultiPoly._of(self.ctx, self.nvars, t)
 
+    def univariate(self, var: int) -> UniPoly:
+        """The dense univariate polynomial in variable `var`;
+        InvariantViolation when another variable occurs."""
+        coeffs = [0] * (self.degree_in(var) + 1)
+        for e, c in self.terms.items():
+            if sum(e) != e[var]:
+                raise InvariantViolation(f"a variable besides {var} occurs")
+            coeffs[e[var]] = c
+        return UniPoly(self.ctx, coeffs)
+
     def drop_var(self, i: int) -> "MultiPoly":
         """Remove a variable that no term uses."""
         t = {}
@@ -552,16 +564,22 @@ class ProjPoint:
         return f"({inner})"
 
 
-def plane_points(ctx: FieldCtx):
-    """The canonical coordinate tuples of P^2(ctx), one per point, in the
-    three strata (x : y : 1), (x : 1 : 0) and (1 : 0 : 0)."""
-    field = range(1 << ctx.m)
+def plane_zeros(polys) -> list[tuple]:
+    """The canonical coordinates where all the ternary forms `polys`
+    vanish in P^2 over their field, in the order (x : y : 1) by x then
+    y, (x : 1 : 0) by x, (1 : 0 : 0). Each line x = x0 of the chart
+    z = 1 is read as univariate polynomials in y."""
+    field = range(1 << polys[0].ctx.m)
+    zeros = []
     for x in field:
-        for y in field:
-            yield (x, y, 1)
-    for x in field:
-        yield (x, 1, 0)
-    yield (1, 0, 0)
+        ys = field
+        for p in polys:  # read only where the earlier forms all vanish
+            if ys:
+                u = p.restrict(0, x).restrict(2, 1).univariate(1)
+                ys = [y for y in ys if not u.eval_bits(y)]
+        zeros += [(x, y, 1) for y in ys]
+    return zeros + [pt for pt in [(x, 1, 0) for x in field] + [(1, 0, 0)]
+                    if not any(p.eval_bits(pt) for p in polys)]
 
 
 def local_expansion(p: MultiPoly, pt: ProjPoint) -> MultiPoly:

@@ -23,7 +23,7 @@ from .multipoly import (
     local_expansion,
     parse_point_file,
     parse_poly_file,
-    plane_points,
+    plane_zeros,
     resultant,
 )
 from .unipoly import UniPoly, uni_roots
@@ -137,18 +137,6 @@ def _chart(p: MultiPoly, drop: int) -> MultiPoly:
     return p.restrict(drop, 1).drop_var(drop)
 
 
-def _uni_from(p: MultiPoly, var: int) -> UniPoly:
-    """2-variable poly involving only `var` -> dense univariate."""
-    if p.is_zero():
-        return UniPoly(p.ctx, [])
-    coeffs = [0] * (p.degree_in(var) + 1)
-    for e, v in p.terms.items():
-        if e[1 - var]:
-            raise InvariantViolation(f"variable {1 - var} still occurs")
-        coeffs[e[var]] = v
-    return UniPoly(p.ctx, coeffs)
-
-
 def _fmt(ctx: FieldCtx, bits: int) -> str:
     return format_elem(FieldElement(ctx, bits))
 
@@ -176,8 +164,7 @@ def verify_orbit(m: SurfaceModel) -> rp.Report:
                               img == m.points[j], repr(img)))
     img0 = apply_map(m, m.points[0])
     checks.append(rp.leaf("orbit.p0_fixed", img0 == m.points[0], repr(img0)))
-    base = {ProjPoint(m.ctx, pt) for pt in plane_points(m.ctx)
-            if not any(comp.eval_bits(pt) for comp in m.f)}
+    base = {ProjPoint(m.ctx, pt) for pt in plane_zeros(m.f)}
     expected = {m.points[1], m.points[2], m.points[3]}
     checks.append(rp.leaf("orbit.base_locus", base == expected,
                           sorted(repr(b) for b in base)))
@@ -197,7 +184,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     kernel of the incidence system is one-dimensional and spanned by g;
     g has a cusp (double point, double-line tangent cone) at the marked
     cusp and is smooth at p_0. locate() returns the cusp of g as found
-    by scanning the plane (cubic.find_cusp); it is called inside the
+    among the points of g (cubic.find_cusp); it is called inside the
     cusp_location leaf alone, which becomes an error leaf if it raises."""
     ctx = m.ctx
     mons = cubic_monomials()
@@ -490,7 +477,7 @@ def _stratum_points(grad, label: str, ext_bound: int):
         if not (p.eval_bits((1, 0, 0)) or q.eval_bits((1, 0, 0))):
             cands.append(((1, 0, 0), p.ctx))
     elif label == "y":
-        uu, vv = (_uni_from(_chart(r, 1).restrict(1, 0), 0) for r in (p, q))
+        uu, vv = (_chart(r, 1).restrict(1, 0).univariate(0) for r in (p, q))
         leaves, roots = _common_roots(uu, vv, ext_bound, prefix, "0")
         cands = [((x0.bits, 1, 0), x0.ctx) for x0 in roots]
     else:
@@ -499,7 +486,7 @@ def _stratum_points(grad, label: str, ext_bound: int):
         if r2.is_zero():
             return [rp.leaf(f"{prefix}.eliminant_nonzero", False,
                             "partials share a one-dimensional component")], []
-        ru = _uni_from(r2, 0)
+        ru = r2.univariate(0)
         roots = uni_roots(ru, ext_bound)
         covered = sum(mult for _, mult in roots)
         if covered < ru.degree():
@@ -508,7 +495,7 @@ def _stratum_points(grad, label: str, ext_bound: int):
                 f"eliminant degree {ru.degree()}, only {covered} accounted "
                 f"for within extension degree {ext_bound}"))
         for u0, _mult in roots:
-            uu, vv = (_uni_from(_over(r, u0.ctx).restrict(0, u0.bits), 1)
+            uu, vv = (_over(r, u0.ctx).restrict(0, u0.bits).univariate(1)
                       for r in (su, sv))
             more, vroots = _common_roots(uu, vv, ext_bound, prefix,
                                          _fmt(u0.ctx, u0.bits))
@@ -637,8 +624,8 @@ def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
                 continue
             u, v = MultiPoly.var(ctx, 2, 0), MultiPoly.var(ctx, 2, 1)
             main = sc.substitute([u, u * v]).divide_by_power(0, 4)
-            r_u = _uni_from(main.partial(0).restrict(0, 0), 1)
-            r_v = _uni_from(main.partial(1).restrict(0, 0), 1)
+            r_u = main.partial(0).restrict(0, 0).univariate(1)
+            r_v = main.partial(1).restrict(0, 0).univariate(1)
             gdeg = r_u.gcd(r_v).degree()  # -1 when both vanish
             checks.append(rp.leaf(f"charts.p{idx}_main", gdeg == 0,
                                   f"gcd degree {gdeg}"))

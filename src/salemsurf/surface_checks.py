@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from . import cubic as cu, gf2m as gf, report as rp, surface as sf
 from .errors import NoSolution
+from .multipoly import plane_zeros
 from .suites import SuiteConfig, _run_checks, _run_objects
 
 
 def _surface_objects(data_dir):
     """need(key) for one surface run: the model, the inverse of its
     automorphism, the conjugation scalar, the points of the marked
-    cubic as one scan of the plane finds them, its cusp and cusp chart
+    cubic as `plane_zeros` finds them, its cusp and cusp chart
     over those points, the affine action the automorphism induces there
     and Lehmer's mod-2 roots in the model's field."""
     return _run_objects({
@@ -26,7 +27,7 @@ def _surface_objects(data_dir):
         "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
         "scalar": lambda need: sf.conjugation_scalar(need("model"),
                                                      need("inverse")),
-        "points": lambda need: cu.curve_points(need("model").g),
+        "points": lambda need: plane_zeros([need("model").g]),
         "cusp": lambda need: cu.find_cusp(need("model").g, need("points")),
         "chart": lambda need: cu.cusp_parametrization(
             need("model").g, need("cusp"), need("points")),

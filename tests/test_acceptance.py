@@ -15,7 +15,7 @@ import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import MultiPoly, ProjPoint
+from salemsurf.multipoly import MultiPoly, ProjPoint, plane_zeros
 
 WIDTH = Fraction(1, 10 ** 9)
 
@@ -146,7 +146,7 @@ def test_criterion_08_orbit_and_cubic():
         cusp = ProjPoint(ctx, (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1))
         return (sf.verify_orbit(m).ok()
                 and sf.verify_cubic(m, lambda: cu.find_cusp(
-                    m.g, cu.curve_points(m.g))).ok()
+                    m.g, plane_zeros([m.g]))).ok()
                 and m.cusp == cusp)
     _report(8, "marked orbit, unique cubic, cusp and smooth point", 1, run)
 
@@ -198,7 +198,7 @@ def test_criterion_13_cross_model_consistency():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        points = cu.curve_points(m.g)
+        points = plane_zeros([m.g])
         chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
                                         points)
         action = cu.induced_affine_map(chart, list(m.f))

@@ -2,7 +2,7 @@ import pytest
 
 from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              alpha_table_text, beta_from_alpha, chord_third,
-                             collinear, collinear_det, curve_points,
+                             collinear, collinear_det,
                              cusp_parametrization, equivariant_matches,
                              find_cusp, induced_affine_map,
                              lehmer_mod2_roots, orbit_points, psi, psi_inv,
@@ -10,7 +10,7 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
 from salemsurf.gf2m import FieldElement, field_make, gf32
-from salemsurf.multipoly import MultiPoly, ProjPoint
+from salemsurf.multipoly import MultiPoly, ProjPoint, plane_zeros
 
 ROOT_DLOGS = {3, 6, 7, 12, 14, 17, 19, 24, 25, 28}
 
@@ -25,7 +25,7 @@ def _inverse(f: AffineAction) -> AffineAction:
 
 
 def _chart(curve):
-    points = curve_points(curve)
+    points = plane_zeros([curve])
     return cusp_parametrization(curve, find_cusp(curve, points), points)
 
 
@@ -149,7 +149,7 @@ def test_constraints_hold_at_beta_and_break_nearby(ctx):
 
 
 def _find_cusp(curve):
-    return find_cusp(curve, curve_points(curve))
+    return find_cusp(curve, plane_zeros([curve]))
 
 
 def test_find_cusp(ctx, model):

@@ -13,10 +13,10 @@ import salemsurf.lattice as lat
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                coxeter_matrix, dynamical_degree,
-                               e10_parity_check, gram_of, ip_add, ip_mul,
-                               is_isometry_of,
+                               e10_parity_check, gram_of, halfcone_pairing,
+                               ip_add, ip_mul, is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
-                               mat_add, mat_identity, mat_mul, mat_scale,
+                               mat_mul,
                                mat_vec, real_roots, reference_interior_vector,
                                salem_certify, sign_vector_target,
                                trace_polynomial, trace_reexpand,
@@ -28,6 +28,10 @@ P10 = lehmer_polynomial()
 
 def _mid(iv):
     return float((iv[0] + iv[1]) / 2)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_integer_poly_helpers():
@@ -49,7 +53,7 @@ def test_coxeter_shape_and_action():
 
 
 def test_char_poly_identity():
-    assert char_poly(mat_identity(3)) == [-1, 3, -3, 1]
+    assert char_poly(_identity(3)) == [-1, 3, -3, 1]
 
 
 def test_cayley_hamilton():
@@ -59,8 +63,9 @@ def test_cayley_hamilton():
         m = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
         p = char_poly(m)
         acc = [[0] * n for _ in range(n)]
-        for c in reversed(p):
-            acc = mat_add(mat_mul(acc, m), mat_scale(mat_identity(n), c))
+        for c in reversed(p):  # Horner: acc <- acc M + c I
+            acc = [[x + c * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(mat_mul(acc, m))]
         assert all(v == 0 for row in acc for v in row)
 
 
@@ -218,7 +223,7 @@ def test_sign_vector_target():
 
 def test_dynamical_degree_small_cases():
     width = Fraction(1, 10 ** 9)
-    for p in (char_poly(mat_identity(3)), [1, 2, 1], [-1, 0, 1]):
+    for p in (char_poly(_identity(3)), [1, 2, 1], [-1, 0, 1]):
         assert dynamical_degree(p, width) == (1, 1)
     # x^2 - 3x + 1: the quadratic Salem number (3 + sqrt 5) / 2
     lo, hi = dynamical_degree(char_poly([[2, 1], [1, 1]]), width)
@@ -286,18 +291,30 @@ def test_parity_check(e10_basis):
 def test_weyl2_membership(e10_restriction):
     basis, restr = e10_restriction
     ge = gram_of(basis)
-    assert weyl2_membership(mat_identity(10), ge)
-    assert not weyl2_membership(restr, ge)
+
+    def member(m):
+        return weyl2_membership(m, ge, halfcone_pairing(m, ge))
+
+    one = _identity(10)
+    assert halfcone_pairing(one, ge) == 10  # the norm of u
+    assert member(one)
+    assert halfcone_pairing(restr, ge) > 0
+    assert not member(restr)
+    # -1 is an isometry and the identity mod 2, but swaps the half-cones;
+    # the verdict reads the pairing it is given
+    minus = [[-x for x in row] for row in one]
+    assert halfcone_pairing(minus, ge) == -10
+    assert not member(minus)
+    assert not weyl2_membership(one, ge, -10)
     assert ge[0][0] == -2
     # reflection in the first basis vector v: x -> x + (x . v) v
     refl = [[int(i == j) + (ge[0][j] if i == 0 else 0) for j in range(10)]
             for i in range(10)]
     assert is_isometry_of(refl, ge)
-    assert not weyl2_membership(refl, ge)
+    assert not member(refl)
     with pytest.raises(InvariantViolation,
                        match="does not preserve the sublattice form"):
-        weyl2_membership([[2 if i == j else 0 for j in range(10)]
-                          for i in range(10)], ge)
+        member([[2 if i == j else 0 for j in range(10)] for i in range(10)])
 
 
 def test_reference_vector_is_interior(e10_basis):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from salemsurf.errors import DomainError
-from salemsurf.gf2m import gf32
+from salemsurf.cubic import standard_cubic
+from salemsurf.errors import DomainError, InvariantViolation
+from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import (MultiPoly, ProjPoint, format_poly,
                                  linear_solve, parse_poly, parse_poly_file,
-                                 resultant)
+                                 plane_zeros, resultant)
 
 NAMES = ("x", "y", "z")
 
@@ -343,3 +344,54 @@ def test_projective_normalization(ctx):
     assert repr(p) == "(g^14 : g^7 : 1)"
     with pytest.raises(DomainError, match="all-zero projective"):
         ProjPoint(ctx, (0, 0, 0))
+
+
+def test_univariate_reads_one_variable(ctx):
+    p = MultiPoly(ctx, 3, {(0, 2, 0): 5, (0, 0, 0): 1})
+    assert p.univariate(1).coeffs == (1, 0, 5)
+    assert MultiPoly.zero(ctx, 3).univariate(2).is_zero()
+    with pytest.raises(InvariantViolation, match="a variable besides 1"):
+        MultiPoly(ctx, 3, {(0, 2, 0): 5, (0, 1, 1): 1}).univariate(1)
+    with pytest.raises(InvariantViolation, match="a variable besides 0"):
+        MultiPoly(ctx, 2, {(1, 1): 1}).univariate(0)
+
+
+def _brute_plane_zeros(polys):
+    """Every point of P^2 in canonical coordinates, (x : y : 1) by x then
+    y, then (x : 1 : 0), then (1 : 0 : 0), kept where each poly vanishes."""
+    field = range(1 << polys[0].ctx.m)
+    points = [(x, y, 1) for x in field for y in field]
+    points += [(x, 1, 0) for x in field] + [(1, 0, 0)]
+    return [pt for pt in points if all(p.eval_bits(pt) == 0 for p in polys)]
+
+
+def _rand_form(ctx, degree, rng):
+    """A ternary form of the given degree with random coefficients, about
+    half of them zero."""
+    return MultiPoly(ctx, 3, {(a, b, degree - a - b):
+                              rng.randrange(1 << ctx.m) * rng.randrange(2)
+                              for a in range(degree + 1)
+                              for b in range(degree + 1 - a)})
+
+
+def test_plane_zeros_matches_a_scan_of_every_point(ctx, model):
+    g = model.g
+    cases = [[g], [standard_cubic(ctx)], *([c] for c in model.f),
+             list(model.f), [g, *(g.partial(i) for i in range(3))],
+             [MultiPoly.zero(ctx, 3)]]
+    for field in (ctx, field_make(3, 0b1011)):
+        rng = random.Random(field.m)
+        for _ in range(8):
+            forms = [_rand_form(field, rng.randrange(1, 5), rng)
+                     for _ in range(rng.randrange(1, 3))]
+            cases.append(forms)
+            # a line's worth of common zeros
+            line = _rand_form(field, 1, rng)
+            cases.append([line * forms[0], line * _rand_form(field, 2, rng)])
+    sizes = []
+    for polys in cases:
+        zeros = plane_zeros(polys)
+        assert zeros == _brute_plane_zeros(polys)
+        sizes.append(len(zeros))
+    assert sizes[:7] == [33, 33, 65, 65, 65, 3, 1]  # f: pairs of lines
+    assert sizes[7] == 1057  # the zero polynomial vanishes everywhere

@@ -24,10 +24,12 @@ from salemsurf import _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.gf2m import field_make
+from salemsurf.multipoly import plane_zeros
 from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
 SALEM_FINE_GOLDEN = Path(__file__).parent / "golden" / "salem_1.5e-30.json"
+MUTANT_GOLDEN = Path(__file__).parent / "golden" / "surface_mutant.json"
 
 
 def test_node_status_is_worst_child():
@@ -154,6 +156,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
     count(lat, "salem_certify")
+    count(lat, "dynamical_degree")
     count(lat, "real_roots")
     count(m2, "Mod2QuadSpace")
     count(m2, "mod2_reduce_and_factor")
@@ -161,14 +164,17 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(cu, "cusp_parametrization")
     count(sf, "resultant")  # surface imports it by name
     # char_poly: the Coxeter matrix and its restriction, once each;
-    # salem_certify: Lehmer's coefficients and the deflated Coxeter
-    # polynomial, each with one real_roots, on its trace polynomial
+    # salem_certify: Lehmer's coefficients only, with one real_roots on
+    # its trace polynomial, since the Coxeter polynomial deflates to them
     per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
-               "char_poly": 2, "salem_certify": 2, "real_roots": 2,
+               "char_poly": 2, "salem_certify": 1, "real_roots": 1,
                "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
         assert calls == {k: runs * v for k, v in per_run.items()}
+    calls.clear()
+    assert run_suite("salem").ok()
+    assert calls == {"char_poly": 1, "salem_certify": 1, "real_roots": 1}
     calls.clear()
     assert run_suite("lagrangians").ok()
     assert calls == {"e10_basis.dat": 1, "gram_of": 1,
@@ -186,7 +192,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                               "lattice.lagrangians"}
     assert len(set(witnesses.values())) == 1
     chart = cu.cusp_parametrization(model.g, model.cusp,
-                                    cu.curve_points(model.g))
+                                    plane_zeros([model.g]))
     action = cu.induced_affine_map(chart, list(model.f))
     roots = cu.lehmer_mod2_roots(model.ctx)
     assert surface_checks._surface_match(model, chart, action, roots).ok()
@@ -194,20 +200,19 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
     # the cubic check locates the cusp and the match reuses it; the plane
-    # is scanned once for the orbit's base locus and once for the cubic
+    # is read once for the orbit's base locus and once for the cubic
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
-                 "plane_points"):
+                 "plane_zeros"):
         count(sf, name)
-    for name in ("curve_points", "find_cusp", "induced_affine_map",
-                 "plane_points"):
+    for name in ("find_cusp", "induced_affine_map"):
         count(cu, name)
+    count(surface_checks, "plane_zeros")
     calls.clear()
     assert run_suite("surface").ok()
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
-                 "curve_points", "find_cusp", "cusp_parametrization",
-                 "induced_affine_map"):
+                 "find_cusp", "cusp_parametrization", "induced_affine_map"):
         assert calls[name] == 1, name
-    assert calls["plane_points"] == 2
+    assert calls["plane_zeros"] == 2
 
 
 ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
@@ -596,6 +601,16 @@ def test_fine_salem_run_matches_golden(capsys):
     assert capsys.readouterr().out == SALEM_FINE_GOLDEN.read_text()
 
 
+def test_surface_mutant_run_matches_golden(tmp_path, capsys):
+    """The failure path, byte for byte: the coefficient of x^2*y^3*z^7
+    in s moved from g^15 to g^19 (the first mutant that `bench/mutants.py
+    1 12` lists), which leaves s singular at 5 points."""
+    copy = _with_line(tmp_path, "surface.poly", "+ g^15*x^2*y^3*z^7 ",
+                      "+ g^19*x^2*y^3*z^7 ")
+    assert main(["surface", "--format", "json", "--data", str(copy)]) == 1
+    assert capsys.readouterr().out == MUTANT_GOLDEN.read_text()
+
+
 @pytest.mark.parametrize("width", ["5", "1", "0.5"])
 def test_coarse_precision_keeps_salem_verdict(capsys, width):
     assert main(["salem", "--format", "json", "--precision", width]) == 0
@@ -620,21 +635,51 @@ def test_coarse_precision_largest_root_witness(capsys):
 
 
 def test_largest_root_leaf_reads_p10_not_route_one(monkeypatch):
-    """Route 2's enclosure moved one width to the right still meets
-    route 1's at an end, so salem.routes_agree passes; p10 has one sign
-    across it, so salem.matches_largest_p10_root fails."""
-    dynamical_degree = lat.dynamical_degree
+    """An enclosure of lambda moved one width to the right keeps its
+    width and lies above 1, and the Coxeter polynomial still deflates
+    to p10, so salem.lambda10_interval and salem.routes_agree pass; p10
+    has one sign across it, so salem.matches_largest_p10_root fails."""
+    salem_certify = lat.salem_certify
 
-    def shifted(charpoly, precision):
-        lo, hi = dynamical_degree(charpoly, precision)
-        return hi, 2 * hi - lo
+    def shifted(p, precision):
+        cert = salem_certify(p, precision)
+        lo, hi = cert.lambda_interval
+        return lat.SalemCertificate(cert.trace_intervals,
+                                    cert.interior_signs, (hi, 2 * hi - lo))
 
-    monkeypatch.setattr(lat, "dynamical_degree", shifted)
+    monkeypatch.setattr(lat, "salem_certify", shifted)
     (salem,) = run_suite("salem").children
     status = {c.name: c.status for c in salem.children}
     assert status["salem.lambda10_interval"] == "pass"
     assert status["salem.routes_agree"] == "pass"
     assert status["salem.matches_largest_p10_root"] == "fail"
+
+
+def test_routes_disagree_when_the_coxeter_polynomial_is_not_p10(
+        monkeypatch):
+    """diag(1) + [[2, 1], [1, 1]] has characteristic polynomial
+    (x - 1)(x^2 - 3x + 1): it deflates to x^2 - 3x + 1, not p10, so
+    route 2 certifies that remainder once, on its own, and its
+    enclosure of (3 + sqrt 5) / 2 holds no root of p10."""
+    monkeypatch.setattr(lat, "coxeter_matrix",
+                        lambda: ((1, 0, 0), (0, 2, 1), (0, 1, 1)))
+    calls = Counter()
+    dynamical_degree = lat.dynamical_degree
+
+    def counted(*args):
+        calls["dynamical_degree"] += 1
+        return dynamical_degree(*args)
+
+    monkeypatch.setattr(lat, "dynamical_degree", counted)
+    (salem,) = run_suite("salem").children
+    status = {c.name: c.status for c in salem.children}
+    assert calls["dynamical_degree"] == 1
+    assert status["salem.routes_agree"] == "fail"
+    assert status["salem.matches_largest_p10_root"] == "fail"
+    lam = next(c.witness for c in salem.children
+               if c.name == "salem.lambda10_interval")
+    lo, hi = (Fraction(*lam[k]) for k in ("lo", "hi"))
+    assert (2 * lo - 3) ** 2 <= 5 <= (2 * hi - 3) ** 2
 
 
 def test_markdown_times_the_surface_suite(capsys):
@@ -731,7 +776,7 @@ def test_surface_run_imports_no_rational_arithmetic():
 
 @pytest.mark.parametrize("suite,functions", [
     ("salem", ("lattice.real_roots", "lattice.salem_certify",
-               "lattice.dynamical_degree", "lattice.char_poly")),
+               "lattice.char_poly")),
     ("surface", ("surface.singular_locus", "unipoly.uni_roots",
                  "suites.surface_suite")),
     ("cubic", ("suites.cubic_suite", "gf2m.field_make")),
