@@ -2,18 +2,20 @@
 -> translation solver, orbit regeneration, and extraction of the affine
 parameter action induced by a quadratic Cremona map.
 
-The standard cubic is y^2 z + x^3 = 0 (characteristic 2) with cusp
-[0:0:1]; its smooth locus is parametrized additively by psi(t) =
-[t : 1 : t^3], the cusp sitting at parameter infinity. Three smooth
-points are collinear iff their parameters sum to zero.
+Every cuspidal cubic is read through one chart (`CuspChart`):
+projection from the cusp, the ratio of two fixed linear forms. The
+cusp is found among the curve's points as `multipoly.plane_zeros`
+lists them (`find_cusp`), and the chart keeps the smooth ones, so a
+parameter's point is looked up among them rather than computed.
 
-For an arbitrary cuspidal cubic the parameter used is projection from
-the cusp, the ratio of two fixed linear forms; this is affine-
-equivalent to the group parameter, which is all the linear-coefficient
-extraction needs (conjugating an affine map by an affine map keeps the
-linear coefficient). The cusp is found among the curve's points as
-`multipoly.plane_zeros` lists them, and the chart samples the smooth
-ones through that parameter, so no inverse parametrization is built.
+On the standard cubic y^2 z + x^3 = 0 (characteristic 2, cusp
+[0:0:1]) the chart parameter is x / y, the additive group parameter:
+three smooth points are collinear iff their parameters sum to zero.
+The cubic suite builds this chart over GF(32) and GF(8) and tests that
+sum rule against the determinant of the points. On any other cuspidal
+cubic the chart parameter is affine-equivalent to the group parameter,
+which is all the linear-coefficient extraction needs (conjugating an
+affine map by an affine map keeps the linear coefficient).
 """
 
 from __future__ import annotations
@@ -35,45 +37,24 @@ def standard_cubic(ctx: FieldCtx) -> MultiPoly:
     return MultiPoly(ctx, 3, {(3, 0, 0): 1, (0, 2, 1): 1})
 
 
-def psi(t: FieldElement) -> ProjPoint:
-    """[t : 1 : t^3]; psi(0) is the flex [0:1:0]."""
-    ctx = t.ctx
-    return ProjPoint(ctx, [t.bits, 1, ctx.pow_bits(t.bits, 3)])
-
-
-def psi_inv(p: ProjPoint) -> FieldElement:
-    """Parameter of a smooth point of the standard cubic."""
-    ctx = p.ctx
-    x, y, z = p.coords
-    curve = ctx.mul_bits(ctx.mul_bits(y, y), z) ^ ctx.pow_bits(x, 3)
-    if curve != 0:
-        raise InvariantViolation("point does not satisfy y^2 z = x^3")
-    if y == 0:
-        raise InvariantViolation("the cusp [0:0:1] has no finite parameter")
-    return FieldElement(ctx, ctx.mul_bits(x, ctx.inv_bits(y)))
-
-
 def collinear(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> bool:
     return (t1 + t2 + t3).bits == 0
 
 
 def chord_third(t1: FieldElement, t2: FieldElement) -> FieldElement:
-    """Parameter of the third intersection of the chord through
-    psi(t1), psi(t2) with the cubic."""
+    """Group parameter of the third intersection of the cubic with the
+    chord through the points of parameters t1 and t2."""
     return t1 + t2
 
 
-def collinear_det(t1: FieldElement, t2: FieldElement,
-                  t3: FieldElement) -> FieldElement:
-    """3x3 determinant of the coordinate matrix of the three points;
-    the independent route for the collinearity test."""
-    ctx = t1.ctx
-    rows = [(t.bits, 1, ctx.pow_bits(t.bits, 3)) for t in (t1, t2, t3)]
-    (a, b, c), (d, e, f), (g, h, i) = rows
+def collinear_det(ctx: FieldCtx, p1, p2, p3) -> int:
+    """Determinant (raw bits) of the coordinate matrix of three plane
+    points, zero exactly when they are collinear; the independent route
+    for the collinearity test."""
+    (a, b, c), (d, e, f), (g, h, i) = p1, p2, p3
     m = ctx.mul_bits
-    det = (m(a, m(e, i)) ^ m(a, m(f, h)) ^ m(b, m(d, i))
-           ^ m(b, m(f, g)) ^ m(c, m(d, h)) ^ m(c, m(e, g)))
-    return FieldElement(ctx, det)
+    return (m(a, m(e, i)) ^ m(a, m(f, h)) ^ m(b, m(d, i))
+            ^ m(b, m(f, g)) ^ m(c, m(d, h)) ^ m(c, m(e, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +173,25 @@ def orbit_points(alpha: FieldElement, beta: FieldElement) -> list[FieldElement]:
 
 
 def verify_coxeter_constraints(params: list[FieldElement],
-                               action: AffineAction) -> rp.Report:
+                               action: AffineAction,
+                               point_of) -> rp.Report:
     """Check the collinearity and orbit constraints of the marking.
 
-    {tau(t1), t3, t4}, {tau(t2), t2, t4}, {tau(t3), t2, t3} collinear;
-    tau(t_n) = t_{n+1} for 4 <= n <= 9 and tau(t_10) = t_1.
+    {tau(t1), t3, t4}, {tau(t2), t2, t4}, {tau(t3), t2, t3} collinear,
+    both by the sum rule and by the determinant of their points on the
+    standard cubic (point_of maps each group parameter to its point's
+    coordinates); tau(t_n) = t_{n+1} for 4 <= n <= 9 and
+    tau(t_10) = t_1.
     """
+    ctx = action.alpha.ctx
     t = {n: params[n - 1] for n in range(1, 11)}
     tau = action
     checks = []
     for label, trip in (("chord.t1_t3_t4", (tau(t[1]), t[3], t[4])),
                         ("chord.t2_t2_t4", (tau(t[2]), t[2], t[4])),
                         ("chord.t3_t2_t3", (tau(t[3]), t[2], t[3]))):
-        ok = collinear(*trip) and not collinear_det(*trip)
+        ok = (collinear(*trip)
+              and not collinear_det(ctx, *(point_of[u] for u in trip)))
         checks.append(rp.leaf(label, ok,
                               [format_elem(v) for v in trip]))
     for n in range(4, 10):
@@ -246,7 +233,8 @@ class CuspChart:
     l1 vanishes on the tangent cone line at the cusp (the parameter's
     infinity); l2 is an independent line through the cusp, scaled so
     that the parameter of a smooth point p is t(p) = l2(p) / l1(p).
-    points are the curve's smooth points.
+    points are the curve's smooth points, as the canonical coordinate
+    tuples that `plane_zeros` lists.
     """
 
     __slots__ = ("curve", "cusp", "l1", "l2", "points")
@@ -258,13 +246,15 @@ class CuspChart:
         self.l2 = l2
         self.points = points
 
-    def param_of(self, p: ProjPoint) -> FieldElement:
+    def param_of(self, coords) -> FieldElement:
+        """The parameter of the point with these coordinates (raw bits,
+        any representative)."""
         ctx = self.curve.ctx
-        denom = _lin(ctx, self.l1, p.coords)
+        denom = _lin(ctx, self.l1, coords)
         if denom == 0:
             raise InvariantViolation("point lies on the tangent cone line")
         return FieldElement(
-            ctx, ctx.mul_bits(_lin(ctx, self.l2, p.coords),
+            ctx, ctx.mul_bits(_lin(ctx, self.l2, coords),
                               ctx.inv_bits(denom)))
 
 
@@ -320,7 +310,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
     r1 = next(p for p in line_points(l2) if _lin(ctx, l1, p) != 0)
     scale = ctx.mul_bits(_lin(ctx, l1, r1), ctx.inv_bits(_lin(ctx, l2, r2)))
     l2 = [ctx.mul_bits(scale, c) for c in l2]
-    smooth = [ProjPoint(ctx, pt) for pt in points if pt != q0]
+    smooth = [pt for pt in points if pt != q0]
     if len(smooth) != 1 << ctx.m:
         raise InvariantViolation(f"{len(smooth)} smooth points, expected "
                                  f"{1 << ctx.m}")
@@ -349,14 +339,12 @@ def induced_affine_map(chart: CuspChart,
             raise InvariantViolation("map does not preserve the curve") from ex
     pairs = []
     for pt in chart.points:
-        img = tuple(comp.eval_bits(pt.coords) for comp in components)
+        img = tuple(comp.eval_bits(pt) for comp in components)
         if not any(img):
             continue  # base point of the map
-        denom = _lin(ctx, chart.l1, img)
-        if denom == 0:
+        if _lin(ctx, chart.l1, img) == 0:
             continue  # image is the cusp direction
-        tp = ctx.mul_bits(_lin(ctx, chart.l2, img), ctx.inv_bits(denom))
-        pairs.append((chart.param_of(pt), FieldElement(ctx, tp)))
+        pairs.append((chart.param_of(pt), chart.param_of(img)))
     pairs.sort(key=lambda pair: pair[0].bits)
     if len(pairs) < 4:
         raise InvariantViolation(f"only {len(pairs)} usable samples")

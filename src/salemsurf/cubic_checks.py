@@ -1,6 +1,6 @@
-"""The checks of the cubic suite: the group law of the cuspidal cubic
-over GF(32), the parameter solver at Lehmer's mod-2 roots and the
-orbit of each root.
+"""The checks of the cubic suite: the group law of the cuspidal cubic,
+read through its cusp chart over GF(32) and GF(8), the parameter
+solver at Lehmer's mod-2 roots and the orbit of each root.
 
 Imported by `suites` only when the cubic suite runs; the field and
 cubic modules are bound as the placeholders that `suites` registered.
@@ -8,50 +8,47 @@ cubic modules are bound as the placeholders that `suites` registered.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from . import _read_data, cubic as cu, gf2m as gf, report as rp
 from .multipoly import plane_zeros
 from .suites import SuiteConfig, _run_objects
 
 
-def _cubic_group_law() -> list:
-    ctx = gf.gf32()
+def _standard_chart(ctx) -> cu.CuspChart:
+    """The cusp chart of the standard cubic over ctx, built as the
+    surface suite builds the model cubic's."""
     curve = cu.standard_cubic(ctx)
-    on_curve = 0
-    images = set()
-    for bits in range(1 << ctx.m):
-        t = gf.FieldElement(ctx, bits)
-        p = cu.psi(t)
-        if curve.eval_bits(p.coords) == 0 and cu.psi_inv(p) == t:
-            on_curve += 1
-        images.add(p.coords)
+    points = plane_zeros([curve])
+    return cu.cusp_parametrization(curve, cu.find_cusp(curve, points), points)
+
+
+def _point_of(chart: cu.CuspChart) -> dict:
+    """{parameter: coordinates} over the chart's smooth points."""
+    return {chart.param_of(p): p for p in chart.points}
+
+
+def _cubic_group_law(chart: cu.CuspChart) -> list:
+    point_of = _point_of(chart)
+    on_curve = sum(chart.curve.eval_bits(p) == 0 for p in point_of.values())
     checks = [rp.leaf("group_law.parametrization",
-                      on_curve == 32 and len(images) == 32,
-                      f"{on_curve}/32 on curve, {len(images)} distinct")]
-    cusp = cu.find_cusp(curve, plane_zeros([curve]))
+                      on_curve == 32 and len(point_of) == 32,
+                      f"{on_curve}/32 on curve, {len(point_of)} distinct")]
     checks.append(rp.leaf("group_law.cusp_location",
-                          cusp.coords == (0, 0, 1), repr(cusp)))
+                          chart.cusp.coords == (0, 0, 1), repr(chart.cusp)))
     # dual collinearity routes, exhaustively over the cubic over GF(8)
     gf8 = gf.field_make(3, 0b1011)
-    agree = total = 0
-    for b1 in range(8):
-        for b2 in range(8):
-            for b3 in range(8):
-                if b1 == b2 or b2 == b3 or b1 == b3:
-                    continue
-                t1, t2, t3 = (gf.FieldElement(gf8, b)
-                              for b in (b1, b2, b3))
-                total += 1
-                if cu.collinear(t1, t2, t3) == \
-                        (cu.collinear_det(t1, t2, t3).bits == 0):
-                    agree += 1
+    point8 = _point_of(_standard_chart(gf8))
+
+    def det(*ts):
+        return cu.collinear_det(gf8, *(point8[t] for t in ts))
+    triples = list(permutations(point8, 3))
+    agree = sum(cu.collinear(*ts) == (det(*ts) == 0) for ts in triples)
     checks.append(rp.leaf("group_law.sum_rule_vs_determinant",
-                          agree == total, f"{agree}/{total} triples agree"))
-    closed = all(cu.collinear_det(gf.FieldElement(gf8, b1),
-                                  gf.FieldElement(gf8, b2),
-                                  cu.chord_third(gf.FieldElement(gf8, b1),
-                                                 gf.FieldElement(gf8, b2))
-                                  ).bits == 0
-                 for b1 in range(8) for b2 in range(8) if b1 != b2)
+                          agree == len(triples),
+                          f"{agree}/{len(triples)} triples agree"))
+    closed = all(det(t1, t2, cu.chord_third(t1, t2)) == 0
+                 for t1, t2 in permutations(point8, 2))
     checks.append(rp.leaf("group_law.chord_closure", closed))
     return checks
 
@@ -88,14 +85,16 @@ def _cubic_beta_solver(roots, betas) -> list:
     return checks
 
 
-def _cubic_orbits(rows) -> list:
+def _cubic_orbits(rows, chart: cu.CuspChart) -> list:
+    point_of = _point_of(chart)
     subs = []
     for a, b, params in rows:
         action = cu.AffineAction(a, b)
         distinct = rp.leaf("params_distinct",
                            len({t.bits for t in params}) == 10,
                            [gf.format_elem(t) for t in params])
-        constraints = cu.verify_coxeter_constraints(params, action)
+        constraints = cu.verify_coxeter_constraints(params, action,
+                                                     point_of)
         subs.append(rp.node(f"orbit[{gf.format_elem(a)}]",
                             [distinct, constraints],
                             witness=repr(action)))
@@ -111,10 +110,11 @@ def _cubic_alpha_table(data_dir, rows) -> rp.Report:
 
 
 def _cubic_checks(config: SuiteConfig) -> list:
-    """The cubic checks in report order over one run-object table:
-    Lehmer's mod-2 roots in GF(32), the translation part beta of each
-    and its orbit."""
+    """The cubic checks in report order over one run-object table: the
+    cusp chart of the standard cubic over GF(32), Lehmer's mod-2 roots
+    in GF(32), the translation part beta of each and its orbit."""
     need = _run_objects({
+        "chart": lambda need: _standard_chart(gf.gf32()),
         "roots": lambda need: cu.lehmer_mod2_roots(gf.gf32()),
         "betas": lambda need: list(map(cu.beta_from_alpha, need("roots"))),
         "orbits": lambda need: list(map(cu.orbit_points, need("roots"),
@@ -123,9 +123,9 @@ def _cubic_checks(config: SuiteConfig) -> list:
 
     def rows():
         return zip(need("roots"), need("betas"), need("orbits"))
-    return [("cubic.group_law", _cubic_group_law),
+    return [("cubic.group_law", lambda: _cubic_group_law(need("chart"))),
             ("cubic.beta_solver", lambda: _cubic_beta_solver(
                 need("roots"), need("betas"))),
-            ("cubic.orbits", lambda: _cubic_orbits(rows())),
+            ("cubic.orbits", lambda: _cubic_orbits(rows(), need("chart"))),
             ("cubic.alpha_table_fresh",
              lambda: _cubic_alpha_table(config.data_dir, rows))]

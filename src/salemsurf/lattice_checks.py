@@ -56,17 +56,18 @@ def _lattice_salem(precision, full) -> list:
                           target == (-1, -1, 1, 1)
                           and sum(1 for s in target if s < 0) == pos,
                           list(target)))
-    # route 2: the Coxeter polynomial deflates to p10, certified above
-    rest = lat.deflate(full)
     ci = cert.lambda_interval
-    lam = ci if rest == p10 else lat.dynamical_degree(full, precision)
     checks.append(rp.leaf("salem.lambda10_interval",
-                          lam[1] - lam[0] <= precision and lam[0] > 1,
-                          rp.interval_witness(lam)))
+                          ci[1] - ci[0] <= precision and ci[0] > 1,
+                          rp.interval_witness(ci)))
+    # route 2: the Coxeter polynomial deflates to p10, certified above,
+    # or its remainder is certified on its own
+    rest = lat.deflate(full)
     checks.append(rp.leaf("salem.routes_agree", rest == p10,
                           rp.interval_witness(ci)))
-    # the enclosure holds a root of p10 above 1: p10 changes sign across
-    # it (or vanishes at an exact end)
+    lam = ci if rest == p10 else lat.dynamical_degree(full, precision)
+    # route 2's enclosure holds a root of p10 above 1: p10 changes sign
+    # across it (or vanishes at an exact end)
     checks.append(rp.leaf("salem.matches_largest_p10_root",
                           lam[0] > 1 and lat.ip_eval(p10, lam[0])
                           * lat.ip_eval(p10, lam[1]) <= 0,

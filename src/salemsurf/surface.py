@@ -649,17 +649,17 @@ def verify_alpha_consistency(m: SurfaceModel, lambda1: FieldElement,
     """Cross-checks between the derivation scalar and the parameter
     action: lambda1 = g^8, alpha is one of roots (the degree-10 integer
     polynomial's mod-2 roots in m.ctx), alpha != lambda1^2 (so the two
-    quadric eigenvalues stay distinct), and g^16 is not such a root."""
-    ctx = m.ctx
+    quadric eigenvalues stay distinct), and lambda1^2 is not such a
+    root."""
+    forbidden = lambda1 * lambda1
     checks = [
-        rp.leaf("alpha.lambda1_value", lambda1 == ctx.gen_pow(8),
+        rp.leaf("alpha.lambda1_value", lambda1 == m.ctx.gen_pow(8),
                 format_elem(lambda1)),
         rp.leaf("alpha.root_count", len(roots) == 10,
                 f"{len(roots)} roots"),
         rp.leaf("alpha.is_root", alpha in roots, format_elem(alpha)),
-        rp.leaf("alpha.forbidden_value_not_root",
-                ctx.gen_pow(16) not in roots,
-                format_elem(ctx.gen_pow(16))),
+        rp.leaf("alpha.forbidden_value_not_root", forbidden not in roots,
+                format_elem(forbidden)),
     ]
     lam2 = alpha / lambda1
     checks.append(rp.leaf("alpha.eigenvalues_distinct", lam2 != lambda1,

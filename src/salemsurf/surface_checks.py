@@ -78,10 +78,10 @@ def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
                       gf.format_elem(action.alpha))]
     try:
         fixed = action.fixed_point()
-        t0 = chart.param_of(m.points[0])
+        t0 = chart.param_of(m.points[0].coords)
         checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
                               gf.format_elem(fixed)))
-        concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
+        concrete = [chart.param_of(m.points[i].coords) for i in range(1, 11)]
         beta = cu.beta_from_alpha(action.alpha)
         abstract = cu.orbit_points(action.alpha, beta)
         abstract_action = cu.AffineAction(action.alpha, beta)

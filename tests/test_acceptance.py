@@ -5,10 +5,12 @@ printed duration covers the full computation, not a cached fixture.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import salemsurf.cubic as cu
 import salemsurf.lattice as lat
@@ -120,13 +122,19 @@ def test_criterion_07_beta_solver():
         roots = cu.lehmer_mod2_roots(ctx)
         if len(roots) != 10:
             return False
+        curve = cu.standard_cubic(ctx)
+        points = plane_zeros([curve])
+        chart = cu.cusp_parametrization(curve, cu.find_cusp(curve, points),
+                                        points)
+        point_of = {chart.param_of(p): p for p in chart.points}
         bits = {r.bits for r in roots}
         for a in roots:
             params = cu.orbit_points(a, cu.beta_from_alpha(a))
             if len({t.bits for t in params}) != 10:
                 return False
             action = cu.AffineAction(a, cu.beta_from_alpha(a))
-            if not cu.verify_coxeter_constraints(params, action).ok():
+            if not cu.verify_coxeter_constraints(params, action,
+                                                 point_of).ok():
                 return False
             if (a * a).bits not in bits or a.inverse().bits not in bits:
                 return False
@@ -211,7 +219,8 @@ def test_criterion_13_cross_model_consistency():
         lam2 = alpha / lam1
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False
-        concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
+        concrete = [chart.param_of(m.points[i].coords)
+                    for i in range(1, 11)]
         abstract = cu.orbit_points(alpha, cu.beta_from_alpha(alpha))
         return bool(cu.all_point_set_matches(concrete, abstract))
     _report(13, "induced scalar, eigenvalues, point-set match", 10, run)
@@ -221,8 +230,11 @@ def test_criterion_14_determinism():
     def run():
         cmd = [sys.executable, "-m", "salemsurf.cli", "all",
                "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, timeout=300)
-        second = subprocess.run(cmd, capture_output=True, timeout=300)
+        env = {**os.environ, "PYTHONPATH": str(Path(cu.__file__).parents[1])}
+        first = subprocess.run(cmd, env=env, capture_output=True,
+                               timeout=300)
+        second = subprocess.run(cmd, env=env, capture_output=True,
+                                timeout=300)
         return (first.returncode == 0 and second.returncode == 0
                 and first.stdout == second.stdout
                 and len(first.stdout) > 0)

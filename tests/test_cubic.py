@@ -5,11 +5,11 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              collinear, collinear_det,
                              cusp_parametrization, equivariant_matches,
                              find_cusp, induced_affine_map,
-                             lehmer_mod2_roots, orbit_points, psi, psi_inv,
+                             lehmer_mod2_roots, orbit_points,
                              second_param_expr1, second_param_expr2,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
-from salemsurf.gf2m import FieldElement, field_make, gf32
+from salemsurf.gf2m import FieldElement, field_make
 from salemsurf.multipoly import MultiPoly, ProjPoint, plane_zeros
 
 ROOT_DLOGS = {3, 6, 7, 12, 14, 17, 19, 24, 25, 28}
@@ -29,28 +29,27 @@ def _chart(curve):
     return cusp_parametrization(curve, find_cusp(curve, points), points)
 
 
+def _point_of(chart):
+    return {chart.param_of(p): p for p in chart.points}
+
+
 def _all_elems(ctx):
     return [FieldElement(ctx, b) for b in range(1 << ctx.m)]
 
 
-def test_psi_special_values(ctx):
-    assert psi(ctx.zero()).coords == (0, 1, 0)
-    assert psi(ctx.one()).coords == (1, 1, 1)
+GF8 = field_make(3, 0b1011)
 
 
-def test_psi_roundtrip(ctx):
-    curve = standard_cubic(ctx)
-    for t in _all_elems(ctx):
-        p = psi(t)
-        assert curve.eval_bits(p.coords) == 0
-        assert psi_inv(p) == t
-
-
-def test_psi_inv_rejections(ctx):
-    with pytest.raises(InvariantViolation, match="no finite parameter"):
-        psi_inv(ProjPoint(ctx, (0, 0, 1)))
-    with pytest.raises(InvariantViolation, match="does not satisfy"):
-        psi_inv(ProjPoint(ctx, (1, 1, 0)))
+def test_chart_parameter_of_the_closed_form(ctx):
+    # the closed form [t : 1 : t^3] of the group law: the chart of the
+    # standard cubic reads t back, and its points are exactly these
+    for field in (GF8, ctx):
+        point_of = _point_of(_chart(standard_cubic(field)))
+        assert len(point_of) == 1 << field.m
+        for t in _all_elems(field):
+            closed = ProjPoint(field, (t.bits, 1, field.pow_bits(t.bits, 3)))
+            assert point_of[t] == closed.coords
+        assert point_of[field.zero()] == (0, 1, 0)  # the flex
 
 
 def test_chord_third_is_collinear(ctx):
@@ -62,8 +61,8 @@ def test_chord_third_is_collinear(ctx):
 
 def test_collinearity_against_determinant():
     # exhaustive over the smallest field where both routes are nontrivial
-    ctx8 = field_make(3, 0b1011)
-    elems = _all_elems(ctx8)
+    point_of = _point_of(_chart(standard_cubic(GF8)))
+    elems = _all_elems(GF8)
     for a in elems:
         for b in elems:
             if b == a:
@@ -71,7 +70,9 @@ def test_collinearity_against_determinant():
             for c in elems:
                 if c == a or c == b:
                     continue
-                assert collinear(a, b, c) == (not collinear_det(a, b, c))
+                det = collinear_det(GF8, point_of[a], point_of[b],
+                                    point_of[c])
+                assert collinear(a, b, c) == (det == 0)
 
 
 def test_affine_action_algebra(ctx):
@@ -136,16 +137,18 @@ def test_orbit_parameters_for_bundled_scalar(ctx):
 
 def test_constraints_hold_at_beta_and_break_nearby(ctx):
     one = ctx.one()
+    point_of = _point_of(_chart(standard_cubic(ctx)))
     for a in lehmer_mod2_roots(ctx):
         b = beta_from_alpha(a)
         params = orbit_points(a, b)
-        assert verify_coxeter_constraints(params, AffineAction(a, b)).ok()
+        assert verify_coxeter_constraints(params, AffineAction(a, b),
+                                          point_of).ok()
         try:
             bad = orbit_points(a, b + one)
         except InvariantViolation:  # the ten parameters collide
             continue
-        assert not verify_coxeter_constraints(bad,
-                                              AffineAction(a, b + one)).ok()
+        assert not verify_coxeter_constraints(
+            bad, AffineAction(a, b + one), point_of).ok()
 
 
 def _find_cusp(curve):
@@ -166,12 +169,13 @@ def test_cusp_chart_samples_the_smooth_points(ctx, model):
         on_curve = {ProjPoint(ctx, (x, y, z))
                     for x in range(32) for y in range(32) for z in (0, 1)
                     if any((x, y, z)) and curve.eval_bits((x, y, z)) == 0}
-        assert set(chart.points) == on_curve - {chart.cusp}
+        assert {ProjPoint(ctx, p) for p in chart.points} \
+            == on_curve - {chart.cusp}
         assert len(chart.points) == 32
         params = {chart.param_of(p).bits for p in chart.points}
         assert params == set(range(32))
         with pytest.raises(InvariantViolation, match="tangent cone line"):
-            chart.param_of(chart.cusp)
+            chart.param_of(chart.cusp.coords)
 
 
 def test_cusp_chart_refuses_a_conic_with_its_tangent(ctx):
@@ -181,16 +185,6 @@ def test_cusp_chart_refuses_a_conic_with_its_tangent(ctx):
     assert _find_cusp(curve).coords == (0, 0, 1)
     with pytest.raises(InvariantViolation, match="64 smooth points"):
         _chart(curve)
-
-
-def test_chart_parameter_is_affine_in_psi(ctx):
-    # both parametrizations of the standard cubic differ by t -> at + b
-    chart = _chart(standard_cubic(ctx))
-    pairs = [(t, chart.param_of(psi(t))) for t in _all_elems(ctx)]
-    (t1, u1), (t2, u2) = pairs[0], pairs[1]
-    a = (u1 + u2) / (t1 + t2)
-    b = u1 + a * t1
-    assert all(a * t + b == u for t, u in pairs)
 
 
 def test_induced_map_identity(ctx):
@@ -216,7 +210,7 @@ def test_induced_map_of_bundled_model(ctx, model):
     assert action.alpha == ctx.gen_pow(19)
     assert action.alpha != ctx.gen_pow(16)
     assert action.beta == ctx.gen_pow(28)
-    assert action.fixed_point() == chart.param_of(model.points[0])
+    assert action.fixed_point() == chart.param_of(model.points[0].coords)
     assert action.fixed_point() == ctx.gen_pow(17)
 
 
@@ -236,7 +230,8 @@ def test_point_set_matching_vs_brute_force(ctx, model):
     bb = [ctx.one(), ctx.gen(), ctx.gen_pow(3)]
     # the bundled ten marked points against the abstract orbit
     chart = _chart(model.g)
-    concrete = [chart.param_of(model.points[i]) for i in range(1, 11)]
+    concrete = [chart.param_of(model.points[i].coords)
+                for i in range(1, 11)]
     alpha = ctx.gen_pow(19)
     abstract = orbit_points(alpha, beta_from_alpha(alpha))
     for source, target in ((aa, aa), (aa, bb), (concrete, abstract)):

@@ -14,6 +14,7 @@ import pytest
 
 import salemsurf.cli as cli
 import salemsurf.cubic as cu
+import salemsurf.cubic_checks as cubic_checks
 import salemsurf.lattice as lat
 import salemsurf.lattice_checks as lattice_checks
 import salemsurf.mod2space as m2
@@ -213,6 +214,13 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                  "find_cusp", "cusp_parametrization", "induced_affine_map"):
         assert calls[name] == 1, name
     assert calls["plane_zeros"] == 2
+    # the cubic suite charts the standard cubic once over GF(32), for the
+    # group law and the orbits, and once over GF(8) for the group law
+    count(cubic_checks, "plane_zeros")
+    calls.clear()
+    assert run_suite("cubic").ok()
+    assert calls == {"plane_zeros": 2, "find_cusp": 2,
+                     "cusp_parametrization": 2}
 
 
 ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
@@ -315,6 +323,33 @@ def test_failed_orbit_build_spares_the_beta_solver(monkeypatch):
     assert len(beta.children) == 7
     assert all(c.status == "pass" for c in beta.children)
     assert nodes["cubic.group_law"].ok()
+
+
+def test_cubic_leaves_guard_the_chart(monkeypatch):
+    """A chart parameter off by a constant c still reads the smooth
+    points one to one, but three points with parameters summing to zero
+    are no longer collinear: the sum rule, the chord closure and every
+    chord of the orbits fail, so these leaves test the chart that the
+    surface suite's match reads."""
+    param_of = cu.CuspChart.param_of
+    monkeypatch.setattr(cu.CuspChart, "param_of", lambda self, coords:
+                        param_of(self, coords) + self.curve.ctx.one())
+    nodes = {c.name: c for c in run_suite("cubic").children}
+    status = {c.name: c.status for c in nodes["cubic.group_law"].children}
+    assert status == {"group_law.parametrization": "pass",
+                      "group_law.cusp_location": "pass",
+                      "group_law.sum_rule_vs_determinant": "fail",
+                      "group_law.chord_closure": "fail"}
+    orbits = nodes["cubic.orbits"].children
+    assert len(orbits) == 10
+    for orbit in orbits:
+        _, constraints = orbit.children
+        chords = [c for c in constraints.children
+                  if c.name.startswith("chord.")]
+        assert len(chords) == 3
+        assert all(c.status == "fail" for c in chords)
+        assert all(c.status == "pass" for c in constraints.children
+                   if c not in chords)
 
 
 def _in_reciprocal_field(tmp_path):
@@ -660,7 +695,9 @@ def test_routes_disagree_when_the_coxeter_polynomial_is_not_p10(
     """diag(1) + [[2, 1], [1, 1]] has characteristic polynomial
     (x - 1)(x^2 - 3x + 1): it deflates to x^2 - 3x + 1, not p10, so
     route 2 certifies that remainder once, on its own, and its
-    enclosure of (3 + sqrt 5) / 2 holds no root of p10."""
+    enclosure of (3 + sqrt 5) / 2 holds no root of p10. The
+    lambda10_interval leaf states p10's own enclosure, which still
+    passes."""
     monkeypatch.setattr(lat, "coxeter_matrix",
                         lambda: ((1, 0, 0), (0, 2, 1), (0, 1, 1)))
     calls = Counter()
@@ -676,10 +713,17 @@ def test_routes_disagree_when_the_coxeter_polynomial_is_not_p10(
     assert calls["dynamical_degree"] == 1
     assert status["salem.routes_agree"] == "fail"
     assert status["salem.matches_largest_p10_root"] == "fail"
-    lam = next(c.witness for c in salem.children
-               if c.name == "salem.lambda10_interval")
-    lo, hi = (Fraction(*lam[k]) for k in ("lo", "hi"))
+    assert status["salem.lambda10_interval"] == "pass"
+    witness = {c.name: c.witness for c in salem.children}
+
+    def ends(name):
+        return tuple(Fraction(*witness[name][k]) for k in ("lo", "hi"))
+    lo, hi = ends("salem.lambda10_interval")
+    p10 = lat.lehmer_polynomial()
+    assert lat.ip_eval(p10, lo) * lat.ip_eval(p10, hi) < 0
+    lo, hi = ends("salem.matches_largest_p10_root")
     assert (2 * lo - 3) ** 2 <= 5 <= (2 * hi - 3) ** 2
+    assert lo > Fraction(3, 2)
 
 
 def test_markdown_times_the_surface_suite(capsys):
@@ -703,15 +747,16 @@ def test_markdown_times_the_surface_suite(capsys):
     assert abs(sum(map(ms, children)) - surface) <= 0.05 * surface
 
 
+SRC_DIR = Path(cli.__file__).resolve().parents[1]
+
+
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "salemsurf.cli", "cubic", "--format", "md"],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "overall: **PASS**" in proc.stdout
-
-
-SRC_DIR = Path(cli.__file__).resolve().parents[1]
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 FRONT_END = {"cli", "suites", "report", "errors"}
 

@@ -10,6 +10,7 @@ from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, ProjPoint, local_expansion
+from salemsurf.suites import SuiteConfig, run_suite
 
 
 def test_load_model_shape(ctx, model):
@@ -161,6 +162,17 @@ def test_inverse_tail_of_a_frobenius_twist(ctx, tmp_path, sigma_inv, i):
     assert si.eta_prime.terms == {
         e: ctx.pow_bits(c, 2 ** i)
         for e, c in sigma_inv.eta_prime.terms.items()}
+
+
+def test_forbidden_value_is_the_square_of_the_derived_scalar(tmp_path):
+    """On the first Frobenius twist the conjugation scalar is g^16, so
+    the value that must not be a mod-2 root is its square g, not the
+    bundled model's g^16."""
+    report = run_suite("surface", SuiteConfig(data_dir=_twisted(tmp_path, 1)))
+    alpha = next(c for c in report.children if c.name == "alpha")
+    leaf = next(c for c in alpha.children
+                if c.name == "alpha.forbidden_value_not_root")
+    assert (leaf.status, leaf.witness) == ("pass", "g")
 
 
 def _singular_points(rep):
