@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import LEHMER
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, FieldElement, format_elem
-from .multipoly import MultiPoly, ProjPoint, local_expansion
+from .multipoly import MultiPoly, canonical, local_expansion
 from .unipoly import UniPoly
 from . import report as rp
 
@@ -207,16 +207,15 @@ def verify_coxeter_constraints(params: list[FieldElement],
 # induced affine action of a Cremona map on a cuspidal cubic
 
 
-def find_cusp(curve: MultiPoly, points) -> ProjPoint:
+def find_cusp(curve: MultiPoly, points) -> tuple:
     """The unique singular point of an irreducible cuspidal cubic among
     its points, as multipoly.plane_zeros([curve]) lists them."""
-    ctx = curve.ctx
     parts = [curve.partial(i) for i in range(3)]
     found = [pt for pt in points
              if all(p.eval_bits(pt) == 0 for p in parts)]
     if len(found) != 1:
         raise InvariantViolation(f"{len(found)} singular points, expected 1")
-    return ProjPoint(ctx, found[0])
+    return found[0]
 
 
 def _lin(ctx: FieldCtx, l, coords) -> int:
@@ -258,11 +257,11 @@ class CuspChart:
                               ctx.inv_bits(denom)))
 
 
-def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
+def cusp_parametrization(curve: MultiPoly, cusp: tuple,
                          points) -> CuspChart:
     """Build the cusp-projection chart of an irreducible cuspidal cubic.
 
-    Every line through the cusp q0 but the tangent cone line l1 = 0
+    Every line through the cusp but the tangent cone line l1 = 0
     meets the curve in one further point, so t = l2 / l1 maps the
     smooth points one to one onto the field. cusp is find_cusp(curve,
     points) and points is multipoly.plane_zeros([curve]), as the caller
@@ -271,8 +270,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
     ctx = curve.ctx
     if curve.total_degree() != 3:
         raise InvariantViolation("parametrization needs a cubic")
-    q0 = cusp.coords
-    j = max(i for i in range(3) if q0[i])
+    j = max(i for i in range(3) if cusp[i])
     keep = [i for i in range(3) if i != j]
     local = local_expansion(curve, cusp)
     if local.multiplicity_at([0, 0]) != 2:
@@ -285,14 +283,14 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
     l1 = [0, 0, 0]
     l1[keep[0]] = sa
     l1[keep[1]] = sc
-    l1[j] = ctx.mul_bits(sa, q0[keep[0]]) ^ ctx.mul_bits(sc, q0[keep[1]])
+    l1[j] = ctx.mul_bits(sa, cusp[keep[0]]) ^ ctx.mul_bits(sc, cusp[keep[1]])
     l2 = [0, 0, 0]
     if sc != 0:
         l2[keep[0]] = 1
-        l2[j] = q0[keep[0]]
+        l2[j] = cusp[keep[0]]
     else:
         l2[keep[1]] = 1
-        l2[j] = q0[keep[1]]
+        l2[j] = cusp[keep[1]]
 
     def line_points(l):
         piv = max(i for i in range(3) if l[i])
@@ -306,11 +304,11 @@ def cusp_parametrization(curve: MultiPoly, cusp: ProjPoint,
             pts.append(tuple(p))
         return pts + [tuple(a ^ b for a, b in zip(pts[0], pts[1]))]
 
-    r2 = next(p for p in line_points(l1) if ProjPoint(ctx, p) != cusp)
+    r2 = next(p for p in line_points(l1) if canonical(ctx, p) != cusp)
     r1 = next(p for p in line_points(l2) if _lin(ctx, l1, p) != 0)
     scale = ctx.mul_bits(_lin(ctx, l1, r1), ctx.inv_bits(_lin(ctx, l2, r2)))
     l2 = [ctx.mul_bits(scale, c) for c in l2]
-    smooth = [pt for pt in points if pt != q0]
+    smooth = [pt for pt in points if pt != cusp]
     if len(smooth) != 1 << ctx.m:
         raise InvariantViolation(f"{len(smooth)} smooth points, expected "
                                  f"{1 << ctx.m}")

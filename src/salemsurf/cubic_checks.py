@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import _read_data, cubic as cu, gf2m as gf, report as rp
-from .multipoly import plane_zeros
+from .multipoly import format_point, plane_zeros
 from .suites import SuiteConfig, _run_objects
 
 
@@ -35,7 +35,8 @@ def _cubic_group_law(chart: cu.CuspChart) -> list:
                       on_curve == 32 and len(point_of) == 32,
                       f"{on_curve}/32 on curve, {len(point_of)} distinct")]
     checks.append(rp.leaf("group_law.cusp_location",
-                          chart.cusp.coords == (0, 0, 1), repr(chart.cusp)))
+                          chart.cusp == (0, 0, 1),
+                          format_point(chart.curve.ctx, chart.cusp)))
     # dual collinearity routes, exhaustively over the cubic over GF(8)
     gf8 = gf.field_make(3, 0b1011)
     point8 = _point_of(_standard_chart(gf8))

@@ -250,27 +250,25 @@ def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> list[int]:
     return table
 
 
-def embed(x: FieldElement, sub: FieldCtx, sup: FieldCtx) -> FieldElement:
-    """Image of x under the fixed cached embedding sub -> sup."""
-    if x.ctx is not sub:
-        raise InvariantViolation(
-            "element does not belong to the source context")
-    return FieldElement(sup, _embedding_table(sub, sup)[x.bits])
+def embed(x: int, sub: FieldCtx, sup: FieldCtx) -> int:
+    """Image (raw bits) of the bits x of sub under the fixed cached
+    embedding sub -> sup."""
+    return _embedding_table(sub, sup)[x]
 
 
-def unembed(x: FieldElement, sub: FieldCtx) -> FieldElement:
-    """Preimage in sub of an element lying in the embedded copy of sub."""
-    sup = x.ctx
+def unembed(x: int, sub: FieldCtx, sup: FieldCtx) -> int:
+    """Preimage (raw bits) in sub of the bits x of sup, which lie in the
+    embedded copy of sub."""
+    if x == 0:
+        return 0
     root = _embedding_table(sub, sup)[sub.gen().bits]
-    if x.bits == 0:
-        return sub.zero()
     # root generates the units of the copy, the index-c subgroup of sup's
     # units: x = root^k iff dlog x = k * dlog root modulo sup.order
     c = sup.order // sub.order
-    j, r = sup.dlog_bits(x.bits), sup.dlog_bits(root)
+    j, r = sup.dlog_bits(x), sup.dlog_bits(root)
     if j % c:
         raise InvariantViolation("element is not in the embedded subfield")
-    return sub.gen_pow(j // c * pow(r // c, -1, sub.order))
+    return sub.gen_pow(j // c * pow(r // c, -1, sub.order)).bits
 
 
 # ---------------------------------------------------------------------------

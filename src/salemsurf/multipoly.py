@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over GF(2^m), and projective points.
+"""Sparse multivariate polynomials over GF(2^m), and plane points.
 
 Terms live in a dict mapping exponent tuples to raw coefficient bits;
 zero coefficients are never stored. Canonical order (for printing,
@@ -16,8 +16,9 @@ The text format round-trips through `format_poly` / `parse_poly_file`:
     vars: x y z; weights: 1 1 1; field: g^5=g^2+1
     s = g^16*x^8*y^3*z + ...
 
-Points are written `p4 = (g^29 : g^6 : 1)`. A ProjPoint is normalized
-by dividing every coordinate by its last nonzero one.
+Points are written `p4 = (g^29 : g^6 : 1)`. A plane point is the tuple
+of its raw-bit coordinates whose last nonzero entry is 1, as
+`canonical` scales it.
 """
 
 from __future__ import annotations
@@ -260,18 +261,16 @@ class MultiPoly:
         return MultiPoly._of(self.ctx, self.nvars, t)
 
     def translate(self, point) -> "MultiPoly":
-        """p(x_0 + a_0, ..., x_{n-1} + a_{n-1}).
+        """p(x_0 + a_0, ..., x_{n-1} + a_{n-1}), the a_i raw bits.
 
         Binomials reduce mod 2 by Lucas: C(e, j) is odd iff j is a
         submask of e, so each (x+a)^e expands over submasks only.
         """
-        bits = [p.bits if isinstance(p, FieldElement) else int(p)
-                for p in point]
-        if len(bits) != self.nvars:
+        if len(point) != self.nvars:
             raise InvariantViolation("point arity != nvars")
         mul, pw = self.ctx.mul_bits, self.ctx.pow_bits
         cur = self.terms
-        for i, a in enumerate(bits):
+        for i, a in enumerate(point):
             if not a:
                 continue
             nxt: dict[tuple, int] = {}
@@ -436,7 +435,7 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
     for r in (p, q):
         cs = [[0] * (r.degree_in(j) + 1) for _ in range(r.degree_in(i) + 1)]
         for e, c in r.terms.items():
-            cs[e[i]][e[j]] = embed(FieldElement(ctx, c), ctx, big).bits
+            cs[e[i]][e[j]] = embed(c, ctx, big)
         rows.append([UniPoly(big, row) for row in cs])
     xs, vals = [], []
     for a in range(1 << big.m):
@@ -471,7 +470,7 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
     if res.eval_bits(xs[-1]) != vals[-1]:
         raise InvariantViolation("interpolation misses its check point")
     return MultiPoly(ctx, 2, {(k, 0) if j == 0 else (0, k):
-                              unembed(FieldElement(big, c), ctx).bits
+                              unembed(c, ctx, big)
                               for k, c in enumerate(res.coeffs)})
 
 
@@ -529,39 +528,18 @@ def linear_solve(ctx: FieldCtx, rows) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# projective points
+# plane points
 
 
-class ProjPoint:
-    """Projective point; equality via a canonical representative, the
-    one whose last nonzero coordinate is 1."""
-
-    __slots__ = ("ctx", "coords")
-
-    def __init__(self, ctx: FieldCtx, coords):
-        cb = [c.bits if isinstance(c, FieldElement) else int(c)
-              for c in coords]
-        if not any(cb):
-            raise DomainError("all-zero projective coordinates")
-        s = ctx.inv_bits(next(c for c in reversed(cb) if c))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coords",
-                           tuple(ctx.mul_bits(c, s) for c in cb))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProjPoint is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and other.ctx is self.ctx
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coords))
-
-    def __repr__(self):
-        inner = " : ".join(format_elem(FieldElement(self.ctx, c))
-                           for c in self.coords)
-        return f"({inner})"
+def canonical(ctx: FieldCtx, coords) -> tuple:
+    """The representative of the plane point with these raw-bit
+    coordinates whose last nonzero coordinate is 1; DomainError when
+    they are all zero."""
+    last = next((c for c in reversed(coords) if c), 0)
+    if not last:
+        raise DomainError("all-zero projective coordinates")
+    s = ctx.inv_bits(last)
+    return tuple(ctx.mul_bits(c, s) for c in coords)
 
 
 def plane_zeros(polys) -> list[tuple]:
@@ -582,12 +560,12 @@ def plane_zeros(polys) -> list[tuple]:
                     if not any(p.eval_bits(pt) for p in polys)]
 
 
-def local_expansion(p: MultiPoly, pt: ProjPoint) -> MultiPoly:
-    """p at pt in two variables: the chart of pt's last nonzero
-    coordinate (which ProjPoint scales to 1), translated so that pt is
-    the origin."""
-    j = max(i for i, c in enumerate(pt.coords) if c)
-    rest = [c for i, c in enumerate(pt.coords) if i != j]
+def local_expansion(p: MultiPoly, pt: tuple) -> MultiPoly:
+    """p at the canonical point pt in two variables: the chart of pt's
+    last nonzero coordinate, which is 1, translated so that pt is the
+    origin."""
+    j = max(i for i, c in enumerate(pt) if c)
+    rest = [c for i, c in enumerate(pt) if i != j]
     return p.restrict(j, 1).drop_var(j).translate(rest)
 
 
@@ -725,9 +703,15 @@ def parse_poly_file(text: str, source: str):
     return names, weights, ctx, polys
 
 
+def format_point(ctx: FieldCtx, coords) -> str:
+    """A plane point as the text format writes it, `(g^29 : g^6 : 1)`."""
+    return "(" + " : ".join(format_elem(FieldElement(ctx, c))
+                            for c in coords) + ")"
+
+
 def parse_point_file(text: str, source: str):
-    """-> (ctx, {label: ProjPoint}) for a labeled point file; source
-    names the file when a label is defined twice."""
+    """-> (ctx, {label: canonical coordinates}) for a labeled file of
+    plane points; source names the file in the errors of a label."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("field:"):
@@ -742,7 +726,9 @@ def parse_point_file(text: str, source: str):
         label = label.strip()
         if label in points:
             raise ParseError(f"{source} defines {label!r} twice")
-        coords = [parse_elem(part.strip(), ctx)
-                  for part in body[1:-1].split(":")]
-        points[label] = ProjPoint(ctx, coords)
+        coords = [parse_elem(part, ctx).bits for part in body[1:-1].split(":")]
+        if len(coords) != 3:
+            raise ParseError(f"{source}: point {label!r} has {len(coords)} "
+                             "coordinates, expected 3")
+        points[label] = canonical(ctx, coords)
     return ctx, points

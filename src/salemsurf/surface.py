@@ -17,7 +17,8 @@ from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 from .gf2m import FieldCtx, FieldElement, embed, format_elem
 from .multipoly import (
     MultiPoly,
-    ProjPoint,
+    canonical,
+    format_point,
     format_poly,
     linear_solve,
     local_expansion,
@@ -113,7 +114,7 @@ def load_model(data_dir=None) -> SurfaceModel:
                 f"{label} has degree {poly.weighted_degree(w1)}, "
                 f"expected {deg}")
     for i in range(11):
-        if g.eval_bits(points[i].coords) != 0:
+        if g.eval_bits(points[i]) != 0:
             raise InvariantViolation(f"g(p{i}) != 0")
     return SurfaceModel(ctx, names, s, (fx, fy, fz), c, eta, g,
                         points, cusp)
@@ -145,29 +146,26 @@ def _fmt(ctx: FieldCtx, bits: int) -> str:
 # orbit of the marked points under f
 
 
-def apply_map(m: SurfaceModel, pt: ProjPoint):
+def apply_map(m: SurfaceModel, pt: tuple):
     """Image of a plane point under f, or None on the base locus."""
-    img = tuple(comp.eval_bits(pt.coords) for comp in m.f)
-    if not any(img):
-        return None
-    return ProjPoint(m.ctx, img)
+    img = [comp.eval_bits(pt) for comp in m.f]
+    return canonical(m.ctx, img) if any(img) else None
 
 
 def verify_orbit(m: SurfaceModel) -> rp.Report:
     """f(p_i) = p_{i+1} for i = 4..10 (indices mod 10 back to p_1),
     f(p_0) = p_0, and base locus exactly {p_1, p_2, p_3}."""
     checks = []
-    for i in range(4, 11):
-        j = 1 if i == 10 else i + 1
+    pairs = [(i, 1 if i == 10 else i + 1) for i in range(4, 11)] + [(0, 0)]
+    for i, j in pairs:
         img = apply_map(m, m.points[i])
-        checks.append(rp.leaf(f"orbit.p{i}_to_p{j}",
-                              img == m.points[j], repr(img)))
-    img0 = apply_map(m, m.points[0])
-    checks.append(rp.leaf("orbit.p0_fixed", img0 == m.points[0], repr(img0)))
-    base = {ProjPoint(m.ctx, pt) for pt in plane_zeros(m.f)}
+        name = f"orbit.p{i}_to_p{j}" if i else "orbit.p0_fixed"
+        checks.append(rp.leaf(name, img == m.points[j],
+                              format_point(m.ctx, img) if img else "None"))
+    base = set(plane_zeros(m.f))
     expected = {m.points[1], m.points[2], m.points[3]}
     checks.append(rp.leaf("orbit.base_locus", base == expected,
-                          sorted(repr(b) for b in base)))
+                          sorted(format_point(m.ctx, b) for b in base)))
     return rp.node("orbit", checks)
 
 
@@ -189,7 +187,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     ctx = m.ctx
     mons = cubic_monomials()
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
-    rows = [[mp.eval_bits(m.points[i].coords) for mp in monpolys]
+    rows = [[mp.eval_bits(m.points[i]) for mp in monpolys]
             for i in range(1, 11)]
     kernel = linear_solve(ctx, rows)
     status = "kernel" if kernel else "unique"
@@ -203,7 +201,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
                           format_poly(m.g, m.names)))
     checks.append(rp.leaf(
         "cubic.vanishes_on_points",
-        all(m.g.eval_bits(m.points[i].coords) == 0 for i in range(11)),
+        all(m.g.eval_bits(m.points[i]) == 0 for i in range(11)),
         "g(p_0) = ... = g(p_10) = 0"))
     try:
         located = locate()
@@ -211,11 +209,11 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
         checks.append(rp.error_leaf("cubic.cusp_location", ex))
     else:
         checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
-                              repr(located)))
-    grads = [m.g.partial(i).eval_bits(m.cusp.coords) for i in range(3)]
+                              format_point(ctx, located)))
+    grads = [m.g.partial(i).eval_bits(m.cusp) for i in range(3)]
     checks.append(rp.leaf(
         "cubic.cusp_partials",
-        m.g.eval_bits(m.cusp.coords) == 0 and not any(grads),
+        m.g.eval_bits(m.cusp) == 0 and not any(grads),
         [_fmt(ctx, v) for v in grads]))
     local = local_expansion(m.g, m.cusp)
     init = local.initial_form()
@@ -223,10 +221,10 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
         "cubic.cusp_tangent_cone",
         local.multiplicity_at([0, 0]) == 2 and init.is_square(),
         format_poly(init, ["u", "v"])))
-    grad0 = [m.g.partial(i).eval_bits(m.points[0].coords) for i in range(3)]
+    grad0 = [m.g.partial(i).eval_bits(m.points[0]) for i in range(3)]
     checks.append(rp.leaf(
         "cubic.smooth_fixed_point",
-        m.g.eval_bits(m.points[0].coords) == 0 and any(grad0),
+        m.g.eval_bits(m.points[0]) == 0 and any(grad0),
         [_fmt(ctx, v) for v in grad0]))
     return rp.node("cubic", checks)
 
@@ -442,7 +440,7 @@ def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
         n = sum(1 for _, co, _k in pts if co["xyz".index(label)])
         checks.append(rp.leaf(f"singular.chart_{label}", True,
                               f"{n} affine points"))
-    found = {ProjPoint(ctx, co) for _, co, k in pts if k is ctx}
+    found = {co for _, co, k in pts if k is ctx}
     irrational = [f"chart {label}: degree-{k.m} point "
                   + str(_chart_coords(k, co, label))
                   for label, co, k in pts if k is not ctx]
@@ -451,7 +449,7 @@ def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
                           f"{len(found)} points"))
     checks.append(rp.leaf("singular.matches_marked_points",
                           found == expected,
-                          sorted(repr(p) for p in found)))
+                          sorted(format_point(ctx, p) for p in found)))
     checks.append(rp.leaf("singular.rational_over_base", not irrational,
                           irrational or "all coordinates in GF(32)"))
     return rp.node("singular", checks)
@@ -502,9 +500,9 @@ def _stratum_points(grad, label: str, ext_bound: int):
             leaves += more
             for v0 in vroots:
                 k = v0.ctx if v0.ctx.m >= u0.ctx.m else u0.ctx
-                ub, vb = (e if e.ctx is k else embed(e, e.ctx, k)
+                ub, vb = (e.bits if e.ctx is k else embed(e.bits, e.ctx, k)
                           for e in (u0, v0))
-                cands.append(((ub.bits, vb.bits, 1), k))
+                cands.append(((ub, vb, 1), k))
     pts = []
     for co, k in cands:
         if any(_over(r, k).eval_bits(co) for r in grad):
@@ -542,8 +540,7 @@ def _over(p: MultiPoly, k: FieldCtx) -> MultiPoly:
     """p with its coefficients embedded in the extension k of its field."""
     if k is p.ctx:
         return p
-    return p.change_ctx(k, lambda b: embed(FieldElement(p.ctx, b),
-                                           p.ctx, k).bits)
+    return p.change_ctx(k, lambda b: embed(b, p.ctx, k))
 
 
 def _chart_coords(k: FieldCtx, co, label: str) -> tuple:
@@ -573,21 +570,26 @@ def absorbed_square_multiplicity(local: MultiPoly):
     return None, MultiPoly.zero(local.ctx, local.nvars)
 
 
-def verify_multiplicities(m: SurfaceModel) -> rp.Report:
+def s_expansions(m: SurfaceModel) -> list[MultiPoly]:
+    """s at p_0, ..., p_10, each read by local_expansion."""
+    return [local_expansion(m.s, m.points[i]) for i in range(11)]
+
+
+def verify_multiplicities(local: list[MultiPoly]) -> rp.Report:
     """Adjusted multiplicity 4 at p_1..p_10; at p_0 the constant term
     is absorbed and the residue is an ordinary double point (quadratic
-    initial form that is not a perfect square)."""
+    initial form that is not a perfect square). local is
+    s_expansions(m)."""
     checks = []
     for i in range(1, 11):
-        local = local_expansion(m.s, m.points[i])
-        raw = local.multiplicity_at([0, 0])
-        mult, _init = absorbed_square_multiplicity(local)
+        raw = local[i].multiplicity_at([0, 0])
+        mult, _init = absorbed_square_multiplicity(local[i])
         checks.append(rp.leaf(f"multiplicity.p{i}", mult == 4,
                               f"raw {raw}, adjusted {mult}"))
-    local0 = local_expansion(m.s, m.points[0])
+    local0 = local[0]
     value = local0.terms.get((0, 0), 0)
     checks.append(rp.leaf("multiplicity.p0_branch_value", value != 0,
-                          _fmt(m.ctx, value)))
+                          _fmt(local0.ctx, value)))
     mult0, init0 = absorbed_square_multiplicity(local0)
     checks.append(rp.leaf("multiplicity.p0_adjusted", mult0 == 2,
                           f"adjusted {mult0}"))
@@ -601,22 +603,22 @@ def verify_multiplicities(m: SurfaceModel) -> rp.Report:
 # blow-up chart smoothness at the three base points
 
 
-def verify_chart_smoothness(m: SurfaceModel) -> rp.Report:
-    """Blow up each base point and look for singular points over the
-    exceptional line.
+def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
+    """Blow up each base point p_1, p_2, p_3 and look for singular
+    points over the exceptional line.
 
-    s is read in the local chart of the point (local_expansion), where
+    local is s_expansions(m): s in the local chart of each point, where
     it must vanish to order 4 or more at the origin. Main chart:
     substitute v = a u, divide by u^4 exactly, and check the two
     partials restricted to u = 0 share no root (constant gcd). The one
     point the main chart misses is the origin of the complementary
     chart, where a nonvanishing partial suffices.
     """
-    ctx = m.ctx
+    ctx = local[0].ctx
     checks = []
     for idx in (1, 2, 3):
+        sc = local[idx]
         try:
-            sc = local_expansion(m.s, m.points[idx])
             order = sc.multiplicity_at([0, 0])
             if order < 4:
                 checks.append(rp.leaf(f"charts.p{idx}", False,

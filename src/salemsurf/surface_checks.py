@@ -18,15 +18,17 @@ from .suites import SuiteConfig, _run_checks, _run_objects
 
 def _surface_objects(data_dir):
     """need(key) for one surface run: the model, the inverse of its
-    automorphism, the conjugation scalar, the points of the marked
-    cubic as `plane_zeros` finds them, its cusp and cusp chart
-    over those points, the affine action the automorphism induces there
-    and Lehmer's mod-2 roots in the model's field."""
+    automorphism, the conjugation scalar, the expansions of s at the
+    marked points, the points of the marked cubic as `plane_zeros`
+    finds them, its cusp and cusp chart over those points, the affine
+    action the automorphism induces there and Lehmer's mod-2 roots in
+    the model's field."""
     return _run_objects({
         "model": lambda need: sf.load_model(data_dir),
         "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
         "scalar": lambda need: sf.conjugation_scalar(need("model"),
                                                      need("inverse")),
+        "local": lambda need: sf.s_expansions(need("model")),
         "points": lambda need: plane_zeros([need("model").g]),
         "cusp": lambda need: cu.find_cusp(need("model").g, need("points")),
         "chart": lambda need: cu.cusp_parametrization(
@@ -78,10 +80,10 @@ def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
                       gf.format_elem(action.alpha))]
     try:
         fixed = action.fixed_point()
-        t0 = chart.param_of(m.points[0].coords)
+        t0 = chart.param_of(m.points[0])
         checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
                               gf.format_elem(fixed)))
-        concrete = [chart.param_of(m.points[i].coords) for i in range(1, 11)]
+        concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
         beta = cu.beta_from_alpha(action.alpha)
         abstract = cu.orbit_points(action.alpha, beta)
         abstract_action = cu.AffineAction(action.alpha, beta)
@@ -125,8 +127,8 @@ def _surface_reports(config: SuiteConfig) -> list:
         ("inverse", lambda: _inverse_leaf(m, need("inverse"))),
         ("derivation", lambda: _surface_derivation(m, need)),
         ("singular", lambda: sf.singular_locus(m, config.ext_bound)),
-        ("multiplicities", lambda: sf.verify_multiplicities(m)),
-        ("charts", lambda: sf.verify_chart_smoothness(m)),
+        ("multiplicities", lambda: sf.verify_multiplicities(need("local"))),
+        ("charts", lambda: sf.verify_chart_smoothness(need("local"))),
         ("match", lambda: _surface_match(m, need("chart"), need("action"),
                                          need("roots"))),
         ("alpha", lambda: _surface_alpha(m, need))])

@@ -161,9 +161,7 @@ class UniPoly:
         return FieldElement(self.ctx, self.eval_bits(x.bits))
 
     def embed_to(self, sup: FieldCtx) -> "UniPoly":
-        cs = [embed(FieldElement(self.ctx, c), self.ctx, sup).bits
-              for c in self.coeffs]
-        return UniPoly(sup, cs)
+        return UniPoly(sup, [embed(c, self.ctx, sup) for c in self.coeffs])
 
     def __repr__(self):
         if self.is_zero():

@@ -17,7 +17,7 @@ import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import MultiPoly, ProjPoint, plane_zeros
+from salemsurf.multipoly import MultiPoly, plane_zeros
 
 WIDTH = Fraction(1, 10 ** 9)
 
@@ -151,7 +151,7 @@ def test_criterion_08_orbit_and_cubic():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        cusp = ProjPoint(ctx, (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1))
+        cusp = (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1)
         return (sf.verify_orbit(m).ok()
                 and sf.verify_cubic(m, lambda: cu.find_cusp(
                     m.g, plane_zeros([m.g]))).ok()
@@ -197,8 +197,9 @@ def test_criterion_11_singular_locus():
 def test_criterion_12_multiplicities_and_charts():
     def run():
         m = sf.load_model()
-        return (sf.verify_multiplicities(m).ok()
-                and sf.verify_chart_smoothness(m).ok())
+        local = sf.s_expansions(m)
+        return (sf.verify_multiplicities(local).ok()
+                and sf.verify_chart_smoothness(local).ok())
     _report(12, "multiplicities, double point, blow-up charts", 30, run)
 
 
@@ -219,8 +220,7 @@ def test_criterion_13_cross_model_consistency():
         lam2 = alpha / lam1
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False
-        concrete = [chart.param_of(m.points[i].coords)
-                    for i in range(1, 11)]
+        concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
         abstract = cu.orbit_points(alpha, cu.beta_from_alpha(alpha))
         return bool(cu.all_point_set_matches(concrete, abstract))
     _report(13, "induced scalar, eigenvalues, point-set match", 10, run)

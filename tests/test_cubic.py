@@ -10,7 +10,7 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
 from salemsurf.gf2m import FieldElement, field_make
-from salemsurf.multipoly import MultiPoly, ProjPoint, plane_zeros
+from salemsurf.multipoly import MultiPoly, canonical, plane_zeros
 
 ROOT_DLOGS = {3, 6, 7, 12, 14, 17, 19, 24, 25, 28}
 
@@ -47,8 +47,8 @@ def test_chart_parameter_of_the_closed_form(ctx):
         point_of = _point_of(_chart(standard_cubic(field)))
         assert len(point_of) == 1 << field.m
         for t in _all_elems(field):
-            closed = ProjPoint(field, (t.bits, 1, field.pow_bits(t.bits, 3)))
-            assert point_of[t] == closed.coords
+            closed = (t.bits, 1, field.pow_bits(t.bits, 3))
+            assert point_of[t] == canonical(field, closed)
         assert point_of[field.zero()] == (0, 1, 0)  # the flex
 
 
@@ -156,7 +156,7 @@ def _find_cusp(curve):
 
 
 def test_find_cusp(ctx, model):
-    assert _find_cusp(standard_cubic(ctx)).coords == (0, 0, 1)
+    assert _find_cusp(standard_cubic(ctx)) == (0, 0, 1)
     assert _find_cusp(model.g) == model.cusp
     lines = MultiPoly(ctx, 3, {(1, 1, 1): 1})  # xyz: three singular points
     with pytest.raises(InvariantViolation, match="expected 1"):
@@ -166,23 +166,22 @@ def test_find_cusp(ctx, model):
 def test_cusp_chart_samples_the_smooth_points(ctx, model):
     for curve in (standard_cubic(ctx), model.g):
         chart = _chart(curve)
-        on_curve = {ProjPoint(ctx, (x, y, z))
+        on_curve = {canonical(ctx, (x, y, z))
                     for x in range(32) for y in range(32) for z in (0, 1)
                     if any((x, y, z)) and curve.eval_bits((x, y, z)) == 0}
-        assert {ProjPoint(ctx, p) for p in chart.points} \
-            == on_curve - {chart.cusp}
+        assert set(chart.points) == on_curve - {chart.cusp}
         assert len(chart.points) == 32
         params = {chart.param_of(p).bits for p in chart.points}
         assert params == set(range(32))
         with pytest.raises(InvariantViolation, match="tangent cone line"):
-            chart.param_of(chart.cusp.coords)
+            chart.param_of(chart.cusp)
 
 
 def test_cusp_chart_refuses_a_conic_with_its_tangent(ctx):
     # y (x^2 + y z): the one singular point (0 : 0 : 1) has a double
     # tangent line, but the curve is reducible with 64 smooth points
     curve = MultiPoly(ctx, 3, {(2, 1, 0): 1, (0, 2, 1): 1})
-    assert _find_cusp(curve).coords == (0, 0, 1)
+    assert _find_cusp(curve) == (0, 0, 1)
     with pytest.raises(InvariantViolation, match="64 smooth points"):
         _chart(curve)
 
@@ -210,7 +209,7 @@ def test_induced_map_of_bundled_model(ctx, model):
     assert action.alpha == ctx.gen_pow(19)
     assert action.alpha != ctx.gen_pow(16)
     assert action.beta == ctx.gen_pow(28)
-    assert action.fixed_point() == chart.param_of(model.points[0].coords)
+    assert action.fixed_point() == chart.param_of(model.points[0])
     assert action.fixed_point() == ctx.gen_pow(17)
 
 
@@ -230,8 +229,7 @@ def test_point_set_matching_vs_brute_force(ctx, model):
     bb = [ctx.one(), ctx.gen(), ctx.gen_pow(3)]
     # the bundled ten marked points against the abstract orbit
     chart = _chart(model.g)
-    concrete = [chart.param_of(model.points[i].coords)
-                for i in range(1, 11)]
+    concrete = [chart.param_of(model.points[i]) for i in range(1, 11)]
     alpha = ctx.gen_pow(19)
     abstract = orbit_points(alpha, beta_from_alpha(alpha))
     for source, target in ((aa, aa), (aa, bb), (concrete, abstract)):

@@ -5,9 +5,9 @@ import pytest
 from salemsurf.cubic import standard_cubic
 from salemsurf.errors import DomainError, InvariantViolation
 from salemsurf.gf2m import field_make, gf32
-from salemsurf.multipoly import (MultiPoly, ProjPoint, format_poly,
-                                 linear_solve, parse_poly, parse_poly_file,
-                                 plane_zeros, resultant)
+from salemsurf.multipoly import (MultiPoly, canonical, format_point,
+                                 format_poly, linear_solve, parse_poly,
+                                 parse_poly_file, plane_zeros, resultant)
 
 NAMES = ("x", "y", "z")
 
@@ -80,9 +80,8 @@ def test_partial_even_exponents_vanish(ctx):
 
 
 def test_cubic_partials_vanish_at_singular_point(model):
-    cusp = model.cusp.coords
     for i in range(3):
-        assert model.g.partial(i).eval_bits(cusp) == 0
+        assert model.g.partial(i).eval_bits(model.cusp) == 0
 
 
 def test_multiplicity(ctx):
@@ -199,10 +198,9 @@ def test_resultant_vanishes_at_common_zeros(model):
     sx = model.s.partial(0).restrict(2, 1).drop_var(2)
     sy = model.s.partial(1).restrict(2, 1).drop_var(2)
     res = resultant(sx, sy, 1)
-    for pt in model.points.values():
-        if pt.coords[2] != 1:
+    for x0, y0, z0 in model.points.values():
+        if z0 != 1:
             continue
-        x0, y0 = pt.coords[0], pt.coords[1]
         assert sx.eval_bits((x0, y0)) == 0
         assert sy.eval_bits((x0, y0)) == 0
         assert res.eval_bits((x0, y0)) == 0
@@ -337,13 +335,16 @@ def test_poly_file_roundtrip(ctx):
 
 
 def test_projective_normalization(ctx):
-    p = ProjPoint(ctx, (ctx.gen_pow(14), ctx.gen_pow(7), ctx.one()))
-    lam = ctx.gen_pow(11)
-    q = ProjPoint(ctx, tuple(ctx.elem(c) * lam for c in p.coords))
-    assert p == q
-    assert repr(p) == "(g^14 : g^7 : 1)"
+    p = (ctx.gen_pow(14).bits, ctx.gen_pow(7).bits, 1)
+    lam = ctx.gen_pow(11).bits
+    assert canonical(ctx, p) == p
+    assert canonical(ctx, tuple(ctx.mul_bits(c, lam) for c in p)) == p
+    assert canonical(ctx, (ctx.gen_pow(3).bits, lam, 0)) \
+        == (ctx.gen_pow(23).bits, 1, 0)
+    assert format_point(ctx, p) == "(g^14 : g^7 : 1)"
+    assert format_point(ctx, (1, 0, 0)) == "(1 : 0 : 0)"
     with pytest.raises(DomainError, match="all-zero projective"):
-        ProjPoint(ctx, (0, 0, 0))
+        canonical(ctx, (0, 0, 0))
 
 
 def test_univariate_reads_one_variable(ctx):

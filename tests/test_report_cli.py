@@ -201,11 +201,13 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
     # the cubic check locates the cusp and the match reuses it; the plane
-    # is read once for the orbit's base locus and once for the cubic
+    # is read once for the orbit's base locus and once for the cubic; s
+    # is expanded once at each marked point, for the multiplicities and
+    # the charts, and g at its cusp by the cubic check and the chart
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
-                 "plane_zeros"):
+                 "plane_zeros", "local_expansion"):
         count(sf, name)
-    for name in ("find_cusp", "induced_affine_map"):
+    for name in ("find_cusp", "induced_affine_map", "local_expansion"):
         count(cu, name)
     count(surface_checks, "plane_zeros")
     calls.clear()
@@ -214,13 +216,14 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                  "find_cusp", "cusp_parametrization", "induced_affine_map"):
         assert calls[name] == 1, name
     assert calls["plane_zeros"] == 2
+    assert calls["local_expansion"] == 13
     # the cubic suite charts the standard cubic once over GF(32), for the
     # group law and the orbits, and once over GF(8) for the group law
     count(cubic_checks, "plane_zeros")
     calls.clear()
     assert run_suite("cubic").ok()
     assert calls == {"plane_zeros": 2, "find_cusp": 2,
-                     "cusp_parametrization": 2}
+                     "cusp_parametrization": 2, "local_expansion": 2}
 
 
 ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
@@ -549,6 +552,10 @@ def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
     ("cubic.poly", "weights: 1 1 1", "weights: 1 one 1", "bad weight 'one'"),
     ("points.dat", "g^5=g^2+1", "g^5=g^b+1", "bad modulus term 'g^b'"),
     ("points.dat", "g^5=g^2+1", "g^5=g^-2+1", "bad modulus term 'g^-2'"),
+    ("points.dat", "(g^29 : g^6 : 1)", "(g^29 : g^6)",
+     "points.dat: point 'p4' has 2 coordinates, expected 3"),
+    ("points.dat", "(g^29 : g^6 : 1)", "(g^29 : g^6 : 1 : 1)",
+     "points.dat: point 'p4' has 4 coordinates, expected 3"),
     ("automorphism.poly", "weights: 1 1 1", "weights: 2 1 1",
      "automorphism.poly must declare 3 weight-1 variables"),
     ("cubic.poly", "weights: 1 1 1", "weights: 2 1 1",
@@ -644,6 +651,17 @@ def test_surface_mutant_run_matches_golden(tmp_path, capsys):
                       "+ g^19*x^2*y^3*z^7 ")
     assert main(["surface", "--format", "json", "--data", str(copy)]) == 1
     assert capsys.readouterr().out == MUTANT_GOLDEN.read_text()
+
+
+def test_bench_mutants_build_from_the_bundled_data(tmp_path):
+    """bench/mutants.py copies and parses the bundled data files, among
+    them alpha_table.dat, points.dat and the `s = ...` line of
+    surface.poly: a change to their names or formats fails here."""
+    script = Path(__file__).parent.parent / "bench" / "mutants.py"
+    proc = subprocess.run([sys.executable, str(script), "1", "2",
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m0", "m1"]
 
 
 @pytest.mark.parametrize("width", ["5", "1", "0.5"])

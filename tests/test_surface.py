@@ -9,7 +9,8 @@ import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import gf32
-from salemsurf.multipoly import MultiPoly, ProjPoint, local_expansion
+from salemsurf.multipoly import (MultiPoly, canonical, format_point,
+                                 local_expansion)
 from salemsurf.suites import SuiteConfig, run_suite
 
 
@@ -21,15 +22,15 @@ def test_load_model_shape(ctx, model):
     assert model.g.num_terms() == 6
     assert [p.num_terms() for p in model.f] == [2, 2, 1]
     assert sorted(model.points) == list(range(11))
-    assert repr(model.cusp) == "(g^15 : g^28 : 1)"
-    assert repr(model.points[0]) == "(g^14 : g^7 : 1)"
+    assert format_point(ctx, model.cusp) == "(g^15 : g^28 : 1)"
+    assert format_point(ctx, model.points[0]) == "(g^14 : g^7 : 1)"
 
 
 def test_apply_map_examples(ctx, model):
-    pt = ProjPoint(ctx, (ctx.gen_pow(29).bits, ctx.gen_pow(6).bits, 1))
+    pt = (ctx.gen_pow(29).bits, ctx.gen_pow(6).bits, 1)
     assert pt == model.points[4]
     assert sf.apply_map(model, pt) == model.points[5]
-    other = ProjPoint(ctx, (ctx.gen_pow(23).bits, ctx.gen_pow(29).bits, 1))
+    other = (ctx.gen_pow(23).bits, ctx.gen_pow(29).bits, 1)
     assert sf.apply_map(model, other) == model.points[1]
     assert sf.apply_map(model, model.points[0]) == model.points[0]
     for i in (1, 2, 3):
@@ -206,11 +207,11 @@ def test_multiplicity_adjustment(ctx, model):
     full = (u + v * v) * (u + v * v)
     mult, init = sf.absorbed_square_multiplicity(full)
     assert mult is None and init.is_zero()
-    assert sf.verify_multiplicities(model).ok()
+    assert sf.verify_multiplicities(sf.s_expansions(model)).ok()
 
 
 def test_chart_smoothness(model):
-    assert sf.verify_chart_smoothness(model).ok()
+    assert sf.verify_chart_smoothness(sf.s_expansions(model)).ok()
     chart = sf._chart(model.s, 2)
     u, v = (MultiPoly.var(model.ctx, 2, i) for i in range(2))
     main = chart.substitute([u, u * v])
@@ -227,7 +228,7 @@ def test_chart_order_below_four_is_a_failing_leaf(tmp_path):
     (copy / "surface.poly").write_text(
         text.replace("\ns = ", "\ns = g^0*x^0*y^0*z^12 + ", 1))
     leaves = {c.name: c for c in sf.verify_chart_smoothness(
-        sf.load_model(copy)).children}
+        sf.s_expansions(sf.load_model(copy))).children}
     assert leaves["charts.p1"].status == "fail"
     assert leaves["charts.p1"].witness == "order 0 < 4 at the base point"
     assert leaves["charts.p2_main"].status == "pass"
@@ -240,8 +241,8 @@ def test_chart_smoothness_at_a_base_point_off_the_axes(ctx, model):
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     moved = _moved(model, [x + z, y, z],
                    lambda co: (co[0] ^ co[2], co[1], co[2]))
-    assert moved.points[1] == ProjPoint(ctx, (1, 0, 1))
-    assert sf.verify_chart_smoothness(moved).ok()
+    assert moved.points[1] == (1, 0, 1)
+    assert sf.verify_chart_smoothness(sf.s_expansions(moved)).ok()
 
 
 def test_alpha_consistency(ctx, model, conj_scalar):
@@ -286,12 +287,11 @@ def _moved(model, images, move):
     the inverse map `move` carries each marked point and the cusp to
     its new place. f, c and eta stay as they are."""
     ctx = model.ctx
-    points = {i: ProjPoint(ctx, move(p.coords))
-              for i, p in model.points.items()}
+    points = {i: canonical(ctx, move(p)) for i, p in model.points.items()}
     return sf.SurfaceModel(ctx, model.names, model.s.substitute(images),
                            model.f, model.c, model.eta,
                            model.g.substitute(images), points,
-                           ProjPoint(ctx, move(model.cusp.coords)))
+                           canonical(ctx, move(model.cusp)))
 
 
 def test_singular_locus_after_change_of_coordinates(ctx, model):
@@ -305,8 +305,8 @@ def test_singular_locus_after_change_of_coordinates(ctx, model):
     h = ctx.inv_bits(g)
     lifted = _moved(model, [x, y, z + x.scale_bits(h)],
                     lambda co: (co[0], co[1], co[2] ^ mul(h, co[0])))
-    assert ProjPoint(ctx, (g, 1, 0)) in sheared.points.values()
-    assert ProjPoint(ctx, (g, ctx.gen_pow(19).bits, 0)) \
+    assert (g, 1, 0) in sheared.points.values()
+    assert canonical(ctx, (g, ctx.gen_pow(19).bits, 0)) \
         in lifted.points.values()
     for moved in (sheared, lifted):
         assert sf.singular_locus(moved).ok()
@@ -316,7 +316,7 @@ def test_local_expansion_uses_the_chart_of_the_point(ctx):
     # three lines through (g^3 : 1 : 0), read in the chart y = 1
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     u = x + y.scale_bits(ctx.gen_pow(3).bits)
-    pt = ProjPoint(ctx, (ctx.gen_pow(3).bits, 1, 0))
+    pt = (ctx.gen_pow(3).bits, 1, 0)
     assert local_expansion(u * z * (u + z), pt).multiplicity_at([0, 0]) == 3
 
 
@@ -328,8 +328,8 @@ def test_multiplicities_at_a_point_of_z_0_off_the_axes(ctx, model):
     sheared = _moved(model, [x + y.scale_bits(g), y, z],
                      lambda co: (co[0] ^ ctx.mul_bits(g, co[1]), co[1],
                                  co[2]))
-    assert sheared.points[3] == ProjPoint(ctx, (g, 1, 0))
-    assert sf.verify_multiplicities(sheared).ok()
+    assert sheared.points[3] == (g, 1, 0)
+    assert sf.verify_multiplicities(sf.s_expansions(sheared)).ok()
 
 
 def test_cubic_at_a_cusp_on_z_0(ctx, model):
@@ -339,7 +339,7 @@ def test_cubic_at_a_cusp_on_z_0(ctx, model):
     h = ctx.gen_pow(16).bits
     lifted = _moved(model, [x, y, z + x.scale_bits(h)],
                     lambda co: (co[0], co[1], co[2] ^ ctx.mul_bits(h, co[0])))
-    assert lifted.cusp.coords[2] == 0
+    assert lifted.cusp[2] == 0
     assert sf.verify_cubic(lifted, lambda: lifted.cusp).ok()
 
 
@@ -353,8 +353,8 @@ def _brute_singular(s):
             for z in (0, 1):
                 if any((x, y, z)) and not any(d.eval_bits((x, y, z))
                                               for d in grad):
-                    out.add(ProjPoint(s.ctx, (x, y, z)))
-    return sorted(repr(p) for p in out)
+                    out.add(canonical(s.ctx, (x, y, z)))
+    return sorted(format_point(s.ctx, p) for p in out)
 
 
 def test_singular_locus_matches_brute_force_on_mutants(ctx, model):

@@ -203,13 +203,14 @@ def test_roots_against_brute_force(ctx, seed, power):
     f = _power(_seeded_product(ctx, seed), power)
     sup = ext_context(10)
     brute = _brute_roots(f, sup)
-    base = {embed(ctx.elem(b), ctx, sup).bits for b in range(32)}
+    base = {embed(b, ctx, sup) for b in range(32)}
     for bound in (5, 10):
         roots = uni_roots(f, bound)
         found = {}
         for r, mult in roots:
-            assert r.ctx.m == (5 if embed(r, r.ctx, sup).bits in base else 10)
-            found[embed(r, r.ctx, sup).bits] = mult
+            image = embed(r.bits, r.ctx, sup)
+            assert r.ctx.m == (5 if image in base else 10)
+            found[image] = mult
         assert len(found) == len(roots)
         want = {b: m for b, m in brute.items() if bound == 10 or b in base}
         assert found == want
