@@ -8,9 +8,11 @@ cusp is found among the curve's points as `multipoly.plane_zeros`
 lists them (`find_cusp`), and the chart keeps the smooth ones, so a
 parameter's point is looked up among them rather than computed.
 
-On the standard cubic y^2 z + x^3 = 0 (characteristic 2, cusp
-[0:0:1]) the chart parameter is x / y, the additive group parameter:
-three smooth points are collinear iff their parameters sum to zero.
+Parameters, multipliers and translation parts are raw bits of the
+curve's field, passed beside its FieldCtx (see gf2m). On the standard
+cubic y^2 z + x^3 = 0 (characteristic 2, cusp [0:0:1]) the chart
+parameter is x / y, the additive group parameter: three smooth points
+are collinear iff their parameters sum to zero, that is xor to 0.
 The cubic suite builds this chart over GF(32) and GF(8) and tests that
 sum rule against the determinant of the points. On any other cuspidal
 cubic the chart parameter is affine-equivalent to the group parameter,
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from . import LEHMER
 from .errors import DomainError, InvariantViolation
-from .gf2m import FieldCtx, FieldElement, format_elem
+from .gf2m import FieldCtx, format_elem
 from .multipoly import MultiPoly, canonical, local_expansion
 from .unipoly import UniPoly
 from . import report as rp
@@ -37,14 +39,14 @@ def standard_cubic(ctx: FieldCtx) -> MultiPoly:
     return MultiPoly(ctx, 3, {(3, 0, 0): 1, (0, 2, 1): 1})
 
 
-def collinear(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> bool:
-    return (t1 + t2 + t3).bits == 0
+def collinear(t1: int, t2: int, t3: int) -> bool:
+    return t1 ^ t2 ^ t3 == 0
 
 
-def chord_third(t1: FieldElement, t2: FieldElement) -> FieldElement:
+def chord_third(t1: int, t2: int) -> int:
     """Group parameter of the third intersection of the cubic with the
     chord through the points of parameters t1 and t2."""
-    return t1 + t2
+    return t1 ^ t2
 
 
 def collinear_det(ctx: FieldCtx, p1, p2, p3) -> int:
@@ -62,52 +64,59 @@ def collinear_det(ctx: FieldCtx, p1, p2, p3) -> int:
 
 
 class AffineAction:
-    """t -> alpha t + beta on the parameter line; alpha nonzero."""
+    """t -> alpha t + beta on the parameter line of ctx; alpha nonzero."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("ctx", "alpha", "beta")
 
-    def __init__(self, alpha: FieldElement, beta: FieldElement):
+    def __init__(self, ctx: FieldCtx, alpha: int, beta: int):
         if not alpha:
             raise InvariantViolation("affine action needs alpha != 0")
+        self.ctx = ctx
         self.alpha = alpha
         self.beta = beta
 
-    def __call__(self, t: FieldElement) -> FieldElement:
-        return self.alpha * t + self.beta
+    def __call__(self, t: int) -> int:
+        return self.ctx.mul_bits(self.alpha, t) ^ self.beta
 
     def compose(self, other: "AffineAction") -> "AffineAction":
         # self after other
-        return AffineAction(self.alpha * other.alpha,
-                            self.alpha * other.beta + self.beta)
+        alpha = self.ctx.mul_bits(self.alpha, other.alpha)
+        return AffineAction(self.ctx, alpha, self(other.beta))
 
-    def fixed_point(self) -> FieldElement:
-        one = self.alpha.ctx.one()
-        if self.alpha == one:
+    def fixed_point(self) -> int:
+        if self.alpha == 1:
             raise InvariantViolation("translation has no fixed point")
-        return self.beta / (self.alpha + one)
+        return self.ctx.mul_bits(self.beta, self.ctx.inv_bits(self.alpha ^ 1))
 
     def __eq__(self, other):
-        return (isinstance(other, AffineAction) and other.alpha == self.alpha
-                and other.beta == self.beta)
+        return (isinstance(other, AffineAction) and other.ctx is self.ctx
+                and other.alpha == self.alpha and other.beta == self.beta)
 
     def __repr__(self):
-        return (f"t -> {format_elem(self.alpha)}*t"
-                f" + {format_elem(self.beta)}")
+        return (f"t -> {format_elem(self.ctx, self.alpha)}*t"
+                f" + {format_elem(self.ctx, self.beta)}")
 
 
-def lehmer_mod2_roots(ctx: FieldCtx) -> list[FieldElement]:
+def lehmer_mod2_roots(ctx: FieldCtx) -> list[int]:
     """Roots in ctx of the fixed degree-10 polynomial reduced mod 2,
     in increasing order of their exponent of g."""
     powers = (ctx.gen_pow(k) for k in range(ctx.order))
-    return [a for a in powers if _is_lehmer_root(a)]
+    return [a for a in powers if _is_lehmer_root(ctx, a)]
 
 
-def _is_lehmer_root(alpha: FieldElement) -> bool:
-    p = UniPoly(alpha.ctx, [c % 2 for c in LEHMER])
-    return p.eval_bits(alpha.bits) == 0
+def _is_lehmer_root(ctx: FieldCtx, alpha: int) -> bool:
+    return UniPoly(ctx, [c % 2 for c in LEHMER]).eval_bits(alpha) == 0
 
 
-def beta_from_alpha(alpha: FieldElement) -> FieldElement:
+def _power_sum(ctx: FieldCtx, a: int, *exponents: int) -> int:
+    """The sum of a^k over the exponents k (any integers, a nonzero)."""
+    acc = 0
+    for k in exponents:
+        acc ^= ctx.pow_bits(a, k)
+    return acc
+
+
+def beta_from_alpha(ctx: FieldCtx, alpha: int) -> int:
     """The unique translation part compatible with scalar alpha.
 
     The two expressions for the second orbit parameter agree for exactly
@@ -115,38 +124,30 @@ def beta_from_alpha(alpha: FieldElement) -> FieldElement:
     c(a) = a^-5 + a^-4 + a^-3 + a^-2 + a^-1 + a^2 and the solution is
     beta = (a + a^3 + a^-5) / c(a).
     """
-    if not alpha or not _is_lehmer_root(alpha):
-        raise InvariantViolation(f"{alpha!r} is not a mod-2 root of the "
-                                 "degree-10 polynomial")
-    a = alpha
-    ai = alpha.inverse()
-    c = ai ** 5 + ai ** 4 + ai ** 3 + ai ** 2 + ai + a ** 2
+    if not alpha or not _is_lehmer_root(ctx, alpha):
+        raise InvariantViolation(f"{format_elem(ctx, alpha)} is not a mod-2 "
+                                 "root of the degree-10 polynomial")
+    c = _power_sum(ctx, alpha, -5, -4, -3, -2, -1, 2)
     if not c:
         raise InvariantViolation("beta coefficient c(alpha) = 0")
-    num = a + a ** 3 + ai ** 5
-    return num / c
+    return ctx.mul_bits(_power_sum(ctx, alpha, 1, 3, -5), ctx.inv_bits(c))
 
 
-def second_param_expr1(a: FieldElement, b: FieldElement) -> FieldElement:
+def second_param_expr1(ctx: FieldCtx, a: int, b: int) -> int:
     """First route to the second orbit parameter:
     a + a^2 + a^-6 + a^-7 + (a + 1 + a^-7) b."""
-    ai = a.inverse()
-    one = a.ctx.one()
-    return a + a ** 2 + ai ** 6 + ai ** 7 + (a + one + ai ** 7) * b
+    return (_power_sum(ctx, a, 1, 2, -6, -7)
+            ^ ctx.mul_bits(_power_sum(ctx, a, 1, 0, -7), b))
 
 
-def second_param_expr2(a: FieldElement, b: FieldElement) -> FieldElement:
+def second_param_expr2(ctx: FieldCtx, a: int, b: int) -> int:
     """Second route: a^2 + a^3 + a^-5 + a^-6 + a^-7
     + (a^-7 + sum_{i=-5}^{2} a^i) b."""
-    ai = a.inverse()
-    coeff = ai ** 7
-    for i in range(-5, 3):
-        coeff = coeff + (a ** i if i >= 0 else ai ** (-i))
-    const = a ** 2 + a ** 3 + ai ** 5 + ai ** 6 + ai ** 7
-    return const + coeff * b
+    return (_power_sum(ctx, a, 2, 3, -5, -6, -7)
+            ^ ctx.mul_bits(_power_sum(ctx, a, -7, *range(-5, 3)), b))
 
 
-def orbit_points(alpha: FieldElement, beta: FieldElement) -> list[FieldElement]:
+def orbit_points(ctx: FieldCtx, alpha: int, beta: int) -> list[int]:
     """Parameters [t_1, ..., t_10] of the ten-point orbit.
 
     t_1 = 1; t_n = alpha^(n-11) (1 + sum_{i=0}^{10-n} alpha^i beta) for
@@ -154,26 +155,20 @@ def orbit_points(alpha: FieldElement, beta: FieldElement) -> list[FieldElement]:
     chord through tau(t_3) and t_3. InvariantViolation when any two of
     the ten coincide.
     """
-    ctx = alpha.ctx
-    one = ctx.one()
-    ai = alpha.inverse()
-    t = {1: one}
+    tau = AffineAction(ctx, alpha, beta)
+    t = {1: 1}
     for n in range(4, 11):
-        acc = one
-        for i in range(0, 10 - n + 1):
-            acc = acc + (alpha ** i) * beta
-        t[n] = (ai ** (11 - n)) * acc
-    tau = AffineAction(alpha, beta)
+        acc = 1 ^ ctx.mul_bits(_power_sum(ctx, alpha, *range(11 - n)), beta)
+        t[n] = ctx.mul_bits(ctx.pow_bits(alpha, n - 11), acc)
     t[3] = chord_third(tau(t[1]), t[4])
     t[2] = chord_third(tau(t[3]), t[3])
     params = [t[n] for n in range(1, 11)]
-    if len({p.bits for p in params}) != 10:
+    if len(set(params)) != 10:
         raise InvariantViolation("orbit parameters are not pairwise distinct")
     return params
 
 
-def verify_coxeter_constraints(params: list[FieldElement],
-                               action: AffineAction,
+def verify_coxeter_constraints(params: list[int], action: AffineAction,
                                point_of) -> rp.Report:
     """Check the collinearity and orbit constraints of the marking.
 
@@ -183,7 +178,7 @@ def verify_coxeter_constraints(params: list[FieldElement],
     coordinates); tau(t_n) = t_{n+1} for 4 <= n <= 9 and
     tau(t_10) = t_1.
     """
-    ctx = action.alpha.ctx
+    ctx = action.ctx
     t = {n: params[n - 1] for n in range(1, 11)}
     tau = action
     checks = []
@@ -193,13 +188,13 @@ def verify_coxeter_constraints(params: list[FieldElement],
         ok = (collinear(*trip)
               and not collinear_det(ctx, *(point_of[u] for u in trip)))
         checks.append(rp.leaf(label, ok,
-                              [format_elem(v) for v in trip]))
+                              [format_elem(ctx, v) for v in trip]))
     for n in range(4, 10):
         checks.append(rp.leaf(f"orbit.t{n}_to_t{n + 1}",
                               tau(t[n]) == t[n + 1],
-                              format_elem(tau(t[n]))))
+                              format_elem(ctx, tau(t[n]))))
     checks.append(rp.leaf("orbit.t10_to_t1", tau(t[10]) == t[1],
-                          format_elem(tau(t[10]))))
+                          format_elem(ctx, tau(t[10]))))
     return rp.node("coxeter_constraints", checks)
 
 
@@ -245,16 +240,14 @@ class CuspChart:
         self.l2 = l2
         self.points = points
 
-    def param_of(self, coords) -> FieldElement:
+    def param_of(self, coords) -> int:
         """The parameter of the point with these coordinates (raw bits,
         any representative)."""
         ctx = self.curve.ctx
         denom = _lin(ctx, self.l1, coords)
         if denom == 0:
             raise InvariantViolation("point lies on the tangent cone line")
-        return FieldElement(
-            ctx, ctx.mul_bits(_lin(ctx, self.l2, coords),
-                              ctx.inv_bits(denom)))
+        return ctx.mul_bits(_lin(ctx, self.l2, coords), ctx.inv_bits(denom))
 
 
 def cusp_parametrization(curve: MultiPoly, cusp: tuple,
@@ -343,13 +336,10 @@ def induced_affine_map(chart: CuspChart,
         if _lin(ctx, chart.l1, img) == 0:
             continue  # image is the cusp direction
         pairs.append((chart.param_of(pt), chart.param_of(img)))
-    pairs.sort(key=lambda pair: pair[0].bits)
+    pairs.sort()  # by sample parameter, which the chart keeps distinct
     if len(pairs) < 4:
         raise InvariantViolation(f"only {len(pairs)} usable samples")
-    (t1, u1), (t2, u2) = pairs[0], pairs[1]
-    alpha = (u1 + u2) / (t1 + t2)
-    beta = u1 + alpha * t1
-    action = AffineAction(alpha, beta)
+    action = _through(ctx, *pairs[0], *pairs[1])
     for t, u in pairs[2:]:
         if action(t) != u:
             raise InvariantViolation("induced parameter map failed validation")
@@ -360,7 +350,16 @@ def induced_affine_map(chart: CuspChart,
 # unordered point-set matching
 
 
-def all_point_set_matches(params_a, params_b) -> list[AffineAction]:
+def _through(ctx: FieldCtx, x1: int, y1: int, x2: int,
+             y2: int) -> AffineAction:
+    """The affine map sending x1 to y1 and x2 to y2, for x1 != x2;
+    InvariantViolation when y1 = y2, which would make it constant."""
+    a = ctx.mul_bits(y1 ^ y2, ctx.inv_bits(x1 ^ x2))
+    return AffineAction(ctx, a, y1 ^ ctx.mul_bits(a, x1))
+
+
+def all_point_set_matches(ctx: FieldCtx, params_a,
+                          params_b) -> list[AffineAction]:
     """Every affine map t -> a t + b with {a t + b : t in A} = B.
 
     A match sends the two smallest elements x1, x2 of A to an ordered
@@ -369,23 +368,20 @@ def all_point_set_matches(params_a, params_b) -> list[AffineAction]:
     once. Empty for fewer than two points, unequal sizes or repeated
     elements of A; sorted by (a, b) as raw bits.
     """
-    aa = sorted(params_a, key=lambda e: e.bits)
-    bb = sorted(params_b, key=lambda e: e.bits)
-    if (len(aa) < 2 or len(aa) != len(bb)
-            or len({e.bits for e in aa}) != len(aa)):
+    aa, bb = sorted(params_a), sorted(params_b)
+    if len(aa) < 2 or len(aa) != len(bb) or len(set(aa)) != len(aa):
         return []
     x1, x2 = aa[0], aa[1]
-    bset = {e.bits for e in bb}
+    bset = set(bb)
     out = []
     for y1 in bb:
         for y2 in bb:
             if y1 == y2:
                 continue
-            a = (y1 + y2) / (x1 + x2)
-            b = y1 + a * x1
-            if {(a * x + b).bits for x in aa} == bset:
-                out.append(AffineAction(a, b))
-    out.sort(key=lambda m: (m.alpha.bits, m.beta.bits))
+            phi = _through(ctx, x1, y1, x2, y2)
+            if set(map(phi, aa)) == bset:
+                out.append(phi)
+    out.sort(key=lambda m: (m.alpha, m.beta))
     return out
 
 
@@ -404,16 +400,17 @@ def equivariant_matches(matches, action_a: AffineAction,
     return out
 
 
-def alpha_table_text(rows) -> str:
-    """Deterministic table of all valid scalars with their data.
+def alpha_table_text(ctx: FieldCtx, rows) -> str:
+    """Deterministic table of all valid scalars of ctx with their data.
 
-    One line per row (alpha, beta, orbit_points(alpha, beta)), as the
-    cubic suite builds them. That suite diffs this text against the
+    One line per row (alpha, beta, orbit_points(ctx, alpha, beta)), as
+    the cubic suite builds them. That suite diffs this text against the
     bundled file.
     """
     lines = ["# alpha | beta | t1..t10 (all as generator powers)"]
     for alpha, beta, params in rows:
         lines.append(
-            f"alpha = {format_elem(alpha)}; beta = {format_elem(beta)}; "
-            "params = " + " ".join(format_elem(t) for t in params))
+            f"alpha = {format_elem(ctx, alpha)}; "
+            f"beta = {format_elem(ctx, beta)}; "
+            "params = " + " ".join(format_elem(ctx, t) for t in params))
     return "\n".join(lines) + "\n"

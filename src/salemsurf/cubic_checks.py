@@ -54,17 +54,16 @@ def _cubic_group_law(chart: cu.CuspChart) -> list:
     return checks
 
 
-def _cubic_beta_solver(roots, betas) -> list:
-    ctx = gf.gf32()
+def _cubic_beta_solver(ctx, roots, betas) -> list:
     checks = [rp.leaf("beta_solver.root_count", len(roots) == 10,
-                      [gf.format_elem(a) for a in roots])]
-    one = gf.FieldElement(ctx, 1)
+                      [gf.format_elem(ctx, a) for a in roots])]
     dual = unique = 0
     for a, b in zip(roots, betas):
-        if cu.second_param_expr1(a, b) == cu.second_param_expr2(a, b):
+        if cu.second_param_expr1(ctx, a, b) \
+                == cu.second_param_expr2(ctx, a, b):
             dual += 1
-        if cu.second_param_expr1(a, b + one) \
-                != cu.second_param_expr2(a, b + one):
+        if cu.second_param_expr1(ctx, a, b ^ 1) \
+                != cu.second_param_expr2(ctx, a, b ^ 1):
             unique += 1
     checks.append(rp.leaf("beta_solver.solvable_at_every_root",
                           len(betas) == 10, f"{len(betas)}/10"))
@@ -72,39 +71,39 @@ def _cubic_beta_solver(roots, betas) -> list:
                           dual == 10, f"{dual}/10"))
     checks.append(rp.leaf("beta_solver.solution_unique",
                           unique == 10, f"{unique}/10 break at beta+1"))
-    bits = {a.bits for a in roots}
-    sq_closed = all(ctx.mul_bits(b, b) in bits for b in bits)
-    inv_closed = all(ctx.inv_bits(b) in bits for b in bits)
+    rset = set(roots)
+    sq_closed = all(ctx.mul_bits(b, b) in rset for b in rset)
+    inv_closed = all(ctx.inv_bits(b) in rset for b in rset)
     checks.append(rp.leaf("beta_solver.closed_under_squaring", sq_closed))
     checks.append(rp.leaf("beta_solver.closed_under_inversion", inv_closed))
     a0 = roots[0]
-    orbit = {(a0 ** (2 ** i)).bits for i in range(ctx.m)} \
-        | {(a0 ** -(2 ** i)).bits for i in range(ctx.m)}
-    checks.append(rp.leaf("beta_solver.single_power_orbit", orbit == bits,
+    orbit = {ctx.pow_bits(a0, s * 2 ** i)
+             for i in range(ctx.m) for s in (1, -1)}
+    checks.append(rp.leaf("beta_solver.single_power_orbit", orbit == rset,
                           f"{len(orbit)} elements from "
-                          f"{gf.format_elem(a0)}"))
+                          f"{gf.format_elem(ctx, a0)}"))
     return checks
 
 
 def _cubic_orbits(rows, chart: cu.CuspChart) -> list:
+    ctx = chart.curve.ctx
     point_of = _point_of(chart)
     subs = []
     for a, b, params in rows:
-        action = cu.AffineAction(a, b)
-        distinct = rp.leaf("params_distinct",
-                           len({t.bits for t in params}) == 10,
-                           [gf.format_elem(t) for t in params])
+        action = cu.AffineAction(ctx, a, b)
+        distinct = rp.leaf("params_distinct", len(set(params)) == 10,
+                           [gf.format_elem(ctx, t) for t in params])
         constraints = cu.verify_coxeter_constraints(params, action,
                                                      point_of)
-        subs.append(rp.node(f"orbit[{gf.format_elem(a)}]",
+        subs.append(rp.node(f"orbit[{gf.format_elem(ctx, a)}]",
                             [distinct, constraints],
                             witness=repr(action)))
     return subs
 
 
-def _cubic_alpha_table(data_dir, rows) -> rp.Report:
+def _cubic_alpha_table(data_dir, ctx, rows) -> rp.Report:
     bundled = _read_data(data_dir, "alpha_table.dat")
-    regen = cu.alpha_table_text(rows())
+    regen = cu.alpha_table_text(ctx, rows())
     return rp.leaf("cubic.alpha_table_fresh",
                    bundled.strip() == regen.strip(),
                    f"{len(regen.splitlines())} lines")
@@ -114,19 +113,22 @@ def _cubic_checks(config: SuiteConfig) -> list:
     """The cubic checks in report order over one run-object table: the
     cusp chart of the standard cubic over GF(32), Lehmer's mod-2 roots
     in GF(32), the translation part beta of each and its orbit."""
+    ctx = gf.gf32()
     need = _run_objects({
-        "chart": lambda need: _standard_chart(gf.gf32()),
-        "roots": lambda need: cu.lehmer_mod2_roots(gf.gf32()),
-        "betas": lambda need: list(map(cu.beta_from_alpha, need("roots"))),
-        "orbits": lambda need: list(map(cu.orbit_points, need("roots"),
-                                        need("betas"))),
+        "chart": lambda need: _standard_chart(ctx),
+        "roots": lambda need: cu.lehmer_mod2_roots(ctx),
+        "betas": lambda need: [cu.beta_from_alpha(ctx, a)
+                               for a in need("roots")],
+        "orbits": lambda need: [cu.orbit_points(ctx, a, b)
+                                for a, b in zip(need("roots"),
+                                                need("betas"))],
     })
 
     def rows():
         return zip(need("roots"), need("betas"), need("orbits"))
     return [("cubic.group_law", lambda: _cubic_group_law(need("chart"))),
             ("cubic.beta_solver", lambda: _cubic_beta_solver(
-                need("roots"), need("betas"))),
+                ctx, need("roots"), need("betas"))),
             ("cubic.orbits", lambda: _cubic_orbits(rows(), need("chart"))),
             ("cubic.alpha_table_fresh",
-             lambda: _cubic_alpha_table(config.data_dir, rows))]
+             lambda: _cubic_alpha_table(config.data_dir, ctx, rows))]

@@ -1,12 +1,13 @@
 """Arithmetic in GF(2^m), polynomial basis over GF(2).
 
-Elements are dense bit-vectors packed into Python ints: bit i is the
-coefficient of t^i, where t is the class of the modulus variable.
-Addition is xor. Multiplication and inversion go through exp/log tables
-of the powers of t (a context refuses m > MAX_M = 20, so the tables stay
-cheap). A context accepts only a primitive modulus, one whose root t
-generates the multiplicative group, so every nonzero element is a power
-of t. The data files and reports call t `g`.
+An element is its raw bits, a Python int: bit i is the coefficient of
+t^i, where t is the class of the modulus variable. No object wraps it,
+so the element's FieldCtx travels beside it: ctx.mul_bits(a, b),
+ctx.gen_pow(k), format_elem(ctx, a). Addition is xor. Multiplication
+and inversion go through exp/log tables of the powers of t (a context
+refuses m > MAX_M = 20, so the tables stay cheap). A context accepts
+only a primitive modulus, one whose root t generates the multiplicative
+group, so every nonzero element is a power of t. The data files and reports call t `g`.
 
 The exp table holds two periods, so the product of two nonzero elements
 is _exp[_log[a] + _log[b]] with no reduction. The inner loops of unipoly
@@ -80,6 +81,7 @@ class FieldCtx:
         return self._exp[self.order - self._log[a]]
 
     def pow_bits(self, a: int, n: int) -> int:
+        # any integer n: a negative power is the power of the inverse
         if a == 0:
             if n <= 0:
                 raise DomainError("0 to a nonpositive power")
@@ -95,81 +97,12 @@ class FieldCtx:
             raise DomainError("dlog(0)")
         return self._log[a]
 
-    # element constructors
-    def elem(self, bits: int) -> "FieldElement":
-        return FieldElement(self, bits)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def gen(self) -> "FieldElement":
-        return self.gen_pow(1)
-
-    def gen_pow(self, k: int) -> "FieldElement":
-        return FieldElement(self, self._exp[k % self.order])
+    def gen_pow(self, k: int) -> int:
+        """g^k as raw bits, for any integer k."""
+        return self._exp[k % self.order]
 
     def __repr__(self):
         return f"GF(2^{self.m}; 0b{self.modulus:b})"
-
-
-class FieldElement:
-    """Element of a FieldCtx; immutable, hashable, operator-complete."""
-
-    __slots__ = ("ctx", "bits")
-
-    def __init__(self, ctx: FieldCtx, bits: int):
-        if not 0 <= bits < (1 << ctx.m):
-            raise InvariantViolation(
-                f"bits 0b{bits:b} out of range for m={ctx.m}")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    def _same(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise InvariantViolation(
-                f"expected FieldElement, got {type(other).__name__}")
-        if other.ctx is not self.ctx:
-            raise InvariantViolation(f"mixing {self.ctx} with {other.ctx}")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return FieldElement(self.ctx, self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other):
-        other = self._same(other)
-        return FieldElement(self.ctx, self.ctx.mul_bits(self.bits, other.bits))
-
-    def __truediv__(self, other):
-        other = self._same(other)
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        return FieldElement(self.ctx, self.ctx.pow_bits(self.bits, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_bits(self.bits))
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and other.ctx is self.ctx
-                and other.bits == self.bits)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.bits))
-
-    def __repr__(self):
-        return format_elem(self)
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +194,37 @@ def unembed(x: int, sub: FieldCtx, sup: FieldCtx) -> int:
     embedded copy of sub."""
     if x == 0:
         return 0
-    root = _embedding_table(sub, sup)[sub.gen().bits]
+    root = _embedding_table(sub, sup)[sub.gen_pow(1)]
     # root generates the units of the copy, the index-c subgroup of sup's
     # units: x = root^k iff dlog x = k * dlog root modulo sup.order
     c = sup.order // sub.order
     j, r = sup.dlog_bits(x), sup.dlog_bits(root)
     if j % c:
         raise InvariantViolation("element is not in the embedded subfield")
-    return sub.gen_pow(j // c * pow(r // c, -1, sub.order)).bits
+    return sub.gen_pow(j // c * pow(r // c, -1, sub.order))
 
 
 # ---------------------------------------------------------------------------
 # text format
 
 
-def format_elem(x: FieldElement) -> str:
-    if x.bits == 0:
+def format_elem(ctx: FieldCtx, bits: int) -> str:
+    """The text of the element bits of ctx: `0`, `1`, `g` or `g^k`."""
+    if bits == 0:
         return "0"
-    k = x.ctx.dlog_bits(x.bits)
+    k = ctx.dlog_bits(bits)
     return "1" if k == 0 else ("g" if k == 1 else f"g^{k}")
 
 
-def parse_elem(s: str, ctx: FieldCtx) -> FieldElement:
+def parse_elem(s: str, ctx: FieldCtx) -> int:
+    """The raw bits of the element of ctx that the text s spells."""
     s = s.strip()
     if s == "0":
-        return ctx.zero()
+        return 0
     if s == "1":
-        return ctx.one()
+        return 1
     if s == "g":
-        return ctx.gen()
+        return ctx.gen_pow(1)
     if s.startswith("g^"):
         try:
             k = int(s[2:])
@@ -306,5 +241,5 @@ def parse_elem(s: str, ctx: FieldCtx) -> FieldElement:
                 bits |= 1 << i
         if bits >> ctx.m:
             raise ParseError(f"bit-string {s!r} too long for m={ctx.m}")
-        return ctx.elem(bits)
+        return bits
     raise ParseError(f"cannot parse field element {s!r}")

@@ -27,8 +27,8 @@ from operator import add
 
 from . import MAX_M
 from .errors import DomainError, InvariantViolation, ParseError
-from .gf2m import (FieldCtx, FieldElement, embed, ext_context, field_make,
-                   format_elem, parse_elem, unembed)
+from .gf2m import (FieldCtx, embed, ext_context, field_make, format_elem,
+                   parse_elem, unembed)
 from .unipoly import UniPoly
 
 
@@ -618,7 +618,7 @@ def parse_field(text: str) -> FieldCtx:
 
 def format_term(ctx, names, exps, cbits) -> str:
     parts = []
-    coeff = format_elem(FieldElement(ctx, cbits))
+    coeff = format_elem(ctx, cbits)
     if coeff != "1" or not any(exps):
         parts.append(coeff)
     for n, k in zip(names, exps):
@@ -655,7 +655,7 @@ def parse_poly(ctx: FieldCtx, names, text: str) -> MultiPoly:
                 exps[index[name]] += (
                     _parse_natural(pw, f"bad exponent in {f!r}") if pw else 1)
             elif j == 0:
-                cbits = ctx.mul_bits(cbits, parse_elem(f, ctx).bits)
+                cbits = ctx.mul_bits(cbits, parse_elem(f, ctx))
             else:
                 raise ParseError(f"unknown factor {f!r}")
         e = tuple(exps)
@@ -705,8 +705,7 @@ def parse_poly_file(text: str, source: str):
 
 def format_point(ctx: FieldCtx, coords) -> str:
     """A plane point as the text format writes it, `(g^29 : g^6 : 1)`."""
-    return "(" + " : ".join(format_elem(FieldElement(ctx, c))
-                            for c in coords) + ")"
+    return "(" + " : ".join(format_elem(ctx, c) for c in coords) + ")"
 
 
 def parse_point_file(text: str, source: str):
@@ -726,9 +725,12 @@ def parse_point_file(text: str, source: str):
         label = label.strip()
         if label in points:
             raise ParseError(f"{source} defines {label!r} twice")
-        coords = [parse_elem(part, ctx).bits for part in body[1:-1].split(":")]
+        coords = [parse_elem(part, ctx) for part in body[1:-1].split(":")]
         if len(coords) != 3:
             raise ParseError(f"{source}: point {label!r} has {len(coords)} "
                              "coordinates, expected 3")
+        if not any(coords):
+            raise ParseError(f"{source}: point {label!r} has all-zero "
+                             "coordinates")
         points[label] = canonical(ctx, coords)
     return ctx, points

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import _read_data
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
-from .gf2m import FieldCtx, FieldElement, embed, format_elem
+from .gf2m import FieldCtx, embed, format_elem
 from .multipoly import (
     MultiPoly,
     canonical,
@@ -138,10 +138,6 @@ def _chart(p: MultiPoly, drop: int) -> MultiPoly:
     return p.restrict(drop, 1).drop_var(drop)
 
 
-def _fmt(ctx: FieldCtx, bits: int) -> str:
-    return format_elem(FieldElement(ctx, bits))
-
-
 # ---------------------------------------------------------------------------
 # orbit of the marked points under f
 
@@ -214,7 +210,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     checks.append(rp.leaf(
         "cubic.cusp_partials",
         m.g.eval_bits(m.cusp) == 0 and not any(grads),
-        [_fmt(ctx, v) for v in grads]))
+        [format_elem(ctx, v) for v in grads]))
     local = local_expansion(m.g, m.cusp)
     init = local.initial_form()
     checks.append(rp.leaf(
@@ -225,7 +221,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     checks.append(rp.leaf(
         "cubic.smooth_fixed_point",
         m.g.eval_bits(m.points[0]) == 0 and any(grad0),
-        [_fmt(ctx, v) for v in grad0]))
+        [format_elem(ctx, v) for v in grad0]))
     return rp.node("cubic", checks)
 
 
@@ -344,7 +340,7 @@ def pullback(h, plane, w_image):
     return a * p, a * q + b, c
 
 
-def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> FieldElement:
+def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> int:
     """Scalar K with (forward . D . inverse)(w/z^6) = K g^2 / z^6,
     where D = g^2 d/dw.
 
@@ -364,11 +360,11 @@ def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> FieldElement:
     if k is None:
         raise NoSolution("conjugated derivation is not a scalar "
                          "multiple of g^2 d/dw")
-    return FieldElement(ctx, k)
+    return k
 
 
 def verify_derivation(m: SurfaceModel, si: SigmaInverse,
-                      scalar: FieldElement | NoSolution) -> rp.Report:
+                      scalar: int | NoSolution) -> rp.Report:
     """The derivation-conjugation chain in the chart z != 0.
 
     Checks the forward multiplier of g, the inverse-side multiplier,
@@ -382,21 +378,21 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
     xyz = x * y * z
     checks = []
     checks.append(rp.leaf("derivation.w_scalar",
-                          si.w_scalar == ctx.gen_pow(15).bits,
-                          _fmt(ctx, si.w_scalar)))
+                          si.w_scalar == ctx.gen_pow(15),
+                          format_elem(ctx, si.w_scalar)))
     checks.append(rp.leaf("derivation.inverse_tail",
                           not si.eta_prime.is_zero(),
                           f"{si.eta_prime.num_terms()} terms"))
     g_f = m.g.substitute(list(m.f))
     kf = _scalar_ratio(g_f, xyz * m.g)
     checks.append(rp.leaf("derivation.cubic_multiplier",
-                          kf == ctx.gen_pow(12).bits,
-                          None if kf is None else _fmt(ctx, kf)))
+                          kf == ctx.gen_pow(12),
+                          None if kf is None else format_elem(ctx, kf)))
     g_si = m.g.substitute(list(si.components))
     km = _scalar_ratio(g_si, si.lambda_factor * m.g)
     checks.append(rp.leaf("derivation.inverse_cubic_multiplier",
-                          km == ctx.gen_pow(19).bits,
-                          None if km is None else _fmt(ctx, km)))
+                          km == ctx.gen_pow(19),
+                          None if km is None else format_elem(ctx, km)))
     da, db, _ = d_dw((MultiPoly.zero(ctx, 3), x, z))
     checks.append(rp.leaf("derivation.kills_base_functions",
                           da.is_zero() and db.is_zero(), "d/dw (x/z) = 0"))
@@ -404,7 +400,8 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
         checks.append(rp.error_leaf("derivation.conjugation_scalar", scalar))
     else:
         checks.append(rp.leaf("derivation.conjugation_scalar",
-                              scalar == ctx.gen_pow(8), format_elem(scalar)))
+                              scalar == ctx.gen_pow(8),
+                              format_elem(ctx, scalar)))
     return rp.node("derivation", checks)
 
 
@@ -477,7 +474,7 @@ def _stratum_points(grad, label: str, ext_bound: int):
     elif label == "y":
         uu, vv = (_chart(r, 1).restrict(1, 0).univariate(0) for r in (p, q))
         leaves, roots = _common_roots(uu, vv, ext_bound, prefix, "0")
-        cands = [((x0.bits, 1, 0), x0.ctx) for x0 in roots]
+        cands = [((x0, 1, 0), k) for k, x0 in roots]
     else:
         su, sv = _chart(p, 2), _chart(q, 2)
         r2 = resultant(su, sv, 1)
@@ -486,23 +483,22 @@ def _stratum_points(grad, label: str, ext_bound: int):
                             "partials share a one-dimensional component")], []
         ru = r2.univariate(0)
         roots = uni_roots(ru, ext_bound)
-        covered = sum(mult for _, mult in roots)
+        covered = sum(mult for _, _, mult in roots)
         if covered < ru.degree():
             leaves.append(rp.leaf(
                 f"{prefix}.roots_within_bound", False,
                 f"eliminant degree {ru.degree()}, only {covered} accounted "
                 f"for within extension degree {ext_bound}"))
-        for u0, _mult in roots:
-            uu, vv = (_over(r, u0.ctx).restrict(0, u0.bits).univariate(1)
+        for ku, u0, _mult in roots:
+            uu, vv = (_over(r, ku).restrict(0, u0).univariate(1)
                       for r in (su, sv))
             more, vroots = _common_roots(uu, vv, ext_bound, prefix,
-                                         _fmt(u0.ctx, u0.bits))
+                                         format_elem(ku, u0))
             leaves += more
-            for v0 in vroots:
-                k = v0.ctx if v0.ctx.m >= u0.ctx.m else u0.ctx
-                ub, vb = (e.bits if e.ctx is k else embed(e.bits, e.ctx, k)
-                          for e in (u0, v0))
-                cands.append(((ub, vb, 1), k))
+            # the fiber's roots lie in ku or an extension k of it
+            for k, v0 in vroots:
+                ub = u0 if k is ku else embed(u0, ku, k)
+                cands.append(((ub, v0, 1), k))
     pts = []
     for co, k in cands:
         if any(_over(r, k).eval_bits(co) for r in grad):
@@ -517,8 +513,9 @@ def _stratum_points(grad, label: str, ext_bound: int):
 
 def _common_roots(uu: UniPoly, vv: UniPoly, ext_bound: int, prefix: str,
                   at: str):
-    """-> (failing leaves, roots) of the common roots of uu and vv within
-    extension degree ext_bound; `at` names the fiber in the leaf names."""
+    """-> (failing leaves, [(field, bits)]) of the common roots of uu and
+    vv within extension degree ext_bound; `at` names the fiber in the
+    leaf names."""
     if uu.is_zero() and vv.is_zero():
         return [rp.leaf(f"{prefix}.fiber_{at}", False,
                         "both partials vanish identically on the fiber")], []
@@ -526,14 +523,14 @@ def _common_roots(uu: UniPoly, vv: UniPoly, ext_bound: int, prefix: str,
     if w.degree() == 0:
         return [], []  # none; on z = 1 a spurious eliminant root
     roots = uni_roots(w, ext_bound)
-    covered = sum(mult for _, mult in roots)
+    covered = sum(mult for _, _, mult in roots)
     leaves = []
     if covered < w.degree():
         leaves.append(rp.leaf(
             f"{prefix}.roots_within_bound.{at}", False,
             f"common factor degree {w.degree()}, {covered} roots within "
             f"extension degree {ext_bound}"))
-    return leaves, [r for r, _ in roots]
+    return leaves, [(k, r) for k, r, _ in roots]
 
 
 def _over(p: MultiPoly, k: FieldCtx) -> MultiPoly:
@@ -545,7 +542,8 @@ def _over(p: MultiPoly, k: FieldCtx) -> MultiPoly:
 
 def _chart_coords(k: FieldCtx, co, label: str) -> tuple:
     """The two coordinates of a stratum point other than `label`."""
-    return tuple(_fmt(k, v) for v, name in zip(co, "xyz") if name != label)
+    return tuple(format_elem(k, v) for v, name in zip(co, "xyz")
+                 if name != label)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +587,7 @@ def verify_multiplicities(local: list[MultiPoly]) -> rp.Report:
     local0 = local[0]
     value = local0.terms.get((0, 0), 0)
     checks.append(rp.leaf("multiplicity.p0_branch_value", value != 0,
-                          _fmt(local0.ctx, value)))
+                          format_elem(local0.ctx, value)))
     mult0, init0 = absorbed_square_multiplicity(local0)
     checks.append(rp.leaf("multiplicity.p0_adjusted", mult0 == 2,
                           f"adjusted {mult0}"))
@@ -636,7 +634,7 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
             w2 = comp.partial(1).eval_bits([0, 0])
             checks.append(rp.leaf(
                 f"charts.p{idx}_complementary", (w1, w2) != (0, 0),
-                f"({_fmt(ctx, w1)}, {_fmt(ctx, w2)})"))
+                f"({format_elem(ctx, w1)}, {format_elem(ctx, w2)})"))
         except Exception as ex:  # noqa: BLE001 - verifier boundary
             checks.append(rp.error_leaf(f"charts.p{idx}", ex))
     return rp.node("charts", checks)
@@ -646,24 +644,25 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
 # the distinguished scalar
 
 
-def verify_alpha_consistency(m: SurfaceModel, lambda1: FieldElement,
-                             alpha: FieldElement, roots) -> rp.Report:
+def verify_alpha_consistency(m: SurfaceModel, lambda1: int, alpha: int,
+                             roots) -> rp.Report:
     """Cross-checks between the derivation scalar and the parameter
     action: lambda1 = g^8, alpha is one of roots (the degree-10 integer
     polynomial's mod-2 roots in m.ctx), alpha != lambda1^2 (so the two
     quadric eigenvalues stay distinct), and lambda1^2 is not such a
     root."""
-    forbidden = lambda1 * lambda1
+    ctx = m.ctx
+    forbidden = ctx.mul_bits(lambda1, lambda1)
     checks = [
-        rp.leaf("alpha.lambda1_value", lambda1 == m.ctx.gen_pow(8),
-                format_elem(lambda1)),
+        rp.leaf("alpha.lambda1_value", lambda1 == ctx.gen_pow(8),
+                format_elem(ctx, lambda1)),
         rp.leaf("alpha.root_count", len(roots) == 10,
                 f"{len(roots)} roots"),
-        rp.leaf("alpha.is_root", alpha in roots, format_elem(alpha)),
+        rp.leaf("alpha.is_root", alpha in roots, format_elem(ctx, alpha)),
         rp.leaf("alpha.forbidden_value_not_root", forbidden not in roots,
-                format_elem(forbidden)),
+                format_elem(ctx, forbidden)),
     ]
-    lam2 = alpha / lambda1
+    lam2 = ctx.mul_bits(alpha, ctx.inv_bits(lambda1))
     checks.append(rp.leaf("alpha.eigenvalues_distinct", lam2 != lambda1,
-                          format_elem(lam2)))
+                          format_elem(ctx, lam2)))
     return rp.node("alpha", checks)

@@ -50,7 +50,7 @@ def _model_leaf(m: sf.SurfaceModel) -> rp.Report:
 
 def _inverse_leaf(m: sf.SurfaceModel, si: sf.SigmaInverse) -> rp.Report:
     return rp.leaf("inverse", True, {
-        "w_scalar": sf._fmt(m.ctx, si.w_scalar),
+        "w_scalar": gf.format_elem(m.ctx, si.w_scalar),
         "tail_terms": si.eta_prime.num_terms(),
     })
 
@@ -75,19 +75,20 @@ def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
     """Report node for the concrete-to-abstract parameter match: chart
     is the cusp chart of m.g, action the map m.f induces on it and
     roots Lehmer's mod-2 roots in m's field."""
+    ctx = action.ctx
     checks = [rp.leaf("match.induced_action_affine", True, repr(action)),
               rp.leaf("match.multiplier_is_root", action.alpha in roots,
-                      gf.format_elem(action.alpha))]
+                      gf.format_elem(ctx, action.alpha))]
     try:
         fixed = action.fixed_point()
         t0 = chart.param_of(m.points[0])
         checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
-                              gf.format_elem(fixed)))
+                              gf.format_elem(ctx, fixed)))
         concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
-        beta = cu.beta_from_alpha(action.alpha)
-        abstract = cu.orbit_points(action.alpha, beta)
-        abstract_action = cu.AffineAction(action.alpha, beta)
-        matches = cu.all_point_set_matches(concrete, abstract)
+        beta = cu.beta_from_alpha(ctx, action.alpha)
+        abstract = cu.orbit_points(ctx, action.alpha, beta)
+        abstract_action = cu.AffineAction(ctx, action.alpha, beta)
+        matches = cu.all_point_set_matches(ctx, concrete, abstract)
         checks.append(rp.leaf("match.point_sets_affinely_equivalent",
                               len(matches) >= 1,
                               [repr(phi) for phi in matches]))

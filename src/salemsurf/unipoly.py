@@ -16,13 +16,14 @@ GF(2)-basis (Berlekamp's trace algorithm) and draws nothing at random.
 Root search (`uni_roots`) visits only irreducibles whose roots lie in an
 extension of GF(2) of absolute degree at most the caller's bound, and
 splits each in that extension, embedding coefficients via the fixed
-embeddings of gf2m.
+embeddings of gf2m. A root is its raw bits in the field where it was
+found, so `uni_roots` returns the field beside each root.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, InvariantViolation
-from .gf2m import FieldCtx, FieldElement, embed, ext_context
+from .gf2m import FieldCtx, embed, ext_context, format_elem
 
 
 class UniPoly:
@@ -155,11 +156,6 @@ class UniPoly:
             acc = (exp[log[acc] + lx] if acc else 0) ^ c
         return acc
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.ctx is not self.ctx:
-            raise InvariantViolation("evaluation point in a different field")
-        return FieldElement(self.ctx, self.eval_bits(x.bits))
-
     def embed_to(self, sup: FieldCtx) -> "UniPoly":
         return UniPoly(sup, [embed(c, self.ctx, sup) for c in self.coeffs])
 
@@ -169,7 +165,7 @@ class UniPoly:
         parts = []
         for i, c in enumerate(self.coeffs):
             if c:
-                parts.append(f"{FieldElement(self.ctx, c)!r}*x^{i}")
+                parts.append(f"{format_elem(self.ctx, c)}*x^{i}")
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
@@ -251,13 +247,14 @@ def factor(f: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def uni_roots(f: UniPoly, search_degree_bound: int = 10
-              ) -> list[tuple[FieldElement, int]]:
+              ) -> list[tuple[FieldCtx, int, int]]:
     """All roots in extensions of GF(2) of degree at most the bound.
 
-    Returns (root, multiplicity) pairs; each root lives in the smallest
-    constructed context the search visits (the base field for roots
-    rational over it). Roots beyond the bound are silently absent; the
-    caller can compare multiplicity totals against the degree.
+    Returns (field, root bits, multiplicity) triples, sorted by field
+    degree and then bits; each root lives in the smallest constructed
+    context the search visits (the base field for roots rational over
+    it). Roots beyond the bound are silently absent; the caller can
+    compare multiplicity totals against the degree.
     """
     if f.is_zero():
         raise DomainError("uni_roots of the zero polynomial")
@@ -268,6 +265,6 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
         # embedding a linear factor into its own field is the identity
         sup = base if d == 1 else ext_context(base.m * d)
         for lin in _trace_split(p.embed_to(sup), 1):
-            out.append((FieldElement(sup, lin.coeffs[0]), mult))
-    out.sort(key=lambda t: (t[0].ctx.m, t[0].bits))
+            out.append((sup, lin.coeffs[0], mult))
+    out.sort(key=lambda t: (t[0].m, t[1]))
     return out

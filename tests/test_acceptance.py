@@ -127,22 +127,22 @@ def test_criterion_07_beta_solver():
         chart = cu.cusp_parametrization(curve, cu.find_cusp(curve, points),
                                         points)
         point_of = {chart.param_of(p): p for p in chart.points}
-        bits = {r.bits for r in roots}
+        bits = set(roots)
         for a in roots:
-            params = cu.orbit_points(a, cu.beta_from_alpha(a))
-            if len({t.bits for t in params}) != 10:
+            params = cu.orbit_points(ctx, a, cu.beta_from_alpha(ctx, a))
+            if len(set(params)) != 10:
                 return False
-            action = cu.AffineAction(a, cu.beta_from_alpha(a))
+            action = cu.AffineAction(ctx, a, cu.beta_from_alpha(ctx, a))
             if not cu.verify_coxeter_constraints(params, action,
                                                  point_of).ok():
                 return False
-            if (a * a).bits not in bits or a.inverse().bits not in bits:
+            if ctx.mul_bits(a, a) not in bits or ctx.inv_bits(a) not in bits:
                 return False
         a0 = roots[0]
         powers = set()
         for i in range(5):
-            powers.add((a0 ** (2 ** i)).bits)
-            powers.add((a0 ** -(2 ** i)).bits)
+            powers.add(ctx.pow_bits(a0, 2 ** i))
+            powers.add(ctx.pow_bits(a0, -(2 ** i)))
         return powers == bits
     _report(7, "translation solver and Frobenius closure of scalars", 1, run)
 
@@ -151,7 +151,7 @@ def test_criterion_08_orbit_and_cubic():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        cusp = (ctx.gen_pow(15).bits, ctx.gen_pow(28).bits, 1)
+        cusp = (ctx.gen_pow(15), ctx.gen_pow(28), 1)
         return (sf.verify_orbit(m).ok()
                 and sf.verify_cubic(m, lambda: cu.find_cusp(
                     m.g, plane_zeros([m.g]))).ok()
@@ -179,7 +179,7 @@ def test_criterion_10_inverse_and_derivation():
             if si.components[i].substitute(list(m.f)) != xyz * var:
                 return False
         pulled_g = m.g.substitute(list(m.f))
-        if pulled_g != (xyz * m.g).scale_bits(ctx.gen_pow(12).bits):
+        if pulled_g != (xyz * m.g).scale_bits(ctx.gen_pow(12)):
             return False
         scalar = sf.conjugation_scalar(m, si)
         if scalar != ctx.gen_pow(8):
@@ -212,17 +212,17 @@ def test_criterion_13_cross_model_consistency():
                                         points)
         action = cu.induced_affine_map(chart, list(m.f))
         alpha = action.alpha
-        roots = {r.bits for r in cu.lehmer_mod2_roots(ctx)}
-        if alpha.bits not in roots or alpha == ctx.gen_pow(16):
+        roots = set(cu.lehmer_mod2_roots(ctx))
+        if alpha not in roots or alpha == ctx.gen_pow(16):
             return False
         si = sf.derive_sigma_inverse(m)
         lam1 = sf.conjugation_scalar(m, si)
-        lam2 = alpha / lam1
+        lam2 = ctx.mul_bits(alpha, ctx.inv_bits(lam1))
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False
         concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
-        abstract = cu.orbit_points(alpha, cu.beta_from_alpha(alpha))
-        return bool(cu.all_point_set_matches(concrete, abstract))
+        abstract = cu.orbit_points(ctx, alpha, cu.beta_from_alpha(ctx, alpha))
+        return bool(cu.all_point_set_matches(ctx, concrete, abstract))
     _report(13, "induced scalar, eigenvalues, point-set match", 10, run)
 
 

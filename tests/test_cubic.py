@@ -9,19 +9,15 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              second_param_expr1, second_param_expr2,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
-from salemsurf.gf2m import FieldElement, field_make
+from salemsurf.gf2m import field_make
 from salemsurf.multipoly import MultiPoly, canonical, plane_zeros
 
 ROOT_DLOGS = {3, 6, 7, 12, 14, 17, 19, 24, 25, 28}
 
 
-def dlog(x: FieldElement) -> int:
-    return x.ctx.dlog_bits(x.bits)
-
-
 def _inverse(f: AffineAction) -> AffineAction:
-    ai = f.alpha.inverse()
-    return AffineAction(ai, ai * f.beta)
+    ai = f.ctx.inv_bits(f.alpha)
+    return AffineAction(f.ctx, ai, f.ctx.mul_bits(ai, f.beta))
 
 
 def _chart(curve):
@@ -33,10 +29,6 @@ def _point_of(chart):
     return {chart.param_of(p): p for p in chart.points}
 
 
-def _all_elems(ctx):
-    return [FieldElement(ctx, b) for b in range(1 << ctx.m)]
-
-
 GF8 = field_make(3, 0b1011)
 
 
@@ -46,23 +38,23 @@ def test_chart_parameter_of_the_closed_form(ctx):
     for field in (GF8, ctx):
         point_of = _point_of(_chart(standard_cubic(field)))
         assert len(point_of) == 1 << field.m
-        for t in _all_elems(field):
-            closed = (t.bits, 1, field.pow_bits(t.bits, 3))
+        for t in range(1 << field.m):
+            closed = (t, 1, field.pow_bits(t, 3))
             assert point_of[t] == canonical(field, closed)
-        assert point_of[field.zero()] == (0, 1, 0)  # the flex
+        assert point_of[0] == (0, 1, 0)  # the flex
 
 
 def test_chord_third_is_collinear(ctx):
     t1, t2 = ctx.gen_pow(4), ctx.gen_pow(21)
     t3 = chord_third(t1, t2)
     assert collinear(t1, t2, t3)
-    assert not collinear(t1, t2, t3 + ctx.one())
+    assert not collinear(t1, t2, t3 ^ 1)
 
 
 def test_collinearity_against_determinant():
     # exhaustive over the smallest field where both routes are nontrivial
     point_of = _point_of(_chart(standard_cubic(GF8)))
-    elems = _all_elems(GF8)
+    elems = range(1 << GF8.m)
     for a in elems:
         for b in elems:
             if b == a:
@@ -76,79 +68,84 @@ def test_collinearity_against_determinant():
 
 
 def test_affine_action_algebra(ctx):
-    f = AffineAction(ctx.gen_pow(3), ctx.gen_pow(11))
-    g = AffineAction(ctx.gen_pow(7), ctx.one())
+    f = AffineAction(ctx, ctx.gen_pow(3), ctx.gen_pow(11))
+    g = AffineAction(ctx, ctx.gen_pow(7), 1)
     t = ctx.gen_pow(20)
     assert f.compose(g)(t) == f(g(t))
     assert _inverse(f).compose(f)(t) == t
     assert f(f.fixed_point()) == f.fixed_point()
+    assert repr(f) == "t -> g^3*t + g^11"
     with pytest.raises(InvariantViolation, match="needs alpha != 0"):
-        AffineAction(ctx.zero(), ctx.one())
+        AffineAction(ctx, 0, 1)
     with pytest.raises(InvariantViolation, match="no fixed point"):
-        AffineAction(ctx.one(), ctx.one()).fixed_point()
+        AffineAction(ctx, 1, 1).fixed_point()
 
 
 def test_mod2_root_set(ctx):
     roots = lehmer_mod2_roots(ctx)
     assert len(roots) == 10
-    assert {dlog(r) for r in roots} == ROOT_DLOGS
-    bits = {r.bits for r in roots}
+    assert {ctx.dlog_bits(r) for r in roots} == ROOT_DLOGS
     for r in roots:
-        assert (r * r).bits in bits       # Frobenius closure
-        assert r.inverse().bits in bits   # reciprocal closure
+        assert ctx.mul_bits(r, r) in roots   # Frobenius closure
+        assert ctx.inv_bits(r) in roots      # reciprocal closure
 
 
 def test_beta_rejections(ctx):
     with pytest.raises(InvariantViolation, match="not a mod-2 root"):
-        beta_from_alpha(ctx.one())
+        beta_from_alpha(ctx, 1)
+    with pytest.raises(InvariantViolation, match="g\\^16 is not a mod-2 root"):
+        beta_from_alpha(ctx, ctx.gen_pow(16))
     with pytest.raises(InvariantViolation, match="not a mod-2 root"):
-        beta_from_alpha(ctx.gen_pow(16))
-    with pytest.raises(InvariantViolation, match="not a mod-2 root"):
-        beta_from_alpha(ctx.zero())
+        beta_from_alpha(ctx, 0)
 
 
 def test_beta_frobenius_equivariance(ctx):
     for a in lehmer_mod2_roots(ctx):
-        b = beta_from_alpha(a)
-        assert beta_from_alpha(a * a) == b * b
+        b = beta_from_alpha(ctx, a)
+        assert beta_from_alpha(ctx, ctx.mul_bits(a, a)) == ctx.mul_bits(b, b)
 
 
 def test_second_param_routes_agree_only_at_beta(ctx):
     for a in lehmer_mod2_roots(ctx):
-        b = beta_from_alpha(a)
-        assert second_param_expr1(a, b) == second_param_expr2(a, b)
-        wrong = b + ctx.one()
-        assert second_param_expr1(a, wrong) != second_param_expr2(a, wrong)
+        b = beta_from_alpha(ctx, a)
+        assert second_param_expr1(ctx, a, b) == second_param_expr2(ctx, a, b)
+        wrong = b ^ 1
+        assert second_param_expr1(ctx, a, wrong) \
+            != second_param_expr2(ctx, a, wrong)
 
 
 def test_orbit_parameters_for_bundled_scalar(ctx):
     a = ctx.gen_pow(19)
-    b = beta_from_alpha(a)
+    b = beta_from_alpha(ctx, a)
     assert b == ctx.gen_pow(5)
-    params = orbit_points(a, b)
-    assert [dlog(t) for t in params] == [0, 19, 7, 26, 21, 15, 8, 12, 2, 14]
-    ai = a.inverse()
-    assert params[9] == ai * (ctx.one() + b)
-    acc = ctx.one()
+    params = orbit_points(ctx, a, b)
+    assert [ctx.dlog_bits(t) for t in params] == [0, 19, 7, 26, 21, 15, 8,
+                                                  12, 2, 14]
+    # the closed form by repeated products, without negative powers
+    m, ai = ctx.mul_bits, ctx.inv_bits(a)
+    assert params[9] == m(ai, 1 ^ b)
+    acc, ak = 1, 1
     for i in range(0, 7):
-        acc = acc + (a ** i) * b
-    assert params[3] == ai ** 7 * acc
+        acc ^= m(ak, b)
+        ak = m(ak, a)
+    for _ in range(7):
+        acc = m(ai, acc)
+    assert params[3] == acc
 
 
 def test_constraints_hold_at_beta_and_break_nearby(ctx):
-    one = ctx.one()
     point_of = _point_of(_chart(standard_cubic(ctx)))
     for a in lehmer_mod2_roots(ctx):
-        b = beta_from_alpha(a)
-        params = orbit_points(a, b)
-        assert verify_coxeter_constraints(params, AffineAction(a, b),
+        b = beta_from_alpha(ctx, a)
+        params = orbit_points(ctx, a, b)
+        assert verify_coxeter_constraints(params, AffineAction(ctx, a, b),
                                           point_of).ok()
         try:
-            bad = orbit_points(a, b + one)
+            bad = orbit_points(ctx, a, b ^ 1)
         except InvariantViolation:  # the ten parameters collide
             continue
         assert not verify_coxeter_constraints(
-            bad, AffineAction(a, b + one), point_of).ok()
+            bad, AffineAction(ctx, a, b ^ 1), point_of).ok()
 
 
 def _find_cusp(curve):
@@ -171,7 +168,7 @@ def test_cusp_chart_samples_the_smooth_points(ctx, model):
                     if any((x, y, z)) and curve.eval_bits((x, y, z)) == 0}
         assert set(chart.points) == on_curve - {chart.cusp}
         assert len(chart.points) == 32
-        params = {chart.param_of(p).bits for p in chart.points}
+        params = {chart.param_of(p) for p in chart.points}
         assert params == set(range(32))
         with pytest.raises(InvariantViolation, match="tangent cone line"):
             chart.param_of(chart.cusp)
@@ -190,7 +187,7 @@ def test_induced_map_identity(ctx):
     comps = [MultiPoly.var(ctx, 3, i) for i in range(3)]
     action = induced_affine_map(_chart(standard_cubic(ctx)),
                                 comps)
-    assert action == AffineAction(ctx.one(), ctx.zero())
+    assert action == AffineAction(ctx, 1, 0)
 
 
 def test_induced_map_rejects_non_preserving(ctx):
@@ -214,47 +211,46 @@ def test_induced_map_of_bundled_model(ctx, model):
 
 
 def _brute_matches(ctx, aa, bb):
-    bset = {e.bits for e in bb}
+    bset = set(bb)
     out = []
-    for abits in range(1, 1 << ctx.m):
-        for bbits in range(1 << ctx.m):
-            a, b = FieldElement(ctx, abits), FieldElement(ctx, bbits)
-            if {(a * x + b).bits for x in aa} == bset:
-                out.append((abits, bbits))
+    for a in range(1, 1 << ctx.m):
+        for b in range(1 << ctx.m):
+            if {ctx.mul_bits(a, x) ^ b for x in aa} == bset:
+                out.append((a, b))
     return sorted(out)
 
 
 def test_point_set_matching_vs_brute_force(ctx, model):
-    aa = [ctx.one(), ctx.gen(), ctx.gen_pow(2)]
-    bb = [ctx.one(), ctx.gen(), ctx.gen_pow(3)]
+    g = ctx.gen_pow(1)
+    aa = [1, g, ctx.gen_pow(2)]
+    bb = [1, g, ctx.gen_pow(3)]
     # the bundled ten marked points against the abstract orbit
     chart = _chart(model.g)
     concrete = [chart.param_of(model.points[i]) for i in range(1, 11)]
     alpha = ctx.gen_pow(19)
-    abstract = orbit_points(alpha, beta_from_alpha(alpha))
+    abstract = orbit_points(ctx, alpha, beta_from_alpha(ctx, alpha))
     for source, target in ((aa, aa), (aa, bb), (concrete, abstract)):
-        got = [(m.alpha.bits, m.beta.bits)
-               for m in all_point_set_matches(source, target)]
+        got = [(m.alpha, m.beta)
+               for m in all_point_set_matches(ctx, source, target)]
         assert got == _brute_matches(ctx, source, target)
-    assert len(all_point_set_matches(concrete, abstract)) == 2
-    assert any(m.alpha == ctx.one() and not m.beta
-               for m in all_point_set_matches(aa, aa))
-    one = ctx.one()
-    assert all_point_set_matches([one], [one]) == []
-    assert all_point_set_matches(aa, bb[:2]) == []
-    assert all_point_set_matches([one, one, ctx.gen()], bb) == []
+    assert len(all_point_set_matches(ctx, concrete, abstract)) == 2
+    assert any(m.alpha == 1 and not m.beta
+               for m in all_point_set_matches(ctx, aa, aa))
+    assert all_point_set_matches(ctx, [1], [1]) == []
+    assert all_point_set_matches(ctx, aa, bb[:2]) == []
+    assert all_point_set_matches(ctx, [1, 1, g], bb) == []
 
 
 def test_equivariant_matching(ctx):
     a = ctx.gen_pow(19)
-    b = beta_from_alpha(a)
-    params = orbit_points(a, b)
-    act = AffineAction(a, b)
-    phi = AffineAction(ctx.gen_pow(9), ctx.gen_pow(2))
+    b = beta_from_alpha(ctx, a)
+    params = orbit_points(ctx, a, b)
+    act = AffineAction(ctx, a, b)
+    phi = AffineAction(ctx, ctx.gen_pow(9), ctx.gen_pow(2))
     image = [phi(t) for t in params]
     conj = phi.compose(act).compose(_inverse(phi))
-    found = equivariant_matches(all_point_set_matches(params, image), act,
-                                conj)
+    found = equivariant_matches(all_point_set_matches(ctx, params, image),
+                                act, conj)
     assert phi in found
     for m in found:
         assert m.compose(act) == conj.compose(m)
@@ -263,7 +259,7 @@ def test_equivariant_matching(ctx):
 def test_alpha_table_matches_bundled_file(ctx):
     from salemsurf import _read_data
     roots = lehmer_mod2_roots(ctx)
-    betas = [beta_from_alpha(a) for a in roots]
-    rows = zip(roots, betas, map(orbit_points, roots, betas))
-    assert alpha_table_text(rows).strip() == \
+    betas = [beta_from_alpha(ctx, a) for a in roots]
+    rows = [(a, b, orbit_points(ctx, a, b)) for a, b in zip(roots, betas)]
+    assert alpha_table_text(ctx, rows).strip() == \
         _read_data(None, "alpha_table.dat").strip()

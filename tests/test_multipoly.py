@@ -111,7 +111,7 @@ def test_resultant_linear(ctx):
     # res_x(x + a, x + b) = a + b, for a and b in y
     x = MultiPoly.var(ctx, 2, 0)
     a = MultiPoly.var(ctx, 2, 1)
-    b = a * a + MultiPoly.const(ctx, 2, ctx.gen().bits)
+    b = a * a + MultiPoly.const(ctx, 2, ctx.gen_pow(1))
     assert resultant(x + a, x + b, 0) == a + b
 
 
@@ -249,7 +249,7 @@ def test_linear_solve_identity(ctx):
 
 def test_linear_solve_kernel(ctx):
     assert linear_solve(ctx, [[1, 1]]) == [[1, 1]]
-    g4 = ctx.gen_pow(4).bits
+    g4 = ctx.gen_pow(4)
     assert linear_solve(ctx, [[1, g4, 0]]) == [[g4, 1, 0], [0, 0, 1]]
 
 
@@ -335,12 +335,12 @@ def test_poly_file_roundtrip(ctx):
 
 
 def test_projective_normalization(ctx):
-    p = (ctx.gen_pow(14).bits, ctx.gen_pow(7).bits, 1)
-    lam = ctx.gen_pow(11).bits
+    p = (ctx.gen_pow(14), ctx.gen_pow(7), 1)
+    lam = ctx.gen_pow(11)
     assert canonical(ctx, p) == p
     assert canonical(ctx, tuple(ctx.mul_bits(c, lam) for c in p)) == p
-    assert canonical(ctx, (ctx.gen_pow(3).bits, lam, 0)) \
-        == (ctx.gen_pow(23).bits, 1, 0)
+    assert canonical(ctx, (ctx.gen_pow(3), lam, 0)) \
+        == (ctx.gen_pow(23), 1, 0)
     assert format_point(ctx, p) == "(g^14 : g^7 : 1)"
     assert format_point(ctx, (1, 0, 0)) == "(1 : 0 : 0)"
     with pytest.raises(DomainError, match="all-zero projective"):

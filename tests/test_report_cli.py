@@ -336,7 +336,7 @@ def test_cubic_leaves_guard_the_chart(monkeypatch):
     surface suite's match reads."""
     param_of = cu.CuspChart.param_of
     monkeypatch.setattr(cu.CuspChart, "param_of", lambda self, coords:
-                        param_of(self, coords) + self.curve.ctx.one())
+                        param_of(self, coords) ^ 1)
     nodes = {c.name: c for c in run_suite("cubic").children}
     status = {c.name: c.status for c in nodes["cubic.group_law"].children}
     assert status == {"group_law.parametrization": "pass",
@@ -556,6 +556,8 @@ def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
      "points.dat: point 'p4' has 2 coordinates, expected 3"),
     ("points.dat", "(g^29 : g^6 : 1)", "(g^29 : g^6 : 1 : 1)",
      "points.dat: point 'p4' has 4 coordinates, expected 3"),
+    ("points.dat", "(g^29 : g^6 : 1)", "(0 : 0 : 0)",
+     "points.dat: point 'p4' has all-zero coordinates"),
     ("automorphism.poly", "weights: 1 1 1", "weights: 2 1 1",
      "automorphism.poly must declare 3 weight-1 variables"),
     ("cubic.poly", "weights: 1 1 1", "weights: 2 1 1",
@@ -775,6 +777,23 @@ def test_installed_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "overall: **PASS**" in proc.stdout
+
+
+def test_readme_library_example_prints_what_it_says():
+    """The python block of the README's "Library use" section runs in a
+    fresh interpreter and prints the two lines its comments show."""
+    readme = (SRC_DIR.parent / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    assert "# 1.176280818..." in block and "# g^7 g^12" in block
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines()
+    assert first.startswith("1.176280818")
+    assert second == "g^7 g^12"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 FRONT_END = {"cli", "suites", "report", "errors"}
 

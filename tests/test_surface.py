@@ -27,10 +27,10 @@ def test_load_model_shape(ctx, model):
 
 
 def test_apply_map_examples(ctx, model):
-    pt = (ctx.gen_pow(29).bits, ctx.gen_pow(6).bits, 1)
+    pt = (ctx.gen_pow(29), ctx.gen_pow(6), 1)
     assert pt == model.points[4]
     assert sf.apply_map(model, pt) == model.points[5]
-    other = (ctx.gen_pow(23).bits, ctx.gen_pow(29).bits, 1)
+    other = (ctx.gen_pow(23), ctx.gen_pow(29), 1)
     assert sf.apply_map(model, other) == model.points[1]
     assert sf.apply_map(model, model.points[0]) == model.points[0]
     for i in (1, 2, 3):
@@ -45,7 +45,7 @@ def test_orbit_cubic_equivariance_reports(model):
 
 def test_inverse_structure(ctx, model, sigma_inv):
     si = sigma_inv
-    assert si.w_scalar == ctx.gen_pow(15).bits
+    assert si.w_scalar == ctx.gen_pow(15)
     assert si.eta_prime.num_terms() == 40
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     u = x + z.scale_bits(model.f[0].terms[(1, 0, 1)])   # x + g^29 z
@@ -82,7 +82,7 @@ def test_derivation_report(model, sigma_inv, conj_scalar):
 def test_cubic_multiplier_direct(ctx, model):
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     lhs = model.g.substitute(list(model.f))
-    assert lhs == (x * y * z * model.g).scale_bits(ctx.gen_pow(12).bits)
+    assert lhs == (x * y * z * model.g).scale_bits(ctx.gen_pow(12))
 
 
 def test_d_dw_rules(ctx):
@@ -134,8 +134,8 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
     xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
     kf = sf._scalar_ratio(m.g.substitute(list(m.f)), xyz * m.g)
     mul = ctx.mul_bits
-    assert sf.conjugation_scalar(m, si).bits \
-        == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i).bits
+    assert sf.conjugation_scalar(m, si) \
+        == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i)
 
 
 @pytest.mark.parametrize("i", range(5))
@@ -297,7 +297,7 @@ def _moved(model, images, move):
 def test_singular_locus_after_change_of_coordinates(ctx, model):
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     mul = ctx.mul_bits
-    g = ctx.gen().bits
+    g = ctx.gen_pow(1)
     # x -> x + g y: (0 : 1 : 0) moves to (g : 1 : 0), off x = 0
     sheared = _moved(model, [x + y.scale_bits(g), y, z],
                      lambda co: (co[0] ^ mul(g, co[1]), co[1], co[2]))
@@ -306,7 +306,7 @@ def test_singular_locus_after_change_of_coordinates(ctx, model):
     lifted = _moved(model, [x, y, z + x.scale_bits(h)],
                     lambda co: (co[0], co[1], co[2] ^ mul(h, co[0])))
     assert (g, 1, 0) in sheared.points.values()
-    assert canonical(ctx, (g, ctx.gen_pow(19).bits, 0)) \
+    assert canonical(ctx, (g, ctx.gen_pow(19), 0)) \
         in lifted.points.values()
     for moved in (sheared, lifted):
         assert sf.singular_locus(moved).ok()
@@ -315,8 +315,8 @@ def test_singular_locus_after_change_of_coordinates(ctx, model):
 def test_local_expansion_uses_the_chart_of_the_point(ctx):
     # three lines through (g^3 : 1 : 0), read in the chart y = 1
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    u = x + y.scale_bits(ctx.gen_pow(3).bits)
-    pt = (ctx.gen_pow(3).bits, 1, 0)
+    u = x + y.scale_bits(ctx.gen_pow(3))
+    pt = (ctx.gen_pow(3), 1, 0)
     assert local_expansion(u * z * (u + z), pt).multiplicity_at([0, 0]) == 3
 
 
@@ -324,7 +324,7 @@ def test_multiplicities_at_a_point_of_z_0_off_the_axes(ctx, model):
     # x -> x + g y moves p3 = (0 : 1 : 0) to (g : 1 : 0), where the
     # chart is y = 1, not x = 1
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    g = ctx.gen().bits
+    g = ctx.gen_pow(1)
     sheared = _moved(model, [x + y.scale_bits(g), y, z],
                      lambda co: (co[0] ^ ctx.mul_bits(g, co[1]), co[1],
                                  co[2]))
@@ -336,7 +336,7 @@ def test_cubic_at_a_cusp_on_z_0(ctx, model):
     # z -> z + g^16 x moves the cusp (g^15 : g^28 : 1) onto z = 0, where
     # its tangent cone is read in the chart y = 1
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    h = ctx.gen_pow(16).bits
+    h = ctx.gen_pow(16)
     lifted = _moved(model, [x, y, z + x.scale_bits(h)],
                     lambda co: (co[0], co[1], co[2] ^ ctx.mul_bits(h, co[0])))
     assert lifted.cusp[2] == 0
@@ -371,7 +371,7 @@ def test_singular_locus_reports_a_zero_eliminant(ctx, model):
     # s = (x + y)^2 t: s_x = (x + y)^2 t_x and s_y = (x + y)^2 t_y share
     # a curve, so the z = 1 eliminant is the zero polynomial
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    t = x ** 3 * y ** 7 + (x ** 7 * y * z ** 2).scale_bits(ctx.gen().bits) \
+    t = x ** 3 * y ** 7 + (x ** 7 * y * z ** 2).scale_bits(ctx.gen_pow(1)) \
         + y ** 5 * z ** 5 + x * z ** 9
     mut = sf.SurfaceModel(ctx, model.names, (x + y) ** 2 * t, model.f,
                           model.c, model.eta, model.g, model.points,

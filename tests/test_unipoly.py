@@ -9,19 +9,20 @@ from salemsurf.unipoly import UniPoly, _trace_split, factor, uni_roots
 
 
 def _product_over_roots(ctx, roots) -> UniPoly:
-    """prod (x - r)^mult as a UniPoly over ctx (roots must lie in ctx)."""
+    """prod (x - r)^mult as a UniPoly over ctx, for (field, bits, mult)
+    triples whose roots lie in ctx."""
     acc = UniPoly(ctx, [1])
-    for r, mult in roots:
-        assert r.ctx is ctx
-        lin = UniPoly(ctx, [r.bits, 1])
+    for k, r, mult in roots:
+        assert k is ctx
+        lin = UniPoly(ctx, [r, 1])
         for _ in range(mult):
             acc = acc * lin
     return acc
 
 
 def test_divmod_roundtrip(ctx):
-    f = UniPoly(ctx, [ctx.gen_pow(k).bits for k in range(7)])
-    g = UniPoly(ctx, [1, ctx.gen_pow(3).bits, 1])
+    f = UniPoly(ctx, [ctx.gen_pow(k) for k in range(7)])
+    g = UniPoly(ctx, [1, ctx.gen_pow(3), 1])
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree() < g.degree()
@@ -31,36 +32,37 @@ def test_divmod_roundtrip(ctx):
 
 def test_evaluation(ctx):
     f = UniPoly(ctx, [1, 0, 1])  # x^2 + 1
-    assert f(ctx.one()) == ctx.zero()
-    assert f(ctx.gen()) == ctx.gen() ** 2 + ctx.one()
+    assert f.eval_bits(1) == 0
+    assert f.eval_bits(ctx.gen_pow(1)) == ctx.gen_pow(2) ^ 1
+    assert repr(f) == "UniPoly(1*x^0 + 1*x^2)"
+    assert repr(UniPoly(ctx, [0, ctx.gen_pow(3)])) == "UniPoly(g^3*x^1)"
 
 
 def test_modulus_polynomial_roots_are_frobenius_orbit(ctx):
     f = UniPoly(ctx, [1, 0, 1, 0, 0, 1])  # the context modulus, over itself
     roots = uni_roots(f, 5)
-    assert {r.ctx for r, _ in roots} == {ctx}
-    assert sorted((r.ctx.dlog_bits(r.bits)) for r, _ in roots) == [1, 2, 4, 8, 16]
-    assert all(mult == 1 for _, mult in roots)
+    assert {k for k, _, _ in roots} == {ctx}
+    assert sorted(ctx.dlog_bits(r) for _, r, _ in roots) == [1, 2, 4, 8, 16]
+    assert all(mult == 1 for _, _, mult in roots)
 
 
 def test_double_root_over_prime_field():
     gf2 = field_make(1, 0b11)
     roots = uni_roots(UniPoly(gf2, [1, 0, 1]), 1)  # (x + 1)^2
     assert len(roots) == 1
-    root, mult = roots[0]
-    assert root.bits == 1 and mult == 2
+    assert roots == [(gf2, 1, 2)]
 
 
 def test_degree10_polynomial_mod2_roots(ctx):
     f = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
     roots = uni_roots(f, 10)
     assert len(roots) == 10
-    bits = {r.bits for r, _ in roots}
+    bits = {r for _, r, _ in roots}
     assert len(bits) == 10
-    for r, mult in roots:
+    for k, r, mult in roots:
         assert mult == 1
-        assert r.ctx is ctx
-        assert ctx.pow_bits(r.bits, 31) == 1 and r.bits != 1  # order 31
+        assert k is ctx
+        assert ctx.pow_bits(r, 31) == 1 and r != 1  # order 31
 
 
 def test_bound_is_the_largest_degree_searched():
@@ -68,43 +70,44 @@ def test_bound_is_the_largest_degree_searched():
     f = UniPoly(gf2, [1, 1, 0, 1])  # x^3 + x + 1, irreducible over GF(2)
     roots = uni_roots(f, 4)
     assert len(roots) == 3
-    assert all(r.ctx.m == 3 and mult == 1 for r, mult in roots)
-    assert all(f.embed_to(r.ctx)(r) == r.ctx.zero() for r, _ in roots)
+    assert all(k.m == 3 and mult == 1 for k, _, mult in roots)
+    assert all(f.embed_to(k).eval_bits(r) == 0 for k, r, _ in roots)
     assert uni_roots(f, 2) == []
 
 
 def test_root_output_is_sorted(ctx):
     f = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
     roots = uni_roots(f, 10)
-    keys = [(r.ctx.m, r.bits) for r, _ in roots]
+    keys = [(k.m, r) for k, r, _ in roots]
     assert keys == sorted(keys)
 
 
 def _irreducible_quadratic(ctx):
     for cbits in range(1, 32):
         f = UniPoly(ctx, [cbits, 1, 1])
-        if all(f(ctx.elem(b)).bits != 0 for b in range(32)):
+        if all(f.eval_bits(b) != 0 for b in range(32)):
             return f
     raise AssertionError("no irreducible quadratic found")
 
 
 def test_bounded_search_reports_cofactor(ctx):
     """Roots beyond the extension bound are omitted, never invented."""
-    lin = _product_over_roots(ctx, [(ctx.gen(), 1), (ctx.gen_pow(2), 1)])
+    lin = _product_over_roots(ctx, [(ctx, ctx.gen_pow(1), 1),
+                                    (ctx, ctx.gen_pow(2), 1)])
     quad = _irreducible_quadratic(ctx)
     f = lin * quad
     roots = uni_roots(f, 5)
-    assert sorted(r.bits for r, _ in roots) == sorted(
-        [ctx.gen().bits, ctx.gen_pow(2).bits])
-    assert sum(m for _, m in roots) == 2 < f.degree()
+    assert sorted(r for _, r, _ in roots) == sorted(
+        [ctx.gen_pow(1), ctx.gen_pow(2)])
+    assert sum(m for _, _, m in roots) == 2 < f.degree()
     # reconstruction: split part times the cofactor is the input
     split = _product_over_roots(ctx, roots)
     q, rem = divmod(f, split)
     assert rem.is_zero() and q * split == f
     # raising the bound picks up the quadratic's two conjugate roots
     deep = uni_roots(f, 10)
-    assert sum(m for _, m in deep) == 4
-    assert {r.ctx.m for r, _ in deep} == {5, 10}
+    assert sum(m for _, _, m in deep) == 4
+    assert {k.m for k, _, _ in deep} == {5, 10}
 
 
 def test_factor_mod2_degree10():
@@ -126,7 +129,7 @@ def test_factor_char2_square():
 
 def test_factor_is_deterministic(ctx):
     # equal-degree splitting is seeded; two runs agree exactly
-    f = _product_over_roots(ctx, [(ctx.elem(b), 1) for b in range(1, 9)])
+    f = _product_over_roots(ctx, [(ctx, b, 1) for b in range(1, 9)])
     a = factor(f)
     b = factor(f)
     assert [(p.coeffs, m) for p, m in a] == [(p.coeffs, m) for p, m in b]
@@ -135,7 +138,7 @@ def test_factor_is_deterministic(ctx):
 
 def test_factor_recomposes(ctx):
     quad = _irreducible_quadratic(ctx)
-    f = quad * quad * _product_over_roots(ctx, [(ctx.gen_pow(3), 1)])
+    f = quad * quad * _product_over_roots(ctx, [(ctx, ctx.gen_pow(3), 1)])
     acc = UniPoly(ctx, [1])
     for p, mult in factor(f):
         for _ in range(mult):
@@ -207,9 +210,9 @@ def test_roots_against_brute_force(ctx, seed, power):
     for bound in (5, 10):
         roots = uni_roots(f, bound)
         found = {}
-        for r, mult in roots:
-            image = embed(r.bits, r.ctx, sup)
-            assert r.ctx.m == (5 if image in base else 10)
+        for k, r, mult in roots:
+            image = embed(r, k, sup)
+            assert k.m == (5 if image in base else 10)
             found[image] = mult
         assert len(found) == len(roots)
         want = {b: m for b, m in brute.items() if bound == 10 or b in base}
@@ -224,7 +227,7 @@ def test_search_stops_at_the_bound(ctx, monkeypatch):
     c1 = _root_free(ctx, rng, 3)
     c2 = _root_free(ctx, rng, 3)
     assert c1 != c2
-    f = UniPoly(ctx, [ctx.gen().bits, 1]) * c1 * c2
+    f = UniPoly(ctx, [ctx.gen_pow(1), 1]) * c1 * c2
     squarings = 0
     square = UniPoly.square
 
@@ -235,5 +238,5 @@ def test_search_stops_at_the_bound(ctx, monkeypatch):
 
     monkeypatch.setattr(UniPoly, "square", counted)
     roots = uni_roots(f, 10)
-    assert [(r.bits, m) for r, m in roots] == [(ctx.gen().bits, 1)]
+    assert roots == [(ctx, ctx.gen_pow(1), 1)]
     assert squarings == (10 // 5) * 5
