@@ -362,6 +362,15 @@ def _bisect(p, lo, hi, precision):
     return Fraction(a, d), Fraction(b, d)
 
 
+def _positive(precision):
+    """precision as a Fraction; DomainError unless it is positive, since
+    bisection down to a width of zero or less never ends."""
+    precision = Fraction(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
+    return precision
+
+
 def real_roots(p, precision):
     """Isolating rational intervals for all real roots of a squarefree p.
 
@@ -374,13 +383,13 @@ def real_roots(p, precision):
     width at most precision whose right end is not a root. The
     intervals are pairwise disjoint and sorted by position.
     """
+    precision = _positive(precision)
     p = ip_trim(p)
     if len(p) <= 1:
         return []
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:
         raise InvariantViolation("input shares a factor with its derivative")
-    precision = Fraction(precision)
     intervals = []
     bound = _root_bound(p)
     stack = [(-bound, bound)]
@@ -471,11 +480,12 @@ def salem_certify(p, precision=DEFAULT_PRECISION):
     (1, B], B the root bound, and is bisected there on p alone: no
     other root of p is isolated. Its interval has width at most
     precision and lies above 1, or is (lambda, lambda) when a halving
-    point hits it. Raises NoSolution when a condition fails; returns a
+    point hits it. Raises NoSolution when a condition fails and
+    DomainError for a precision that is not positive; returns a
     SalemCertificate on success.
     """
     p = ip_trim(p)
-    precision = Fraction(precision)
+    precision = _positive(precision)
     r = trace_polynomial(p)
     d = len(r) - 1
     try:
@@ -522,17 +532,27 @@ def sign_vector_target(cert):
 # spectral radius
 
 
+def divide_root(p, root):
+    """The exact quotient p / (x - root) of a nonconstant integer
+    polynomial, by synthetic division; DomainError when root is not a
+    root of p."""
+    p = ip_trim(p)
+    acc, quo = 0, []
+    for c in reversed(p[1:]):
+        acc = acc * root + c
+        quo.append(acc)
+    if not quo or acc * root + p[0]:
+        raise DomainError(f"{root} is not a root")
+    return quo[::-1]
+
+
 def deflate(charpoly):
     """charpoly with the roots 1 and -1 divided out, multiplicities
     included, by exact synthetic division; a constant if nothing is left."""
     p = ip_trim(charpoly)
     for root in (1, -1):
         while len(p) > 1 and ip_eval(p, root) == 0:
-            acc, quo = 0, []
-            for c in reversed(p[1:]):
-                acc = acc * root + c
-                quo.append(acc)
-            p = quo[::-1]
+            p = divide_root(p, root)
     return p
 
 

@@ -4,8 +4,11 @@ Vectors of the rank-n reduction are bitmask ints (bit i = coordinate i
 in the lattice basis). Everything derives from the polar matrix
 B = Gram mod 2, the reduced bilinear form b(u, v) = u·Bv: the quadratic
 form q(v) = (v, v)/2 mod 2 is tabulated over all 2^n vectors by the
-recurrence q(w + e_i) = q(w) + q(e_i) + b(w, e_i). Matrices over GF(2)
-are tuples of column bitmasks. All reduction mod 2 of the lattice side
+recurrence q(w + e_i) = q(w) + q(e_i) + b(w, e_i). A linear map over
+GF(2) is given by its column bitmasks and used as the table of its
+images of all 2^n vectors (mat2_images): its order, the kernels of
+polynomials in it and the invariance of q and of each Lagrangian are
+all read off that one table. All reduction mod 2 of the lattice side
 lives here, the factoring of integer polynomials over GF(2) included.
 
 Totally singular subspaces of half dimension are listed from a Witt
@@ -21,18 +24,18 @@ read off dim W, and L = L^perp reduces invariance to the polar form.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from .errors import InvariantViolation
-from . import lattice as lat
 from .gf2m import field_make
 from .unipoly import UniPoly, factor as gf2_factor
 
 
 class Mod2QuadSpace:
-    """q(v) = (half the even Gram norm) mod 2, tabulated; polar is the
-    polar matrix B = Gram mod 2 as column bitmasks."""
+    """q(v) = (half the even Gram norm) mod 2, tabulated over the
+    2^dim vectors."""
 
-    __slots__ = ("dim", "polar", "q")
+    __slots__ = ("dim", "q")
 
     def __init__(self, gram):
         n = len(gram)
@@ -44,13 +47,13 @@ class Mod2QuadSpace:
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
             raise InvariantViolation("gram is not symmetric")
         self.dim = n
-        self.polar = mat2_from_int(gram)
+        polar = mat2_from_int(gram)
         q = [0] * (1 << n)
         for v in range(1, 1 << n):
             i = (v & -v).bit_length() - 1
             w = v ^ (1 << i)
             q[v] = q[w] ^ (gram[i][i] // 2) % 2 ^ (
-                (w & self.polar[i]).bit_count() & 1)
+                (w & polar[i]).bit_count() & 1)
         self.q = tuple(q)
 
     def bilinear(self, u: int, v: int) -> int:
@@ -66,10 +69,6 @@ def mat2_from_int(m) -> tuple:
     n = len(m)
     return tuple(sum(((m[i][j] % 2) & 1) << i for i in range(n))
                  for j in range(n))
-
-
-def mat2_identity(n) -> tuple:
-    return tuple(1 << j for j in range(n))
 
 
 def mat2_apply(cols, v: int) -> int:
@@ -91,37 +90,6 @@ def mat2_images(cols) -> list:
         low = v & -v
         image[v] = image[v ^ low] ^ cols[low.bit_length() - 1]
     return image
-
-
-def mat2_mul(a, b) -> tuple:
-    return tuple(mat2_apply(a, bj) for bj in b)
-
-
-def mat2_add(a, b) -> tuple:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def mat2_order(cols) -> int:
-    n = len(cols)
-    ident = mat2_identity(n)
-    cur = cols
-    for k in range(1, (1 << (2 * n)) + 1):
-        if cur == ident:
-            return k
-        cur = mat2_mul(cols, cur)
-    raise InvariantViolation("matrix mod 2 is not invertible")
-
-
-def mat2_poly_at(cols, coeffs) -> tuple:
-    """p(M) over GF(2): coeffs low degree first, each taken mod 2."""
-    n = len(cols)
-    acc = (0,) * n
-    pw = mat2_identity(n)
-    for c in coeffs:
-        if c % 2:
-            acc = mat2_add(acc, pw)
-        pw = mat2_mul(cols, pw)
-    return acc
 
 
 def rref_rows(vectors) -> tuple:
@@ -147,24 +115,6 @@ def rref_rows(vectors) -> tuple:
     return tuple(reversed(done))
 
 
-def mat2_kernel(cols) -> list:
-    """Basis bitmasks of {v : M v = 0}."""
-    n = len(cols)
-    red = rref_rows(sum(((cols[j] >> i) & 1) << j for j in range(n))
-                    for i in range(n))
-    pivots = {r.bit_length() - 1 for r in red}
-    ker = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for r in red:
-            if (r >> free) & 1:
-                v ^= 1 << (r.bit_length() - 1)
-        ker.append(v)
-    return ker
-
-
 def span_of(rows):
     s = {0}
     for v in rows:
@@ -177,12 +127,15 @@ def span_of(rows):
 
 
 class KernelRecord:
-    __slots__ = ("factor", "multiplicity", "dimension", "totally_singular")
+    """The kernel of p(M) for an irreducible factor p of cp mod 2: its
+    RREF rows, and whether q vanishes on all of it."""
 
-    def __init__(self, factor, multiplicity, dimension, totally_singular):
+    __slots__ = ("factor", "multiplicity", "kernel", "totally_singular")
+
+    def __init__(self, factor, multiplicity, kernel, totally_singular):
         self.factor = factor
         self.multiplicity = multiplicity
-        self.dimension = dimension
+        self.kernel = kernel
         self.totally_singular = totally_singular
 
 
@@ -205,27 +158,40 @@ def mod2_reduce_and_factor(p):
     return [([c for c in irr.coeffs], mult) for irr, mult in gf2_factor(f)]
 
 
-def mod2_action_analysis(m, ge, space, cp, images) -> Mod2ActionReport:
-    """Order and irreducible-factor kernels of an isometry reduced mod 2.
+def mod2_action_analysis(space, cp, images) -> Mod2ActionReport:
+    """Order and irreducible-factor kernels of a linear map M over GF(2).
 
-    m: integer matrix on an even-sublattice basis with Gram matrix ge;
-    must preserve ge (InvariantViolation otherwise). space is the
-    quadratic space of ge, cp the characteristic polynomial of m and
-    images = mat2_images(m mod 2), on which q is checked invariant.
-    Kernels are of p_i(m mod 2) for each irreducible factor p_i of cp
-    mod 2, each reported with its dimension and whether the quadratic
-    form vanishes on all of it.
+    images = mat2_images(M), M the reduction mod 2 of an isometry of the
+    even lattice whose quadratic space is space; cp is the isometry's
+    characteristic polynomial. The order is the lcm of the orbit lengths
+    of the basis vectors (InvariantViolation when one never returns, so
+    M is not invertible). For each irreducible factor p_i of cp mod 2,
+    the columns of p_i(M) are walked off the table, and the zero set of
+    their own image table is the kernel: it is reported by its RREF rows
+    and whether q vanishes on all of it. q is checked invariant on the
+    table as well.
     """
-    if not lat.is_isometry_of(m, ge):
-        raise InvariantViolation(
-            "matrix does not preserve the sublattice form")
-    cols = mat2_from_int(m)
-    order = mat2_order(cols)
+    order = 1
+    for j in range(space.dim):
+        v, length = images[1 << j], 1
+        while v != 1 << j:
+            if length == len(images):
+                raise InvariantViolation("matrix mod 2 is not invertible")
+            v, length = images[v], length + 1
+        order = lcm(order, length)
     records = []
     for coeffs, mult in mod2_reduce_and_factor(cp):
-        ker = mat2_kernel(mat2_poly_at(cols, coeffs))
-        sing = all(space.q[v] == 0 for v in span_of(ker))
-        records.append(KernelRecord(tuple(coeffs), mult, len(ker), sing))
+        cols = []
+        for j in range(space.dim):
+            v, col = 1 << j, 0
+            for c in coeffs:  # col = p_i(M) e_j
+                if c:
+                    col ^= v
+                v = images[v]
+            cols.append(col)
+        ker = [v for v, w in enumerate(mat2_images(cols)) if not w]
+        records.append(KernelRecord(tuple(coeffs), mult, rref_rows(ker),
+                                    all(space.q[v] == 0 for v in ker)))
     preserves = all(space.q[w] == q for w, q in zip(images, space.q))
     return Mod2ActionReport(order, preserves, records)
 

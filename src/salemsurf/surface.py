@@ -134,10 +134,6 @@ def _scalar_ratio(p: MultiPoly, q: MultiPoly):
     return ks.pop() if len(ks) == 1 else None
 
 
-def _chart(p: MultiPoly, drop: int) -> MultiPoly:
-    return p.restrict(drop, 1).drop_var(drop)
-
-
 # ---------------------------------------------------------------------------
 # orbit of the marked points under f
 
@@ -472,11 +468,12 @@ def _stratum_points(grad, label: str, ext_bound: int):
         if not (p.eval_bits((1, 0, 0)) or q.eval_bits((1, 0, 0))):
             cands.append(((1, 0, 0), p.ctx))
     elif label == "y":
-        uu, vv = (_chart(r, 1).restrict(1, 0).univariate(0) for r in (p, q))
+        uu, vv = (local_expansion(r, (0, 1, 0)).restrict(1, 0).univariate(0)
+                  for r in (p, q))
         leaves, roots = _common_roots(uu, vv, ext_bound, prefix, "0")
         cands = [((x0, 1, 0), k) for k, x0 in roots]
     else:
-        su, sv = _chart(p, 2), _chart(q, 2)
+        su, sv = (local_expansion(r, (0, 0, 1)) for r in (p, q))
         r2 = resultant(su, sv, 1)
         if r2.is_zero():
             return [rp.leaf(f"{prefix}.eliminant_nonzero", False,

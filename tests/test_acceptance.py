@@ -68,11 +68,11 @@ def test_criterion_03_mod2_spectrum(e10_basis):
         ge = lat.gram_of(e10_basis)
         restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis, ge)
         rep = m2.mod2_action_analysis(
-            restr, ge, m2.Mod2QuadSpace(ge), lat.char_poly(restr),
+            m2.Mod2QuadSpace(ge), lat.char_poly(restr),
             m2.mat2_images(m2.mat2_from_int(restr)))
         return (rep.order == 31 and rep.preserves_form
                 and len(rep.invariant_subspaces) == 2
-                and all(r.dimension == 5 and r.totally_singular
+                and all(len(r.kernel) == 5 and r.totally_singular
                         for r in rep.invariant_subspaces))
     _report(3, "mod-2 factorization, order 31, isotropic kernels", 1, run)
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import salemsurf.lattice as lat
-from salemsurf.errors import InvariantViolation, NoSolution
+from salemsurf.errors import DomainError, InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
-                               coxeter_matrix, dynamical_degree,
+                               coxeter_matrix, deflate, divide_root,
+                               dynamical_degree,
                                e10_parity_check, gram_of, halfcone_pairing,
                                ip_add, ip_mul, is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
@@ -74,6 +75,23 @@ def test_char_poly_of_coxeter_is_lehmer_times_unit(e10_restriction):
     assert ip_mul([-1, 1], P10) == full
     _, restr = e10_restriction
     assert char_poly(restr) == P10
+
+
+def test_divide_root_is_exact_or_raises():
+    """p / (x - r) times x - r is p back; a non-root, and a constant
+    with no root at all, raise. deflate divides with the same helper."""
+    full = char_poly(coxeter_matrix())
+    assert divide_root(full, 1) == P10
+    rng = random.Random(3)
+    for _ in range(20):
+        q = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))] + [1]
+        r = rng.randrange(-3, 4)
+        assert divide_root(ip_mul([-r, 1], q), r) == q
+    for p, r in ((P10, 1), (P10, -1), ([5], 1), ([0, 1], 2)):
+        with pytest.raises(DomainError, match=f"{r} is not a root"):
+            divide_root(p, r)
+    assert deflate(ip_mul(ip_mul([-1, 1], [1, 1]), ip_mul([1, 1], P10))) \
+        == P10
 
 
 def test_char_poly_against_sympy(e10_restriction):

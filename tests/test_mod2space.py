@@ -7,13 +7,75 @@ import pytest
 from salemsurf import lattice as lat
 from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
-                                 mat2_apply, mat2_from_int, mat2_identity,
-                                 mat2_images, mat2_kernel, mat2_mul,
-                                 mat2_order, mat2_poly_at,
-                                 mod2_action_analysis, rref_rows, span_of)
+                                 mat2_apply, mat2_from_int, mat2_images,
+                                 mod2_action_analysis,
+                                 mod2_reduce_and_factor, rref_rows, span_of)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
+
+
+# Oracles: GF(2) matrices as tuples of column bitmasks, multiplied out.
+
+
+def mat2_identity(n) -> tuple:
+    return tuple(1 << j for j in range(n))
+
+
+def mat2_mul(a, b) -> tuple:
+    return tuple(mat2_apply(a, bj) for bj in b)
+
+
+def mat2_add(a, b) -> tuple:
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def mat2_order(cols) -> int:
+    n = len(cols)
+    ident = mat2_identity(n)
+    cur = cols
+    for k in range(1, (1 << (2 * n)) + 1):
+        if cur == ident:
+            return k
+        cur = mat2_mul(cols, cur)
+    raise InvariantViolation("matrix mod 2 is not invertible")
+
+
+def mat2_poly_at(cols, coeffs) -> tuple:
+    """p(M) over GF(2): coeffs low degree first, each taken mod 2."""
+    n = len(cols)
+    acc = (0,) * n
+    pw = mat2_identity(n)
+    for c in coeffs:
+        if c % 2:
+            acc = mat2_add(acc, pw)
+        pw = mat2_mul(cols, pw)
+    return acc
+
+
+def mat2_kernel(cols) -> list:
+    """Basis bitmasks of {v : M v = 0}, by row reduction."""
+    n = len(cols)
+    red = rref_rows(sum(((cols[j] >> i) & 1) << j for j in range(n))
+                    for i in range(n))
+    pivots = {r.bit_length() - 1 for r in red}
+    ker = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = 1 << free
+        for r in red:
+            if (r >> free) & 1:
+                v ^= 1 << (r.bit_length() - 1)
+        ker.append(v)
+    return ker
+
+
+def _lift(cols):
+    """The 0/1 integer matrix with the columns cols; its characteristic
+    polynomial reduces mod 2 to that of cols over GF(2)."""
+    n = len(cols)
+    return [[(cols[j] >> i) & 1 for j in range(n)] for i in range(n)]
 
 
 def subspace_contains(rows, v: int) -> bool:
@@ -220,7 +282,7 @@ def test_subspace_helpers():
 
 
 def _analysis(m, ge):
-    return mod2_action_analysis(m, ge, Mod2QuadSpace(ge), lat.char_poly(m),
+    return mod2_action_analysis(Mod2QuadSpace(ge), lat.char_poly(m),
                                 mat2_images(mat2_from_int(m)))
 
 
@@ -267,7 +329,7 @@ def test_action_analysis_of_restriction(e10_restriction):
     assert facs == sorted([QUINTIC_A, QUINTIC_B])
     for rec in rep.invariant_subspaces:
         assert rec.multiplicity == 1
-        assert rec.dimension == 5
+        assert len(rec.kernel) == 5
         assert rec.totally_singular
 
 
@@ -278,23 +340,12 @@ def test_action_analysis_of_identity(e10_restriction):
     rep = _analysis(ident, ge)
     assert rep.order == 1
     assert rep.preserves_form
-    # the form test reads the image table it is given
-    assert not mod2_action_analysis(ident, ge, Mod2QuadSpace(ge),
-                                    lat.char_poly(ident),
-                                    mat2_images((0,) * 10)).preserves_form
     assert len(rep.invariant_subspaces) == 1
     rec = rep.invariant_subspaces[0]
     assert tuple(rec.factor) == (1, 1)
     assert rec.multiplicity == 10
-    assert rec.dimension == 10
+    assert len(rec.kernel) == 10
     assert not rec.totally_singular
-
-
-def test_action_analysis_rejects_non_isometry(e10_basis):
-    with pytest.raises(InvariantViolation,
-                       match="does not preserve the sublattice form"):
-        _analysis([[2 if i == j else 0 for j in range(10)]
-                   for i in range(10)], lat.gram_of(e10_basis))
 
 
 def test_census_counts(census):
@@ -364,6 +415,58 @@ def test_invariance_by_polar_form_matches_containment(census, e10_basis,
         counts.append(len(want))
     # one transvection exchanges the two families, so it fixes no member
     assert counts == [2, 4590, 0, 270, 30]
+
+
+def test_action_analysis_against_matrix_products(e10_basis,
+                                                 e10_restriction):
+    """The image-table reading agrees with the matrix products: the
+    order, and each factor's kernel rows (so its dimension) and singular
+    flag, on the E10 restriction, the identity and seeded transvection
+    products."""
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
+    cases = [mat2_from_int(e10_restriction[1]), mat2_identity(10),
+             *(_transvections(sp, seed, count)
+               for seed, count in ((3, 1), (4, 2), (7, 4)))]
+    orders, dims = [], []
+    for cols in cases:
+        cp = lat.char_poly(_lift(cols))
+        rep = mod2_action_analysis(sp, cp, mat2_images(cols))
+        assert rep.order == mat2_order(cols)
+        assert rep.preserves_form
+        want = []
+        for coeffs, mult in mod2_reduce_and_factor(cp):
+            ker = mat2_kernel(mat2_poly_at(cols, coeffs))
+            want.append((tuple(coeffs), mult, rref_rows(ker),
+                         all(sp.q[v] == 0 for v in span_of(ker))))
+        assert [(r.factor, r.multiplicity, r.kernel, r.totally_singular)
+                for r in rep.invariant_subspaces] == want
+        orders.append(rep.order)
+        dims.append([len(r.kernel) for r in rep.invariant_subspaces])
+    assert orders[:3] == [31, 1, 2]
+    assert dims[:3] == [[5, 5], [10], [9]]
+
+
+@pytest.mark.parametrize("cols", [(0,) * 10, (*(1 << j for j in range(9)), 0)])
+def test_action_analysis_rejects_a_singular_map(e10_basis, cols):
+    """The zero map, and a map that kills e_9 only, are not invertible."""
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
+    with pytest.raises(InvariantViolation,
+                       match="matrix mod 2 is not invertible"):
+        mod2_action_analysis(sp, lat.char_poly(_lift(cols)),
+                             mat2_images(cols))
+
+
+def test_action_analysis_reads_the_form_off_the_table(e10_basis):
+    """The transvection x -> x + b(x, v) v in a singular v != 0 is its
+    own inverse and changes q wherever b(x, v) = 1."""
+    sp = Mod2QuadSpace(lat.gram_of(e10_basis))
+    v = next(v for v in range(1, 1 << sp.dim) if not sp.q[v])
+    cols = tuple((1 << j) ^ (v if sp.bilinear(1 << j, v) else 0)
+                 for j in range(sp.dim))
+    rep = mod2_action_analysis(sp, lat.char_poly(_lift(cols)),
+                               mat2_images(cols))
+    assert rep.order == 2
+    assert not rep.preserves_form
 
 
 def test_invariant_members(census, e10_restriction):

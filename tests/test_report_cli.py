@@ -156,6 +156,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(lat, "gram_of")
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
+    count(lat, "is_isometry_of")
     count(lat, "salem_certify")
     count(lat, "dynamical_degree")
     count(lat, "real_roots")
@@ -164,12 +165,15 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     count(cu, "all_point_set_matches")
     count(cu, "cusp_parametrization")
     count(sf, "resultant")  # surface imports it by name
-    # char_poly: the Coxeter matrix and its restriction, once each;
+    # char_poly: the Coxeter matrix only, since the restriction's is its
+    # quotient by x - 1; is_isometry_of: the Coxeter matrix on the
+    # ambient form and the restriction on the E10 form, once each;
     # salem_certify: Lehmer's coefficients only, with one real_roots on
     # its trace polynomial, since the Coxeter polynomial deflates to them
     per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
-               "char_poly": 2, "salem_certify": 1, "real_roots": 1,
-               "Mod2QuadSpace": 1, "mod2_reduce_and_factor": 1}
+               "char_poly": 1, "is_isometry_of": 2, "salem_certify": 1,
+               "real_roots": 1, "Mod2QuadSpace": 1,
+               "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
         assert calls == {k: runs * v for k, v in per_run.items()}
@@ -203,7 +207,9 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # the cubic check locates the cusp and the match reuses it; the plane
     # is read once for the orbit's base locus and once for the cubic; s
     # is expanded once at each marked point, for the multiplicities and
-    # the charts, and g at its cusp by the cubic check and the chart
+    # the charts, g at its cusp by the cubic check and the chart, and
+    # two partials of s in each of the charts y = 1 and z = 1 by the
+    # singular locus
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
                  "plane_zeros", "local_expansion"):
         count(sf, name)
@@ -216,7 +222,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                  "find_cusp", "cusp_parametrization", "induced_affine_map"):
         assert calls[name] == 1, name
     assert calls["plane_zeros"] == 2
-    assert calls["local_expansion"] == 13
+    assert calls["local_expansion"] == 17
     # the cubic suite charts the standard cubic once over GF(32), for the
     # group law and the orbits, and once over GF(8) for the group law
     count(cubic_checks, "plane_zeros")
@@ -689,6 +695,47 @@ def test_coarse_precision_largest_root_witness(capsys):
     assert lo >= 2 and hi - lo > Fraction(1, 10 ** 12)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_non_positive_precision_is_an_error_not_a_hang(precision):
+    """Bisection down to a width of zero or less never ends, so a library
+    caller's non-positive precision is refused where it enters. The run
+    is a child process with a timeout, so that a hang fails the test."""
+    code = (
+        "from salemsurf import lattice as lat\n"
+        "from salemsurf.errors import DomainError\n"
+        "from salemsurf.suites import SuiteConfig, run_suite\n"
+        f"config = SuiteConfig(precision={precision})\n"
+        "(node,) = run_suite('salem', config).children\n"
+        "print(node.name, node.status, node.witness, sep='|')\n"
+        "full = lat.char_poly(lat.coxeter_matrix())\n"
+        "for fn, p in ((lat.real_roots, [-2, 0, 1]),\n"
+        "              (lat.salem_certify, lat.lehmer_polynomial()),\n"
+        "              (lat.dynamical_degree, full)):\n"
+        "    try:\n"
+        f"        fn(p, {precision})\n"
+        "    except DomainError as ex:\n"
+        "        print(ex)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "lattice.salem|error|DomainError: precision must be positive",
+        *["precision must be positive"] * 3]
+
+
+def test_non_isometric_restriction_is_the_mod2_error_leaf(monkeypatch):
+    """A restriction that does not preserve the E10 form is refused by
+    the one isometry check, which the mod-2 node runs first."""
+    monkeypatch.setattr(lat, "restrict_to_basis", lambda m, basis, ge: tuple(
+        tuple(2 * (i == j) for j in range(10)) for i in range(10)))
+    node = next(c for c in run_suite("lattice").children
+                if c.name == "lattice.mod2")
+    assert node.status == "error"
+    assert node.witness == ("InvariantViolation: matrix does not preserve "
+                            "the sublattice form")
+
+
 def test_largest_root_leaf_reads_p10_not_route_one(monkeypatch):
     """An enclosure of lambda moved one width to the right keeps its
     width and lies above 1, and the Coxeter polynomial still deflates
@@ -831,6 +878,8 @@ def test_importing_the_cli_executes_only_the_front_end():
                  "cubic_checks"}),
     ("cubic", {"lattice", "mod2space", "surface", "lattice_checks",
                "surface_checks"}),
+    ("lattice", {"surface", "multipoly", "cubic", "cubic_checks",
+                 "surface_checks"}),
 ])
 def test_suite_executes_only_the_modules_it_runs(suite, absent):
     """A suite executes its own check module and no other suite's
@@ -839,7 +888,7 @@ def test_suite_executes_only_the_modules_it_runs(suite, absent):
                             f"main([{suite!r}, '--format', 'json'])")
     assert FRONT_END <= ran
     assert not ran & absent
-    on_lattice = suite in ("salem", "lagrangians")
+    on_lattice = suite in ("lattice", "salem", "lagrangians")
     assert ("lattice" in ran) == ("lattice_checks" in ran) == on_lattice
     assert f"{'lattice' if on_lattice else suite}_checks" in ran
 

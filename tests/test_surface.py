@@ -212,7 +212,7 @@ def test_multiplicity_adjustment(ctx, model):
 
 def test_chart_smoothness(model):
     assert sf.verify_chart_smoothness(sf.s_expansions(model)).ok()
-    chart = sf._chart(model.s, 2)
+    chart = local_expansion(model.s, (0, 0, 1))
     u, v = (MultiPoly.var(model.ctx, 2, i) for i in range(2))
     main = chart.substitute([u, u * v])
     main.divide_by_power(0, 4)  # exactness is the blow-up requirement
