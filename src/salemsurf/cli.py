@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import MAX_M
 from .report import emit_json, emit_markdown
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, run_suite
 
 
 def _precision(text: str):
@@ -31,14 +30,6 @@ def _precision(text: str):
     return value
 
 
-def _ext_bound(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if not 1 <= value <= MAX_M:
-        raise argparse.ArgumentTypeError(
-            f"extension bound must be between 1 and {MAX_M}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="verify",
@@ -54,18 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", metavar="P", type=_precision,
                     help="interval width for real-root isolation "
                          "(default: 1e-9)")
-    ap.add_argument("--ext-bound", metavar="N", type=_ext_bound, default=10,
-                    help="largest field-extension degree searched when "
-                         f"locating singular points, 1 to {MAX_M} "
-                         "(default: 10)")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = SuiteConfig(data_dir=args.data, precision=args.precision,
-                         ext_bound=args.ext_bound)
-    report = run_suite(args.suite, config)
+    report = run_suite(args.suite, args.data, args.precision)
     text = emit_json(report) if args.format == "json" \
         else emit_markdown(report)
     sys.stdout.write(text)

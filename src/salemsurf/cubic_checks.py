@@ -12,7 +12,7 @@ from itertools import permutations
 
 from . import _read_data, cubic as cu, gf2m as gf, report as rp
 from .multipoly import format_point, plane_zeros
-from .suites import SuiteConfig, _run_objects
+from .suites import _run_objects
 
 
 def _standard_chart(ctx) -> cu.CuspChart:
@@ -109,7 +109,7 @@ def _cubic_alpha_table(data_dir, ctx, rows) -> rp.Report:
                    f"{len(regen.splitlines())} lines")
 
 
-def _cubic_checks(config: SuiteConfig) -> list:
+def _cubic_checks(data_dir) -> list:
     """The cubic checks in report order over one run-object table: the
     cusp chart of the standard cubic over GF(32), Lehmer's mod-2 roots
     in GF(32), the translation part beta of each and its orbit."""
@@ -131,4 +131,4 @@ def _cubic_checks(config: SuiteConfig) -> list:
                 ctx, need("roots"), need("betas"))),
             ("cubic.orbits", lambda: _cubic_orbits(rows(), need("chart"))),
             ("cubic.alpha_table_fresh",
-             lambda: _cubic_alpha_table(config.data_dir, ctx, rows))]
+             lambda: _cubic_alpha_table(data_dir, ctx, rows))]

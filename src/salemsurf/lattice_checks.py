@@ -9,8 +9,10 @@ salem` runs no mod2space.
 
 from __future__ import annotations
 
+from fractions import Fraction  # lattice imports it anyway
+
 from . import _read_data, lattice as lat, mod2space as m2, report as rp
-from .suites import SuiteConfig, _run_objects
+from .suites import _run_objects
 
 
 def _lattice_coxeter(ge, pe, full, pairing) -> list:
@@ -33,6 +35,8 @@ def _lattice_coxeter(ge, pe, full, pairing) -> list:
 
 
 def _lattice_salem(precision, full) -> list:
+    precision = lat.DEFAULT_PRECISION if precision is None \
+        else Fraction(precision)
     p10 = lat.lehmer_polynomial()
     checks = [rp.leaf("salem.reciprocal", lat.is_reciprocal(p10), list(p10))]
     r10 = lat.trace_polynomial(p10)
@@ -121,7 +125,7 @@ def _lattice_lagrangians(images, space) -> list:
     return checks
 
 
-def _lattice_checks(config: SuiteConfig) -> list:
+def _lattice_checks(data_dir, precision) -> list:
     """The lattice checks in report order over one run-object table:
     the E10 basis, its Gram matrix, the Coxeter restriction, the Coxeter
     matrix's char poly, the restriction's char poly, the restriction's
@@ -134,7 +138,7 @@ def _lattice_checks(config: SuiteConfig) -> list:
     on every basis the restriction accepts (docs/report-schema.md)."""
     need = _run_objects({
         "basis": lambda need: lat.e10_basis(
-            _read_data(config.data_dir, "e10_basis.dat")),
+            _read_data(data_dir, "e10_basis.dat")),
         "gram": lambda need: lat.gram_of(need("basis")),
         "restriction": lambda need: lat.restrict_to_basis(
             lat.coxeter_matrix(), need("basis"), need("gram")),
@@ -149,7 +153,7 @@ def _lattice_checks(config: SuiteConfig) -> list:
     return [("lattice.coxeter", lambda: _lattice_coxeter(
                 need("gram"), need("char_poly"), need("cox_poly"),
                 need("pairing"))),
-            ("lattice.salem", lambda: _lattice_salem(config.precision,
+            ("lattice.salem", lambda: _lattice_salem(precision,
                                                      need("cox_poly"))),
             ("lattice.mod2", lambda: _lattice_mod2(
                 need("gram"), need("restriction"), need("char_poly"),

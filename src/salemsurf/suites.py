@@ -1,11 +1,11 @@
 """Named verification suites and the report trees they produce.
 
 run_suite is the single entry point behind the CLI. Every suite is a
-deterministic function of the bundled (or supplied) data and the config
-knobs, so two runs on the same inputs emit byte-identical JSON. The
-node names `lattice.coxeter`, `lattice.salem`, `lattice.mod2` and
-`lattice.lagrangians` are part of the external interface; everything
-else follows the library layout.
+deterministic function of the suite name, the bundled (or supplied)
+data and the interval width of the Salem check, so two runs on the same
+inputs emit byte-identical JSON. The node names `lattice.coxeter`,
+`lattice.salem`, `lattice.mod2` and `lattice.lagrangians` are part of
+the external interface; everything else follows the library layout.
 
 A suite is a list of (node name, check) pairs, each run in its own
 guard, over one table of run objects (`_run_objects`), so every shared
@@ -53,33 +53,11 @@ def _lazy(name: str):
 
 # the check modules bind these placeholders, and bench/traced.py finds
 # every layer in sys.modules after importing cli
-lat = _lazy("lattice")
-for _name in ("gf2m", "unipoly", "multipoly", "mod2space", "cubic",
-              "surface"):
+for _name in ("lattice", "gf2m", "unipoly", "multipoly", "mod2space",
+              "cubic", "surface"):
     _lazy(_name)
 
 SUITE_NAMES = ("all", "lattice", "cubic", "surface", "salem", "lagrangians")
-
-
-class SuiteConfig:
-    """Execution knobs; the defaults are also the CLI defaults. A
-    precision of None stands for lattice.DEFAULT_PRECISION."""
-
-    __slots__ = ("data_dir", "_precision", "ext_bound")
-
-    def __init__(self, data_dir=None, precision=None, ext_bound: int = 10):
-        self.data_dir = data_dir
-        self._precision = precision
-        self.ext_bound = int(ext_bound)
-
-    @property
-    def precision(self):
-        """The interval width as a Fraction. Only the salem check reads
-        it, so only that check executes lattice for the default."""
-        if self._precision is None:
-            return lat.DEFAULT_PRECISION
-        from fractions import Fraction  # imported with lattice anyway
-        return Fraction(self._precision)
 
 
 def _guarded(name: str, build) -> rp.Report | None:
@@ -133,48 +111,50 @@ def _run_objects(builders: dict):
 # suite's guard, the first time the suite runs
 
 
-def lattice_suite(config: SuiteConfig) -> list:
+def lattice_suite(data_dir=None, precision=None) -> list:
     from .lattice_checks import _lattice_checks
-    return _run_checks(_lattice_checks(config))
+    return _run_checks(_lattice_checks(data_dir, precision))
 
 
-def cubic_suite(config: SuiteConfig) -> list:
+def cubic_suite(data_dir=None) -> list:
     from .cubic_checks import _cubic_checks
-    return _run_checks(_cubic_checks(config))
+    return _run_checks(_cubic_checks(data_dir))
 
 
-def surface_suite(config: SuiteConfig) -> list:
+def surface_suite(data_dir=None) -> list:
     from .surface_checks import _surface_reports
-    return _surface_reports(config)
+    return _surface_reports(data_dir)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def run_suite(name: str, config: SuiteConfig | None = None) -> rp.Report:
+def run_suite(name: str, data_dir=None, precision=None) -> rp.Report:
     """Execute one named suite and return its report tree.
 
-    `all` chains the three primary suites; `salem` and `lagrangians`
-    run the matching check of the lattice list. The root and each
-    top-level suite node carry their measured wall time.
+    data_dir overrides the bundled data files; precision is the interval
+    width of the Salem check, None for lattice.DEFAULT_PRECISION. `all`
+    chains the three primary suites; `salem` and `lagrangians` run the
+    matching check of the lattice list. The root and each top-level
+    suite node carry their measured wall time.
     """
-    if config is None:
-        config = SuiteConfig()
     if name not in SUITE_NAMES:
         raise ValueError(f"no suite named {name!r}; "
                          f"choose one of {', '.join(SUITE_NAMES)}")
-    primary = {"lattice": lattice_suite, "cubic": cubic_suite,
-               "surface": surface_suite}
+    primary = {"lattice": lambda: lattice_suite(data_dir, precision),
+               "cubic": lambda: cubic_suite(data_dir),
+               "surface": lambda: surface_suite(data_dir)}
     if name in primary:
-        return _guarded(name, lambda: primary[name](config))
+        return _guarded(name, primary[name])
     if name == "all":
         return _guarded("all", lambda: [
-            _guarded(suite, lambda: primary[suite](config))
+            _guarded(suite, primary[suite])
             for suite in ("lattice", "cubic", "surface")])
 
     def lattice_node():
         from .lattice_checks import _lattice_checks
-        return _run_checks([check for check in _lattice_checks(config)
+        return _run_checks([check for check
+                            in _lattice_checks(data_dir, precision)
                             if check[0] == f"lattice.{name}"])
     return _guarded(name, lattice_node)

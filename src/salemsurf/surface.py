@@ -134,6 +134,12 @@ def _scalar_ratio(p: MultiPoly, q: MultiPoly):
     return ks.pop() if len(ks) == 1 else None
 
 
+def c_scalar(m: SurfaceModel):
+    """Raw bits gamma with c = gamma (xyz)^2, the shape that
+    derive_sigma_inverse requires; None for any other c."""
+    return _scalar_ratio(m.c, MultiPoly(m.ctx, 3, {(2, 2, 2): 1}))
+
+
 # ---------------------------------------------------------------------------
 # orbit of the marked points under f
 
@@ -301,9 +307,10 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
     # alpha_w = six siy siz, so alpha_w(f) = (xyz)^4 by the first check
     # and k alpha_w(f) c = (xyz)^6 needs no substitution
     alpha_w = lam * lam
-    k = _scalar_ratio(xyz ** 6, xyz ** 4 * m.c)
-    if k is None:
+    gamma = c_scalar(m)
+    if gamma is None:
         raise NoSolution("no scalar matches the w-component weight")
+    k = ctx.inv_bits(gamma)
     c_si = m.c.substitute([six, siy, siz])
     try:
         etap = m.eta.substitute([six, siy, siz]).divide_exact(c_si)
@@ -360,35 +367,41 @@ def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> int:
 
 
 def verify_derivation(m: SurfaceModel, si: SigmaInverse,
-                      scalar: int | NoSolution) -> rp.Report:
-    """The derivation-conjugation chain in the chart z != 0.
-
-    Checks the forward multiplier of g, the inverse-side multiplier,
-    the w-component scalars of both compositions, that D kills the
-    w-free subfield, and that conjugating D = g^2 d/dw by the
-    automorphism scales it by g^8. scalar is conjugation_scalar(m, si),
-    or the NoSolution it raised.
+                      scalar: int | NoSolution,
+                      alpha: int | NoSolution) -> rp.Report:
+    """The derivation-conjugation chain in the chart z != 0, as relations
+    to gamma = c_scalar(m) and the induced action's multiplier alpha:
+    w_scalar = 1/gamma, g's multiplier is 1/alpha under f and alpha
+    under the inverse, D kills the w-free subfield, and conjugating D =
+    g^2 d/dw scales it by K with K^2 = gamma (docs/report-schema.md).
+    scalar and alpha are K and alpha, or a NoSolution standing for one.
     """
     ctx = m.ctx
+    mul = ctx.mul_bits
+    gamma = c_scalar(m)
     x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
     xyz = x * y * z
     checks = []
     checks.append(rp.leaf("derivation.w_scalar",
-                          si.w_scalar == ctx.gen_pow(15),
+                          mul(si.w_scalar, gamma) == 1,
                           format_elem(ctx, si.w_scalar)))
     checks.append(rp.leaf("derivation.inverse_tail",
                           not si.eta_prime.is_zero(),
                           f"{si.eta_prime.num_terms()} terms"))
-    g_f = m.g.substitute(list(m.f))
-    kf = _scalar_ratio(g_f, xyz * m.g)
-    checks.append(rp.leaf("derivation.cubic_multiplier",
-                          kf == ctx.gen_pow(12),
-                          None if kf is None else format_elem(ctx, kf)))
-    g_si = m.g.substitute(list(si.components))
-    km = _scalar_ratio(g_si, si.lambda_factor * m.g)
-    checks.append(rp.leaf("derivation.inverse_cubic_multiplier",
-                          km == ctx.gen_pow(19),
-                          None if km is None else format_elem(ctx, km)))
+    kf = _scalar_ratio(m.g.substitute(list(m.f)), xyz * m.g)
+    km = _scalar_ratio(m.g.substitute(list(si.components)),
+                       si.lambda_factor * m.g)
+    if isinstance(alpha, NoSolution):
+        checks += [rp.error_leaf(name, alpha)
+                   for name in ("derivation.cubic_multiplier",
+                                "derivation.inverse_cubic_multiplier")]
+    else:
+        checks.append(rp.leaf("derivation.cubic_multiplier",
+                              kf is not None and mul(kf, alpha) == 1,
+                              None if kf is None else format_elem(ctx, kf)))
+        checks.append(rp.leaf("derivation.inverse_cubic_multiplier",
+                              km == alpha,
+                              None if km is None else format_elem(ctx, km)))
     da, db, _ = d_dw((MultiPoly.zero(ctx, 3), x, z))
     checks.append(rp.leaf("derivation.kills_base_functions",
                           da.is_zero() and db.is_zero(), "d/dw (x/z) = 0"))
@@ -396,7 +409,7 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
         checks.append(rp.error_leaf("derivation.conjugation_scalar", scalar))
     else:
         checks.append(rp.leaf("derivation.conjugation_scalar",
-                              scalar == ctx.gen_pow(8),
+                              mul(scalar, scalar) == gamma,
                               format_elem(ctx, scalar)))
     return rp.node("derivation", checks)
 
@@ -405,7 +418,7 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
 # singular locus
 
 
-def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
+def singular_locus(m: SurfaceModel) -> rp.Report:
     """Find the singular points of the cover, each plane point once.
 
     The cover w^2 = s is singular exactly over the common zeros of s_x,
@@ -415,15 +428,16 @@ def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
     disjoint strata z = 1, (x : 1 : 0) and (1 : 0 : 0) of P^2 solves
     the two partials of its chart (_stratum_points) and every point
     found is re-checked against all three partials in its own field.
-    Roots beyond ext_bound and degenerate fibers are failing leaves,
-    never dropped; singular.chart_<c> counts the points with c != 0.
+    The search covers the model's field GF(q) and GF(q^2): roots outside
+    them and degenerate fibers are failing leaves, never dropped;
+    singular.chart_<c> counts the points with c != 0.
     """
     ctx = m.ctx
     grad = [m.s.partial(i) for i in range(3)]
     checks, pts = [], []
     for label in "zyx":
         try:
-            leaves, got = _stratum_points(grad, label, ext_bound)
+            leaves, got = _stratum_points(grad, label)
         except Exception as ex:  # noqa: BLE001 - verifier boundary
             checks.append(rp.error_leaf(f"singular.chart_{label}", ex))
             continue
@@ -448,15 +462,17 @@ def singular_locus(m: SurfaceModel, ext_bound: int = 10) -> rp.Report:
     return rp.node("singular", checks)
 
 
-def _stratum_points(grad, label: str, ext_bound: int):
+def _stratum_points(grad, label: str):
     """-> (failing leaves, [(coords, field)]) on the stratum where the
     coordinate `label` is the last nonzero one, scaled to 1.
 
-    z = 1: the eliminant in y of the chart partials, its roots within
-    the bound, then the common roots of each fiber. (x : 1 : 0): the
-    common roots of the chart partials restricted to z = 0, the fiber
-    named 0. (1 : 0 : 0): the two partials evaluated there.
+    z = 1: the eliminant in y of the chart partials, its roots in
+    GF(q^2) for the model's field GF(q), then the common roots of each
+    fiber there. (x : 1 : 0): the common roots of the chart partials
+    restricted to z = 0, the fiber named 0. (1 : 0 : 0): the two
+    partials evaluated there.
     """
+    bound = 2 * grad[0].ctx.m  # absolute degree of GF(q^2)
     c = "xyz".index(label)
     p, q = (grad[i] for i in range(3) if i != c)
     prefix = f"singular.chart_{label}"
@@ -470,7 +486,7 @@ def _stratum_points(grad, label: str, ext_bound: int):
     elif label == "y":
         uu, vv = (local_expansion(r, (0, 1, 0)).restrict(1, 0).univariate(0)
                   for r in (p, q))
-        leaves, roots = _common_roots(uu, vv, ext_bound, prefix, "0")
+        leaves, roots = _common_roots(uu, vv, bound, prefix, "0")
         cands = [((x0, 1, 0), k) for k, x0 in roots]
     else:
         su, sv = (local_expansion(r, (0, 0, 1)) for r in (p, q))
@@ -479,17 +495,17 @@ def _stratum_points(grad, label: str, ext_bound: int):
             return [rp.leaf(f"{prefix}.eliminant_nonzero", False,
                             "partials share a one-dimensional component")], []
         ru = r2.univariate(0)
-        roots = uni_roots(ru, ext_bound)
+        roots = uni_roots(ru, bound)
         covered = sum(mult for _, _, mult in roots)
         if covered < ru.degree():
             leaves.append(rp.leaf(
                 f"{prefix}.roots_within_bound", False,
                 f"eliminant degree {ru.degree()}, only {covered} accounted "
-                f"for within extension degree {ext_bound}"))
+                f"for within extension degree {bound}"))
         for ku, u0, _mult in roots:
             uu, vv = (_over(r, ku).restrict(0, u0).univariate(1)
                       for r in (su, sv))
-            more, vroots = _common_roots(uu, vv, ext_bound, prefix,
+            more, vroots = _common_roots(uu, vv, bound, prefix,
                                          format_elem(ku, u0))
             leaves += more
             # the fiber's roots lie in ku or an extension k of it
@@ -508,25 +524,25 @@ def _stratum_points(grad, label: str, ext_bound: int):
     return leaves, pts
 
 
-def _common_roots(uu: UniPoly, vv: UniPoly, ext_bound: int, prefix: str,
+def _common_roots(uu: UniPoly, vv: UniPoly, bound: int, prefix: str,
                   at: str):
     """-> (failing leaves, [(field, bits)]) of the common roots of uu and
-    vv within extension degree ext_bound; `at` names the fiber in the
-    leaf names."""
+    vv in extensions of GF(2) of degree at most bound; `at` names the
+    fiber in the leaf names."""
     if uu.is_zero() and vv.is_zero():
         return [rp.leaf(f"{prefix}.fiber_{at}", False,
                         "both partials vanish identically on the fiber")], []
     w = uu.gcd(vv)
     if w.degree() == 0:
         return [], []  # none; on z = 1 a spurious eliminant root
-    roots = uni_roots(w, ext_bound)
+    roots = uni_roots(w, bound)
     covered = sum(mult for _, _, mult in roots)
     leaves = []
     if covered < w.degree():
         leaves.append(rp.leaf(
             f"{prefix}.roots_within_bound.{at}", False,
             f"common factor degree {w.degree()}, {covered} roots within "
-            f"extension degree {ext_bound}"))
+            f"extension degree {bound}"))
     return leaves, [(k, r) for k, r, _ in roots]
 
 
@@ -644,14 +660,14 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
 def verify_alpha_consistency(m: SurfaceModel, lambda1: int, alpha: int,
                              roots) -> rp.Report:
     """Cross-checks between the derivation scalar and the parameter
-    action: lambda1 = g^8, alpha is one of roots (the degree-10 integer
-    polynomial's mod-2 roots in m.ctx), alpha != lambda1^2 (so the two
-    quadric eigenvalues stay distinct), and lambda1^2 is not such a
-    root."""
+    action: lambda1^2 = gamma (c = gamma (xyz)^2), alpha is one of roots
+    (the degree-10 integer polynomial's mod-2 roots in m.ctx), alpha !=
+    lambda1^2 (so the two quadric eigenvalues stay distinct), and
+    lambda1^2 is not such a root."""
     ctx = m.ctx
     forbidden = ctx.mul_bits(lambda1, lambda1)
     checks = [
-        rp.leaf("alpha.lambda1_value", lambda1 == ctx.gen_pow(8),
+        rp.leaf("alpha.lambda1_value", forbidden == c_scalar(m),
                 format_elem(ctx, lambda1)),
         rp.leaf("alpha.root_count", len(roots) == 10,
                 f"{len(roots)} roots"),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import cubic as cu, gf2m as gf, report as rp, surface as sf
 from .errors import NoSolution
 from .multipoly import plane_zeros
-from .suites import SuiteConfig, _run_checks, _run_objects
+from .suites import _run_checks, _run_objects
 
 
 def _surface_objects(data_dir):
@@ -56,9 +56,9 @@ def _inverse_leaf(m: sf.SurfaceModel, si: sf.SigmaInverse) -> rp.Report:
 
 
 def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
-    """The derivation node over the run's inverse and conjugation scalar
-    (or the NoSolution its build raised); no node without the inverse,
-    whose own leaf says why."""
+    """The derivation node over the run's inverse, conjugation scalar
+    and induced action's multiplier (or a NoSolution for either); no
+    node without the inverse, whose own leaf says why."""
     try:
         si = need("inverse")
     except Exception:  # noqa: BLE001 - reported by the inverse leaf
@@ -67,7 +67,12 @@ def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
         scalar = need("scalar")
     except NoSolution as ex:
         scalar = ex
-    return sf.verify_derivation(m, si, scalar)
+    try:
+        alpha = need("action").alpha
+    except Exception as ex:  # noqa: BLE001 - the match node reports it
+        alpha = NoSolution(f"no induced parameter action: "
+                           f"{type(ex).__name__}: {ex}")
+    return sf.verify_derivation(m, si, scalar, alpha)
 
 
 def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
@@ -113,10 +118,10 @@ def _surface_alpha(m: sf.SurfaceModel, need) -> rp.Report:
     return sf.verify_alpha_consistency(m, scalar, action.alpha, need("roots"))
 
 
-def _surface_reports(config: SuiteConfig) -> list:
+def _surface_reports(data_dir) -> list:
     """The surface reports in order. Nothing runs after a failed model
     load: the lone model leaf says why."""
-    need = _surface_objects(config.data_dir)
+    need = _surface_objects(data_dir)
     head = _run_checks([("model", lambda: _model_leaf(need("model")))])
     if head[0].status == "error":
         return head
@@ -127,7 +132,7 @@ def _surface_reports(config: SuiteConfig) -> list:
         ("equivariance", lambda: sf.verify_equivariance(m)),
         ("inverse", lambda: _inverse_leaf(m, need("inverse"))),
         ("derivation", lambda: _surface_derivation(m, need)),
-        ("singular", lambda: sf.singular_locus(m, config.ext_bound)),
+        ("singular", lambda: sf.singular_locus(m)),
         ("multiplicities", lambda: sf.verify_multiplicities(need("local"))),
         ("charts", lambda: sf.verify_chart_smoothness(need("local"))),
         ("match", lambda: _surface_match(m, need("chart"), need("action"),

@@ -246,9 +246,10 @@ def factor(f: UniPoly) -> list[tuple[UniPoly, int]]:
                   key=lambda t: (t[0].degree(), t[0].coeffs))
 
 
-def uni_roots(f: UniPoly, search_degree_bound: int = 10
+def uni_roots(f: UniPoly, degree_bound: int
               ) -> list[tuple[FieldCtx, int, int]]:
-    """All roots in extensions of GF(2) of degree at most the bound.
+    """All roots in extensions of GF(2) of degree at most degree_bound;
+    the singular search passes 2m over GF(2^m), for GF(q) and GF(q^2).
 
     Returns (field, root bits, multiplicity) triples, sorted by field
     degree and then bits; each root lives in the smallest constructed
@@ -260,7 +261,7 @@ def uni_roots(f: UniPoly, search_degree_bound: int = 10
         raise DomainError("uni_roots of the zero polynomial")
     base = f.ctx
     out = []
-    for p, mult in _irreducible_factors(f, search_degree_bound // base.m):
+    for p, mult in _irreducible_factors(f, degree_bound // base.m):
         d = p.degree()
         # embedding a linear factor into its own field is the identity
         sup = base if d == 1 else ext_context(base.m * d)

@@ -184,13 +184,17 @@ def test_criterion_10_inverse_and_derivation():
         scalar = sf.conjugation_scalar(m, si)
         if scalar != ctx.gen_pow(8):
             return False
-        return sf.verify_derivation(m, si, scalar).ok()
+        points = plane_zeros([m.g])
+        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
+                                        points)
+        alpha = cu.induced_affine_map(chart, list(m.f)).alpha
+        return sf.verify_derivation(m, si, scalar, alpha).ok()
     _report(10, "inverse reconstruction and derivation scalar", 30, run)
 
 
 def test_criterion_11_singular_locus():
     def run():
-        return sf.singular_locus(sf.load_model(), 10).ok()
+        return sf.singular_locus(sf.load_model()).ok()
     _report(11, "eleven rational singular points and no others", 10, run)
 
 

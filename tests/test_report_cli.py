@@ -26,7 +26,7 @@ from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.gf2m import field_make
 from salemsurf.multipoly import plane_zeros
-from salemsurf.suites import SUITE_NAMES, SuiteConfig, run_suite
+from salemsurf.suites import SUITE_NAMES, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
 SALEM_FINE_GOLDEN = Path(__file__).parent / "golden" / "salem_1.5e-30.json"
@@ -87,7 +87,7 @@ def test_markdown_shape():
 
 
 def test_run_suite_lattice():
-    rep = run_suite("lattice", SuiteConfig())
+    rep = run_suite("lattice")
     assert rep.ok()
     names = {c.name for c in rep.children}
     assert names == {"lattice.coxeter", "lattice.salem", "lattice.mod2",
@@ -98,14 +98,14 @@ def test_run_suite_lattice():
 
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError, match="no suite named 'bogus'"):
-        run_suite("bogus", SuiteConfig())
+        run_suite("bogus")
 
 
 def test_suite_names_all_run_clean():
     for name in SUITE_NAMES:
         if name in ("all", "surface"):
             continue  # covered elsewhere; keep this test quick
-        assert run_suite(name, SuiteConfig()).ok(), name
+        assert run_suite(name).ok(), name
 
 
 def test_cli_exit_codes(capsys):
@@ -118,21 +118,29 @@ def test_cli_exit_codes(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_cli_rejects_ext_bound_below_one(bound):
-    with pytest.raises(SystemExit) as exc:
-        main(["surface", "--ext-bound", bound])
-    assert exc.value.code == 2
-
-
-def test_cli_rejects_ext_bound_above_field_limit(monkeypatch):
+def test_cli_rejects_the_removed_ext_bound_option(monkeypatch, capsys):
+    """The singular search takes its field from the model, so
+    --ext-bound is an unknown option: argparse exits 2 and no suite
+    runs."""
     def no_run(*args):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(cli, "run_suite", no_run)
     with pytest.raises(SystemExit) as exc:
-        main(["surface", "--ext-bound", "21"])
+        main(["surface", "--ext-bound", "10"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --ext-bound" in capsys.readouterr().err
+
+
+def test_readme_lists_exactly_the_cli_options():
+    """README's "Options:" paragraph names each option that build_parser
+    defines (apart from --help), and no other."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    paragraph = readme.split("\nOptions: ", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+    defined = {opt for action in build_parser()._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    assert documented == defined == {"--data", "--format", "--precision"}
 
 
 def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
@@ -188,8 +196,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # basis with a singular Gram matrix, and it is attempted once
     calls.clear()
     row, mutant = BASIS_MUTANTS[1]
-    report = run_suite("lattice", SuiteConfig(data_dir=_with_basis_row(
-        tmp_path, row, mutant)))
+    report = run_suite("lattice", _with_basis_row(tmp_path, row, mutant))
     assert calls["restrict_to_basis"] == 1
     witnesses = {c.name: c.witness for c in report.children
                  if c.status == "error"}
@@ -236,16 +243,19 @@ ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
                      "unavailable; see earlier leaves")
 
 
-@pytest.mark.parametrize("module,name,leaves", [
-    (sf, "conjugation_scalar", ("derivation.conjugation_scalar",)),
-    (cu, "find_cusp", ("cubic.cusp_location", "match")),
-    (sf, "derive_sigma_inverse", ("inverse",)),
+@pytest.mark.parametrize("module,name,leaves,action_leaves", [
+    (sf, "conjugation_scalar", ("derivation.conjugation_scalar",), ()),
+    (cu, "find_cusp", ("cubic.cusp_location", "match"),
+     ("derivation.cubic_multiplier", "derivation.inverse_cubic_multiplier")),
+    (sf, "derive_sigma_inverse", ("inverse",), ()),
 ], ids=["conjugation_scalar", "find_cusp", "derive_sigma_inverse"])
 def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
-                                            leaves):
+                                            leaves, action_leaves):
     """A surface object whose build raises is attempted once per run;
-    every check that needs it reports the exception in its own leaf, and
-    the alpha check its fixed witness."""
+    every check that needs it reports the exception in its own leaf,
+    the derivation leaves that read the induced action's multiplier
+    name the missing action, and the alpha check has its fixed
+    witness."""
     calls = Counter()
 
     def fail(*args):
@@ -256,8 +266,11 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     report = run_suite("surface")
     assert calls[name] == 1
     witness = f"NoSolution: forced {name} failure"
+    no_action = f"NoSolution: no induced parameter action: {witness}"
     assert {leaf.name: leaf.witness for leaf in _error_leaves(report)} == {
-        **{leaf: witness for leaf in leaves}, "alpha": ALPHA_UNAVAILABLE}
+        **{leaf: witness for leaf in leaves},
+        **{leaf: no_action for leaf in action_leaves},
+        "alpha": ALPHA_UNAVAILABLE}
     if name == "find_cusp":  # the other cubic leaves are still reported
         cubic = next(c for c in report.children if c.name == "cubic")
         assert [c.status for c in cubic.children].count("pass") == 6
@@ -273,7 +286,7 @@ def test_tail_that_c_does_not_divide_is_named(tmp_path):
     NoSolution that names the division, and no derivation is built."""
     copy = _with_line(tmp_path, "automorphism.poly", "eta = ",
                       "eta = g*x^12 + ")
-    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    report = run_suite("surface", copy)
     nodes = {c.name: c for c in report.children}
     assert nodes["inverse"].status == "error"
     assert nodes["inverse"].witness \
@@ -390,7 +403,7 @@ def test_roots_are_found_in_the_model_field(tmp_path):
     presentation of GF(32)."""
     copy = _in_reciprocal_field(tmp_path)
     assert sf.load_model(copy).ctx is field_make(5, 0b101001)
-    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    report = run_suite("surface", copy)
     leaves = {leaf.name: leaf for node in report.children
               for leaf in node.children or [node]}
     for name in ("match.multiplier_is_root", "alpha.root_count",
@@ -516,7 +529,7 @@ def _error_leaves(report):
 def _assert_rejected(tmp_path, mutants):
     for n, (name, line, mutant) in enumerate(mutants):
         copy = _with_line(tmp_path / str(n), name, line, mutant)
-        report = run_suite("surface", SuiteConfig(data_dir=copy))
+        report = run_suite("surface", copy)
         assert not report.ok(), (name, mutant)
         for leaf in _error_leaves(report):
             assert leaf.witness.startswith(PACKAGE_ERRORS), leaf.witness
@@ -572,7 +585,7 @@ def test_non_integer_basis_entry_is_a_parse_error(tmp_path, capsys):
 def test_malformed_number_is_a_parse_error(tmp_path, name, old, new,
                                            message):
     copy = _with_line(tmp_path, name, old, new)
-    report = run_suite("surface", SuiteConfig(data_dir=copy))
+    report = run_suite("surface", copy)
     (model,) = report.children
     assert model.name == "model" and model.status == "error"
     assert model.witness == f"ParseError: {message}"
@@ -622,14 +635,15 @@ def test_cli_precision_validation(capsys):
 
 
 def test_default_precision_is_written_once(capsys):
-    """No --precision, SuiteConfig() and --precision 1e-9 are one width,
-    spelled once, in lattice, and no other width 1/10^k is spelled in
-    the package, as a default or otherwise."""
+    """No --precision, run_suite's default and --precision 1e-9 are one
+    width, spelled once, in lattice, and no other width 1/10^k is
+    spelled in the package, as a default or otherwise."""
     assert main(["salem", "--format", "json"]) == 0
     default = capsys.readouterr().out
     assert main(["salem", "--format", "json", "--precision", "1e-9"]) == 0
     assert capsys.readouterr().out == default
-    assert SuiteConfig().precision == Fraction(1, 10 ** 9)
+    assert rp.emit_json(run_suite("salem")) == default
+    assert lat.DEFAULT_PRECISION == Fraction(1, 10 ** 9)
     spelled = [(path.name, m.group())
                for path in sorted(SRC_DIR.glob("salemsurf/*.py"))
                for m in re.finditer(r"Fraction\(1,\s*10\s*\*\*\s*\d+\)",
@@ -703,9 +717,8 @@ def test_non_positive_precision_is_an_error_not_a_hang(precision):
     code = (
         "from salemsurf import lattice as lat\n"
         "from salemsurf.errors import DomainError\n"
-        "from salemsurf.suites import SuiteConfig, run_suite\n"
-        f"config = SuiteConfig(precision={precision})\n"
-        "(node,) = run_suite('salem', config).children\n"
+        "from salemsurf.suites import run_suite\n"
+        f"(node,) = run_suite('salem', precision={precision}).children\n"
         "print(node.name, node.status, node.witness, sep='|')\n"
         "full = lat.char_poly(lat.coxeter_matrix())\n"
         "for fn, p in ((lat.real_roots, [-2, 0, 1]),\n"

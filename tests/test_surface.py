@@ -5,13 +5,15 @@ from pathlib import Path
 
 import pytest
 
+import salemsurf.cubic as cu
 import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
-from salemsurf.gf2m import gf32
+from salemsurf.gf2m import format_elem, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
-                                 local_expansion)
-from salemsurf.suites import SuiteConfig, run_suite
+                                 local_expansion, plane_zeros)
+from salemsurf.suites import run_suite
+from salemsurf.unipoly import UniPoly
 
 
 def test_load_model_shape(ctx, model):
@@ -71,12 +73,26 @@ def test_conjugation_scalar(ctx, conj_scalar):
     assert conj_scalar == ctx.gen_pow(8)
 
 
-def test_derivation_report(model, sigma_inv, conj_scalar):
-    assert sf.verify_derivation(model, sigma_inv, conj_scalar).ok()
-    failed = sf.verify_derivation(model, sigma_inv, NoSolution("no scalar"))
+def test_derivation_report(ctx, model, sigma_inv, conj_scalar):
+    alpha = ctx.gen_pow(19)  # the bundled model's match multiplier
+    assert sf.verify_derivation(model, sigma_inv, conj_scalar, alpha).ok()
+    failed = sf.verify_derivation(model, sigma_inv, NoSolution("no scalar"),
+                                  alpha)
     assert failed.status == "error"
     assert [c.witness for c in failed.children if c.status == "error"] \
         == ["NoSolution: no scalar"]
+    # another multiplier breaks both cubic multiplier relations
+    wrong = sf.verify_derivation(model, sigma_inv, conj_scalar,
+                                 ctx.gen_pow(7))
+    assert [c.name for c in wrong.children if c.status == "fail"] \
+        == ["derivation.cubic_multiplier",
+            "derivation.inverse_cubic_multiplier"]
+    missing = sf.verify_derivation(model, sigma_inv, conj_scalar,
+                                   NoSolution("no action"))
+    assert {c.name: c.witness for c in missing.children
+            if c.status == "error"} == {
+        "derivation.cubic_multiplier": "NoSolution: no action",
+        "derivation.inverse_cubic_multiplier": "NoSolution: no action"}
 
 
 def test_cubic_multiplier_direct(ctx, model):
@@ -138,6 +154,63 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
         == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i)
 
 
+def _pulled_back_omega_is_xyz_omega(f):
+    """f*(x dy dz + y dz dx + z dx dy) = xyz (x dy dz + y dz dx + z dx dy):
+    the coefficient of dx_j dx_k in the pullback, for (j, k) = (y, z),
+    (z, x) and (x, y), against xyz times x, y and z."""
+    ctx = f[0].ctx
+    xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
+    for (j, k), i in (((1, 2), 0), ((2, 0), 1), ((0, 1), 2)):
+        pulled = MultiPoly.zero(ctx, 3)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            pulled = pulled + f[a] * (f[b].partial(j) * f[c].partial(k)
+                                      + f[b].partial(k) * f[c].partial(j))
+        if pulled != xyz * MultiPoly.var(ctx, 3, i):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("i", range(2))
+def test_steps_of_the_scalar_relations_at_the_cusp(ctx, tmp_path, i):
+    """The steps by which docs/report-schema.md derives k_f alpha = 1 and
+    K^2 = gamma, on the bundled model and its first Frobenius twist:
+    f*Omega = xyz Omega; f fixes the cusp C with f(C) = rho C and
+    tau = xyz(C) / rho^3 = alpha^-5; ds vanishes on the tangent of g at
+    each point of g; ds(C) is a left eigenvector of Df(C) / rho for
+    c(C)^2 / rho^12 = alpha^-2."""
+    m = sf.load_model(_twisted(tmp_path, i))
+    mul, inv = ctx.mul_bits, ctx.inv_bits
+    assert _pulled_back_omega_is_xyz_omega(list(m.f))
+    points = plane_zeros([m.g])
+    chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points), points)
+    alpha = cu.induced_affine_map(chart, list(m.f)).alpha
+    cusp = chart.cusp
+    rho = m.f[2].eval_bits(cusp)  # the cusp has z = 1
+    assert [p.eval_bits(cusp) for p in m.f] == [mul(rho, v) for v in cusp]
+    tau = mul(MultiPoly(ctx, 3, {(1, 1, 1): 1}).eval_bits(cusp),
+              inv(ctx.pow_bits(rho, 3)))
+    assert tau == ctx.pow_bits(alpha, -5)
+
+    def det(rows):
+        (a, b, c), (d, e, f), (g, h, k) = rows
+        return (mul(a, mul(e, k) ^ mul(f, h)) ^ mul(b, mul(d, k) ^ mul(f, g))
+                ^ mul(c, mul(d, h) ^ mul(e, g)))
+    ds = [m.s.partial(j) for j in range(3)]
+    dg = [m.g.partial(j) for j in range(3)]
+    assert all(det([[d.eval_bits(p) for d in ds],
+                    [d.eval_bits(p) for d in dg], p]) == 0 for p in points)
+    ds_c = [d.eval_bits(cusp) for d in ds]
+    jac = [[p.partial(j).eval_bits(cusp) for j in range(3)] for p in m.f]
+    eigen = mul(ctx.pow_bits(m.c.eval_bits(cusp), 2),
+                inv(ctx.pow_bits(rho, 12)))
+    assert eigen == ctx.pow_bits(alpha, -2)
+    for j in range(3):
+        image = 0
+        for r in range(3):
+            image ^= mul(ds_c[r], jac[r][j])
+        assert image == mul(mul(eigen, rho), ds_c[j])
+
+
 @pytest.mark.parametrize("i", range(5))
 def test_inverse_identities_that_hold_by_construction(ctx, tmp_path, i):
     """derive_sigma_inverse checks inverse . forward = xyz * identity and
@@ -169,11 +242,36 @@ def test_forbidden_value_is_the_square_of_the_derived_scalar(tmp_path):
     """On the first Frobenius twist the conjugation scalar is g^16, so
     the value that must not be a mod-2 root is its square g, not the
     bundled model's g^16."""
-    report = run_suite("surface", SuiteConfig(data_dir=_twisted(tmp_path, 1)))
+    report = run_suite("surface", _twisted(tmp_path, 1))
     alpha = next(c for c in report.children if c.name == "alpha")
     leaf = next(c for c in alpha.children
                 if c.name == "alpha.forbidden_value_not_root")
     assert (leaf.status, leaf.witness) == ("pass", "g")
+
+
+def _leaves(report):
+    if not report.children:
+        yield report
+    for c in report.children:
+        yield from _leaves(c)
+
+
+@pytest.mark.parametrize("i", range(1, 5))
+def test_every_frobenius_twist_passes_the_surface_suite(ctx, tmp_path, i):
+    """Frobenius is a field automorphism, so the i-th twist is the same
+    model in other coordinates on GF(32): every surface leaf passes,
+    and the leaves that state relations between derived scalars show
+    the 2^i-th powers of the bundled witnesses g^15, g^12, g^19, g^8
+    and g^8."""
+    report = run_suite("surface", _twisted(tmp_path, i))
+    assert [leaf.name for leaf in _leaves(report) if not leaf.ok()] == []
+    witnesses = {leaf.name: leaf.witness for leaf in _leaves(report)}
+    bundled = {"derivation.w_scalar": 15, "derivation.cubic_multiplier": 12,
+               "derivation.inverse_cubic_multiplier": 19,
+               "derivation.conjugation_scalar": 8, "alpha.lambda1_value": 8}
+    assert {name: witnesses[name] for name in bundled} == {
+        name: format_elem(ctx, ctx.gen_pow(k * 2 ** i))
+        for name, k in bundled.items()}
 
 
 def _singular_points(rep):
@@ -182,17 +280,28 @@ def _singular_points(rep):
 
 
 def test_singular_locus(model):
-    ten = sf.singular_locus(model, 10)
-    assert ten.ok()
-    assert len(_singular_points(ten)) == 11
-    # the bound is the largest extension degree searched, and every
-    # singular point is rational over GF(32)
-    for bound in (9, 12):
-        rep = sf.singular_locus(model, bound)
-        assert rep.ok(), bound
-        assert _singular_points(rep) == _singular_points(ten), bound
-    rep = sf.singular_locus(model, 1)  # too small to account for the roots
-    assert not rep.ok()
+    rep = sf.singular_locus(model)
+    assert rep.ok()
+    assert len(_singular_points(rep)) == 11
+
+
+def test_fiber_with_roots_outside_the_search_field_fails(ctx):
+    """A fiber whose gcd is an irreducible cubic over GF(32) has its
+    roots in GF(2^15), outside the GF(32) and GF(2^10) that the search
+    covers: no root is returned and the fiber's leaf fails."""
+    # x^3 + x + 1 is irreducible over GF(2), and over GF(32) too as 3
+    # and 5 are coprime; a cubic without a root is irreducible
+    cubic = UniPoly(ctx, [1, 1, 0, 1])
+    assert all(cubic.eval_bits(t) for t in range(32))
+    g = ctx.gen_pow(1)
+    uu = cubic * UniPoly(ctx, [1, 1])
+    vv = cubic * UniPoly(ctx, [g, 1])
+    leaves, roots = sf._common_roots(uu, vv, 2 * ctx.m, "singular.chart_z",
+                                     "g^3")
+    assert roots == []
+    assert [(c.name, c.status, c.witness) for c in leaves] == [
+        ("singular.chart_z.roots_within_bound.g^3", "fail",
+         "common factor degree 3, 0 roots within extension degree 10")]
 
 
 def test_multiplicity_adjustment(ctx, model):
