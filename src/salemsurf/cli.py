@@ -43,8 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "md"), default="md",
                     help="report format (default: md)")
     ap.add_argument("--precision", metavar="P", type=_precision,
-                    help="interval width for real-root isolation "
-                         "(default: 1e-9)")
+                    help="width of the isolating interval of the Salem "
+                         "number; only the all, lattice and salem suites "
+                         "read it (default: 1e-9)")
     return ap
 
 

@@ -266,7 +266,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
     j = max(i for i in range(3) if cusp[i])
     keep = [i for i in range(3) if i != j]
     local = local_expansion(curve, cusp)
-    if local.multiplicity_at([0, 0]) != 2:
+    if local.order() != 2:
         raise InvariantViolation("singular point is not a double point")
     init = local.initial_form()
     if init.terms.get((1, 1), 0) != 0:

@@ -11,7 +11,8 @@ variable of two bivariate polynomials by evaluation and interpolation.
 `plane_zeros` finds where ternary forms vanish on P^2, reading each
 line x = x0 of the chart z = 1 as univariate polynomials in y.
 
-The text format round-trips through `format_poly` / `parse_poly_file`:
+The text format round-trips through `format_poly` / `parse_poly_file`,
+whose header declares three weight-1 variables:
 
     vars: x y z; weights: 1 1 1; field: g^5=g^2+1
     s = g^16*x^8*y^3*z + ...
@@ -119,10 +120,6 @@ class MultiPoly:
         return (isinstance(other, MultiPoly) and other.ctx is self.ctx
                 and other.nvars == self.nvars and other.terms == self.terms)
 
-    def __hash__(self):
-        return hash((id(self.ctx), self.nvars,
-                     tuple(sorted(self.terms.items()))))
-
     def __add__(self, other):
         self._chk(other)
         t = dict(self.terms)
@@ -165,14 +162,8 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degree(self, weights):
-        if not self.terms:
-            return -1
-        return max(sum(x * w for x, w in zip(e, weights)) for e in self.terms)
-
-    def is_weighted_homogeneous(self, weights):
-        degs = {sum(x * w for x, w in zip(e, weights)) for e in self.terms}
-        return len(degs) <= 1
+    def is_homogeneous(self):
+        return len({sum(e) for e in self.terms}) <= 1
 
     def num_terms(self):
         return len(self.terms)
@@ -208,10 +199,13 @@ class MultiPoly:
                 acc ^= exp[s % order]
         return acc
 
-    def change_ctx(self, sup: FieldCtx, lift):
-        """New context with coefficients mapped through `lift` (bits->bits)."""
-        return MultiPoly(sup, self.nvars,
-                         {e: lift(c) for e, c in self.terms.items()})
+    def embed_to(self, sup: FieldCtx) -> "MultiPoly":
+        """The same polynomial over the extension sup of its field."""
+        if sup is self.ctx:
+            return self
+        return MultiPoly._of(sup, self.nvars,
+                             {e: embed(c, self.ctx, sup)
+                              for e, c in self.terms.items()})
 
     def substitute(self, images: list["MultiPoly"]) -> "MultiPoly":
         """Ring morphism sending variable i to images[i] (shared ctx/arity)."""
@@ -291,18 +285,16 @@ class MultiPoly:
             cur = nxt
         return MultiPoly._of(self.ctx, self.nvars, cur)
 
-    def multiplicity_at(self, point) -> int:
-        """Vanishing order at an affine point (0 when nonvanishing)."""
+    def order(self) -> int:
+        """The least total degree of a term: the vanishing order at the
+        origin (0 when nonvanishing)."""
         if self.is_zero():
-            raise DomainError("multiplicity of the zero polynomial")
-        sh = self.translate(point)
-        return min(sum(e) for e in sh.terms)
+            raise DomainError("order of the zero polynomial")
+        return min(sum(e) for e in self.terms)
 
     def initial_form(self) -> "MultiPoly":
         """Sum of the minimal-total-degree terms."""
-        if self.is_zero():
-            raise DomainError("initial form of 0")
-        d = min(sum(e) for e in self.terms)
+        d = self.order()
         return MultiPoly._of(self.ctx, self.nvars,
                              {e: c for e, c in self.terms.items()
                               if sum(e) == d})
@@ -667,30 +659,27 @@ def parse_poly(ctx: FieldCtx, names, text: str) -> MultiPoly:
     return MultiPoly(ctx, nvars, terms)
 
 
-def parse_header(line: str):
-    """-> (names, weights, ctx) from a `vars: ...; weights: ...; field: ...` line."""
-    fields = {}
-    for chunk in line.split(";"):
-        key, _, val = chunk.partition(":")
-        fields[key.strip()] = val.strip()
-    if not {"vars", "weights", "field"} <= set(fields):
-        raise ParseError(f"incomplete header {line!r}")
-    names = fields["vars"].split()
-    weights = tuple(_parse_natural(w, f"bad weight {w!r}")
-                    for w in fields["weights"].split())
-    if len(weights) != len(names):
-        raise ParseError("weights count != vars count")
-    return names, weights, parse_field(fields["field"])
-
-
 def parse_poly_file(text: str, source: str):
-    """-> (names, weights, ctx, {name: MultiPoly}) for a polynomial file;
-    source names the file when a label is defined twice."""
+    """-> (names, ctx, {name: MultiPoly}) for a polynomial file whose
+    header `vars: x y z; weights: 1 1 1; field: ...` declares three
+    weight-1 variables; source names the file when the header declares
+    others or a label is defined twice."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty polynomial file")
-    names, weights, ctx = parse_header(lines[0])
+    fields = {}
+    for chunk in lines[0].split(";"):
+        key, _, val = chunk.partition(":")
+        fields[key.strip()] = val.strip()
+    if not {"vars", "weights", "field"} <= set(fields):
+        raise ParseError(f"incomplete header {lines[0]!r}")
+    names = fields["vars"].split()
+    weights = [_parse_natural(w, f"bad weight {w!r}")
+               for w in fields["weights"].split()]
+    ctx = parse_field(fields["field"])
+    if weights != [1, 1, 1] or len(names) != 3:
+        raise ParseError(f"{source} must declare 3 weight-1 variables")
     polys = {}
     for ln in lines[1:]:
         label, _, body = ln.partition("=")
@@ -700,7 +689,7 @@ def parse_poly_file(text: str, source: str):
         if label in polys:
             raise ParseError(f"{source} defines {label!r} twice")
         polys[label] = parse_poly(ctx, names, body)
-    return names, weights, ctx, polys
+    return names, ctx, polys
 
 
 def format_point(ctx: FieldCtx, coords) -> str:

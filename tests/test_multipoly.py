@@ -3,7 +3,7 @@ import random
 import pytest
 
 from salemsurf.cubic import standard_cubic
-from salemsurf.errors import DomainError, InvariantViolation
+from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  format_poly, linear_solve, parse_poly,
@@ -86,14 +86,19 @@ def test_cubic_partials_vanish_at_singular_point(model):
 
 def test_multiplicity(ctx):
     p = MultiPoly(ctx, 2, {(2, 1): 1, (0, 4): 1})  # x^2 y + y^4
-    assert p.multiplicity_at((0, 0)) == 3
+    assert p.order() == 3
     one = MultiPoly(ctx, 2, {(0, 0): 1, (1, 0): 1})
-    assert one.multiplicity_at((0, 0)) == 0
+    assert one.order() == 0
 
 
-def test_model_chart_multiplicity_at_origin(model):
+def test_order_of_zero_is_a_domain_error(ctx):
+    with pytest.raises(DomainError, match="order of the zero polynomial"):
+        MultiPoly.zero(ctx, 2).order()
+
+
+def test_model_chart_order_at_origin(model):
     chart = model.s.restrict(2, 1).drop_var(2)
-    assert chart.multiplicity_at((0, 0)) == 4  # p_1 is the chart origin
+    assert chart.order() == 4  # p_1 is the chart origin
 
 
 def test_multiplicity_is_additive(ctx):
@@ -103,8 +108,7 @@ def test_multiplicity_is_additive(ctx):
         q = _rand_poly(ctx, 2, rng, maxdeg=2, nterms=3)
         if p.is_zero() or q.is_zero():
             continue
-        assert (p * q).multiplicity_at((0, 0)) == \
-            p.multiplicity_at((0, 0)) + q.multiplicity_at((0, 0))
+        assert (p * q).order() == p.order() + q.order()
 
 
 def test_resultant_linear(ctx):
@@ -327,11 +331,22 @@ def test_poly_file_roundtrip(ctx):
     rng = random.Random(12)
     polys = {"a": _rand_poly(ctx, 3, rng), "b": _rand_poly(ctx, 3, rng)}
     text = _format_poly_file(NAMES, (1, 1, 1), ctx, polys)
-    names, weights, fctx, parsed = parse_poly_file(text, "test.poly")
-    assert names == list(NAMES) or tuple(names) == NAMES
-    assert tuple(weights) == (1, 1, 1)
+    names, fctx, parsed = parse_poly_file(text, "test.poly")
+    assert tuple(names) == NAMES
     assert fctx is ctx
     assert parsed == polys
+
+
+@pytest.mark.parametrize("names,weights", [
+    (NAMES, (1, 1, 2)),
+    (NAMES, (1, 1)),
+    (("x", "y"), (1, 1)),
+])
+def test_poly_file_needs_three_weight_1_variables(ctx, names, weights):
+    text = _format_poly_file(names, weights, ctx, {})
+    with pytest.raises(ParseError,
+                       match="^test.poly must declare 3 weight-1 variables$"):
+        parse_poly_file(text, "test.poly")
 
 
 def test_projective_normalization(ctx):

@@ -143,6 +143,31 @@ def test_readme_lists_exactly_the_cli_options():
     assert documented == defined == {"--data", "--format", "--precision"}
 
 
+def test_precision_help_names_the_suites_that_read_it(capsys):
+    """--help says that only all, lattice and salem read --precision, and
+    another suite prints the same bytes with or without it."""
+    (action,) = [a for a in build_parser()._actions
+                 if "--precision" in a.option_strings]
+    assert re.search(r"only the all, lattice and salem suites\s+read it",
+                     action.help)
+    outputs = []
+    for extra in ([], ["--precision", "1e-3"]):
+        assert main(["surface", "--format", "json"] + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_readme_names_every_module():
+    """README's module map names each module of the package, apart from
+    __init__, as salemsurf.<name>."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    src = Path(sf.__file__).parent
+    missing = [path.stem for path in sorted(src.glob("*.py"))
+               if path.stem != "__init__"
+               and not re.search(rf"\bsalemsurf\.{path.stem}\b", readme)]
+    assert missing == []
+
+
 def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     calls = Counter()
 

@@ -5,6 +5,7 @@ import pytest
 from salemsurf.errors import DomainError, InvariantViolation
 from salemsurf.gf2m import embed, ext_context, field_make, gf32
 from salemsurf.lattice import lehmer_polynomial
+from salemsurf.multipoly import MultiPoly
 from salemsurf.unipoly import UniPoly, _trace_split, factor, uni_roots
 
 
@@ -73,6 +74,25 @@ def test_bound_is_the_largest_degree_searched():
     assert all(k.m == 3 and mult == 1 for k, _, mult in roots)
     assert all(f.embed_to(k).eval_bits(r) == 0 for k, r, _ in roots)
     assert uni_roots(f, 2) == []
+
+
+def test_multipoly_embed_to_commutes_with_evaluation(ctx):
+    """MultiPoly.embed_to embeds every coefficient, as UniPoly.embed_to
+    does: from GF(32) to GF(2^10), evaluating and then embedding agrees
+    with embedding and then evaluating at the embedded point, and the
+    polynomial's own field gives it back unchanged."""
+    sup = ext_context(10)
+    rng = random.Random(32)
+    p = MultiPoly(ctx, 3, {tuple(rng.randrange(4) for _ in range(3)):
+                           rng.randrange(1, 32) for _ in range(8)})
+    q = p.embed_to(sup)
+    assert q.ctx is sup and q.terms.keys() == p.terms.keys()
+    for _ in range(200):
+        pt = tuple(rng.randrange(32) for _ in range(3))
+        assert q.eval_bits([embed(b, ctx, sup) for b in pt]) \
+            == embed(p.eval_bits(pt), ctx, sup)
+    assert (p * p).embed_to(sup) == q * q
+    assert p.embed_to(ctx) is p
 
 
 def test_root_output_is_sorted(ctx):
