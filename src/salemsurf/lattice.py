@@ -229,19 +229,20 @@ def _pairings(us, vs, gram):
                  for u in us)
 
 
-def restrict_to_basis(m, basis, ge):
-    """Matrix of m on the span of `basis`, integer entries enforced.
+def _basis_coordinates(basis, ge, vectors, outside):
+    """The coordinates in `basis` of each ambient vector in `vectors`,
+    one column per vector; InvariantViolation(outside) when a vector is
+    not an integer combination of the basis.
 
-    Coordinates are recovered by pairing against the basis and solving
-    with its Gram matrix ge by fraction-free Gauss-Jordan (Bareiss):
-    each division is exact and leaves d times the solution, d = +-det ge.
-    The solution is the projection of each image to the span, so it
-    must be integral and its basis combination equal the image.
+    The vectors are paired against the basis and solved with its Gram
+    matrix ge by fraction-free Gauss-Jordan (Bareiss): each division is
+    exact and leaves d times the solution, d = +-det ge. The solution
+    is the projection of each vector to the span, so it must be
+    integral and its basis combination equal the vector.
     """
-    images = [mat_vec(m, b) for b in basis]
     n = len(basis)
     rows = [[*g, *p]
-            for g, p in zip(ge, _pairings(basis, images, ambient_gram()))]
+            for g, p in zip(ge, _pairings(basis, vectors, ambient_gram()))]
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k]), None)
@@ -258,26 +259,28 @@ def restrict_to_basis(m, basis, ge):
         prev = d
     out = tuple(tuple(x // prev for x in r[n:]) for r in rows)
     # the basis is independent (its Gram matrix is not singular), so an
-    # integer combination equal to the image is the projection itself
+    # integer combination equal to the vector is the projection itself
     if any(x % prev for r in rows for x in r[n:]) or mat_mul(
-            mat_transpose(basis), out) != mat_transpose(images):
-        raise InvariantViolation("image leaves the sublattice")
+            mat_transpose(basis), out) != mat_transpose(vectors):
+        raise InvariantViolation(outside)
     return out
 
 
-def reference_interior_vector():
-    """Coordinates (in the stored basis) of 10h - 3(e1+...+e10).
+def restrict_to_basis(m, basis, ge):
+    """Matrix of m on the span of `basis`, whose Gram matrix is ge,
+    integer entries enforced: column j holds the coordinates of the
+    image of basis[j]."""
+    return _basis_coordinates(basis, ge, [mat_vec(m, b) for b in basis],
+                              "image leaves the sublattice")
 
-    A fixed norm-10 vector interior to the chosen half-cone; membership
-    tests orient the cone by pairing images against it.
-    """
-    return (10, 7, 14, 21, 18, 15, 12, 9, 6, 3)
 
-
-def halfcone_pairing(m, ge):
-    """(m u, u) under ge, u the reference interior vector: positive when
-    m maps the half-cone that u lies in to itself."""
-    u = reference_interior_vector()
+def halfcone_pairing(m, basis, ge):
+    """(m u, u) under ge, u the coordinates in `basis` of the norm-10
+    vector 10h - 3(e1+...+e10), interior to the chosen half-cone:
+    positive when m maps the half-cone that u lies in to itself."""
+    u = [r[0] for r in _basis_coordinates(
+        basis, ge, [(10,) + (-3,) * 10],
+        "10h - 3(e1+...+e10) is not in the span of the basis")]
     return _pairings([mat_vec(m, u)], [u], ge)[0][0]
 
 
@@ -600,7 +603,7 @@ def weyl2_membership(m, ge, pairing):
     m acts on the stored basis of the even sublattice, whose Gram matrix
     is ge; it must preserve ge (else InvariantViolation), reduce to the
     identity mod 2, and keep the half-cone: pairing is
-    halfcone_pairing(m, ge), which must be positive.
+    halfcone_pairing(m, basis, ge), which must be positive.
     """
     if not is_isometry_of(m, ge):
         raise InvariantViolation(

@@ -144,8 +144,8 @@ def _lattice_checks(data_dir, precision) -> list:
             lat.coxeter_matrix(), need("basis"), need("gram")),
         "cox_poly": lambda need: lat.char_poly(lat.coxeter_matrix()),
         "char_poly": lambda need: lat.divide_root(need("cox_poly"), 1),
-        "pairing": lambda need: lat.halfcone_pairing(need("restriction"),
-                                                     need("gram")),
+        "pairing": lambda need: lat.halfcone_pairing(
+            need("restriction"), need("basis"), need("gram")),
         "space": lambda need: m2.Mod2QuadSpace(need("gram")),
         "images": lambda need: m2.mat2_images(
             m2.mat2_from_int(need("restriction"))),

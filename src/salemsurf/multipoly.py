@@ -6,10 +6,13 @@ leading terms and exact division) is graded lexicographic: higher total
 degree first, ties broken by the exponent tuple, left variable most
 significant. Addition is coefficient xor; all inner loops work on raw
 bits through the shared FieldCtx tables, and products, evaluation and
-substitution add logs (`_mul_terms`). `resultant` eliminates one
-variable of two bivariate polynomials by evaluation and interpolation.
-`plane_zeros` finds where ternary forms vanish on P^2, reading each
-line x = x0 of the chart z = 1 as univariate polynomials in y.
+substitution add logs (`_mul_terms`). `univariate_at` reads a
+polynomial along a line, every variable but one set to a field
+element, as a univariate polynomial in one such pass. `resultant`
+eliminates one variable of two bivariate polynomials by evaluation and
+interpolation. `plane_zeros` finds where ternary forms vanish on P^2,
+reading each line x = x0 of the chart z = 1 as univariate polynomials
+in y.
 
 The text format round-trips through `format_poly` / `parse_poly_file`,
 whose header declares three weight-1 variables:
@@ -96,10 +99,6 @@ class MultiPoly:
         return cls(ctx, nvars, None)
 
     @classmethod
-    def const(cls, ctx, nvars, bits):
-        return cls(ctx, nvars, {(0,) * nvars: bits})
-
-    @classmethod
     def var(cls, ctx, nvars, i):
         e = [0] * nvars
         e[i] = 1
@@ -131,8 +130,6 @@ class MultiPoly:
                 t.pop(e, None)
         return MultiPoly._of(self.ctx, self.nvars, t)
 
-    __sub__ = __add__
-
     def __mul__(self, other):
         self._chk(other)
         return MultiPoly._of(self.ctx, self.nvars,
@@ -144,18 +141,6 @@ class MultiPoly:
         mul = self.ctx.mul_bits
         return MultiPoly._of(self.ctx, self.nvars,
                              {e: mul(c, s) for e, c in self.terms.items()})
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power of a polynomial")
-        r = MultiPoly.const(self.ctx, self.nvars, 1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
 
     def total_degree(self):
         if not self.terms:
@@ -198,6 +183,27 @@ class MultiPoly:
             else:
                 acc ^= exp[s % order]
         return acc
+
+    def univariate_at(self, var: int, point) -> UniPoly:
+        """The polynomial in variable `var` left when every other
+        variable i is set to the raw bits point[i]; point[var] is not
+        read. One pass in the log domain, as eval_bits."""
+        if len(point) != self.nvars:
+            raise InvariantViolation("point arity != nvars")
+        exp, log, order = self.ctx._exp, self.ctx._log, self.ctx.order
+        logs = [log[x] for x in point]  # None at a zero coordinate
+        logs[var] = 0  # variable var counts as 1, its exponent kept
+        coeffs = [0] * (self.degree_in(var) + 1)
+        for e, c in self.terms.items():
+            s = log[c]
+            for lx, k in zip(logs, e):
+                if k:
+                    if lx is None:
+                        break
+                    s += lx * k
+            else:
+                coeffs[e[var]] ^= exp[s % order]
+        return UniPoly(self.ctx, coeffs)
 
     def embed_to(self, sup: FieldCtx) -> "MultiPoly":
         """The same polynomial over the extension sup of its field."""
@@ -336,49 +342,6 @@ class MultiPoly:
                 else:
                     rem.pop(ne, None)
         return MultiPoly._of(self.ctx, self.nvars, q)
-
-    def divide_by_power(self, i: int, k: int) -> "MultiPoly":
-        """Exact quotient by variable i to the k-th power."""
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] < k:
-                raise DomainError(
-                    f"term has degree {e[i]} < {k} in variable {i}")
-            t[e[:i] + (e[i] - k,) + e[i + 1:]] = c
-        return MultiPoly._of(self.ctx, self.nvars, t)
-
-    def restrict(self, i: int, bits: int) -> "MultiPoly":
-        """Set variable i to a constant (arity preserved, exponent 0)."""
-        pw, mul = self.ctx.pow_bits, self.ctx.mul_bits
-        t: dict[tuple, int] = {}
-        for e, c in self.terms.items():
-            ne = e[:i] + (0,) + e[i + 1:]
-            v = mul(c, pw(bits, e[i])) if e[i] else c
-            n = t.get(ne, 0) ^ v
-            if n:
-                t[ne] = n
-            else:
-                t.pop(ne, None)
-        return MultiPoly._of(self.ctx, self.nvars, t)
-
-    def univariate(self, var: int) -> UniPoly:
-        """The dense univariate polynomial in variable `var`;
-        InvariantViolation when another variable occurs."""
-        coeffs = [0] * (self.degree_in(var) + 1)
-        for e, c in self.terms.items():
-            if sum(e) != e[var]:
-                raise InvariantViolation(f"a variable besides {var} occurs")
-            coeffs[e[var]] = c
-        return UniPoly(self.ctx, coeffs)
-
-    def drop_var(self, i: int) -> "MultiPoly":
-        """Remove a variable that no term uses."""
-        t = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                raise InvariantViolation(f"variable {i} still occurs")
-            t[e[:i] + e[i + 1:]] = c
-        return MultiPoly._of(self.ctx, self.nvars - 1, t)
 
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
@@ -545,7 +508,7 @@ def plane_zeros(polys) -> list[tuple]:
         ys = field
         for p in polys:  # read only where the earlier forms all vanish
             if ys:
-                u = p.restrict(0, x).restrict(2, 1).univariate(1)
+                u = p.univariate_at(1, (x, 0, 1))
                 ys = [y for y in ys if not u.eval_bits(y)]
         zeros += [(x, y, 1) for y in ys]
     return zeros + [pt for pt in [(x, 1, 0) for x in field] + [(1, 0, 0)]
@@ -557,8 +520,16 @@ def local_expansion(p: MultiPoly, pt: tuple) -> MultiPoly:
     last nonzero coordinate, which is 1, translated so that pt is the
     origin."""
     j = max(i for i, c in enumerate(pt) if c)
-    rest = [c for i, c in enumerate(pt) if i != j]
-    return p.restrict(j, 1).drop_var(j).translate(rest)
+    chart: dict[tuple, int] = {}
+    for e, c in p.terms.items():
+        ne = e[:j] + e[j + 1:]
+        n = chart.get(ne, 0) ^ c
+        if n:
+            chart[ne] = n
+        else:
+            del chart[ne]
+    return MultiPoly._of(p.ctx, p.nvars - 1, chart).translate(
+        [c for i, c in enumerate(pt) if i != j])
 
 
 # ---------------------------------------------------------------------------

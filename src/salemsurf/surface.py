@@ -5,8 +5,10 @@ degree 12, a quadratic Cremona self-map f = (f_x, f_y, f_z) lifted to
 an automorphism by w -> c w + eta, a distinguished cuspidal cubic g,
 and eleven marked points. Every check here is an exact identity over
 GF(32); there are no tolerances. The derivation chain computes in the
-plane ring k[x, y, z]: the conjugation scalar is read off two
-substitutions under f, so w^2 = s is never rewritten.
+plane ring k[x, y, z]: the conjugation scalar is k k_f^2, read off the
+one substitution g o f = k_f xyz g, so w^2 = s is never rewritten.
+The singular search and the blow-up charts read plane polynomials
+along lines with `MultiPoly.univariate_at`.
 """
 
 from __future__ import annotations
@@ -306,24 +308,25 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
 
 def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> int:
     """Scalar K with (forward . D . inverse)(w/z^6) = K g^2 / z^6,
-    where D = g^2 d/dw.
+    where D = g^2 d/dw: K = k k_f^2 for k = si.w_scalar and
+    g o f = k_f xyz g.
 
     The inverse sends w/z^6 to (k lambda^2 w + eta_prime) / siz^6, D
     sends that to the w-free k lambda^2 g^2 / siz^6, and the forward
-    map substitutes f in it. So K is the scalar with
-    ((k lambda^2 g^2) o f) z^6 = K g^2 (siz o f)^6. Raises NoSolution
-    when there is none, which would break the descent argument
-    downstream.
+    map substitutes f in it. derive_sigma_inverse has checked that
+    SI o f = xyz * identity, so lambda^2 o f = (xyz)^4 and
+    siz o f = xyz z, and K is a scalar exactly when g o f is a scalar
+    multiple of xyz g (squaring is injective in characteristic 2).
+    Raises NoSolution when it is not, which would break the descent
+    argument downstream.
     """
-    g2 = m.g * m.g
-    lam2 = si.lambda_factor * si.lambda_factor
-    num = (lam2 * g2).scale_bits(si.w_scalar).substitute(list(m.f))
-    den = si.components[2].substitute(list(m.f)) ** 6
-    k = _scalar_ratio(num * MultiPoly.var(m.ctx, 3, 2) ** 6, g2 * den)
-    if k is None:
+    kf = _scalar_ratio(m.g.substitute(list(m.f)),
+                       MultiPoly(m.ctx, 3, {(1, 1, 1): 1}) * m.g)
+    if kf is None:
         raise NoSolution("conjugated derivation is not a scalar "
                          "multiple of g^2 d/dw")
-    return k
+    mul = m.ctx.mul_bits
+    return mul(si.w_scalar, mul(kf, kf))
 
 
 def verify_derivation(m: SurfaceModel, si: SigmaInverse,
@@ -443,8 +446,7 @@ def _stratum_points(grad, label: str):
         if not (p.eval_bits((1, 0, 0)) or q.eval_bits((1, 0, 0))):
             cands.append(((1, 0, 0), p.ctx))
     elif label == "y":
-        uu, vv = (local_expansion(r, (0, 1, 0)).restrict(1, 0).univariate(0)
-                  for r in (p, q))
+        uu, vv = (r.univariate_at(0, (0, 1, 0)) for r in (p, q))
         leaves, roots = _common_roots(uu, vv, bound, prefix, "0")
         cands = [((x0, 1, 0), k) for k, x0 in roots]
     else:
@@ -453,7 +455,7 @@ def _stratum_points(grad, label: str):
         if r2.is_zero():
             return [rp.leaf(f"{prefix}.eliminant_nonzero", False,
                             "partials share a one-dimensional component")], []
-        ru = r2.univariate(0)
+        ru = r2.univariate_at(0, (0, 0))
         roots = uni_roots(ru, bound)
         covered = sum(mult for _, _, mult in roots)
         if covered < ru.degree():
@@ -462,7 +464,7 @@ def _stratum_points(grad, label: str):
                 f"eliminant degree {ru.degree()}, only {covered} accounted "
                 f"for within extension degree {bound}"))
         for ku, u0, _mult in roots:
-            uu, vv = (r.embed_to(ku).restrict(0, u0).univariate(1)
+            uu, vv = (r.embed_to(ku).univariate_at(1, (u0, 0))
                       for r in (su, sv))
             more, vroots = _common_roots(uu, vv, bound, prefix,
                                          format_elem(ku, u0))
@@ -566,16 +568,25 @@ def verify_multiplicities(local: list[MultiPoly]) -> rp.Report:
 # blow-up chart smoothness at the three base points
 
 
+def _strict_transforms(sc: MultiPoly):
+    """(s(u, u v) / u^4, s(u v, v) / v^4) for s in the local chart sc
+    of order 4 or more: u^a v^b goes to u^(a+b-4) v^b and to
+    u^a v^(a+b-4), so no two terms meet."""
+    t = sc.terms.items()
+    return (MultiPoly._of(sc.ctx, 2, {(a + b - 4, b): c for (a, b), c in t}),
+            MultiPoly._of(sc.ctx, 2, {(a, a + b - 4): c for (a, b), c in t}))
+
+
 def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
     """Blow up each base point p_1, p_2, p_3 and look for singular
     points over the exceptional line.
 
     local is s_expansions(m): s in the local chart of each point, where
-    it must vanish to order 4 or more at the origin. Main chart:
-    substitute v = a u, divide by u^4 exactly, and check the two
-    partials restricted to u = 0 share no root (constant gcd). The one
-    point the main chart misses is the origin of the complementary
-    chart, where a nonvanishing partial suffices.
+    it must vanish to order 4 or more at the origin. Main chart: the
+    strict transform s(u, u v) / u^4, whose two partials restricted to
+    u = 0 must share no root (constant gcd). The one point the main
+    chart misses is the origin of the complementary chart, where the
+    strict transform s(u v, v) / v^4 needs a nonvanishing partial.
     """
     ctx = local[0].ctx
     checks = []
@@ -587,14 +598,12 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
                 checks.append(rp.leaf(f"charts.p{idx}", False,
                                       f"order {order} < 4 at the base point"))
                 continue
-            u, v = MultiPoly.var(ctx, 2, 0), MultiPoly.var(ctx, 2, 1)
-            main = sc.substitute([u, u * v]).divide_by_power(0, 4)
-            r_u = main.partial(0).restrict(0, 0).univariate(1)
-            r_v = main.partial(1).restrict(0, 0).univariate(1)
+            main, comp = _strict_transforms(sc)
+            r_u = main.partial(0).univariate_at(1, (0, 0))
+            r_v = main.partial(1).univariate_at(1, (0, 0))
             gdeg = r_u.gcd(r_v).degree()  # -1 when both vanish
             checks.append(rp.leaf(f"charts.p{idx}_main", gdeg == 0,
                                   f"gcd degree {gdeg}"))
-            comp = sc.substitute([u * v, v]).divide_by_power(1, 4)
             w1 = comp.partial(0).eval_bits([0, 0])
             w2 = comp.partial(1).eval_bits([0, 0])
             checks.append(rp.leaf(

@@ -68,8 +68,6 @@ class UniPoly:
             out[i] ^= c
         return UniPoly(self.ctx, out)
 
-    __sub__ = __add__
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._chk(other)
         a, b = self.coeffs, other.coeffs

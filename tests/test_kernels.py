@@ -11,7 +11,8 @@ import random
 import pytest
 
 from salemsurf.gf2m import ext_context, gf32
-from salemsurf.multipoly import MultiPoly
+from salemsurf.multipoly import MultiPoly, local_expansion
+from salemsurf.surface import _strict_transforms
 from salemsurf.unipoly import UniPoly
 from test_multipoly import _check_against_sylvester
 
@@ -147,6 +148,52 @@ def test_multipoly_kernels_match_schoolbook(field):
         assert _clean(got).terms == _multi_substitute(ctx, s, images)
 
 
+def _univariate_at(ctx, s, var, point):
+    """Coefficients, low degree first, of s in variable var with every
+    other variable i set to point[i]."""
+    out = [0] * (max((e[var] for e in s), default=-1) + 1)
+    for e, c in s.items():
+        for i, (x, k) in enumerate(zip(point, e)):
+            if i != var:
+                c = ctx.mul_bits(c, ctx.pow_bits(x, k) if k else 1)
+        out[e[var]] ^= c
+    return _trim(out)
+
+
+def test_univariate_at_matches_schoolbook(field):
+    ctx, rng = field, random.Random(61 + field.m)
+    for nvars in (2, 3):
+        for _ in range(15):
+            s = _rand_multi(ctx, rng, nvars, rng.randrange(8), 4)
+            p = MultiPoly(ctx, nvars, s)
+            for var in range(nvars):
+                for point in ((0,) * nvars, (1,) * nvars,
+                              tuple(rng.randrange(1 << ctx.m) * (i % 2)
+                                    for i in range(nvars)),
+                              tuple(rng.randrange(1 << ctx.m)
+                                    for _ in range(nvars))):
+                    got = p.univariate_at(var, point)
+                    assert list(got.coeffs) == \
+                        _univariate_at(ctx, s, var, point)
+
+
+def test_strict_transforms_match_substitution_and_division(field):
+    """Both blow-up charts of a local polynomial of order >= 4, against
+    substituting (u, u v) or (u v, v) and dividing by u^4 or v^4."""
+    ctx, rng = field, random.Random(67 + field.m)
+    u, v = MultiPoly.var(ctx, 2, 0), MultiPoly.var(ctx, 2, 1)
+    for _ in range(15):
+        terms = {}
+        for _ in range(rng.randrange(1, 8)):
+            a = rng.randrange(7)
+            terms[(a, rng.randrange(max(0, 4 - a), 7))] = \
+                rng.randrange(1, 1 << ctx.m)
+        sc = MultiPoly(ctx, 2, terms)
+        main, comp = _strict_transforms(sc)
+        assert main == sc.substitute([u, u * v]).divide_exact(u * u * u * u)
+        assert comp == sc.substitute([u * v, v]).divide_exact(v * v * v * v)
+
+
 def test_multipoly_results_hold_no_zero_coefficient(field):
     """Every MultiPoly operation that builds its result without the
     checking constructor, on inputs whose terms cancel."""
@@ -165,12 +212,12 @@ def test_multipoly_results_hold_no_zero_coefficient(field):
         shifted = _clean(ps.translate(point))
         assert _clean(shifted.translate(point)) == ps  # char 2: -a = a
         for i in range(3):
-            fixed = _clean(ps.restrict(i, point[i]))
-            assert fixed.degree_in(i) <= 0
-            assert _clean(fixed.drop_var(i)).nvars == 2
             _clean(ps.partial(i))
-            x = MultiPoly.var(ctx, 3, i)
-            assert _clean((ps * x ** 2).divide_by_power(i, 2)) == ps
+            # the canonical point of chart i: coordinate i is 1, later 0
+            pt = (*point[:i], 1, *(0,) * (2 - i))
+            local = _clean(local_expansion(ps, pt))
+            assert local.nvars == 2
+            assert local.eval_bits((0, 0)) == ps.eval_bits(pt)
         if not ps.is_zero():
             _clean(ps.initial_form())
         images = [MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 3, 2))

@@ -18,7 +18,7 @@ from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                ip_add, ip_mul, is_isometry_of,
                                is_reciprocal, lehmer_polynomial,
                                mat_mul,
-                               mat_vec, real_roots, reference_interior_vector,
+                               mat_vec, real_roots,
                                salem_certify, sign_vector_target,
                                trace_polynomial, trace_reexpand,
                                weyl2_membership)
@@ -311,19 +311,25 @@ def test_weyl2_membership(e10_restriction):
     ge = gram_of(basis)
 
     def member(m):
-        return weyl2_membership(m, ge, halfcone_pairing(m, ge))
+        return weyl2_membership(m, ge, halfcone_pairing(m, basis, ge))
 
     one = _identity(10)
-    assert halfcone_pairing(one, ge) == 10  # the norm of u
+    assert halfcone_pairing(one, basis, ge) == 10  # the norm of u
     assert member(one)
-    assert halfcone_pairing(restr, ge) > 0
+    assert halfcone_pairing(restr, basis, ge) > 0
     assert not member(restr)
     # -1 is an isometry and the identity mod 2, but swaps the half-cones;
     # the verdict reads the pairing it is given
     minus = [[-x for x in row] for row in one]
-    assert halfcone_pairing(minus, ge) == -10
+    assert halfcone_pairing(minus, basis, ge) == -10
     assert not member(minus)
     assert not weyl2_membership(one, ge, -10)
+    # 10h - 3(e1+...+e10) has coordinate 7 on the second bundled basis
+    # vector, so it leaves the index-2 sublattice where that one doubles
+    half = [list(b) for b in basis]
+    half[1] = [2 * x for x in half[1]]
+    with pytest.raises(InvariantViolation, match="not in the span"):
+        halfcone_pairing(one, half, gram_of(half))
     assert ge[0][0] == -2
     # reflection in the first basis vector v: x -> x + (x . v) v
     refl = [[int(i == j) + (ge[0][j] if i == 0 else 0) for j in range(10)]
@@ -333,14 +339,6 @@ def test_weyl2_membership(e10_restriction):
     with pytest.raises(InvariantViolation,
                        match="does not preserve the sublattice form"):
         member([[2 if i == j else 0 for j in range(10)] for i in range(10)])
-
-
-def test_reference_vector_is_interior(e10_basis):
-    ge = gram_of(e10_basis)
-    u = reference_interior_vector()
-    norm = sum(u[i] * ge[i][j] * u[j]
-               for i in range(10) for j in range(10))
-    assert norm == 10
 
 
 def _frac_restriction(m, basis):

@@ -6,8 +6,9 @@ from salemsurf.cubic import standard_cubic
 from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
-                                 format_poly, linear_solve, parse_poly,
-                                 parse_poly_file, plane_zeros, resultant)
+                                 format_poly, linear_solve, local_expansion,
+                                 parse_poly, parse_poly_file, plane_zeros,
+                                 resultant)
 
 NAMES = ("x", "y", "z")
 
@@ -97,7 +98,7 @@ def test_order_of_zero_is_a_domain_error(ctx):
 
 
 def test_model_chart_order_at_origin(model):
-    chart = model.s.restrict(2, 1).drop_var(2)
+    chart = local_expansion(model.s, (0, 0, 1))
     assert chart.order() == 4  # p_1 is the chart origin
 
 
@@ -115,13 +116,13 @@ def test_resultant_linear(ctx):
     # res_x(x + a, x + b) = a + b, for a and b in y
     x = MultiPoly.var(ctx, 2, 0)
     a = MultiPoly.var(ctx, 2, 1)
-    b = a * a + MultiPoly.const(ctx, 2, ctx.gen_pow(1))
+    b = a * a + MultiPoly(ctx, 2, {(0, 0): ctx.gen_pow(1)})
     assert resultant(x + a, x + b, 0) == a + b
 
 
 def test_resultant_shared_root(ctx):
     x = MultiPoly.var(ctx, 2, 0)
-    one = MultiPoly.const(ctx, 2, 1)
+    one = MultiPoly(ctx, 2, {(0, 0): 1})
     assert resultant(x * x + one, x + one, 0).is_zero()
 
 
@@ -174,8 +175,8 @@ def _check_against_sylvester(ctx, p, q, i):
 
 
 def test_resultant_matches_sylvester_on_model(ctx, model):
-    sx = model.s.partial(0).restrict(2, 1).drop_var(2)
-    sy = model.s.partial(1).restrict(2, 1).drop_var(2)
+    sx = local_expansion(model.s.partial(0), (0, 0, 1))
+    sy = local_expansion(model.s.partial(1), (0, 0, 1))
     assert _check_against_sylvester(ctx, sx, sy, 1) > 0
 
 
@@ -199,8 +200,8 @@ def test_resultant_matches_sylvester_on_random_bivariates(ctx):
 def test_resultant_vanishes_at_common_zeros(model):
     # eliminate y from the two partials in the z = 1 chart; the result
     # must vanish at the x-coordinate of every singular point there
-    sx = model.s.partial(0).restrict(2, 1).drop_var(2)
-    sy = model.s.partial(1).restrict(2, 1).drop_var(2)
+    sx = local_expansion(model.s.partial(0), (0, 0, 1))
+    sy = local_expansion(model.s.partial(1), (0, 0, 1))
     res = resultant(sx, sy, 1)
     for x0, y0, z0 in model.points.values():
         if z0 != 1:
@@ -220,15 +221,6 @@ def test_translate_matches_evaluation(ctx):
             u, v = rng.randrange(32), rng.randrange(32)
             assert t.eval_bits((u, v)) == \
                 p.eval_bits((u ^ a, v ^ b))
-
-
-def test_divide_by_power(ctx):
-    x = MultiPoly.var(ctx, 2, 0)
-    y = MultiPoly.var(ctx, 2, 1)
-    p = x * x * y + x * x * x
-    assert p.divide_by_power(0, 2) == y + x
-    with pytest.raises(DomainError, match="term has degree"):
-        (p + y).divide_by_power(0, 1)
 
 
 def test_square_detection(ctx):
@@ -364,12 +356,16 @@ def test_projective_normalization(ctx):
 
 def test_univariate_reads_one_variable(ctx):
     p = MultiPoly(ctx, 3, {(0, 2, 0): 5, (0, 0, 0): 1})
-    assert p.univariate(1).coeffs == (1, 0, 5)
-    assert MultiPoly.zero(ctx, 3).univariate(2).is_zero()
-    with pytest.raises(InvariantViolation, match="a variable besides 1"):
-        MultiPoly(ctx, 3, {(0, 2, 0): 5, (0, 1, 1): 1}).univariate(1)
-    with pytest.raises(InvariantViolation, match="a variable besides 0"):
-        MultiPoly(ctx, 2, {(1, 1): 1}).univariate(0)
+    assert p.univariate_at(1, (0, 0, 0)).coeffs == (1, 0, 5)
+    assert p.univariate_at(1, (7, 9, 3)).coeffs == (1, 0, 5)
+    assert MultiPoly.zero(ctx, 3).univariate_at(2, (1, 1, 0)).is_zero()
+    # z = g^3 turns y z into g^3 y; z = 0 drops it
+    q = MultiPoly(ctx, 3, {(0, 2, 0): 5, (0, 1, 1): 1})
+    assert q.univariate_at(1, (0, 0, ctx.gen_pow(3))).coeffs \
+        == (0, ctx.gen_pow(3), 5)
+    assert q.univariate_at(1, (0, 0, 0)).coeffs == (0, 0, 5)
+    with pytest.raises(InvariantViolation, match="point arity"):
+        MultiPoly(ctx, 2, {(1, 1): 1}).univariate_at(0, (1, 1, 1))
 
 
 def _brute_plane_zeros(polys):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -25,8 +26,10 @@ from salemsurf import _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.gf2m import field_make
-from salemsurf.multipoly import plane_zeros
+from salemsurf.multipoly import (MultiPoly, local_expansion, plane_zeros,
+                                 resultant)
 from salemsurf.suites import SUITE_NAMES, run_suite
+from salemsurf.unipoly import uni_roots
 
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
 SALEM_FINE_GOLDEN = Path(__file__).parent / "golden" / "salem_1.5e-30.json"
@@ -240,8 +243,8 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # is read once for the orbit's base locus and once for the cubic; s
     # is expanded once at each marked point, for the multiplicities and
     # the charts, g at its cusp by the cubic check and the chart, and
-    # two partials of s in each of the charts y = 1 and z = 1 by the
-    # singular locus
+    # two partials of s in the chart z = 1 by the singular locus, which
+    # reads the line z = 0 directly
     for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
                  "plane_zeros", "local_expansion"):
         count(sf, name)
@@ -254,7 +257,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                  "find_cusp", "cusp_parametrization", "induced_affine_map"):
         assert calls[name] == 1, name
     assert calls["plane_zeros"] == 2
-    assert calls["local_expansion"] == 17
+    assert calls["local_expansion"] == 15
     # the cubic suite charts the standard cubic once over GF(32), for the
     # group law and the orbits, and once over GF(8) for the group law
     count(cubic_checks, "plane_zeros")
@@ -494,6 +497,26 @@ def test_mutated_basis_is_rejected(tmp_path, capsys, row, mutant):
                 assert nodes[name]["status"] == "error"
                 assert nodes[name]["witness"].startswith(
                     "InvariantViolation: ")
+
+
+def test_equivalent_basis_passes_every_lattice_leaf(tmp_path):
+    """e2 - e3 - e4 + e6 in place of e2 - e3 spans the same lattice, in
+    which 10h - 3(e1+...+e10) has other coordinates than in the bundled
+    basis; its norm and its pairing with its Coxeter image do not
+    depend on the basis."""
+    data = _with_basis_row(tmp_path, "0 0 1 -1 0 0 0 0 0 0 0",
+                           "0 0 1 -1 -1 0 1 0 0 0 0")
+    report = run_suite("lattice", data)
+
+    def leaves(r):
+        return [r] if not r.children else [x for c in r.children
+                                            for x in leaves(c)]
+    assert [x.name for x in leaves(report) if not x.ok()] == []
+    assert {x.name: x.witness for x in leaves(report)}[
+        "coxeter.halfcone_preserved"] == "pairing 11"
+    basis = lat.e10_basis((data / "e10_basis.dat").read_text())
+    one = [[int(i == j) for j in range(10)] for i in range(10)]
+    assert lat.halfcone_pairing(one, basis, lat.gram_of(basis)) == 10
 
 
 def _with_line(tmp_path, name, old, new):
@@ -966,3 +989,34 @@ def test_bench_tracer_wraps_modules_executed_on_first_use(tmp_path, suite,
     metrics = traced["summarize"]([json.loads(spans.read_text())])
     for qual in functions:
         assert metrics[f"{qual}.calls"] > 0, qual
+
+
+def test_bench_tracer_names_live_functions(model, census):
+    """bench/traced.py, loaded read-only: every function it wraps
+    exists in its module, and every size it takes from a result reads
+    a real result of that function, so a renamed layer or a changed
+    result type shows here and not first in `bench/run.py --trace 1`."""
+    traced = runpy.run_path(str(BENCH_DIR / "traced.py"))
+    missing = []
+    for qual in traced["FUNCTIONS"]:
+        mod, name = qual.split(".")
+        if not callable(getattr(importlib.import_module(f"salemsurf.{mod}"),
+                                name, None)):
+            missing.append(qual)
+    assert missing == []
+    su, sv = (local_expansion(model.s.partial(i), (0, 0, 1))
+              for i in (0, 1))
+    res = resultant(su, sv, 1)
+    assert isinstance(res, MultiPoly)
+    roots = uni_roots(res.univariate_at(0, (0, 0)), 10)
+    text = rp.emit_json(run_suite("salem"))
+    results = {"multipoly.resultant": res, "unipoly.uni_roots": roots,
+               "mod2space.enumerate_lagrangians": census,
+               "report.emit_json": text}
+    assert set(results) == set(traced["SIZES"])
+    sizes = {qual: size(results[qual])
+             for qual, (_suffix, _agg, size) in traced["SIZES"].items()}
+    assert sizes == {"multipoly.resultant": res.total_degree(),
+                     "unipoly.uni_roots": len(roots),
+                     "mod2space.enumerate_lagrangians": 4590,
+                     "report.emit_json": len(text)}

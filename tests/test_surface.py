@@ -64,12 +64,25 @@ def test_inverse_composes_to_scalar(ctx, model, sigma_inv):
         assert model.f[i].substitute(inv) == \
             lam * MultiPoly.var(ctx, 3, i)
     c_inv = model.c.substitute(inv)
-    assert c_inv * (lam * lam).scale_bits(si.w_scalar) == lam ** 6
+    lam2 = lam * lam
+    assert c_inv * lam2.scale_bits(si.w_scalar) == lam2 * lam2 * lam2
     assert model.eta.substitute(inv) == c_inv * si.eta_prime
 
 
 def test_conjugation_scalar(ctx, conj_scalar):
     assert conj_scalar == ctx.gen_pow(8)
+
+
+def test_conjugation_scalar_without_a_cubic_multiplier(ctx, model,
+                                                       sigma_inv):
+    """g + x^3 in place of g: g o f is no longer a scalar multiple of
+    xyz g, so no scalar conjugates D = g^2 d/dw."""
+    g = model.g + MultiPoly(ctx, 3, {(3, 0, 0): 1})
+    mut = sf.SurfaceModel(ctx, model.names, model.s, model.f, model.c,
+                          model.eta, g, model.points, model.cusp)
+    with pytest.raises(NoSolution, match="conjugated derivation is not a "
+                       "scalar multiple of g\\^2 d/dw"):
+        sf.conjugation_scalar(mut, sigma_inv)
 
 
 def test_derivation_report(ctx, model, sigma_inv, conj_scalar):
@@ -200,11 +213,11 @@ def test_inverse_identities_that_hold_by_construction(ctx, tmp_path, i):
     follow, on the bundled model (i = 0) and its Frobenius twists."""
     m = sf.load_model(_twisted(tmp_path, i))
     si = sf.derive_sigma_inverse(m)
-    k, lam2 = si.w_scalar, si.lambda_factor ** 2
+    k, lam2 = si.w_scalar, si.lambda_factor * si.lambda_factor
     lam2_f = lam2.substitute(list(m.f))
     assert lam2_f == MultiPoly(ctx, 3, {(4, 4, 4): 1})
     assert (m.c.substitute(list(si.components)) * lam2).scale_bits(k) \
-        == si.lambda_factor ** 6
+        == lam2 * lam2 * lam2
     assert si.eta_prime.substitute(list(m.f)) \
         == (lam2_f * m.eta).scale_bits(k)
 
@@ -302,11 +315,17 @@ def test_multiplicity_adjustment(ctx, model):
 
 
 def test_chart_smoothness(model):
-    assert sf.verify_chart_smoothness(sf.s_expansions(model)).ok()
-    chart = local_expansion(model.s, (0, 0, 1))
+    local = sf.s_expansions(model)
+    assert sf.verify_chart_smoothness(local).ok()
+    # the strict transforms at the base points, against substituting
+    # the blow-up charts and dividing exactly by u^4 or v^4
     u, v = (MultiPoly.var(model.ctx, 2, i) for i in range(2))
-    main = chart.substitute([u, u * v])
-    main.divide_by_power(0, 4)  # exactness is the blow-up requirement
+    for i in (1, 2, 3):
+        main, comp = sf._strict_transforms(local[i])
+        assert main == local[i].substitute([u, u * v]).divide_exact(
+            u * u * u * u)
+        assert comp == local[i].substitute([u * v, v]).divide_exact(
+            v * v * v * v)
 
 
 def test_chart_order_below_four_is_a_failing_leaf(tmp_path):
@@ -461,10 +480,10 @@ def test_singular_locus_matches_brute_force_on_mutants(ctx, model):
 def test_singular_locus_reports_a_zero_eliminant(ctx, model):
     # s = (x + y)^2 t: s_x = (x + y)^2 t_x and s_y = (x + y)^2 t_y share
     # a curve, so the z = 1 eliminant is the zero polynomial
-    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
-    t = x ** 3 * y ** 7 + (x ** 7 * y * z ** 2).scale_bits(ctx.gen_pow(1)) \
-        + y ** 5 * z ** 5 + x * z ** 9
-    mut = sf.SurfaceModel(ctx, model.names, (x + y) ** 2 * t, model.f,
+    t = MultiPoly(ctx, 3, {(3, 7, 0): 1, (7, 1, 2): ctx.gen_pow(1),
+                           (0, 5, 5): 1, (1, 0, 9): 1})
+    xy = MultiPoly(ctx, 3, {(1, 0, 0): 1, (0, 1, 0): 1})
+    mut = sf.SurfaceModel(ctx, model.names, xy * xy * t, model.f,
                           model.c, model.eta, model.g, model.points,
                           model.cusp)
     rep = sf.singular_locus(mut)
