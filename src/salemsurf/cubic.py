@@ -308,21 +308,21 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
     return CuspChart(curve, cusp, l1, l2, smooth)
 
 
-def induced_affine_map(chart: CuspChart,
-                       components: list[MultiPoly]) -> AffineAction:
+def induced_affine_map(chart: CuspChart, components: list[MultiPoly],
+                       pulled: MultiPoly) -> AffineAction:
     """The affine parameter action a Cremona map induces on the cubic of
     a cusp chart.
 
-    The map must send the curve into itself up to a polynomial factor
-    (checked by exact division of the pullback); base points (all three
-    components vanish) and points mapping onto the tangent cone line
-    are skipped when sampling the chart's smooth points. The affine fit
-    uses the two usable samples of smallest parameter and must validate
-    on every other sample.
+    The map must send the curve into itself up to a polynomial factor,
+    checked by exact division of pulled, the caller's substitution of
+    the components into the curve; base points (all three components
+    vanish) and points mapping onto the tangent cone line are skipped
+    when sampling the chart's smooth points. The affine fit uses the
+    two usable samples of smallest parameter and must validate on every
+    other sample.
     """
     curve = chart.curve
     ctx = curve.ctx
-    pulled = curve.substitute(list(components))
     if not pulled.is_zero():
         try:
             pulled.divide_exact(curve)

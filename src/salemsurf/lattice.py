@@ -170,21 +170,22 @@ def ambient_gram():
 def coxeter_matrix():
     """The order-infinite isometry used throughout, as an 11x11 matrix.
 
-    Columns are the images of h, e1, ..., e10 in ambient coordinates:
+    The product of the reflections s_r(v) = v + (v.r) r in the roots
+    e1-e2, e2-e3, e3-e4, h-e1-e2-e3, e4-e5, ..., e9-e10, in that order,
+    applied right to left to each of h, e1, ..., e10 for its column:
     h -> 2h - e2 - e3 - e4, e1 -> h - e3 - e4, e2 -> h - e2 - e4,
     e3 -> h - e2 - e3, e_n -> e_{n+1} for 4 <= n <= 9, e10 -> e1.
     """
-    def basis(i):
-        return [1 if j == i else 0 for j in range(11)]
-
+    roots = [tuple(1 if j == a else -1 if j in b else 0 for j in range(11))
+             for a, b in [(1, {2}), (2, {3}), (3, {4}), (0, {1, 2, 3}),
+                          *((n, {n + 1}) for n in range(4, 10))]]
     cols = []
-    cols.append([2, 0, -1, -1, -1, 0, 0, 0, 0, 0, 0])        # image of h
-    cols.append([1, 0, 0, -1, -1, 0, 0, 0, 0, 0, 0])         # image of e1
-    cols.append([1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0])         # image of e2
-    cols.append([1, 0, -1, -1, 0, 0, 0, 0, 0, 0, 0])         # image of e3
-    for n in range(4, 10):                                   # e_n -> e_{n+1}
-        cols.append(basis(n + 1))
-    cols.append(basis(1))                                    # image of e10
+    for i in range(11):
+        v = tuple(int(j == i) for j in range(11))
+        for r in reversed(roots):
+            d = v[0] * r[0] - sum(a * b for a, b in zip(v[1:], r[1:]))
+            v = tuple(a + d * b for a, b in zip(v, r))
+        cols.append(v)
     return tuple(zip(*cols))
 
 

@@ -15,8 +15,7 @@ from . import _read_data, lattice as lat, mod2space as m2, report as rp
 from .suites import _run_objects
 
 
-def _lattice_coxeter(ge, pe, full, pairing) -> list:
-    cox = lat.coxeter_matrix()
+def _lattice_coxeter(cox, ge, pe, full, pairing) -> list:
     p10 = lat.lehmer_polynomial()
     kc = lat.canonical_class()
     checks = [
@@ -65,7 +64,9 @@ def _lattice_salem(precision, full) -> list:
                           ci[1] - ci[0] <= precision and ci[0] > 1,
                           rp.interval_witness(ci)))
     # route 2: the Coxeter polynomial deflates to p10, certified above,
-    # or its remainder is certified on its own
+    # or its remainder is certified on its own. full comes from the roots
+    # in lattice.coxeter_matrix, never from model data, so no CLI run
+    # reaches dynamical_degree: only a caller replacing M does
     rest = lat.deflate(full)
     checks.append(rp.leaf("salem.routes_agree", rest == p10,
                           rp.interval_witness(ci)))
@@ -127,10 +128,10 @@ def _lattice_lagrangians(images, space) -> list:
 
 def _lattice_checks(data_dir, precision) -> list:
     """The lattice checks in report order over one run-object table:
-    the E10 basis, its Gram matrix, the Coxeter restriction, the Coxeter
-    matrix's char poly, the restriction's char poly, the restriction's
-    half-cone pairing, the mod-2 space and the table of images of all
-    2^10 vectors under the restriction mod 2.
+    the E10 basis, its Gram matrix, the Coxeter matrix M, its
+    restriction, M's char poly, the restriction's char poly, the
+    restriction's half-cone pairing, the mod-2 space and the table of
+    images of all 2^10 vectors under the restriction mod 2.
 
     M fixes the canonical class K, a unit vector, so char(M) = (x - 1)
     char(M|E10) and the restriction's char poly is the quotient of M's
@@ -140,9 +141,10 @@ def _lattice_checks(data_dir, precision) -> list:
         "basis": lambda need: lat.e10_basis(
             _read_data(data_dir, "e10_basis.dat")),
         "gram": lambda need: lat.gram_of(need("basis")),
+        "cox": lambda need: lat.coxeter_matrix(),
         "restriction": lambda need: lat.restrict_to_basis(
-            lat.coxeter_matrix(), need("basis"), need("gram")),
-        "cox_poly": lambda need: lat.char_poly(lat.coxeter_matrix()),
+            need("cox"), need("basis"), need("gram")),
+        "cox_poly": lambda need: lat.char_poly(need("cox")),
         "char_poly": lambda need: lat.divide_root(need("cox_poly"), 1),
         "pairing": lambda need: lat.halfcone_pairing(
             need("restriction"), need("basis"), need("gram")),
@@ -151,8 +153,8 @@ def _lattice_checks(data_dir, precision) -> list:
             m2.mat2_from_int(need("restriction"))),
     })
     return [("lattice.coxeter", lambda: _lattice_coxeter(
-                need("gram"), need("char_poly"), need("cox_poly"),
-                need("pairing"))),
+                need("cox"), need("gram"), need("char_poly"),
+                need("cox_poly"), need("pairing"))),
             ("lattice.salem", lambda: _lattice_salem(precision,
                                                      need("cox_poly"))),
             ("lattice.mod2", lambda: _lattice_mod2(

@@ -128,8 +128,21 @@ def interval_witness(iv) -> dict:
         "lo": rational_pair(lo),
         "hi": rational_pair(hi),
         "midpoint_decimal": _decimal_str(mid, 15),
-        "width_decimal": _decimal_str(hi - lo, 3),
+        "width_decimal": _significant_str(hi - lo),
     }
+
+
+def _significant_str(fr) -> str:
+    """fr >= 0 truncated to three significant digits, as d.dde<exponent>
+    ("9.31e-10"), computed on the exact Fraction; "0" for zero."""
+    if not fr:
+        return "0"
+    n, d = fr.numerator, fr.denominator
+    e = len(str(n)) - len(str(d)) - 1  # fr / 10^e lies in (1, 100)
+    digits = n * 10 ** (2 - e) // d if e <= 2 else n // (d * 10 ** (e - 2))
+    if digits >= 1000:
+        e, digits = e + 1, digits // 10
+    return f"{digits // 100}.{digits % 100:02d}e{e}"
 
 
 def _decimal_str(fr, digits: int) -> str:

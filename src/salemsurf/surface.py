@@ -5,8 +5,9 @@ degree 12, a quadratic Cremona self-map f = (f_x, f_y, f_z) lifted to
 an automorphism by w -> c w + eta, a distinguished cuspidal cubic g,
 and eleven marked points. Every check here is an exact identity over
 GF(32); there are no tolerances. The derivation chain computes in the
-plane ring k[x, y, z]: the conjugation scalar is k k_f^2, read off the
-one substitution g o f = k_f xyz g, so w^2 = s is never rewritten.
+plane ring k[x, y, z]: its leaves read scalars that the surface run
+derives once each (surface_checks), g o f among them, so w^2 = s is
+never rewritten.
 The singular search and the blow-up charts read plane polynomials
 along lines with `MultiPoly.univariate_at`.
 """
@@ -198,7 +199,8 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
     else:
         checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
                               format_point(ctx, located)))
-    grads = [m.g.partial(i).eval_bits(m.cusp) for i in range(3)]
+    partials = [m.g.partial(i) for i in range(3)]
+    grads = [p.eval_bits(m.cusp) for p in partials]
     checks.append(rp.leaf(
         "cubic.cusp_partials",
         m.g.eval_bits(m.cusp) == 0 and not any(grads),
@@ -209,7 +211,7 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
         "cubic.cusp_tangent_cone",
         local.order() == 2 and init.is_square(),
         format_poly(init, ["u", "v"])))
-    grad0 = [m.g.partial(i).eval_bits(m.points[0]) for i in range(3)]
+    grad0 = [p.eval_bits(m.points[0]) for p in partials]
     checks.append(rp.leaf(
         "cubic.smooth_fixed_point",
         m.g.eval_bits(m.points[0]) == 0 and any(grad0),
@@ -255,8 +257,9 @@ class SigmaInverse:
         self.lambda_factor = lambda_factor
 
 
-def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
-    """Reconstruct the inverse automorphism from the model.
+def derive_sigma_inverse(m: SurfaceModel,
+                         gamma: int | None) -> SigmaInverse:
+    """Reconstruct the inverse automorphism from m and c_scalar(m).
 
     The plane components SI are (x+az)z, (x+az)(y+bz), (y+bz)z where a,
     b are the two off-diagonal constants of f. The w-component of
@@ -290,7 +293,6 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
                              "(x+az)(y+bz)z * identity")
     # lambda^2 = six siy siz, so lambda^2(f) = (xyz)^4 by the first
     # check and k lambda^2(f) c = (xyz)^6 needs no substitution
-    gamma = c_scalar(m)
     if gamma is None:
         raise NoSolution("no scalar matches the w-component weight")
     k = ctx.inv_bits(gamma)
@@ -306,43 +308,25 @@ def derive_sigma_inverse(m: SurfaceModel) -> SigmaInverse:
 # the conjugated derivation
 
 
-def conjugation_scalar(m: SurfaceModel, si: SigmaInverse) -> int:
-    """Scalar K with (forward . D . inverse)(w/z^6) = K g^2 / z^6,
-    where D = g^2 d/dw: K = k k_f^2 for k = si.w_scalar and
-    g o f = k_f xyz g.
-
-    The inverse sends w/z^6 to (k lambda^2 w + eta_prime) / siz^6, D
-    sends that to the w-free k lambda^2 g^2 / siz^6, and the forward
-    map substitutes f in it. derive_sigma_inverse has checked that
-    SI o f = xyz * identity, so lambda^2 o f = (xyz)^4 and
-    siz o f = xyz z, and K is a scalar exactly when g o f is a scalar
-    multiple of xyz g (squaring is injective in characteristic 2).
-    Raises NoSolution when it is not, which would break the descent
-    argument downstream.
-    """
-    kf = _scalar_ratio(m.g.substitute(list(m.f)),
-                       MultiPoly(m.ctx, 3, {(1, 1, 1): 1}) * m.g)
-    if kf is None:
-        raise NoSolution("conjugated derivation is not a scalar "
-                         "multiple of g^2 d/dw")
-    mul = m.ctx.mul_bits
-    return mul(si.w_scalar, mul(kf, kf))
+def cubic_multipliers(m: SurfaceModel, si: SigmaInverse, g_of_f: MultiPoly):
+    """(k_f, k_m), the raw bits with g o f = k_f xyz g and g o SI =
+    k_m lambda g, given g_of_f = g o f; None for one that does not
+    exist."""
+    xyz = MultiPoly(m.ctx, 3, {(1, 1, 1): 1})
+    return (_scalar_ratio(g_of_f, xyz * m.g),
+            _scalar_ratio(m.g.substitute(list(si.components)),
+                          si.lambda_factor * m.g))
 
 
-def verify_derivation(m: SurfaceModel, si: SigmaInverse,
-                      scalar: int | NoSolution,
+def verify_derivation(ctx: FieldCtx, si: SigmaInverse, gamma: int,
+                      kf, km, scalar: int | NoSolution,
                       alpha: int | NoSolution) -> rp.Report:
-    """The derivation-conjugation chain in the chart z != 0, as relations
-    to gamma = c_scalar(m) and the induced action's multiplier alpha:
-    w_scalar = 1/gamma, g's multiplier is 1/alpha under f and alpha
-    under the inverse, D kills the w-free subfield, and conjugating D =
-    g^2 d/dw scales it by K with K^2 = gamma (docs/report-schema.md).
-    scalar and alpha are K and alpha, or a NoSolution standing for one.
-    """
-    ctx = m.ctx
+    """The derivation-conjugation chain in the chart z != 0 as the
+    relations of docs/report-schema.md between the scalars given: k =
+    1/gamma, kf = 1/alpha, km = alpha (None for a missing multiplier),
+    D kills the w-free subfield and K^2 = gamma for K = scalar; scalar
+    and alpha may be a NoSolution standing for a missing one."""
     mul = ctx.mul_bits
-    gamma = c_scalar(m)
-    xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
     checks = []
     checks.append(rp.leaf("derivation.w_scalar",
                           mul(si.w_scalar, gamma) == 1,
@@ -350,9 +334,6 @@ def verify_derivation(m: SurfaceModel, si: SigmaInverse,
     checks.append(rp.leaf("derivation.inverse_tail",
                           not si.eta_prime.is_zero(),
                           f"{si.eta_prime.num_terms()} terms"))
-    kf = _scalar_ratio(m.g.substitute(list(m.f)), xyz * m.g)
-    km = _scalar_ratio(m.g.substitute(list(si.components)),
-                       si.lambda_factor * m.g)
     if isinstance(alpha, NoSolution):
         checks += [rp.error_leaf(name, alpha)
                    for name in ("derivation.cubic_multiplier",
@@ -618,17 +599,16 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
 # the distinguished scalar
 
 
-def verify_alpha_consistency(m: SurfaceModel, lambda1: int, alpha: int,
-                             roots) -> rp.Report:
+def verify_alpha_consistency(ctx: FieldCtx, gamma: int, lambda1: int,
+                             alpha: int, roots) -> rp.Report:
     """Cross-checks between the derivation scalar and the parameter
     action: lambda1^2 = gamma (c = gamma (xyz)^2), alpha is one of roots
-    (the degree-10 integer polynomial's mod-2 roots in m.ctx), alpha !=
+    (the degree-10 integer polynomial's mod-2 roots in ctx), alpha !=
     lambda1^2 (so the two quadric eigenvalues stay distinct), and
     lambda1^2 is not such a root."""
-    ctx = m.ctx
     forbidden = ctx.mul_bits(lambda1, lambda1)
     checks = [
-        rp.leaf("alpha.lambda1_value", forbidden == c_scalar(m),
+        rp.leaf("alpha.lambda1_value", forbidden == gamma,
                 format_elem(ctx, lambda1)),
         rp.leaf("alpha.root_count", len(roots) == 10,
                 f"{len(roots)} roots"),

@@ -17,26 +17,41 @@ from .suites import _run_checks, _run_objects
 
 
 def _surface_objects(data_dir):
-    """need(key) for one surface run: the model, the inverse of its
-    automorphism, the conjugation scalar, the expansions of s at the
-    marked points, the points of the marked cubic as `plane_zeros`
-    finds them, its cusp and cusp chart over those points, the affine
-    action the automorphism induces there and Lehmer's mod-2 roots in
-    the model's field."""
+    """need(key) for one surface run: the model, the derived scalars of
+    docs/report-schema.md with g o f, which k_f and the induced action
+    read, the expansions of s at the marked points, the points of the
+    marked cubic as `plane_zeros` finds them, its cusp and cusp chart,
+    the induced affine action and Lehmer's mod-2 roots."""
     return _run_objects({
         "model": lambda need: sf.load_model(data_dir),
-        "inverse": lambda need: sf.derive_sigma_inverse(need("model")),
-        "scalar": lambda need: sf.conjugation_scalar(need("model"),
-                                                     need("inverse")),
+        "gamma": lambda need: sf.c_scalar(need("model")),
+        "inverse": lambda need: sf.derive_sigma_inverse(need("model"),
+                                                        need("gamma")),
+        "g_of_f": lambda need: need("model").g.substitute(
+            list(need("model").f)),
+        "multipliers": lambda need: sf.cubic_multipliers(
+            need("model"), need("inverse"), need("g_of_f")),
+        "scalar": lambda need: _conjugation_scalar(
+            need("model").ctx, need("inverse").w_scalar,
+            need("multipliers")[0]),
         "local": lambda need: sf.s_expansions(need("model")),
         "points": lambda need: plane_zeros([need("model").g]),
         "cusp": lambda need: cu.find_cusp(need("model").g, need("points")),
         "chart": lambda need: cu.cusp_parametrization(
             need("model").g, need("cusp"), need("points")),
         "action": lambda need: cu.induced_affine_map(
-            need("chart"), list(need("model").f)),
+            need("chart"), list(need("model").f), need("g_of_f")),
         "roots": lambda need: cu.lehmer_mod2_roots(need("model").ctx),
     })
+
+
+def _conjugation_scalar(ctx: gf.FieldCtx, k: int, kf) -> int:
+    """K = k k_f^2 (docs/report-schema.md); NoSolution without a k_f,
+    as then no scalar conjugates D = g^2 d/dw."""
+    if kf is None:
+        raise NoSolution("conjugated derivation is not a scalar "
+                         "multiple of g^2 d/dw")
+    return ctx.mul_bits(k, ctx.mul_bits(kf, kf))
 
 
 def _model_leaf(m: sf.SurfaceModel) -> rp.Report:
@@ -56,9 +71,9 @@ def _inverse_leaf(m: sf.SurfaceModel, si: sf.SigmaInverse) -> rp.Report:
 
 
 def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
-    """The derivation node over the run's inverse, conjugation scalar
-    and induced action's multiplier (or a NoSolution for either); no
-    node without the inverse, whose own leaf says why."""
+    """The derivation node over the run's scalars, K and alpha being a
+    NoSolution when missing; no node without the inverse, whose own
+    leaf says why."""
     try:
         si = need("inverse")
     except Exception:  # noqa: BLE001 - reported by the inverse leaf
@@ -72,7 +87,8 @@ def _surface_derivation(m: sf.SurfaceModel, need) -> rp.Report | None:
     except Exception as ex:  # noqa: BLE001 - the match node reports it
         alpha = NoSolution(f"no induced parameter action: "
                            f"{type(ex).__name__}: {ex}")
-    return sf.verify_derivation(m, si, scalar, alpha)
+    return sf.verify_derivation(m.ctx, si, need("gamma"),
+                                *need("multipliers"), scalar, alpha)
 
 
 def _surface_match(m: sf.SurfaceModel, chart: cu.CuspChart,
@@ -115,7 +131,8 @@ def _surface_alpha(m: sf.SurfaceModel, need) -> rp.Report:
     except Exception:  # noqa: BLE001 - the earlier leaves say why
         raise NoSolution("conjugation scalar or induced multiplier "
                          "unavailable; see earlier leaves") from None
-    return sf.verify_alpha_consistency(m, scalar, action.alpha, need("roots"))
+    return sf.verify_alpha_consistency(m.ctx, need("gamma"), scalar,
+                                       action.alpha, need("roots"))
 
 
 def _surface_reports(data_dir) -> list:

@@ -1,11 +1,12 @@
 """Dense univariate polynomials over GF(2^m), with factorization.
 
 Coefficients are stored low degree first as raw bit-ints of the parent
-FieldCtx (see gf2m); the zero polynomial is the empty tuple. Products,
-division and evaluation run in the log domain of the field's tables,
-and `square` uses Frobenius: in characteristic 2, (sum a_i x^i)^2 =
-sum a_i^2 x^(2i), which costs one table lookup per coefficient; the
-repeated squarings of the factorization go through it.
+FieldCtx (see gf2m); the zero polynomial is the empty tuple. Division
+and evaluation run in the log domain of the field's tables, and
+`square`, the one product the package takes, uses Frobenius: in
+characteristic 2, (sum a_i x^i)^2 = sum a_i^2 x^(2i), which costs one
+table lookup per coefficient; the repeated squarings of the
+factorization go through it.
 Factorization is one bounded distinct-degree search: for d = 1, 2, ...
 up to the caller's limit it takes gcd(v, x^(q^d) - x) on the rest v of
 the input, splits that product of degree-d irreducibles with GF(2)-trace
@@ -66,21 +67,6 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] ^= c
-        return UniPoly(self.ctx, out)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._chk(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly(self.ctx, [])
-        exp, log = self.ctx._exp, self.ctx._log
-        logs_b = [(j, log[cb]) for j, cb in enumerate(b) if cb]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                la = log[ca]
-                for j, lb in logs_b:
-                    out[i + j] ^= exp[la + lb]
         return UniPoly(self.ctx, out)
 
     def square(self) -> "UniPoly":

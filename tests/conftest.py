@@ -4,6 +4,7 @@ from salemsurf import _read_data
 from salemsurf import lattice as lat
 from salemsurf import mod2space as m2
 from salemsurf import surface as sf
+from salemsurf import surface_checks
 from salemsurf.gf2m import gf32
 
 
@@ -19,12 +20,20 @@ def model():
 
 @pytest.fixture(scope="session")
 def sigma_inv(model):
-    return sf.derive_sigma_inverse(model)
+    return sf.derive_sigma_inverse(model, sf.c_scalar(model))
 
 
 @pytest.fixture(scope="session")
-def conj_scalar(model, sigma_inv):
-    return sf.conjugation_scalar(model, sigma_inv)
+def multipliers(model, sigma_inv):
+    """(k_f, k_m) of the bundled model, as the surface suite finds them."""
+    return sf.cubic_multipliers(model, sigma_inv,
+                                model.g.substitute(list(model.f)))
+
+
+@pytest.fixture(scope="session")
+def conj_scalar(model, sigma_inv, multipliers):
+    return surface_checks._conjugation_scalar(
+        model.ctx, sigma_inv.w_scalar, multipliers[0])
 
 
 @pytest.fixture(scope="session")

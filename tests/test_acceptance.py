@@ -16,6 +16,7 @@ import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
+import salemsurf.surface_checks as surface_checks
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, plane_zeros
 
@@ -169,7 +170,8 @@ def test_criterion_10_inverse_and_derivation():
     def run():
         ctx = gf32()
         m = sf.load_model()
-        si = sf.derive_sigma_inverse(m)
+        gamma = sf.c_scalar(m)
+        si = sf.derive_sigma_inverse(m, gamma)
         lam = si.lambda_factor
         xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
         for i in range(3):
@@ -181,14 +183,16 @@ def test_criterion_10_inverse_and_derivation():
         pulled_g = m.g.substitute(list(m.f))
         if pulled_g != (xyz * m.g).scale_bits(ctx.gen_pow(12)):
             return False
-        scalar = sf.conjugation_scalar(m, si)
+        kf, km = sf.cubic_multipliers(m, si, pulled_g)
+        scalar = surface_checks._conjugation_scalar(ctx, si.w_scalar, kf)
         if scalar != ctx.gen_pow(8):
             return False
         points = plane_zeros([m.g])
         chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
                                         points)
-        alpha = cu.induced_affine_map(chart, list(m.f)).alpha
-        return sf.verify_derivation(m, si, scalar, alpha).ok()
+        alpha = cu.induced_affine_map(chart, list(m.f), pulled_g).alpha
+        return sf.verify_derivation(ctx, si, gamma, kf, km, scalar,
+                                    alpha).ok()
     _report(10, "inverse reconstruction and derivation scalar", 30, run)
 
 
@@ -214,13 +218,15 @@ def test_criterion_13_cross_model_consistency():
         points = plane_zeros([m.g])
         chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
                                         points)
-        action = cu.induced_affine_map(chart, list(m.f))
+        pulled_g = m.g.substitute(list(m.f))
+        action = cu.induced_affine_map(chart, list(m.f), pulled_g)
         alpha = action.alpha
         roots = set(cu.lehmer_mod2_roots(ctx))
         if alpha not in roots or alpha == ctx.gen_pow(16):
             return False
-        si = sf.derive_sigma_inverse(m)
-        lam1 = sf.conjugation_scalar(m, si)
+        si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
+        kf, _km = sf.cubic_multipliers(m, si, pulled_g)
+        lam1 = surface_checks._conjugation_scalar(ctx, si.w_scalar, kf)
         lam2 = ctx.mul_bits(alpha, ctx.inv_bits(lam1))
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False

@@ -185,8 +185,9 @@ def test_cusp_chart_refuses_a_conic_with_its_tangent(ctx):
 
 def test_induced_map_identity(ctx):
     comps = [MultiPoly.var(ctx, 3, i) for i in range(3)]
-    action = induced_affine_map(_chart(standard_cubic(ctx)),
-                                comps)
+    curve = standard_cubic(ctx)
+    action = induced_affine_map(_chart(curve), comps,
+                                curve.substitute(comps))
     assert action == AffineAction(ctx, 1, 0)
 
 
@@ -196,13 +197,15 @@ def test_induced_map_rejects_non_preserving(ctx):
     z = MultiPoly.var(ctx, 3, 2)
     with pytest.raises(InvariantViolation,
                        match="does not preserve the curve"):
-        induced_affine_map(_chart(standard_cubic(ctx)),
-                           [y, x, z])
+        curve = standard_cubic(ctx)
+        induced_affine_map(_chart(curve), [y, x, z],
+                           curve.substitute([y, x, z]))
 
 
 def test_induced_map_of_bundled_model(ctx, model):
     chart = _chart(model.g)
-    action = induced_affine_map(chart, list(model.f))
+    action = induced_affine_map(chart, list(model.f),
+                                model.g.substitute(list(model.f)))
     assert action.alpha == ctx.gen_pow(19)
     assert action.alpha != ctx.gen_pow(16)
     assert action.beta == ctx.gen_pow(28)

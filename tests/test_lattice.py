@@ -53,6 +53,34 @@ def test_coxeter_shape_and_action():
     assert is_isometry_of(w, ambient_gram())
 
 
+def test_coxeter_matrix_is_the_product_of_its_reflections():
+    """M = s_{e1-e2} s_{e2-e3} s_{e3-e4} s_{h-e1-e2-e3} s_{e4-e5} ...
+    s_{e9-e10}, here as a product of 11x11 reflection matrices
+    I + r (G r)^T, equals the isometry written out column by column:
+    h -> 2h - e2 - e3 - e4, e1 -> h - e3 - e4, e2 -> h - e2 - e4,
+    e3 -> h - e2 - e3, e_n -> e_{n+1} for 4 <= n <= 9, e10 -> e1."""
+    def vec(*terms):
+        v = [0] * 11
+        for i, c in terms:
+            v[i] += c
+        return v
+
+    cols = [vec((0, 2), (2, -1), (3, -1), (4, -1)),
+            vec((0, 1), (3, -1), (4, -1)), vec((0, 1), (2, -1), (4, -1)),
+            vec((0, 1), (2, -1), (3, -1)),
+            *(vec((n + 1, 1)) for n in range(4, 10)), vec((1, 1))]
+    written = tuple(zip(*cols))
+    roots = [vec((1, 1), (2, -1)), vec((2, 1), (3, -1)),
+             vec((3, 1), (4, -1)), vec((0, 1), (1, -1), (2, -1), (3, -1)),
+             *(vec((n, 1), (n + 1, -1)) for n in range(4, 10))]
+    product = _identity(11)
+    for r in roots:
+        dual = mat_vec(ambient_gram(), r)
+        product = mat_mul(product, [[int(i == j) + r[i] * dual[j]
+                                     for j in range(11)] for i in range(11)])
+    assert coxeter_matrix() == written == product
+
+
 def test_char_poly_identity():
     assert char_poly(_identity(3)) == [-1, 3, -3, 1]
 

@@ -79,6 +79,15 @@ def test_interval_witness():
     assert w["hi"] == [19, 16]
     assert w["midpoint_decimal"].startswith("1.156")
     assert float(w["width_decimal"]) == pytest.approx(1 / 16, abs=1e-3)
+    assert w["width_decimal"] == "6.25e-2"
+    # widths below 1e-3 keep three significant digits, truncated on the
+    # exact Fraction, also where a float would underflow to 0
+    lo = Fraction(1263021911, 1073741824)
+    for width, text in ((Fraction(9319, 10 ** 13), "9.31e-10"),
+                        (Fraction(1, 3 * 10 ** 30), "3.33e-31"),
+                        (Fraction(7, 10 ** 400), "7.00e-400"),
+                        (Fraction(0), "0")):
+        assert rp.interval_witness((lo, lo + width))["width_decimal"] == text
 
 
 def test_markdown_shape():
@@ -189,6 +198,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
         return read(data_dir, name)
 
     monkeypatch.setattr(lattice_checks, "_read_data", counted_read)
+    count(lat, "coxeter_matrix")
     count(lat, "gram_of")
     count(lat, "restrict_to_basis")
     count(lat, "char_poly")
@@ -206,19 +216,22 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # ambient form and the restriction on the E10 form, once each;
     # salem_certify: Lehmer's coefficients only, with one real_roots on
     # its trace polynomial, since the Coxeter polynomial deflates to them
-    per_run = {"e10_basis.dat": 1, "gram_of": 1, "restrict_to_basis": 1,
-               "char_poly": 1, "is_isometry_of": 2, "salem_certify": 1,
-               "real_roots": 1, "Mod2QuadSpace": 1,
+    # coxeter_matrix: one M for the restriction, its char poly and the
+    # coxeter node
+    per_run = {"e10_basis.dat": 1, "coxeter_matrix": 1, "gram_of": 1,
+               "restrict_to_basis": 1, "char_poly": 1, "is_isometry_of": 2,
+               "salem_certify": 1, "real_roots": 1, "Mod2QuadSpace": 1,
                "mod2_reduce_and_factor": 1}
     for runs in (1, 2):  # nothing is kept from one run to the next
         assert run_suite("lattice").ok()
         assert calls == {k: runs * v for k, v in per_run.items()}
     calls.clear()
     assert run_suite("salem").ok()
-    assert calls == {"char_poly": 1, "salem_certify": 1, "real_roots": 1}
+    assert calls == {"coxeter_matrix": 1, "char_poly": 1,
+                     "salem_certify": 1, "real_roots": 1}
     calls.clear()
     assert run_suite("lagrangians").ok()
-    assert calls == {"e10_basis.dat": 1, "gram_of": 1,
+    assert calls == {"e10_basis.dat": 1, "coxeter_matrix": 1, "gram_of": 1,
                      "restrict_to_basis": 1, "Mod2QuadSpace": 1}
     # a failed build is kept: three checks need the restriction of a
     # basis with a singular Gram matrix, and it is attempted once
@@ -233,7 +246,8 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert len(set(witnesses.values())) == 1
     chart = cu.cusp_parametrization(model.g, model.cusp,
                                     plane_zeros([model.g]))
-    action = cu.induced_affine_map(chart, list(model.f))
+    action = cu.induced_affine_map(chart, list(model.f),
+                                   model.g.substitute(list(model.f)))
     roots = cu.lehmer_mod2_roots(model.ctx)
     assert surface_checks._surface_match(model, chart, action, roots).ok()
     assert calls["all_point_set_matches"] == 1
@@ -244,18 +258,37 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # is expanded once at each marked point, for the multiplicities and
     # the charts, g at its cusp by the cubic check and the chart, and
     # two partials of s in the chart z = 1 by the singular locus, which
-    # reads the line z = 0 directly
-    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
+    # reads the line z = 0 directly. gamma is read off c once, and g o f
+    # is taken once for k_f, K and the induced action; g's partials are
+    # taken three times to find the cusp and three times for the cubic
+    # check's gradients at the cusp and at p0
+    for name in ("load_model", "c_scalar", "derive_sigma_inverse",
                  "plane_zeros", "local_expansion"):
         count(sf, name)
     for name in ("find_cusp", "induced_affine_map", "local_expansion"):
         count(cu, name)
     count(surface_checks, "plane_zeros")
+    substitute, partial = MultiPoly.substitute, MultiPoly.partial
+
+    def counted_substitute(poly, images):
+        if poly == model.g and list(images) == list(model.f):
+            calls["g o f"] += 1
+        return substitute(poly, images)
+
+    def counted_partial(poly, i):
+        if poly == model.g:
+            calls["partial of g"] += 1
+        return partial(poly, i)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counted_substitute)
+    monkeypatch.setattr(MultiPoly, "partial", counted_partial)
     calls.clear()
     assert run_suite("surface").ok()
-    for name in ("load_model", "derive_sigma_inverse", "conjugation_scalar",
-                 "find_cusp", "cusp_parametrization", "induced_affine_map"):
+    for name in ("load_model", "c_scalar", "derive_sigma_inverse",
+                 "find_cusp", "cusp_parametrization", "induced_affine_map",
+                 "g o f"):
         assert calls[name] == 1, name
+    assert calls["partial of g"] == 6
     assert calls["plane_zeros"] == 2
     assert calls["local_expansion"] == 15
     # the cubic suite charts the standard cubic once over GF(32), for the
@@ -272,7 +305,8 @@ ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
 
 
 @pytest.mark.parametrize("module,name,leaves,action_leaves", [
-    (sf, "conjugation_scalar", ("derivation.conjugation_scalar",), ()),
+    (surface_checks, "_conjugation_scalar",
+     ("derivation.conjugation_scalar",), ()),
     (cu, "find_cusp", ("cubic.cusp_location", "match"),
      ("derivation.cubic_multiplier", "derivation.inverse_cubic_multiplier")),
     (sf, "derive_sigma_inverse", ("inverse",), ()),
@@ -306,6 +340,27 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     names = [c.name for c in report.children]
     assert ("derivation" in names) == (name != "derive_sigma_inverse")
     assert names[0] == "model" and names[-1] == "alpha"
+
+
+def test_a_map_that_moves_the_cubic_is_named_where_g_of_f_is_read(
+        tmp_path):
+    """fx = xy + g^28 xz in place of g^29 xz keeps the inverse but sends
+    g off itself: the run's one g o f has no cubic multiplier, so the
+    conjugation scalar is missing, and the induced action refuses it,
+    so the match and the leaves that read alpha name that refusal."""
+    copy = _with_line(tmp_path, "automorphism.poly", "fx = x*y + g^29*x*z",
+                      "fx = x*y + g^28*x*z")
+    moved = "InvariantViolation: map does not preserve the curve"
+    no_action = f"NoSolution: no induced parameter action: {moved}"
+    assert {leaf.name: leaf.witness for leaf
+            in _error_leaves(run_suite("surface", copy))} == {
+        "derivation.cubic_multiplier": no_action,
+        "derivation.inverse_cubic_multiplier": no_action,
+        "derivation.conjugation_scalar": "NoSolution: conjugated derivation "
+                                         "is not a scalar multiple of "
+                                         "g^2 d/dw",
+        "match": moved,
+        "alpha": ALPHA_UNAVAILABLE}
 
 
 def test_tail_that_c_does_not_divide_is_named(tmp_path):

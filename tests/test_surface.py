@@ -7,6 +7,7 @@ import pytest
 
 import salemsurf.cubic as cu
 import salemsurf.surface as sf
+import salemsurf.surface_checks as surface_checks
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import format_elem, gf32
@@ -14,6 +15,7 @@ from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  local_expansion, plane_zeros)
 from salemsurf.suites import run_suite
 from salemsurf.unipoly import UniPoly
+from test_unipoly import _mul
 
 
 def test_load_model_shape(ctx, model):
@@ -76,31 +78,37 @@ def test_conjugation_scalar(ctx, conj_scalar):
 def test_conjugation_scalar_without_a_cubic_multiplier(ctx, model,
                                                        sigma_inv):
     """g + x^3 in place of g: g o f is no longer a scalar multiple of
-    xyz g, so no scalar conjugates D = g^2 d/dw."""
+    xyz g, so there is no k_f and no scalar conjugates D = g^2 d/dw."""
     g = model.g + MultiPoly(ctx, 3, {(3, 0, 0): 1})
     mut = sf.SurfaceModel(ctx, model.names, model.s, model.f, model.c,
                           model.eta, g, model.points, model.cusp)
+    kf, _km = sf.cubic_multipliers(mut, sigma_inv,
+                                   g.substitute(list(mut.f)))
+    assert kf is None
     with pytest.raises(NoSolution, match="conjugated derivation is not a "
                        "scalar multiple of g\\^2 d/dw"):
-        sf.conjugation_scalar(mut, sigma_inv)
+        surface_checks._conjugation_scalar(ctx, sigma_inv.w_scalar, kf)
 
 
-def test_derivation_report(ctx, model, sigma_inv, conj_scalar):
+def test_derivation_report(ctx, model, sigma_inv, multipliers,
+                           conj_scalar):
     alpha = ctx.gen_pow(19)  # the bundled model's match multiplier
-    assert sf.verify_derivation(model, sigma_inv, conj_scalar, alpha).ok()
-    failed = sf.verify_derivation(model, sigma_inv, NoSolution("no scalar"),
-                                  alpha)
+    gamma = sf.c_scalar(model)
+
+    def derivation(scalar, alpha):
+        return sf.verify_derivation(ctx, sigma_inv, gamma, *multipliers,
+                                    scalar, alpha)
+    assert derivation(conj_scalar, alpha).ok()
+    failed = derivation(NoSolution("no scalar"), alpha)
     assert failed.status == "error"
     assert [c.witness for c in failed.children if c.status == "error"] \
         == ["NoSolution: no scalar"]
     # another multiplier breaks both cubic multiplier relations
-    wrong = sf.verify_derivation(model, sigma_inv, conj_scalar,
-                                 ctx.gen_pow(7))
+    wrong = derivation(conj_scalar, ctx.gen_pow(7))
     assert [c.name for c in wrong.children if c.status == "fail"] \
         == ["derivation.cubic_multiplier",
             "derivation.inverse_cubic_multiplier"]
-    missing = sf.verify_derivation(model, sigma_inv, conj_scalar,
-                                   NoSolution("no action"))
+    missing = derivation(conj_scalar, NoSolution("no action"))
     assert {c.name: c.witness for c in missing.children
             if c.status == "error"} == {
         "derivation.cubic_multiplier": "NoSolution: no action",
@@ -141,11 +149,13 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
     g^8 = g^15 g^24, and on its i-th Frobenius twist K is the 2^i-th
     power of that."""
     m = sf.load_model(_twisted(tmp_path, i))
-    si = sf.derive_sigma_inverse(m)
+    si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
     xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
-    kf = sf._scalar_ratio(m.g.substitute(list(m.f)), xyz * m.g)
+    g_of_f = m.g.substitute(list(m.f))
+    kf = sf._scalar_ratio(g_of_f, xyz * m.g)
+    assert sf.cubic_multipliers(m, si, g_of_f)[0] == kf
     mul = ctx.mul_bits
-    assert sf.conjugation_scalar(m, si) \
+    assert surface_checks._conjugation_scalar(ctx, si.w_scalar, kf) \
         == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i)
 
 
@@ -178,7 +188,8 @@ def test_steps_of_the_scalar_relations_at_the_cusp(ctx, tmp_path, i):
     assert _pulled_back_omega_is_xyz_omega(list(m.f))
     points = plane_zeros([m.g])
     chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points), points)
-    alpha = cu.induced_affine_map(chart, list(m.f)).alpha
+    alpha = cu.induced_affine_map(chart, list(m.f),
+                                  m.g.substitute(list(m.f))).alpha
     cusp = chart.cusp
     rho = m.f[2].eval_bits(cusp)  # the cusp has z = 1
     assert [p.eval_bits(cusp) for p in m.f] == [mul(rho, v) for v in cusp]
@@ -212,7 +223,7 @@ def test_inverse_identities_that_hold_by_construction(ctx, tmp_path, i):
     takes the tail as an exact quotient; these three identities then
     follow, on the bundled model (i = 0) and its Frobenius twists."""
     m = sf.load_model(_twisted(tmp_path, i))
-    si = sf.derive_sigma_inverse(m)
+    si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
     k, lam2 = si.w_scalar, si.lambda_factor * si.lambda_factor
     lam2_f = lam2.substitute(list(m.f))
     assert lam2_f == MultiPoly(ctx, 3, {(4, 4, 4): 1})
@@ -227,7 +238,8 @@ def test_inverse_tail_of_a_frobenius_twist(ctx, tmp_path, sigma_inv, i):
     """Frobenius is a field automorphism, so the i-th twist's tail
     eta(SI) / c(SI) is the bundled tail with every coefficient raised
     to the 2^i-th power."""
-    si = sf.derive_sigma_inverse(sf.load_model(_twisted(tmp_path, i)))
+    m = sf.load_model(_twisted(tmp_path, i))
+    si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
     assert si.eta_prime.terms == {
         e: ctx.pow_bits(c, 2 ** i)
         for e, c in sigma_inv.eta_prime.terms.items()}
@@ -289,8 +301,8 @@ def test_fiber_with_roots_outside_the_search_field_fails(ctx):
     cubic = UniPoly(ctx, [1, 1, 0, 1])
     assert all(cubic.eval_bits(t) for t in range(32))
     g = ctx.gen_pow(1)
-    uu = cubic * UniPoly(ctx, [1, 1])
-    vv = cubic * UniPoly(ctx, [g, 1])
+    uu = _mul(cubic, UniPoly(ctx, [1, 1]))
+    vv = _mul(cubic, UniPoly(ctx, [g, 1]))
     leaves, roots = sf._common_roots(uu, vv, 2 * ctx.m, "singular.chart_z",
                                      "g^3")
     assert roots == []
@@ -357,12 +369,13 @@ def test_chart_smoothness_at_a_base_point_off_the_axes(ctx, model):
 
 def test_alpha_consistency(ctx, model, conj_scalar):
     alpha = ctx.gen_pow(19)
+    gamma = sf.c_scalar(model)
     roots = lehmer_mod2_roots(ctx)
-    assert sf.verify_alpha_consistency(model, conj_scalar, alpha,
+    assert sf.verify_alpha_consistency(ctx, gamma, conj_scalar, alpha,
                                        roots).ok()
-    assert not sf.verify_alpha_consistency(model, ctx.gen_pow(9), alpha,
-                                           roots).ok()
-    assert not sf.verify_alpha_consistency(model, conj_scalar,
+    assert not sf.verify_alpha_consistency(ctx, gamma, ctx.gen_pow(9),
+                                           alpha, roots).ok()
+    assert not sf.verify_alpha_consistency(ctx, gamma, conj_scalar,
                                            ctx.gen_pow(16), roots).ok()
 
 

@@ -9,6 +9,20 @@ from salemsurf.multipoly import MultiPoly
 from salemsurf.unipoly import UniPoly, _trace_split, factor, uni_roots
 
 
+def _mul(*factors) -> UniPoly:
+    """The product of UniPolys over one field, schoolbook; the package
+    takes no products of UniPolys but squares (`UniPoly.square`)."""
+    ctx = factors[0].ctx
+    acc = [1]
+    for f in factors:
+        out = [0] * (len(acc) + len(f.coeffs))
+        for i, a in enumerate(acc):
+            for j, b in enumerate(f.coeffs):
+                out[i + j] ^= ctx.mul_bits(a, b)
+        acc = out
+    return UniPoly(ctx, acc)
+
+
 def _product_over_roots(ctx, roots) -> UniPoly:
     """prod (x - r)^mult as a UniPoly over ctx, for (field, bits, mult)
     triples whose roots lie in ctx."""
@@ -17,7 +31,7 @@ def _product_over_roots(ctx, roots) -> UniPoly:
         assert k is ctx
         lin = UniPoly(ctx, [r, 1])
         for _ in range(mult):
-            acc = acc * lin
+            acc = _mul(acc, lin)
     return acc
 
 
@@ -25,7 +39,7 @@ def test_divmod_roundtrip(ctx):
     f = UniPoly(ctx, [ctx.gen_pow(k) for k in range(7)])
     g = UniPoly(ctx, [1, ctx.gen_pow(3), 1])
     q, r = divmod(f, g)
-    assert q * g + r == f
+    assert _mul(q, g) + r == f
     assert r.degree() < g.degree()
     with pytest.raises(DomainError, match="zero polynomial"):
         divmod(f, UniPoly(ctx, []))
@@ -115,7 +129,7 @@ def test_bounded_search_reports_cofactor(ctx):
     lin = _product_over_roots(ctx, [(ctx, ctx.gen_pow(1), 1),
                                     (ctx, ctx.gen_pow(2), 1)])
     quad = _irreducible_quadratic(ctx)
-    f = lin * quad
+    f = _mul(lin, quad)
     roots = uni_roots(f, 5)
     assert sorted(r for _, r, _ in roots) == sorted(
         [ctx.gen_pow(1), ctx.gen_pow(2)])
@@ -123,7 +137,7 @@ def test_bounded_search_reports_cofactor(ctx):
     # reconstruction: split part times the cofactor is the input
     split = _product_over_roots(ctx, roots)
     q, rem = divmod(f, split)
-    assert rem.is_zero() and q * split == f
+    assert rem.is_zero() and _mul(q, split) == f
     # raising the bound picks up the quadratic's two conjugate roots
     deep = uni_roots(f, 10)
     assert sum(m for _, _, m in deep) == 4
@@ -158,11 +172,12 @@ def test_factor_is_deterministic(ctx):
 
 def test_factor_recomposes(ctx):
     quad = _irreducible_quadratic(ctx)
-    f = quad * quad * _product_over_roots(ctx, [(ctx, ctx.gen_pow(3), 1)])
+    f = _mul(quad, quad,
+             _product_over_roots(ctx, [(ctx, ctx.gen_pow(3), 1)]))
     acc = UniPoly(ctx, [1])
     for p, mult in factor(f):
         for _ in range(mult):
-            acc = acc * p
+            acc = _mul(acc, p)
     assert acc == f
 
 
@@ -187,7 +202,7 @@ def test_trace_split_refuses_what_it_cannot_split(ctx):
 def _power(f, k):
     acc = UniPoly(f.ctx, [1])
     for _ in range(k):
-        acc = acc * f
+        acc = _mul(acc, f)
     return acc
 
 
@@ -214,8 +229,9 @@ def _seeded_product(ctx, seed):
     rng = random.Random(seed)
     f = UniPoly(ctx, [1])
     for _ in range(rng.randint(2, 4)):
-        f = f * _power(UniPoly(ctx, [rng.randrange(32), 1]), rng.randint(1, 3))
-    return f * _root_free(ctx, rng, 2) * _root_free(ctx, rng, 3)
+        f = _mul(f, _power(UniPoly(ctx, [rng.randrange(32), 1]),
+                           rng.randint(1, 3)))
+    return _mul(f, _root_free(ctx, rng, 2), _root_free(ctx, rng, 3))
 
 
 @pytest.mark.parametrize("power", [1, 2, 4])
@@ -247,7 +263,7 @@ def test_search_stops_at_the_bound(ctx, monkeypatch):
     c1 = _root_free(ctx, rng, 3)
     c2 = _root_free(ctx, rng, 3)
     assert c1 != c2
-    f = UniPoly(ctx, [ctx.gen_pow(1), 1]) * c1 * c2
+    f = _mul(UniPoly(ctx, [ctx.gen_pow(1), 1]), c1, c2)
     squarings = 0
     square = UniPoly.square
 
