@@ -5,9 +5,9 @@ mod-2 machinery in lattice/mod2space, the cuspidal-cubic group law in
 cubic, and the surface checks in surface. suites/cli wrap everything
 into named report-producing runs; importing cli executes, and so
 compiles, only this package root, cli, suites, report and errors. The
-checks of each suite live in lattice_checks, cubic_checks and
-surface_checks, each compiled when its suite first runs, so a suite's
-markdown time includes compiling its checks. Every other module,
+checks of each suite live in lattice_checks, cubic_checks and surface,
+each compiled when its suite first runs, so a suite's markdown time
+includes compiling its checks. Every other module,
 lattice included, executes when a check first uses it, and `fractions`
 and `decimal` are imported only with lattice or when a --precision is
 parsed, so a `verify surface` run loads neither.

@@ -202,12 +202,12 @@ def verify_coxeter_constraints(params: list[int], action: AffineAction,
 # induced affine action of a Cremona map on a cuspidal cubic
 
 
-def find_cusp(curve: MultiPoly, points) -> tuple:
+def find_cusp(partials, points) -> tuple:
     """The unique singular point of an irreducible cuspidal cubic among
-    its points, as multipoly.plane_zeros([curve]) lists them."""
-    parts = [curve.partial(i) for i in range(3)]
+    its points, as multipoly.plane_zeros([curve]) lists them, given the
+    curve's three partials."""
     found = [pt for pt in points
-             if all(p.eval_bits(pt) == 0 for p in parts)]
+             if all(p.eval_bits(pt) == 0 for p in partials)]
     if len(found) != 1:
         raise InvariantViolation(f"{len(found)} singular points, expected 1")
     return found[0]
@@ -256,7 +256,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
 
     Every line through the cusp but the tangent cone line l1 = 0
     meets the curve in one further point, so t = l2 / l1 maps the
-    smooth points one to one onto the field. cusp is find_cusp(curve,
+    smooth points one to one onto the field. cusp is find_cusp(partials,
     points) and points is multipoly.plane_zeros([curve]), as the caller
     found them; the chart keeps the smooth ones, which must number q.
     """

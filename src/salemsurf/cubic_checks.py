@@ -20,7 +20,8 @@ def _standard_chart(ctx) -> cu.CuspChart:
     surface suite builds the model cubic's."""
     curve = cu.standard_cubic(ctx)
     points = plane_zeros([curve])
-    return cu.cusp_parametrization(curve, cu.find_cusp(curve, points), points)
+    cusp = cu.find_cusp([curve.partial(i) for i in range(3)], points)
+    return cu.cusp_parametrization(curve, cusp, points)
 
 
 def _point_of(chart: cu.CuspChart) -> dict:

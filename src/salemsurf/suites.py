@@ -15,9 +15,9 @@ object is built at most once per run, a failed build included. The
 This module holds only that runner and the entry points; `import
 salemsurf.cli` compiles nothing else of the suites. The checks of each
 primary suite live in their own module (`lattice_checks`,
-`cubic_checks`, `surface_checks`), which its entry point imports inside
-the suite's guard when the suite first runs, so a suite's markdown time
-includes compiling its checks. The lattice, finite-field,
+`cubic_checks`, and `surface` itself), which its entry point imports
+inside the suite's guard when the suite first runs, so a suite's
+markdown time includes compiling its checks. The lattice, finite-field,
 polynomial-ring, census, cubic and surface modules are registered
 through `_lazy`: each is in sys.modules from the start but executes on
 the first attribute access, so a suite runs only the modules it uses.
@@ -60,11 +60,11 @@ for _name in ("lattice", "gf2m", "unipoly", "multipoly", "mod2space",
 SUITE_NAMES = ("all", "lattice", "cubic", "surface", "salem", "lagrangians")
 
 
-def _guarded(name: str, build) -> rp.Report | None:
+def _guarded(name: str, build) -> rp.Report:
     """Run one check and time it. build() returns either the check's
-    report, which gets the measured time, a list of child reports,
-    which become a node called `name`, or None for no node. Any escape
-    becomes an error leaf called `name`, so a suite always reports."""
+    report, which gets the measured time, or a list of child reports,
+    which become a node called `name`. Any escape becomes an error leaf
+    called `name`, so a suite always reports."""
     t0 = time.perf_counter()
     try:
         out = build()
@@ -74,14 +74,13 @@ def _guarded(name: str, build) -> rp.Report | None:
     if isinstance(out, rp.Report):
         out.elapsed_ms = elapsed_ms
         return out
-    return None if out is None else rp.node(name, out, elapsed_ms=elapsed_ms)
+    return rp.node(name, out, elapsed_ms=elapsed_ms)
 
 
 def _run_checks(checks) -> list:
     """The reports of (node name, check) pairs, each check run in its
     own guard, in order."""
-    reps = [_guarded(name, check) for name, check in checks]
-    return [rep for rep in reps if rep is not None]
+    return [_guarded(name, check) for name, check in checks]
 
 
 def _run_objects(builders: dict):
@@ -122,7 +121,7 @@ def cubic_suite(data_dir=None) -> list:
 
 
 def surface_suite(data_dir=None) -> list:
-    from .surface_checks import _surface_reports
+    from .surface import _surface_reports
     return _surface_reports(data_dir)
 
 

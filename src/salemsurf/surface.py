@@ -6,15 +6,16 @@ an automorphism by w -> c w + eta, a distinguished cuspidal cubic g,
 and eleven marked points. Every check here is an exact identity over
 GF(32); there are no tolerances. The derivation chain computes in the
 plane ring k[x, y, z]: its leaves read scalars that the surface run
-derives once each (surface_checks), g o f among them, so w^2 = s is
+derives once each (`_surface_objects`), g o f among them, so w^2 = s is
 never rewritten.
 The singular search and the blow-up charts read plane polynomials
-along lines with `MultiPoly.univariate_at`.
+along lines with `MultiPoly.univariate_at`. `suites` runs the surface
+suite through `_surface_reports`.
 """
 
 from __future__ import annotations
 
-from . import _read_data
+from . import _read_data, cubic as cu
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 from .gf2m import FieldCtx, embed, format_elem
 from .multipoly import (
@@ -29,6 +30,7 @@ from .multipoly import (
     plane_zeros,
     resultant,
 )
+from .suites import _run_checks, _run_objects
 from .unipoly import UniPoly, uni_roots
 from . import report as rp
 
@@ -87,11 +89,9 @@ def load_model(data_dir=None) -> SurfaceModel:
     fx, fy, fz, c, eta = _need(ap, "automorphism.poly",
                                "fx", "fy", "fz", "c", "eta")
     (g,) = _need(cp, "cubic.poly", "g")
-    for label in [f"p{i}" for i in range(11)] + ["cusp"]:
-        if label not in pts:
-            raise ParseError(f"points.dat does not define {label!r}")
-    points = {i: pts[f"p{i}"] for i in range(11)}
-    cusp = pts["cusp"]
+    *marked, cusp = _need(pts, "points.dat",
+                          *(f"p{i}" for i in range(11)), "cusp")
+    points = dict(enumerate(marked))
 
     for label, poly, deg in (("s", s, 12), ("fx", fx, 2), ("fy", fy, 2),
                              ("fz", fz, 2), ("c", c, 6), ("eta", eta, 12),
@@ -166,13 +166,13 @@ def cubic_monomials():
     return [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
-def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
+def verify_cubic(m: SurfaceModel, need) -> rp.Report:
     """Uniqueness of the cubic through p_1..p_10 and its local shape:
     kernel of the incidence system is one-dimensional and spanned by g;
     g has a cusp (double point, double-line tangent cone) at the marked
-    cusp and is smooth at p_0. locate() returns the cusp of g as found
-    among the points of g (cubic.find_cusp); it is called inside the
-    cusp_location leaf alone, which becomes an error leaf if it raises."""
+    cusp and is smooth at p_0. The gradients read the run's partials of
+    g; cusp_location compares the marked cusp with the run's cusp, the
+    one found among the points of g (cubic.find_cusp)."""
     ctx = m.ctx
     mons = cubic_monomials()
     monpolys = [MultiPoly(ctx, 3, {mon: 1}) for mon in mons]
@@ -192,14 +192,9 @@ def verify_cubic(m: SurfaceModel, locate) -> rp.Report:
         "cubic.vanishes_on_points",
         all(m.g.eval_bits(m.points[i]) == 0 for i in range(11)),
         "g(p_0) = ... = g(p_10) = 0"))
-    try:
-        located = locate()
-    except Exception as ex:  # noqa: BLE001 - only this leaf needs it
-        checks.append(rp.error_leaf("cubic.cusp_location", ex))
-    else:
-        checks.append(rp.leaf("cubic.cusp_location", located == m.cusp,
-                              format_point(ctx, located)))
-    partials = [m.g.partial(i) for i in range(3)]
+    checks.append(_leaf_of("cubic.cusp_location", lambda: (
+        need("cusp") == m.cusp, format_point(ctx, need("cusp")))))
+    partials = need("partials")
     grads = [p.eval_bits(m.cusp) for p in partials]
     checks.append(rp.leaf(
         "cubic.cusp_partials",
@@ -318,43 +313,34 @@ def cubic_multipliers(m: SurfaceModel, si: SigmaInverse, g_of_f: MultiPoly):
                           si.lambda_factor * m.g))
 
 
-def verify_derivation(ctx: FieldCtx, si: SigmaInverse, gamma: int,
-                      kf, km, scalar: int | NoSolution,
-                      alpha: int | NoSolution) -> rp.Report:
+def verify_derivation(m: SurfaceModel, need) -> rp.Report:
     """The derivation-conjugation chain in the chart z != 0 as the
-    relations of docs/report-schema.md between the scalars given: k =
-    1/gamma, kf = 1/alpha, km = alpha (None for a missing multiplier),
-    D kills the w-free subfield and K^2 = gamma for K = scalar; scalar
-    and alpha may be a NoSolution standing for a missing one."""
-    mul = ctx.mul_bits
-    checks = []
-    checks.append(rp.leaf("derivation.w_scalar",
-                          mul(si.w_scalar, gamma) == 1,
-                          format_elem(ctx, si.w_scalar)))
-    checks.append(rp.leaf("derivation.inverse_tail",
-                          not si.eta_prime.is_zero(),
-                          f"{si.eta_prime.num_terms()} terms"))
-    if isinstance(alpha, NoSolution):
-        checks += [rp.error_leaf(name, alpha)
-                   for name in ("derivation.cubic_multiplier",
-                                "derivation.inverse_cubic_multiplier")]
-    else:
-        checks.append(rp.leaf("derivation.cubic_multiplier",
-                              kf is not None and mul(kf, alpha) == 1,
-                              None if kf is None else format_elem(ctx, kf)))
-        checks.append(rp.leaf("derivation.inverse_cubic_multiplier",
-                              km == alpha,
-                              None if km is None else format_elem(ctx, km)))
-    # holds by construction: x/z has no w term (docs/report-schema.md)
-    checks.append(rp.leaf("derivation.kills_base_functions", True,
-                          "d/dw (x/z) = 0"))
-    if isinstance(scalar, NoSolution):
-        checks.append(rp.error_leaf("derivation.conjugation_scalar", scalar))
-    else:
-        checks.append(rp.leaf("derivation.conjugation_scalar",
-                              mul(scalar, scalar) == gamma,
-                              format_elem(ctx, scalar)))
-    return rp.node("derivation", checks)
+    relations of docs/report-schema.md between the run's scalars: k =
+    1/gamma, k_f = 1/alpha and k_m = alpha for the multiplier alpha of
+    the induced action (None for a missing multiplier), D kills the
+    w-free subfield and K^2 = gamma for the conjugation scalar K."""
+    ctx, mul = m.ctx, m.ctx.mul_bits
+    si, gamma = need("inverse"), need("gamma")
+    kf, km = need("multipliers")
+
+    def elem(k):
+        return None if k is None else format_elem(ctx, k)
+    # each leaf reads the action or K before testing, so a missing one is
+    # an error even where k_f or k_m is None (read as 0 in the product)
+    return rp.node("derivation", [
+        rp.leaf("derivation.w_scalar", mul(si.w_scalar, gamma) == 1,
+                format_elem(ctx, si.w_scalar)),
+        rp.leaf("derivation.inverse_tail", not si.eta_prime.is_zero(),
+                f"{si.eta_prime.num_terms()} terms"),
+        _leaf_of("derivation.cubic_multiplier", lambda: (
+            mul(need("action").alpha, kf or 0) == 1, elem(kf))),
+        _leaf_of("derivation.inverse_cubic_multiplier", lambda: (
+            need("action").alpha == km, elem(km))),
+        # holds by construction: x/z has no w term (docs/report-schema.md)
+        rp.leaf("derivation.kills_base_functions", True, "d/dw (x/z) = 0"),
+        _leaf_of("derivation.conjugation_scalar", lambda: (
+            mul(need("scalar"), need("scalar")) == gamma,
+            format_elem(ctx, need("scalar"))))])
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +386,9 @@ def singular_locus(m: SurfaceModel) -> rp.Report:
     checks.append(rp.leaf("singular.matches_marked_points",
                           found == expected,
                           sorted(format_point(ctx, p) for p in found)))
-    checks.append(rp.leaf("singular.rational_over_base", not irrational,
-                          irrational or "all coordinates in GF(32)"))
+    checks.append(rp.leaf(
+        "singular.rational_over_base", not irrational,
+        irrational or f"all coordinates in GF({1 << ctx.m})"))
     return rp.node("singular", checks)
 
 
@@ -599,13 +586,16 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
 # the distinguished scalar
 
 
-def verify_alpha_consistency(ctx: FieldCtx, gamma: int, lambda1: int,
-                             alpha: int, roots) -> rp.Report:
+def verify_alpha_consistency(m: SurfaceModel, need) -> rp.Report:
     """Cross-checks between the derivation scalar and the parameter
-    action: lambda1^2 = gamma (c = gamma (xyz)^2), alpha is one of roots
-    (the degree-10 integer polynomial's mod-2 roots in ctx), alpha !=
-    lambda1^2 (so the two quadric eigenvalues stay distinct), and
-    lambda1^2 is not such a root."""
+    action: lambda1^2 = gamma for the conjugation scalar lambda1 = K (c
+    = gamma (xyz)^2), the induced action's multiplier alpha is one of
+    roots (the degree-10 integer polynomial's mod-2 roots in m's field),
+    alpha != lambda1^2 (so the two quadric eigenvalues stay distinct),
+    and lambda1^2 is not such a root."""
+    ctx = m.ctx
+    lambda1, alpha = need("scalar"), need("action").alpha
+    gamma, roots = need("gamma"), need("roots")
     forbidden = ctx.mul_bits(lambda1, lambda1)
     checks = [
         rp.leaf("alpha.lambda1_value", forbidden == gamma,
@@ -620,3 +610,130 @@ def verify_alpha_consistency(ctx: FieldCtx, gamma: int, lambda1: int,
     checks.append(rp.leaf("alpha.eigenvalues_distinct", lam2 != lambda1,
                           format_elem(ctx, lam2)))
     return rp.node("alpha", checks)
+
+
+# ---------------------------------------------------------------------------
+# the surface suite: one run-object table and the checks in order
+
+
+def _surface_objects(data_dir):
+    """need(key) for one surface run: the model, the derived scalars of
+    docs/report-schema.md with g o f, which k_f and the induced action
+    read, the expansions of s at the marked points, the points of the
+    marked cubic as `plane_zeros` finds them, g's partials, its cusp and
+    cusp chart, the induced affine action and Lehmer's mod-2 roots."""
+    return _run_objects({
+        "model": lambda need: load_model(data_dir),
+        "gamma": lambda need: c_scalar(need("model")),
+        "inverse": lambda need: derive_sigma_inverse(need("model"),
+                                                     need("gamma")),
+        "g_of_f": lambda need: need("model").g.substitute(
+            list(need("model").f)),
+        "multipliers": lambda need: cubic_multipliers(
+            need("model"), need("inverse"), need("g_of_f")),
+        "scalar": lambda need: _conjugation_scalar(
+            need("model").ctx, need("inverse").w_scalar,
+            need("multipliers")[0]),
+        "local": lambda need: s_expansions(need("model")),
+        "points": lambda need: plane_zeros([need("model").g]),
+        "partials": lambda need: [need("model").g.partial(i)
+                                  for i in range(3)],
+        "cusp": lambda need: cu.find_cusp(need("partials"), need("points")),
+        "chart": lambda need: cu.cusp_parametrization(
+            need("model").g, need("cusp"), need("points")),
+        "action": lambda need: cu.induced_affine_map(
+            need("chart"), list(need("model").f), need("g_of_f")),
+        "roots": lambda need: cu.lehmer_mod2_roots(need("model").ctx),
+    })
+
+
+def _conjugation_scalar(ctx: FieldCtx, k: int, kf) -> int:
+    """K = k k_f^2 (docs/report-schema.md); NoSolution without a k_f,
+    as then no scalar conjugates D = g^2 d/dw."""
+    if kf is None:
+        raise NoSolution("conjugated derivation is not a scalar "
+                         "multiple of g^2 d/dw")
+    return ctx.mul_bits(k, ctx.mul_bits(kf, kf))
+
+
+def _leaf_of(name: str, test) -> rp.Report:
+    """The leaf `name` of test() -> (ok, witness), or the error leaf of
+    what test() raises: the failure of a run object it reads."""
+    try:
+        ok, witness = test()
+    except Exception as ex:  # noqa: BLE001 - the object's own witness
+        return rp.error_leaf(name, ex)
+    return rp.leaf(name, ok, witness)
+
+
+def _model_leaf(m: SurfaceModel) -> rp.Report:
+    return rp.leaf("model", True, {
+        "surface_terms": m.s.num_terms(),
+        "translation_terms": m.eta.num_terms(),
+        "cubic_terms": m.g.num_terms(),
+        "marked_points": len(m.points),
+    })
+
+
+def _inverse_leaf(m: SurfaceModel, si: SigmaInverse) -> rp.Report:
+    return rp.leaf("inverse", True, {
+        "w_scalar": format_elem(m.ctx, si.w_scalar),
+        "tail_terms": si.eta_prime.num_terms(),
+    })
+
+
+def _surface_match(m: SurfaceModel, chart: cu.CuspChart,
+                   action: cu.AffineAction, roots) -> rp.Report:
+    """Report node for the concrete-to-abstract parameter match: chart
+    is the cusp chart of m.g, action the map m.f induces on it and
+    roots Lehmer's mod-2 roots in m's field."""
+    ctx = action.ctx
+    checks = [rp.leaf("match.induced_action_affine", True, repr(action)),
+              rp.leaf("match.multiplier_is_root", action.alpha in roots,
+                      format_elem(ctx, action.alpha))]
+    try:
+        fixed = action.fixed_point()
+        t0 = chart.param_of(m.points[0])
+        checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
+                              format_elem(ctx, fixed)))
+        concrete = [chart.param_of(m.points[i]) for i in range(1, 11)]
+        beta = cu.beta_from_alpha(ctx, action.alpha)
+        abstract = cu.orbit_points(ctx, action.alpha, beta)
+        abstract_action = cu.AffineAction(ctx, action.alpha, beta)
+        matches = cu.all_point_set_matches(ctx, concrete, abstract)
+        checks.append(rp.leaf("match.point_sets_affinely_equivalent",
+                              len(matches) >= 1,
+                              [repr(phi) for phi in matches]))
+        equiv = cu.equivariant_matches(matches, action, abstract_action)
+        checks.append(rp.leaf("match.equivariant_match_unique",
+                              len(equiv) == 1,
+                              [repr(phi) for phi in equiv]))
+        labels_ok = bool(equiv) and all(
+            equiv[0](concrete[i]) == abstract[i] for i in range(10))
+        checks.append(rp.leaf("match.marking_preserved", labels_ok))
+    except Exception as ex:  # noqa: BLE001
+        checks.append(rp.error_leaf("match.parameter_transport", ex))
+    return rp.node("match", checks)
+
+
+def _surface_reports(data_dir) -> list:
+    """The surface reports in order. Nothing runs after a failed model
+    load: the lone model leaf says why. A check that reads a failed run
+    object is an error leaf with that object's witness."""
+    need = _surface_objects(data_dir)
+    head = _run_checks([("model", lambda: _model_leaf(need("model")))])
+    if head[0].status == "error":
+        return head
+    m = need("model")
+    return head + _run_checks([
+        ("orbit", lambda: verify_orbit(m)),
+        ("cubic", lambda: verify_cubic(m, need)),
+        ("equivariance", lambda: verify_equivariance(m)),
+        ("inverse", lambda: _inverse_leaf(m, need("inverse"))),
+        ("derivation", lambda: verify_derivation(m, need)),
+        ("singular", lambda: singular_locus(m)),
+        ("multiplicities", lambda: verify_multiplicities(need("local"))),
+        ("charts", lambda: verify_chart_smoothness(need("local"))),
+        ("match", lambda: _surface_match(m, need("chart"), need("action"),
+                                         need("roots"))),
+        ("alpha", lambda: verify_alpha_consistency(m, need))])

@@ -4,7 +4,6 @@ from salemsurf import _read_data
 from salemsurf import lattice as lat
 from salemsurf import mod2space as m2
 from salemsurf import surface as sf
-from salemsurf import surface_checks
 from salemsurf.gf2m import gf32
 
 
@@ -32,7 +31,7 @@ def multipliers(model, sigma_inv):
 
 @pytest.fixture(scope="session")
 def conj_scalar(model, sigma_inv, multipliers):
-    return surface_checks._conjugation_scalar(
+    return sf._conjugation_scalar(
         model.ctx, sigma_inv.w_scalar, multipliers[0])
 
 

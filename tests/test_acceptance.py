@@ -16,7 +16,6 @@ import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
-import salemsurf.surface_checks as surface_checks
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, plane_zeros
 
@@ -125,8 +124,8 @@ def test_criterion_07_beta_solver():
             return False
         curve = cu.standard_cubic(ctx)
         points = plane_zeros([curve])
-        chart = cu.cusp_parametrization(curve, cu.find_cusp(curve, points),
-                                        points)
+        cusp = cu.find_cusp([curve.partial(i) for i in range(3)], points)
+        chart = cu.cusp_parametrization(curve, cusp, points)
         point_of = {chart.param_of(p): p for p in chart.points}
         bits = set(roots)
         for a in roots:
@@ -151,11 +150,10 @@ def test_criterion_07_beta_solver():
 def test_criterion_08_orbit_and_cubic():
     def run():
         ctx = gf32()
-        m = sf.load_model()
+        need = sf._surface_objects(None)
+        m = need("model")
         cusp = (ctx.gen_pow(15), ctx.gen_pow(28), 1)
-        return (sf.verify_orbit(m).ok()
-                and sf.verify_cubic(m, lambda: cu.find_cusp(
-                    m.g, plane_zeros([m.g]))).ok()
+        return (sf.verify_orbit(m).ok() and sf.verify_cubic(m, need).ok()
                 and m.cusp == cusp)
     _report(8, "marked orbit, unique cubic, cusp and smooth point", 1, run)
 
@@ -169,9 +167,9 @@ def test_criterion_09_equivariance():
 def test_criterion_10_inverse_and_derivation():
     def run():
         ctx = gf32()
-        m = sf.load_model()
-        gamma = sf.c_scalar(m)
-        si = sf.derive_sigma_inverse(m, gamma)
+        need = sf._surface_objects(None)
+        m = need("model")
+        si = need("inverse")
         lam = si.lambda_factor
         xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
         for i in range(3):
@@ -180,19 +178,11 @@ def test_criterion_10_inverse_and_derivation():
                 return False
             if si.components[i].substitute(list(m.f)) != xyz * var:
                 return False
-        pulled_g = m.g.substitute(list(m.f))
-        if pulled_g != (xyz * m.g).scale_bits(ctx.gen_pow(12)):
+        if need("g_of_f") != (xyz * m.g).scale_bits(ctx.gen_pow(12)):
             return False
-        kf, km = sf.cubic_multipliers(m, si, pulled_g)
-        scalar = surface_checks._conjugation_scalar(ctx, si.w_scalar, kf)
-        if scalar != ctx.gen_pow(8):
+        if need("scalar") != ctx.gen_pow(8):
             return False
-        points = plane_zeros([m.g])
-        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
-                                        points)
-        alpha = cu.induced_affine_map(chart, list(m.f), pulled_g).alpha
-        return sf.verify_derivation(ctx, si, gamma, kf, km, scalar,
-                                    alpha).ok()
+        return sf.verify_derivation(m, need).ok()
     _report(10, "inverse reconstruction and derivation scalar", 30, run)
 
 
@@ -216,8 +206,8 @@ def test_criterion_13_cross_model_consistency():
         ctx = gf32()
         m = sf.load_model()
         points = plane_zeros([m.g])
-        chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points),
-                                        points)
+        cusp = cu.find_cusp([m.g.partial(i) for i in range(3)], points)
+        chart = cu.cusp_parametrization(m.g, cusp, points)
         pulled_g = m.g.substitute(list(m.f))
         action = cu.induced_affine_map(chart, list(m.f), pulled_g)
         alpha = action.alpha
@@ -226,7 +216,7 @@ def test_criterion_13_cross_model_consistency():
             return False
         si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
         kf, _km = sf.cubic_multipliers(m, si, pulled_g)
-        lam1 = surface_checks._conjugation_scalar(ctx, si.w_scalar, kf)
+        lam1 = sf._conjugation_scalar(ctx, si.w_scalar, kf)
         lam2 = ctx.mul_bits(alpha, ctx.inv_bits(lam1))
         if lam1 != ctx.gen_pow(8) or lam2 == lam1:
             return False

@@ -22,7 +22,7 @@ def _inverse(f: AffineAction) -> AffineAction:
 
 def _chart(curve):
     points = plane_zeros([curve])
-    return cusp_parametrization(curve, find_cusp(curve, points), points)
+    return cusp_parametrization(curve, _find_cusp(curve, points), points)
 
 
 def _point_of(chart):
@@ -148,8 +148,12 @@ def test_constraints_hold_at_beta_and_break_nearby(ctx):
             bad, AffineAction(ctx, a, b ^ 1), point_of).ok()
 
 
-def _find_cusp(curve):
-    return find_cusp(curve, plane_zeros([curve]))
+def _find_cusp(curve, points=None):
+    """find_cusp over the curve's own partials and, unless given, its
+    points."""
+    if points is None:
+        points = plane_zeros([curve])
+    return find_cusp([curve.partial(i) for i in range(3)], points)
 
 
 def test_find_cusp(ctx, model):

@@ -21,7 +21,6 @@ import salemsurf.lattice_checks as lattice_checks
 import salemsurf.mod2space as m2
 import salemsurf.report as rp
 import salemsurf.surface as sf
-import salemsurf.surface_checks as surface_checks
 from salemsurf import _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
@@ -249,7 +248,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     action = cu.induced_affine_map(chart, list(model.f),
                                    model.g.substitute(list(model.f)))
     roots = cu.lehmer_mod2_roots(model.ctx)
-    assert surface_checks._surface_match(model, chart, action, roots).ok()
+    assert sf._surface_match(model, chart, action, roots).ok()
     assert calls["all_point_set_matches"] == 1
     assert sf.singular_locus(model).ok()
     assert calls["resultant"] == 1
@@ -259,15 +258,14 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     # the charts, g at its cusp by the cubic check and the chart, and
     # two partials of s in the chart z = 1 by the singular locus, which
     # reads the line z = 0 directly. gamma is read off c once, and g o f
-    # is taken once for k_f, K and the induced action; g's partials are
-    # taken three times to find the cusp and three times for the cubic
+    # is taken once for k_f, K and the induced action; g's three
+    # partials are taken once, to find the cusp and for the cubic
     # check's gradients at the cusp and at p0
     for name in ("load_model", "c_scalar", "derive_sigma_inverse",
                  "plane_zeros", "local_expansion"):
         count(sf, name)
     for name in ("find_cusp", "induced_affine_map", "local_expansion"):
         count(cu, name)
-    count(surface_checks, "plane_zeros")
     substitute, partial = MultiPoly.substitute, MultiPoly.partial
 
     def counted_substitute(poly, images):
@@ -288,7 +286,7 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                  "find_cusp", "cusp_parametrization", "induced_affine_map",
                  "g o f"):
         assert calls[name] == 1, name
-    assert calls["partial of g"] == 6
+    assert calls["partial of g"] == 3
     assert calls["plane_zeros"] == 2
     assert calls["local_expansion"] == 15
     # the cubic suite charts the standard cubic once over GF(32), for the
@@ -300,24 +298,18 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
                      "cusp_parametrization": 2, "local_expansion": 2}
 
 
-ALPHA_UNAVAILABLE = ("NoSolution: conjugation scalar or induced multiplier "
-                     "unavailable; see earlier leaves")
-
-
-@pytest.mark.parametrize("module,name,leaves,action_leaves", [
-    (surface_checks, "_conjugation_scalar",
-     ("derivation.conjugation_scalar",), ()),
-    (cu, "find_cusp", ("cubic.cusp_location", "match"),
-     ("derivation.cubic_multiplier", "derivation.inverse_cubic_multiplier")),
-    (sf, "derive_sigma_inverse", ("inverse",), ()),
+@pytest.mark.parametrize("module,name,leaves", [
+    (sf, "_conjugation_scalar", ("derivation.conjugation_scalar", "alpha")),
+    (cu, "find_cusp", ("cubic.cusp_location", "match",
+                       "derivation.cubic_multiplier",
+                       "derivation.inverse_cubic_multiplier", "alpha")),
+    (sf, "derive_sigma_inverse", ("inverse", "derivation", "alpha")),
 ], ids=["conjugation_scalar", "find_cusp", "derive_sigma_inverse"])
 def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
-                                            leaves, action_leaves):
-    """A surface object whose build raises is attempted once per run;
-    every check that needs it reports the exception in its own leaf,
-    the derivation leaves that read the induced action's multiplier
-    name the missing action, and the alpha check has its fixed
-    witness."""
+                                            leaves):
+    """A surface object whose build raises is attempted once per run,
+    and every check that reads it, directly or through an object built
+    from it, is an error leaf with its witness."""
     calls = Counter()
 
     def fail(*args):
@@ -328,18 +320,14 @@ def test_failed_surface_build_is_not_redone(monkeypatch, module, name,
     report = run_suite("surface")
     assert calls[name] == 1
     witness = f"NoSolution: forced {name} failure"
-    no_action = f"NoSolution: no induced parameter action: {witness}"
-    assert {leaf.name: leaf.witness for leaf in _error_leaves(report)} == {
-        **{leaf: witness for leaf in leaves},
-        **{leaf: no_action for leaf in action_leaves},
-        "alpha": ALPHA_UNAVAILABLE}
+    assert {leaf.name: leaf.witness for leaf in _error_leaves(report)} \
+        == dict.fromkeys(leaves, witness)
     if name == "find_cusp":  # the other cubic leaves are still reported
         cubic = next(c for c in report.children if c.name == "cubic")
         assert [c.status for c in cubic.children].count("pass") == 6
-    # without the inverse there is no derivation node
     names = [c.name for c in report.children]
-    assert ("derivation" in names) == (name != "derive_sigma_inverse")
     assert names[0] == "model" and names[-1] == "alpha"
+    assert len(names) == 11
 
 
 def test_a_map_that_moves_the_cubic_is_named_where_g_of_f_is_read(
@@ -347,34 +335,35 @@ def test_a_map_that_moves_the_cubic_is_named_where_g_of_f_is_read(
     """fx = xy + g^28 xz in place of g^29 xz keeps the inverse but sends
     g off itself: the run's one g o f has no cubic multiplier, so the
     conjugation scalar is missing, and the induced action refuses it,
-    so the match and the leaves that read alpha name that refusal."""
+    so the match and the multiplier leaves name that refusal, and
+    alpha, which reads K first, names the missing scalar."""
     copy = _with_line(tmp_path, "automorphism.poly", "fx = x*y + g^29*x*z",
                       "fx = x*y + g^28*x*z")
     moved = "InvariantViolation: map does not preserve the curve"
-    no_action = f"NoSolution: no induced parameter action: {moved}"
+    no_scalar = ("NoSolution: conjugated derivation is not a scalar "
+                 "multiple of g^2 d/dw")
     assert {leaf.name: leaf.witness for leaf
             in _error_leaves(run_suite("surface", copy))} == {
-        "derivation.cubic_multiplier": no_action,
-        "derivation.inverse_cubic_multiplier": no_action,
-        "derivation.conjugation_scalar": "NoSolution: conjugated derivation "
-                                         "is not a scalar multiple of "
-                                         "g^2 d/dw",
+        "derivation.cubic_multiplier": moved,
+        "derivation.inverse_cubic_multiplier": moved,
+        "derivation.conjugation_scalar": no_scalar,
         "match": moved,
-        "alpha": ALPHA_UNAVAILABLE}
+        "alpha": no_scalar}
 
 
 def test_tail_that_c_does_not_divide_is_named(tmp_path):
     """A term g x^12 in eta breaks the equivariance identity and leaves
     eta(SI) with a term that c(SI) does not divide: the inverse is a
-    NoSolution that names the division, and no derivation is built."""
+    NoSolution that names the division, and so is the derivation,
+    which reads the inverse."""
     copy = _with_line(tmp_path, "automorphism.poly", "eta = ",
                       "eta = g*x^12 + ")
     report = run_suite("surface", copy)
     nodes = {c.name: c for c in report.children}
-    assert nodes["inverse"].status == "error"
-    assert nodes["inverse"].witness \
-        == "NoSolution: tail: c(SI) does not divide eta(SI)"
-    assert "derivation" not in nodes
+    for name in ("inverse", "derivation"):
+        assert nodes[name].status == "error"
+        assert nodes[name].witness \
+            == "NoSolution: tail: c(SI) does not divide eta(SI)"
     identity = next(c for c in nodes["equivariance"].children
                     if c.name == "equivariance.identity")
     assert identity.status == "fail"
@@ -987,26 +976,25 @@ def test_importing_the_cli_executes_only_the_front_end():
 
 @pytest.mark.parametrize("suite,absent", [
     ("salem", {"gf2m", "unipoly", "multipoly", "mod2space", "cubic",
-               "surface", "cubic_checks", "surface_checks"}),
-    ("lagrangians", {"surface", "multipoly", "cubic", "cubic_checks",
-                     "surface_checks"}),
+               "surface", "cubic_checks"}),
+    ("lagrangians", {"surface", "multipoly", "cubic", "cubic_checks"}),
     ("surface", {"mod2space", "lattice", "lattice_checks",
                  "cubic_checks"}),
-    ("cubic", {"lattice", "mod2space", "surface", "lattice_checks",
-               "surface_checks"}),
-    ("lattice", {"surface", "multipoly", "cubic", "cubic_checks",
-                 "surface_checks"}),
+    ("cubic", {"lattice", "mod2space", "surface", "lattice_checks"}),
+    ("lattice", {"surface", "multipoly", "cubic", "cubic_checks"}),
 ])
 def test_suite_executes_only_the_modules_it_runs(suite, absent):
     """A suite executes its own check module and no other suite's
-    (the front end alone executes none: see the test above)."""
+    (the front end alone executes none: see the test above); the
+    surface suite's checks live in `surface`."""
     ran = _executed_modules("from salemsurf.cli import main\n"
                             f"main([{suite!r}, '--format', 'json'])")
     assert FRONT_END <= ran
     assert not ran & absent
     on_lattice = suite in ("lattice", "salem", "lagrangians")
     assert ("lattice" in ran) == ("lattice_checks" in ran) == on_lattice
-    assert f"{'lattice' if on_lattice else suite}_checks" in ran
+    checks = {"cubic": "cubic_checks", "surface": "surface"}
+    assert checks.get(suite, "lattice_checks") in ran
 
 
 def test_surface_run_imports_no_rational_arithmetic():

@@ -7,15 +7,28 @@ import pytest
 
 import salemsurf.cubic as cu
 import salemsurf.surface as sf
-import salemsurf.surface_checks as surface_checks
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
-from salemsurf.gf2m import format_elem, gf32
+from salemsurf.gf2m import field_make, format_elem, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  local_expansion, plane_zeros)
 from salemsurf.suites import run_suite
 from salemsurf.unipoly import UniPoly
 from test_unipoly import _mul
+
+
+def _objects(m, **objects):
+    """need(key) of a surface run over the objects given, an exception
+    standing for a failed build; the partials of g and the marked cusp
+    of the model m unless given."""
+    objects = {"partials": [m.g.partial(i) for i in range(3)],
+               "cusp": m.cusp, **objects}
+
+    def need(key):
+        if isinstance(objects[key], Exception):
+            raise objects[key]
+        return objects[key]
+    return need
 
 
 def test_load_model_shape(ctx, model):
@@ -43,7 +56,7 @@ def test_apply_map_examples(ctx, model):
 
 def test_orbit_cubic_equivariance_reports(model):
     assert sf.verify_orbit(model).ok()
-    assert sf.verify_cubic(model, lambda: model.cusp).ok()
+    assert sf.verify_cubic(model, _objects(model)).ok()
     assert sf.verify_equivariance(model).ok()
 
 
@@ -87,32 +100,38 @@ def test_conjugation_scalar_without_a_cubic_multiplier(ctx, model,
     assert kf is None
     with pytest.raises(NoSolution, match="conjugated derivation is not a "
                        "scalar multiple of g\\^2 d/dw"):
-        surface_checks._conjugation_scalar(ctx, sigma_inv.w_scalar, kf)
+        sf._conjugation_scalar(ctx, sigma_inv.w_scalar, kf)
 
 
 def test_derivation_report(ctx, model, sigma_inv, multipliers,
                            conj_scalar):
     alpha = ctx.gen_pow(19)  # the bundled model's match multiplier
-    gamma = sf.c_scalar(model)
 
-    def derivation(scalar, alpha):
-        return sf.verify_derivation(ctx, sigma_inv, gamma, *multipliers,
-                                    scalar, alpha)
-    assert derivation(conj_scalar, alpha).ok()
-    failed = derivation(NoSolution("no scalar"), alpha)
+    def derivation(**given):
+        return sf.verify_derivation(model, _objects(
+            model, **{"inverse": sigma_inv, "gamma": sf.c_scalar(model),
+                      "multipliers": multipliers, "scalar": conj_scalar,
+                      "action": cu.AffineAction(ctx, alpha, 0), **given}))
+    assert derivation().ok()
+    failed = derivation(scalar=NoSolution("no scalar"))
     assert failed.status == "error"
     assert [c.witness for c in failed.children if c.status == "error"] \
         == ["NoSolution: no scalar"]
     # another multiplier breaks both cubic multiplier relations
-    wrong = derivation(conj_scalar, ctx.gen_pow(7))
+    wrong = derivation(action=cu.AffineAction(ctx, ctx.gen_pow(7), 0))
     assert [c.name for c in wrong.children if c.status == "fail"] \
         == ["derivation.cubic_multiplier",
             "derivation.inverse_cubic_multiplier"]
-    missing = derivation(conj_scalar, NoSolution("no action"))
+    # a missing action is an error on both, a missing k_f included
+    missing = derivation(action=NoSolution("no action"),
+                         multipliers=(None, multipliers[1]))
     assert {c.name: c.witness for c in missing.children
             if c.status == "error"} == {
         "derivation.cubic_multiplier": "NoSolution: no action",
         "derivation.inverse_cubic_multiplier": "NoSolution: no action"}
+    # without the inverse the whole node is the check's error
+    with pytest.raises(NoSolution, match="no inverse"):
+        derivation(inverse=NoSolution("no inverse"))
 
 
 def test_cubic_multiplier_direct(ctx, model):
@@ -155,7 +174,7 @@ def test_conjugation_scalar_relation(ctx, tmp_path, i):
     kf = sf._scalar_ratio(g_of_f, xyz * m.g)
     assert sf.cubic_multipliers(m, si, g_of_f)[0] == kf
     mul = ctx.mul_bits
-    assert surface_checks._conjugation_scalar(ctx, si.w_scalar, kf) \
+    assert sf._conjugation_scalar(ctx, si.w_scalar, kf) \
         == mul(si.w_scalar, mul(kf, kf)) == ctx.gen_pow(8 * 2 ** i)
 
 
@@ -187,7 +206,9 @@ def test_steps_of_the_scalar_relations_at_the_cusp(ctx, tmp_path, i):
     mul, inv = ctx.mul_bits, ctx.inv_bits
     assert _pulled_back_omega_is_xyz_omega(list(m.f))
     points = plane_zeros([m.g])
-    chart = cu.cusp_parametrization(m.g, cu.find_cusp(m.g, points), points)
+    chart = cu.cusp_parametrization(
+        m.g, cu.find_cusp([m.g.partial(j) for j in range(3)], points),
+        points)
     alpha = cu.induced_affine_map(chart, list(m.f),
                                   m.g.substitute(list(m.f))).alpha
     cusp = chart.cusp
@@ -368,15 +389,13 @@ def test_chart_smoothness_at_a_base_point_off_the_axes(ctx, model):
 
 
 def test_alpha_consistency(ctx, model, conj_scalar):
-    alpha = ctx.gen_pow(19)
-    gamma = sf.c_scalar(model)
-    roots = lehmer_mod2_roots(ctx)
-    assert sf.verify_alpha_consistency(ctx, gamma, conj_scalar, alpha,
-                                       roots).ok()
-    assert not sf.verify_alpha_consistency(ctx, gamma, ctx.gen_pow(9),
-                                           alpha, roots).ok()
-    assert not sf.verify_alpha_consistency(ctx, gamma, conj_scalar,
-                                           ctx.gen_pow(16), roots).ok()
+    def alpha_node(scalar=conj_scalar, alpha=ctx.gen_pow(19)):
+        return sf.verify_alpha_consistency(model, _objects(
+            model, scalar=scalar, action=cu.AffineAction(ctx, alpha, 0),
+            gamma=sf.c_scalar(model), roots=lehmer_mod2_roots(ctx)))
+    assert alpha_node().ok()
+    assert not alpha_node(scalar=ctx.gen_pow(9)).ok()
+    assert not alpha_node(alpha=ctx.gen_pow(16)).ok()
 
 
 def _flip_one_term(rng, poly):
@@ -402,7 +421,7 @@ def test_single_coefficient_mutations_are_caught(ctx, model):
                               eta, model.g, model.points, model.cusp)
         if sf.verify_equivariance(mut).ok():
             assert not (sf.verify_orbit(mut).ok()
-                        and sf.verify_cubic(mut, lambda: mut.cusp).ok())
+                        and sf.verify_cubic(mut, _objects(mut)).ok())
 
 
 def _moved(model, images, move):
@@ -463,7 +482,7 @@ def test_cubic_at_a_cusp_on_z_0(ctx, model):
     lifted = _moved(model, [x, y, z + x.scale_bits(h)],
                     lambda co: (co[0], co[1], co[2] ^ ctx.mul_bits(h, co[0])))
     assert lifted.cusp[2] == 0
-    assert sf.verify_cubic(lifted, lambda: lifted.cusp).ok()
+    assert sf.verify_cubic(lifted, _objects(lifted)).ok()
 
 
 def _brute_singular(s):
@@ -538,3 +557,27 @@ def test_load_model_rejects_missing_file(data_copy):
     (data_copy / "points.dat").unlink()
     with pytest.raises(ParseError):
         sf.load_model(data_copy)
+
+
+@pytest.mark.parametrize("name,label", [("points.dat", "p7"),
+                                        ("surface.poly", "s")])
+def test_load_model_rejects_a_missing_label(data_copy, name, label):
+    f = data_copy / name
+    text = f.read_text()
+    assert f"\n{label} = " in text
+    f.write_text(text.replace(f"\n{label} = ", f"\n{label}x = ", 1))
+    with pytest.raises(ParseError, match=f"^{name} does not define "
+                                         f"'{label}'$"):
+        sf.load_model(data_copy)
+
+
+def test_singular_locus_names_the_model_field():
+    """The passing rational_over_base witness names the model's own
+    field: GF(8) for s = x^11 y + y^11 z + z^11 x over GF(8)."""
+    gf8 = field_make(3, 0b1011)
+    s = MultiPoly(gf8, 3, {(11, 1, 0): 1, (0, 11, 1): 1, (1, 0, 11): 1})
+    m = sf.SurfaceModel(gf8, ["x", "y", "z"], s, None, None, None, None,
+                        {}, None)
+    leaf = next(c for c in sf.singular_locus(m).children
+                if c.name == "singular.rational_over_base")
+    assert (leaf.status, leaf.witness) == ("pass", "all coordinates in GF(8)")
