@@ -13,6 +13,10 @@ import sys
 from .report import emit_json, emit_markdown
 from .suites import SUITE_NAMES, run_suite
 
+# largest |decimal exponent| of a --precision: converting 1e999999999
+# to a Fraction would build a billion-digit integer
+MAX_PRECISION_EXPONENT = 1000
+
 
 def _precision(text: str):
     """The Fraction that a --precision argument spells. fractions and
@@ -20,7 +24,12 @@ def _precision(text: str):
     from decimal import Decimal, InvalidOperation
     from fractions import Fraction
     try:
-        value = Fraction(Decimal(text))
+        dec = Decimal(text)
+        if dec.is_finite() and abs(dec.adjusted()) > MAX_PRECISION_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"precision {text!r} has a decimal exponent outside "
+                f"[-{MAX_PRECISION_EXPONENT}, {MAX_PRECISION_EXPONENT}]")
+        value = Fraction(dec)
     except (InvalidOperation, ValueError, ZeroDivisionError,
             OverflowError) as ex:
         raise argparse.ArgumentTypeError(
@@ -44,8 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report format (default: md)")
     ap.add_argument("--precision", metavar="P", type=_precision,
                     help="width of the isolating interval of the Salem "
-                         "number; only the all, lattice and salem suites "
-                         "read it (default: 1e-9)")
+                         "number, a positive decimal whose exponent lies in "
+                         f"[-{MAX_PRECISION_EXPONENT}, "
+                         f"{MAX_PRECISION_EXPONENT}]; only the all, lattice "
+                         "and salem suites read it (default: 1e-9)")
     return ap
 
 

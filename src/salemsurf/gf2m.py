@@ -16,8 +16,7 @@ once and add logs, leaving mul_bits and pow_bits for single elements.
 
 The canonical GF(32) presentation has modulus t^5 + t^2 + 1.
 
-Textual format: `g^k` for the k-th power of g, `0`, `1`, or a raw
-bit-string `0b01001` written LOW DEGREE FIRST (so `0b01001` is t + t^4).
+Textual format: `0`, `1`, `g`, or `g^k` for the k-th power of g.
 """
 
 from __future__ import annotations
@@ -158,24 +157,24 @@ def ext_context(degree: int) -> FieldCtx:
 def _embedding_table(sub: FieldCtx, sup: FieldCtx) -> list[int]:
     """Images in sup of sub's elements, indexed by bits. t goes to the
     smallest-bits root of sub's modulus in sup (t itself when sub is sup),
-    so t^k goes to root^k."""
+    so t^k goes to root^k. Every root lies in sup's copy of sub, the
+    powers of zeta = g^((2^M - 1)/(2^m - 1)), so only those are tried."""
     if sup.m % sub.m != 0:
         raise InvariantViolation(f"degree {sub.m} does not divide {sup.m}")
     table = sup._embeddings.get(id(sub))
     if table is not None:
         return table
-    root = None
-    for cand in range(1 << sup.m):
+    roots, c = [], sup.order // sub.order
+    for j in range(sub.order):
+        cand = sup.gen_pow(j * c)
         acc, p = 0, 1
         for i in range(sub.m + 1):
             if (sub.modulus >> i) & 1:
                 acc ^= p
             p = sup.mul_bits(p, cand)
         if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise InvariantViolation("modulus has no root in the target field")
+            roots.append(cand)
+    root = min(roots)
     table = [0] * (1 << sub.m)
     for k in range(sub.order):
         table[sub._exp[k]] = sup.pow_bits(root, k)
@@ -231,15 +230,4 @@ def parse_elem(s: str, ctx: FieldCtx) -> int:
         except ValueError:
             raise ParseError(f"bad generator power {s!r}") from None
         return ctx.gen_pow(k)
-    if s.startswith("0b"):
-        body = s[2:]
-        if not body or any(c not in "01" for c in body):
-            raise ParseError(f"bad bit-string {s!r}")
-        bits = 0
-        for i, c in enumerate(body):  # low degree first
-            if c == "1":
-                bits |= 1 << i
-        if bits >> ctx.m:
-            raise ParseError(f"bit-string {s!r} too long for m={ctx.m}")
-        return bits
     raise ParseError(f"cannot parse field element {s!r}")

@@ -9,7 +9,7 @@ bits through the shared FieldCtx tables, and products, evaluation and
 substitution add logs (`_mul_terms`). `univariate_at` reads a
 polynomial along a line, every variable but one set to a field
 element, as a univariate polynomial in one such pass. `resultant`
-eliminates one variable of two bivariate polynomials by evaluation and
+eliminates y from two bivariate polynomials by evaluation and
 interpolation. `plane_zeros` finds where ternary forms vanish on P^2,
 reading each line x = x0 of the chart z = 1 as univariate polynomials
 in y.
@@ -62,21 +62,16 @@ def _mul_terms(ctx: FieldCtx, t1: dict, t2: dict) -> dict:
 class MultiPoly:
     __slots__ = ("ctx", "nvars", "terms")
 
-    def __init__(self, ctx: FieldCtx, nvars: int, terms=None):
+    def __init__(self, ctx: FieldCtx, nvars: int, terms: dict):
+        """terms maps exponent tuples to coefficient bits; zero
+        coefficients are dropped."""
+        for e in terms:
+            if len(e) != nvars:
+                raise InvariantViolation("exponent tuple length != nvars")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "nvars", nvars)
-        clean = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    e = tuple(e)
-                    if len(e) != nvars:
-                        raise InvariantViolation(
-                            "exponent tuple length != nvars")
-                    clean[e] = clean.get(e, 0) ^ c
-                    if not clean[e]:
-                        del clean[e]
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {e: c for e, c in terms.items() if c})
 
     @classmethod
     def _of(cls, ctx: FieldCtx, nvars: int, terms: dict) -> "MultiPoly":
@@ -96,7 +91,7 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, ctx, nvars):
-        return cls(ctx, nvars, None)
+        return cls(ctx, nvars, {})
 
     @classmethod
     def var(cls, ctx, nvars, i):
@@ -365,32 +360,33 @@ def _euclid_resultant(a: UniPoly, b: UniPoly) -> int:
     return mul(acc, pw(b.coeffs[0], a.degree()))
 
 
-def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
-    """Res of bivariate p, q w.r.t. variable i (exponent 0 there).
+def resultant(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Res of bivariate p, q w.r.t. the second variable y, a polynomial
+    in x alone (exponent 0 in y).
 
-    Its degree in the other variable x is at most the Sylvester bound
-    D = deg_i(q) deg_x(p) + deg_i(p) deg_x(q). Newton interpolation
+    Its degree in x is at most the Sylvester bound
+    D = deg_y(q) deg_x(p) + deg_y(p) deg_x(q). Newton interpolation
     through D + 1 fibre resultants over GF(2^2m), taken where neither
-    leading coefficient in variable i vanishes, gives it; one more
-    point checks it. InvariantViolation when the variable is absent,
-    the check fails or a coefficient lies outside GF(2^m).
+    leading coefficient in y vanishes, gives it; one more point checks
+    it. InvariantViolation when y is absent, the check fails or a
+    coefficient lies outside GF(2^m).
     """
     p._chk(q)
-    if p.nvars != 2 or i not in (0, 1):
+    if p.nvars != 2:
         raise InvariantViolation("resultant takes bivariate arguments")
-    dp, dq = p.degree_in(i), q.degree_in(i)
+    dp, dq = p.degree_in(1), q.degree_in(1)
     if dp < 0 or dq < 0:
         raise DomainError("resultant with the zero polynomial")
     if max(dp, dq) == 0:
-        raise InvariantViolation(f"variable {i} absent from both arguments")
-    j, ctx = 1 - i, p.ctx
+        raise InvariantViolation("y absent from both arguments")
+    ctx = p.ctx
     big = ext_context(2 * ctx.m)
-    n = dq * p.degree_in(j) + dp * q.degree_in(j) + 1  # points to fit
-    rows = []  # per argument, its coefficients in variable i over GF(2^2m)
+    n = dq * p.degree_in(0) + dp * q.degree_in(0) + 1  # points to fit
+    rows = []  # per argument, its coefficients in y over GF(2^2m)
     for r in (p, q):
-        cs = [[0] * (r.degree_in(j) + 1) for _ in range(r.degree_in(i) + 1)]
-        for e, c in r.terms.items():
-            cs[e[i]][e[j]] = embed(c, ctx, big)
+        cs = [[0] * (r.degree_in(0) + 1) for _ in range(r.degree_in(1) + 1)]
+        for (ex, ey), c in r.terms.items():
+            cs[ey][ex] = embed(c, ctx, big)
         rows.append([UniPoly(big, row) for row in cs])
     xs, vals = [], []
     for a in range(1 << big.m):
@@ -424,8 +420,7 @@ def resultant(p: MultiPoly, q: MultiPoly, i: int) -> MultiPoly:
     res = UniPoly(big, cs)
     if res.eval_bits(xs[-1]) != vals[-1]:
         raise InvariantViolation("interpolation misses its check point")
-    return MultiPoly(ctx, 2, {(k, 0) if j == 0 else (0, k):
-                              unembed(c, ctx, big)
+    return MultiPoly(ctx, 2, {(k, 0): unembed(c, ctx, big)
                               for k, c in enumerate(res.coeffs)})
 
 

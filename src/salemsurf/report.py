@@ -23,15 +23,14 @@ _STATUS_RANK = {"pass": 0, "fail": 1, "error": 2}
 class Report:
     __slots__ = ("name", "status", "witness", "children", "elapsed_ms")
 
-    def __init__(self, name, status, witness=None, children=None,
-                 elapsed_ms=0.0):
+    def __init__(self, name, status, witness=None, children=None):
         if status not in _STATUS_RANK:
             raise ValueError(f"bad status {status!r}")
         self.name = name
         self.status = status
         self.witness = witness
         self.children = list(children) if children else []
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms = 0.0  # the suite runner sets the measured time
 
     def ok(self):
         return self.status == "pass"
@@ -40,23 +39,20 @@ class Report:
         return f"Report({self.name!r}, {self.status})"
 
 
-def leaf(name, ok, witness=None, elapsed_ms=0.0) -> Report:
-    return Report(name, "pass" if ok else "fail", witness, None, elapsed_ms)
+def leaf(name, ok, witness=None) -> Report:
+    return Report(name, "pass" if ok else "fail", witness)
 
 
-def error_leaf(name, ex, elapsed_ms=0.0) -> Report:
-    return Report(name, "error", f"{type(ex).__name__}: {ex}", None,
-                  elapsed_ms)
+def error_leaf(name, ex) -> Report:
+    return Report(name, "error", f"{type(ex).__name__}: {ex}")
 
 
-def node(name, children, witness=None, elapsed_ms=None) -> Report:
+def node(name, children, witness=None) -> Report:
     worst = "pass"
     for c in children:
         if _STATUS_RANK[c.status] > _STATUS_RANK[worst]:
             worst = c.status
-    if elapsed_ms is None:
-        elapsed_ms = sum(c.elapsed_ms for c in children)
-    return Report(name, worst, witness, children, elapsed_ms)
+    return Report(name, worst, witness, children)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +123,7 @@ def interval_witness(iv) -> dict:
     return {
         "lo": rational_pair(lo),
         "hi": rational_pair(hi),
-        "midpoint_decimal": _decimal_str(mid, 15),
+        "midpoint_decimal": _decimal_str(mid),
         "width_decimal": _significant_str(hi - lo),
     }
 
@@ -145,13 +141,14 @@ def _significant_str(fr) -> str:
     return f"{digits // 100}.{digits % 100:02d}e{e}"
 
 
-def _decimal_str(fr, digits: int) -> str:
+def _decimal_str(fr) -> str:
+    """fr truncated to 15 decimal places."""
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
     whole = fr.numerator // fr.denominator
     rem = fr.numerator - whole * fr.denominator
     out = []
-    for _ in range(digits):
+    for _ in range(15):
         rem *= 10
         d = rem // fr.denominator
         rem -= d * fr.denominator

@@ -68,13 +68,12 @@ def _guarded(name: str, build) -> rp.Report:
     t0 = time.perf_counter()
     try:
         out = build()
+        if not isinstance(out, rp.Report):
+            out = rp.node(name, out)
     except Exception as ex:  # noqa: BLE001 - suites report, never raise
-        return rp.error_leaf(name, ex, (time.perf_counter() - t0) * 1000.0)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if isinstance(out, rp.Report):
-        out.elapsed_ms = elapsed_ms
-        return out
-    return rp.node(name, out, elapsed_ms=elapsed_ms)
+        out = rp.error_leaf(name, ex)
+    out.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return out
 
 
 def _run_checks(checks) -> list:

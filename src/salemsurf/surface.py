@@ -419,7 +419,7 @@ def _stratum_points(grad, label: str):
         cands = [((x0, 1, 0), k) for k, x0 in roots]
     else:
         su, sv = (local_expansion(r, (0, 0, 1)) for r in (p, q))
-        r2 = resultant(su, sv, 1)
+        r2 = resultant(su, sv)
         if r2.is_zero():
             return [rp.leaf(f"{prefix}.eliminant_nonzero", False,
                             "partials share a one-dimensional component")], []

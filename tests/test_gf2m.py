@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import re
 
@@ -215,6 +217,24 @@ def test_embedding_into_degree_10():
     assert _min_subfield_degree(sup, im) == 5
 
 
+@pytest.mark.parametrize("m,n", [(5, 10), (3, 6), (1, 5)])
+def test_embedding_matches_a_search_of_the_whole_field(m, n):
+    """t goes to the smallest-bits root of sub's modulus among all 2^n
+    elements of sup, though only the copy of sub is searched."""
+    sub, sup = ext_context(m), ext_context(n)
+
+    def modulus_at(x):
+        return [sup.pow_bits(x, i) for i in range(m + 1)
+                if sub.modulus >> i & 1]
+
+    root = next(x for x in range(1 << n)
+                if x and not functools.reduce(operator.xor, modulus_at(x)))
+    table = [0] * (1 << m)
+    for k in range(sub.order):
+        table[sub.gen_pow(k)] = sup.pow_bits(root, k)
+    assert [embed(b, sub, sup) for b in range(1 << m)] == table
+
+
 def test_embedding_is_ring_homomorphism():
     sub, sup = gf32(), ext_context(10)
     rng = random.Random(101)
@@ -246,13 +266,12 @@ def test_element_text_format(ctx):
     assert format_elem(ctx, ctx.gen_pow(1)) == "g"
     assert format_elem(ctx, ctx.gen_pow(5)) == "g^5"
     assert parse_elem("g^5", ctx) == ctx.gen_pow(5)
-    # bit-strings are low degree first
-    assert parse_elem("0b01001", ctx) == 0b10010
     for x in range(32):
         assert parse_elem(format_elem(ctx, x), ctx) == x
 
 
-@pytest.mark.parametrize("bad", ["", "g^", "g^x", "0b", "0b012", "zeta"])
+@pytest.mark.parametrize("bad", ["", "g^", "g^x", "0b", "0b012", "0b01001",
+                                 "zeta"])
 def test_element_parse_errors(bad, ctx):
     with pytest.raises(ParseError):
         parse_elem(bad, ctx)

@@ -7,6 +7,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +52,7 @@ def _parse_json(text: str) -> rp.Report:
         assert isinstance(obj, dict) and "name" in obj
         kids = [build(c) for c in obj.get("children", [])]
         return rp.Report(obj["name"], obj.get("status", "error"),
-                         obj.get("witness"), kids, obj.get("elapsed_ms", 0))
+                         obj.get("witness"), kids)
 
     obj = json.loads(text)
     assert obj.get("schema") == 1
@@ -59,8 +60,8 @@ def _parse_json(text: str) -> rp.Report:
 
 
 def test_json_shape_and_roundtrip():
-    r = rp.node("top", [rp.leaf("child", True, witness="g^5")],
-                elapsed_ms=3.25)
+    r = rp.node("top", [rp.leaf("child", True, witness="g^5")])
+    r.elapsed_ms = 3.25
     text = rp.emit_json(r)
     obj = json.loads(text)
     assert obj["schema"] == 1
@@ -726,6 +727,22 @@ def test_cli_precision_validation(capsys):
         assert "not a decimal precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "1e-999999999"])
+def test_precision_with_a_huge_exponent_is_refused_at_once(text):
+    """A decimal exponent outside [-1000, 1000] exits 2 before the text
+    becomes a Fraction, which for 1e999999999 would not return."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "salemsurf.cli", "salem",
+         f"--precision={text}"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1
+    assert done.returncode == 2
+    assert "decimal exponent outside [-1000, 1000]" in done.stderr
+    assert done.stdout == ""
+
+
 def test_default_precision_is_written_once(capsys):
     """No --precision, run_suite's default and --precision 1e-9 are one
     width, spelled once, in lattice, and no other width 1/10^k is
@@ -1049,7 +1066,7 @@ def test_bench_tracer_names_live_functions(model, census):
     assert missing == []
     su, sv = (local_expansion(model.s.partial(i), (0, 0, 1))
               for i in (0, 1))
-    res = resultant(su, sv, 1)
+    res = resultant(su, sv)
     assert isinstance(res, MultiPoly)
     roots = uni_roots(res.univariate_at(0, (0, 0)), 10)
     text = rp.emit_json(run_suite("salem"))

@@ -11,7 +11,8 @@ from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import field_make, format_elem, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
-                                 local_expansion, plane_zeros)
+                                 format_poly, linear_solve, local_expansion,
+                                 plane_zeros)
 from salemsurf.suites import run_suite
 from salemsurf.unipoly import UniPoly
 from test_unipoly import _mul
@@ -300,6 +301,103 @@ def test_every_frobenius_twist_passes_the_surface_suite(ctx, tmp_path, i):
     assert {name: witnesses[name] for name in bundled} == {
         name: format_elem(ctx, ctx.gen_pow(k * 2 ** i))
         for name, k in bundled.items()}
+
+
+def _normal_form_files(ctx, a, b, gamma):
+    """The four model data files of f = (xy + a xz, b xz + yz, xz) and
+    c = gamma (xyz)^2, built from (a, b, gamma) alone.
+
+    s: in characteristic 2, s o f + c^2 s is a square exactly when its
+    odd-exponent coefficients vanish, and squares can be absorbed into
+    eta, so s is the kernel vector over the 63 degree-12 monomials with
+    an odd exponent; eta = sqrt(s o f + c^2 s). The points are the
+    common zeros of the partials of s: p0 is fixed, p1, p2, p3 are the
+    base points (0 : 0 : 1), (1 : 0 : 0), (0 : 1 : 0), p4 is no other
+    point's image, and p(i+1) = f(pi). g is the cubic through p1..p10
+    with leading coefficient 1, and the cusp is where its partials
+    vanish."""
+    x, y, z = (MultiPoly.var(ctx, 3, i) for i in range(3))
+    f = [x * y + (x * z).scale_bits(a), (x * z).scale_bits(b) + y * z, x * z]
+    c = MultiPoly(ctx, 3, {(2, 2, 2): gamma})
+    odd = [(i, j, 12 - i - j) for i in range(13) for j in range(13 - i)
+           if i % 2 or j % 2]
+    images = [MultiPoly(ctx, 3, {e: 1}).substitute(f)
+              + c * c * MultiPoly(ctx, 3, {e: 1}) for e in odd]
+    conds = sorted({e for im in images for e in im.terms
+                    if any(k % 2 for k in e)})
+    (kv,) = linear_solve(ctx, [[im.terms.get(e, 0) for im in images]
+                               for e in conds])
+    s = MultiPoly(ctx, 3, dict(zip(odd, kv)))
+    eta = (s.substitute(f) + c * c * s).poly_sqrt()
+
+    def image(p):
+        img = [comp.eval_bits(p) for comp in f]
+        return canonical(ctx, img) if any(img) else None
+
+    zeros = plane_zeros([s.partial(i) for i in range(3)])
+    base = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    (p0,) = [p for p in zeros if image(p) == p]
+    rest = [p for p in zeros if p != p0 and p not in base]
+    (p4,) = set(rest) - {image(p) for p in rest}
+    points = [p0, *base, p4]
+    while len(points) < 11:
+        points.append(image(points[-1]))
+    mons = sf.cubic_monomials()
+    (kv,) = linear_solve(ctx, [[MultiPoly(ctx, 3, {e: 1}).eval_bits(p)
+                                for e in mons] for p in points[1:]])
+    g = MultiPoly(ctx, 3, dict(zip(mons, kv)))
+    g = g.scale_bits(ctx.inv_bits(g.leading()[1]))
+    cusp = cu.find_cusp([g.partial(i) for i in range(3)], plane_zeros([g]))
+
+    def poly_file(**polys):
+        return "\n".join(
+            ["vars: x y z; weights: 1 1 1; field: g^5=g^2+1"]
+            + [f"{label} = {format_poly(p, 'xyz')}"
+               for label, p in polys.items()]) + "\n"
+    return {
+        "surface.poly": poly_file(s=s),
+        "automorphism.poly": poly_file(fx=f[0], fy=f[1], fz=f[2], c=c,
+                                       eta=eta),
+        "cubic.poly": poly_file(g=g),
+        "points.dat": "\n".join(
+            ["field: g^5=g^2+1"]
+            + [f"p{i} = {format_point(ctx, p)}" for i, p in enumerate(points)]
+            + [f"cusp = {format_point(ctx, cusp)}"]) + "\n",
+    }
+
+
+def test_every_root_is_realized_by_a_model_this_verifier_accepts(
+        ctx, tmp_path):
+    """The ten models of the normal form, built from (a, b, gamma)
+    alone, pass every surface leaf, and their cubic multipliers are ten
+    distinct roots of Lehmer's polynomial mod 2, so every root is
+    realized. The first is the bundled model: it rebuilds points.dat and
+    cubic.poly, comment lines aside."""
+    params = [(29, 6, 16), (27, 12, 1), (23, 24, 2), (15, 17, 4),
+              (30, 3, 8), (6, 29, 15), (12, 27, 30), (24, 23, 29),
+              (17, 15, 27), (3, 30, 23)]
+    multipliers, built = [], []
+    for i, abc in enumerate(params):
+        files = _normal_form_files(ctx, *map(ctx.gen_pow, abc))
+        built.append(files)
+        model_dir = tmp_path / f"model{i}"
+        model_dir.mkdir()
+        for name, text in files.items():
+            (model_dir / name).write_text(text)
+        report = run_suite("surface", model_dir)
+        assert [leaf.name for leaf in _leaves(report) if not leaf.ok()] == []
+        (witness,) = [leaf.witness for leaf in _leaves(report)
+                      if leaf.name == "match.multiplier_is_root"]
+        multipliers.append(witness)
+    assert multipliers == [f"g^{k}" for k in
+                           (19, 7, 14, 28, 25, 12, 24, 17, 3, 6)]
+    assert set(multipliers) == {format_elem(ctx, r)
+                                for r in lehmer_mod2_roots(ctx)}
+    bundled = Path(sf.__file__).parent / "data"
+    for name in ("points.dat", "cubic.poly"):
+        lines = [ln for ln in (bundled / name).read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert built[0][name].splitlines() == lines
 
 
 def _singular_points(rep):
