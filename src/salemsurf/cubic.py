@@ -25,7 +25,7 @@ from __future__ import annotations
 from . import LEHMER
 from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, format_elem
-from .multipoly import MultiPoly, canonical, local_expansion
+from .multipoly import MultiPoly, local_expansion
 from .unipoly import UniPoly
 from . import report as rp
 
@@ -225,10 +225,12 @@ class CuspChart:
     """Projection-from-the-cusp parameter for a cuspidal cubic.
 
     l1 vanishes on the tangent cone line at the cusp (the parameter's
-    infinity); l2 is an independent line through the cusp, scaled so
-    that the parameter of a smooth point p is t(p) = l2(p) / l1(p).
-    points are the curve's smooth points, as the canonical coordinate
-    tuples that `plane_zeros` lists.
+    infinity) and l2 on another line through the cusp; the parameter of
+    a smooth point p is t(p) = l2(p) / l1(p). Projection from the cusp
+    fixes t only up to t -> a t + b, and nothing here normalizes a or b;
+    on the standard cubic l1 = y, l2 = x and t = x / y. points are the
+    curve's smooth points, as the canonical coordinate tuples that
+    `plane_zeros` lists.
     """
 
     __slots__ = ("curve", "cusp", "l1", "l2", "points")
@@ -256,7 +258,10 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
 
     Every line through the cusp but the tangent cone line l1 = 0
     meets the curve in one further point, so t = l2 / l1 maps the
-    smooth points one to one onto the field. cusp is find_cusp(partials,
+    smooth points one to one onto the field. l2 is a coordinate line
+    through the cusp independent of l1, not rescaled: the chart is the
+    projection from the cusp, fixed only up to t -> a t + b, and x / y
+    on the standard cubic. cusp is find_cusp(partials,
     points) and points is multipoly.plane_zeros([curve]), as the caller
     found them; the chart keeps the smooth ones, which must number q.
     """
@@ -284,23 +289,6 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
     else:
         l2[keep[1]] = 1
         l2[j] = cusp[keep[1]]
-
-    def line_points(l):
-        piv = max(i for i in range(3) if l[i])
-        pts = []
-        for free in range(3):
-            if free == piv:
-                continue
-            p = [0, 0, 0]
-            p[free] = 1
-            p[piv] = ctx.mul_bits(l[free], ctx.inv_bits(l[piv]))
-            pts.append(tuple(p))
-        return pts + [tuple(a ^ b for a, b in zip(pts[0], pts[1]))]
-
-    r2 = next(p for p in line_points(l1) if canonical(ctx, p) != cusp)
-    r1 = next(p for p in line_points(l2) if _lin(ctx, l1, p) != 0)
-    scale = ctx.mul_bits(_lin(ctx, l1, r1), ctx.inv_bits(_lin(ctx, l2, r2)))
-    l2 = [ctx.mul_bits(scale, c) for c in l2]
     smooth = [pt for pt in points if pt != cusp]
     if len(smooth) != 1 << ctx.m:
         raise InvariantViolation(f"{len(smooth)} smooth points, expected "
@@ -318,8 +306,8 @@ def induced_affine_map(chart: CuspChart, components: list[MultiPoly],
     the components into the curve; base points (all three components
     vanish) and points mapping onto the tangent cone line are skipped
     when sampling the chart's smooth points. The affine fit uses the
-    two usable samples of smallest parameter and must validate on every
-    other sample.
+    first two usable samples, in the order of chart.points, and must
+    validate on every other sample.
     """
     curve = chart.curve
     ctx = curve.ctx
@@ -336,7 +324,6 @@ def induced_affine_map(chart: CuspChart, components: list[MultiPoly],
         if _lin(ctx, chart.l1, img) == 0:
             continue  # image is the cusp direction
         pairs.append((chart.param_of(pt), chart.param_of(img)))
-    pairs.sort()  # by sample parameter, which the chart keeps distinct
     if len(pairs) < 4:
         raise InvariantViolation(f"only {len(pairs)} usable samples")
     action = _through(ctx, *pairs[0], *pairs[1])

@@ -29,8 +29,7 @@ def _point_of(chart: cu.CuspChart) -> dict:
     return {chart.param_of(p): p for p in chart.points}
 
 
-def _cubic_group_law(chart: cu.CuspChart) -> list:
-    point_of = _point_of(chart)
+def _cubic_group_law(chart: cu.CuspChart, point_of: dict) -> list:
     on_curve = sum(chart.curve.eval_bits(p) == 0 for p in point_of.values())
     checks = [rp.leaf("group_law.parametrization",
                       on_curve == 32 and len(point_of) == 32,
@@ -86,9 +85,7 @@ def _cubic_beta_solver(ctx, roots, betas) -> list:
     return checks
 
 
-def _cubic_orbits(rows, chart: cu.CuspChart) -> list:
-    ctx = chart.curve.ctx
-    point_of = _point_of(chart)
+def _cubic_orbits(ctx, rows, point_of: dict) -> list:
     subs = []
     for a, b, params in rows:
         action = cu.AffineAction(ctx, a, b)
@@ -112,11 +109,13 @@ def _cubic_alpha_table(data_dir, ctx, rows) -> rp.Report:
 
 def _cubic_checks(data_dir) -> list:
     """The cubic checks in report order over one run-object table: the
-    cusp chart of the standard cubic over GF(32), Lehmer's mod-2 roots
-    in GF(32), the translation part beta of each and its orbit."""
+    cusp chart of the standard cubic over GF(32) and its {parameter:
+    point} table, Lehmer's mod-2 roots in GF(32), the translation part
+    beta of each and its orbit."""
     ctx = gf.gf32()
     need = _run_objects({
         "chart": lambda need: _standard_chart(ctx),
+        "point_of": lambda need: _point_of(need("chart")),
         "roots": lambda need: cu.lehmer_mod2_roots(ctx),
         "betas": lambda need: [cu.beta_from_alpha(ctx, a)
                                for a in need("roots")],
@@ -127,9 +126,11 @@ def _cubic_checks(data_dir) -> list:
 
     def rows():
         return zip(need("roots"), need("betas"), need("orbits"))
-    return [("cubic.group_law", lambda: _cubic_group_law(need("chart"))),
+    return [("cubic.group_law", lambda: _cubic_group_law(
+                need("chart"), need("point_of"))),
             ("cubic.beta_solver", lambda: _cubic_beta_solver(
                 ctx, need("roots"), need("betas"))),
-            ("cubic.orbits", lambda: _cubic_orbits(rows(), need("chart"))),
+            ("cubic.orbits", lambda: _cubic_orbits(ctx, rows(),
+                                                   need("point_of"))),
             ("cubic.alpha_table_fresh",
              lambda: _cubic_alpha_table(data_dir, ctx, rows))]

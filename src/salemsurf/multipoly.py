@@ -229,8 +229,7 @@ class MultiPoly:
             return cache[k]
 
         acc: dict[tuple, int] = {}
-        for e, c in sorted(self.terms.items(),
-                           key=lambda item: _grlex_key(item[0])):
+        for e, c in self.terms.items():
             t = {(0,) * onv: c}
             for i, k in enumerate(e):
                 if k:

@@ -179,9 +179,8 @@ def verify_cubic(m: SurfaceModel, need) -> rp.Report:
     rows = [[mp.eval_bits(m.points[i]) for mp in monpolys]
             for i in range(1, 11)]
     kernel = linear_solve(ctx, rows)
-    status = "kernel" if kernel else "unique"
     checks = [rp.leaf("cubic.kernel_dim", len(kernel) == 1,
-                      f"status={status}, dim={len(kernel)}")]
+                      f"dim={len(kernel)}")]
     spans = False
     if len(kernel) == 1:
         kv = MultiPoly(ctx, 3, dict(zip(mons, kernel[0])))

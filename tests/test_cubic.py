@@ -212,9 +212,9 @@ def test_induced_map_of_bundled_model(ctx, model):
                                 model.g.substitute(list(model.f)))
     assert action.alpha == ctx.gen_pow(19)
     assert action.alpha != ctx.gen_pow(16)
-    assert action.beta == ctx.gen_pow(28)
+    assert action.beta == ctx.gen_pow(5)
     assert action.fixed_point() == chart.param_of(model.points[0])
-    assert action.fixed_point() == ctx.gen_pow(17)
+    assert action.fixed_point() == ctx.gen_pow(25)
 
 
 def _brute_matches(ctx, aa, bb):

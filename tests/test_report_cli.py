@@ -34,6 +34,7 @@ from salemsurf.unipoly import uni_roots
 GOLDEN = Path(__file__).parent / "golden" / "all.json"
 SALEM_FINE_GOLDEN = Path(__file__).parent / "golden" / "salem_1.5e-30.json"
 MUTANT_GOLDEN = Path(__file__).parent / "golden" / "surface_mutant.json"
+MUTANT_VERDICTS = Path(__file__).parent / "golden" / "mutant_verdicts.json"
 
 
 def test_node_status_is_worst_child():
@@ -291,12 +292,21 @@ def test_shared_objects_are_built_once(monkeypatch, tmp_path, model):
     assert calls["plane_zeros"] == 2
     assert calls["local_expansion"] == 15
     # the cubic suite charts the standard cubic once over GF(32), for the
-    # group law and the orbits, and once over GF(8) for the group law
+    # group law and the orbits, and once over GF(8) for the group law,
+    # and reads each chart's {parameter: point} table once
     count(cubic_checks, "plane_zeros")
+    point_of = cubic_checks._point_of
+
+    def counted_point_of(chart):
+        calls[f"point_of GF(2^{chart.curve.ctx.m})"] += 1
+        return point_of(chart)
+
+    monkeypatch.setattr(cubic_checks, "_point_of", counted_point_of)
     calls.clear()
     assert run_suite("cubic").ok()
     assert calls == {"plane_zeros": 2, "find_cusp": 2,
-                     "cusp_parametrization": 2, "local_expansion": 2}
+                     "cusp_parametrization": 2, "local_expansion": 2,
+                     "point_of GF(2^5)": 1, "point_of GF(2^3)": 1}
 
 
 @pytest.mark.parametrize("module,name,leaves", [
@@ -795,6 +805,45 @@ def test_bench_mutants_build_from_the_bundled_data(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m0", "m1"]
 
 
+def _leaf_statuses(report, path=()):
+    """(leaf path, status) of every leaf of a report tree, in order; a
+    path joins the node names from the root with `/`."""
+    path = (*path, report.name)
+    if not report.children:
+        return [("/".join(path), report.status)]
+    return [pair for child in report.children
+            for pair in _leaf_statuses(child, path)]
+
+
+def _mutant_verdicts(out_dir):
+    """{"SEED COUNT mI": {"passed": n, "others": [[path, status], ...]}}
+    for the surface run of every mutant that `bench/mutants.py` builds
+    with the seeds and counts of the benchmark's mutant workloads: the
+    number of passing leaves and the status of every other leaf."""
+    script = Path(__file__).parent.parent / "bench" / "mutants.py"
+    verdicts = {}
+    for seed, count in ((1, 12), (412, 24)):
+        target = out_dir / f"{seed}_{count}"
+        subprocess.run([sys.executable, str(script), str(seed), str(count),
+                        str(target)], check=True, capture_output=True)
+        for i in range(count):
+            leaves = _leaf_statuses(run_suite("surface", target / f"m{i}"))
+            verdicts[f"{seed} {count} m{i}"] = {
+                "passed": sum(status == "pass" for _, status in leaves),
+                "others": [[path, status] for path, status in leaves
+                           if status != "pass"]}
+    return verdicts
+
+
+def test_bench_mutants_keep_their_verdicts(tmp_path):
+    """Every mutant of `bench/mutants.py 1 12` and `412 24` keeps the
+    verdict of each surface leaf that tests/golden/mutant_verdicts.json
+    records; witnesses may change, statuses may not. Regenerate the file
+    with `PYTHONPATH=src python tests/test_report_cli.py`."""
+    assert _mutant_verdicts(tmp_path) == json.loads(
+        MUTANT_VERDICTS.read_text())
+
+
 @pytest.mark.parametrize("width", ["5", "1", "0.5"])
 def test_coarse_precision_keeps_salem_verdict(capsys, width):
     assert main(["salem", "--format", "json", "--precision", width]) == 0
@@ -1080,3 +1129,10 @@ def test_bench_tracer_names_live_functions(model, census):
                      "unipoly.uni_roots": len(roots),
                      "mod2space.enumerate_lagrangians": 4590,
                      "report.emit_json": len(text)}
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        MUTANT_VERDICTS.write_text(
+            json.dumps(_mutant_verdicts(Path(tmp)), indent=1) + "\n")

@@ -9,7 +9,7 @@ import salemsurf.cubic as cu
 import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
-from salemsurf.gf2m import field_make, format_elem, gf32
+from salemsurf.gf2m import field_make, format_elem, gf32, parse_elem
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  format_poly, linear_solve, local_expansion,
                                  plane_zeros)
@@ -679,3 +679,47 @@ def test_singular_locus_names_the_model_field():
     leaf = next(c for c in sf.singular_locus(m).children
                 if c.name == "singular.rational_over_base")
     assert (leaf.status, leaf.witness) == ("pass", "all coordinates in GF(8)")
+
+
+def test_kernel_dim_witness_is_the_dimension(data_copy):
+    """With p5 := p4 and p7 := p6 the ten points impose eight conditions,
+    so two independent cubics pass through them; the model still loads,
+    since every point lies on g, and cubic.kernel_dim fails with the
+    dimension alone as its witness."""
+    f = data_copy / "points.dat"
+    text = f.read_text()
+    for old, new in (("p5 = (g^18 : g^11 : 1)", "p5 = (g^29 : g^6 : 1)"),
+                     ("p7 = (g^14 : g^14 : 1)", "p7 = (g^12 : g^7 : 1)")):
+        assert old in text
+        text = text.replace(old, new)
+    f.write_text(text)
+    (cubic,) = [c for c in run_suite("surface", data_copy).children
+                if c.name == "cubic"]
+    (leaf,) = [c for c in cubic.children if c.name == "cubic.kernel_dim"]
+    assert (leaf.status, leaf.witness) == ("fail", "dim=2")
+
+
+@pytest.mark.parametrize("a,b", [("g^3", "0"), ("1", "g^7"),
+                                 ("g^11", "g^2")])
+def test_match_verdicts_do_not_depend_on_the_chart_normalization(
+        monkeypatch, ctx, a, b):
+    """Projection from the cusp fixes the chart only up to t -> a t + b:
+    with param_of renormalized so, the induced action's witness changes
+    and no leaf status does."""
+    def statuses():
+        leaves = list(_leaves(run_suite("surface")))
+        return ([(leaf.name, leaf.status) for leaf in leaves],
+                [leaf.witness for leaf in leaves
+                 if leaf.name == "match.induced_action_affine"])
+
+    before, (action,) = statuses()
+    param_of = cu.CuspChart.param_of
+    scale, shift = parse_elem(a, ctx), parse_elem(b, ctx)
+
+    def renormalized(chart, coords):
+        return ctx.mul_bits(scale, param_of(chart, coords)) ^ shift
+
+    monkeypatch.setattr(cu.CuspChart, "param_of", renormalized)
+    after, (moved,) = statuses()
+    assert after == before
+    assert moved != action
