@@ -5,11 +5,13 @@ in the lattice basis). Everything derives from the polar matrix
 B = Gram mod 2, the reduced bilinear form b(u, v) = u·Bv: the quadratic
 form q(v) = (v, v)/2 mod 2 is tabulated over all 2^n vectors by the
 recurrence q(w + e_i) = q(w) + q(e_i) + b(w, e_i). A linear map over
-GF(2) is given by its column bitmasks and used as the table of its
-images of all 2^n vectors (mat2_images): its order, the kernels of
-polynomials in it and the invariance of q and of each Lagrangian are
-all read off that one table. All reduction mod 2 of the lattice side
-lives here, the factoring of integer polynomials over GF(2) included.
+GF(2) is given by its column bitmasks and applied only through the
+table of its images of all 2^n vectors (mat2_images): its order, the
+kernels of polynomials in it and the invariance of q and of each
+Lagrangian are all read off that one table. The table of a list of
+vectors is their span, and the census reads the Witt basis's tables.
+All reduction mod 2 of the lattice side lives here, the factoring of
+integer polynomials over GF(2) included.
 
 Totally singular subspaces of half dimension are listed from a Witt
 basis e_1..e_h, f_1..f_h (q(e_i) = q(f_i) = 0, b(e_i, f_j) = [i = j];
@@ -26,6 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import lcm
 
+from . import lattice as lat
 from .errors import InvariantViolation
 from .gf2m import field_make
 from .unipoly import UniPoly, factor as gf2_factor
@@ -38,15 +41,10 @@ class Mod2QuadSpace:
     __slots__ = ("dim", "q")
 
     def __init__(self, gram):
-        n = len(gram)
-        if any(len(r) != n for r in gram):
-            raise InvariantViolation("gram must be square")
-        if any(gram[i][i] % 2 for i in range(n)):
+        if not lat.e10_parity_check(gram):
             raise InvariantViolation(
-                "gram is not even; no quadratic refinement")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
-            raise InvariantViolation("gram is not symmetric")
-        self.dim = n
+                "gram is not even and symmetric; no quadratic refinement")
+        n = self.dim = len(gram)
         polar = mat2_from_int(gram)
         q = [0] * (1 << n)
         for v in range(1, 1 << n):
@@ -69,17 +67,6 @@ def mat2_from_int(m) -> tuple:
     n = len(m)
     return tuple(sum(((m[i][j] % 2) & 1) << i for i in range(n))
                  for j in range(n))
-
-
-def mat2_apply(cols, v: int) -> int:
-    r = 0
-    j = 0
-    while v:
-        if v & 1:
-            r ^= cols[j]
-        v >>= 1
-        j += 1
-    return r
 
 
 def mat2_images(cols) -> list:
@@ -113,13 +100,6 @@ def rref_rows(vectors) -> tuple:
                 r ^= s
         done.append(r)
     return tuple(reversed(done))
-
-
-def span_of(rows):
-    s = {0}
-    for v in rows:
-        s |= {x ^ v for x in s}
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +235,8 @@ def _witt_basis(space: Mod2QuadSpace) -> tuple:
     es, fs = [], []
     comp = rref_rows(1 << i for i in range(n))
     while comp:
-        e = min((v for v in span_of(comp) if v and not q[v]), default=0)
+        e = min((v for v in mat2_images(comp) if v and not q[v]),
+                default=0)
         if not e:
             raise InvariantViolation("census needs the plus-type form")
         f = next((v for v in comp if b(e, v)), 0)
@@ -289,6 +270,7 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
     """
     es, fs = _witt_basis(space)
     h = len(es)
+    e_of, f_of = mat2_images(es), mat2_images(fs)
     out = ([], [])  # by class
     for j in range(h + 1):
         family = out[(h - j) % 2]
@@ -302,9 +284,9 @@ def enumerate_lagrangians(space: Mod2QuadSpace) -> LagrangianCensus:
                 for k, (r, c) in enumerate(slots):
                     if fill >> k & 1:
                         wrows[r] |= 1 << c
-                base = [mat2_apply(fs, w) for w in wrows]
-                rows = [mat2_apply(es, 1 << c | sum(
-                    1 << p for p, w in zip(piv, wrows) if w >> c & 1))
+                base = [f_of[w] for w in wrows]
+                rows = [e_of[1 << c | sum(
+                    1 << p for p, w in zip(piv, wrows) if w >> c & 1)]
                     for c in free]
                 family.append(base + rows)
                 for g in range(1, 1 << len(pairs)):

@@ -358,7 +358,9 @@ def singular_locus(m: SurfaceModel) -> rp.Report:
     found is re-checked against all three partials in its own field.
     The search covers the model's field GF(q) and GF(q^2): roots outside
     them and degenerate fibers are failing leaves, never dropped;
-    singular.chart_<c> counts the points with c != 0.
+    singular.chart_<c> counts the points with c != 0. count,
+    matches_marked_points and rational_over_base sum up the whole
+    search, so each passes only when no chart leaf failed or errored.
     """
     ctx = m.ctx
     grad = [m.s.partial(i) for i in range(3)]
@@ -375,19 +377,22 @@ def singular_locus(m: SurfaceModel) -> rp.Report:
         n = sum(1 for _, co, _k in pts if co["xyz".index(label)])
         checks.append(rp.leaf(f"singular.chart_{label}", True,
                               f"{n} affine points"))
+    incomplete = [c.name for c in checks if not c.ok()]
     found = {co for _, co, k in pts if k is ctx}
     irrational = [f"chart {label}: degree-{k.m} point "
                   + str(_chart_coords(k, co, label))
                   for label, co, k in pts if k is not ctx]
     expected = set(m.points.values())
-    checks.append(rp.leaf("singular.count", len(found) == 11,
+    checks.append(rp.leaf("singular.count",
+                          not incomplete and len(found) == 11,
                           f"{len(found)} points"))
     checks.append(rp.leaf("singular.matches_marked_points",
-                          found == expected,
+                          not incomplete and found == expected,
                           sorted(format_point(ctx, p) for p in found)))
     checks.append(rp.leaf(
-        "singular.rational_over_base", not irrational,
-        irrational or f"all coordinates in GF({1 << ctx.m})"))
+        "singular.rational_over_base", not incomplete and not irrational,
+        f"search incomplete: {', '.join(incomplete)}" if incomplete
+        else irrational or f"all coordinates in GF({1 << ctx.m})"))
     return rp.node("singular", checks)
 
 

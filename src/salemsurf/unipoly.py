@@ -222,9 +222,10 @@ def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
 
 
 def factor(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Complete factorization into monic irreducibles with multiplicities."""
-    return sorted(_irreducible_factors(f, f.degree()),
-                  key=lambda t: (t[0].degree(), t[0].coeffs))
+    """Complete factorization into monic irreducibles with multiplicities,
+    sorted by degree and then coefficients: the search finds them degree
+    by degree, and _trace_split sorts each degree's factors."""
+    return _irreducible_factors(f, f.degree())
 
 
 def uni_roots(f: UniPoly, degree_bound: int

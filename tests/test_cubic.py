@@ -9,7 +9,7 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              second_param_expr1, second_param_expr2,
                              standard_cubic, verify_coxeter_constraints)
 from salemsurf.errors import InvariantViolation
-from salemsurf.gf2m import field_make
+from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import MultiPoly, canonical, plane_zeros
 
 ROOT_DLOGS = {3, 6, 7, 12, 14, 17, 19, 24, 25, 28}
@@ -51,10 +51,11 @@ def test_chord_third_is_collinear(ctx):
     assert not collinear(t1, t2, t3 ^ 1)
 
 
-def test_collinearity_against_determinant():
-    # exhaustive over the smallest field where both routes are nontrivial
-    point_of = _point_of(_chart(standard_cubic(GF8)))
-    elems = range(1 << GF8.m)
+def _check_sum_rule(field, point_of) -> int:
+    """The sum rule against the determinant on every ordered triple of
+    distinct parameters; returns the number of triples."""
+    elems = range(1 << field.m)
+    triples = 0
     for a in elems:
         for b in elems:
             if b == a:
@@ -62,9 +63,32 @@ def test_collinearity_against_determinant():
             for c in elems:
                 if c == a or c == b:
                     continue
-                det = collinear_det(GF8, point_of[a], point_of[b],
+                det = collinear_det(field, point_of[a], point_of[b],
                                     point_of[c])
                 assert collinear(a, b, c) == (det == 0)
+                triples += 1
+    return triples
+
+
+def test_collinearity_against_determinant():
+    # exhaustive over the smallest field where both routes are nontrivial
+    _check_sum_rule(GF8, _point_of(_chart(standard_cubic(GF8))))
+
+
+@pytest.mark.parametrize("field", [GF8, gf32()], ids=["GF8", "GF32"])
+def test_chart_with_tangent_line_x(field):
+    """y^3 + x^2 z has its tangent line x = 0 at the cusp (0 : 0 : 1), so
+    the chart takes l2 on the second kept coordinate: l1 = x, l2 = y. It
+    is one to one on the 2^m smooth points, and the sum rule agrees with
+    the determinant on every ordered triple of distinct points."""
+    curve = MultiPoly(field, 3, {(0, 3, 0): 1, (2, 0, 1): 1})
+    chart = _chart(curve)
+    assert chart.cusp == (0, 0, 1)
+    assert (chart.l1, chart.l2) == ([1, 0, 0], [0, 1, 0])
+    point_of = _point_of(chart)
+    q = 1 << field.m
+    assert sorted(point_of) == list(range(q))
+    assert _check_sum_rule(field, point_of) == q * (q - 1) * (q - 2)
 
 
 def test_affine_action_algebra(ctx):

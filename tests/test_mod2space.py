@@ -7,15 +7,35 @@ import pytest
 from salemsurf import lattice as lat
 from salemsurf.errors import InvariantViolation
 from salemsurf.mod2space import (Mod2QuadSpace, enumerate_lagrangians,
-                                 mat2_apply, mat2_from_int, mat2_images,
+                                 mat2_from_int, mat2_images,
                                  mod2_action_analysis,
-                                 mod2_reduce_and_factor, rref_rows, span_of)
+                                 mod2_reduce_and_factor, rref_rows)
 
 QUINTIC_A = (1, 0, 1, 1, 1, 1)
 QUINTIC_B = (1, 1, 1, 1, 0, 1)
 
 
 # Oracles: GF(2) matrices as tuples of column bitmasks, multiplied out.
+
+
+def mat2_apply(cols, v: int) -> int:
+    """M v, one column per set bit of v."""
+    r = 0
+    j = 0
+    while v:
+        if v & 1:
+            r ^= cols[j]
+        v >>= 1
+        j += 1
+    return r
+
+
+def span_of(rows) -> set:
+    """Every sum of a subset of rows."""
+    s = {0}
+    for v in rows:
+        s |= {x ^ v for x in s}
+    return s
 
 
 def mat2_identity(n) -> tuple:
@@ -239,16 +259,24 @@ def test_census_follows_a_change_of_basis(census, e10_basis):
                   for rows in moved.members) == sorted(_canonical(census))
 
 
+REJECTED = "gram is not even and symmetric; no quadratic refinement"
+
+
 def test_odd_gram_rejected():
-    with pytest.raises(InvariantViolation, match="gram is not even"):
+    with pytest.raises(InvariantViolation, match=REJECTED):
         Mod2QuadSpace([[1]])
 
 
 def test_asymmetric_gram_rejected():
-    with pytest.raises(InvariantViolation, match="gram is not symmetric"):
+    with pytest.raises(InvariantViolation, match=REJECTED):
         Mod2QuadSpace([[0, 1], [0, 0]])
-    with pytest.raises(InvariantViolation, match="gram is not symmetric"):
+    with pytest.raises(InvariantViolation, match=REJECTED):
         Mod2QuadSpace([[0, 1], [3, 0]])
+
+
+def test_non_square_gram_rejected():
+    with pytest.raises(InvariantViolation, match="gram must be square"):
+        Mod2QuadSpace([[0, 1]])
 
 
 def test_mat2_ops():

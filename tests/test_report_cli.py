@@ -430,6 +430,25 @@ def test_failed_orbit_build_spares_the_beta_solver(monkeypatch):
     assert nodes["cubic.group_law"].ok()
 
 
+def test_failed_beta_solve_is_a_parameter_transport_error(monkeypatch):
+    """With beta_from_alpha raising, the surface match keeps the three
+    leaves built before the solve, with their golden witnesses, and
+    ends in the error leaf match.parameter_transport."""
+    def fail(*args):
+        raise InvariantViolation("forced")
+
+    monkeypatch.setattr(cu, "beta_from_alpha", fail)
+    (match,) = [c for c in run_suite("surface").children
+                if c.name == "match"]
+    golden = _leaf_results(_parse_json(GOLDEN.read_text()))
+    assert match.status == "error"
+    assert [(c.name, c.status, c.witness) for c in match.children] == [
+        *((name, *golden[f"all/surface/match/{name}"])
+          for name in ("match.induced_action_affine",
+                       "match.multiplier_is_root", "match.fixed_parameter")),
+        ("match.parameter_transport", "error", "InvariantViolation: forced")]
+
+
 def test_cubic_leaves_guard_the_chart(monkeypatch):
     """A chart parameter off by a constant c still reads the smooth
     points one to one, but three points with parameters summing to zero
@@ -794,6 +813,42 @@ def test_surface_mutant_run_matches_golden(tmp_path, capsys):
     assert capsys.readouterr().out == MUTANT_GOLDEN.read_text()
 
 
+def _leaf_results(report, path=()):
+    """{leaf path: (status, witness)} of a report tree; a path joins the
+    node names from the root with `/`."""
+    path = (*path, report.name)
+    if not report.children:
+        return {"/".join(path): (report.status, report.witness)}
+    return {key: value for child in report.children
+            for key, value in _leaf_results(child, path).items()}
+
+
+def test_code_only_leaves_read_no_data_file(tmp_path):
+    """With an empty data directory, the nine lattice.salem leaves and
+    the 121 cubic leaves other than cubic.alpha_table_fresh still pass
+    with their golden witnesses: they test the code, not the model
+    data. Every node that reads a data file is an error leaf instead."""
+    golden = _leaf_results(_parse_json(GOLDEN.read_text()))
+    code_only = {path: result for path, result in golden.items()
+                 if path.startswith(("all/lattice/lattice.salem/",
+                                     "all/cubic/"))
+                 and not path.startswith("all/cubic/cubic.alpha_table_fresh")}
+    assert len(code_only) == 130
+    assert all(status == "pass" for status, _ in code_only.values())
+    got = _leaf_results(run_suite("all", tmp_path))
+    missing = {path: result for path, result in got.items()
+               if path not in code_only}
+    assert {path: result for path, result in got.items()
+            if path in code_only} == code_only
+    assert sorted(missing) == [
+        "all/cubic/cubic.alpha_table_fresh", "all/lattice/lattice.coxeter",
+        "all/lattice/lattice.lagrangians", "all/lattice/lattice.mod2",
+        "all/surface/model"]
+    assert all(status == "error"
+               and witness.startswith("ParseError: missing data file ")
+               for status, witness in missing.values())
+
+
 def test_bench_mutants_build_from_the_bundled_data(tmp_path):
     """bench/mutants.py copies and parses the bundled data files, among
     them alpha_table.dat, points.dat and the `s = ...` line of
@@ -803,16 +858,6 @@ def test_bench_mutants_build_from_the_bundled_data(tmp_path):
                            str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m0", "m1"]
-
-
-def _leaf_statuses(report, path=()):
-    """(leaf path, status) of every leaf of a report tree, in order; a
-    path joins the node names from the root with `/`."""
-    path = (*path, report.name)
-    if not report.children:
-        return [("/".join(path), report.status)]
-    return [pair for child in report.children
-            for pair in _leaf_statuses(child, path)]
 
 
 def _mutant_verdicts(out_dir):
@@ -827,7 +872,9 @@ def _mutant_verdicts(out_dir):
         subprocess.run([sys.executable, str(script), str(seed), str(count),
                         str(target)], check=True, capture_output=True)
         for i in range(count):
-            leaves = _leaf_statuses(run_suite("surface", target / f"m{i}"))
+            leaves = [(path, status) for path, (status, _)
+                      in _leaf_results(run_suite("surface",
+                                                 target / f"m{i}")).items()]
             verdicts[f"{seed} {count} m{i}"] = {
                 "passed": sum(status == "pass" for _, status in leaves),
                 "others": [[path, status] for path, status in leaves

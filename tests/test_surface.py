@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import salemsurf.cubic as cu
+import salemsurf.report as rp
 import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
@@ -669,16 +670,72 @@ def test_load_model_rejects_a_missing_label(data_copy, name, label):
         sf.load_model(data_copy)
 
 
+def _singular_leaves(ctx, s, points=None):
+    """{name: (status, witness)} of the singular search on w^2 = s."""
+    m = sf.SurfaceModel(ctx, ["x", "y", "z"], s, None, None, None, None,
+                        points or {}, None)
+    return {c.name: (c.status, c.witness)
+            for c in sf.singular_locus(m).children}
+
+
 def test_singular_locus_names_the_model_field():
     """The passing rational_over_base witness names the model's own
-    field: GF(8) for s = x^11 y + y^11 z + z^11 x over GF(8)."""
+    field: GF(16) for s = x y z^10 + x^3 y^9 + x^9 z^3 over GF(16), whose
+    search completes with the three coordinate points."""
+    gf16 = field_make(4, 0b10011)
+    s = MultiPoly(gf16, 3, {(1, 1, 10): 1, (3, 9, 0): 1, (9, 0, 3): 1})
+    leaves = _singular_leaves(gf16, s)
+    assert leaves["singular.count"] == ("fail", "3 points")
+    assert leaves["singular.rational_over_base"] == (
+        "pass", "all coordinates in GF(16)")
+
+
+def test_singular_summaries_fail_when_the_search_is_incomplete(model):
+    """count, matches_marked_points and rational_over_base fail when a
+    chart leaf failed or errored, and rational_over_base names those
+    leaves: over GF(8) the chart z eliminant of s = x^11 y + y^11 z +
+    z^11 x has too few interpolation points in GF(64); on the bundled
+    model with s a perfect square every chart partial vanishes."""
     gf8 = field_make(3, 0b1011)
     s = MultiPoly(gf8, 3, {(11, 1, 0): 1, (0, 11, 1): 1, (1, 0, 11): 1})
-    m = sf.SurfaceModel(gf8, ["x", "y", "z"], s, None, None, None, None,
-                        {}, None)
-    leaf = next(c for c in sf.singular_locus(m).children
-                if c.name == "singular.rational_over_base")
-    assert (leaf.status, leaf.witness) == ("pass", "all coordinates in GF(8)")
+    leaves = _singular_leaves(gf8, s)
+    assert leaves["singular.chart_z"] == (
+        "error", "InvariantViolation: too few points for degree bound 111")
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: singular.chart_z")
+
+    ctx = model.ctx
+    root = MultiPoly(ctx, 3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1,
+                              (2, 2, 2): 1})
+    leaves = _singular_leaves(ctx, root * root, model.points)
+    names = [f"singular.chart_{c}.partials_nonzero" for c in "zyx"]
+    assert all(leaves[n][0] == "fail" for n in names)
+    assert leaves["singular.count"][0] == "fail"
+    assert leaves["singular.matches_marked_points"][0] == "fail"
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: " + ", ".join(names))
+
+
+def test_singular_summaries_need_every_chart_leaf(monkeypatch, model):
+    """A failing chart leaf fails count and matches_marked_points even
+    when the points found are the eleven marked ones."""
+    stratum_points = sf._stratum_points
+
+    def with_failure(grad, label):
+        leaves, pts = stratum_points(grad, label)
+        if label == "x":
+            leaves = leaves + [rp.leaf("singular.chart_x.forced", False)]
+        return leaves, pts
+
+    monkeypatch.setattr(sf, "_stratum_points", with_failure)
+    leaves = _singular_leaves(model.ctx, model.s, model.points)
+    assert leaves["singular.count"] == ("fail", "11 points")
+    status, found = leaves["singular.matches_marked_points"]
+    assert status == "fail"
+    assert found == sorted(format_point(model.ctx, p)
+                           for p in model.points.values())
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: singular.chart_x.forced")
 
 
 def test_kernel_dim_witness_is_the_dimension(data_copy):

@@ -170,6 +170,19 @@ def test_factor_is_deterministic(ctx):
     assert len(a) == 8
 
 
+def test_factor_lists_by_degree_then_coefficients(ctx):
+    """factor does not sort: the distinct-degree search finds the
+    factors degree by degree and _trace_split sorts each degree's, so
+    the list is ordered by (degree, coefficients) as found."""
+    rng = random.Random(38)
+    for field in (field_make(1, 0b11), field_make(2, 0b111), ctx):
+        for _ in range(40):
+            f = UniPoly(field, [rng.randrange(1 << field.m)
+                                for _ in range(rng.randrange(2, 13))] + [1])
+            keys = [(p.degree(), p.coeffs) for p, _ in factor(f)]
+            assert keys == sorted(keys)
+
+
 def test_factor_recomposes(ctx):
     quad = _irreducible_quadratic(ctx)
     f = _mul(quad, quad,
