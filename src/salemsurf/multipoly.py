@@ -7,12 +7,13 @@ degree first, ties broken by the exponent tuple, left variable most
 significant. Addition is coefficient xor; all inner loops work on raw
 bits through the shared FieldCtx tables, and products, evaluation and
 substitution add logs (`_mul_terms`). `univariate_at` reads a
-polynomial along a line, every variable but one set to a field
-element, as a univariate polynomial in one such pass. `resultant`
-eliminates y from two bivariate polynomials by evaluation and
-interpolation. `plane_zeros` finds where ternary forms vanish on P^2,
-reading each line x = x0 of the chart z = 1 as univariate polynomials
-in y.
+polynomial along a line, every variable but one set to a field element,
+as a univariate polynomial in one such pass. `resultant` eliminates y
+from two bivariate polynomials by interpolation in a field sized to the
+eliminant, one fibre per Frobenius orbit; `surface` seeks its roots in
+GF(2^m) and GF(2^2m). `plane_zeros` finds where ternary forms vanish on
+P^2, reading each line x = x0 of the chart z = 1 as univariate
+polynomials in y.
 
 The text format round-trips through `format_poly` / `parse_poly_file`,
 whose header declares three weight-1 variables:
@@ -365,10 +366,13 @@ def resultant(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     Its degree in x is at most the Sylvester bound
     D = deg_y(q) deg_x(p) + deg_y(p) deg_x(q). Newton interpolation
-    through D + 1 fibre resultants over GF(2^2m), taken where neither
-    leading coefficient in y vanishes, gives it; one more point checks
-    it. InvariantViolation when y is absent, the check fails or a
-    coefficient lies outside GF(2^m).
+    through D + 1 nodes gives it and one more, computed directly, checks
+    it, in a field sized to Res: the smallest GF(2^km) with 2^km >= D +
+    2 + deg_x(p) + deg_x(q), off the zeros of both leading coefficients
+    in y. As Res lies over GF(2^m), Res(a^(2^m)) = Res(a)^(2^m): one
+    fibre per Frobenius orbit gives the nodes; the singular search seeks
+    roots in GF(2^m) and GF(2^2m). InvariantViolation when y is absent,
+    the check fails, a coefficient is outside GF(2^m) or km > MAX_M.
     """
     p._chk(q)
     if p.nvars != 2:
@@ -379,26 +383,27 @@ def resultant(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if max(dp, dq) == 0:
         raise InvariantViolation("y absent from both arguments")
     ctx = p.ctx
-    big = ext_context(2 * ctx.m)
     n = dq * p.degree_in(0) + dp * q.degree_in(0) + 1  # points to fit
-    rows = []  # per argument, its coefficients in y over GF(2^2m)
-    for r in (p, q):
-        cs = [[0] * (r.degree_in(0) + 1) for _ in range(r.degree_in(1) + 1)]
-        for (ex, ey), c in r.terms.items():
-            cs[ey][ex] = embed(c, ctx, big)
-        rows.append([UniPoly(big, row) for row in cs])
-    xs, vals = [], []
+    deg = ctx.m  # km: room for n + 1 points off both leading coefficients
+    while 1 << deg < n + 1 + p.degree_in(0) + q.degree_in(0):
+        deg += ctx.m
+    big = ext_context(deg)
+    pe, qe = p.embed_to(big), q.embed_to(big)
+    nodes = {}  # node -> Res there, in the order found
     for a in range(1 << big.m):
-        fp, fq = (UniPoly(big, [c.eval_bits(a) for c in r]) for r in rows)
-        if fp.degree() == dp and fq.degree() == dq:
-            xs.append(a)
-            vals.append(_euclid_resultant(fp, fq))
-            if len(xs) > n:
-                break
-    else:
-        raise InvariantViolation(f"too few points for degree bound {n - 1}")
+        if a in nodes:
+            continue
+        fp, fq = (r.univariate_at(1, (a, 0)) for r in (pe, qe))
+        if fp.degree() != dp or fq.degree() != dq:
+            continue
+        v = _euclid_resultant(fp, fq)
+        if len(nodes) == n:
+            break  # a, not a conjugate of a node, is the check
+        while a not in nodes and len(nodes) < n:  # a's orbit
+            nodes[a] = v
+            a, v = (big.pow_bits(e, 1 << ctx.m) for e in (a, v))
+    xs, dd = list(nodes), list(nodes.values())  # dd: divided differences
     exp, log, order = big._exp, big._log, big.order
-    dd = vals[:n]  # Newton divided differences, in place
     for k in range(1, n):
         for t in range(n - 1, k - 1, -1):
             diff = dd[t] ^ dd[t - 1]
@@ -417,7 +422,7 @@ def resultant(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 if cs[k + 1]:
                     cs[k] ^= exp[log[cs[k + 1]] + la]
     res = UniPoly(big, cs)
-    if res.eval_bits(xs[-1]) != vals[-1]:
+    if res.eval_bits(a) != v:
         raise InvariantViolation("interpolation misses its check point")
     return MultiPoly(ctx, 2, {(k, 0): unembed(c, ctx, big)
                               for k, c in enumerate(res.coeffs)})

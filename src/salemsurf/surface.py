@@ -400,11 +400,11 @@ def _stratum_points(grad, label: str):
     """-> (failing leaves, [(coords, field)]) on the stratum where the
     coordinate `label` is the last nonzero one, scaled to 1.
 
-    z = 1: the eliminant in y of the chart partials, its roots in
-    GF(q^2) for the model's field GF(q), then the common roots of each
-    fiber there. (x : 1 : 0): the common roots of the chart partials
-    restricted to z = 0, the fiber named 0. (1 : 0 : 0): the two
-    partials evaluated there.
+    z = 1: the eliminant in y of the chart partials (in a field sized to
+    it, one fiber per Frobenius orbit), its roots in GF(q) and GF(q^2)
+    for the model's field GF(q), then each fiber's common roots there.
+    (x : 1 : 0): the common roots of the chart partials at z = 0, the
+    fiber named 0. (1 : 0 : 0): the two partials evaluated there.
     """
     bound = 2 * grad[0].ctx.m  # absolute degree of GF(q^2)
     c = "xyz".index(label)

@@ -233,11 +233,8 @@ def _monic_in(ctx, rng, degree, nterms):
 
 
 def test_resultant_matches_sylvester_in_every_field(field):
-    # over GF(2) the fibres are taken over GF(4): degree 1 keeps the
-    # Sylvester bound (3) below its four points
     ctx, rng = field, random.Random(41 + field.m)
-    degree = 1 if ctx.m == 1 else 3
     for _ in range(3):
-        p = _monic_in(ctx, rng, degree, 3)
-        q = _monic_in(ctx, rng, rng.randrange(1, degree + 1), 2)
+        p = _monic_in(ctx, rng, 3, 3)
+        q = _monic_in(ctx, rng, rng.randrange(1, 4), 2)
         assert _check_against_sylvester(ctx, p, q) == 1 << ctx.m

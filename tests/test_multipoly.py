@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import salemsurf.multipoly as mp
 from salemsurf.cubic import standard_cubic
 from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import field_make, gf32
@@ -206,6 +207,34 @@ def test_resultant_vanishes_at_common_zeros(model):
         assert sx.eval_bits((x0, y0)) == 0
         assert sy.eval_bits((x0, y0)) == 0
         assert res.eval_bits((x0, y0)) == 0
+
+
+def test_resultant_takes_one_fibre_per_frobenius_orbit(monkeypatch, model):
+    """On the bundled z-chart partials (Sylvester bound 100: 101 nodes
+    and a check in GF(2^10)) the fibre resultant at a also gives the
+    node at its conjugate a^32, so far fewer than 102 fibres are
+    computed. The last one is the check, computed directly: a wrong
+    value there is caught."""
+    sx, sy = (local_expansion(model.s.partial(i), (0, 0, 1)) for i in (0, 1))
+    euclid, calls = mp._euclid_resultant, []
+
+    def counting(a, b):
+        calls.append(euclid(a, b))
+        return calls[-1]
+
+    monkeypatch.setattr(mp, "_euclid_resultant", counting)
+    assert resultant(sx, sy).degree_in(0) == 89
+    assert len(calls) <= 60
+    last, calls[:] = len(calls), []
+
+    def corrupting(a, b):
+        return counting(a, b) ^ (len(calls) == last)
+
+    monkeypatch.setattr(mp, "_euclid_resultant", corrupting)
+    with pytest.raises(InvariantViolation,
+                       match="interpolation misses its check point"):
+        resultant(sx, sy)
+    assert len(calls) == last
 
 
 def test_translate_matches_evaluation(ctx):

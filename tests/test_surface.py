@@ -10,7 +10,8 @@ import salemsurf.report as rp
 import salemsurf.surface as sf
 from salemsurf.cubic import lehmer_mod2_roots
 from salemsurf.errors import InvariantViolation, NoSolution, ParseError
-from salemsurf.gf2m import field_make, format_elem, gf32, parse_elem
+from salemsurf.gf2m import (embed, ext_context, field_make, format_elem,
+                            gf32, parse_elem)
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  format_poly, linear_solve, local_expansion,
                                  plane_zeros)
@@ -690,19 +691,39 @@ def test_singular_locus_names_the_model_field():
         "pass", "all coordinates in GF(16)")
 
 
-def test_singular_summaries_fail_when_the_search_is_incomplete(model):
+def test_singular_summaries_fail_when_the_search_is_incomplete(
+        monkeypatch, model):
     """count, matches_marked_points and rational_over_base fail when a
     chart leaf failed or errored, and rational_over_base names those
-    leaves: over GF(8) the chart z eliminant of s = x^11 y + y^11 z +
-    z^11 x has too few interpolation points in GF(64); on the bundled
-    model with s a perfect square every chart partial vanishes."""
-    gf8 = field_make(3, 0b1011)
-    s = MultiPoly(gf8, 3, {(11, 1, 0): 1, (0, 11, 1): 1, (1, 0, 11): 1})
-    leaves = _singular_leaves(gf8, s)
-    assert leaves["singular.chart_z"] == (
-        "error", "InvariantViolation: too few points for degree bound 111")
-    assert leaves["singular.rational_over_base"] == (
-        "fail", "search incomplete: singular.chart_z")
+    leaves. Over GF(2), GF(4) and GF(8) the chart z eliminant of s =
+    x^11 y + y^11 z + z^11 x has degree 111 and only 3 roots in GF(q)
+    and GF(q^2): the search runs to the end, with no error leaf, and
+    finds every singular point of P^2(GF(q^2)). On the bundled model
+    with s a perfect square every chart partial vanishes."""
+    stratum_points = sf._stratum_points
+    found = []
+
+    def recording(grad, label):
+        leaves, pts = stratum_points(grad, label)
+        found.extend(pts)
+        return leaves, pts
+
+    monkeypatch.setattr(sf, "_stratum_points", recording)
+    for m, modulus in [(1, 0b11), (2, 0b111), (3, 0b1011)]:
+        base, big = field_make(m, modulus), ext_context(2 * m)
+        s = MultiPoly(base, 3, {(11, 1, 0): 1, (0, 11, 1): 1,
+                                (1, 0, 11): 1})
+        found.clear()
+        leaves = _singular_leaves(base, s)
+        assert [n for n, (st, _) in leaves.items() if st == "error"] == []
+        assert leaves["singular.chart_z.roots_within_bound"] == (
+            "fail", "eliminant degree 111, only 3 accounted for within "
+                    f"extension degree {2 * m}")
+        brute = plane_zeros([s.partial(i).embed_to(big) for i in range(3)])
+        assert {tuple(embed(c, k, big) for c in co)
+                for co, k in found} == set(brute)
+        assert leaves["singular.rational_over_base"] == (
+            "fail", "search incomplete: singular.chart_z.roots_within_bound")
 
     ctx = model.ctx
     root = MultiPoly(ctx, 3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1,
