@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over GF(2^m), and plane points.
 
 Terms live in a dict mapping exponent tuples to raw coefficient bits;
-zero coefficients are never stored. Canonical order (for printing,
+zero coefficients are never stored. Every operation xors its terms
+into a plain dict and hands it to the one constructor, `MultiPoly(ctx,
+nvars, terms)`, which drops the zeros. Canonical order (for printing,
 leading terms and exact division) is graded lexicographic: higher total
 degree first, ties broken by the exponent tuple, left variable most
 significant. Addition is coefficient xor; all inner loops work on raw
@@ -52,20 +54,19 @@ def _mul_terms(ctx: FieldCtx, t1: dict, t2: dict) -> dict:
         l1 = log[c1]
         for e2, l2 in logs2:
             e = tuple(map(add, e1, e2))
-            n = out.get(e, 0) ^ exp[l1 + l2]
-            if n:
-                out[e] = n
-            else:
-                del out[e]
-    return out
+            out[e] = out.get(e, 0) ^ exp[l1 + l2]
+    # filtered here too: substitute multiplies results again, and the
+    # log of 0 is None
+    return {e: c for e, c in out.items() if c}
 
 
 class MultiPoly:
     __slots__ = ("ctx", "nvars", "terms")
 
     def __init__(self, ctx: FieldCtx, nvars: int, terms: dict):
-        """terms maps exponent tuples to coefficient bits; zero
-        coefficients are dropped."""
+        """terms maps exponent tuples to coefficient bits. The only
+        constructor, and the one place a polynomial drops its zero
+        coefficients: callers may pass a dict with zeros in it."""
         for e in terms:
             if len(e) != nvars:
                 raise InvariantViolation("exponent tuple length != nvars")
@@ -73,17 +74,6 @@ class MultiPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms",
                            {e: c for e, c in terms.items() if c})
-
-    @classmethod
-    def _of(cls, ctx: FieldCtx, nvars: int, terms: dict) -> "MultiPoly":
-        """A MultiPoly that takes `terms` as it is, neither copied nor
-        checked: a dict built here, with no zero coefficient and every
-        exponent a tuple of nvars entries."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "ctx", ctx)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
-        return p
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable; build a new one")
@@ -119,24 +109,18 @@ class MultiPoly:
         self._chk(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            n = t.get(e, 0) ^ c
-            if n:
-                t[e] = n
-            else:
-                t.pop(e, None)
-        return MultiPoly._of(self.ctx, self.nvars, t)
+            t[e] = t.get(e, 0) ^ c
+        return MultiPoly(self.ctx, self.nvars, t)
 
     def __mul__(self, other):
         self._chk(other)
-        return MultiPoly._of(self.ctx, self.nvars,
-                             _mul_terms(self.ctx, self.terms, other.terms))
+        return MultiPoly(self.ctx, self.nvars,
+                         _mul_terms(self.ctx, self.terms, other.terms))
 
     def scale_bits(self, s):
-        if not s:
-            return MultiPoly.zero(self.ctx, self.nvars)
         mul = self.ctx.mul_bits
-        return MultiPoly._of(self.ctx, self.nvars,
-                             {e: mul(c, s) for e, c in self.terms.items()})
+        return MultiPoly(self.ctx, self.nvars,
+                         {e: mul(c, s) for e, c in self.terms.items()})
 
     def total_degree(self):
         if not self.terms:
@@ -205,9 +189,8 @@ class MultiPoly:
         """The same polynomial over the extension sup of its field."""
         if sup is self.ctx:
             return self
-        return MultiPoly._of(sup, self.nvars,
-                             {e: embed(c, self.ctx, sup)
-                              for e, c in self.terms.items()})
+        return MultiPoly(sup, self.nvars, {e: embed(c, self.ctx, sup)
+                                           for e, c in self.terms.items()})
 
     def substitute(self, images: list["MultiPoly"]) -> "MultiPoly":
         """Ring morphism sending variable i to images[i] (shared ctx/arity)."""
@@ -236,12 +219,8 @@ class MultiPoly:
                 if k:
                     t = _mul_terms(octx, t, power(i, k))
             for te, tc in t.items():
-                n = acc.get(te, 0) ^ tc
-                if n:
-                    acc[te] = n
-                else:
-                    del acc[te]
-        return MultiPoly._of(octx, onv, acc)
+                acc[te] = acc.get(te, 0) ^ tc
+        return MultiPoly(octx, onv, acc)
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative; even exponents die (char 2)."""
@@ -253,7 +232,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] -= 1
                 t[tuple(ne)] = c  # no two odd e[i] give one ne
-        return MultiPoly._of(self.ctx, self.nvars, t)
+        return MultiPoly(self.ctx, self.nvars, t)
 
     def translate(self, point) -> "MultiPoly":
         """p(x_0 + a_0, ..., x_{n-1} + a_{n-1}), the a_i raw bits.
@@ -275,16 +254,12 @@ class MultiPoly:
                 while True:  # all submasks of ei, descending
                     coef = mul(c, pw(a, ei - j)) if ei != j else c
                     ne = e[:i] + (j,) + e[i + 1:]
-                    n = nxt.get(ne, 0) ^ coef
-                    if n:
-                        nxt[ne] = n
-                    else:
-                        nxt.pop(ne, None)
+                    nxt[ne] = nxt.get(ne, 0) ^ coef
                     if j == 0:
                         break
                     j = (j - 1) & ei
             cur = nxt
-        return MultiPoly._of(self.ctx, self.nvars, cur)
+        return MultiPoly(self.ctx, self.nvars, cur)
 
     def order(self) -> int:
         """The least total degree of a term: the vanishing order at the
@@ -296,9 +271,8 @@ class MultiPoly:
     def initial_form(self) -> "MultiPoly":
         """Sum of the minimal-total-degree terms."""
         d = self.order()
-        return MultiPoly._of(self.ctx, self.nvars,
-                             {e: c for e, c in self.terms.items()
-                              if sum(e) == d})
+        return MultiPoly(self.ctx, self.nvars,
+                         {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def is_square(self) -> bool:
         return all(all(k % 2 == 0 for k in e) for e in self.terms)
@@ -307,9 +281,9 @@ class MultiPoly:
         if not self.is_square():
             raise DomainError("polynomial is not a perfect square")
         sq = self.ctx.sqrt_bits
-        return MultiPoly._of(self.ctx, self.nvars,
-                             {tuple(k // 2 for k in e): sq(c)
-                              for e, c in self.terms.items()})
+        return MultiPoly(self.ctx, self.nvars,
+                         {tuple(k // 2 for k in e): sq(c)
+                          for e, c in self.terms.items()})
 
     def divide_exact(self, d: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / d; DomainError when it is not."""
@@ -334,9 +308,9 @@ class MultiPoly:
                 n = rem.get(ne, 0) ^ mul(qc, c2)
                 if n:
                     rem[ne] = n
-                else:
+                else:  # deleted at once: max reads the leading term
                     rem.pop(ne, None)
-        return MultiPoly._of(self.ctx, self.nvars, q)
+        return MultiPoly(self.ctx, self.nvars, q)
 
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
@@ -522,12 +496,8 @@ def local_expansion(p: MultiPoly, pt: tuple) -> MultiPoly:
     chart: dict[tuple, int] = {}
     for e, c in p.terms.items():
         ne = e[:j] + e[j + 1:]
-        n = chart.get(ne, 0) ^ c
-        if n:
-            chart[ne] = n
-        else:
-            del chart[ne]
-    return MultiPoly._of(p.ctx, p.nvars - 1, chart).translate(
+        chart[ne] = chart.get(ne, 0) ^ c
+    return MultiPoly(p.ctx, p.nvars - 1, chart).translate(
         [c for i, c in enumerate(pt) if i != j])
 
 
@@ -603,9 +573,6 @@ def parse_poly(ctx: FieldCtx, names, text: str) -> MultiPoly:
     nvars = len(names)
     index = {n: i for i, n in enumerate(names)}
     terms: dict[tuple, int] = {}
-    text = text.strip()
-    if text == "0":
-        return MultiPoly.zero(ctx, nvars)
     for raw in text.split("+"):  # '+' never occurs inside a term
         raw = raw.strip()
         factors = [f.strip() for f in raw.split("*")]
@@ -621,11 +588,7 @@ def parse_poly(ctx: FieldCtx, names, text: str) -> MultiPoly:
             else:
                 raise ParseError(f"unknown factor {f!r}")
         e = tuple(exps)
-        n = terms.get(e, 0) ^ cbits
-        if n:
-            terms[e] = n
-        else:
-            terms.pop(e, None)
+        terms[e] = terms.get(e, 0) ^ cbits
     return MultiPoly(ctx, nvars, terms)
 
 

@@ -142,15 +142,6 @@ def _significant_str(fr) -> str:
 
 
 def _decimal_str(fr) -> str:
-    """fr truncated to 15 decimal places."""
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    whole = fr.numerator // fr.denominator
-    rem = fr.numerator - whole * fr.denominator
-    out = []
-    for _ in range(15):
-        rem *= 10
-        d = rem // fr.denominator
-        rem -= d * fr.denominator
-        out.append(str(d))
-    return f"{sign}{whole}." + "".join(out)
+    """fr truncated to 15 decimal places, its sign in front."""
+    q = abs(fr.numerator) * 10 ** 15 // fr.denominator
+    return f"{'-' if fr < 0 else ''}{q // 10 ** 15}.{q % 10 ** 15:015d}"

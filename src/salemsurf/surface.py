@@ -545,8 +545,8 @@ def _strict_transforms(sc: MultiPoly):
     of order 4 or more: u^a v^b goes to u^(a+b-4) v^b and to
     u^a v^(a+b-4), so no two terms meet."""
     t = sc.terms.items()
-    return (MultiPoly._of(sc.ctx, 2, {(a + b - 4, b): c for (a, b), c in t}),
-            MultiPoly._of(sc.ctx, 2, {(a, a + b - 4): c for (a, b), c in t}))
+    return (MultiPoly(sc.ctx, 2, {(a + b - 4, b): c for (a, b), c in t}),
+            MultiPoly(sc.ctx, 2, {(a, a + b - 4): c for (a, b), c in t}))
 
 
 def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:

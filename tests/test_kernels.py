@@ -11,7 +11,7 @@ import random
 import pytest
 
 from salemsurf.gf2m import ext_context, gf32
-from salemsurf.multipoly import MultiPoly, local_expansion
+from salemsurf.multipoly import MultiPoly, local_expansion, parse_poly
 from salemsurf.surface import _strict_transforms
 from salemsurf.unipoly import UniPoly
 from test_multipoly import _check_against_sylvester
@@ -122,9 +122,8 @@ def test_unipoly_kernels_match_schoolbook(field):
 
 
 def _clean(p):
-    """p, after checking what the constructors that take a term dict
-    as it is rely on: no zero coefficient, every exponent a tuple of
-    nvars entries."""
+    """p, after checking what every MultiPoly holds: no zero
+    coefficient, every exponent a tuple of nvars entries."""
     for e, c in p.terms.items():
         assert c != 0
         assert type(e) is tuple and len(e) == p.nvars
@@ -193,9 +192,15 @@ def test_strict_transforms_match_substitution_and_division(field):
 
 
 def test_multipoly_results_hold_no_zero_coefficient(field):
-    """Every MultiPoly operation that builds its result without the
-    checking constructor, on inputs whose terms cancel."""
+    """Every MultiPoly operation and the parser xor terms into a dict
+    and leave the zeros to the constructor: their results, on inputs
+    whose terms cancel, hold none."""
     ctx, rng = field, random.Random(53 + field.m)
+    names = ["x", "y", "z"]
+    assert _clean(parse_poly(ctx, names, "x + x")).is_zero()
+    assert _clean(parse_poly(ctx, names, "0")).is_zero()
+    assert _clean(parse_poly(ctx, names, "g*x + g*x + y")) == \
+        MultiPoly.var(ctx, 3, 1)
     for _ in range(25):
         ps = MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 6))
         pt = MultiPoly(ctx, 3, _rand_multi(ctx, rng, 3, 4))
@@ -203,6 +208,7 @@ def test_multipoly_results_hold_no_zero_coefficient(field):
         near = ps + pt.scale_bits(a)  # shares some terms with ps
         assert _clean(near + ps) == _clean(pt.scale_bits(a))
         assert _clean(ps + ps).is_zero()
+        assert _clean(ps.scale_bits(0)).is_zero()
         assert _clean(ps * pt).divide_exact(pt) == _clean(ps)
         assert _clean((ps * pt).divide_exact(ps)) == pt
         assert _clean((ps * ps).poly_sqrt()) == ps

@@ -91,6 +91,18 @@ def test_interval_witness():
         assert rp.interval_witness((lo, lo + width))["width_decimal"] == text
 
 
+@pytest.mark.parametrize("fr,text", [
+    (Fraction(2, 3), "0.666666666666666"),
+    (Fraction(-1, 3), "-0.333333333333333"),
+    (Fraction(5), "5.000000000000000"),
+    (Fraction(1, 10 ** 16), "0.000000000000000"),
+    (Fraction(-1, 10 ** 16), "-0.000000000000000")])
+def test_decimal_str_truncates_to_15_places(fr, text):
+    """Truncation toward zero, the sign kept even where every printed
+    digit is 0."""
+    assert rp._decimal_str(fr) == text
+
+
 def test_markdown_shape():
     r = rp.node("demo", [rp.leaf("check", True, witness="w")])
     text = rp.emit_markdown(r)

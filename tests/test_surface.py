@@ -14,7 +14,7 @@ from salemsurf.gf2m import (embed, ext_context, field_make, format_elem,
                             gf32, parse_elem)
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,
                                  format_poly, linear_solve, local_expansion,
-                                 plane_zeros)
+                                 parse_field, plane_zeros)
 from salemsurf.suites import run_suite
 from salemsurf.unipoly import UniPoly
 from test_unipoly import _mul
@@ -671,6 +671,47 @@ def test_load_model_rejects_a_missing_label(data_copy, name, label):
         sf.load_model(data_copy)
 
 
+@pytest.mark.parametrize("name,pattern,new,witness", [
+    pytest.param("automorphism.poly", r"field: .*$", "field: g^5=g^3+1",
+                 "ParseError: data files disagree on the coefficient field",
+                 id="other-field"),
+    pytest.param("cubic.poly", r"vars: x y z", "vars: y x z",
+                 "ParseError: data files disagree on variable names",
+                 id="other-names"),
+    pytest.param("cubic.poly", r"^g = .*$", "g = x*y + x*y",
+                 "InvariantViolation: g is the zero polynomial",
+                 id="g-cancels"),
+    pytest.param("cubic.poly", r"^g = .*$", "g = x^4 + y^4",
+                 "InvariantViolation: g has degree 4, expected 3",
+                 id="g-quartic"),
+    pytest.param("surface.poly", r"field: .*$", "field: h^5=g^2+1",
+                 "ParseError: bad field spec 'h^5=g^2+1'", id="field-name"),
+    pytest.param("surface.poly", r"field: .*$", "field: g^5=h^2+1",
+                 "ParseError: bad modulus term 'h^2'", id="modulus-term"),
+    pytest.param("cubic.poly", r"^g = .*$", "g = x*w",
+                 "ParseError: unknown factor 'w'", id="unknown-factor"),
+    pytest.param("cubic.poly", r"^g = .*$", "g x*y*z",
+                 "ParseError: expected `name = terms`: 'g x*y*z'",
+                 id="no-equals"),
+    pytest.param("points.dat", r"^field:", "feld:",
+                 "ParseError: point file must start with a field: header",
+                 id="point-header"),
+    pytest.param("points.dat", r"^p4 = \(", "p4 = [",
+                 "ParseError: expected `label = (a : b : c)`: "
+                 "'p4 = [g^29 : g^6 : 1)'", id="point-bracket")])
+def test_surface_suite_refuses_bad_model_data(data_copy, name, pattern, new,
+                                              witness):
+    """One edit to the bundled data: the surface suite is the lone
+    model error leaf, its witness naming the refusal."""
+    f = data_copy / name
+    text, n = re.subn(pattern, new, f.read_text(), count=1, flags=re.M)
+    assert n == 1
+    f.write_text(text)
+    rep = run_suite("surface", data_copy)
+    assert [(c.name, c.status, c.witness) for c in rep.children] == [
+        ("model", "error", witness)]
+
+
 def _singular_leaves(ctx, s, points=None):
     """{name: (status, witness)} of the singular search on w^2 = s."""
     m = sf.SurfaceModel(ctx, ["x", "y", "z"], s, None, None, None, None,
@@ -735,6 +776,22 @@ def test_singular_summaries_fail_when_the_search_is_incomplete(
     assert leaves["singular.matches_marked_points"][0] == "fail"
     assert leaves["singular.rational_over_base"] == (
         "fail", "search incomplete: " + ", ".join(names))
+
+
+def test_singular_search_above_the_largest_field_is_an_error_leaf():
+    """Over GF(2^11) the z chart seeks roots in GF(2^22), above MAX_M:
+    its chart leaf is the error leaf, the other charts still run, and
+    rational_over_base names the incomplete search."""
+    ctx = parse_field("g^11=g^2+1")
+    s = MultiPoly(ctx, 3, {(11, 1, 0): 1, (0, 11, 1): 1, (1, 0, 11): 1})
+    leaves = _singular_leaves(ctx, s)
+    assert leaves["singular.chart_z"] == (
+        "error", "InvariantViolation: GF(2^22) is above the largest "
+                 "supported GF(2^20)")
+    assert leaves["singular.chart_y"] == ("pass", "0 affine points")
+    assert leaves["singular.chart_x"] == ("pass", "0 affine points")
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: singular.chart_z")
 
 
 def test_singular_summaries_need_every_chart_leaf(monkeypatch, model):
