@@ -28,14 +28,19 @@ LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
 
 def _read_data(data_dir, name: str) -> str:
-    """Text of the model data file `name`: from data_dir when given,
-    else the copy bundled with the package. Every suite reads its data
-    through here."""
+    """Text of the model data file `name`, read as UTF-8: from data_dir
+    when given, else the copy bundled with the package. Every suite
+    reads its data through here; a file that is missing, or cannot be
+    read or decoded, is a ParseError naming it."""
     from importlib import resources  # here, so `verify salem` skips them
     from pathlib import Path
-    if data_dir is not None:
+    if data_dir is None:
+        p = resources.files(__package__).joinpath("data", name)
+    else:
         p = Path(data_dir) / name
         if not p.exists():
             raise ParseError(f"missing data file {p}")
-        return p.read_text()
-    return resources.files(__package__).joinpath("data", name).read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as ex:
+        raise ParseError(f"cannot read data file {p}: {ex}") from ex

@@ -1,6 +1,7 @@
 """Group law on the smooth locus of a cuspidal plane cubic, the scalar
 -> translation solver, orbit regeneration, and extraction of the affine
-parameter action induced by a quadratic Cremona map.
+parameter action induced by a quadratic Cremona map: the cubic code the
+surface suite runs. The cubic suite's own checks live in cubic_checks.
 
 Every cuspidal cubic is read through one chart (`CuspChart`):
 projection from the cusp, the ratio of two fixed linear forms. The
@@ -12,12 +13,12 @@ Parameters, multipliers and translation parts are raw bits of the
 curve's field, passed beside its FieldCtx (see gf2m). On the standard
 cubic y^2 z + x^3 = 0 (characteristic 2, cusp [0:0:1]) the chart
 parameter is x / y, the additive group parameter: three smooth points
-are collinear iff their parameters sum to zero, that is xor to 0.
-The cubic suite builds this chart over GF(32) and GF(8) and tests that
-sum rule against the determinant of the points. On any other cuspidal
-cubic the chart parameter is affine-equivalent to the group parameter,
-which is all the linear-coefficient extraction needs (conjugating an
-affine map by an affine map keeps the linear coefficient).
+are collinear iff their parameters sum to zero, that is xor to 0, so
+the chord through two points meets the cubic again at the xor of their
+parameters (`chord_third`). On any other cuspidal cubic the chart
+parameter is affine-equivalent to the group parameter, which is all
+the linear-coefficient extraction needs (conjugating an affine map by
+an affine map keeps the linear coefficient).
 """
 
 from __future__ import annotations
@@ -27,40 +28,16 @@ from .errors import DomainError, InvariantViolation
 from .gf2m import FieldCtx, format_elem
 from .multipoly import MultiPoly, local_expansion
 from .unipoly import UniPoly
-from . import report as rp
 
 
 # ---------------------------------------------------------------------------
-# the standard cubic and its group law
-
-
-def standard_cubic(ctx: FieldCtx) -> MultiPoly:
-    """y^2 z + x^3 in variables (x, y, z)."""
-    return MultiPoly(ctx, 3, {(3, 0, 0): 1, (0, 2, 1): 1})
-
-
-def collinear(t1: int, t2: int, t3: int) -> bool:
-    return t1 ^ t2 ^ t3 == 0
+# scalar -> translation solver and the ten-point orbit
 
 
 def chord_third(t1: int, t2: int) -> int:
     """Group parameter of the third intersection of the cubic with the
     chord through the points of parameters t1 and t2."""
     return t1 ^ t2
-
-
-def collinear_det(ctx: FieldCtx, p1, p2, p3) -> int:
-    """Determinant (raw bits) of the coordinate matrix of three plane
-    points, zero exactly when they are collinear; the independent route
-    for the collinearity test."""
-    (a, b, c), (d, e, f), (g, h, i) = p1, p2, p3
-    m = ctx.mul_bits
-    return (m(a, m(e, i)) ^ m(a, m(f, h)) ^ m(b, m(d, i))
-            ^ m(b, m(f, g)) ^ m(c, m(d, h)) ^ m(c, m(e, g)))
-
-
-# ---------------------------------------------------------------------------
-# scalar -> translation solver and the ten-point orbit
 
 
 class AffineAction:
@@ -108,7 +85,7 @@ def _is_lehmer_root(ctx: FieldCtx, alpha: int) -> bool:
     return UniPoly(ctx, [c % 2 for c in LEHMER]).eval_bits(alpha) == 0
 
 
-def _power_sum(ctx: FieldCtx, a: int, *exponents: int) -> int:
+def power_sum(ctx: FieldCtx, a: int, *exponents: int) -> int:
     """The sum of a^k over the exponents k (any integers, a nonzero)."""
     acc = 0
     for k in exponents:
@@ -127,24 +104,10 @@ def beta_from_alpha(ctx: FieldCtx, alpha: int) -> int:
     if not alpha or not _is_lehmer_root(ctx, alpha):
         raise InvariantViolation(f"{format_elem(ctx, alpha)} is not a mod-2 "
                                  "root of the degree-10 polynomial")
-    c = _power_sum(ctx, alpha, -5, -4, -3, -2, -1, 2)
+    c = power_sum(ctx, alpha, -5, -4, -3, -2, -1, 2)
     if not c:
         raise InvariantViolation("beta coefficient c(alpha) = 0")
-    return ctx.mul_bits(_power_sum(ctx, alpha, 1, 3, -5), ctx.inv_bits(c))
-
-
-def second_param_expr1(ctx: FieldCtx, a: int, b: int) -> int:
-    """First route to the second orbit parameter:
-    a + a^2 + a^-6 + a^-7 + (a + 1 + a^-7) b."""
-    return (_power_sum(ctx, a, 1, 2, -6, -7)
-            ^ ctx.mul_bits(_power_sum(ctx, a, 1, 0, -7), b))
-
-
-def second_param_expr2(ctx: FieldCtx, a: int, b: int) -> int:
-    """Second route: a^2 + a^3 + a^-5 + a^-6 + a^-7
-    + (a^-7 + sum_{i=-5}^{2} a^i) b."""
-    return (_power_sum(ctx, a, 2, 3, -5, -6, -7)
-            ^ ctx.mul_bits(_power_sum(ctx, a, -7, *range(-5, 3)), b))
+    return ctx.mul_bits(power_sum(ctx, alpha, 1, 3, -5), ctx.inv_bits(c))
 
 
 def orbit_points(ctx: FieldCtx, alpha: int, beta: int) -> list[int]:
@@ -158,7 +121,7 @@ def orbit_points(ctx: FieldCtx, alpha: int, beta: int) -> list[int]:
     tau = AffineAction(ctx, alpha, beta)
     t = {1: 1}
     for n in range(4, 11):
-        acc = 1 ^ ctx.mul_bits(_power_sum(ctx, alpha, *range(11 - n)), beta)
+        acc = 1 ^ ctx.mul_bits(power_sum(ctx, alpha, *range(11 - n)), beta)
         t[n] = ctx.mul_bits(ctx.pow_bits(alpha, n - 11), acc)
     t[3] = chord_third(tau(t[1]), t[4])
     t[2] = chord_third(tau(t[3]), t[3])
@@ -166,36 +129,6 @@ def orbit_points(ctx: FieldCtx, alpha: int, beta: int) -> list[int]:
     if len(set(params)) != 10:
         raise InvariantViolation("orbit parameters are not pairwise distinct")
     return params
-
-
-def verify_coxeter_constraints(params: list[int], action: AffineAction,
-                               point_of) -> rp.Report:
-    """Check the collinearity and orbit constraints of the marking.
-
-    {tau(t1), t3, t4}, {tau(t2), t2, t4}, {tau(t3), t2, t3} collinear,
-    both by the sum rule and by the determinant of their points on the
-    standard cubic (point_of maps each group parameter to its point's
-    coordinates); tau(t_n) = t_{n+1} for 4 <= n <= 9 and
-    tau(t_10) = t_1.
-    """
-    ctx = action.ctx
-    t = {n: params[n - 1] for n in range(1, 11)}
-    tau = action
-    checks = []
-    for label, trip in (("chord.t1_t3_t4", (tau(t[1]), t[3], t[4])),
-                        ("chord.t2_t2_t4", (tau(t[2]), t[2], t[4])),
-                        ("chord.t3_t2_t3", (tau(t[3]), t[2], t[3]))):
-        ok = (collinear(*trip)
-              and not collinear_det(ctx, *(point_of[u] for u in trip)))
-        checks.append(rp.leaf(label, ok,
-                              [format_elem(ctx, v) for v in trip]))
-    for n in range(4, 10):
-        checks.append(rp.leaf(f"orbit.t{n}_to_t{n + 1}",
-                              tau(t[n]) == t[n + 1],
-                              format_elem(ctx, tau(t[n]))))
-    checks.append(rp.leaf("orbit.t10_to_t1", tau(t[10]) == t[1],
-                          format_elem(ctx, tau(t[10]))))
-    return rp.node("coxeter_constraints", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +318,3 @@ def equivariant_matches(matches, action_a: AffineAction,
         if phi.compose(action_a) == action_b.compose(phi):
             out.append(phi)
     return out
-
-
-def alpha_table_text(ctx: FieldCtx, rows) -> str:
-    """Deterministic table of all valid scalars of ctx with their data.
-
-    One line per row (alpha, beta, orbit_points(ctx, alpha, beta)), as
-    the cubic suite builds them. That suite diffs this text against the
-    bundled file.
-    """
-    lines = ["# alpha | beta | t1..t10 (all as generator powers)"]
-    for alpha, beta, params in rows:
-        lines.append(
-            f"alpha = {format_elem(ctx, alpha)}; "
-            f"beta = {format_elem(ctx, beta)}; "
-            "params = " + " ".join(format_elem(ctx, t) for t in params))
-    return "\n".join(lines) + "\n"

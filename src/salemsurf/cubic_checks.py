@@ -2,6 +2,12 @@
 read through its cusp chart over GF(32) and GF(8), the parameter
 solver at Lehmer's mod-2 roots and the orbit of each root.
 
+The suite builds the cusp chart of the standard cubic y^2 z + x^3
+over GF(32) and GF(8) and tests the sum rule against the determinant
+of the points. The determinant, the two routes to the second orbit
+parameter, the orbit constraints and the alpha table are here, not in
+`cubic`, so a `verify surface` run compiles none of them.
+
 Imported by `suites` only when the cubic suite runs; the field and
 cubic modules are bound as the placeholders that `suites` registered.
 """
@@ -11,14 +17,49 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import _read_data, cubic as cu, gf2m as gf, report as rp
-from .multipoly import format_point, plane_zeros
+from .multipoly import MultiPoly, format_point, plane_zeros
 from .suites import _run_objects
+
+
+def standard_cubic(ctx) -> MultiPoly:
+    """y^2 z + x^3 in variables (x, y, z)."""
+    return MultiPoly(ctx, 3, {(3, 0, 0): 1, (0, 2, 1): 1})
+
+
+def collinear(t1: int, t2: int, t3: int) -> bool:
+    """The sum rule: the points of group parameters t1, t2, t3 are
+    collinear iff the parameters xor to 0."""
+    return t1 ^ t2 ^ t3 == 0
+
+
+def collinear_det(ctx, p1, p2, p3) -> int:
+    """Determinant (raw bits) of the coordinate matrix of three plane
+    points, zero exactly when they are collinear; the independent route
+    for the collinearity test."""
+    (a, b, c), (d, e, f), (g, h, i) = p1, p2, p3
+    m = ctx.mul_bits
+    return (m(a, m(e, i)) ^ m(a, m(f, h)) ^ m(b, m(d, i))
+            ^ m(b, m(f, g)) ^ m(c, m(d, h)) ^ m(c, m(e, g)))
+
+
+def second_param_expr1(ctx, a: int, b: int) -> int:
+    """First route to the second orbit parameter:
+    a + a^2 + a^-6 + a^-7 + (a + 1 + a^-7) b."""
+    return (cu.power_sum(ctx, a, 1, 2, -6, -7)
+            ^ ctx.mul_bits(cu.power_sum(ctx, a, 1, 0, -7), b))
+
+
+def second_param_expr2(ctx, a: int, b: int) -> int:
+    """Second route: a^2 + a^3 + a^-5 + a^-6 + a^-7
+    + (a^-7 + sum_{i=-5}^{2} a^i) b."""
+    return (cu.power_sum(ctx, a, 2, 3, -5, -6, -7)
+            ^ ctx.mul_bits(cu.power_sum(ctx, a, -7, *range(-5, 3)), b))
 
 
 def _standard_chart(ctx) -> cu.CuspChart:
     """The cusp chart of the standard cubic over ctx, built as the
     surface suite builds the model cubic's."""
-    curve = cu.standard_cubic(ctx)
+    curve = standard_cubic(ctx)
     points = plane_zeros([curve])
     cusp = cu.find_cusp([curve.partial(i) for i in range(3)], points)
     return cu.cusp_parametrization(curve, cusp, points)
@@ -42,9 +83,9 @@ def _cubic_group_law(chart: cu.CuspChart, point_of: dict) -> list:
     point8 = _point_of(_standard_chart(gf8))
 
     def det(*ts):
-        return cu.collinear_det(gf8, *(point8[t] for t in ts))
+        return collinear_det(gf8, *(point8[t] for t in ts))
     triples = list(permutations(point8, 3))
-    agree = sum(cu.collinear(*ts) == (det(*ts) == 0) for ts in triples)
+    agree = sum(collinear(*ts) == (det(*ts) == 0) for ts in triples)
     checks.append(rp.leaf("group_law.sum_rule_vs_determinant",
                           agree == len(triples),
                           f"{agree}/{len(triples)} triples agree"))
@@ -59,11 +100,10 @@ def _cubic_beta_solver(ctx, roots, betas) -> list:
                       [gf.format_elem(ctx, a) for a in roots])]
     dual = unique = 0
     for a, b in zip(roots, betas):
-        if cu.second_param_expr1(ctx, a, b) \
-                == cu.second_param_expr2(ctx, a, b):
+        if second_param_expr1(ctx, a, b) == second_param_expr2(ctx, a, b):
             dual += 1
-        if cu.second_param_expr1(ctx, a, b ^ 1) \
-                != cu.second_param_expr2(ctx, a, b ^ 1):
+        if second_param_expr1(ctx, a, b ^ 1) \
+                != second_param_expr2(ctx, a, b ^ 1):
             unique += 1
     checks.append(rp.leaf("beta_solver.solvable_at_every_root",
                           len(betas) == 10, f"{len(betas)}/10"))
@@ -86,25 +126,49 @@ def _cubic_beta_solver(ctx, roots, betas) -> list:
 
 
 def _cubic_orbits(ctx, rows, point_of: dict) -> list:
+    """One node per row (alpha, beta, params): the ten parameters are
+    distinct; {tau(t1), t3, t4}, {tau(t2), t2, t4}, {tau(t3), t2, t3}
+    are collinear, both by the sum rule and by the determinant of their
+    points on the standard cubic (point_of maps each group parameter to
+    its point's coordinates); tau(t_n) = t_{n+1} for 4 <= n <= 9 and
+    tau(t_10) = t_1."""
+    fmt = gf.format_elem
     subs = []
     for a, b, params in rows:
-        action = cu.AffineAction(ctx, a, b)
+        tau = cu.AffineAction(ctx, a, b)
+        t = dict(enumerate(params, 1))
+        checks = []
+        for label, trip in (("chord.t1_t3_t4", (tau(t[1]), t[3], t[4])),
+                            ("chord.t2_t2_t4", (tau(t[2]), t[2], t[4])),
+                            ("chord.t3_t2_t3", (tau(t[3]), t[2], t[3]))):
+            ok = (collinear(*trip)
+                  and not collinear_det(ctx, *(point_of[u] for u in trip)))
+            checks.append(rp.leaf(label, ok, [fmt(ctx, v) for v in trip]))
+        for n in range(4, 11):
+            nxt = n % 10 + 1
+            checks.append(rp.leaf(f"orbit.t{n}_to_t{nxt}",
+                                  tau(t[n]) == t[nxt], fmt(ctx, tau(t[n]))))
         distinct = rp.leaf("params_distinct", len(set(params)) == 10,
-                           [gf.format_elem(ctx, t) for t in params])
-        constraints = cu.verify_coxeter_constraints(params, action,
-                                                     point_of)
-        subs.append(rp.node(f"orbit[{gf.format_elem(ctx, a)}]",
-                            [distinct, constraints],
-                            witness=repr(action)))
+                           [fmt(ctx, u) for u in params])
+        subs.append(rp.node(f"orbit[{fmt(ctx, a)}]",
+                            [distinct, rp.node("coxeter_constraints", checks)],
+                            witness=repr(tau)))
     return subs
 
 
 def _cubic_alpha_table(data_dir, ctx, rows) -> rp.Report:
+    """The bundled alpha table against the one regenerated from rows()
+    (alpha, beta, orbit parameters), one line per valid scalar, every
+    element as a generator power."""
+    fmt = gf.format_elem
+    lines = ["# alpha | beta | t1..t10 (all as generator powers)"]
+    for alpha, beta, params in rows():
+        lines.append(f"alpha = {fmt(ctx, alpha)}; beta = {fmt(ctx, beta)}; "
+                     "params = " + " ".join(fmt(ctx, t) for t in params))
     bundled = _read_data(data_dir, "alpha_table.dat")
-    regen = cu.alpha_table_text(ctx, rows())
     return rp.leaf("cubic.alpha_table_fresh",
-                   bundled.strip() == regen.strip(),
-                   f"{len(regen.splitlines())} lines")
+                   bundled.strip() == "\n".join(lines),
+                   f"{len(lines)} lines")
 
 
 def _cubic_checks(data_dir) -> list:

@@ -4,7 +4,9 @@ also run one node of.
 Imported by `suites` only when one of those suites runs. The lattice
 and census modules are bound as the placeholders that `suites`
 registered, so a check executes only the modules it uses: `verify
-salem` runs no mod2space.
+salem` runs no mod2space. The witness of a rational interval (its ends
+as [num, den] pairs, its midpoint and width in decimal) is built here,
+since only the Salem checks attach one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,37 @@ from fractions import Fraction  # lattice imports it anyway
 
 from . import _read_data, lattice as lat, mod2space as m2, report as rp
 from .suites import _run_objects
+
+
+def interval_witness(iv) -> dict:
+    """A rational interval (lo, hi) as [num, den] pairs, with its
+    midpoint in decimal and its width to three significant digits."""
+    lo, hi = iv
+    return {
+        "lo": [lo.numerator, lo.denominator],
+        "hi": [hi.numerator, hi.denominator],
+        "midpoint_decimal": _decimal_str((lo + hi) / 2),
+        "width_decimal": _significant_str(hi - lo),
+    }
+
+
+def _significant_str(fr) -> str:
+    """fr >= 0 truncated to three significant digits, as d.dde<exponent>
+    ("9.31e-10"), computed on the exact Fraction; "0" for zero."""
+    if not fr:
+        return "0"
+    n, d = fr.numerator, fr.denominator
+    e = len(str(n)) - len(str(d)) - 1  # fr / 10^e lies in (1, 100)
+    digits = n * 10 ** (2 - e) // d if e <= 2 else n // (d * 10 ** (e - 2))
+    if digits >= 1000:
+        e, digits = e + 1, digits // 10
+    return f"{digits // 100}.{digits % 100:02d}e{e}"
+
+
+def _decimal_str(fr) -> str:
+    """fr truncated to 15 decimal places, its sign in front."""
+    q = abs(fr.numerator) * 10 ** 15 // fr.denominator
+    return f"{'-' if fr < 0 else ''}{q // 10 ** 15}.{q % 10 ** 15:015d}"
 
 
 def _lattice_coxeter(cox, ge, pe, full, pairing) -> list:
@@ -49,7 +82,7 @@ def _lattice_salem(precision, full) -> list:
     above = [iv for iv in cert.trace_intervals if iv[0] > 2]
     checks.append(rp.leaf("salem.one_trace_root_above_two",
                           len(above) == 1,
-                          rp.interval_witness(above[0]) if above else None))
+                          interval_witness(above[0]) if above else None))
     pos = sum(1 for s in cert.interior_signs if s > 0)
     checks.append(rp.leaf("salem.two_positive_interior_signs",
                           pos == 2 and len(cert.interior_signs) == 4,
@@ -62,21 +95,21 @@ def _lattice_salem(precision, full) -> list:
     ci = cert.lambda_interval
     checks.append(rp.leaf("salem.lambda10_interval",
                           ci[1] - ci[0] <= precision and ci[0] > 1,
-                          rp.interval_witness(ci)))
+                          interval_witness(ci)))
     # route 2: the Coxeter polynomial deflates to p10, certified above,
     # or its remainder is certified on its own. full comes from the roots
     # in lattice.coxeter_matrix, never from model data, so no CLI run
     # reaches dynamical_degree: only a caller replacing M does
     rest = lat.deflate(full)
     checks.append(rp.leaf("salem.routes_agree", rest == p10,
-                          rp.interval_witness(ci)))
+                          interval_witness(ci)))
     lam = ci if rest == p10 else lat.dynamical_degree(full, precision)
     # route 2's enclosure holds a root of p10 above 1: p10 changes sign
     # across it (or vanishes at an exact end)
     checks.append(rp.leaf("salem.matches_largest_p10_root",
                           lam[0] > 1 and lat.ip_eval(p10, lam[0])
                           * lat.ip_eval(p10, lam[1]) <= 0,
-                          rp.interval_witness(lam)))
+                          interval_witness(lam)))
     return checks
 
 

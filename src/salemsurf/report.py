@@ -2,9 +2,9 @@
 
 A Report is a named pass/fail/error node with an optional witness (any
 JSON-serializable payload; field elements should be rendered as `g^k`
-strings, rationals as [num, den] pairs before attaching). Internal
-nodes take the worst status of their children: error beats fail beats
-pass.
+strings, rationals as [num, den] pairs before attaching, as
+`lattice_checks.interval_witness` does). Internal nodes take the worst
+status of their children: error beats fail beats pass.
 
 JSON emission is canonical and byte-stable: `schema: 1` on the root
 object only, fixed key order (schema, name, status, witness, children,
@@ -110,38 +110,3 @@ def _render_witness(w) -> str:
     if len(text) > 400:
         text = text[:397] + "..."
     return text
-
-
-def rational_pair(fr) -> list:
-    """Fraction -> [numerator, denominator] for witness payloads."""
-    return [fr.numerator, fr.denominator]
-
-
-def interval_witness(iv) -> dict:
-    lo, hi = iv
-    mid = (lo + hi) / 2
-    return {
-        "lo": rational_pair(lo),
-        "hi": rational_pair(hi),
-        "midpoint_decimal": _decimal_str(mid),
-        "width_decimal": _significant_str(hi - lo),
-    }
-
-
-def _significant_str(fr) -> str:
-    """fr >= 0 truncated to three significant digits, as d.dde<exponent>
-    ("9.31e-10"), computed on the exact Fraction; "0" for zero."""
-    if not fr:
-        return "0"
-    n, d = fr.numerator, fr.denominator
-    e = len(str(n)) - len(str(d)) - 1  # fr / 10^e lies in (1, 100)
-    digits = n * 10 ** (2 - e) // d if e <= 2 else n // (d * 10 ** (e - 2))
-    if digits >= 1000:
-        e, digits = e + 1, digits // 10
-    return f"{digits // 100}.{digits % 100:02d}e{e}"
-
-
-def _decimal_str(fr) -> str:
-    """fr truncated to 15 decimal places, its sign in front."""
-    q = abs(fr.numerator) * 10 ** 15 // fr.denominator
-    return f"{'-' if fr < 0 else ''}{q // 10 ** 15}.{q % 10 ** 15:015d}"

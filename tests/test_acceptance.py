@@ -16,6 +16,7 @@ import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
+from salemsurf.cubic_checks import _cubic_orbits, standard_cubic
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, plane_zeros
 
@@ -122,19 +123,18 @@ def test_criterion_07_beta_solver():
         roots = cu.lehmer_mod2_roots(ctx)
         if len(roots) != 10:
             return False
-        curve = cu.standard_cubic(ctx)
+        curve = standard_cubic(ctx)
         points = plane_zeros([curve])
         cusp = cu.find_cusp([curve.partial(i) for i in range(3)], points)
         chart = cu.cusp_parametrization(curve, cusp, points)
         point_of = {chart.param_of(p): p for p in chart.points}
         bits = set(roots)
         for a in roots:
-            params = cu.orbit_points(ctx, a, cu.beta_from_alpha(ctx, a))
+            b = cu.beta_from_alpha(ctx, a)
+            params = cu.orbit_points(ctx, a, b)
             if len(set(params)) != 10:
                 return False
-            action = cu.AffineAction(ctx, a, cu.beta_from_alpha(ctx, a))
-            if not cu.verify_coxeter_constraints(params, action,
-                                                 point_of).ok():
+            if not _cubic_orbits(ctx, [(a, b, params)], point_of)[0].ok():
                 return False
             if ctx.mul_bits(a, a) not in bits or ctx.inv_bits(a) not in bits:
                 return False

@@ -1,13 +1,14 @@
 import pytest
 
 from salemsurf.cubic import (AffineAction, all_point_set_matches,
-                             alpha_table_text, beta_from_alpha, chord_third,
-                             collinear, collinear_det,
+                             beta_from_alpha, chord_third,
                              cusp_parametrization, equivariant_matches,
                              find_cusp, induced_affine_map,
-                             lehmer_mod2_roots, orbit_points,
-                             second_param_expr1, second_param_expr2,
-                             standard_cubic, verify_coxeter_constraints)
+                             lehmer_mod2_roots, orbit_points)
+from salemsurf.cubic_checks import (_cubic_alpha_table, _cubic_orbits,
+                                    collinear, collinear_det,
+                                    second_param_expr1, second_param_expr2,
+                                    standard_cubic)
 from salemsurf.errors import InvariantViolation
 from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import MultiPoly, canonical, plane_zeros
@@ -162,14 +163,12 @@ def test_constraints_hold_at_beta_and_break_nearby(ctx):
     for a in lehmer_mod2_roots(ctx):
         b = beta_from_alpha(ctx, a)
         params = orbit_points(ctx, a, b)
-        assert verify_coxeter_constraints(params, AffineAction(ctx, a, b),
-                                          point_of).ok()
+        assert _cubic_orbits(ctx, [(a, b, params)], point_of)[0].ok()
         try:
             bad = orbit_points(ctx, a, b ^ 1)
         except InvariantViolation:  # the ten parameters collide
             continue
-        assert not verify_coxeter_constraints(
-            bad, AffineAction(ctx, a, b ^ 1), point_of).ok()
+        assert not _cubic_orbits(ctx, [(a, b ^ 1, bad)], point_of)[0].ok()
 
 
 def _find_cusp(curve, points=None):
@@ -288,9 +287,7 @@ def test_equivariant_matching(ctx):
 
 
 def test_alpha_table_matches_bundled_file(ctx):
-    from salemsurf import _read_data
     roots = lehmer_mod2_roots(ctx)
     betas = [beta_from_alpha(ctx, a) for a in roots]
     rows = [(a, b, orbit_points(ctx, a, b)) for a, b in zip(roots, betas)]
-    assert alpha_table_text(ctx, rows).strip() == \
-        _read_data(None, "alpha_table.dat").strip()
+    assert _cubic_alpha_table(None, ctx, lambda: rows).ok()

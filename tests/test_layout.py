@@ -1,13 +1,18 @@
 """Source layout: every top-level function and class of the package,
 every method of its classes and every field of its records is used by
 the package itself, so code that only tests call lives in the tests;
-and every module-level import of a module is used in that module."""
+every module-level import of a module is used in that module; the
+arithmetic and geometry modules sit below the report layer; and the
+cubic module holds only code that the surface suite runs."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import salemsurf
+import salemsurf.cubic as cu
+from salemsurf.suites import run_suite
 
 SRC = Path(salemsurf.__file__).parent
 
@@ -90,3 +95,52 @@ def test_every_slot_field_is_read_in_src():
                            for field in ast.literal_eval(stmt.value)
                            if field not in read]
     assert unread == []
+
+
+# the modules below the report layer: they compute, and never build or
+# run a report
+_BELOW_REPORT = ("gf2m", "unipoly", "multipoly", "cubic", "lattice",
+                 "mod2space")
+
+
+def test_computing_modules_import_no_report_or_suites():
+    """No import in these modules, at module level or inside a
+    function, names the report or suites module."""
+    bad = []
+    for mod in _BELOW_REPORT:
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom):
+                names = [sub.module or ""] + [a.name for a in sub.names]
+            elif isinstance(sub, ast.Import):
+                names = [a.name for a in sub.names]
+            else:
+                continue
+            if any(part in ("report", "suites")
+                   for name in names for part in name.split(".")):
+                bad.append(f"{mod}: line {sub.lineno}")
+    assert bad == []
+
+
+def test_surface_suite_runs_every_function_of_cubic():
+    """Every function and method defined in cubic.py is called while
+    the surface suite runs on the bundled data, so the module holds no
+    code that only the cubic suite or the tests need."""
+    path = cu.__file__
+    defined = {(node.name, node.lineno)
+               for node in ast.walk(ast.parse(Path(path).read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    called = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == path:
+            called.add((code.co_name, code.co_firstlineno))
+
+    sys.setprofile(record)
+    try:
+        rep = run_suite("surface")
+    finally:
+        sys.setprofile(None)
+    assert rep.ok()
+    assert sorted(defined - called) == []

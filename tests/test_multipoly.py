@@ -3,7 +3,7 @@ import random
 import pytest
 
 import salemsurf.multipoly as mp
-from salemsurf.cubic import standard_cubic
+from salemsurf.cubic_checks import standard_cubic
 from salemsurf.errors import DomainError, InvariantViolation, ParseError
 from salemsurf.gf2m import field_make, gf32
 from salemsurf.multipoly import (MultiPoly, canonical, format_point,

@@ -75,7 +75,7 @@ def test_json_shape_and_roundtrip():
 
 
 def test_interval_witness():
-    w = rp.interval_witness((Fraction(9, 8), Fraction(19, 16)))
+    w = lattice_checks.interval_witness((Fraction(9, 8), Fraction(19, 16)))
     assert w["lo"] == [9, 8]
     assert w["hi"] == [19, 16]
     assert w["midpoint_decimal"].startswith("1.156")
@@ -88,7 +88,8 @@ def test_interval_witness():
                         (Fraction(1, 3 * 10 ** 30), "3.33e-31"),
                         (Fraction(7, 10 ** 400), "7.00e-400"),
                         (Fraction(0), "0")):
-        assert rp.interval_witness((lo, lo + width))["width_decimal"] == text
+        w = lattice_checks.interval_witness((lo, lo + width))
+        assert w["width_decimal"] == text
 
 
 @pytest.mark.parametrize("fr,text", [
@@ -100,7 +101,7 @@ def test_interval_witness():
 def test_decimal_str_truncates_to_15_places(fr, text):
     """Truncation toward zero, the sign kept even where every printed
     digit is 0."""
-    assert rp._decimal_str(fr) == text
+    assert lattice_checks._decimal_str(fr) == text
 
 
 def test_markdown_shape():
@@ -782,6 +783,21 @@ def test_precision_with_a_huge_exponent_is_refused_at_once(text):
     assert done.returncode == 2
     assert "decimal exponent outside [-1000, 1000]" in done.stderr
     assert done.stdout == ""
+
+
+def test_precision_exponent_bound_is_inclusive(capsys):
+    """The guard admits the exponent -1000 and refuses one step beyond
+    it, either way, with argparse's exit status 2."""
+    parser = build_parser()
+    ns = parser.parse_args(["salem", "--precision", "1e-1000"])
+    assert ns.precision == Fraction(1, 10 ** 1000)
+    capsys.readouterr()
+    for text in ("1e-1001", "1e1001"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["salem", f"--precision={text}"])
+        assert exc.value.code == 2
+        assert ("has a decimal exponent outside [-1000, 1000]"
+                in capsys.readouterr().err)
 
 
 def test_default_precision_is_written_once(capsys):

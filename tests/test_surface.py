@@ -671,45 +671,69 @@ def test_load_model_rejects_a_missing_label(data_copy, name, label):
         sf.load_model(data_copy)
 
 
-@pytest.mark.parametrize("name,pattern,new,witness", [
-    pytest.param("automorphism.poly", r"field: .*$", "field: g^5=g^3+1",
+def _sub(pattern, new):
+    """An edit replacing the first match of pattern (one line) by new."""
+    def edit(f):
+        text, n = re.subn(pattern, new, f.read_text(), count=1, flags=re.M)
+        assert n == 1
+        f.write_text(text)
+    return edit
+
+
+def _append_non_utf8(f):
+    f.write_bytes(f.read_bytes() + b"\xff\xfe")
+
+
+def _replace_by_directory(f):
+    f.unlink()
+    f.mkdir()
+
+
+@pytest.mark.parametrize("name,edit,witness", [
+    pytest.param("automorphism.poly",
+                 _sub(r"field: .*$", "field: g^5=g^3+1"),
                  "ParseError: data files disagree on the coefficient field",
                  id="other-field"),
-    pytest.param("cubic.poly", r"vars: x y z", "vars: y x z",
+    pytest.param("cubic.poly", _sub(r"vars: x y z", "vars: y x z"),
                  "ParseError: data files disagree on variable names",
                  id="other-names"),
-    pytest.param("cubic.poly", r"^g = .*$", "g = x*y + x*y",
+    pytest.param("cubic.poly", _sub(r"^g = .*$", "g = x*y + x*y"),
                  "InvariantViolation: g is the zero polynomial",
                  id="g-cancels"),
-    pytest.param("cubic.poly", r"^g = .*$", "g = x^4 + y^4",
+    pytest.param("cubic.poly", _sub(r"^g = .*$", "g = x^4 + y^4"),
                  "InvariantViolation: g has degree 4, expected 3",
                  id="g-quartic"),
-    pytest.param("surface.poly", r"field: .*$", "field: h^5=g^2+1",
+    pytest.param("surface.poly", _sub(r"field: .*$", "field: h^5=g^2+1"),
                  "ParseError: bad field spec 'h^5=g^2+1'", id="field-name"),
-    pytest.param("surface.poly", r"field: .*$", "field: g^5=h^2+1",
+    pytest.param("surface.poly", _sub(r"field: .*$", "field: g^5=h^2+1"),
                  "ParseError: bad modulus term 'h^2'", id="modulus-term"),
-    pytest.param("cubic.poly", r"^g = .*$", "g = x*w",
+    pytest.param("cubic.poly", _sub(r"^g = .*$", "g = x*w"),
                  "ParseError: unknown factor 'w'", id="unknown-factor"),
-    pytest.param("cubic.poly", r"^g = .*$", "g x*y*z",
+    pytest.param("cubic.poly", _sub(r"^g = .*$", "g x*y*z"),
                  "ParseError: expected `name = terms`: 'g x*y*z'",
                  id="no-equals"),
-    pytest.param("points.dat", r"^field:", "feld:",
+    pytest.param("points.dat", _sub(r"^field:", "feld:"),
                  "ParseError: point file must start with a field: header",
                  id="point-header"),
-    pytest.param("points.dat", r"^p4 = \(", "p4 = [",
+    pytest.param("points.dat", _sub(r"^p4 = \(", "p4 = ["),
                  "ParseError: expected `label = (a : b : c)`: "
-                 "'p4 = [g^29 : g^6 : 1)'", id="point-bracket")])
-def test_surface_suite_refuses_bad_model_data(data_copy, name, pattern, new,
-                                              witness):
+                 "'p4 = [g^29 : g^6 : 1)'", id="point-bracket"),
+    pytest.param("surface.poly", _append_non_utf8,
+                 "ParseError: cannot read data file {path}: 'utf-8' codec "
+                 "can't decode byte 0xff in position 837: invalid start "
+                 "byte", id="not-utf8"),
+    pytest.param("points.dat", _replace_by_directory,
+                 "ParseError: cannot read data file {path}: [Errno 21] Is "
+                 "a directory: '{path}'", id="directory")])
+def test_surface_suite_refuses_bad_model_data(data_copy, name, edit, witness):
     """One edit to the bundled data: the surface suite is the lone
-    model error leaf, its witness naming the refusal."""
+    model error leaf, its witness naming the refusal, and the file when
+    it cannot be read as UTF-8 text."""
     f = data_copy / name
-    text, n = re.subn(pattern, new, f.read_text(), count=1, flags=re.M)
-    assert n == 1
-    f.write_text(text)
+    edit(f)
     rep = run_suite("surface", data_copy)
     assert [(c.name, c.status, c.witness) for c in rep.children] == [
-        ("model", "error", witness)]
+        ("model", "error", witness.format(path=f))]
 
 
 def _singular_leaves(ctx, s, points=None):
@@ -792,6 +816,23 @@ def test_singular_search_above_the_largest_field_is_an_error_leaf():
     assert leaves["singular.chart_x"] == ("pass", "0 affine points")
     assert leaves["singular.rational_over_base"] == (
         "fail", "search incomplete: singular.chart_z")
+
+
+def test_singular_line_at_infinity_fails_the_y_fibre(ctx):
+    """s = x^9 z^3 + y^10 z^2 + x y^9 z^2 is divisible by z^2, so the
+    whole line z = 0 is singular: on the y stratum both partials vanish
+    identically on the fibre z = 0, and that fibre leaf fails while the
+    other charts each find one affine point."""
+    s = MultiPoly(ctx, 3, {(9, 0, 3): 1, (0, 10, 2): 1, (1, 9, 2): 1})
+    leaves = _singular_leaves(ctx, s)
+    assert leaves["singular.chart_y.fiber_0"] == (
+        "fail", "both partials vanish identically on the fiber")
+    assert leaves["singular.chart_z"] == ("pass", "1 affine points")
+    assert leaves["singular.chart_x"] == ("pass", "1 affine points")
+    assert leaves["singular.matches_marked_points"] == (
+        "fail", ["(0 : 0 : 1)", "(1 : 0 : 0)"])
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: singular.chart_y.fiber_0")
 
 
 def test_singular_summaries_need_every_chart_leaf(monkeypatch, model):
