@@ -3,14 +3,8 @@
 Arithmetic lives in gf2m/unipoly/multipoly, the hyperbolic-lattice and
 mod-2 machinery in lattice/mod2space, the cuspidal-cubic group law in
 cubic, and the surface checks in surface. suites/cli wrap everything
-into named report-producing runs; importing cli executes, and so
-compiles, only this package root, cli, suites, report and errors. The
-checks of each suite live in lattice_checks, cubic_checks and surface,
-each compiled when its suite first runs, so a suite's markdown time
-includes compiling its checks. Every other module,
-lattice included, executes when a check first uses it, and `fractions`
-and `decimal` are imported only with lattice or when a --precision is
-parsed, so a `verify surface` run loads neither.
+into named report-producing runs; `suites` says which modules a run
+executes, and when.
 
 Lehmer's coefficients and the data-file reader live here, because the
 lattice half and the surface half both use them.
@@ -28,10 +22,11 @@ LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
 
 def _read_data(data_dir, name: str) -> str:
-    """Text of the model data file `name`, read as UTF-8: from data_dir
-    when given, else the copy bundled with the package. Every suite
-    reads its data through here; a file that is missing, or cannot be
-    read or decoded, is a ParseError naming it."""
+    """Text of the model data file `name`, read as UTF-8 with or
+    without a byte-order mark: from data_dir when given, else the copy
+    bundled with the package. Every suite reads its data through here; a
+    file that is missing, or cannot be read or decoded, is a ParseError
+    naming it."""
     from importlib import resources  # here, so `verify salem` skips them
     from pathlib import Path
     if data_dir is None:
@@ -41,6 +36,13 @@ def _read_data(data_dir, name: str) -> str:
         if not p.exists():
             raise ParseError(f"missing data file {p}")
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as ex:
         raise ParseError(f"cannot read data file {p}: {ex}") from ex
+
+
+def content_lines(text: str) -> list:
+    """The lines of a data file's text, stripped, without blank lines
+    and `#` comments: the line rule of every data-file parser."""
+    return [ln for ln in map(str.strip, text.splitlines())
+            if ln and not ln.startswith("#")]

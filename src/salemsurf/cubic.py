@@ -207,7 +207,7 @@ def cusp_parametrization(curve: MultiPoly, cusp: tuple,
     if local.order() != 2:
         raise InvariantViolation("singular point is not a double point")
     init = local.initial_form()
-    if init.terms.get((1, 1), 0) != 0:
+    if not init.is_square():
         raise InvariantViolation("tangent cone is not a double line (node)")
     sa = ctx.sqrt_bits(init.terms.get((2, 0), 0))
     sc = ctx.sqrt_bits(init.terms.get((0, 2), 0))

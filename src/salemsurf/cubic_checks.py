@@ -3,13 +3,14 @@ read through its cusp chart over GF(32) and GF(8), the parameter
 solver at Lehmer's mod-2 roots and the orbit of each root.
 
 The suite builds the cusp chart of the standard cubic y^2 z + x^3
-over GF(32) and GF(8) and tests the sum rule against the determinant
-of the points. The determinant, the two routes to the second orbit
-parameter, the orbit constraints and the alpha table are here, not in
-`cubic`, so a `verify surface` run compiles none of them.
+over GF(32) and GF(8) and tests the sum rule, `cubic.chord_third`,
+against the determinant of the points. The determinant, the two
+routes to the second orbit parameter, the orbit constraints and the
+alpha table are here, not in `cubic`, so a `verify surface` run
+compiles none of them.
 
-Imported by `suites` only when the cubic suite runs; the field and
-cubic modules are bound as the placeholders that `suites` registered.
+Imported by `suites` only when the cubic suite runs; `suites` says
+when the field and cubic modules execute.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ from .suites import _run_objects
 def standard_cubic(ctx) -> MultiPoly:
     """y^2 z + x^3 in variables (x, y, z)."""
     return MultiPoly(ctx, 3, {(3, 0, 0): 1, (0, 2, 1): 1})
-
-
-def collinear(t1: int, t2: int, t3: int) -> bool:
-    """The sum rule: the points of group parameters t1, t2, t3 are
-    collinear iff the parameters xor to 0."""
-    return t1 ^ t2 ^ t3 == 0
 
 
 def collinear_det(ctx, p1, p2, p3) -> int:
@@ -85,7 +80,8 @@ def _cubic_group_law(chart: cu.CuspChart, point_of: dict) -> list:
     def det(*ts):
         return collinear_det(gf8, *(point8[t] for t in ts))
     triples = list(permutations(point8, 3))
-    agree = sum(collinear(*ts) == (det(*ts) == 0) for ts in triples)
+    agree = sum((cu.chord_third(a, b) == c) == (det(a, b, c) == 0)
+                for a, b, c in triples)
     checks.append(rp.leaf("group_law.sum_rule_vs_determinant",
                           agree == len(triples),
                           f"{agree}/{len(triples)} triples agree"))
@@ -141,7 +137,7 @@ def _cubic_orbits(ctx, rows, point_of: dict) -> list:
         for label, trip in (("chord.t1_t3_t4", (tau(t[1]), t[3], t[4])),
                             ("chord.t2_t2_t4", (tau(t[2]), t[2], t[4])),
                             ("chord.t3_t2_t3", (tau(t[3]), t[2], t[3]))):
-            ok = (collinear(*trip)
+            ok = (cu.chord_third(*trip[:2]) == trip[2]
                   and not collinear_det(ctx, *(point_of[u] for u in trip)))
             checks.append(rp.leaf(label, ok, [fmt(ctx, v) for v in trip]))
         for n in range(4, 11):

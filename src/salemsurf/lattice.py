@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from . import LEHMER
+from . import content_lines
 from .errors import DomainError, InvariantViolation, NoSolution, ParseError
 
 # interval width for real-root isolation when no precision is given: the
@@ -94,11 +94,6 @@ def is_reciprocal(p):
     return bool(p) and p == p[::-1]
 
 
-def lehmer_polynomial():
-    """The degree-10 Salem polynomial with minimal known Mahler measure."""
-    return list(LEHMER)
-
-
 # ---------------------------------------------------------------------------
 # integer matrices (tuples of rows)
 
@@ -122,10 +117,6 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def char_poly(m):
     """Exact characteristic polynomial, low degree first, monic.
 
@@ -140,7 +131,7 @@ def char_poly(m):
     nmat = m
     cs = []
     for k in range(1, n + 1):
-        ck = -mat_trace(nmat)
+        ck = -sum(nmat[i][i] for i in range(n))
         if ck % k:
             raise DomainError("Faddeev-LeVerrier division not exact")
         ck //= k
@@ -202,10 +193,7 @@ def e10_basis(text):
     basis was used.
     """
     rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in content_lines(text):
         row = []
         for x in ln.split():
             try:

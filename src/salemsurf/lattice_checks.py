@@ -1,19 +1,17 @@
 """The checks of the lattice suite, which `salem` and `lagrangians`
 also run one node of.
 
-Imported by `suites` only when one of those suites runs. The lattice
-and census modules are bound as the placeholders that `suites`
-registered, so a check executes only the modules it uses: `verify
-salem` runs no mod2space. The witness of a rational interval (its ends
-as [num, den] pairs, its midpoint and width in decimal) is built here,
-since only the Salem checks attach one.
+Imported by `suites` only when one of those suites runs; `suites`
+says when the lattice and census modules execute. The witness of a
+rational interval (its ends as [num, den] pairs, its midpoint and width
+in decimal) is built here, since only the Salem checks attach one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction  # lattice imports it anyway
 
-from . import _read_data, lattice as lat, mod2space as m2, report as rp
+from . import LEHMER, _read_data, lattice as lat, mod2space as m2, report as rp
 from .suites import _run_objects
 
 
@@ -49,7 +47,7 @@ def _decimal_str(fr) -> str:
 
 
 def _lattice_coxeter(cox, ge, pe, full, pairing) -> list:
-    p10 = lat.lehmer_polynomial()
+    p10 = list(LEHMER)
     kc = lat.canonical_class()
     checks = [
         rp.leaf("coxeter.isometry",
@@ -69,7 +67,7 @@ def _lattice_coxeter(cox, ge, pe, full, pairing) -> list:
 def _lattice_salem(precision, full) -> list:
     precision = lat.DEFAULT_PRECISION if precision is None \
         else Fraction(precision)
-    p10 = lat.lehmer_polynomial()
+    p10 = list(LEHMER)
     checks = [rp.leaf("salem.reciprocal", lat.is_reciprocal(p10), list(p10))]
     r10 = lat.trace_polynomial(p10)
     checks.append(rp.leaf("salem.trace_identity",
@@ -107,8 +105,8 @@ def _lattice_salem(precision, full) -> list:
     # route 2's enclosure holds a root of p10 above 1: p10 changes sign
     # across it (or vanishes at an exact end)
     checks.append(rp.leaf("salem.matches_largest_p10_root",
-                          lam[0] > 1 and lat.ip_eval(p10, lam[0])
-                          * lat.ip_eval(p10, lam[1]) <= 0,
+                          lam[0] > 1 and lat._sign_at(p10, lam[0])
+                          * lat._sign_at(p10, lam[1]) <= 0,
                           interval_witness(lam)))
     return checks
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from operator import add
 
-from . import MAX_M
+from . import MAX_M, content_lines
 from .errors import DomainError, InvariantViolation, ParseError
 from .gf2m import (FieldCtx, embed, ext_context, field_make, format_elem,
                    parse_elem, unembed)
@@ -79,10 +79,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable; build a new one")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx, nvars):
-        return cls(ctx, nvars, {})
 
     @classmethod
     def var(cls, ctx, nvars, i):
@@ -597,8 +593,7 @@ def parse_poly_file(text: str, source: str):
     header `vars: x y z; weights: 1 1 1; field: ...` declares three
     weight-1 variables; source names the file when the header declares
     others or a label is defined twice."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty polynomial file")
     fields = {}
@@ -633,8 +628,7 @@ def format_point(ctx: FieldCtx, coords) -> str:
 def parse_point_file(text: str, source: str):
     """-> (ctx, {label: canonical coordinates}) for a labeled file of
     plane points; source names the file in the errors of a label."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines or not lines[0].startswith("field:"):
         raise ParseError("point file must start with a field: header")
     ctx = parse_field(lines[0].partition(":")[2])

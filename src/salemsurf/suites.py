@@ -22,8 +22,9 @@ polynomial-ring, census, cubic and surface modules are registered
 through `_lazy`: each is in sys.modules from the start but executes on
 the first attribute access, so a suite runs only the modules it uses.
 The data reader and Lehmer's coefficients live in the package root, so
-the cubic and surface suites execute no lattice code, and `fractions`
-is imported only with lattice.
+the cubic and surface suites execute no lattice code; `fractions` is
+imported only with lattice, and `decimal` only when the CLI parses a
+--precision.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .multipoly import (
     plane_zeros,
     resultant,
 )
-from .suites import _run_checks, _run_objects
+from .suites import _guarded, _run_checks, _run_objects
 from .unipoly import UniPoly, uni_roots
 from . import report as rp
 
@@ -380,7 +380,7 @@ def singular_locus(m: SurfaceModel) -> rp.Report:
     incomplete = [c.name for c in checks if not c.ok()]
     found = {co for _, co, k in pts if k is ctx}
     irrational = [f"chart {label}: degree-{k.m} point "
-                  + str(_chart_coords(k, co, label))
+                  + format_point(k, co)
                   for label, co, k in pts if k is not ctx]
     expected = set(m.points.values())
     checks.append(rp.leaf("singular.count",
@@ -450,8 +450,7 @@ def _stratum_points(grad, label: str):
         if any(r.embed_to(k).eval_bits(co) for r in grad):
             leaves.append(rp.leaf(
                 f"{prefix}.back_substitution", False,
-                f"({', '.join(_chart_coords(k, co, label))}) fails "
-                "re-evaluation"))
+                f"{format_point(k, co)} fails re-evaluation"))
         else:
             pts.append((co, k))
     return leaves, pts
@@ -479,12 +478,6 @@ def _common_roots(uu: UniPoly, vv: UniPoly, bound: int, prefix: str,
     return leaves, [(k, r) for k, r, _ in roots]
 
 
-def _chart_coords(k: FieldCtx, co, label: str) -> tuple:
-    """The two coordinates of a stratum point other than `label`."""
-    return tuple(format_elem(k, v) for v, name in zip(co, "xyz")
-                 if name != label)
-
-
 # ---------------------------------------------------------------------------
 # multiplicities at the marked points
 
@@ -504,7 +497,7 @@ def absorbed_square_multiplicity(local: MultiPoly):
             return init.total_degree(), init
         q = init.poly_sqrt()
         t = t + q * q
-    return None, MultiPoly.zero(local.ctx, local.nvars)
+    return None, MultiPoly(local.ctx, local.nvars, {})
 
 
 def s_expansions(m: SurfaceModel) -> list[MultiPoly]:
@@ -661,13 +654,10 @@ def _conjugation_scalar(ctx: FieldCtx, k: int, kf) -> int:
 
 
 def _leaf_of(name: str, test) -> rp.Report:
-    """The leaf `name` of test() -> (ok, witness), or the error leaf of
-    what test() raises: the failure of a run object it reads."""
-    try:
-        ok, witness = test()
-    except Exception as ex:  # noqa: BLE001 - the object's own witness
-        return rp.error_leaf(name, ex)
-    return rp.leaf(name, ok, witness)
+    """The leaf `name` of test() -> (ok, witness), run in the suites'
+    guard: what test() raises, the failure of a run object it reads,
+    becomes the error leaf `name`."""
+    return _guarded(name, lambda: rp.leaf(name, *test()))
 
 
 def _model_leaf(m: SurfaceModel) -> rp.Report:

@@ -41,10 +41,6 @@ class UniPoly:
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "UniPoly":
-        return cls(ctx, [0, 1])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -196,7 +192,7 @@ def _irreducible_factors(f: UniPoly, limit: int) -> list[tuple[UniPoly, int]]:
     irreducible, since all its factors have degree at least d.
     """
     ctx = f.ctx
-    x = UniPoly.x(ctx)
+    x = UniPoly(ctx, [0, 1])
     v, h = f.monic(), x
     out = []
     for d in range(1, limit + 1):

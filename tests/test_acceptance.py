@@ -16,6 +16,7 @@ import salemsurf.cubic as cu
 import salemsurf.lattice as lat
 import salemsurf.mod2space as m2
 import salemsurf.surface as sf
+from salemsurf import LEHMER
 from salemsurf.cubic_checks import _cubic_orbits, standard_cubic
 from salemsurf.gf2m import gf32
 from salemsurf.multipoly import MultiPoly, plane_zeros
@@ -38,7 +39,7 @@ def _report(num, desc, budget_s, fn):
 
 def test_criterion_01_characteristic_polynomials(e10_basis):
     def run():
-        p10 = lat.lehmer_polynomial()
+        p10 = list(LEHMER)
         full = lat.char_poly(lat.coxeter_matrix())
         restr = lat.restrict_to_basis(lat.coxeter_matrix(), e10_basis,
                                       lat.gram_of(e10_basis))
@@ -52,7 +53,7 @@ def test_criterion_02_dynamical_degree_interval():
         lo, hi = lat.dynamical_degree(lat.char_poly(lat.coxeter_matrix()),
                                       WIDTH)
         mid = float((lo + hi) / 2)
-        largest = lat.real_roots(lat.lehmer_polynomial(), WIDTH)[-1]
+        largest = lat.real_roots(list(LEHMER), WIDTH)[-1]
         overlap = lo <= largest[1] and largest[0] <= hi
         return (hi - lo <= WIDTH
                 and abs(mid - 1.17628) <= 1e-5
@@ -63,7 +64,7 @@ def test_criterion_02_dynamical_degree_interval():
 
 def test_criterion_03_mod2_spectrum(e10_basis):
     def run():
-        facs = m2.mod2_reduce_and_factor(lat.lehmer_polynomial())
+        facs = m2.mod2_reduce_and_factor(list(LEHMER))
         if facs != [([1, 0, 1, 1, 1, 1], 1), ([1, 1, 1, 1, 0, 1], 1)]:
             return False
         ge = lat.gram_of(e10_basis)
@@ -95,7 +96,7 @@ def test_criterion_04_lagrangian_census(e10_basis):
 
 def test_criterion_05_salem_certification():
     def run():
-        p10 = lat.lehmer_polynomial()
+        p10 = list(LEHMER)
         r10 = lat.trace_polynomial(p10)
         if lat.trace_reexpand(r10) != p10:
             return False
@@ -107,7 +108,7 @@ def test_criterion_05_salem_certification():
                 and len(above) == 1 and len(below) == 4
                 and pos == 2
                 and lat.sign_vector_target(
-                    lat.salem_certify(lat.lehmer_polynomial()))
+                    lat.salem_certify(list(LEHMER)))
                 == (-1, -1, 1, 1))
     _report(5, "trace identity and interior derivative signs", 1, run)
 

@@ -6,7 +6,7 @@ from salemsurf.cubic import (AffineAction, all_point_set_matches,
                              find_cusp, induced_affine_map,
                              lehmer_mod2_roots, orbit_points)
 from salemsurf.cubic_checks import (_cubic_alpha_table, _cubic_orbits,
-                                    collinear, collinear_det,
+                                    collinear_det,
                                     second_param_expr1, second_param_expr2,
                                     standard_cubic)
 from salemsurf.errors import InvariantViolation
@@ -48,8 +48,10 @@ def test_chart_parameter_of_the_closed_form(ctx):
 def test_chord_third_is_collinear(ctx):
     t1, t2 = ctx.gen_pow(4), ctx.gen_pow(21)
     t3 = chord_third(t1, t2)
-    assert collinear(t1, t2, t3)
-    assert not collinear(t1, t2, t3 ^ 1)
+    # collinearity is symmetric: each point is the chord third of the
+    # other two, and a different third parameter is not
+    assert chord_third(t2, t3) == t1 and chord_third(t3, t1) == t2
+    assert chord_third(t2, t3 ^ 1) != t1
 
 
 def _check_sum_rule(field, point_of) -> int:
@@ -66,7 +68,7 @@ def _check_sum_rule(field, point_of) -> int:
                     continue
                 det = collinear_det(field, point_of[a], point_of[b],
                                     point_of[c])
-                assert collinear(a, b, c) == (det == 0)
+                assert (chord_third(a, b) == c) == (det == 0)
                 triples += 1
     return triples
 

@@ -10,21 +10,20 @@ from pathlib import Path
 import pytest
 
 import salemsurf.lattice as lat
+from salemsurf import LEHMER
 from salemsurf.errors import DomainError, InvariantViolation, NoSolution
 from salemsurf.lattice import (ambient_gram, canonical_class, char_poly,
                                coxeter_matrix, deflate, divide_root,
                                dynamical_degree,
                                e10_parity_check, gram_of, halfcone_pairing,
                                ip_add, ip_mul, is_isometry_of,
-                               is_reciprocal, lehmer_polynomial,
-                               mat_mul,
-                               mat_vec, real_roots,
+                               is_reciprocal, mat_mul, mat_vec, real_roots,
                                salem_certify, sign_vector_target,
                                trace_polynomial, trace_reexpand,
                                weyl2_membership)
 from salemsurf.mod2space import mod2_reduce_and_factor
 
-P10 = lehmer_polynomial()
+P10 = list(LEHMER)
 
 
 def _mid(iv):
@@ -150,9 +149,9 @@ def test_lattice_loads_no_finite_field_code():
 
 
 def test_lehmer_polynomial_shape():
-    assert len(P10) == 11
-    assert P10[0] == P10[-1] == 1
-    assert is_reciprocal(P10)
+    assert len(LEHMER) == 11
+    assert LEHMER[0] == LEHMER[-1] == 1
+    assert is_reciprocal(LEHMER)
     assert not is_reciprocal([1, 2, 3])
 
 
@@ -263,7 +262,7 @@ def test_salem_certificate():
 
 
 def test_sign_vector_target():
-    assert sign_vector_target(salem_certify(lehmer_polynomial())) \
+    assert sign_vector_target(salem_certify(list(LEHMER))) \
         == (-1, -1, 1, 1)
 
 

@@ -1,9 +1,10 @@
 """Source layout: every top-level function and class of the package,
 every method of its classes and every field of its records is used by
 the package itself, so code that only tests call lives in the tests;
-every module-level import of a module is used in that module; the
-arithmetic and geometry modules sit below the report layer; and the
-cubic module holds only code that the surface suite runs."""
+every module-level import of a module is used in that module; only the
+report boundaries catch every exception; the arithmetic and geometry
+modules sit below the report layer; and the cubic module holds only
+code that the surface suite runs."""
 
 import ast
 import sys
@@ -43,6 +44,37 @@ def test_every_top_level_definition_has_a_caller_in_src():
                    for j, names in enumerate(used) if j != i):
             unused.append(stmt.name)
     assert unused == []
+
+
+def _broad_handlers(node, path: str) -> list:
+    """For each bare `except`, or one naming Exception or BaseException,
+    under node: the dotted path of the innermost function holding it."""
+    out = []
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            out += _broad_handlers(sub, f"{path}.{sub.name}")
+            continue
+        if isinstance(sub, ast.ExceptHandler) and (
+                sub.type is None or getattr(sub.type, "id", None)
+                in ("Exception", "BaseException")):
+            out.append(path)
+        out += _broad_handlers(sub, path)
+    return out
+
+
+def test_broad_exception_handlers_are_the_report_boundaries():
+    """Checks turn exceptions into error leaves in one place, the suite
+    runner's guard; besides it only the run-object table (which keeps a
+    failed build for later needs) and three surface guards that let the
+    rest of their node run (per chart in singular_locus, per base point
+    in verify_chart_smoothness, and match.parameter_transport) catch
+    every exception."""
+    found = sorted(h for path in sorted(SRC.glob("*.py"))
+                   for h in _broad_handlers(ast.parse(path.read_text()),
+                                            path.stem))
+    assert found == ["suites._guarded", "suites._run_objects.need",
+                     "surface._surface_match", "surface.singular_locus",
+                     "surface.verify_chart_smoothness"]
 
 
 def test_every_module_level_import_is_used_in_its_module():

@@ -22,7 +22,7 @@ import salemsurf.lattice_checks as lattice_checks
 import salemsurf.mod2space as m2
 import salemsurf.report as rp
 import salemsurf.surface as sf
-from salemsurf import _read_data
+from salemsurf import LEHMER, _read_data
 from salemsurf.cli import build_parser, main
 from salemsurf.errors import InvariantViolation, NoSolution
 from salemsurf.gf2m import field_make
@@ -948,14 +948,14 @@ def test_non_positive_precision_is_an_error_not_a_hang(precision):
     caller's non-positive precision is refused where it enters. The run
     is a child process with a timeout, so that a hang fails the test."""
     code = (
-        "from salemsurf import lattice as lat\n"
+        "from salemsurf import LEHMER, lattice as lat\n"
         "from salemsurf.errors import DomainError\n"
         "from salemsurf.suites import run_suite\n"
         f"(node,) = run_suite('salem', precision={precision}).children\n"
         "print(node.name, node.status, node.witness, sep='|')\n"
         "full = lat.char_poly(lat.coxeter_matrix())\n"
         "for fn, p in ((lat.real_roots, [-2, 0, 1]),\n"
-        "              (lat.salem_certify, lat.lehmer_polynomial()),\n"
+        "              (lat.salem_certify, list(LEHMER)),\n"
         "              (lat.dynamical_degree, full)):\n"
         "    try:\n"
         f"        fn(p, {precision})\n"
@@ -1032,7 +1032,7 @@ def test_routes_disagree_when_the_coxeter_polynomial_is_not_p10(
     def ends(name):
         return tuple(Fraction(*witness[name][k]) for k in ("lo", "hi"))
     lo, hi = ends("salem.lambda10_interval")
-    p10 = lat.lehmer_polynomial()
+    p10 = list(LEHMER)
     assert lat.ip_eval(p10, lo) * lat.ip_eval(p10, hi) < 0
     lo, hi = ends("salem.matches_largest_p10_root")
     assert (2 * lo - 3) ** 2 <= 5 <= (2 * hi - 3) ** 2

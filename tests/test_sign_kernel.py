@@ -8,9 +8,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
+from salemsurf import LEHMER  # noqa: E402
 from salemsurf.lattice import (_bisect, _sign_at, _sturm_chain,  # noqa: E402
                                ip_deriv, ip_eval, ip_mul, ip_trim,
-                               lehmer_polynomial, real_roots)
+                               real_roots)
 
 coeffs = st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=14)
 rationals = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
@@ -95,7 +96,7 @@ WIDTHS = [Fraction("1e-9"), Fraction("1e-30"), Fraction(5), Fraction(1)]
 MIXED = ip_mul([-2, 0, 1], [-1, 3])
 
 
-@pytest.mark.parametrize("p, count", [(lehmer_polynomial(), 2), (MIXED, 3)],
+@pytest.mark.parametrize("p, count", [(list(LEHMER), 2), (MIXED, 3)],
                          ids=["p10", "mixed"])
 @pytest.mark.parametrize("width", WIDTHS, ids=str)
 def test_bisect_matches_fraction_bisection(p, count, width):

@@ -188,7 +188,7 @@ def _pulled_back_omega_is_xyz_omega(f):
     ctx = f[0].ctx
     xyz = MultiPoly(ctx, 3, {(1, 1, 1): 1})
     for (j, k), i in (((1, 2), 0), ((2, 0), 1), ((0, 1), 2)):
-        pulled = MultiPoly.zero(ctx, 3)
+        pulled = MultiPoly(ctx, 3, {})
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             pulled = pulled + f[a] * (f[b].partial(j) * f[c].partial(k)
                                       + f[b].partial(k) * f[c].partial(j))
@@ -736,6 +736,17 @@ def test_surface_suite_refuses_bad_model_data(data_copy, name, edit, witness):
         ("model", "error", witness.format(path=f))]
 
 
+def test_data_files_may_start_with_a_byte_order_mark(data_copy):
+    """A UTF-8 byte-order mark before the first line of a data file is
+    read past: the surface and lattice suites pass on copies of
+    points.dat, surface.poly and e10_basis.dat that start with one."""
+    for name in ("points.dat", "surface.poly", "e10_basis.dat"):
+        f = data_copy / name
+        f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    assert run_suite("surface", data_copy).ok()
+    assert run_suite("lattice", data_copy).ok()
+
+
 def _singular_leaves(ctx, s, points=None):
     """{name: (status, witness)} of the singular search on w^2 = s."""
     m = sf.SurfaceModel(ctx, ["x", "y", "z"], s, None, None, None, None,
@@ -754,6 +765,24 @@ def test_singular_locus_names_the_model_field():
     assert leaves["singular.count"] == ("fail", "3 points")
     assert leaves["singular.rational_over_base"] == (
         "pass", "all coordinates in GF(16)")
+
+
+def test_irrational_singular_points_are_plane_points_in_their_field(ctx):
+    """w^2 = g^6 x y^11 + g^15 x z^11 over GF(32) is singular at
+    (1 : 0 : 0) and where x = 0 and (y/z)^11 = g^9: at (0 : g^29 : 1)
+    and at ten points of degree 10, each written as a plane point in
+    the g of GF(2^10)."""
+    s = MultiPoly(ctx, 3, {(1, 11, 0): ctx.gen_pow(6),
+                           (1, 0, 11): ctx.gen_pow(15)})
+    leaves = _singular_leaves(ctx, s)
+    assert all(st == "pass" for n, (st, _) in leaves.items()
+               if n.startswith("singular.chart_"))
+    assert leaves["singular.count"] == ("fail", "2 points")
+    assert leaves["singular.matches_marked_points"] == (
+        "fail", ["(0 : g^29 : 1)", "(1 : 0 : 0)"])
+    status, witness = leaves["singular.rational_over_base"]
+    assert status == "fail" and len(witness) == 10
+    assert witness[0] == "chart z: degree-10 point (0 : g^258 : 1)"
 
 
 def test_singular_summaries_fail_when_the_search_is_incomplete(

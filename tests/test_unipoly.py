@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from salemsurf import LEHMER
 from salemsurf.errors import DomainError, InvariantViolation
 from salemsurf.gf2m import embed, ext_context, field_make, gf32
-from salemsurf.lattice import lehmer_polynomial
 from salemsurf.multipoly import MultiPoly
 from salemsurf.unipoly import UniPoly, _trace_split, factor, uni_roots
 
@@ -69,7 +69,7 @@ def test_double_root_over_prime_field():
 
 
 def test_degree10_polynomial_mod2_roots(ctx):
-    f = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
+    f = UniPoly(ctx, [c % 2 for c in list(LEHMER)])
     roots = uni_roots(f, 10)
     assert len(roots) == 10
     bits = {r for _, r, _ in roots}
@@ -110,7 +110,7 @@ def test_multipoly_embed_to_commutes_with_evaluation(ctx):
 
 
 def test_root_output_is_sorted(ctx):
-    f = UniPoly(ctx, [c % 2 for c in lehmer_polynomial()])
+    f = UniPoly(ctx, [c % 2 for c in list(LEHMER)])
     roots = uni_roots(f, 10)
     keys = [(k.m, r) for k, r, _ in roots]
     assert keys == sorted(keys)
@@ -146,7 +146,7 @@ def test_bounded_search_reports_cofactor(ctx):
 
 def test_factor_mod2_degree10():
     gf2 = field_make(1, 0b11)
-    f = UniPoly(gf2, [c % 2 for c in lehmer_polynomial()])
+    f = UniPoly(gf2, [c % 2 for c in list(LEHMER)])
     facts = factor(f)
     assert [list(p.coeffs) for p, _ in facts] == [
         [1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 0, 1]]
