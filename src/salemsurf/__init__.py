@@ -7,8 +7,12 @@ into named report-producing runs; `suites` says which modules a run
 executes, and when.
 
 Lehmer's coefficients and the data-file reader live here, because the
-lattice half and the surface half both use them.
+lattice half and the surface half both use them. The bundled model
+data is the directory `<package>/data`, read exactly like a directory
+given with `--data`.
 """
+
+import os
 
 from .errors import ParseError
 
@@ -22,21 +26,19 @@ LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
 
 def _read_data(data_dir, name: str) -> str:
-    """Text of the model data file `name`, read as UTF-8 with or
-    without a byte-order mark: from data_dir when given, else the copy
-    bundled with the package. Every suite reads its data through here; a
-    file that is missing, or cannot be read or decoded, is a ParseError
-    naming it."""
-    from importlib import resources  # here, so `verify salem` skips them
-    from pathlib import Path
+    """Text of the model data file `name` in data_dir, or in the
+    package's `data` directory when data_dir is None, read as UTF-8
+    with or without a byte-order mark. Every suite reads its data
+    through here; a file that is missing, or cannot be read or decoded,
+    is a ParseError naming it."""
     if data_dir is None:
-        p = resources.files(__package__).joinpath("data", name)
-    else:
-        p = Path(data_dir) / name
-        if not p.exists():
-            raise ParseError(f"missing data file {p}")
+        data_dir = os.path.join(os.path.dirname(__file__), "data")
+    p = os.path.join(data_dir, name)
+    if not os.path.exists(p):
+        raise ParseError(f"missing data file {p}")
     try:
-        return p.read_text(encoding="utf-8-sig")
+        with open(p, encoding="utf-8-sig") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as ex:
         raise ParseError(f"cannot read data file {p}: {ex}") from ex
 

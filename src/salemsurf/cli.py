@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("suite", metavar="SUITE", choices=SUITE_NAMES,
                     help=f"one of: {', '.join(SUITE_NAMES)}")
     ap.add_argument("--data", metavar="DIR", default=None,
-                    help="directory holding the model data files "
-                         "(default: the bundled data)")
+                    help="directory holding the model data files; every "
+                         "suite but salem reads them (default: the bundled "
+                         "data)")
     ap.add_argument("--format", choices=("json", "md"), default="md",
                     help="report format (default: md)")
     ap.add_argument("--precision", metavar="P", type=_precision,

@@ -26,7 +26,8 @@ from .errors import DomainError, InvariantViolation, ParseError
 
 
 class FieldCtx:
-    """Immutable GF(2^m) context: modulus and the exp/log tables of t."""
+    """GF(2^m) context: modulus and the exp/log tables of t, fixed when
+    built, and a cache of subfield embedding tables, filled on use."""
 
     __slots__ = ("m", "modulus", "order", "_exp", "_log", "_embeddings")
 

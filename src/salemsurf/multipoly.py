@@ -70,13 +70,9 @@ class MultiPoly:
         for e in terms:
             if len(e) != nvars:
                 raise InvariantViolation("exponent tuple length != nvars")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms",
-                           {e: c for e, c in terms.items() if c})
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPoly is immutable; build a new one")
+        self.ctx = ctx
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------------
 

@@ -260,10 +260,14 @@ def derive_sigma_inverse(m: SurfaceModel,
     forward . inverse, c(SI) (k lambda^2 w + eta_prime) + eta(SI), must
     be lambda^6 w, so the tail is the exact quotient eta(SI) / c(SI).
     Once inverse . forward is xyz * identity, the rest holds by
-    construction: k c = (xyz)^2 makes c(SI) k lambda^2 = lambda^6, and
-    eta_prime(f) = k lambda^2(f) eta follows for eta homogeneous of
-    degree 12, as load_model requires. NoSolution reports a model
-    inconsistency.
+    construction. forward . inverse is lambda * identity: lambda^2 =
+    six siy siz pulls back to (xyz)^4, so lambda(f) = (xyz)^2, as
+    squaring is one to one on polynomials in characteristic 2; then
+    (f(SI))(f) = f(xyz * id) = (xyz)^2 f = lambda(f) f, and f is
+    dominant because SI(f) is, so f(SI) = lambda * id. k c = (xyz)^2
+    makes c(SI) k lambda^2 = lambda^6, and eta_prime(f) = k lambda^2(f)
+    eta follows for eta homogeneous of degree 12, as load_model
+    requires. NoSolution reports a model inconsistency.
     """
     ctx = m.ctx
     fx, fy, fz = m.f
@@ -280,13 +284,9 @@ def derive_sigma_inverse(m: SurfaceModel,
     for comp, var in ((six, x), (siy, y), (siz, z)):
         if comp.substitute(list(m.f)) != xyz * var:
             raise NoSolution("inverse . forward is not xyz * identity")
+    # lambda^2 = six siy siz, so lambda^2(f) = (xyz)^4 by the check
+    # above and k lambda^2(f) c = (xyz)^6 needs no substitution
     lam = xa * yb * z
-    for comp, var in zip(m.f, (x, y, z)):
-        if comp.substitute([six, siy, siz]) != lam * var:
-            raise NoSolution("forward . inverse is not "
-                             "(x+az)(y+bz)z * identity")
-    # lambda^2 = six siy siz, so lambda^2(f) = (xyz)^4 by the first
-    # check and k lambda^2(f) c = (xyz)^6 needs no substitution
     if gamma is None:
         raise NoSolution("no scalar matches the w-component weight")
     k = ctx.inv_bits(gamma)

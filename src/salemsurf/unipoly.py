@@ -35,11 +35,8 @@ class UniPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
+        self.ctx = ctx
+        self.coeffs = tuple(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -24,7 +24,7 @@ import salemsurf.report as rp
 import salemsurf.surface as sf
 from salemsurf import LEHMER, _read_data
 from salemsurf.cli import build_parser, main
-from salemsurf.errors import InvariantViolation, NoSolution
+from salemsurf.errors import InvariantViolation, NoSolution, ParseError
 from salemsurf.gf2m import field_make
 from salemsurf.multipoly import (MultiPoly, local_expansion, plane_zeros,
                                  resultant)
@@ -181,6 +181,22 @@ def test_precision_help_names_the_suites_that_read_it(capsys):
         assert main(["surface", "--format", "json"] + extra) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_data_help_names_the_suites_that_read_it(capsys):
+    """--help says that every suite but salem reads --data; salem prints
+    the same bytes with a directory that does not exist, and another
+    suite reports the missing file."""
+    (action,) = [a for a in build_parser()._actions
+                 if "--data" in a.option_strings]
+    assert re.search(r"every\s+suite but salem reads them", action.help)
+    outputs = []
+    for extra in ([], ["--data", "/nonexistent"]):
+        assert main(["salem", "--format", "json"] + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert main(["lagrangians", "--data", "/nonexistent"]) == 1
+    assert "missing data file /nonexistent/" in capsys.readouterr().out
 
 
 def test_readme_names_every_module():
@@ -826,6 +842,18 @@ def test_full_run_is_deterministic_and_matches_golden(capsys):
     assert first == GOLDEN.read_text()
 
 
+def test_bundled_directory_given_as_data_matches_golden(capsys):
+    """The bundled files are <package>/data read by path: naming that
+    directory with --data gives the golden bytes, and a file absent
+    from it is a missing data file, as in any --data directory."""
+    bundled = Path(sf.__file__).parent / "data"
+    assert main(["all", "--format", "json", "--data", str(bundled)]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+    with pytest.raises(ParseError,
+                       match=f"^missing data file {re.escape(str(bundled))}"):
+        _read_data(None, "absent.dat")
+
+
 def test_fine_salem_run_matches_golden(capsys):
     assert main(["salem", "--format", "json", "--precision", "1.5e-30"]) == 0
     assert capsys.readouterr().out == SALEM_FINE_GOLDEN.read_text()
@@ -1091,14 +1119,15 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 FRONT_END = {"cli", "suites", "report", "errors"}
 
 
-def _fresh_names(code, names):
-    """The words that a fresh interpreter prints for the expression
-    `names`, an iterable of strings, after running `code`."""
+def _fresh_names(code, names, *flags):
+    """The words that a fresh interpreter, started with `flags`, prints
+    for the expression `names`, an iterable of strings, after running
+    `code`."""
     probe = (f"{code}\nimport sys, types\n"
              f"print(' '.join({names}), file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stderr
+    err = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
+                         check=True, capture_output=True, text=True).stderr
     return set(err.splitlines()[-1].split())
 
 
@@ -1148,6 +1177,17 @@ def test_surface_run_imports_no_rational_arithmetic():
                         "main(['salem', '--format', 'json'])",
                         f"{rational} & set(sys.modules)") == {"fractions",
                                                               "decimal"}
+
+
+@pytest.mark.parametrize("suite", ["surface", "lattice", "cubic", "all"])
+def test_data_reads_import_no_path_library(suite):
+    """The bundled data is read with os.path, like a --data directory, so
+    a run in a clean interpreter (-S: no site hook imports them first)
+    passes without importing importlib.resources or pathlib."""
+    assert _fresh_names("from salemsurf.cli import main\n"
+                        f"assert main([{suite!r}, '--format', 'json']) == 0",
+                        "{'importlib.resources', 'pathlib'} & "
+                        "set(sys.modules)", "-S") == set()
 
 
 @pytest.mark.parametrize("suite,functions", [

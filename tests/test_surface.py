@@ -244,10 +244,17 @@ def test_steps_of_the_scalar_relations_at_the_cusp(ctx, tmp_path, i):
 @pytest.mark.parametrize("i", range(5))
 def test_inverse_identities_that_hold_by_construction(ctx, tmp_path, i):
     """derive_sigma_inverse checks inverse . forward = xyz * identity and
-    takes the tail as an exact quotient; these three identities then
-    follow, on the bundled model (i = 0) and its Frobenius twists."""
+    takes the tail as an exact quotient; these identities then follow,
+    on the bundled model (i = 0) and its Frobenius twists. forward .
+    inverse is lambda * identity: lambda^2 pulls back to (xyz)^4, so
+    lambda(f) = (xyz)^2 (squaring is one to one in characteristic 2),
+    (f(SI))(f) = f(xyz * id) = lambda(f) f, and f is dominant because
+    SI(f) is."""
     m = sf.load_model(_twisted(tmp_path, i))
     si = sf.derive_sigma_inverse(m, sf.c_scalar(m))
+    for var, comp in enumerate(m.f):
+        assert comp.substitute(list(si.components)) \
+            == si.lambda_factor * MultiPoly.var(ctx, 3, var)
     k, lam2 = si.w_scalar, si.lambda_factor * si.lambda_factor
     lam2_f = lam2.substitute(list(m.f))
     assert lam2_f == MultiPoly(ctx, 3, {(4, 4, 4): 1})
