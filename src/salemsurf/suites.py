@@ -7,9 +7,11 @@ inputs emit byte-identical JSON. The node names `lattice.coxeter`,
 `lattice.salem`, `lattice.mod2` and `lattice.lagrangians` are part of
 the external interface; everything else follows the library layout.
 
-A suite is a list of (node name, check) pairs, each run in its own
-guard, over one table of run objects (`_run_objects`), so every shared
-object is built at most once per run, a failed build included. The
+A suite is a list of (node name, check) pairs over one table of run
+objects (`_run_objects`), so every shared object is built at most once
+per run, a failed build included. Each check runs in its own guard,
+`_guarded`, the one place where an exception becomes a leaf; a check
+that goes on past a part that raises runs that part in it too. The
 `salem` and `lagrangians` suites run one check of the lattice list.
 
 This module holds only that runner and the entry points; `import

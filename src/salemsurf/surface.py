@@ -222,9 +222,11 @@ def verify_equivariance(m: SurfaceModel) -> rp.Report:
     statement that w -> c w + eta maps w^2 = s to itself."""
     lhs = m.s.substitute(list(m.f))
     rhs = m.c * m.c * m.s + m.eta * m.eta
+    nl, nr, nd = (p.num_terms() for p in (lhs, rhs, lhs + rhs))
     checks = [
         rp.leaf("equivariance.identity", lhs == rhs,
-                f"{lhs.num_terms()} terms on each side"),
+                f"{nl} terms on the left, {nr} on the right, {nd} differ"
+                if nd else f"{nl} terms on each side"),
         rp.leaf("equivariance.degree",
                 lhs.is_homogeneous() and lhs.total_degree() == 24
                 and rhs.is_homogeneous() and rhs.total_degree() == 24,
@@ -365,18 +367,17 @@ def singular_locus(m: SurfaceModel) -> rp.Report:
     ctx = m.ctx
     grad = [m.s.partial(i) for i in range(3)]
     checks, pts = [], []
-    for label in "zyx":
-        try:
-            leaves, got = _stratum_points(grad, label)
-        except Exception as ex:  # noqa: BLE001 - verifier boundary
-            checks.append(rp.error_leaf(f"singular.chart_{label}", ex))
-            continue
-        checks += leaves
-        pts += [(label, co, k) for co, k in got]
+
+    def stratum(label):
+        leaves, got = _stratum_points(grad, label)
+        checks.extend(leaves)
+        pts.extend((label, co, k) for co, k in got)
         # later strata lie on this coordinate's zero line
         n = sum(1 for _, co, _k in pts if co["xyz".index(label)])
-        checks.append(rp.leaf(f"singular.chart_{label}", True,
-                              f"{n} affine points"))
+        return rp.leaf(f"singular.chart_{label}", True, f"{n} affine points")
+    for label in "zyx":
+        checks.append(_guarded(f"singular.chart_{label}",
+                               lambda: stratum(label)))
     incomplete = [c.name for c in checks if not c.ok()]
     found = {co for _, co, k in pts if k is ctx}
     irrational = [f"chart {label}: degree-{k.m} point "
@@ -556,26 +557,22 @@ def verify_chart_smoothness(local: list[MultiPoly]) -> rp.Report:
     ctx = local[0].ctx
     checks = []
     for idx in (1, 2, 3):
-        sc = local[idx]
-        try:
-            order = sc.order()
-            if order < 4:
-                checks.append(rp.leaf(f"charts.p{idx}", False,
-                                      f"order {order} < 4 at the base point"))
-                continue
-            main, comp = _strict_transforms(sc)
-            r_u = main.partial(0).univariate_at(1, (0, 0))
-            r_v = main.partial(1).univariate_at(1, (0, 0))
-            gdeg = r_u.gcd(r_v).degree()  # -1 when both vanish
-            checks.append(rp.leaf(f"charts.p{idx}_main", gdeg == 0,
-                                  f"gcd degree {gdeg}"))
-            w1 = comp.partial(0).eval_bits([0, 0])
-            w2 = comp.partial(1).eval_bits([0, 0])
-            checks.append(rp.leaf(
-                f"charts.p{idx}_complementary", (w1, w2) != (0, 0),
-                f"({format_elem(ctx, w1)}, {format_elem(ctx, w2)})"))
-        except Exception as ex:  # noqa: BLE001 - verifier boundary
-            checks.append(rp.error_leaf(f"charts.p{idx}", ex))
+        order = local[idx].order()
+        if order < 4:
+            checks.append(rp.leaf(f"charts.p{idx}", False,
+                                  f"order {order} < 4 at the base point"))
+            continue
+        main, comp = _strict_transforms(local[idx])
+        r_u = main.partial(0).univariate_at(1, (0, 0))
+        r_v = main.partial(1).univariate_at(1, (0, 0))
+        gdeg = r_u.gcd(r_v).degree()  # -1 when both vanish
+        checks.append(rp.leaf(f"charts.p{idx}_main", gdeg == 0,
+                              f"gcd degree {gdeg}"))
+        w1 = comp.partial(0).eval_bits([0, 0])
+        w2 = comp.partial(1).eval_bits([0, 0])
+        checks.append(rp.leaf(
+            f"charts.p{idx}_complementary", (w1, w2) != (0, 0),
+            f"({format_elem(ctx, w1)}, {format_elem(ctx, w2)})"))
     return rp.node("charts", checks)
 
 
@@ -685,7 +682,8 @@ def _surface_match(m: SurfaceModel, chart: cu.CuspChart,
     checks = [rp.leaf("match.induced_action_affine", True, repr(action)),
               rp.leaf("match.multiplier_is_root", action.alpha in roots,
                       format_elem(ctx, action.alpha))]
-    try:
+
+    def transport():
         fixed = action.fixed_point()
         t0 = chart.param_of(m.points[0])
         checks.append(rp.leaf("match.fixed_parameter", fixed == t0,
@@ -704,9 +702,8 @@ def _surface_match(m: SurfaceModel, chart: cu.CuspChart,
                               [repr(phi) for phi in equiv]))
         labels_ok = bool(equiv) and all(
             equiv[0](concrete[i]) == abstract[i] for i in range(10))
-        checks.append(rp.leaf("match.marking_preserved", labels_ok))
-    except Exception as ex:  # noqa: BLE001
-        checks.append(rp.error_leaf("match.parameter_transport", ex))
+        return rp.leaf("match.marking_preserved", labels_ok)
+    checks.append(_guarded("match.parameter_transport", transport))
     return rp.node("match", checks)
 
 

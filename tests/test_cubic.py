@@ -231,6 +231,18 @@ def test_induced_map_rejects_non_preserving(ctx):
                            curve.substitute([y, x, z]))
 
 
+@pytest.mark.parametrize("field,image,message", [
+    # over GF(2) the identity has only 2 smooth points to sample
+    (field_make(1, 0b11), lambda v: v, "only 2 usable samples"),
+    # Frobenius keeps the curve but acts on the chart as t -> t^2
+    (gf32(), lambda v: v * v, "induced parameter map failed validation")])
+def test_induced_map_refuses_an_action_it_cannot_fit(field, image, message):
+    comps = [image(MultiPoly.var(field, 3, i)) for i in range(3)]
+    curve = standard_cubic(field)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        induced_affine_map(_chart(curve), comps, curve.substitute(comps))
+
+
 def test_induced_map_of_bundled_model(ctx, model):
     chart = _chart(model.g)
     action = induced_affine_map(chart, list(model.f),

@@ -261,6 +261,17 @@ def test_salem_certificate():
         salem_certify([1, 1, 1])  # both roots on the unit circle
 
 
+@pytest.mark.parametrize("p,message", [
+    # x^4 + 3x^2 + 1: trace polynomial t^2 + 1
+    ([1, 0, 3, 0, 1], r"^trace polynomial has 0 real roots, needs 2$"),
+    # (x - 1)^2: trace polynomial t - 2
+    ([1, -2, 1], r"^trace root at \+/-2 \(cyclotomic boundary\)$")])
+def test_salem_certify_refuses_a_trace_polynomial_off_the_interval(
+        p, message):
+    with pytest.raises(NoSolution, match=message):
+        salem_certify(p)
+
+
 def test_sign_vector_target():
     assert sign_vector_target(salem_certify(list(LEHMER))) \
         == (-1, -1, 1, 1)

@@ -1088,6 +1088,21 @@ def test_markdown_times_the_surface_suite(capsys):
     assert abs(sum(map(ms, children)) - surface) <= 0.05 * surface
 
 
+def test_markdown_times_the_singular_chart_leaves(capsys):
+    """Each singular chart leaf carries the time of its own stratum, so
+    chart z, the eliminant's stratum, shows a time, and the three add
+    up to no more than the singular node's time (0.2 ms for rounding)."""
+    assert main(["surface", "--format", "md"]) == 0
+    times = {}
+    for ln in capsys.readouterr().out.splitlines():
+        name, sep, rest = ln.partition("` (")
+        if sep:
+            times[name.rpartition("`")[2]] = float(rest.split(" ms")[0])
+    charts = [times[f"singular.chart_{c}"] for c in "zyx"]
+    assert charts[0] > 0
+    assert sum(charts) <= times["singular"] + 0.2
+
+
 SRC_DIR = Path(cli.__file__).resolve().parents[1]
 
 

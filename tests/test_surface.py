@@ -63,6 +63,22 @@ def test_orbit_cubic_equivariance_reports(model):
     assert sf.verify_equivariance(model).ok()
 
 
+def test_equivariance_witness_counts_each_side(model, data_copy):
+    """The identity's witness is one term count when both sides agree,
+    and the count of each side and of their difference when not: with
+    the coefficient of x^2 y^3 z^7 in s moved from g^15 to g^19,
+    s(f) has 64 terms, c^2 s + eta^2 has 60 and the two differ in 9."""
+    def identity(m):
+        (leaf, _degree) = sf.verify_equivariance(m).children
+        return leaf.status, leaf.witness
+
+    assert identity(model) == ("pass", "60 terms on each side")
+    _sub(r"\+ g\^15\*x\^2\*y\^3\*z\^7 ", "+ g^19*x^2*y^3*z^7 ")(
+        data_copy / "surface.poly")
+    assert identity(sf.load_model(data_copy)) == (
+        "fail", "64 terms on the left, 60 on the right, 9 differ")
+
+
 def test_inverse_structure(ctx, model, sigma_inv):
     si = sigma_inv
     assert si.w_scalar == ctx.gen_pow(15)
@@ -714,6 +730,9 @@ def _replace_by_directory(f):
                  "ParseError: bad field spec 'h^5=g^2+1'", id="field-name"),
     pytest.param("surface.poly", _sub(r"field: .*$", "field: g^5=h^2+1"),
                  "ParseError: bad modulus term 'h^2'", id="modulus-term"),
+    pytest.param("surface.poly", _sub(r"field: .*$", "field: g^5=g^2"),
+                 "InvariantViolation: modulus has zero constant term",
+                 id="modulus-without-constant"),
     pytest.param("cubic.poly", _sub(r"^g = .*$", "g = x*w"),
                  "ParseError: unknown factor 'w'", id="unknown-factor"),
     pytest.param("cubic.poly", _sub(r"^g = .*$", "g x*y*z"),
@@ -741,6 +760,25 @@ def test_surface_suite_refuses_bad_model_data(data_copy, name, edit, witness):
     rep = run_suite("surface", data_copy)
     assert [(c.name, c.status, c.witness) for c in rep.children] == [
         ("model", "error", witness.format(path=f))]
+
+
+@pytest.mark.parametrize("edit,witness", [
+    pytest.param(_sub(r"^c = .*$", "c = g^16*x^2*y^2*z^2 + x^6"),
+                 "NoSolution: no scalar matches the w-component weight",
+                 id="c-not-a-monomial"),
+    pytest.param(_sub(r"^fx = .*$", "fx = x*y"),
+                 "NoSolution: f does not have the expected component shape",
+                 id="fx-without-xz")])
+def test_inverse_refusal_is_the_error_of_every_node_that_reads_it(
+        data_copy, edit, witness):
+    """An automorphism that loads but has no inverse of the expected
+    form: inverse, derivation and alpha, the nodes that read the
+    inverse or the scalar gamma, are each the error leaf naming why."""
+    edit(data_copy / "automorphism.poly")
+    rep = run_suite("surface", data_copy)
+    assert [(c.name, c.status) for c in rep.children
+            if c.witness == witness] == [
+        ("inverse", "error"), ("derivation", "error"), ("alpha", "error")]
 
 
 def test_data_files_may_start_with_a_byte_order_mark(data_copy):
@@ -869,6 +907,33 @@ def test_singular_line_at_infinity_fails_the_y_fibre(ctx):
         "fail", ["(0 : 0 : 1)", "(1 : 0 : 0)"])
     assert leaves["singular.rational_over_base"] == (
         "fail", "search incomplete: singular.chart_y.fiber_0")
+
+
+def test_singular_point_failing_re_evaluation_fails_back_substitution(
+        monkeypatch, model):
+    """A fiber root that is not a common zero of the three partials is
+    the failing back_substitution leaf of its chart, not a point: with
+    the first z-chart fiber also returning its first root xor 1, the
+    candidate (0 : 1 : 1) fails, the eleven points are still found and
+    the search is incomplete."""
+    common_roots = sf._common_roots
+    calls = []
+
+    def with_a_false_root(*args):
+        leaves, roots = common_roots(*args)
+        calls.append(args)
+        if len(calls) == 1:
+            k, r = roots[0]
+            roots = roots + [(k, r ^ 1)]
+        return leaves, roots
+
+    monkeypatch.setattr(sf, "_common_roots", with_a_false_root)
+    leaves = _singular_leaves(model.ctx, model.s, model.points)
+    assert leaves["singular.chart_z.back_substitution"] == (
+        "fail", "(0 : 1 : 1) fails re-evaluation")
+    assert leaves["singular.count"] == ("fail", "11 points")
+    assert leaves["singular.rational_over_base"] == (
+        "fail", "search incomplete: singular.chart_z.back_substitution")
 
 
 def test_singular_summaries_need_every_chart_leaf(monkeypatch, model):
